@@ -49,6 +49,17 @@ fn bench_crypto(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("hmac_sha256", size), &data, |b, d| {
             b.iter(|| hmac_sha256(b"cluster-key", d));
         });
+    }
+    g.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    // The frame sizes the TCP workloads actually checksum: acks and
+    // heartbeats, 256 B appends, the paper's 4 KiB records, batched frames.
+    let mut g = c.benchmark_group("crc32");
+    for &size in &[64usize, 256, 4096, 65536] {
+        let data = payload(size);
+        g.throughput(Throughput::Bytes(size as u64));
         g.bench_with_input(BenchmarkId::new("crc32", size), &data, |b, d| {
             b.iter(|| crc32(d));
         });
@@ -139,5 +150,12 @@ fn bench_wire_batched(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_reed_solomon, bench_crypto, bench_wire, bench_wire_batched);
+criterion_group!(
+    benches,
+    bench_reed_solomon,
+    bench_crypto,
+    bench_crc32,
+    bench_wire,
+    bench_wire_batched
+);
 criterion_main!(benches);

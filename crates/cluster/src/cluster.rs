@@ -8,7 +8,7 @@ use crate::network::{NetConfig, NetControl, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
 use crate::transport::{Transport, TransportInboxes, NODE_INBOX_DEPTH};
 use nbr_core::{Node, Output};
-use nbr_obs::{EngineProbe, ProbeEvent, Registry};
+use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry};
 use nbr_storage::{LogStore, MemLog, StateMachine, SyncPolicy, WalLog};
 use nbr_types::*;
 use std::collections::HashMap;
@@ -444,6 +444,54 @@ impl<M: StateMachine + Send + 'static> Drop for Cluster<M> {
     }
 }
 
+/// Interned metric handles of one replica loop: the name lookup is paid
+/// once at spawn, each mirror below is a single atomic store.
+struct ReplicaMetrics {
+    appends: Arc<Counter>,
+    weak_accepts: Arc<Counter>,
+    strong_accepts: Arc<Counter>,
+    parked: Arc<Counter>,
+    park_wait_ns: Arc<Counter>,
+    window_flushes: Arc<Counter>,
+    elections: Arc<Counter>,
+    messages: Arc<Counter>,
+    committed: Arc<Counter>,
+    applied: Arc<Counter>,
+    proposals: Arc<Counter>,
+    term: Arc<Gauge>,
+    commit_index: Arc<Gauge>,
+    last_index: Arc<Gauge>,
+    is_leader: Arc<Gauge>,
+    alive: Arc<Gauge>,
+    window_cached: Arc<Gauge>,
+    window_parked: Arc<Gauge>,
+}
+
+impl ReplicaMetrics {
+    fn new(reg: &Registry) -> ReplicaMetrics {
+        ReplicaMetrics {
+            appends: reg.counter("appends"),
+            weak_accepts: reg.counter("weak_accepts"),
+            strong_accepts: reg.counter("strong_accepts"),
+            parked: reg.counter("parked"),
+            park_wait_ns: reg.counter("park_wait_ns"),
+            window_flushes: reg.counter("window_flushes"),
+            elections: reg.counter("elections"),
+            messages: reg.counter("messages"),
+            committed: reg.counter("committed"),
+            applied: reg.counter("applied"),
+            proposals: reg.counter("proposals"),
+            term: reg.gauge("term"),
+            commit_index: reg.gauge("commit_index"),
+            last_index: reg.gauge("last_index"),
+            is_leader: reg.gauge("is_leader"),
+            alive: reg.gauge("alive"),
+            window_cached: reg.gauge("window_cached"),
+            window_parked: reg.gauge("window_parked"),
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn spawn_replica<M: StateMachine + Send + Default + 'static>(
     id: NodeId,
@@ -519,6 +567,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
             let mut last_hs = node.as_ref().map(|n| n.hard_state());
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
+            let metrics = ReplicaMetrics::new(&registry);
 
             loop {
                 // Control commands.
@@ -535,7 +584,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                             // its recovered log from the start.
                             *machine.lock() = M::default();
                             status.lock().alive = false;
-                            registry.gauge("alive").set(0);
+                            metrics.alive.set(0);
                         }
                         Control::Read(reply) => {
                             if let Some(n) = node.as_mut() {
@@ -612,6 +661,11 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                     // requests becomes a handful of multi-entry Appends per
                     // follower instead of hundreds of single-entry frames.
                     nbr_core::coalesce_appends(&mut outputs, MAX_APPEND_BATCH);
+                    // On in-order links the accept that completes an op's weak
+                    // quorum also commits it, so the engine emits Weak then
+                    // Strong for the same request back to back: send the
+                    // client the one reply that tells it everything.
+                    compress_weak_responds(&mut outputs);
 
                     // Persist hard state before acting on outputs.
                     let hs = n.hard_state();
@@ -698,27 +752,27 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                     // Metrics registry: protocol counters mirrored from the
                     // engine's stats, plus replica-state gauges.
                     let st = &n.stats;
-                    registry.counter("appends").set(st.appends);
-                    registry.counter("weak_accepts").set(st.weak_accepts);
-                    registry.counter("strong_accepts").set(st.strong_accepts);
-                    registry.counter("parked").set(st.parked);
-                    registry.counter("park_wait_ns").set(st.park_wait_ns);
-                    registry.counter("window_flushes").set(st.window_flushes);
-                    registry.counter("elections").set(st.elections);
-                    registry.counter("messages").set(st.messages);
-                    registry.counter("committed").set(st.committed);
-                    registry.counter("applied").set(st.applied);
-                    registry.counter("proposals").set(st.proposals);
-                    registry.gauge("term").set(n.term().0 as i64);
-                    registry.gauge("commit_index").set(n.commit_index().0 as i64);
-                    registry.gauge("last_index").set(n.last_index().0 as i64);
-                    registry.gauge("is_leader").set(n.is_leader() as i64);
-                    registry.gauge("alive").set(1);
+                    metrics.appends.set(st.appends);
+                    metrics.weak_accepts.set(st.weak_accepts);
+                    metrics.strong_accepts.set(st.strong_accepts);
+                    metrics.parked.set(st.parked);
+                    metrics.park_wait_ns.set(st.park_wait_ns);
+                    metrics.window_flushes.set(st.window_flushes);
+                    metrics.elections.set(st.elections);
+                    metrics.messages.set(st.messages);
+                    metrics.committed.set(st.committed);
+                    metrics.applied.set(st.applied);
+                    metrics.proposals.set(st.proposals);
+                    metrics.term.set(n.term().0 as i64);
+                    metrics.commit_index.set(n.commit_index().0 as i64);
+                    metrics.last_index.set(n.last_index().0 as i64);
+                    metrics.is_leader.set(n.is_leader() as i64);
+                    metrics.alive.set(1);
                     // Live window occupancy: entries currently cached in
                     // the sliding window vs parked beyond it.
                     let cached = n.window().occupied();
-                    registry.gauge("window_cached").set(cached as i64);
-                    registry.gauge("window_parked").set((n.blocked_entries() - cached) as i64);
+                    metrics.window_cached.set(cached as i64);
+                    metrics.window_parked.set((n.blocked_entries() - cached) as i64);
                 } else {
                     // Crashed: drain and ignore.
                     let _ = packet;
@@ -765,6 +819,44 @@ pub fn compress_strong_resps(burst: &mut Vec<Packet>) {
             !d
         });
     }
+}
+
+/// Drop a `Weak` client response that a later `Strong` response for the same
+/// `(client, request)` in the same output batch supersedes. A `Strong` tells
+/// the client everything the `Weak` would (the request is received *and*
+/// committed; [`nbr_core::RaftClient`] treats a first-ack `Strong` as ack +
+/// confirm), and both travel the same ordered client connection, so the
+/// client reaches the same state one frame sooner. A `Weak` whose commit is
+/// not yet known in this batch is kept — that early return is the protocol's
+/// point — and nothing is reordered or otherwise touched.
+///
+/// Public for the same reason as [`compress_strong_resps`].
+pub fn compress_weak_responds(outputs: &mut Vec<Output>) {
+    // (client, request) → Strong responses not yet passed by the walk below.
+    let mut later: HashMap<(ClientId, RequestId), u32> = HashMap::new();
+    for o in outputs.iter() {
+        if let Output::Respond { client, resp: ClientResponse::Strong { request, .. } } = o {
+            *later.entry((*client, *request)).or_default() += 1;
+        }
+    }
+    if later.is_empty() {
+        return;
+    }
+    outputs.retain(|o| {
+        let Output::Respond { client, resp } = o else { return true };
+        match resp {
+            ClientResponse::Strong { request, .. } => {
+                if let Some(n) = later.get_mut(&(*client, *request)) {
+                    *n -= 1;
+                }
+                true
+            }
+            ClientResponse::Weak { request, .. } => {
+                later.get(&(*client, *request)).is_none_or(|&n| n == 0)
+            }
+            ClientResponse::LeaderChanged { .. } | ClientResponse::NotLeader { .. } => true,
+        }
+    });
 }
 
 /// A synchronous client bound to one cluster.
@@ -970,5 +1062,83 @@ mod tests {
         let mut burst = vec![strong(2, 1, 7), strong(2, 1, 7)];
         compress_strong_resps(&mut burst);
         assert_eq!(indexes(&burst), vec![7]);
+    }
+
+    fn respond(client: u64, resp: ClientResponse) -> Output {
+        Output::Respond { client: ClientId(client), resp }
+    }
+
+    fn weak_resp(client: u64, request: u64) -> Output {
+        let (index, term) = (LogIndex(request), Term(1));
+        respond(client, ClientResponse::Weak { request: RequestId(request), index, term })
+    }
+
+    fn strong_resp(client: u64, request: u64) -> Output {
+        let (index, term) = (LogIndex(request), Term(1));
+        respond(client, ClientResponse::Strong { request: RequestId(request), index, term })
+    }
+
+    #[test]
+    fn weak_respond_superseded_by_a_later_strong_is_dropped() {
+        // What `process_vote_outcome` emits when one strong accept both
+        // completes the weak quorum and commits: Weak then Strong.
+        let mut out = vec![weak_resp(1, 7), strong_resp(1, 7)];
+        compress_weak_responds(&mut out);
+        assert_eq!(out, vec![strong_resp(1, 7)]);
+
+        // Idempotent, and a no-op on an empty batch.
+        compress_weak_responds(&mut out);
+        assert_eq!(out, vec![strong_resp(1, 7)]);
+        let mut empty: Vec<Output> = Vec::new();
+        compress_weak_responds(&mut empty);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn weak_respond_without_a_known_commit_is_kept() {
+        // Same client, different request: request 8's commit is not known
+        // yet, so its early return must still go out.
+        let mut out = vec![weak_resp(1, 7), weak_resp(1, 8), strong_resp(1, 7)];
+        compress_weak_responds(&mut out);
+        assert_eq!(out, vec![weak_resp(1, 8), strong_resp(1, 7)]);
+
+        // Same request id under another client is another op.
+        let mut out = vec![weak_resp(2, 7), strong_resp(1, 7)];
+        let before = out.clone();
+        compress_weak_responds(&mut out);
+        assert_eq!(out, before);
+    }
+
+    #[test]
+    fn weak_compression_never_reorders_and_touches_nothing_else() {
+        // Strong-then-Weak (a retried request re-accepted after its commit
+        // was reported) keeps both, in order: only a LATER Strong supersedes.
+        let mut out = vec![strong_resp(1, 7), weak_resp(1, 7)];
+        let before = out.clone();
+        compress_weak_responds(&mut out);
+        assert_eq!(out, before);
+
+        // Peer sends, applies and other clients' responses stay in place.
+        let heartbeat = Output::Send {
+            to: NodeId(2),
+            msg: Message::AppendResp(message::AppendRespMsg {
+                term: Term(1),
+                from: NodeId(0),
+                state: AcceptState::Weak { index: LogIndex(7), term: Term(1) },
+            }),
+        };
+        let apply = Output::Apply { entry: Entry::noop(LogIndex(7), Term(1), Term(1)) };
+        let not_leader =
+            respond(1, ClientResponse::NotLeader { request: RequestId(7), hint: None });
+        let mut out = vec![
+            weak_resp(3, 1),
+            heartbeat.clone(),
+            weak_resp(1, 7),
+            not_leader.clone(),
+            strong_resp(1, 7),
+            apply.clone(),
+        ];
+        compress_weak_responds(&mut out);
+        assert_eq!(out, vec![weak_resp(3, 1), heartbeat, not_leader, strong_resp(1, 7), apply]);
     }
 }

@@ -12,7 +12,8 @@ pub mod sync;
 pub mod transport;
 
 pub use cluster::{
-    compress_strong_resps, Cluster, ClusterClient, ClusterConfig, NodeStatus, StorageMode,
+    compress_strong_resps, compress_weak_responds, Cluster, ClusterClient, ClusterConfig,
+    NodeStatus, StorageMode,
 };
 pub use network::{NetConfig, NetControl, NetHandle, NetStats, Network, Packet, CLIENT_ENDPOINT};
 pub use transport::{

@@ -8,7 +8,7 @@
 //! from every open connection merge into one channel the engine consumes.
 
 use crate::clock;
-use nbr_types::wire::{decode_frame_capped, encode_frame};
+use nbr_types::wire::{decode_frame_capped, encode_frame, encode_frame_into};
 use nbr_types::{
     group_trace_id, ClientId, ClientResponse, Error, HelloMsg, NetFrame, NodeId, PeerKind,
     RequestId, Result, Time, TimeDelta, NET_PROTOCOL_VERSION,
@@ -45,6 +45,8 @@ pub struct NetClient {
     /// Durable-confirmation watermarks observed since the last
     /// [`NetClient::take_confirmed`] call.
     confirmed: Vec<RequestId>,
+    /// Request-frame encode buffer, reused across sends.
+    wbuf: Vec<u8>,
 }
 
 impl NetClient {
@@ -87,6 +89,7 @@ impl NetClient {
             epoch: clock::now(),
             max_frame: 16 << 20,
             confirmed: Vec::new(),
+            wbuf: Vec::new(),
         }
     }
 
@@ -175,10 +178,13 @@ impl NetClient {
                     // reuse the same id.
                     let trace = group_trace_id(self.group, request.client, request.request);
                     let frame = NetFrame::Request { group: self.group, to, trace, req: request };
-                    let bytes = encode_frame(&frame);
+                    let mut bytes = std::mem::take(&mut self.wbuf);
+                    bytes.clear();
+                    encode_frame_into(&frame, &mut bytes);
                     let write = self.conn(to.0).and_then(|c| {
                         c.stream.write_all(&bytes).map_err(|e| Error::Cluster(format!("send: {e}")))
                     });
+                    self.wbuf = bytes;
                     if write.is_err() {
                         // Drop the dead connection; the engine's request
                         // timeout will rotate targets and retry.

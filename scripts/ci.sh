@@ -156,4 +156,18 @@ step "trace --critical-path (span assembly across 3 replicas x 2 runs)"
     | tee target/ci-artifacts/critical-path.txt
 grep -q 'accounted' target/ci-artifacts/critical-path.txt
 
+# The repository benchmark (BENCHMARK.json, its own workspace under
+# benchmark/): its self-test, then a short run of the 4 KiB workload — the
+# one the per-byte hot path (CRC kernel, codec, copies) decides. The smoke
+# proves the benchmark builds and passes its correctness gate at this
+# commit; six seconds measure nothing, so no number is compared. The result
+# line is archived.
+step "repository benchmark (self-test + lan_4k smoke)"
+( cd benchmark && cargo test --release --offline )
+time timeout 120 cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- \
+    --workload lan_4k --seed 1 --seconds 6 --trace 0 \
+    | tail -n 1 | tee target/ci-artifacts/benchmark-lan_4k.json
+grep -q '"failed": 0' target/ci-artifacts/benchmark-lan_4k.json
+
 printf '\nci.sh: all checks passed\n'

@@ -30,11 +30,19 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== starting 3-process cluster on $PEERS (traced) =="
+# Peer links carry 2 ms of emulated RTT and drop 5% of protocol frames: on
+# raw loopback entries arrive in order, the accept that completes an op's
+# weak quorum also commits it, and the replica loop sends the client the
+# Strong alone (compress_weak_responds) — no weak ack would ever be observed.
+# A follower that caches entries behind a lost frame is the regime the
+# NB-Raft early return exists for, and what the "weak accepts" assertion
+# below needs in order to mean anything (measured: 55–70% of phase-1 acks).
+echo "== starting 3-process cluster on $PEERS (traced, 2 ms RTT, 5% loss) =="
 mkdir -p "$ART/traces"
 for i in 0 1 2; do
     mport=$((M0 + i))
     "$CLI" serve --node-id "$i" --peers "$PEERS" --cluster-id "$CLUSTER_ID" \
+        --rtt-ms 2 --loss-pct 5 \
         --metrics "127.0.0.1:$mport" --trace "$ART/traces/node$i.jsonl" \
         >"$ART/node$i.log" 2>&1 &
     PIDS[i]=$!

@@ -5,7 +5,7 @@
 use nbraft::storage::{
     encode_batch, LogStore, Point, Snapshot, StateMachine, SyncPolicy, TsStore, WalLog,
 };
-use nbraft::types::{Entry, LogIndex, Term};
+use nbraft::types::{ClientId, Entry, LogIndex, Origin, RequestId, Term};
 use nbraft::workload::{RequestGenerator, WorkloadConfig};
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -93,4 +93,36 @@ fn tsdb_point_batches_round_trip_through_entries() {
     let mut ts = TsStore::default();
     ts.apply(&Entry::data(LogIndex(1), Term(1), Term(0), None, payload));
     assert_eq!(ts.query_range(9, 0, 3000), vec![(1111, 3.25), (2222, -7.5)]);
+}
+
+#[test]
+fn wal_record_from_the_bytewise_crc_build_replays_and_rewrites_identically() {
+    // The file `WalLog` left at commit d854cb8 (PR 14, bytewise CRC) after
+    // appending `entry` below: one 90-byte record, `len || crc || body`. A
+    // kernel that computed any other CRC would drop it as a torn tail.
+    const GOLDEN_WAL: &[u8] = b"\
+        \x5a\x00\x00\x00\xaf\x42\x5c\xcd\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\
+        \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x07\x00\x00\x00\x00\
+        \x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x01\x28\x00\x00\x00\x07\x26\x45\x64\x83\
+        \xa2\xc1\xe0\xff\x1e\x3d\x5c\x7b\x9a\xb9\xd8\xf7\x16\x35\x54\x73\x92\xb1\xd0\xef\x0e\
+        \x2d\x4c\x6b\x8a\xa9\xc8\xe7\x06\x25\x44\x63\x82\xa1\xc0";
+    let entry = Entry::data(
+        LogIndex(1),
+        Term(3),
+        Term(0),
+        Some(Origin { client: ClientId(7), request: RequestId(9) }),
+        bytes::Bytes::from((0..40usize).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>()),
+    );
+
+    let dir = tmp("golden-wal");
+    let old = dir.join("old.wal");
+    std::fs::write(&old, GOLDEN_WAL).unwrap();
+    let wal = WalLog::open(&old, SyncPolicy::Never).unwrap();
+    assert_eq!(wal.last_index(), LogIndex(1));
+    assert_eq!(wal.get(LogIndex(1)), Some(entry.clone()));
+    assert_eq!(wal.file_len(), GOLDEN_WAL.len() as u64, "nothing truncated as torn");
+
+    let new = dir.join("new.wal");
+    WalLog::open(&new, SyncPolicy::Never).unwrap().append(entry).unwrap();
+    assert_eq!(std::fs::read(&new).unwrap(), GOLDEN_WAL);
 }
