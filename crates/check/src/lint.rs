@@ -27,7 +27,7 @@
 //!   any shared lock; holding one across a socket write would let a slow
 //!   peer stall every thread contending for that lock. Guards released
 //!   with an explicit `drop(guard)` or a closed block are fine.
-//! * **L6** — no lock-order cycles in `cluster`, `net` and `shard`. Every
+//! * **L6** — no lock-order cycles in `cluster` and `net`. Every
 //!   `.lock()` reached while another guard is live contributes a
 //!   `held → acquired` edge to one workspace-wide acquisition graph (lock
 //!   identity is the locked field/binding name; an element of an indexed
@@ -77,7 +77,7 @@ const L2_SCOPE: &[&str] = &["core", "cluster", "storage", "net"];
 const L3_SCOPE: &[&str] = &["core", "obs", "sim", "types", "net"];
 const L4_SCOPE: &[&str] = &["core", "cluster", "storage", "net"];
 const L5_SCOPE: &[&str] = &["cluster", "net"];
-const L6_SCOPE: &[&str] = &["cluster", "net", "shard"];
+const L6_SCOPE: &[&str] = &["cluster", "net"];
 
 const KNOWN_RULES: &[&str] = &["L1", "L2", "L3", "L4", "L5", "L6"];
 
@@ -1059,7 +1059,7 @@ mod tests {
         // Two elements of one collection: `lanes[a]` then `lanes[b]` is a
         // self-cycle on the collection's conservative identity `lanes[_]`.
         let src = "fn f() {\n  let g = self.lanes[a].lock();\n  self.lanes[b].lock().push(x);\n}\n";
-        let v = l6(&[("shard", src)]);
+        let v = l6(&[("net", src)]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].msg.contains("lanes[_]"), "{}", v[0].msg);
         // Indexed vs plain field locks still order cleanly.
@@ -1071,14 +1071,6 @@ mod tests {
         let abba = "fn f() {\n  let g = self.routes.lock();\n  let h = queues[i].lock();\n}\n\
                     fn g() {\n  let h = queues[j].lock();\n  let g = self.routes.lock();\n}\n";
         let v = l6(&[("net", abba)]);
-        assert_eq!(v.iter().filter(|v| v.rule == "L6").count(), 2, "{v:?}");
-    }
-
-    #[test]
-    fn l6_runs_in_shard_scope() {
-        let src = "fn f() {\n  let g = self.routes.lock();\n  let h = self.peers.lock();\n}\n\
-                   fn g() {\n  let h = self.peers.lock();\n  let g = self.routes.lock();\n}\n";
-        let v = l6(&[("shard", src)]);
         assert_eq!(v.iter().filter(|v| v.rule == "L6").count(), 2, "{v:?}");
     }
 

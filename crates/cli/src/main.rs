@@ -15,10 +15,9 @@ use nbr_cluster::{Cluster, ClusterConfig, StorageMode};
 use nbr_net::{NetClient, NodeServer, ServeConfig};
 use nbr_obs::{analyze, EngineProbe, TraceEvent};
 use nbr_petri::{CostProfile, ModelConfig, ReplicationModel};
-use nbr_shard::{ShardServeConfig, ShardServer};
 use nbr_sim::{run, CostModel, GeoMatrix, SimConfig, SimResult};
 use nbr_storage::KvStore;
-use nbr_types::{ClientId, Protocol, TimeDelta};
+use nbr_types::{ClientId, Protocol, TimeDelta, MAX_GROUPS};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -79,6 +78,11 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// `--groups N`: Raft groups per server process (default 1).
+    fn groups(&self) -> u32 {
+        check_groups(self.get("groups", 1u32))
+    }
+
     fn protocol(&self) -> Protocol {
         match self.values.get("protocol") {
             Some(v) => parse_protocol(v).unwrap_or_else(|| {
@@ -90,6 +94,15 @@ impl Args {
             None => Protocol::NbRaft,
         }
     }
+}
+
+/// A group count from the command line must be one the wire can carry.
+fn check_groups(groups: u32) -> u32 {
+    if !(1..=MAX_GROUPS).contains(&groups) {
+        eprintln!("group count {groups} out of range 1..={MAX_GROUPS}");
+        std::process::exit(2);
+    }
+    groups
 }
 
 fn cmd_sim(args: &Args) {
@@ -472,19 +485,15 @@ fn cmd_serve(args: &Args) {
     if let Some(dir) = args.values.get("wal") {
         cluster_cfg.storage = StorageMode::Wal(dir.into());
     }
-    let groups: u32 = args.get("groups", 1u32);
-    if groups > 1 {
-        return serve_sharded(args, groups, members, node_id, bind, metrics_bind, cluster_cfg);
-    }
-    // --trace FILE: buffer probe events and flush the cumulative JSONL
+    let groups = args.groups();
+    // --trace FILE: buffer probe events (group 0 in this buffer, every other
+    // group in one the server makes) and flush the cumulative JSONL
     // periodically, so a kill -9 (the net smoke's crash tier) still leaves
     // a usable trace behind.
     let trace_path = args.values.get("trace").cloned();
-    let trace_buf = trace_path.as_ref().map(|_| {
-        let (p, b) = EngineProbe::shared();
-        cluster_cfg.probe = p;
-        b
-    });
+    if trace_path.is_some() {
+        cluster_cfg.probe = EngineProbe::shared().0;
+    }
     let cfg = ServeConfig {
         cluster_id: args.get("cluster-id", 1u64),
         node_id,
@@ -497,15 +506,17 @@ fn cmd_serve(args: &Args) {
         link_loss_pct: args.get("loss-pct", 0.0f64),
         faults: None,
     };
-    let server: NodeServer<KvStore> = NodeServer::spawn(cfg).unwrap_or_else(|e| {
+    let server: NodeServer<KvStore> = NodeServer::spawn(cfg, groups).unwrap_or_else(|e| {
         eprintln!("serve: {e}");
         std::process::exit(1);
     });
-    if let (Some(path), Some(buf)) = (trace_path, trace_buf) {
+    if let Some(path) = trace_path {
         println!("tracing probe events to {path} (flushed every 500ms)");
+        let traces = server.traces();
+        let mut events: Vec<TraceEvent> = Vec::new();
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_millis(500));
-            let events = buf.snapshot();
+            events.extend(traces.take());
             // Write-then-rename: collectors read these files while the
             // server is live, and a plain truncate+write would hand them a
             // half-written (or empty) trace mid-flush.
@@ -515,8 +526,9 @@ fn cmd_serve(args: &Args) {
             }
         });
     }
+    let of_groups = if groups == 1 { String::new() } else { format!(" {groups} groups") };
     println!(
-        "node {node_id}/{} serving on {}{}",
+        "node {node_id}/{} serving{of_groups} on {}{}",
         members.len(),
         server.transport_addr().map_or_else(|| bind.to_string(), |a| a.to_string()),
         server
@@ -526,8 +538,11 @@ fn cmd_serve(args: &Args) {
     let quiet = args.has("quiet");
     loop {
         std::thread::sleep(Duration::from_secs(1));
-        if !quiet {
-            let s = server.cluster().status(0);
+        if quiet {
+            continue;
+        }
+        let status: Vec<_> = (0..groups).map(|g| server.group(g).status(0)).collect();
+        if let [s] = status.as_slice() {
             println!(
                 "node {node_id} {} term={} commit={} applied={}",
                 if s.is_leader { "LEADER" } else { "follower" },
@@ -535,88 +550,18 @@ fn cmd_serve(args: &Args) {
                 s.commit,
                 s.applied
             );
-        }
-    }
-}
-
-/// `serve --groups N` (N > 1): host this process's replica of each of `N`
-/// independent Raft groups, all multiplexed over one set of per-peer links
-/// (wire protocol v4). Per-group seeds, WAL subdirectories and metric
-/// labels are derived inside `nbr-shard`.
-fn serve_sharded(
-    args: &Args,
-    groups: u32,
-    members: Vec<(u32, SocketAddr)>,
-    node_id: u32,
-    bind: SocketAddr,
-    metrics_bind: Option<SocketAddr>,
-    mut cluster_cfg: ClusterConfig,
-) {
-    // With --trace, group 0 records into the caller's shared buffer and the
-    // server gives every other group its own; `take_namespaced_events`
-    // drains them all with group-namespaced node ids, so one JSONL file
-    // carries the whole process.
-    let trace_path = args.values.get("trace").cloned();
-    if trace_path.is_some() {
-        let (p, _group0) = EngineProbe::shared();
-        cluster_cfg.probe = p;
-    }
-    let cfg = ShardServeConfig {
-        cluster_id: args.get("cluster-id", 1u64),
-        node_id,
-        bind,
-        peers: members.iter().filter(|&&(id, _)| id != node_id).copied().collect(),
-        groups,
-        cluster: cluster_cfg,
-        metrics_bind,
-        link_delay: Duration::from_micros(args.get("rtt-ms", 0u64) * 500),
-        peer_lanes: args.get("lanes", 1usize),
-        link_loss_pct: args.get("loss-pct", 0.0f64),
-        faults: None,
-    };
-    let server: ShardServer<KvStore> = ShardServer::spawn(cfg).unwrap_or_else(|e| {
-        eprintln!("serve: {e}");
-        std::process::exit(1);
-    });
-    if let Some(path) = &trace_path {
-        println!("tracing probe events of all {groups} groups to {path} (flushed every 1s)");
-    }
-    println!(
-        "node {node_id}/{} serving {groups} groups on {}{}",
-        members.len(),
-        server.transport_addr().map_or_else(|| bind.to_string(), |a| a.to_string()),
-        server
-            .metrics_addr()
-            .map_or_else(String::new, |a| format!(", metrics on http://{a}/metrics"))
-    );
-    let quiet = args.has("quiet");
-    let mut trace_events: Vec<TraceEvent> = Vec::new();
-    loop {
-        std::thread::sleep(Duration::from_secs(1));
-        if let Some(path) = &trace_path {
-            // Same write-then-rename contract as the unsharded path:
-            // collectors read the cumulative file mid-run without ever
-            // seeing a torn flush.
-            trace_events.extend(server.take_namespaced_events());
-            trace_events.sort_by_key(|e| e.at);
-            let tmp = format!("{path}.tmp");
-            if std::fs::write(&tmp, nbr_obs::trace::to_jsonl(&trace_events)).is_ok() {
-                let _ = std::fs::rename(&tmp, path);
-            }
-        }
-        if !quiet {
+        } else {
             let leading: Vec<u32> = (0..groups)
-                .filter(|&g| {
-                    let s = server.group(g).status(0);
-                    s.alive && s.is_leader
-                })
+                .zip(&status)
+                .filter(|(_, s)| s.alive && s.is_leader)
+                .map(|(g, _)| g)
                 .collect();
-            let commit: u64 = (0..groups).map(|g| server.group(g).status(0).commit).sum();
-            let applied: u64 = (0..groups).map(|g| server.group(g).status(0).applied).sum();
             println!(
                 "node {node_id} leads {}/{groups} groups {leading:?} \
-                 commit(sum)={commit} applied(sum)={applied}",
-                leading.len()
+                 commit(sum)={} applied(sum)={}",
+                leading.len(),
+                status.iter().map(|s| s.commit).sum::<u64>(),
+                status.iter().map(|s| s.applied).sum::<u64>()
             );
         }
     }
@@ -746,13 +691,20 @@ struct BenchNet {
     loss_pct: f64,
 }
 
-/// Spawn a self-hosted loopback TCP cluster and drive it with closed-loop
-/// socket clients. With `trace_dir`, every replica records probe events
-/// (engine lifecycle + transport clock samples) and the per-node JSONL
-/// traces land in `trace_dir/node{i}.jsonl` for span assembly.
-fn bench_net_once(b: BenchNet, window: usize, trace_dir: Option<&std::path::Path>) -> NetBenchRun {
+/// Spawn a self-hosted loopback TCP cluster — `b.replicas` servers, each
+/// hosting one replica of every one of `groups` Raft groups over shared
+/// per-peer links — and drive it with closed-loop socket clients (split
+/// across the groups inside `drive_net_clients`). With `trace_dir`, every
+/// replica records probe events (engine lifecycle + transport clock samples)
+/// and the per-node JSONL traces land in `trace_dir/node{i}.jsonl` for span
+/// assembly.
+fn bench_net_once(
+    b: BenchNet,
+    window: usize,
+    groups: u32,
+    trace_dir: Option<&std::path::Path>,
+) -> NetBenchRun {
     const CLUSTER_ID: u64 = 1;
-    let mut probes: Vec<nbr_obs::SharedProbe> = Vec::new();
     // Bind all listeners first so the OS hands out conflict-free ports,
     // then exchange addresses — same trick as the loopback tests.
     let bound: Vec<(std::net::TcpListener, SocketAddr)> = (0..b.replicas)
@@ -773,17 +725,16 @@ fn bench_net_once(b: BenchNet, window: usize, trace_dir: Option<&std::path::Path
                 node_id: i as u32,
                 bind: "127.0.0.1:0".parse().expect("addr"),
                 peers: members.iter().filter(|&&(id, _)| id != i as u32).copied().collect(),
-                cluster: {
-                    let mut c = ClusterConfig {
-                        protocol: b.protocol.config(window),
-                        ..ClusterConfig::default()
-                    };
-                    if trace_dir.is_some() {
-                        let (p, h) = EngineProbe::shared();
-                        c.probe = p;
-                        probes.push(h);
-                    }
-                    c
+                cluster: ClusterConfig {
+                    protocol: b.protocol.config(window),
+                    // Staggered per-node seeds keep cold-start elections one
+                    // round long; per-group decorrelation is the server's job.
+                    seed: 42 ^ ((i as u64) << 8),
+                    probe: match trace_dir {
+                        Some(_) => EngineProbe::shared().0,
+                        None => EngineProbe::Off,
+                    },
+                    ..ClusterConfig::default()
                 },
                 metrics_bind: None,
                 // Half the round trip per hop: leader -> follower -> leader.
@@ -792,101 +743,40 @@ fn bench_net_once(b: BenchNet, window: usize, trace_dir: Option<&std::path::Path
                 link_loss_pct: b.loss_pct,
                 faults: None,
             };
-            NodeServer::spawn_on(cfg, listener).expect("spawn node server")
+            NodeServer::spawn_groups(cfg, groups, listener).expect("spawn node server")
         })
         .collect();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let elected = servers.iter().any(|s| {
-            let st = s.cluster().status(0);
-            st.alive && st.is_leader
-        });
-        if elected {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "no leader elected");
+    // Every group must elect before the drive starts, or the early seconds
+    // measure elections rather than steady-state replication.
+    let deadline = std::time::Instant::now() + Duration::from_secs(15);
+    let leads = |s: &NodeServer<KvStore>, g| {
+        let st = s.group(g).status(0);
+        st.alive && st.is_leader
+    };
+    while let Some(g) = (0..groups).find(|&g| !servers.iter().any(|s| leads(s, g))) {
+        assert!(std::time::Instant::now() < deadline, "group {g} elected no leader");
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let run = drive_net_clients(CLUSTER_ID, &members, b.clients, b.seconds, b.payload, 1);
+    let run = drive_net_clients(CLUSTER_ID, &members, b.clients, b.seconds, b.payload, groups);
     // Dropping the servers stops the replica loops, so the probe buffers
     // are quiescent (and hold the tail Applied events) when we flush them.
+    let traces: Vec<_> = servers.iter().map(NodeServer::traces).collect();
     drop(servers);
     if let Some(dir) = trace_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create trace dir {}: {e}", dir.display());
             std::process::exit(1);
         }
-        for (i, h) in probes.iter().enumerate() {
-            let events = h.take();
+        for (i, t) in traces.iter().enumerate() {
             let path = dir.join(format!("node{i}.jsonl"));
-            if let Err(e) = std::fs::write(&path, nbr_obs::trace::to_jsonl(&events)) {
+            if let Err(e) = std::fs::write(&path, nbr_obs::trace::to_jsonl(&t.take())) {
                 eprintln!("cannot write trace {}: {e}", path.display());
                 std::process::exit(1);
             }
         }
     }
     run
-}
-
-/// Self-hosted sharded bench: `b.replicas` `ShardServer`s over loopback
-/// TCP, each hosting one replica of every group, traffic multiplexed over
-/// shared per-peer links. The client pool is split across groups inside
-/// `drive_net_clients`.
-fn bench_net_sharded(b: BenchNet, window: usize, groups: u32) -> NetBenchRun {
-    const CLUSTER_ID: u64 = 1;
-    let bound: Vec<(std::net::TcpListener, SocketAddr)> = (0..b.replicas)
-        .map(|_| {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let a = l.local_addr().expect("local addr");
-            (l, a)
-        })
-        .collect();
-    let members: Vec<(u32, SocketAddr)> =
-        bound.iter().enumerate().map(|(i, &(_, a))| (i as u32, a)).collect();
-    let servers: Vec<ShardServer<KvStore>> = bound
-        .into_iter()
-        .enumerate()
-        .map(|(i, (listener, _))| {
-            let cfg = ShardServeConfig {
-                cluster_id: CLUSTER_ID,
-                node_id: i as u32,
-                bind: "127.0.0.1:0".parse().expect("addr"),
-                peers: members.iter().filter(|&&(id, _)| id != i as u32).copied().collect(),
-                groups,
-                cluster: ClusterConfig {
-                    protocol: b.protocol.config(window),
-                    // Staggered per-node seeds keep cold-start elections one
-                    // round long; per-group decorrelation is nbr-shard's job.
-                    seed: 42 ^ ((i as u64) << 8),
-                    ..ClusterConfig::default()
-                },
-                metrics_bind: None,
-                link_delay: Duration::from_micros(b.rtt_ms * 500),
-                peer_lanes: b.lanes,
-                link_loss_pct: b.loss_pct,
-                faults: None,
-            };
-            ShardServer::spawn_on(cfg, listener).expect("spawn shard server")
-        })
-        .collect();
-    // Every group must elect before the drive starts, or the early seconds
-    // measure elections rather than steady-state replication.
-    let deadline = std::time::Instant::now() + Duration::from_secs(15);
-    for g in 0..groups {
-        loop {
-            let elected = servers.iter().any(|s| {
-                let st = s.group(g).status(0);
-                st.alive && st.is_leader
-            });
-            if elected {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "group {g} elected no leader");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-    drive_net_clients(CLUSTER_ID, &members, b.clients, b.seconds, b.payload, groups)
 }
 
 fn cmd_bench_net(args: &Args) {
@@ -913,7 +803,7 @@ fn cmd_bench_net(args: &Args) {
         // External mode: bench an already-running cluster (serve processes).
         let members = parse_members(list);
         let cluster_id = args.get("cluster-id", 1u64);
-        let groups = args.get("groups", 1u32);
+        let groups = args.groups();
         println!(
             "bench-net: external cluster {list}, {clients} clients, {seconds}s, {payload}B \
              payloads, {groups} groups"
@@ -923,15 +813,15 @@ fn cmd_bench_net(args: &Args) {
         return;
     }
     let trace_dir = args.values.get("trace-dir").map(std::path::PathBuf::from);
-    let groups: u32 = args.get("groups", 1u32);
+    let groups = args.groups();
     if let Some(list) = args.values.get("scale-groups") {
         let counts: Vec<u32> = list
             .split(',')
             .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
+                check_groups(s.trim().parse().unwrap_or_else(|_| {
                     eprintln!("invalid --scale-groups entry: {s}");
                     std::process::exit(2);
-                })
+                }))
             })
             .collect();
         let b = BenchNet { replicas, clients, seconds, payload, protocol, rtt_ms, lanes, loss_pct };
@@ -947,8 +837,8 @@ fn cmd_bench_net(args: &Args) {
         let b = BenchNet { replicas, clients, seconds, payload, protocol, rtt_ms, lanes, loss_pct };
         let d0 = trace_dir.as_ref().map(|d| d.join("window-0"));
         let dw = trace_dir.as_ref().map(|d| d.join(format!("window-{window}")));
-        let mut r0 = bench_net_once(b, 0, d0.as_deref());
-        let mut rw = bench_net_once(b, window, dw.as_deref());
+        let mut r0 = bench_net_once(b, 0, groups, d0.as_deref());
+        let mut rw = bench_net_once(b, window, groups, dw.as_deref());
         let (t0, tw) = (r0.throughput(), rw.throughput());
         let (p50_0, p99_0) = (r0.commit_pctl_ms(0.50), r0.commit_pctl_ms(0.99));
         let (p50_w, p99_w) = (rw.commit_pctl_ms(0.50), rw.commit_pctl_ms(0.99));
@@ -992,15 +882,7 @@ fn cmd_bench_net(args: &Args) {
          {lanes} lanes/peer, {loss_pct}% loss"
     );
     let b = BenchNet { replicas, clients, seconds, payload, protocol, rtt_ms, lanes, loss_pct };
-    let mut run = if groups > 1 {
-        if trace_dir.is_some() {
-            eprintln!("bench-net: --trace-dir is only supported with --groups 1");
-            std::process::exit(2);
-        }
-        bench_net_sharded(b, window, groups)
-    } else {
-        bench_net_once(b, window, trace_dir.as_deref())
-    };
+    let mut run = bench_net_once(b, window, groups, trace_dir.as_deref());
     print_bench_net_run(&mut run);
     if let Some(path) = args.values.get("json") {
         let json = bench_net_json(&b, &mut [(window, &mut run)]);
@@ -1038,9 +920,8 @@ fn bench_net_json(b: &BenchNet, runs: &mut [(usize, &mut NetBenchRun)]) -> Strin
 }
 
 /// `bench-net --scale-groups 1,2,4,8`: the sharding scaling sweep. Each
-/// count is one fresh self-hosted run at the same *per-group* window, and
-/// the 1-group row runs on the plain unsharded server stack, making it an
-/// exact baseline rather than a single-group mux.
+/// count is one fresh self-hosted run at the same *per-group* window, on
+/// the same server stack, so the 1-group row is the baseline of the rest.
 ///
 /// With `--clients-per-group K` this is a weak-scaling sweep — the device
 /// fleet grows with the shard count (K closed-loop clients per group, the
@@ -1079,11 +960,7 @@ fn bench_net_scale(args: &Args, b: BenchNet, window: usize, counts: &[u32]) {
     for &g in counts {
         let clients = per_group.map_or(b.clients, |k| k * g as usize);
         let bg = BenchNet { clients, ..b };
-        let mut run = if g <= 1 {
-            bench_net_once(bg, window, None)
-        } else {
-            bench_net_sharded(bg, window, g)
-        };
+        let mut run = bench_net_once(bg, window, g, None);
         rows.push(Row {
             groups: g,
             clients,

@@ -6,14 +6,14 @@
 
 use crate::network::{NetConfig, NetControl, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
-use crate::transport::{Transport, TransportInboxes, NODE_INBOX_DEPTH};
+use crate::transport::{Endpoints, Transport, TransportInboxes};
 use nbr_core::{Node, Output};
 use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry};
 use nbr_storage::{LogStore, MemLog, StateMachine, SyncPolicy, WalLog};
 use nbr_types::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -172,8 +172,8 @@ struct Replica {
 ///
 /// A `Cluster` hosts the replicas of `local` node ids in this process —
 /// all of them for [`Cluster::spawn`] (the classic single-process harness),
-/// or a subset (typically one) for [`Cluster::spawn_with_transport`] when
-/// the rest of the membership is reached over a real transport. Indexed
+/// or a subset (typically one) for [`Cluster::spawn_on`] when the rest of
+/// the membership is reached over a real transport. Indexed
 /// accessors ([`Cluster::status`], [`Cluster::machine`], …) take the *local
 /// position* of a replica, which equals its node id in the full-local case.
 pub struct Cluster<M: StateMachine + Send + 'static> {
@@ -208,8 +208,7 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
     /// Spawn the replicas of `local` node ids (a subset of the `n`-node
     /// membership) on a transport built by `make`. The builder receives the
     /// local replicas' inboxes and must deliver every inbound packet
-    /// addressed to them there; `serve`-style single-replica processes pass
-    /// one id and a TCP transport.
+    /// addressed to them there.
     pub fn spawn_with_transport<F>(
         n: usize,
         local: &[u32],
@@ -219,20 +218,27 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
     where
         F: FnOnce(TransportInboxes) -> Arc<dyn Transport>,
     {
+        let (inboxes, endpoints) = TransportInboxes::channels(local);
+        Self::spawn_on(n, endpoints, cfg, make(inboxes))
+    }
+
+    /// Spawn one replica per inbox in `endpoints` (a subset of the `n`-node
+    /// membership) on an already running `transport` — one that was built
+    /// over the sending ends of the same [`TransportInboxes::channels`] call.
+    /// `serve`-style processes host one replica per Raft group this way, all
+    /// groups on one TCP transport.
+    pub fn spawn_on(
+        n: usize,
+        endpoints: Endpoints,
+        cfg: ClusterConfig,
+        transport: Arc<dyn Transport>,
+    ) -> Cluster<M> {
         let epoch = cfg.trace_epoch.unwrap_or_else(Instant::now);
         let membership: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let mut inboxes = Vec::new();
-        let mut receivers = Vec::new();
-        for &id in local {
-            let (tx, rx) = sync_channel::<Packet>(NODE_INBOX_DEPTH);
-            inboxes.push((id, tx));
-            receivers.push((id, rx));
-        }
-        let (client_tx, client_rx) = channel::<Packet>();
-        let transport = make(TransportInboxes { nodes: inboxes, client: client_tx });
+        let Endpoints { nodes: receivers, client: client_rx } = endpoints;
 
         let machines: Vec<Arc<Mutex<M>>> =
-            (0..local.len()).map(|_| Arc::new(Mutex::new(M::default()))).collect();
+            (0..receivers.len()).map(|_| Arc::new(Mutex::new(M::default()))).collect();
 
         let mut replicas = Vec::new();
         for (i, (id, rx)) in receivers.into_iter().enumerate() {
@@ -971,6 +977,7 @@ impl Drop for ClusterClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::NODE_INBOX_DEPTH;
 
     fn strong(from: u32, term: u64, last_index: u64) -> Packet {
         Packet::Peer {

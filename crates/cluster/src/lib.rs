@@ -16,7 +16,4 @@ pub use cluster::{
     NodeStatus, StorageMode,
 };
 pub use network::{NetConfig, NetControl, NetHandle, NetStats, Network, Packet, CLIENT_ENDPOINT};
-pub use transport::{
-    GroupTransport, MuxBinding, MuxInboxes, MuxTransport, Transport, TransportInboxes,
-    NODE_INBOX_DEPTH,
-};
+pub use transport::{Endpoints, Transport, TransportInboxes, NODE_INBOX_DEPTH};

@@ -20,12 +20,20 @@
 //! and pushes decoded packets into them. Node inboxes are bounded
 //! (`SyncSender`) so a stalled replica exerts backpressure on the delivery
 //! layer instead of growing an unbounded queue.
+//!
+//! Construction order is inboxes, transport, replicas:
+//! [`TransportInboxes::channels`] makes both ends of every inbox, the
+//! transport is built over the sending ends, and
+//! [`Cluster::spawn_on`](crate::Cluster::spawn_on) starts the replica loops
+//! on the receiving ends ([`Endpoints`]) with the finished transport in
+//! hand — no send can precede its route. A host of several Raft groups makes
+//! one inbox set per group and builds *one* transport over all of them; the
+//! group is then part of the address that transport routes by.
 
 use crate::network::{NetControl, Packet};
 use nbr_obs::Snapshot;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Sender, SyncSender};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 
 /// Bounded capacity of each local node inbox. Deep enough to absorb bursts
 /// (heartbeats + a full replication window), shallow enough that a wedged
@@ -39,6 +47,32 @@ pub struct TransportInboxes {
     pub nodes: Vec<(u32, SyncSender<Packet>)>,
     /// Inbox for client-bound [`Packet::Response`]s routed to this process.
     pub client: Sender<Packet>,
+}
+
+/// The receiving ends of one [`TransportInboxes`]: what the replica loops and
+/// the client response router of a [`Cluster`](crate::Cluster) consume.
+pub struct Endpoints {
+    pub(crate) nodes: Vec<(u32, Receiver<Packet>)>,
+    pub(crate) client: Receiver<Packet>,
+}
+
+impl TransportInboxes {
+    /// Both ends of the inboxes of the `local` node ids plus the client
+    /// inbox: the sending side goes to the transport, the receiving side to
+    /// [`Cluster::spawn_on`](crate::Cluster::spawn_on).
+    pub fn channels(local: &[u32]) -> (TransportInboxes, Endpoints) {
+        let (mut senders, mut receivers) = (Vec::new(), Vec::new());
+        for &id in local {
+            let (tx, rx) = sync_channel::<Packet>(NODE_INBOX_DEPTH);
+            senders.push((id, tx));
+            receivers.push((id, rx));
+        }
+        let (client_tx, client_rx) = channel::<Packet>();
+        (
+            TransportInboxes { nodes: senders, client: client_tx },
+            Endpoints { nodes: receivers, client: client_rx },
+        )
+    }
 }
 
 /// Endpoint-addressed packet delivery. Implementations must be cheap to
@@ -60,124 +94,6 @@ pub trait Transport: Send + Sync + 'static {
     /// A point-in-time snapshot of the transport's own metrics registry,
     /// merged into [`crate::Cluster::prometheus`] exports.
     fn scrape(&self) -> Option<Snapshot> {
-        None
-    }
-}
-
-/// Group-addressed packet delivery: the sharded analogue of [`Transport`].
-/// One mux transport carries the traffic of every Raft group a process
-/// hosts over one set of per-peer links; `(group, endpoint)` replaces the
-/// flat endpoint address. Group 0 of a single-group mux behaves exactly
-/// like a plain [`Transport`].
-pub trait MuxTransport: Send + Sync + 'static {
-    /// Send `packet` from endpoint `from` to endpoint `to` *within* Raft
-    /// group `group`. Same best-effort, unordered contract as
-    /// [`Transport::send`]; groups never exchange packets with each other.
-    fn send_group(&self, group: u32, from: u32, to: u32, packet: Packet);
-
-    /// See [`Transport::control`]. Shared across groups: the in-process mux
-    /// applies one fault table to every group's router.
-    fn control(&self) -> Option<Arc<NetControl>> {
-        None
-    }
-
-    /// See [`Transport::scrape`]. One snapshot for the whole mux; per-group
-    /// series are distinguished by `_group_{g}` label suffixes.
-    fn scrape(&self) -> Option<Snapshot> {
-        None
-    }
-}
-
-/// Per-group delivery targets for every group hosted in this process:
-/// what a [`MuxTransport`] is constructed against, the way a plain
-/// transport is constructed against [`TransportInboxes`].
-pub struct MuxInboxes {
-    /// `(group id, that group's local inboxes)`, one entry per hosted group.
-    pub groups: Vec<(u32, TransportInboxes)>,
-}
-
-/// Late-binding handle to a [`MuxTransport`] that does not exist yet.
-///
-/// Chicken-and-egg at sharded spawn: each group's
-/// [`Cluster::spawn_with_transport`](crate::Cluster::spawn_with_transport)
-/// builder must return a transport *immediately*, but the shared mux can
-/// only be built once every group's inboxes have been collected. The
-/// binding breaks the cycle: each group gets a [`GroupTransport`] over the
-/// same unbound `MuxBinding`, and the spawner binds the real mux once all
-/// groups are up. Sends before the bind are dropped and counted — safe
-/// because binding completes in microseconds while the shortest protocol
-/// deadline (an election timeout) is hundreds of milliseconds, and Raft
-/// retries everything.
-#[derive(Default)]
-pub struct MuxBinding {
-    inner: OnceLock<Arc<dyn MuxTransport>>,
-    pre_bind_drops: AtomicU64,
-}
-
-impl MuxBinding {
-    /// A fresh unbound binding, ready to share across group transports.
-    pub fn shared() -> Arc<MuxBinding> {
-        Arc::new(MuxBinding::default())
-    }
-
-    /// Bind the real mux transport. Panics if already bound — binding twice
-    /// means two transports think they own the same groups, which is a
-    /// construction bug, not a runtime condition.
-    pub fn bind(&self, mux: Arc<dyn MuxTransport>) {
-        if self.inner.set(mux).is_err() {
-            panic!("MuxBinding bound twice"); // check:allow(L1): two transports claiming the same groups is a construction bug; abort at spawn
-        }
-    }
-
-    /// The bound mux, if the spawner has bound one yet.
-    pub fn get(&self) -> Option<&Arc<dyn MuxTransport>> {
-        self.inner.get()
-    }
-
-    /// Packets dropped because they were sent before [`MuxBinding::bind`].
-    pub fn pre_bind_drops(&self) -> u64 {
-        self.pre_bind_drops.load(Ordering::Relaxed)
-    }
-}
-
-/// Adapter presenting one group of a [`MuxTransport`] as a plain
-/// [`Transport`], so the unmodified [`Cluster`](crate::Cluster) replica
-/// loop runs unchanged inside a sharded process: every send it makes is
-/// tagged with the group and multiplexed onto the shared links.
-pub struct GroupTransport {
-    group: u32,
-    bind: Arc<MuxBinding>,
-}
-
-impl GroupTransport {
-    /// The transport for `group`, resolving through `bind` on every send.
-    pub fn new(group: u32, bind: Arc<MuxBinding>) -> GroupTransport {
-        GroupTransport { group, bind }
-    }
-
-    /// The group this adapter tags its traffic with.
-    pub fn group(&self) -> u32 {
-        self.group
-    }
-}
-
-impl Transport for GroupTransport {
-    fn send(&self, from: u32, to: u32, packet: Packet) {
-        match self.bind.get() {
-            Some(mux) => mux.send_group(self.group, from, to, packet),
-            None => {
-                self.bind.pre_bind_drops.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn control(&self) -> Option<Arc<NetControl>> {
-        self.bind.get().and_then(|m| m.control())
-    }
-
-    fn scrape(&self) -> Option<Snapshot> {
-        // Scraped once at the mux level by the sharded host; per-group
-        // scrapes would multiply the shared socket counters per group.
         None
     }
 }

@@ -8,9 +8,14 @@
 //!   [`nbr_types::netframe::NetFrame`] envelope) over per-peer TCP
 //!   connections: supervised reconnect with capped exponential backoff and
 //!   jitter, write coalescing, bounded send queues with explicit
-//!   drop accounting, idle keepalives, handshake validation.
-//! * [`NodeServer`] — the one-replica-per-process runtime behind
-//!   `nbraft-cli serve`, reusing the unmodified `nbr-cluster` replica loop.
+//!   drop accounting, idle keepalives, handshake validation. One
+//!   transport carries every Raft group a process hosts: the group is part
+//!   of the address, and the group count is the number of inbox sets it
+//!   was built over.
+//! * [`NodeServer`] — the one-process-per-node runtime behind
+//!   `nbraft-cli serve [--groups N]`: this node's replica of each of N
+//!   groups (one by default), each the unmodified `nbr-cluster` replica
+//!   loop, all on one transport.
 //! * [`NetClient`] — a synchronous client that drives the sans-I/O
 //!   [`nbr_core::RaftClient`] engine over TCP, preserving NB-Raft's
 //!   opList/listTerm retry semantics across leader failures.
@@ -19,7 +24,7 @@
 //!
 //! The same [`nbr_cluster::Cluster`] drives simulations over the
 //! in-process router and real deployments over this transport; the only
-//! difference is the closure handed to `Cluster::spawn_with_transport`.
+//! difference is the transport handed to `Cluster::spawn_on`.
 
 pub mod client;
 pub(crate) mod clock;
@@ -29,5 +34,5 @@ pub mod transport;
 
 pub use client::NetClient;
 pub use metrics::MetricsServer;
-pub use server::{NodeServer, ServeConfig};
+pub use server::{GroupTraces, NodeServer, ServeConfig};
 pub use transport::{LinkFault, LinkFaults, TcpConfig, TcpTransport};

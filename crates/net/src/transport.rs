@@ -23,10 +23,12 @@
 //!   waits for inbox space, stops reading, and lets the kernel's TCP
 //!   window throttle the remote sender.
 //!
-//! **Sharded multiplexing** ([`TcpTransport::spawn_mux`]): one transport
+//! **Sharded multiplexing** ([`TcpTransport::spawn_groups`]): one transport
 //! carries N Raft groups over the same per-peer links by tagging every
 //! `Peer`/`Request`/`Response` envelope with a group id (wire protocol
-//! v4; the `Hello` handshake pins the group count). Inbound routing then
+//! v4; the `Hello` handshake pins the group count), and each group's
+//! `Cluster` sends through its own [`TcpTransport::group`] handle. The
+//! unsharded transport is N = 1. With N > 1 inbound routing
 //! changes shape: blocking the shared reader on one group's full inbox
 //! would head-of-line-block every other group on that socket, so readers
 //! instead enqueue into bounded per-group overflow lanes and a pump
@@ -45,7 +47,7 @@ use crate::clock;
 use bytes::Bytes;
 use nbr_cluster::network::{NetControl, Packet, CLIENT_ENDPOINT};
 use nbr_cluster::sync::Mutex;
-use nbr_cluster::transport::{MuxInboxes, MuxTransport, Transport, TransportInboxes};
+use nbr_cluster::transport::{Transport, TransportInboxes};
 use nbr_obs::{Counter, Gauge, ProbeEvent, Registry, SharedProbe, Snapshot};
 use nbr_types::wire::{decode_frame_shared, encode_frame_into};
 use nbr_types::{
@@ -66,11 +68,6 @@ use std::time::{Duration, Instant};
 pub struct TcpConfig {
     /// Cluster instance id; connections from other clusters are refused.
     pub cluster_id: u64,
-    /// Number of Raft groups multiplexed over this transport's links.
-    /// Both sides of a connection must agree (validated in the `Hello`
-    /// handshake), and every frame's group id must be below this bound.
-    /// `1` — the default — is the unsharded wire-compatible baseline.
-    pub groups: u32,
     /// Node id of the (single) replica this process hosts.
     pub node_id: u32,
     /// `(node id, address)` of every *remote* peer.
@@ -127,7 +124,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             cluster_id: 1,
-            groups: 1,
             node_id: 0,
             peers: Vec::new(),
             send_queue: 1024,
@@ -272,7 +268,7 @@ fn dials(local: u32, peer: u32) -> bool {
 }
 
 /// Bounded depth of each group's inbound overflow queue when multiplexing
-/// (`TcpConfig::groups > 1`). Matches [`NODE_INBOX_DEPTH`]: one full
+/// (more than one group). Matches [`NODE_INBOX_DEPTH`]: one full
 /// replica inbox worth of headroom per group before sheds start.
 const DEMUX_DEPTH: i64 = 4096;
 
@@ -310,6 +306,11 @@ impl Demux {
 
 struct Shared {
     cfg: TcpConfig,
+    /// Number of Raft groups carried: the length of the inbox vector the
+    /// transport was spawned over. Both sides of a connection must agree
+    /// (validated in the `Hello` handshake), and every frame's group id must
+    /// be below it.
+    groups: u32,
     stop: AtomicBool,
     /// Inboxes of locally hosted replicas, keyed by `(group, node)`.
     /// Group 0 holds the whole map in unsharded mode.
@@ -534,8 +535,8 @@ fn pick_lane<T>(lanes: &[T], depth: impl Fn(&T) -> i64, rr: &AtomicU64) -> usize
     rr.fetch_add(1, Ordering::Relaxed) as usize % lanes.len()
 }
 
-/// The TCP transport. Construct with [`TcpTransport::spawn`] inside
-/// [`nbr_cluster::Cluster::spawn_with_transport`]'s builder closure.
+/// The TCP transport: built over the local inboxes ([`TcpTransport::spawn`],
+/// [`TcpTransport::spawn_groups`]) before the replicas that send through it.
 pub struct TcpTransport {
     shared: Arc<Shared>,
     peers: HashMap<u32, PeerLinks>,
@@ -545,46 +546,38 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Start the transport on a pre-bound listener (bind first so callers
-    /// can use port 0 for OS-assigned, collision-free test ports), serving
-    /// the local inboxes in `inboxes` and dialing out to `cfg.peers`.
-    /// Unsharded: the single group is group 0 and `cfg.groups` is forced
-    /// to 1 (wire-identical to the pre-sharding protocol modulo version).
-    pub fn spawn(
-        mut cfg: TcpConfig,
-        listener: TcpListener,
-        inboxes: TransportInboxes,
-    ) -> TcpTransport {
-        cfg.groups = 1;
-        Self::spawn_mux(cfg, listener, MuxInboxes { groups: vec![(0, inboxes)] })
+    /// Start a one-group transport: [`TcpTransport::spawn_groups`] over a
+    /// single inbox set, addressed as group 0 by [`Transport::send`].
+    pub fn spawn(cfg: TcpConfig, listener: TcpListener, inboxes: TransportInboxes) -> TcpTransport {
+        Self::spawn_groups(cfg, listener, vec![inboxes])
     }
 
-    /// Start a multiplexing transport carrying `cfg.groups` Raft groups
-    /// over one set of per-peer links. `inboxes` must contain exactly one
-    /// entry per group with dense ids `0..cfg.groups`; both are
-    /// construction-time invariants of the sharded host, so violations
-    /// panic rather than limp.
-    pub fn spawn_mux(cfg: TcpConfig, listener: TcpListener, inboxes: MuxInboxes) -> TcpTransport {
-        assert_eq!(
-            cfg.groups as usize,
-            inboxes.groups.len(),
-            "TcpConfig::groups must match the number of MuxInboxes groups"
-        );
+    /// Start the transport on a pre-bound listener (bind first so callers
+    /// can use port 0 for OS-assigned, collision-free test ports), dialing
+    /// out to `cfg.peers` and serving the local inboxes of every Raft group
+    /// in `inboxes`: element `g` belongs to group `g`, and the vector's
+    /// length is the group count announced in the handshake.
+    pub fn spawn_groups(
+        cfg: TcpConfig,
+        listener: TcpListener,
+        inboxes: Vec<TransportInboxes>,
+    ) -> TcpTransport {
+        let groups = inboxes.len() as u32;
         let registry = Arc::new(Registry::new(format!("net{}", cfg.node_id)));
         let stats = Stats::new(&registry);
         let local_addr = listener.local_addr().ok();
         let epoch = cfg.trace_epoch.unwrap_or_else(clock::now);
         let mut nodes = HashMap::new();
         let mut client_inboxes = HashMap::new();
-        for (g, inb) in inboxes.groups {
-            assert!(g < cfg.groups, "MuxInboxes group ids must be dense 0..groups");
+        for (g, inb) in (0..groups).zip(inboxes) {
             for (id, tx) in inb.nodes {
                 nodes.insert((g, id), tx);
             }
             client_inboxes.insert(g, inb.client);
         }
-        let demux = (cfg.groups > 1).then(|| Demux::new(cfg.groups, &registry));
+        let demux = (groups > 1).then(|| Demux::new(groups, &registry));
         let shared = Arc::new(Shared {
+            groups,
             nodes,
             client_inboxes,
             demux,
@@ -652,11 +645,15 @@ impl TcpTransport {
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.shared.registry)
     }
-}
 
-impl TcpTransport {
-    /// The group-addressed send path shared by [`Transport::send`] (always
-    /// group 0) and [`MuxTransport::send_group`]. Frames to remote peers
+    /// The [`Transport`] of Raft group `group`: what that group's `Cluster`
+    /// is spawned on. Every send is addressed into the group.
+    pub fn group(self: &Arc<Self>, group: u32) -> Arc<dyn Transport> {
+        Arc::new(GroupHandle { tcp: Arc::clone(self), group })
+    }
+
+    /// The group-addressed send path behind [`Transport::send`] (group 0)
+    /// and every [`TcpTransport::group`] handle. Frames to remote peers
     /// carry the group in their envelope and ride the *shared* per-peer
     /// lanes — multiplexing is entirely an addressing concern; the sockets,
     /// queues and WAN emulation know nothing about groups.
@@ -817,17 +814,21 @@ impl Transport for TcpTransport {
     }
 }
 
-impl MuxTransport for TcpTransport {
-    fn send_group(&self, group: u32, from: u32, to: u32, packet: Packet) {
-        self.send_to_group(group, from, to, packet);
-    }
+/// One Raft group's view of a shared [`TcpTransport`].
+struct GroupHandle {
+    tcp: Arc<TcpTransport>,
+    group: u32,
+}
 
-    fn control(&self) -> Option<Arc<NetControl>> {
-        None // real sockets: no fault injection dial
+impl Transport for GroupHandle {
+    fn send(&self, from: u32, to: u32, packet: Packet) {
+        self.tcp.send_to_group(self.group, from, to, packet);
     }
 
     fn scrape(&self) -> Option<Snapshot> {
-        Some(self.scrape_snapshot())
+        // The sockets are shared, so their counters are reported once: by
+        // group 0, which on a one-group host is the whole transport.
+        (self.group == 0).then(|| self.tcp.scrape_snapshot())
     }
 }
 
@@ -927,7 +928,7 @@ fn run_peer_writer(
     let hello = NetFrame::Hello(HelloMsg {
         version: NET_PROTOCOL_VERSION,
         cluster_id: sh.cfg.cluster_id,
-        groups: sh.cfg.groups,
+        groups: sh.groups,
         kind: PeerKind::Node(NodeId(sh.cfg.node_id)),
     });
     let mut wbuf = Vec::with_capacity(8 << 10);
@@ -1081,7 +1082,7 @@ fn accepted_peer_writer(
     let hello = NetFrame::Hello(HelloMsg {
         version: NET_PROTOCOL_VERSION,
         cluster_id: sh.cfg.cluster_id,
-        groups: sh.cfg.groups,
+        groups: sh.groups,
         kind: PeerKind::Node(NodeId(sh.cfg.node_id)),
     });
     let mut wbuf = Vec::with_capacity(8 << 10);
@@ -1284,7 +1285,7 @@ fn handle_frame(
             // misroute every frame, so their counts must match exactly.
             if h.version != NET_PROTOCOL_VERSION
                 || h.cluster_id != sh.cfg.cluster_id
-                || h.groups != sh.cfg.groups
+                || h.groups != sh.groups
             {
                 sh.stats.handshake_rejects.inc();
                 return false;
@@ -1361,7 +1362,7 @@ fn handle_frame(
                 sh.stats.proto_errors.inc(); // spoofed peer id
                 return false;
             }
-            if group >= sh.cfg.groups {
+            if group >= sh.groups {
                 sh.stats.proto_errors.inc(); // group out of the agreed range
                 return false;
             }
@@ -1377,7 +1378,7 @@ fn handle_frame(
                 sh.stats.proto_errors.inc(); // spoofed client id
                 return false;
             }
-            if group >= sh.cfg.groups {
+            if group >= sh.groups {
                 sh.stats.proto_errors.inc(); // group out of the agreed range
                 return false;
             }
@@ -1388,7 +1389,7 @@ fn handle_frame(
             // A relayed client request from a peer process (e.g. a
             // co-hosted client whose target moved): deliver; responses
             // will route via that process's client session, not ours.
-            if group >= sh.cfg.groups {
+            if group >= sh.groups {
                 sh.stats.proto_errors.inc();
                 return false;
             }
@@ -1398,7 +1399,7 @@ fn handle_frame(
         (NetFrame::Response { group, client, resp }, ConnIdentity::Node(_)) => {
             // Response relayed between processes: hand to the group's local
             // client inbox (in-process ClusterClient router).
-            if group >= sh.cfg.groups {
+            if group >= sh.groups {
                 sh.stats.proto_errors.inc();
                 return false;
             }

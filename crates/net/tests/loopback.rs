@@ -268,3 +268,37 @@ fn handshake_rejects_wrong_cluster_id() {
         "handshake reject metric missing:\n{any}"
     );
 }
+
+/// One group *is* the unsharded host: a `spawn_on` server exposes exactly the
+/// scrape surface the single-replica server always had. The repository
+/// benchmark reads its `steady` flag and `net.*` ratios off
+/// `cluster().transport().scrape()`, so the socket counters must be there,
+/// under plain labels, with none of the multi-group series.
+#[test]
+fn one_group_host_scrapes_like_the_unsharded_server() {
+    let (servers, members) = spawn_cluster(3);
+    let servers: Vec<Option<NodeServer<KvStore>>> = servers.into_iter().map(Some).collect();
+    let leader = wait_leader(&servers, Duration::from_secs(10)).expect("no leader elected");
+    let mut client =
+        NetClient::new(CLUSTER_ID, ClientId(904), members.clone(), TimeDelta::from_millis(300));
+    client.submit(bytes::Bytes::from_static(b"k=v"), Duration::from_secs(10)).expect("submit");
+    assert!(client.drain(Duration::from_secs(10)), "opList did not drain");
+
+    let server = servers[leader].as_ref().expect("leader alive");
+    assert_eq!(server.groups(), 1);
+    let snap = server.cluster().transport().scrape().expect("group 0 scrapes the transport");
+    for name in ["net_dropped_queue_full", "net_frames_out", "net_bytes_out"] {
+        assert!(snap.counters.contains_key(name), "{name} missing from the transport scrape");
+    }
+    assert!(snap.counters["net_frames_out"] > 0 && snap.counters["net_bytes_out"] > 0);
+
+    let prom = server.prometheus();
+    assert!(prom.contains(&format!("node=\"{leader}\"")), "replica label must stay plain:\n{prom}");
+    assert!(prom.contains(&format!("node=\"net{leader}\"")), "transport label changed:\n{prom}");
+    for absent in ["node=\"g", "net_frames_in_group_", "net_demux_"] {
+        assert!(!prom.contains(absent), "one-group scrape carries `{absent}`:\n{prom}");
+    }
+    // Once, not once per Cluster::prometheus and once per host merge.
+    let n = prom.lines().filter(|l| l.starts_with("nbr_net_frames_out{")).count();
+    assert_eq!(n, 1, "transport counters must be exported exactly once:\n{prom}");
+}

@@ -1,4 +1,4 @@
-//! End-to-end sharded tests over real loopback TCP: three `ShardServer`
+//! End-to-end sharded tests over real loopback TCP: three `NodeServer`
 //! processes-worth, each hosting one replica of *two* Raft groups, all
 //! traffic multiplexed over one set of per-peer links (wire protocol v4).
 //!
@@ -7,8 +7,7 @@
 //! leader is crashed.
 
 use nbr_cluster::ClusterConfig;
-use nbr_net::NetClient;
-use nbr_shard::{ShardServeConfig, ShardServer};
+use nbr_net::{NetClient, NodeServer, ServeConfig};
 use nbr_storage::KvStore;
 use nbr_types::{ClientId, TimeDelta};
 use std::net::{SocketAddr, TcpListener};
@@ -29,8 +28,13 @@ fn bind_all(n: usize) -> Vec<(TcpListener, SocketAddr)> {
 
 /// Spawn an `n`-process sharded cluster: every process hosts one replica of
 /// each of [`GROUPS`] groups over a single shared transport.
-fn spawn_sharded(n: usize) -> (Vec<ShardServer<KvStore>>, Vec<(u32, SocketAddr)>) {
-    let bound = bind_all(n);
+fn spawn_sharded(n: usize) -> (Vec<NodeServer<KvStore>>, Vec<(u32, SocketAddr)>) {
+    spawn_with_groups(&vec![GROUPS; n])
+}
+
+/// Spawn one process per entry of `groups`, hosting that many groups.
+fn spawn_with_groups(groups: &[u32]) -> (Vec<NodeServer<KvStore>>, Vec<(u32, SocketAddr)>) {
+    let bound = bind_all(groups.len());
     let members: Vec<(u32, SocketAddr)> =
         bound.iter().enumerate().map(|(i, &(_, a))| (i as u32, a)).collect();
     let servers = bound
@@ -41,15 +45,14 @@ fn spawn_sharded(n: usize) -> (Vec<ShardServer<KvStore>>, Vec<(u32, SocketAddr)>
                 members.iter().filter(|&&(id, _)| id != i as u32).copied().collect();
             // Staggered per-node seeds (see nbr-net's loopback tests) keep
             // cold-start elections one round long; per-group decorrelation
-            // on top is ShardServer's job.
+            // on top is NodeServer's job.
             let cluster =
                 ClusterConfig { seed: 0x005a_4ded ^ ((i as u64) << 8), ..ClusterConfig::default() };
-            let cfg = ShardServeConfig {
+            let cfg = ServeConfig {
                 cluster_id: CLUSTER_ID,
                 node_id: i as u32,
                 bind: "127.0.0.1:0".parse().expect("addr"),
                 peers,
-                groups: GROUPS,
                 cluster,
                 metrics_bind: None,
                 link_delay: Duration::ZERO,
@@ -57,7 +60,7 @@ fn spawn_sharded(n: usize) -> (Vec<ShardServer<KvStore>>, Vec<(u32, SocketAddr)>
                 link_loss_pct: 0.0,
                 faults: None,
             };
-            ShardServer::spawn_on(cfg, listener).expect("spawn shard server")
+            NodeServer::spawn_groups(cfg, groups[i], listener).expect("spawn node server")
         })
         .collect();
     (servers, members)
@@ -77,7 +80,7 @@ fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// Which server's replica of group `g` is leader, if any.
-fn group_leader(servers: &[ShardServer<KvStore>], g: u32, timeout: Duration) -> Option<usize> {
+fn group_leader(servers: &[NodeServer<KvStore>], g: u32, timeout: Duration) -> Option<usize> {
     let mut leader = None;
     poll_until(timeout, || {
         leader = servers.iter().enumerate().find_map(|(i, s)| {
@@ -143,10 +146,6 @@ fn two_groups_commit_over_shared_links() {
     let prom = servers[0].prometheus();
     assert!(prom.contains("net_frames_in_group_1"), "per-group frame counters absent:\n{prom}");
     assert!(prom.contains("node=\"g1/0\""), "group 1 registry label absent:\n{prom}");
-    // Late sends during spawn are tolerated but must be rare.
-    for s in &servers {
-        assert!(s.pre_bind_drops() < 100, "excessive pre-bind drops: {}", s.pre_bind_drops());
-    }
 }
 
 #[test]
@@ -195,4 +194,35 @@ fn group_count_mismatch_is_refused_at_handshake() {
         NetClient::new(CLUSTER_ID, ClientId(77_000), members.clone(), TimeDelta::from_millis(100));
     let r = stale.submit(bytes::Bytes::from_static(b"x=1"), Duration::from_millis(1500));
     assert!(r.is_err(), "group-count-mismatched client must not commit");
+}
+
+/// The group count is derived (the number of inbox sets a transport is built
+/// over), not configured, so nothing stops two members of one membership
+/// being started with different counts — except the `Hello` handshake, which
+/// must refuse the link: frames over it would be addressed into groups the
+/// other side does not have.
+#[test]
+fn peer_group_count_mismatch_is_refused_at_handshake() {
+    let (servers, _) = spawn_with_groups(&[1, 2]);
+
+    let rejects = |s: &NodeServer<KvStore>| -> u64 {
+        let snap = s.cluster().transport().scrape().expect("transport scrapes");
+        snap.counters["net_handshake_rejects"]
+    };
+    // Node 0 dials node 1 (lower id dials), node 1 refuses its Hello, and
+    // node 0 keeps redialing: rejects accumulate on the accepting side.
+    let refused = poll_until(Duration::from_secs(10), || rejects(&servers[1]) > 0);
+    assert!(refused, "a 1-group and a 2-group member must not complete a handshake");
+
+    // With no link there is no quorum: nobody is elected, nothing delivered,
+    // for longer than two election timeouts.
+    std::thread::sleep(Duration::from_millis(700));
+    for (i, s) in servers.iter().enumerate() {
+        for g in 0..s.groups() {
+            let st = s.group(g).status(0);
+            assert!(!st.is_leader, "node {i} leads group {g} without a quorum");
+            let delivered = s.group(g).registry(0).snapshot().counters["messages"];
+            assert_eq!(delivered, 0, "node {i} group {g} was delivered {delivered} messages");
+        }
+    }
 }

@@ -21,6 +21,12 @@ cargo build --release -p nbraft -p nbr-check -p nbr-cli -p nbr-chaos
 step "cargo test -q"
 cargo test -q
 
+# The serving stack: the replica loop, the in-process router, and the TCP
+# transport + NodeServer over real loopback sockets (one-group and
+# multi-group suites). About 10 s of test time.
+step "cargo test -q -p nbr-cluster -p nbr-net (serving stack)"
+cargo test -q -p nbr-cluster -p nbr-net
+
 if [ "${CI_FULL:-0}" = "1" ]; then
     step "cargo test -q --workspace (full suite, slow)"
     cargo test -q --workspace
@@ -139,8 +145,9 @@ step "bench-net --compare smoke (traced, latency percentiles)"
 
 # Sharded scaling smoke: 1 vs 2 NB-Raft groups multiplexed over shared
 # loopback links (wire protocol v4), weak scaling with a fixed per-group
-# closed-loop client count. This only proves the multi-group stack runs
-# end-to-end and that adding a group adds throughput at all; the full
+# closed-loop client count, both rows on the same server stack. This only
+# proves multi-group serving runs end-to-end and that adding a group adds
+# throughput at all; the full
 # 1,2,4,8 sweep behind the scaling figure is a release-bench concern
 # (bench_out/shard_scaling.csv).
 step "bench-net --scale-groups smoke (2-group mux over shared links)"
