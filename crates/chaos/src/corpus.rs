@@ -6,7 +6,7 @@
 //! the schedule DSL, plus which oracles apply. The same scenario text
 //! drives both backends; `nbraft-cli chaos list` prints this table.
 
-use crate::schedule::Schedule;
+use crate::schedule::{Fault, Schedule};
 
 /// A named chaos scenario.
 #[derive(Debug, Clone)]
@@ -34,9 +34,6 @@ pub struct Scenario {
     pub expect_gap_hints: bool,
     /// Run a paired window-0 (blocking) sim and assert `t_wait` separation.
     pub check_twait: bool,
-    /// Whether the net backend can express every fault in the schedule
-    /// (`campaign` is sim-only).
-    pub net_capable: bool,
     /// Member of the quick net smoke tier in CI.
     pub net_smoke: bool,
 }
@@ -46,6 +43,12 @@ impl Scenario {
     /// so this cannot fail for shipped scenarios).
     pub fn parsed(&self) -> Schedule {
         Schedule::parse(self.schedule).expect("corpus schedule parses")
+    }
+
+    /// Whether the net backend can carry out every fault in the schedule:
+    /// all but `campaign`, which needs a hand inside the engine.
+    pub fn net_capable(&self) -> bool {
+        !self.parsed().events.iter().any(|e| matches!(e.fault, Fault::Campaign { .. }))
     }
 
     /// Bounded recovery window after the last scheduled fault within which
@@ -69,7 +72,6 @@ pub fn corpus() -> Vec<Scenario> {
         expect_progress: true,
         expect_gap_hints: false,
         check_twait: false,
-        net_capable: true,
         net_smoke: false,
     };
     vec![
@@ -170,7 +172,6 @@ pub fn corpus() -> Vec<Scenario> {
             name: "campaign-storm",
             about: "stale-configuration probe: forced elections on two followers in sequence",
             schedule: "at 400ms campaign 1\nat 800ms campaign 2\n",
-            net_capable: false,
             ..base.clone()
         },
         Scenario {
@@ -209,6 +210,8 @@ mod tests {
         }
         let names: std::collections::HashSet<_> = all.iter().map(|s| s.name).collect();
         assert_eq!(names.len(), all.len(), "duplicate scenario names");
-        assert!(all.iter().any(|s| s.net_smoke && s.net_capable));
+        assert!(all.iter().filter(|s| s.net_smoke).all(Scenario::net_capable));
+        let sim_only: Vec<_> = all.iter().filter(|s| !s.net_capable()).map(|s| s.name).collect();
+        assert_eq!(sim_only, ["campaign-storm"]);
     }
 }

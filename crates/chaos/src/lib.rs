@@ -4,17 +4,22 @@
 //! A chaos run is `(scenario, seed) -> Verdict`. Scenarios are written in a
 //! small line-oriented DSL ([`schedule`]) — partitions (symmetric or
 //! one-way), gray links with probabilistic drop and added delay, clock
-//! skew, slow disks, crashes with WAL recovery, and forced campaigns — and
-//! the same schedule text drives two backends:
+//! skew, slow disks, crashes with WAL recovery, and forced campaigns. The
+//! DSL is the text form of [`Fault`] (`nbr_types::Fault`, re-exported here),
+//! the workspace's one fault vocabulary, and what a fault *does* is
+//! `nbr_types::FaultTable::apply` — so this crate holds the parser and
+//! renderer, the corpus and the oracles, and no per-backend translation.
+//! The same schedule drives two backends:
 //!
-//! * [`sim_backend`] compiles the schedule into `nbr-sim` fault events and
-//!   runs the discrete-event simulator: bit-deterministic, cheap enough
-//!   for seed sweeps, with probe-trace election-safety checking and paired
+//! * [`sim_backend`] hands the parsed `(time, Fault)` pairs to `nbr-sim`
+//!   as they are and runs the discrete-event simulator: bit-deterministic
+//!   (the seed-7 corpus verdicts are a committed golden), cheap enough for
+//!   seed sweeps, with probe-trace election-safety checking and paired
 //!   window-0 `t_wait` comparisons.
 //! * [`net_backend`] spawns real `nbr-net` TCP replicas with WAL storage
-//!   and applies the schedule in wall-clock time through runtime fault
-//!   dials (per-link cut/drop/delay tables, clock-skew and WAL-stall
-//!   atomics, crash/restart controls).
+//!   and applies the schedule in wall-clock time to the cluster's shared
+//!   `nbr_cluster::FaultPlane`, which the transports and replica loops
+//!   read; only crash and recover are carried out here, on the replica.
 //!
 //! After every run the [`oracle`] checks judge the end state: election
 //! safety, single-leader and term agreement among live nodes, committed
@@ -33,4 +38,4 @@ pub use corpus::{corpus, find, Scenario};
 pub use net_backend::run_scenario_net;
 pub use oracle::{write_jsonl, Check, Verdict};
 pub use schedule::{Fault, Schedule, ScheduledFault};
-pub use sim_backend::{compile_schedule, run_scenario_sim};
+pub use sim_backend::run_scenario_sim;

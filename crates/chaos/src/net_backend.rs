@@ -2,167 +2,31 @@
 //!
 //! Spawns one [`NodeServer`] per replica in-process (real sockets on
 //! loopback, WAL-backed storage in a scratch directory), drives client
-//! traffic over [`NetClient`], applies the schedule in wall-clock time via
-//! the shared fault dials ([`LinkFaults`], clock-skew and WAL-stall
-//! atomics, cluster crash/restart controls), then polls the convergence
-//! oracles within the scenario's bounded recovery window.
+//! traffic over [`NetClient`], applies the schedule in wall-clock time to
+//! the cluster's shared [`FaultPlane`] (crash/recover go to the replica's
+//! own controls), then polls the convergence oracles within the scenario's
+//! bounded recovery window.
 //!
-//! Parity caveats vs the sim backend: wall-clock scheduling makes fault
-//! instants approximate (±ms), per-frame drop draws use the transport's
-//! own seeded RNGs, and `campaign` is not expressible (no external
-//! campaign control on a live replica) — scenarios using it are sim-only.
-//! The schedule, oracle set, and seed plumbing are identical.
+//! Parity caveats vs the sim backend: the fault *table* is the same code on
+//! both, but wall-clock scheduling makes fault instants approximate (±ms),
+//! per-frame drop draws come from the transport's own seeded RNGs, loss and
+//! delay apply per coalesced write batch rather than per message, and
+//! `campaign` has no live-replica control — schedules using it are
+//! sim-only. The schedule, oracle set, and seed plumbing are identical.
 
 use crate::corpus::Scenario;
 use crate::oracle::{election_safety, Verdict};
-use crate::schedule::{partition_links, Fault, ScheduledFault};
-use nbr_cluster::{ClusterConfig, StorageMode};
-use nbr_net::{LinkFault, LinkFaults, NetClient, NodeServer, ServeConfig};
-use nbr_obs::{EngineProbe, SharedProbe, TraceEvent};
+use nbr_cluster::{FaultPlane, StorageMode};
+use nbr_net::{await_leaders, NetClient, NodeServer};
+use nbr_obs::{EngineProbe, TraceEvent};
 use nbr_storage::{KvStore, StateMachine};
-use nbr_types::{checksum::crc32, ClientId, Protocol, TimeDelta, TimeoutConfig};
+use nbr_types::{checksum::crc32, ClientId, NodeAction, TimeDelta};
 use std::collections::BTreeSet;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLUSTER_ID: u64 = 0xC4A0;
-
-struct NetCluster {
-    servers: Vec<NodeServer<KvStore>>,
-    members: Vec<(u32, SocketAddr)>,
-    faults: Arc<LinkFaults>,
-    skew: Vec<Arc<AtomicU64>>,
-    stall: Vec<Arc<AtomicU64>>,
-    /// Per-node probe buffers: election-safety evidence during the run,
-    /// span-tree artifacts when a verdict fails.
-    probes: Vec<SharedProbe>,
-}
-
-fn spawn_net_cluster(s: &Scenario, seed: u64, dir: &std::path::Path) -> Result<NetCluster, String> {
-    let n = s.nodes;
-    let faults = LinkFaults::shared();
-    let skew: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let stall: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-
-    // Bind first so every config knows every address (no port races).
-    let mut bound = Vec::new();
-    for _ in 0..n {
-        let l = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-        let a = l.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-        bound.push((l, a));
-    }
-    let members: Vec<(u32, SocketAddr)> =
-        bound.iter().enumerate().map(|(i, &(_, a))| (i as u32, a)).collect();
-
-    let mut servers = Vec::new();
-    let mut probes = Vec::new();
-    for (i, (listener, _)) in bound.into_iter().enumerate() {
-        let mut cluster = ClusterConfig {
-            protocol: {
-                let mut p = Protocol::NbRaft.config(s.window);
-                p.timeouts = TimeoutConfig {
-                    election_min: TimeDelta::from_millis(150),
-                    election_max: TimeDelta::from_millis(300),
-                    heartbeat_interval: TimeDelta::from_millis(40),
-                    retry_interval: TimeDelta::from_millis(20),
-                };
-                p
-            },
-            storage: StorageMode::Wal(dir.join(format!("node-{i}"))),
-            seed: seed ^ ((i as u64) << 16),
-            ..ClusterConfig::default()
-        };
-        cluster.clock_skew = Arc::clone(&skew[i]);
-        cluster.wal_stall = Arc::clone(&stall[i]);
-        let (probe, handle) = EngineProbe::shared();
-        cluster.probe = probe;
-        probes.push(handle);
-        let cfg = ServeConfig {
-            cluster_id: CLUSTER_ID,
-            node_id: i as u32,
-            bind: "127.0.0.1:0".parse().map_err(|e| format!("addr: {e}"))?,
-            peers: members.iter().filter(|&&(id, _)| id != i as u32).copied().collect(),
-            cluster,
-            metrics_bind: None,
-            link_delay: Duration::ZERO,
-            peer_lanes: 1,
-            link_loss_pct: 0.0,
-            faults: Some(Arc::clone(&faults)),
-        };
-        servers
-            .push(NodeServer::spawn_on(cfg, listener).map_err(|e| format!("spawn node {i}: {e}"))?);
-    }
-    Ok(NetCluster { servers, members, faults, skew, stall, probes })
-}
-
-/// Apply one fault to the live cluster. Returns `false` for faults the net
-/// backend cannot express.
-fn apply_fault(c: &NetCluster, fault: &Fault) -> bool {
-    match fault {
-        Fault::Partition { a, b, symmetric } => {
-            for (f, t) in partition_links(a, b, *symmetric) {
-                c.faults.set(f, t, LinkFault { cut: true, ..LinkFault::default() });
-            }
-            true
-        }
-        Fault::Heal => {
-            c.faults.heal_all();
-            true
-        }
-        Fault::GrayLink { from, to, both, drop_pct, delay } => {
-            let lf = LinkFault {
-                cut: false,
-                drop_bp: (drop_pct.clamp(0.0, 100.0) * 100.0) as u32,
-                delay: Duration::from_nanos(delay.as_nanos()),
-            };
-            c.faults.set(*from, *to, lf);
-            if *both {
-                c.faults.set(*to, *from, lf);
-            }
-            true
-        }
-        Fault::HealLink { from, to, both } => {
-            c.faults.clear(*from, *to);
-            if *both {
-                c.faults.clear(*to, *from);
-            }
-            true
-        }
-        Fault::Skew { node, by } => {
-            if let Some(d) = c.skew.get(*node as usize) {
-                d.store(by.as_nanos(), Ordering::Relaxed);
-            }
-            true
-        }
-        Fault::SlowDisk { node, penalty } => {
-            if let Some(d) = c.stall.get(*node as usize) {
-                d.store(penalty.as_nanos(), Ordering::Relaxed);
-            }
-            true
-        }
-        Fault::HealDisk { node } => {
-            if let Some(d) = c.stall.get(*node as usize) {
-                d.store(0, Ordering::Relaxed);
-            }
-            true
-        }
-        Fault::Crash { node } => {
-            if let Some(srv) = c.servers.get(*node as usize) {
-                srv.cluster().crash(0);
-            }
-            true
-        }
-        Fault::Recover { node } => {
-            if let Some(srv) = c.servers.get(*node as usize) {
-                srv.cluster().restart(0);
-            }
-            true
-        }
-        Fault::Campaign { .. } => false,
-    }
-}
 
 /// Run a scenario on the TCP backend and judge it. `scratch` holds the WAL
 /// directories and is wiped before and after. When `span_dir` is given and
@@ -175,7 +39,7 @@ pub fn run_scenario_net(
     span_dir: Option<&std::path::Path>,
 ) -> Verdict {
     let mut v = Verdict::new(s.name, "net", seed);
-    if !s.net_capable {
+    if !s.net_capable() {
         v.check("net-capable", false, "schedule uses sim-only faults (campaign)");
         return v;
     }
@@ -185,21 +49,34 @@ pub fn run_scenario_net(
         return v;
     }
 
-    let c = match spawn_net_cluster(s, seed, scratch) {
+    // The shipped replica configuration (whose real-time timeouts the sim
+    // backend borrows) at the scenario's window, WAL-backed, every replica
+    // probed: election-safety evidence during the run, span-tree artifacts
+    // when a verdict fails. One fault plane for the whole membership.
+    let plane = FaultPlane::shared(s.nodes as usize);
+    let spawned = NodeServer::<KvStore>::spawn_loopback(&vec![1; s.nodes as usize], |cfg| {
+        cfg.cluster_id = CLUSTER_ID;
+        cfg.cluster.protocol.window = s.window;
+        cfg.cluster.storage = StorageMode::Wal(scratch.join(format!("node-{}", cfg.node_id)));
+        cfg.cluster.seed = seed ^ (u64::from(cfg.node_id) << 16);
+        cfg.cluster.probe = EngineProbe::shared().0;
+        cfg.faults = Some(Arc::clone(&plane));
+    });
+    let (servers, members) = match spawned {
         Ok(c) => c,
         Err(e) => {
-            v.check("setup", false, e);
+            v.check("setup", false, format!("spawn: {e}"));
             return v;
         }
     };
 
     // Establish a leader before the schedule clock starts, mirroring the
     // sim's deterministic bootstrap campaign at t=0.
-    let elected =
-        c.servers.iter().any(|srv| srv.cluster().wait_for_leader(Duration::from_secs(5)).is_some());
+    let elected = await_leaders(&servers, Duration::from_secs(5)).is_ok();
     v.check("bootstrap-leader", elected, "a leader within 5s of spawn");
     if !elected {
-        shutdown(c, scratch);
+        drop(servers);
+        let _ = std::fs::remove_dir_all(scratch);
         return v;
     }
 
@@ -210,7 +87,7 @@ pub fn run_scenario_net(
     let acked = Arc::new(AtomicU64::new(0));
     let mut client_threads = Vec::new();
     for ci in 0..2u64 {
-        let members = c.members.clone();
+        let members = members.clone();
         let stop = Arc::clone(&stop);
         let acked = Arc::clone(&acked);
         let t = std::thread::Builder::new()
@@ -241,17 +118,25 @@ pub fn run_scenario_net(
     }
 
     // The schedule, in wall-clock time from here.
-    let mut events: Vec<(TimeDelta, usize, ScheduledFault)> =
-        s.parsed().events.into_iter().enumerate().map(|(i, e)| (e.at, i, e)).collect();
-    events.sort_by_key(|&(at, i, _)| (at, i));
+    // (time order, ties in file order: the sort is stable).
+    let mut events = s.parsed().events;
+    events.sort_by_key(|ev| ev.at);
     let t0 = Instant::now();
-    for (at, _, ev) in &events {
-        let target = Duration::from_nanos(at.as_nanos());
+    for ev in &events {
+        let target = Duration::from_nanos(ev.at.as_nanos());
         let elapsed = t0.elapsed();
         if target > elapsed {
             std::thread::sleep(target - elapsed);
         }
-        apply_fault(&c, &ev.fault);
+        // The plane takes link, clock and disk faults as they are; crash
+        // and recover go to the replica. (`campaign` cannot be done to a
+        // live replica; such schedules are not `net_capable`.)
+        let replica = |node: u32| servers.get(node as usize).map(NodeServer::cluster);
+        match plane.apply(&ev.fault) {
+            Some(NodeAction::Crash(node)) => replica(node).into_iter().for_each(|r| r.crash(0)),
+            Some(NodeAction::Recover(node)) => replica(node).into_iter().for_each(|r| r.restart(0)),
+            Some(NodeAction::Campaign(_)) | None => {}
+        }
     }
     // Let traffic continue for the rest of the scenario's nominal length.
     let total = Duration::from_millis(s.duration_ms);
@@ -271,8 +156,7 @@ pub fn run_scenario_net(
     let mut last: Vec<(bool, bool, u64, u64, u64, u32)> = Vec::new();
     let mut converged = false;
     while Instant::now() < deadline {
-        last = c
-            .servers
+        last = servers
             .iter()
             .map(|srv| {
                 let st = srv.cluster().status(0);
@@ -333,7 +217,7 @@ pub fn run_scenario_net(
 
     // Probe evidence: election-safety is term-keyed, so the merged events
     // need no clock alignment for the oracle itself.
-    let trace: Vec<TraceEvent> = c.probes.iter().flat_map(SharedProbe::take).collect();
+    let trace: Vec<TraceEvent> = servers.iter().flat_map(|srv| srv.traces().take()).collect();
     match election_safety(&trace) {
         Ok(n) => v.check("election-safety", true, format!("{n} elections, no split term")),
         Err(e) => v.check("election-safety", false, e),
@@ -356,13 +240,7 @@ pub fn run_scenario_net(
         }
     }
 
-    shutdown(c, scratch);
-    v
-}
-
-fn shutdown(c: NetCluster, scratch: &std::path::Path) {
-    for srv in c.servers {
-        drop(srv);
-    }
+    drop(servers);
     let _ = std::fs::remove_dir_all(scratch);
+    v
 }

@@ -21,41 +21,13 @@
 //!
 //! Parsing is total and order-preserving; [`Schedule::render`] emits the
 //! canonical form, and `parse(render(s)) == s` for any parsed schedule.
+//!
+//! The parsed [`Fault`] is `nbr_types::Fault` itself: this module is its text
+//! form, and what each fault *does* is `nbr_types::FaultTable::apply`, which
+//! every backend runs unchanged.
 
+pub use nbr_types::Fault;
 use nbr_types::TimeDelta;
-
-/// One fault kind, backend-agnostic. The sim backend compiles these to
-/// [`nbr_sim::SimFault`]s; the net backend applies them to live dials
-/// ([`nbr_net::LinkFaults`], clock-skew and WAL-stall atomics, cluster
-/// crash/restart controls).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Fault {
-    /// Cut every link between groups `a` and `b`. Symmetric cuts both
-    /// directions; asymmetric cuts only `a → b` traffic.
-    Partition { a: Vec<u32>, b: Vec<u32>, symmetric: bool },
-    /// Clear every cut and gray link (network heal; disks and clocks keep
-    /// their state).
-    Heal,
-    /// Degrade the `from → to` link (both directions when `both`): drop
-    /// `drop_pct`% of protocol messages, delay survivors by `delay`.
-    GrayLink { from: u32, to: u32, both: bool, drop_pct: f64, delay: TimeDelta },
-    /// Restore one link (both directions when `both`) to healthy, clearing
-    /// cuts and gray state on it.
-    HealLink { from: u32, to: u32, both: bool },
-    /// Set `node`'s clock skew to `by` (its engine sees `now + by`).
-    Skew { node: u32, by: TimeDelta },
-    /// Stall every WAL write on `node` by `penalty`.
-    SlowDisk { node: u32, penalty: TimeDelta },
-    /// Clear the slow-disk stall on `node`.
-    HealDisk { node: u32 },
-    /// Crash `node`; its durable state (WAL / preserved log image) survives.
-    Crash { node: u32 },
-    /// Restart a crashed `node` from its durable state.
-    Recover { node: u32 },
-    /// Force `node` to start an election (stale-configuration / duplicate
-    /// leader probe). Sim backend only.
-    Campaign { node: u32 },
-}
 
 /// A fault scheduled at an offset from the start of the run.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,23 +102,6 @@ impl Schedule {
         }
         m
     }
-}
-
-/// Expand a partition into the directed `(from, to)` links it cuts.
-pub fn partition_links(a: &[u32], b: &[u32], symmetric: bool) -> Vec<(u32, u32)> {
-    let mut v = Vec::new();
-    for &x in a {
-        for &y in b {
-            if x == y {
-                continue;
-            }
-            v.push((x, y));
-            if symmetric {
-                v.push((y, x));
-            }
-        }
-    }
-    v
 }
 
 fn parse_fault(toks: &[&str]) -> Result<Fault, String> {
@@ -332,11 +287,5 @@ at 1500ms heal
         assert!(Schedule::parse("at 1ms warp 3\n").is_err());
         assert!(Schedule::parse("crash 1\n").is_err());
         assert!(Schedule::parse("at 1ms partition {0}{1}\n").is_err());
-    }
-
-    #[test]
-    fn partition_expansion() {
-        assert_eq!(partition_links(&[0], &[1, 2], false), vec![(0, 1), (0, 2)]);
-        assert_eq!(partition_links(&[0], &[1], true), vec![(0, 1), (1, 0)]);
     }
 }

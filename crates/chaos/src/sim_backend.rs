@@ -1,103 +1,16 @@
-//! Sim backend: compile a [`Schedule`] to [`nbr_sim::SimFault`]s, run the
-//! discrete-event simulator, and judge the result.
+//! Sim backend: hand a scenario's schedule to the discrete-event simulator
+//! as it stands (`SimConfig::chaos` takes `(Time, Fault)` pairs), run it,
+//! and judge the result.
 //!
 //! Runs here are bit-deterministic: the same scenario + seed always yields
 //! the same verdict JSON, so failures replay exactly from `--seed`.
 
 use crate::corpus::Scenario;
 use crate::oracle::{election_safety, Verdict};
-use crate::schedule::{partition_links, Fault, Schedule};
 use nbr_obs::EngineProbe;
-use nbr_sim::{SimConfig, SimFault, SimResult};
-use nbr_types::{Protocol, Time, TimeDelta, TimeoutConfig};
+use nbr_sim::{SimConfig, SimResult};
+use nbr_types::{Protocol, Time, TimeDelta};
 use std::collections::BTreeSet;
-
-/// Real-time-scale timeouts matching [`nbr_cluster::ClusterConfig`]'s
-/// defaults, so one schedule's fault windows mean the same thing on both
-/// backends.
-fn cluster_parity_timeouts() -> TimeoutConfig {
-    TimeoutConfig {
-        election_min: TimeDelta::from_millis(150),
-        election_max: TimeDelta::from_millis(300),
-        heartbeat_interval: TimeDelta::from_millis(40),
-        retry_interval: TimeDelta::from_millis(20),
-    }
-}
-
-/// Compile a schedule into the simulator's fault events.
-///
-/// `Heal` and `HealLink` are stateful in the DSL (they undo whatever is
-/// currently cut or degraded), so compilation walks the events in time
-/// order tracking the live fault set. All tracking uses ordered sets —
-/// the emitted event sequence must be identical across runs for replay
-/// determinism.
-pub fn compile_schedule(sched: &Schedule) -> Vec<(Time, SimFault)> {
-    let mut events: Vec<(TimeDelta, usize, &Fault)> =
-        sched.events.iter().enumerate().map(|(i, e)| (e.at, i, &e.fault)).collect();
-    events.sort_by_key(|&(at, i, _)| (at, i));
-
-    let mut cut: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut gray: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut out = Vec::new();
-    for (at, _, fault) in events {
-        let t = Time::ZERO + at;
-        match fault {
-            Fault::Partition { a, b, symmetric } => {
-                for (f, to) in partition_links(a, b, *symmetric) {
-                    cut.insert((f, to));
-                    out.push((t, SimFault::CutLink { from: f, to }));
-                }
-            }
-            Fault::Heal => {
-                for &(f, to) in &cut {
-                    out.push((t, SimFault::HealLink { from: f, to }));
-                }
-                for &(f, to) in &gray {
-                    out.push((t, SimFault::RestoreLink { from: f, to }));
-                }
-                cut.clear();
-                gray.clear();
-            }
-            Fault::GrayLink { from, to, both, drop_pct, delay } => {
-                let pairs: &[(u32, u32)] =
-                    if *both { &[(*from, *to), (*to, *from)] } else { &[(*from, *to)] };
-                for &(f, t2) in pairs {
-                    gray.insert((f, t2));
-                    out.push((
-                        t,
-                        SimFault::DegradeLink {
-                            from: f,
-                            to: t2,
-                            drop_p: drop_pct / 100.0,
-                            extra: *delay,
-                        },
-                    ));
-                }
-            }
-            Fault::HealLink { from, to, both } => {
-                let pairs: &[(u32, u32)] =
-                    if *both { &[(*from, *to), (*to, *from)] } else { &[(*from, *to)] };
-                for &(f, t2) in pairs {
-                    if cut.remove(&(f, t2)) {
-                        out.push((t, SimFault::HealLink { from: f, to: t2 }));
-                    }
-                    if gray.remove(&(f, t2)) {
-                        out.push((t, SimFault::RestoreLink { from: f, to: t2 }));
-                    }
-                }
-            }
-            Fault::Skew { node, by } => out.push((t, SimFault::SkewClock { node: *node, by: *by })),
-            Fault::SlowDisk { node, penalty } => {
-                out.push((t, SimFault::SlowDisk { node: *node, penalty: *penalty }));
-            }
-            Fault::HealDisk { node } => out.push((t, SimFault::HealDisk { node: *node })),
-            Fault::Crash { node } => out.push((t, SimFault::Crash { node: *node })),
-            Fault::Recover { node } => out.push((t, SimFault::Recover { node: *node })),
-            Fault::Campaign { node } => out.push((t, SimFault::Campaign { node: *node })),
-        }
-    }
-    out
-}
 
 /// One deterministic sim run of a scenario at the given window size.
 fn run_once(s: &Scenario, seed: u64, window: usize) -> (SimResult, Vec<nbr_obs::TraceEvent>) {
@@ -112,8 +25,10 @@ fn run_once(s: &Scenario, seed: u64, window: usize) -> (SimResult, Vec<nbr_obs::
         payload: 512,
         warmup,
         duration: TimeDelta(TimeDelta::from_millis(s.duration_ms).0 - warmup.0),
-        timeouts: cluster_parity_timeouts(),
-        chaos: compile_schedule(&s.parsed()),
+        // The live cluster's real-time-scale timeouts, so one schedule's
+        // fault windows mean the same thing on both backends.
+        timeouts: nbr_cluster::ClusterConfig::default().protocol.timeouts,
+        chaos: s.parsed().events.into_iter().map(|e| (Time::ZERO + e.at, e.fault)).collect(),
         seed,
         trace: probe,
         ..SimConfig::default()

@@ -14,20 +14,36 @@ fn sim_runs_are_deterministic() {
     assert_eq!(a, b, "replay from the same seed diverged");
 }
 
-/// The whole corpus passes on the sim backend at the default seed. This is
-/// the same set `nbraft-cli chaos run --all --backend sim` covers in CI.
+/// The whole corpus passes on the sim backend at the default seed, and its
+/// verdict records equal the committed golden byte for byte: sim verdicts
+/// are bit-reproducible, so any change to what the DES does under a fault
+/// schedule (event order, rng draws, fault-table semantics) shows here. This
+/// is the same set `nbraft-cli chaos run --backend sim` covers in CI.
 #[test]
 fn corpus_passes_on_sim() {
     let mut failures = Vec::new();
+    let mut jsonl = String::new();
     for s in corpus() {
         let v = run_scenario_sim(&s, SEED);
         println!("{}", v.summary());
         if !v.pass() {
             failures.push(format!("{}: {:?}", s.name, v.failed()));
         }
+        jsonl.push_str(&v.to_json());
+        jsonl.push('\n');
     }
     assert!(failures.is_empty(), "failing scenarios: {failures:?}");
+    let golden = include_str!("golden/sim-seed7.jsonl");
+    for (got, want) in jsonl.lines().zip(golden.lines()) {
+        assert_eq!(got, want, "sim verdict differs from the golden; {REGENERATE}");
+    }
+    assert_eq!(jsonl.len(), golden.len(), "{REGENERATE}");
 }
+
+const REGENERATE: &str = "if the simulator was meant to change, regenerate with \
+    `rm crates/chaos/tests/golden/sim-seed7.jsonl && cargo run --release -p nbr-cli -- \
+    chaos run --backend sim --seed 7 --out crates/chaos/tests/golden/sim-seed7.jsonl` \
+    and say why in the commit";
 
 /// Regression canary: the gray-link scenario must exercise the window-gap
 /// repair path (gap hints). If the gap-hint fix regresses, this check (and

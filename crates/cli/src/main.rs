@@ -705,58 +705,25 @@ fn bench_net_once(
     trace_dir: Option<&std::path::Path>,
 ) -> NetBenchRun {
     const CLUSTER_ID: u64 = 1;
-    // Bind all listeners first so the OS hands out conflict-free ports,
-    // then exchange addresses — same trick as the loopback tests.
-    let bound: Vec<(std::net::TcpListener, SocketAddr)> = (0..b.replicas)
-        .map(|_| {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let a = l.local_addr().expect("local addr");
-            (l, a)
+    let (servers, members) =
+        NodeServer::<KvStore>::spawn_loopback(&vec![groups; b.replicas], |cfg| {
+            cfg.cluster_id = CLUSTER_ID;
+            cfg.cluster.protocol = b.protocol.config(window);
+            // Staggered per-node seeds keep cold-start elections one round
+            // long; per-group decorrelation is the server's job.
+            cfg.cluster.seed = 42 ^ (u64::from(cfg.node_id) << 8);
+            if trace_dir.is_some() {
+                cfg.cluster.probe = EngineProbe::shared().0;
+            }
+            // Half the round trip per hop: leader -> follower -> leader.
+            cfg.link_delay = Duration::from_micros(b.rtt_ms * 500);
+            cfg.peer_lanes = b.lanes;
+            cfg.link_loss_pct = b.loss_pct;
         })
-        .collect();
-    let members: Vec<(u32, SocketAddr)> =
-        bound.iter().enumerate().map(|(i, &(_, a))| (i as u32, a)).collect();
-    let servers: Vec<NodeServer<KvStore>> = bound
-        .into_iter()
-        .enumerate()
-        .map(|(i, (listener, _))| {
-            let cfg = ServeConfig {
-                cluster_id: CLUSTER_ID,
-                node_id: i as u32,
-                bind: "127.0.0.1:0".parse().expect("addr"),
-                peers: members.iter().filter(|&&(id, _)| id != i as u32).copied().collect(),
-                cluster: ClusterConfig {
-                    protocol: b.protocol.config(window),
-                    // Staggered per-node seeds keep cold-start elections one
-                    // round long; per-group decorrelation is the server's job.
-                    seed: 42 ^ ((i as u64) << 8),
-                    probe: match trace_dir {
-                        Some(_) => EngineProbe::shared().0,
-                        None => EngineProbe::Off,
-                    },
-                    ..ClusterConfig::default()
-                },
-                metrics_bind: None,
-                // Half the round trip per hop: leader -> follower -> leader.
-                link_delay: Duration::from_micros(b.rtt_ms * 500),
-                peer_lanes: b.lanes,
-                link_loss_pct: b.loss_pct,
-                faults: None,
-            };
-            NodeServer::spawn_groups(cfg, groups, listener).expect("spawn node server")
-        })
-        .collect();
+        .expect("spawn node servers");
     // Every group must elect before the drive starts, or the early seconds
     // measure elections rather than steady-state replication.
-    let deadline = std::time::Instant::now() + Duration::from_secs(15);
-    let leads = |s: &NodeServer<KvStore>, g| {
-        let st = s.group(g).status(0);
-        st.alive && st.is_leader
-    };
-    while let Some(g) = (0..groups).find(|&g| !servers.iter().any(|s| leads(s, g))) {
-        assert!(std::time::Instant::now() < deadline, "group {g} elected no leader");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    nbr_net::await_leaders(&servers, Duration::from_secs(15)).expect("cold start");
 
     let run = drive_net_clients(CLUSTER_ID, &members, b.clients, b.seconds, b.payload, groups);
     // Dropping the servers stops the replica loops, so the probe buffers
@@ -1074,7 +1041,7 @@ fn cmd_chaos(verb: Option<&str>, args: &Args) {
                     s.name,
                     s.nodes,
                     s.duration_ms,
-                    if !s.net_capable {
+                    if !s.net_capable() {
                         "-"
                     } else if s.net_smoke {
                         "smoke"
@@ -1110,7 +1077,7 @@ fn cmd_chaos(verb: Option<&str>, args: &Args) {
                     verdicts.push(v);
                 }
                 if (backend == "net" || backend == "both")
-                    && s.net_capable
+                    && s.net_capable()
                     && (!smoke || s.net_smoke)
                 {
                     let v = run_scenario_net(s, seed, &chaos_scratch(s.name), span_dir.as_deref());

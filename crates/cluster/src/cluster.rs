@@ -4,7 +4,8 @@
 //! real concurrency, real crypto/coding work, crash/restart with recovery —
 //! complementing the deterministic simulator used for the figures.
 
-use crate::network::{NetConfig, NetControl, Network, Packet, CLIENT_ENDPOINT};
+use crate::faults::FaultPlane;
+use crate::network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
 use crate::transport::{Endpoints, Transport, TransportInboxes};
 use nbr_core::{Node, Output};
@@ -45,13 +46,12 @@ pub struct ClusterConfig {
     /// `EngineProbe::Off` (the default) keeps the hot path allocation-free;
     /// a shared probe collects [`nbr_obs::TraceEvent`]s for `nbraft-cli trace`.
     pub probe: EngineProbe,
-    /// Chaos clock-skew dial: nanoseconds added to the replica's view of
-    /// `now`. Shared so the chaos harness can skew a running replica; zero
-    /// (the default) is a normal clock. Cloning the config shares the dial.
-    pub clock_skew: Arc<std::sync::atomic::AtomicU64>,
-    /// Chaos slow-disk dial: nanoseconds every WAL record write stalls.
-    /// Only meaningful with [`StorageMode::Wal`]; zero disables.
-    pub wal_stall: Arc<std::sync::atomic::AtomicU64>,
+    /// The cluster's fault plane, shared with whoever injects faults while
+    /// it runs. Each replica adds its own node's clock skew to its view of
+    /// `now` and (under [`StorageMode::Wal`]) stalls every WAL record write
+    /// by its node's disk dial; the in-process router reads the link rows.
+    /// `None` (the default) injects nothing and costs nothing.
+    pub faults: Option<Arc<FaultPlane>>,
     /// Trace clock epoch. `None` (the default) starts a fresh epoch at
     /// spawn; a multi-process host (`NodeServer`) passes the same instant
     /// it gives the transport so probe timestamps and the transport's
@@ -79,8 +79,7 @@ impl Default for ClusterConfig {
             compact_after: None,
             seed: 42,
             probe: EngineProbe::Off,
-            clock_skew: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            wal_stall: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            faults: None,
             trace_epoch: None,
         }
     }
@@ -198,10 +197,10 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
     /// Spawn an `n`-replica cluster, all replicas local, connected by the
     /// in-process router ([`Network`]).
     pub fn spawn(n: usize, cfg: ClusterConfig) -> Cluster<M> {
-        let net_cfg = cfg.net.clone();
+        let (net_cfg, faults) = (cfg.net.clone(), cfg.faults.clone());
         let local: Vec<u32> = (0..n as u32).collect();
         Self::spawn_with_transport(n, &local, cfg, |inboxes| {
-            Arc::new(Network::spawn(net_cfg, inboxes))
+            Arc::new(Network::spawn(net_cfg, faults, inboxes))
         })
     }
 
@@ -333,12 +332,6 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
             snaps.push(t);
         }
         nbr_obs::export::prometheus(&snaps)
-    }
-
-    /// Fault injection controls, when the transport supports injection
-    /// (the in-process router does; real sockets fail on their own).
-    pub fn net(&self) -> Option<Arc<NetControl>> {
-        self.transport.control()
     }
 
     /// The transport this cluster runs on.
@@ -524,18 +517,20 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         std::fs::create_dir_all(dir).expect("wal dir"); // check:allow(L1): replica bring-up, must abort
                         let path = dir.join(format!("node-{}.wal", id.0));
                         let mut w = WalLog::open(path, SyncPolicy::Never).expect("open wal"); // check:allow(L1): replica bring-up, must abort
-                        w.set_stall(Arc::clone(&cfg.wal_stall));
+                        if let Some(dial) = cfg.faults.as_ref().and_then(|p| p.stall_dial(id.0)) {
+                            w.set_stall(dial);
+                        }
                         ClusterLog::Wal(w)
                     }
                 }
             };
-            // The replica's view of time: wall clock plus the chaos skew
-            // dial. All engine deadlines derive from this, so skewing one
-            // replica makes its election timer fire early relative to peers.
-            let skew = Arc::clone(&cfg.clock_skew);
-            let local_now = move || {
-                now_since(epoch) + TimeDelta(skew.load(std::sync::atomic::Ordering::Relaxed))
-            };
+            // The replica's view of time: wall clock plus this node's skew
+            // on the fault plane. All engine deadlines derive from this, so
+            // skewing one replica makes its election timer fire early
+            // relative to peers.
+            let plane = cfg.faults.clone();
+            let local_now =
+                move || now_since(epoch) + plane.as_ref().map_or(TimeDelta::ZERO, |p| p.skew(id.0));
             let hard_state_path = match &cfg.storage {
                 StorageMode::Wal(dir) => Some(dir.join(format!("node-{}.hs", id.0))),
                 StorageMode::Memory => None,
@@ -556,20 +551,23 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
             // Outstanding harness reads keyed by synthetic request id.
             let mut read_replies: HashMap<u64, Sender<Result<()>>> = HashMap::new();
             let mut next_read_id = 0u64;
-            let mut node: Option<Node<ClusterLog, EngineProbe>> = Some({
+            // A (re)started engine: the log reopened and the hard state
+            // restored from whatever this node's storage kept.
+            let boot = |seed: u64| {
                 let mut n = Node::with_probe(
                     id,
                     membership.clone(),
                     cfg.protocol.clone(),
                     open_log(),
-                    cfg.seed,
+                    seed,
                     cfg.probe.clone(),
                 );
                 if let Some((t, v)) = load_hard_state() {
                     n.restore_hard_state(t, v);
                 }
                 n
-            });
+            };
+            let mut node: Option<Node<ClusterLog, EngineProbe>> = Some(boot(cfg.seed));
             let mut last_hs = node.as_ref().map(|n| n.hard_state());
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
@@ -609,17 +607,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         }
                         Control::Restart => {
                             if node.is_none() {
-                                let mut n = Node::with_probe(
-                                    id,
-                                    membership.clone(),
-                                    cfg.protocol.clone(),
-                                    open_log(),
-                                    cfg.seed ^ 0xBEEF,
-                                    cfg.probe.clone(),
-                                );
-                                if let Some((t, v)) = load_hard_state() {
-                                    n.restore_hard_state(t, v);
-                                }
+                                let n = boot(cfg.seed ^ 0xBEEF);
                                 last_hs = Some(n.hard_state());
                                 node = Some(n);
                             }

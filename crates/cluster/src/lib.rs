@@ -2,11 +2,14 @@
 //!
 //! Each replica runs on its own OS thread with real storage (optionally a
 //! crash-recovering WAL), real Reed–Solomon/SHA-256 work, and an in-process
-//! [`network::Network`] with seeded delay jitter, drops and partitions. Use
+//! [`network::Network`] with seeded delay jitter and drops, plus whatever the
+//! cluster's shared [`FaultPlane`] injects at runtime (cuts, gray links,
+//! clock skew, disk stalls — the same `nbr_types::Fault`s the simulator takes). Use
 //! this harness to *demonstrate* the system (examples, integration tests,
 //! failure drills); use `nbr-sim` to *measure* it at paper scale.
 
 pub mod cluster;
+pub mod faults;
 pub mod network;
 pub mod sync;
 pub mod transport;
@@ -15,5 +18,6 @@ pub use cluster::{
     compress_strong_resps, compress_weak_responds, Cluster, ClusterClient, ClusterConfig,
     NodeStatus, StorageMode,
 };
-pub use network::{NetConfig, NetControl, NetHandle, NetStats, Network, Packet, CLIENT_ENDPOINT};
+pub use faults::FaultPlane;
+pub use network::{NetConfig, NetStats, Network, Packet, CLIENT_ENDPOINT};
 pub use transport::{Endpoints, Transport, TransportInboxes, NODE_INBOX_DEPTH};

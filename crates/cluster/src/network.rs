@@ -1,14 +1,18 @@
 //! In-process network with fault injection.
 //!
-//! A single router thread moves messages between node inboxes, applying a
-//! configurable artificial delay (uniform in `[min, max]` — the jitter that
-//! produces out-of-order arrival), probabilistic drops, and partitions. All
-//! randomness is seeded for reproducible failure tests.
+//! A single router thread moves messages between node inboxes. What happens
+//! to a packet on the way is one [`LinkFault`]: the router's *baseline* —
+//! [`NetConfig`]'s artificial delay (uniform in `[min, max]`, the jitter
+//! that produces out-of-order arrival) and drop probability — composed with
+//! the packet's `from → to` row of the cluster's [`FaultPlane`], when one is
+//! installed. A cut link or a lost draw drops the packet, counted by cause;
+//! a survivor is held for the drawn delay. All randomness is seeded for
+//! reproducible failure tests.
 
-use crate::sync::Mutex;
+use crate::faults::FaultPlane;
 use crate::transport::{Transport, TransportInboxes};
 use nbr_obs::{Registry, Snapshot};
-use nbr_types::{ClientRequest, ClientResponse, Message, NodeId};
+use nbr_types::{ClientRequest, ClientResponse, LinkFault, Message, NodeId, TimeDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BinaryHeap, HashMap};
@@ -38,7 +42,8 @@ pub enum Packet {
     },
 }
 
-/// Network fault configuration (mutable at runtime through [`NetControl`]).
+/// The router's baseline behaviour: what every link does with no fault
+/// injected. Runtime faults go through the cluster's [`FaultPlane`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Artificial delay range applied to every packet.
@@ -59,23 +64,18 @@ impl Default for NetConfig {
     }
 }
 
-/// Shared runtime switches for fault injection, plus explicit delivery
-/// accounting: every packet the router does *not* deliver is counted under
-/// the reason it was lost, so tests (and the obs registry) can distinguish
-/// injected faults from genuine delivery-layer problems.
+/// The router's stop flag plus explicit delivery accounting: every packet
+/// the router does *not* deliver is counted under the reason it was lost, so
+/// tests (and the obs registry) can distinguish injected faults from genuine
+/// delivery-layer problems.
 #[derive(Debug, Default)]
-pub struct NetControl {
-    /// Pairs (a, b) whose traffic is dropped, both directions. Endpoint
-    /// `u32::MAX` denotes the client side.
-    partitions: Mutex<Vec<(u32, u32)>>,
-    /// Per-mille drop rate override (atomic for cheap reads).
-    drop_per_mille: AtomicU64,
+struct Counters {
     stopped: AtomicBool,
     /// Packets handed to an inbox.
     delivered: AtomicU64,
-    /// Packets cut by an active partition (injected fault).
+    /// Packets eaten by a cut link (injected fault).
     dropped_partition: AtomicU64,
-    /// Packets dropped by the random-loss dial (injected fault).
+    /// Packets lost to a link's drop probability (injected fault).
     dropped_rate: AtomicU64,
     /// Packets addressed to an endpoint that does not exist.
     dropped_unroutable: AtomicU64,
@@ -108,36 +108,11 @@ pub struct NetStats {
     pub requeued_full: u64,
 }
 
-/// Endpoint id for clients in partition specs.
+/// Endpoint id of the client side (also in fault-table link rows).
 pub const CLIENT_ENDPOINT: u32 = u32::MAX;
 
-impl NetControl {
-    /// Cut traffic between endpoints `a` and `b` (use [`CLIENT_ENDPOINT`]
-    /// for the client side).
-    pub fn partition(&self, a: u32, b: u32) {
-        self.partitions.lock().push((a, b));
-    }
-
-    /// Remove all partitions.
-    pub fn heal(&self) {
-        self.partitions.lock().clear();
-    }
-
-    /// Set the packet drop probability (0.0–1.0).
-    pub fn set_drop_rate(&self, rate: f64) {
-        self.drop_per_mille.store((rate.clamp(0.0, 1.0) * 1000.0) as u64, Ordering::Relaxed);
-    }
-
-    fn is_cut(&self, a: u32, b: u32) -> bool {
-        self.partitions.lock().iter().any(|&(x, y)| (x == a && y == b) || (x == b && y == a))
-    }
-
-    fn stop(&self) {
-        self.stopped.store(true, Ordering::Relaxed);
-    }
-
-    /// Delivery accounting snapshot.
-    pub fn stats(&self) -> NetStats {
+impl Counters {
+    fn stats(&self) -> NetStats {
         NetStats {
             delivered: self.delivered.load(Ordering::Relaxed),
             dropped_partition: self.dropped_partition.load(Ordering::Relaxed),
@@ -187,28 +162,10 @@ impl Ord for Delayed {
 /// `(from, to, packet)` triple in flight to the router.
 type Routed = (u32, u32, Packet);
 
-/// Handle used by nodes/clients to send into the network.
-#[derive(Clone)]
-pub struct NetHandle {
-    tx: Sender<Routed>,
-    pub(crate) control: Arc<NetControl>,
-}
-
-impl NetHandle {
-    /// Send `packet` from endpoint `from` to endpoint `to`.
-    pub fn send(&self, from: u32, to: u32, packet: Packet) {
-        let _ = self.tx.send((from, to, packet));
-    }
-
-    /// Fault-injection switches.
-    pub fn control(&self) -> &NetControl {
-        &self.control
-    }
-}
-
 /// The router: owns delivery queues to every endpoint.
 pub struct Network {
-    handle: NetHandle,
+    tx: Sender<Routed>,
+    counters: Arc<Counters>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -223,13 +180,24 @@ impl Network {
     /// [`FULL_RETRY_BUDGET`] deferrals. Every non-delivery is counted by
     /// cause; nothing is lost silently, and `Response` packets get exactly
     /// the same treatment as `Peer` messages.
-    pub fn spawn(cfg: NetConfig, inboxes: TransportInboxes) -> Network {
+    ///
+    /// `faults` is the cluster's fault plane, if it has one: each packet's
+    /// `from → to` row is read (copied out) as the packet enters the router.
+    pub fn spawn(
+        cfg: NetConfig,
+        faults: Option<Arc<FaultPlane>>,
+        inboxes: TransportInboxes,
+    ) -> Network {
         let (tx, rx): (Sender<Routed>, Receiver<Routed>) = channel();
-        let control = Arc::new(NetControl::default());
-        control
-            .drop_per_mille
-            .store((cfg.drop_rate.clamp(0.0, 1.0) * 1000.0) as u64, Ordering::Relaxed);
-        let ctl = Arc::clone(&control);
+        let counters = Arc::new(Counters::default());
+        let ctl = Arc::clone(&counters);
+        // The configuration as the `LinkFault` every link starts from.
+        let ns = |d: Duration| TimeDelta(d.as_nanos() as u64);
+        let baseline = LinkFault {
+            cut: false,
+            drop: cfg.drop_rate.clamp(0.0, 1.0),
+            delay: (ns(cfg.delay.0), ns(cfg.delay.1)),
+        };
         let node_inboxes: HashMap<u32, SyncSender<Packet>> = inboxes.nodes.into_iter().collect();
         let client_inbox = inboxes.client;
         let thread = std::thread::Builder::new()
@@ -289,25 +257,22 @@ impl Network {
                         .min(Duration::from_millis(2));
                     match rx.recv_timeout(timeout) {
                         Ok((from, to, packet)) => {
-                            if ctl.is_cut(from, to) {
+                            let link = match &faults {
+                                Some(plane) => plane.link(from, to).over(baseline),
+                                None => baseline,
+                            };
+                            if link.cut {
                                 ctl.dropped_partition.fetch_add(1, Ordering::Relaxed);
                                 continue;
                             }
-                            let dpm = ctl.drop_per_mille.load(Ordering::Relaxed);
-                            if dpm > 0 && rng.random_range(0..1000u64) < dpm {
+                            if link.loses(|| rng.random_range(0.0..1.0)) {
                                 ctl.dropped_rate.fetch_add(1, Ordering::Relaxed);
                                 continue;
                             }
-                            let (lo, hi) = cfg.delay;
-                            let extra = if hi > lo {
-                                let span = (hi - lo).as_nanos() as u64;
-                                Duration::from_nanos(rng.random_range(0..span))
-                            } else {
-                                Duration::ZERO
-                            };
+                            let delay = link.delay_at(|| rng.random_range(0.0..1.0));
                             seq += 1;
                             heap.push(Delayed {
-                                due: Instant::now() + lo + extra,
+                                due: Instant::now() + Duration::from_nanos(delay.as_nanos()),
                                 seq,
                                 to_endpoint: to,
                                 packet,
@@ -320,22 +285,18 @@ impl Network {
                 }
             })
             .expect("spawn network thread"); // check:allow(L1): harness startup; no thread means no cluster to run, abort is correct
-        Network { handle: NetHandle { tx, control }, thread: Some(thread) }
+        Network { tx, counters, thread: Some(thread) }
     }
 
-    /// A cloneable sending handle.
-    pub fn handle(&self) -> NetHandle {
-        self.handle.clone()
+    /// Delivery accounting snapshot.
+    pub fn stats(&self) -> NetStats {
+        self.counters.stats()
     }
 }
 
 impl Transport for Network {
     fn send(&self, from: u32, to: u32, packet: Packet) {
-        self.handle.send(from, to, packet);
-    }
-
-    fn control(&self) -> Option<Arc<NetControl>> {
-        Some(Arc::clone(&self.handle.control))
+        let _ = self.tx.send((from, to, packet));
     }
 
     fn scrape(&self) -> Option<Snapshot> {
@@ -343,7 +304,7 @@ impl Transport for Network {
         // Prometheus export carries delivery-layer counters alongside the
         // per-replica protocol metrics.
         let reg = Registry::new("net");
-        let s = self.handle.control.stats();
+        let s = self.stats();
         reg.counter("net_delivered").set(s.delivered);
         reg.counter("net_dropped_partition").set(s.dropped_partition);
         reg.counter("net_dropped_rate").set(s.dropped_rate);
@@ -357,7 +318,7 @@ impl Transport for Network {
 
 impl Drop for Network {
     fn drop(&mut self) {
-        self.handle.control.stop();
+        self.counters.stopped.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -368,7 +329,7 @@ impl Drop for Network {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use nbr_types::{ClientId, RequestId};
+    use nbr_types::{ClientId, Fault, RequestId};
 
     fn request_packet() -> Packet {
         Packet::Request(ClientRequest {
@@ -379,12 +340,20 @@ mod tests {
     }
 
     fn instant_net(nodes: Vec<(u32, std::sync::mpsc::SyncSender<Packet>)>) -> Network {
+        faulty_net(nodes, None)
+    }
+
+    fn faulty_net(
+        nodes: Vec<(u32, std::sync::mpsc::SyncSender<Packet>)>,
+        faults: Option<Arc<FaultPlane>>,
+    ) -> Network {
         let (client_tx, _client_rx) = channel();
         // Leak the client receiver is fine for these tests; zero delay keeps
         // them fast and deterministic-enough to assert counters.
         std::mem::forget(_client_rx);
         Network::spawn(
             NetConfig { delay: (Duration::ZERO, Duration::ZERO), drop_rate: 0.0, seed: 1 },
+            faults,
             TransportInboxes { nodes, client: client_tx },
         )
     }
@@ -403,20 +372,57 @@ mod tests {
     #[test]
     fn unroutable_and_partitioned_packets_are_counted() {
         let (tx0, rx0) = std::sync::mpsc::sync_channel(16);
-        let net = instant_net(vec![(0, tx0)]);
-        let h = net.handle();
+        let plane = FaultPlane::shared(2);
+        let net = faulty_net(vec![(0, tx0)], Some(Arc::clone(&plane)));
 
-        h.send(1, 99, request_packet()); // endpoint 99 does not exist
-        assert!(wait_until(|| h.control().stats().dropped_unroutable == 1));
+        net.send(1, 99, request_packet()); // endpoint 99 does not exist
+        assert!(wait_until(|| net.stats().dropped_unroutable == 1));
 
-        h.control().partition(1, 0);
-        h.send(1, 0, request_packet());
-        assert!(wait_until(|| h.control().stats().dropped_partition == 1));
-        h.control().heal();
+        plane.apply(&Fault::Partition { a: vec![1], b: vec![0], symmetric: true });
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| net.stats().dropped_partition == 1));
+        plane.apply(&Fault::Heal);
 
-        h.send(1, 0, request_packet());
-        assert!(wait_until(|| h.control().stats().delivered == 1));
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| net.stats().delivered == 1));
         assert!(rx0.try_recv().is_ok());
+    }
+
+    #[test]
+    fn one_way_cuts_and_gray_links_are_counted_by_cause() {
+        let (tx0, rx0) = std::sync::mpsc::sync_channel(16);
+        let (tx1, rx1) = std::sync::mpsc::sync_channel(16);
+        let plane = FaultPlane::shared(2);
+        let net = faulty_net(vec![(0, tx0), (1, tx1)], Some(Arc::clone(&plane)));
+
+        // `{0}->{1}` cuts one direction only: 1 still reaches 0.
+        plane.apply(&Fault::Partition { a: vec![0], b: vec![1], symmetric: false });
+        net.send(0, 1, request_packet());
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| {
+            let s = net.stats();
+            s.dropped_partition == 1 && s.delivered == 1
+        }));
+        assert!(rx0.try_recv().is_ok() && rx1.try_recv().is_err());
+
+        // A gray link is loss, not a partition (100%: every draw loses).
+        let gray = |drop_pct| Fault::GrayLink {
+            from: 1,
+            to: 0,
+            both: false,
+            drop_pct,
+            delay: TimeDelta::ZERO,
+        };
+        plane.apply(&gray(100.0));
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| net.stats().dropped_rate == 1));
+        assert_eq!(net.stats().dropped_partition, 1);
+
+        plane.apply(&Fault::HealLink { from: 0, to: 1, both: true });
+        net.send(0, 1, request_packet());
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| net.stats().delivered == 3));
+        assert!(rx0.try_recv().is_ok() && rx1.try_recv().is_ok());
     }
 
     #[test]
@@ -426,11 +432,10 @@ mod tests {
         // counted in dropped_full — no silent loss.
         let (tx0, rx0) = std::sync::mpsc::sync_channel(1);
         let net = instant_net(vec![(0, tx0)]);
-        let h = net.handle();
-        h.send(1, 0, request_packet());
-        h.send(1, 0, request_packet());
-        assert!(wait_until(|| h.control().stats().dropped_full == 1));
-        let s = h.control().stats();
+        net.send(1, 0, request_packet());
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| net.stats().dropped_full == 1));
+        let s = net.stats();
         assert_eq!(s.delivered, 1);
         assert!(s.requeued_full >= u64::from(FULL_RETRY_BUDGET));
         drop(rx0);
@@ -441,9 +446,8 @@ mod tests {
         let (tx0, rx0) = std::sync::mpsc::sync_channel(16);
         let net = instant_net(vec![(0, tx0)]);
         drop(rx0); // replica stopped
-        let h = net.handle();
-        h.send(1, 0, request_packet());
-        assert!(wait_until(|| h.control().stats().dropped_closed == 1));
+        net.send(1, 0, request_packet());
+        assert!(wait_until(|| net.stats().dropped_closed == 1));
     }
 
     #[test]
@@ -451,7 +455,7 @@ mod tests {
         let (tx0, _rx0) = std::sync::mpsc::sync_channel(16);
         let net = instant_net(vec![(0, tx0)]);
         net.send(1, 99, request_packet());
-        assert!(wait_until(|| net.control().is_some_and(|c| c.stats().dropped_unroutable == 1)));
+        assert!(wait_until(|| net.stats().dropped_unroutable == 1));
         let snap = net.scrape().expect("router scrapes");
         assert_eq!(snap.label, "net");
         assert_eq!(snap.counters["net_dropped_unroutable"], 1);

@@ -5,7 +5,7 @@
 //! implementations exist:
 //!
 //! * [`crate::network::Network`] — the in-process router thread with seeded
-//!   delay jitter, drops and partitions (the original harness transport);
+//!   delay jitter and drops (the original harness transport);
 //! * `nbr_net::TcpTransport` — a real TCP delivery layer with per-peer
 //!   outbound connections, framing, reconnect and keepalive.
 //!
@@ -13,7 +13,9 @@
 //! and runs unchanged on either. Addressing is flat: node endpoints are the
 //! replica ids `0..n`, and [`CLIENT_ENDPOINT`](crate::network::CLIENT_ENDPOINT)
 //! names "the client side" (the transport decides which client connection a
-//! `Response` packet belongs to by its `ClientId`).
+//! `Response` packet belongs to by its `ClientId`). Fault injection is not
+//! part of the trait: both implementations read the cluster's shared
+//! [`FaultPlane`](crate::FaultPlane) where a packet crosses a link.
 //!
 //! Inbound delivery is inverted: a transport is *given* the inboxes of the
 //! endpoints hosted in this process ([`TransportInboxes`]) at construction
@@ -30,10 +32,9 @@
 //! one inbox set per group and builds *one* transport over all of them; the
 //! group is then part of the address that transport routes by.
 
-use crate::network::{NetControl, Packet};
+use crate::network::Packet;
 use nbr_obs::Snapshot;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
 
 /// Bounded capacity of each local node inbox. Deep enough to absorb bursts
 /// (heartbeats + a full replication window), shallow enough that a wedged
@@ -83,13 +84,6 @@ pub trait Transport: Send + Sync + 'static {
     /// best-effort and unordered — exactly the guarantees Raft assumes of
     /// its network.
     fn send(&self, from: u32, to: u32, packet: Packet);
-
-    /// Fault-injection and delivery-accounting switches, when the transport
-    /// has them (the in-process router does; a real network's faults need no
-    /// injecting).
-    fn control(&self) -> Option<Arc<NetControl>> {
-        None
-    }
 
     /// A point-in-time snapshot of the transport's own metrics registry,
     /// merged into [`crate::Cluster::prometheus`] exports.

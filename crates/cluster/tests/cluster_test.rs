@@ -3,9 +3,9 @@
 //! weak-ack path under an out-of-order network.
 
 use bytes::Bytes;
-use nbr_cluster::{Cluster, ClusterConfig, NetConfig, StorageMode};
+use nbr_cluster::{Cluster, ClusterConfig, FaultPlane, NetConfig, StorageMode};
 use nbr_storage::{KvStore, TsStore};
-use nbr_types::{Protocol, TimeDelta, TimeoutConfig};
+use nbr_types::{Fault, Protocol, TimeDelta, TimeoutConfig};
 use std::time::Duration;
 
 fn cfg(protocol: Protocol, window: usize) -> ClusterConfig {
@@ -236,17 +236,22 @@ fn craft_cluster_commits_and_leader_applies() {
 
 #[test]
 fn partition_heals_and_cluster_continues() {
-    let cluster: Cluster<KvStore> = Cluster::spawn(3, cfg(Protocol::NbRaft, 1024));
+    let plane = FaultPlane::shared(3);
+    let mut c = cfg(Protocol::NbRaft, 1024);
+    c.faults = Some(plane.clone());
+    let cluster: Cluster<KvStore> = Cluster::spawn(3, c);
     let leader = cluster.wait_for_leader(Duration::from_secs(5)).expect("leader");
     let follower = (0..3).find(|&i| i != leader).unwrap() as u32;
-    cluster.net().expect("in-proc transport").partition(leader as u32, follower);
+    plane.apply(&Fault::Partition { a: vec![leader as u32], b: vec![follower], symmetric: true });
     let mut client = cluster.client();
     for i in 0..10 {
         client
             .submit(Bytes::from(format!("p{i}=x")), Duration::from_secs(10))
             .expect("majority still commits");
     }
-    cluster.net().expect("in-proc transport").heal();
+    let router = cluster.transport().scrape().expect("the router scrapes");
+    assert!(router.counters["net_dropped_partition"] > 0, "the cut must have eaten packets");
+    plane.apply(&Fault::Heal);
     client.drain(Duration::from_secs(10));
     assert!(
         cluster.wait_for_applied(11, Duration::from_secs(15)),

@@ -11,11 +11,16 @@
 //!   drop accounting, idle keepalives, handshake validation. One
 //!   transport carries every Raft group a process hosts: the group is part
 //!   of the address, and the group count is the number of inbox sets it
-//!   was built over.
+//!   was built over. Network emulation and chaos are one mechanism: each
+//!   peer writer applies one [`nbr_types::LinkFault`] per batch — the
+//!   configured baseline ([`TcpConfig::baseline`]) under this direction's
+//!   row of the cluster's shared [`nbr_cluster::FaultPlane`], if any.
 //! * [`NodeServer`] — the one-process-per-node runtime behind
 //!   `nbraft-cli serve [--groups N]`: this node's replica of each of N
 //!   groups (one by default), each the unmodified `nbr-cluster` replica
-//!   loop, all on one transport.
+//!   loop, all on one transport. [`NodeServer::spawn_loopback`] +
+//!   [`await_leaders`] bring a whole membership up inside one process
+//!   (tests, `bench-net`, the chaos net backend).
 //! * [`NetClient`] — a synchronous client that drives the sans-I/O
 //!   [`nbr_core::RaftClient`] engine over TCP, preserving NB-Raft's
 //!   opList/listTerm retry semantics across leader failures.
@@ -34,5 +39,5 @@ pub mod transport;
 
 pub use client::NetClient;
 pub use metrics::MetricsServer;
-pub use server::{GroupTraces, NodeServer, ServeConfig};
-pub use transport::{LinkFault, LinkFaults, TcpConfig, TcpTransport};
+pub use server::{await_leaders, GroupTraces, Members, NodeServer, ServeConfig};
+pub use transport::{TcpConfig, TcpTransport};

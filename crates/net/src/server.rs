@@ -19,12 +19,13 @@
 
 use crate::metrics::MetricsServer;
 use crate::transport::{TcpConfig, TcpTransport};
-use nbr_cluster::{Cluster, ClusterConfig, StorageMode, Transport, TransportInboxes};
+use nbr_cluster::{Cluster, ClusterConfig, FaultPlane, StorageMode, Transport, TransportInboxes};
 use nbr_obs::{namespace_events, EngineProbe, SharedProbe, Snapshot, TraceEvent};
 use nbr_storage::StateMachine;
-use nbr_types::{Error, Result, MAX_GROUPS};
+use nbr_types::{Error, LinkFault, Result, TimeDelta, MAX_GROUPS};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Configuration for one replica process.
 #[derive(Debug, Clone)]
@@ -42,18 +43,23 @@ pub struct ServeConfig {
     pub cluster: ClusterConfig,
     /// Bind address of the HTTP metrics endpoint, if wanted.
     pub metrics_bind: Option<SocketAddr>,
-    /// Artificial one-hop peer-link delay (WAN emulation; zero for real
-    /// deployments). See [`TcpConfig::link_delay`].
-    pub link_delay: std::time::Duration,
+    /// Artificial one-hop peer-link delay, jittered ±50% per batch (WAN
+    /// emulation; zero for real deployments). With `link_loss_pct` this is
+    /// the transport's [`TcpConfig::baseline`].
+    pub link_delay: Duration,
     /// Parallel TCP connections per peer. See [`TcpConfig::peer_lanes`].
     pub peer_lanes: usize,
-    /// Percentage of peer frames dropped (loss emulation). See
-    /// [`TcpConfig::link_loss_pct`].
+    /// Percentage of peer-link protocol frames lost (loss emulation).
     pub link_loss_pct: f64,
-    /// Per-link runtime-mutable fault table (chaos harness). See
-    /// [`TcpConfig::faults`].
-    pub faults: Option<std::sync::Arc<crate::LinkFaults>>,
+    /// The cluster's fault plane (chaos harness), shared by every member
+    /// process-worth: the transport reads this node's outbound link rows
+    /// ([`TcpConfig::faults`]) and every group's replica its node's clock
+    /// and disk dials (it is installed as their [`ClusterConfig::faults`]).
+    pub faults: Option<Arc<FaultPlane>>,
 }
+
+/// `(node id, address)` of every member of a cluster: what a client dials.
+pub type Members = Vec<(u32, SocketAddr)>;
 
 /// Decorrelated RNG seed for `group`: the base seed for group 0 (so a
 /// one-group host keeps it), a golden-ratio-mixed variant for every other
@@ -173,6 +179,7 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
         // samples and every group's probe events must share an epoch for the
         // span collector to align them across nodes.
         let mut base = cfg.cluster.clone();
+        base.faults = cfg.faults.clone().or(base.faults);
         let epoch = *base.trace_epoch.get_or_insert_with(crate::clock::now);
         let base_probe = match &base.probe {
             EngineProbe::Shared(p) => Some(p.clone()),
@@ -181,14 +188,20 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
 
         let (inboxes, endpoints): (Vec<_>, Vec<_>) =
             (0..groups).map(|_| TransportInboxes::channels(&[cfg.node_id])).unzip();
+        let hop_ns = cfg.link_delay.as_nanos() as u64;
         let tcp = TcpConfig {
             cluster_id: cfg.cluster_id,
             node_id: cfg.node_id,
             peers: cfg.peers.clone(),
-            link_delay: cfg.link_delay,
+            // An emulated WAN hop: the delay uniform in ±50% (so parallel
+            // lanes drift and striped frames really do arrive out of order).
+            baseline: LinkFault {
+                cut: false,
+                drop: (cfg.link_loss_pct / 100.0).clamp(0.0, 1.0),
+                delay: (TimeDelta(hop_ns / 2), TimeDelta(hop_ns / 2 + hop_ns)),
+            },
             peer_lanes: cfg.peer_lanes,
-            link_loss_pct: cfg.link_loss_pct,
-            faults: cfg.faults.clone(),
+            faults: base.faults.clone(),
             // Transport clock samples are per-node, not per-group: they stay
             // in the unnamespaced (group 0) stream.
             probe: base_probe.clone(),
@@ -221,6 +234,46 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
             None => None,
         };
         Ok(NodeServer { groups: clusters, traces: GroupTraces(probes), tcp, scrape, metrics })
+    }
+
+    /// Bring a whole membership up on loopback inside this process: member
+    /// `i` hosts `groups[i]` Raft groups (every member must agree for the
+    /// handshakes to succeed). All listeners are bound to OS-assigned ports
+    /// before any server starts, so every config knows every address and
+    /// parallel runs never collide. Each member's [`ServeConfig`] arrives at
+    /// `finish` with its membership fields set and everything else at its
+    /// default (healthy links, one lane, `ClusterConfig::default()`).
+    /// Returns the servers and the `(node id, address)` list clients dial.
+    pub fn spawn_loopback(
+        groups: &[u32],
+        mut finish: impl FnMut(&mut ServeConfig),
+    ) -> Result<(Vec<NodeServer<M>>, Members)> {
+        let io = |e: std::io::Error| Error::Cluster(format!("bind loopback: {e}"));
+        let mut listeners = Vec::new();
+        let mut members = Vec::new();
+        for id in 0..groups.len() as u32 {
+            let listener = TcpListener::bind("127.0.0.1:0").map_err(io)?;
+            members.push((id, listener.local_addr().map_err(io)?));
+            listeners.push(listener);
+        }
+        let mut servers = Vec::new();
+        for ((&(node_id, bind), listener), &g) in members.iter().zip(listeners).zip(groups) {
+            let mut cfg = ServeConfig {
+                cluster_id: 1,
+                node_id,
+                bind,
+                peers: members.iter().filter(|&&(id, _)| id != node_id).copied().collect(),
+                cluster: ClusterConfig::default(),
+                metrics_bind: None,
+                link_delay: Duration::ZERO,
+                peer_lanes: 1,
+                link_loss_pct: 0.0,
+                faults: None,
+            };
+            finish(&mut cfg);
+            servers.push(Self::spawn_groups(cfg, g, listener)?);
+        }
+        Ok((servers, members))
     }
 
     /// Number of groups hosted.
@@ -259,6 +312,32 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
     /// The per-group trace buffers (empty when spawned without a probe).
     pub fn traces(&self) -> GroupTraces {
         self.traces.clone()
+    }
+}
+
+/// Wait until every group of a freshly started membership has a leader
+/// among `servers` (cold start: before this, a load drive measures elections
+/// rather than replication). Returns, per group, which server leads it.
+pub fn await_leaders<M: StateMachine + Send + Default + 'static>(
+    servers: &[NodeServer<M>],
+    timeout: Duration,
+) -> Result<Vec<usize>> {
+    let deadline = crate::clock::now() + timeout;
+    let groups = servers.iter().map(NodeServer::groups).min().unwrap_or(0);
+    let leader_of = |g| {
+        servers.iter().position(|s| {
+            let st = s.group(g).status(0);
+            st.alive && st.is_leader
+        })
+    };
+    loop {
+        if let Some(leaders) = (0..groups).map(leader_of).collect() {
+            return Ok(leaders);
+        }
+        if crate::clock::now() >= deadline {
+            return Err(Error::Cluster(format!("some group elected no leader in {timeout:?}")));
+        }
+        crate::clock::sleep(Duration::from_millis(5));
     }
 }
 

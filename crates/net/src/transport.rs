@@ -45,13 +45,15 @@
 
 use crate::clock;
 use bytes::Bytes;
-use nbr_cluster::network::{NetControl, Packet, CLIENT_ENDPOINT};
+use nbr_cluster::network::{Packet, CLIENT_ENDPOINT};
 use nbr_cluster::sync::Mutex;
 use nbr_cluster::transport::{Transport, TransportInboxes};
+use nbr_cluster::FaultPlane;
 use nbr_obs::{Counter, Gauge, ProbeEvent, Registry, SharedProbe, Snapshot};
 use nbr_types::wire::{decode_frame_shared, encode_frame_into};
 use nbr_types::{
-    group_trace_id, ClientId, HelloMsg, NetFrame, NodeId, PeerKind, Time, NET_PROTOCOL_VERSION,
+    group_trace_id, ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time, TimeDelta,
+    NET_PROTOCOL_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -84,30 +86,25 @@ pub struct TcpConfig {
     pub keepalive: Duration,
     /// Per-attempt connect timeout.
     pub connect_timeout: Duration,
-    /// Artificial store-and-forward delay applied to every outbound peer
-    /// batch, jittered ±50% per batch (WAN emulation for benches; zero —
-    /// the default — for real deployments). Client traffic is never
-    /// delayed.
-    pub link_delay: Duration,
+    /// What every outbound peer link does with no fault injected: the
+    /// network emulation of benches (healthy — the default — for real
+    /// deployments). Per coalesced batch, each protocol frame is lost with
+    /// probability `drop` (Raft's repair re-sends it: stock Raft stalls for
+    /// whole repair rounds, a non-blocking window weak-accepts around the
+    /// gap) and the survivors are held for one delay drawn from `delay`.
+    /// Handshakes, keepalives and client sessions are never touched.
+    pub baseline: LinkFault,
     /// Parallel TCP connections per peer; outbound frames round-robin
     /// across them. One lane (the default) preserves TCP's in-order
     /// delivery; more lanes reproduce the multi-dispatcher reordering of
     /// the paper's IoT setting, which the non-blocking window absorbs and
     /// stock Raft blocks on.
     pub peer_lanes: usize,
-    /// Percentage of outbound peer protocol frames to drop (lossy-network
-    /// emulation; zero — the default — for real deployments). Raft's
-    /// heartbeat repair re-sends lost entries, so this stalls stock Raft's
-    /// in-order pipeline for whole repair rounds while a non-blocking
-    /// window keeps weak-accepting around the gap. Handshakes, keepalives
-    /// and client traffic are never dropped.
-    pub link_loss_pct: f64,
-    /// Per-link runtime-mutable fault table (chaos harness). Unlike the
-    /// uniform `link_delay`/`link_loss_pct` emulation, faults here are keyed
-    /// by directed `(from, to)` node pairs, so asymmetric partitions and
-    /// gray links are expressible and adjustable while the cluster runs.
-    /// `None` (the default) costs nothing on the hot path.
-    pub faults: Option<Arc<LinkFaults>>,
+    /// The cluster's runtime-mutable fault plane (chaos harness). Each peer
+    /// writer reads its own directed `(this node, peer)` row per batch and
+    /// applies it on top of `baseline`. `None` (the default) costs nothing
+    /// on the hot path.
+    pub faults: Option<Arc<FaultPlane>>,
     /// Trace sink for transport-level probe events (currently
     /// [`ProbeEvent::ClockSample`] from Ping/Pong exchanges). `None` — the
     /// default — emits nothing.
@@ -132,66 +129,12 @@ impl Default for TcpConfig {
             backoff_cap: Duration::from_secs(2),
             keepalive: Duration::from_millis(500),
             connect_timeout: Duration::from_secs(1),
-            link_delay: Duration::ZERO,
+            baseline: LinkFault::default(),
             peer_lanes: 1,
-            link_loss_pct: 0.0,
             faults: None,
             probe: None,
             trace_epoch: None,
         }
-    }
-}
-
-/// Fault state of one directed link (`from → to`), consulted by the `from`
-/// side's writer threads per outbound batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkFault {
-    /// Cut: every protocol frame on this direction is dropped. Handshakes
-    /// and keepalives still flow, so the TCP connection itself survives the
-    /// partition — mirroring a network-level filter rather than a dead host.
-    pub cut: bool,
-    /// Gray link: drop probability for protocol frames, in basis points
-    /// (0..=10 000).
-    pub drop_bp: u32,
-    /// Extra one-way delay applied to each surviving outbound batch.
-    pub delay: Duration,
-}
-
-/// Runtime-mutable table of per-link faults, shared between the chaos
-/// harness and every transport of an in-process cluster. Each transport
-/// only ever consults rows where `from` is its own node id; the harness
-/// mutates rows at fault-schedule instants. Lookups copy the small
-/// `LinkFault` out, so no lock is held across any I/O.
-#[derive(Debug, Default)]
-pub struct LinkFaults {
-    links: Mutex<HashMap<(u32, u32), LinkFault>>,
-}
-
-impl LinkFaults {
-    /// A fresh all-healthy table behind an [`Arc`], ready to hand to several
-    /// [`TcpConfig`]s.
-    pub fn shared() -> Arc<LinkFaults> {
-        Arc::new(LinkFaults::default())
-    }
-
-    /// Set the fault state of directed link `from → to`.
-    pub fn set(&self, from: u32, to: u32, fault: LinkFault) {
-        self.links.lock().insert((from, to), fault);
-    }
-
-    /// Restore directed link `from → to` to healthy.
-    pub fn clear(&self, from: u32, to: u32) {
-        self.links.lock().remove(&(from, to));
-    }
-
-    /// Restore every link to healthy.
-    pub fn heal_all(&self) {
-        self.links.lock().clear();
-    }
-
-    /// Current fault on `from → to` (healthy default when unset).
-    pub fn get(&self, from: u32, to: u32) -> LinkFault {
-        self.links.lock().get(&(from, to)).copied().unwrap_or_default()
     }
 }
 
@@ -784,16 +727,19 @@ impl TcpTransport {
                 );
             }
         }
-        // Per-directed-link fault dials (chaos harness): only the rows this
-        // transport consults (`from == me`) — each process reports the
-        // faults it is itself applying to its outbound batches.
+        // Per-directed-link fault rows (chaos harness): only the rows this
+        // transport reads (`from == me`) — each process reports the faults
+        // it is itself applying to its outbound batches.
         if let Some(faults) = &self.shared.cfg.faults {
             for &(peer, _) in &self.shared.cfg.peers {
-                let f = faults.get(me, peer);
+                let f = faults.link(me, peer);
                 snap.gauges.insert(format!("net_fault_cut_{me}_{peer}"), i64::from(f.cut));
-                snap.gauges.insert(format!("net_fault_drop_bp_{me}_{peer}"), i64::from(f.drop_bp));
+                snap.gauges.insert(
+                    format!("net_fault_drop_bp_{me}_{peer}"),
+                    (f.drop * 10_000.0).round() as i64,
+                );
                 snap.gauges
-                    .insert(format!("net_fault_delay_ns_{me}_{peer}"), f.delay.as_nanos() as i64);
+                    .insert(format!("net_fault_delay_ns_{me}_{peer}"), f.delay.0.as_nanos() as i64);
             }
         }
         snap
@@ -803,10 +749,6 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send(&self, from: u32, to: u32, packet: Packet) {
         self.send_to_group(0, from, to, packet);
-    }
-
-    fn control(&self) -> Option<Arc<NetControl>> {
-        None // real sockets: no fault injection dial
     }
 
     fn scrape(&self) -> Option<Snapshot> {
@@ -903,7 +845,7 @@ fn supervise_peer(
                 .spawn(move || run_reader(sh2, rstream, Some(resp)))
                 .ok()
         });
-        run_peer_writer(&sh, &mut stream, &rx, &mut rng, &depth, peer_id);
+        pump_peer_frames(&sh, &mut stream, &rx, &mut rng, &depth, peer_id);
         // Unblock the duplex reader before joining it.
         let _ = stream.shutdown(Shutdown::Both);
         if let Some(t) = reader {
@@ -915,9 +857,12 @@ fn supervise_peer(
     }
 }
 
-/// Write loop of one connected outbound link. Returns on error (caller
-/// reconnects) or shutdown.
-fn run_peer_writer(
+/// The shared peer write loop: announce ourselves, then batch, apply the
+/// link's fault (loss, delay), write. Used by both the dialing supervisor
+/// and accepted-route writers so the two directions of a deduplicated link
+/// behave identically. Returns on error (a dialing caller reconnects) or
+/// shutdown.
+fn pump_peer_frames(
     sh: &Shared,
     stream: &mut TcpStream,
     rx: &Receiver<NetFrame>,
@@ -935,23 +880,6 @@ fn run_peer_writer(
     if write_frames(sh, stream, std::slice::from_ref(&hello), &mut wbuf).is_err() {
         return;
     }
-    pump_peer_frames(sh, stream, rx, rng, &mut wbuf, depth, peer_id);
-}
-
-/// The shared peer write loop: batch, emulate WAN loss/delay, write. Used
-/// by both the dialing supervisor and accepted-route writers so the two
-/// directions of a deduplicated link behave identically. Returns on error
-/// or shutdown.
-#[allow(clippy::too_many_arguments)]
-fn pump_peer_frames(
-    sh: &Shared,
-    stream: &mut TcpStream,
-    rx: &Receiver<NetFrame>,
-    rng: &mut StdRng,
-    wbuf: &mut Vec<u8>,
-    depth: &AtomicI64,
-    peer_id: u32,
-) {
     let mut batch = Vec::with_capacity(64);
     let mut nonce = 0u64;
     // Clock-sample cadence. A ping only on `recv_timeout` expiry would
@@ -964,8 +892,6 @@ fn pump_peer_frames(
     // accounting in `send` is sized against `send_queue`, so a larger batch
     // window would just hide queue pressure from the metrics.
     let max_coalesce = sh.cfg.send_queue.clamp(1, 256);
-    // Loss emulation in basis points so the draw stays in integers.
-    let loss_bp = (sh.cfg.link_loss_pct.clamp(0.0, 100.0) * 100.0) as u64;
     loop {
         if sh.stopped() {
             return;
@@ -1002,24 +928,24 @@ fn pump_peer_frames(
             batch.push(NetFrame::Ping { nonce, t0: sh.trace_now() });
             last_ping = clock::now();
         }
-        // Chaos per-link faults: consulted per batch so the harness can flip
-        // them while the connection stays up. A cut link silently eats every
-        // protocol frame (the socket and keepalives survive — this is a
-        // network filter, not a dead host); a gray link drops a fraction and
-        // delays the rest.
-        let chaos = match &sh.cfg.faults {
-            Some(f) => f.get(sh.cfg.node_id, peer_id),
-            None => LinkFault::default(),
+        // The link this batch crosses: the configured emulation baseline
+        // under this direction's fault-plane row, read per batch so the
+        // harness can flip it while the connection stays up.
+        let link = match &sh.cfg.faults {
+            Some(plane) => plane.link(sh.cfg.node_id, peer_id).over(sh.cfg.baseline),
+            None => sh.cfg.baseline,
         };
-        if chaos.cut || chaos.drop_bp > 0 {
+        if link.cut || link.drop > 0.0 {
+            // Lose protocol frames only — whatever replicas and relayed
+            // clients exchange, which Raft's retry machinery repairs: that
+            // is the behaviour under test. Keepalives stay reliable (the
+            // handshake is already written), so a cut is a network filter
+            // and not a dead host: the socket and its clock samples survive.
             batch.retain(|f| {
-                let proto = matches!(
+                let lose = matches!(
                     f,
                     NetFrame::Peer { .. } | NetFrame::Request { .. } | NetFrame::Response { .. }
-                );
-                let lose = proto
-                    && (chaos.cut
-                        || rng.random_range(0..10_000u64) < u64::from(chaos.drop_bp.min(10_000)));
+                ) && link.loses(|| rng.random_range(0.0..1.0));
                 if lose {
                     sh.stats.frames_lost.inc();
                 }
@@ -1030,34 +956,12 @@ fn pump_peer_frames(
                 continue;
             }
         }
-        if !chaos.delay.is_zero() {
-            sh.sleep_checked(chaos.delay);
+        // One-hop latency emulation: hold the whole coalesced batch.
+        let delay = link.delay_at(|| rng.random_range(0.0..1.0));
+        if delay > TimeDelta::ZERO {
+            sh.sleep_checked(Duration::from_nanos(delay.as_nanos()));
         }
-        if loss_bp > 0 {
-            // Drop protocol frames only: the peer's Raft engine repairs
-            // them, which is the behaviour under test. Everything else
-            // (handshake already sent, keepalives) stays reliable.
-            batch.retain(|f| {
-                let lose =
-                    matches!(f, NetFrame::Peer { .. }) && rng.random_range(0..10_000u64) < loss_bp;
-                if lose {
-                    sh.stats.frames_lost.inc();
-                }
-                !lose
-            });
-            if batch.is_empty() {
-                depth.fetch_sub(drained, Ordering::Relaxed);
-                continue;
-            }
-        }
-        if !sh.cfg.link_delay.is_zero() {
-            // One-hop latency emulation: hold the whole coalesced batch for
-            // the configured delay ±50%. The jitter makes parallel lanes
-            // drift, so striped frames really do arrive out of order.
-            let ns = sh.cfg.link_delay.as_nanos() as u64;
-            sh.sleep_checked(Duration::from_nanos(ns / 2 + rng.random_range(0..ns.max(1))));
-        }
-        let res = write_frames(sh, stream, &batch, wbuf);
+        let res = write_frames(sh, stream, &batch, &mut wbuf);
         depth.fetch_sub(drained, Ordering::Relaxed);
         if res.is_err() {
             return; // frames in `batch` are lost with the connection; Raft retries
@@ -1065,9 +969,8 @@ fn pump_peer_frames(
     }
 }
 
-/// Writer for one accepted duplex peer connection: announce ourselves,
-/// then run the standard peer pump (same batching and WAN emulation as the
-/// dialing side).
+/// Writer for one accepted duplex peer connection: the standard peer pump
+/// (same handshake, batching and link faults as the dialing side).
 fn accepted_peer_writer(
     sh: Arc<Shared>,
     mut stream: TcpStream,
@@ -1079,16 +982,7 @@ fn accepted_peer_writer(
     let conn = sh.register_conn(&stream);
     sh.stats.peer_links_up.add(1);
     let mut rng = StdRng::seed_from_u64(0xACC3 ^ seed);
-    let hello = NetFrame::Hello(HelloMsg {
-        version: NET_PROTOCOL_VERSION,
-        cluster_id: sh.cfg.cluster_id,
-        groups: sh.groups,
-        kind: PeerKind::Node(NodeId(sh.cfg.node_id)),
-    });
-    let mut wbuf = Vec::with_capacity(8 << 10);
-    if write_frames(&sh, &mut stream, std::slice::from_ref(&hello), &mut wbuf).is_ok() {
-        pump_peer_frames(&sh, &mut stream, &rx, &mut rng, &mut wbuf, &depth, peer_id);
-    }
+    pump_peer_frames(&sh, &mut stream, &rx, &mut rng, &depth, peer_id);
     sh.stats.peer_links_up.add(-1);
     let _ = stream.shutdown(Shutdown::Both);
     sh.deregister_conn(conn);

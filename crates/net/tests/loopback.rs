@@ -7,83 +7,37 @@
 //! port 0 first and the OS-assigned addresses are exchanged before any
 //! transport starts, so parallel test runs never collide.
 
-use nbr_cluster::ClusterConfig;
-use nbr_net::{NetClient, NodeServer, ServeConfig};
-use nbr_obs::{EngineProbe, SharedProbe, TraceEvent};
+use nbr_net::{await_leaders, Members, NetClient, NodeServer};
+use nbr_obs::{EngineProbe, TraceEvent};
 use nbr_storage::KvStore;
 use nbr_types::{ClientId, NodeId, TimeDelta};
-use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 const CLUSTER_ID: u64 = 7;
 
-/// Bind `n` loopback listeners on OS-assigned ports.
-fn bind_all(n: usize) -> Vec<(TcpListener, SocketAddr)> {
-    (0..n)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let a = l.local_addr().expect("local addr");
-            (l, a)
-        })
-        .collect()
-}
-
-/// Servers, membership address list, and (when traced) per-node probes.
-type SpawnedCluster = (Vec<NodeServer<KvStore>>, Vec<(u32, SocketAddr)>, Vec<SharedProbe>);
-
 /// Spawn an `n`-node cluster as `n` independent `NodeServer`s joined only
 /// by TCP. Returns the servers and the full membership address list.
-fn spawn_cluster(n: usize) -> (Vec<NodeServer<KvStore>>, Vec<(u32, SocketAddr)>) {
-    let (servers, members, _) = spawn_cluster_inner(n, false);
-    (servers, members)
+fn spawn_cluster(n: usize) -> (Vec<NodeServer<KvStore>>, Members) {
+    spawn_cluster_inner(n, false)
 }
 
-/// Like [`spawn_cluster`] but with a trace probe wired into every replica.
-/// Each `NodeServer` gets its *own* trace epoch (as real processes would),
-/// so assembling spans across the replicas genuinely exercises Ping/Pong
-/// clock alignment.
-fn spawn_cluster_traced(n: usize) -> SpawnedCluster {
-    spawn_cluster_inner(n, true)
-}
-
-fn spawn_cluster_inner(n: usize, traced: bool) -> SpawnedCluster {
-    let bound = bind_all(n);
-    let members: Vec<(u32, SocketAddr)> =
-        bound.iter().enumerate().map(|(i, &(_, a))| (i as u32, a)).collect();
-    let mut probes = Vec::new();
-    let servers = bound
-        .into_iter()
-        .enumerate()
-        .map(|(i, (listener, _))| {
-            let peers: Vec<(u32, SocketAddr)> =
-                members.iter().filter(|&&(id, _)| id != i as u32).copied().collect();
-            // Distinct per-node seeds: identical seeds give every node the
-            // same randomized election timeout, so a cold three-way start
-            // can split-vote for several rounds under CI load. Staggered
-            // seeds keep the first election one round long.
-            let mut cluster =
-                ClusterConfig { seed: 0x10c4_b4c4 ^ ((i as u64) << 8), ..ClusterConfig::default() };
-            if traced {
-                let (probe, handle) = EngineProbe::shared();
-                cluster.probe = probe;
-                probes.push(handle);
-            }
-            let cfg = ServeConfig {
-                cluster_id: CLUSTER_ID,
-                node_id: i as u32,
-                bind: "127.0.0.1:0".parse().expect("addr"),
-                peers,
-                cluster,
-                metrics_bind: None,
-                link_delay: Duration::ZERO,
-                peer_lanes: 1,
-                link_loss_pct: 0.0,
-                faults: None,
-            };
-            NodeServer::spawn_on(cfg, listener).expect("spawn node server")
-        })
-        .collect();
-    (servers, members, probes)
+/// With `traced`, a trace probe is wired into every replica. Each
+/// `NodeServer` gets its *own* trace epoch (as real processes would), so
+/// assembling spans across the replicas genuinely exercises Ping/Pong clock
+/// alignment.
+fn spawn_cluster_inner(n: usize, traced: bool) -> (Vec<NodeServer<KvStore>>, Members) {
+    NodeServer::spawn_loopback(&vec![1; n], |cfg| {
+        cfg.cluster_id = CLUSTER_ID;
+        if traced {
+            cfg.cluster.probe = EngineProbe::shared().0;
+        }
+        // Distinct per-node seeds: identical seeds give every node the same
+        // randomized election timeout, so a cold three-way start can
+        // split-vote for several rounds under CI load. Staggered seeds keep
+        // the first election one round long.
+        cfg.cluster.seed = 0x10c4_b4c4 ^ (u64::from(cfg.node_id) << 8);
+    })
+    .expect("spawn node servers")
 }
 
 /// Poll `cond` every few milliseconds until it returns true or `timeout`
@@ -102,7 +56,7 @@ fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     }
 }
 
-/// Wait (bounded) for some live server to report leadership.
+/// Wait (bounded) for some server still alive to report leadership.
 fn wait_leader(servers: &[Option<NodeServer<KvStore>>], timeout: Duration) -> Option<usize> {
     let mut leader = None;
     poll_until(timeout, || {
@@ -118,8 +72,7 @@ fn wait_leader(servers: &[Option<NodeServer<KvStore>>], timeout: Duration) -> Op
 #[test]
 fn three_process_cluster_commits_over_tcp() {
     let (servers, members) = spawn_cluster(3);
-    let servers: Vec<Option<NodeServer<KvStore>>> = servers.into_iter().map(Some).collect();
-    let leader = wait_leader(&servers, Duration::from_secs(10)).expect("no leader elected");
+    let leader = await_leaders(&servers, Duration::from_secs(10)).expect("cold start")[0];
 
     let mut client =
         NetClient::new(CLUSTER_ID, ClientId(900), members.clone(), TimeDelta::from_millis(300));
@@ -131,7 +84,7 @@ fn three_process_cluster_commits_over_tcp() {
 
     // Every replica converges on all 20 keys, replicated over real sockets.
     let converged = poll_until(Duration::from_secs(10), || {
-        servers.iter().flatten().all(|s| {
+        servers.iter().all(|s| {
             let m = s.cluster().machine(0);
             let m = m.lock();
             (0..20u32)
@@ -141,7 +94,7 @@ fn three_process_cluster_commits_over_tcp() {
     assert!(converged, "replicas did not converge on all 20 keys");
 
     // Transport metrics made it into the Prometheus export.
-    let prom = servers[leader].as_ref().expect("leader alive").prometheus();
+    let prom = servers[leader].prometheus();
     assert!(prom.contains("net_frames_out"), "transport counters absent:\n{prom}");
     assert!(prom.contains("net_tcp_connects"), "socket counters absent:\n{prom}");
 }
@@ -149,8 +102,8 @@ fn three_process_cluster_commits_over_tcp() {
 #[test]
 fn leader_kill_reelects_and_retries_oplist() {
     let (servers, members) = spawn_cluster(3);
+    let leader = await_leaders(&servers, Duration::from_secs(10)).expect("cold start")[0];
     let mut servers: Vec<Option<NodeServer<KvStore>>> = servers.into_iter().map(Some).collect();
-    let leader = wait_leader(&servers, Duration::from_secs(10)).expect("no leader elected");
 
     let mut client =
         NetClient::new(CLUSTER_ID, ClientId(901), members.clone(), TimeDelta::from_millis(300));
@@ -199,9 +152,8 @@ fn leader_kill_reelects_and_retries_oplist() {
 /// samples.
 #[test]
 fn traced_ops_assemble_complete_spans() {
-    let (servers, members, probes) = spawn_cluster_traced(3);
-    let servers: Vec<Option<NodeServer<KvStore>>> = servers.into_iter().map(Some).collect();
-    wait_leader(&servers, Duration::from_secs(10)).expect("no leader elected");
+    let (servers, members) = spawn_cluster_inner(3, true);
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
 
     let mut client =
         NetClient::new(CLUSTER_ID, ClientId(903), members.clone(), TimeDelta::from_millis(300));
@@ -217,7 +169,7 @@ fn traced_ops_assemble_complete_spans() {
     // a beat longer than the transport's ping cadence guarantees clock
     // samples exist on every link.
     let applied_everywhere = poll_until(Duration::from_secs(10), || {
-        servers.iter().flatten().all(|s| {
+        servers.iter().all(|s| {
             let st = s.cluster().status(0);
             st.applied == st.commit && st.commit >= u64::from(n_ops)
         })
@@ -225,7 +177,7 @@ fn traced_ops_assemble_complete_spans() {
     assert!(applied_everywhere, "replicas did not apply all ops");
     std::thread::sleep(Duration::from_millis(600));
 
-    let events: Vec<TraceEvent> = probes.iter().flat_map(SharedProbe::take).collect();
+    let events: Vec<TraceEvent> = servers.iter().flat_map(|s| s.traces().take()).collect();
     let align = nbr_obs::ClockAlign::estimate(&events);
     let aligned = align.apply(&events);
     let spans = nbr_obs::collect(&aligned);
@@ -246,8 +198,7 @@ fn traced_ops_assemble_complete_spans() {
 #[test]
 fn handshake_rejects_wrong_cluster_id() {
     let (servers, members) = spawn_cluster(3);
-    let servers: Vec<Option<NodeServer<KvStore>>> = servers.into_iter().map(Some).collect();
-    wait_leader(&servers, Duration::from_secs(10)).expect("no leader elected");
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
 
     // A client from the wrong cluster: its connection is dropped at the
     // handshake, so the submit times out rather than committing.
@@ -257,12 +208,12 @@ fn handshake_rejects_wrong_cluster_id() {
     assert!(r.is_err(), "wrong-cluster client must not commit");
 
     // And the rejection is visible in transport metrics on some node.
-    let saw_reject = servers.iter().flatten().any(|s| {
+    let saw_reject = servers.iter().any(|s| {
         s.prometheus()
             .lines()
             .any(|l| l.starts_with("nbr_net_handshake_rejects") && !l.trim_end().ends_with(" 0"))
     });
-    let any = servers[0].as_ref().expect("alive").prometheus();
+    let any = servers[0].prometheus();
     assert!(
         saw_reject || any.contains("net_handshake_rejects"),
         "handshake reject metric missing:\n{any}"
@@ -277,14 +228,13 @@ fn handshake_rejects_wrong_cluster_id() {
 #[test]
 fn one_group_host_scrapes_like_the_unsharded_server() {
     let (servers, members) = spawn_cluster(3);
-    let servers: Vec<Option<NodeServer<KvStore>>> = servers.into_iter().map(Some).collect();
-    let leader = wait_leader(&servers, Duration::from_secs(10)).expect("no leader elected");
+    let leader = await_leaders(&servers, Duration::from_secs(10)).expect("cold start")[0];
     let mut client =
         NetClient::new(CLUSTER_ID, ClientId(904), members.clone(), TimeDelta::from_millis(300));
     client.submit(bytes::Bytes::from_static(b"k=v"), Duration::from_secs(10)).expect("submit");
     assert!(client.drain(Duration::from_secs(10)), "opList did not drain");
 
-    let server = servers[leader].as_ref().expect("leader alive");
+    let server = &servers[leader];
     assert_eq!(server.groups(), 1);
     let snap = server.cluster().transport().scrape().expect("group 0 scrapes the transport");
     for name in ["net_dropped_queue_full", "net_frames_out", "net_bytes_out"] {

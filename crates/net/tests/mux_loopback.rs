@@ -6,64 +6,36 @@
 //! sockets — ops keep committing in one group while the other group's
 //! leader is crashed.
 
-use nbr_cluster::ClusterConfig;
-use nbr_net::{NetClient, NodeServer, ServeConfig};
+use nbr_net::{await_leaders, Members, NetClient, NodeServer};
+use nbr_obs::{group_node, node_group, EngineProbe, TraceEvent};
 use nbr_storage::KvStore;
-use nbr_types::{ClientId, TimeDelta};
-use std::net::{SocketAddr, TcpListener};
+use nbr_types::{ClientId, NodeId, TimeDelta};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 const CLUSTER_ID: u64 = 11;
 const GROUPS: u32 = 2;
 
-fn bind_all(n: usize) -> Vec<(TcpListener, SocketAddr)> {
-    (0..n)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let a = l.local_addr().expect("local addr");
-            (l, a)
-        })
-        .collect()
-}
-
 /// Spawn an `n`-process sharded cluster: every process hosts one replica of
 /// each of [`GROUPS`] groups over a single shared transport.
-fn spawn_sharded(n: usize) -> (Vec<NodeServer<KvStore>>, Vec<(u32, SocketAddr)>) {
-    spawn_with_groups(&vec![GROUPS; n])
+fn spawn_sharded(n: usize) -> (Vec<NodeServer<KvStore>>, Members) {
+    spawn_with_groups(&vec![GROUPS; n], false)
 }
 
-/// Spawn one process per entry of `groups`, hosting that many groups.
-fn spawn_with_groups(groups: &[u32]) -> (Vec<NodeServer<KvStore>>, Vec<(u32, SocketAddr)>) {
-    let bound = bind_all(groups.len());
-    let members: Vec<(u32, SocketAddr)> =
-        bound.iter().enumerate().map(|(i, &(_, a))| (i as u32, a)).collect();
-    let servers = bound
-        .into_iter()
-        .enumerate()
-        .map(|(i, (listener, _))| {
-            let peers: Vec<(u32, SocketAddr)> =
-                members.iter().filter(|&&(id, _)| id != i as u32).copied().collect();
-            // Staggered per-node seeds (see nbr-net's loopback tests) keep
-            // cold-start elections one round long; per-group decorrelation
-            // on top is NodeServer's job.
-            let cluster =
-                ClusterConfig { seed: 0x005a_4ded ^ ((i as u64) << 8), ..ClusterConfig::default() };
-            let cfg = ServeConfig {
-                cluster_id: CLUSTER_ID,
-                node_id: i as u32,
-                bind: "127.0.0.1:0".parse().expect("addr"),
-                peers,
-                cluster,
-                metrics_bind: None,
-                link_delay: Duration::ZERO,
-                peer_lanes: 1,
-                link_loss_pct: 0.0,
-                faults: None,
-            };
-            NodeServer::spawn_groups(cfg, groups[i], listener).expect("spawn node server")
-        })
-        .collect();
-    (servers, members)
+/// Spawn one process per entry of `groups`, hosting that many groups, with
+/// a trace probe in every replica when `traced`.
+fn spawn_with_groups(groups: &[u32], traced: bool) -> (Vec<NodeServer<KvStore>>, Members) {
+    NodeServer::spawn_loopback(groups, |cfg| {
+        cfg.cluster_id = CLUSTER_ID;
+        if traced {
+            cfg.cluster.probe = EngineProbe::shared().0;
+        }
+        // Staggered per-node seeds (see nbr-net's loopback tests) keep
+        // cold-start elections one round long; per-group decorrelation on
+        // top is NodeServer's job.
+        cfg.cluster.seed = 0x005a_4ded ^ (u64::from(cfg.node_id) << 8);
+    })
+    .expect("spawn node servers")
 }
 
 fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -77,19 +49,6 @@ fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-}
-
-/// Which server's replica of group `g` is leader, if any.
-fn group_leader(servers: &[NodeServer<KvStore>], g: u32, timeout: Duration) -> Option<usize> {
-    let mut leader = None;
-    poll_until(timeout, || {
-        leader = servers.iter().enumerate().find_map(|(i, s)| {
-            let st = s.group(g).status(0);
-            (st.alive && st.is_leader).then_some(i)
-        });
-        leader.is_some()
-    });
-    leader
 }
 
 /// A client for `group`. Ids are globally unique across groups — response
@@ -108,10 +67,7 @@ fn client_for(group: u32, t: u64, members: &[(u32, SocketAddr)]) -> NetClient {
 #[test]
 fn two_groups_commit_over_shared_links() {
     let (servers, members) = spawn_sharded(3);
-    for g in 0..GROUPS {
-        group_leader(&servers, g, Duration::from_secs(10))
-            .unwrap_or_else(|| panic!("group {g} elected no leader"));
-    }
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
 
     for g in 0..GROUPS {
         let mut client = client_for(g, 0, &members);
@@ -151,9 +107,7 @@ fn two_groups_commit_over_shared_links() {
 #[test]
 fn group_keeps_committing_while_other_groups_leader_is_down() {
     let (servers, members) = spawn_sharded(3);
-    let g0_leader =
-        group_leader(&servers, 0, Duration::from_secs(10)).expect("group 0 elected no leader");
-    group_leader(&servers, 1, Duration::from_secs(10)).expect("group 1 elected no leader");
+    let g0_leader = await_leaders(&servers, Duration::from_secs(10)).expect("cold start")[0];
 
     // Crash group 0's leader *replica* (not the process): the shared links
     // stay up and keep carrying group 1's traffic — the failure domain is
@@ -182,10 +136,64 @@ fn group_keeps_committing_while_other_groups_leader_is_down() {
     assert!(c0.drain(Duration::from_secs(15)), "group 0 opList did not drain");
 }
 
+/// Every committed op of every group assembles a *complete* span tree from
+/// the merged, group-namespaced trace: the op's lifecycle is joined across
+/// the three replicas of its own group only (both groups reuse the same log
+/// indices), on clocks aligned off the processes' shared transports.
+#[test]
+fn traced_ops_assemble_complete_spans_in_every_group() {
+    let (servers, members) = spawn_with_groups(&[GROUPS; 3], true);
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
+
+    let n_ops = 15u32;
+    for g in 0..GROUPS {
+        let mut client = client_for(g, 2, &members);
+        for i in 0..n_ops {
+            client
+                .submit(bytes::Bytes::from(format!("t{g}.{i}=v")), Duration::from_secs(10))
+                .expect("submit traced op");
+        }
+        assert!(client.drain(Duration::from_secs(10)), "group {g} opList did not drain");
+    }
+    // Every replica must finish applying before the probes are drained, and
+    // a beat longer than the transport's ping cadence guarantees clock
+    // samples exist on every link.
+    let applied_everywhere = poll_until(Duration::from_secs(10), || {
+        servers.iter().all(|s| {
+            (0..GROUPS).all(|g| {
+                let st = s.group(g).status(0);
+                st.applied == st.commit && st.commit >= u64::from(n_ops)
+            })
+        })
+    });
+    assert!(applied_everywhere, "replicas did not apply all ops");
+    std::thread::sleep(Duration::from_millis(600));
+
+    let events: Vec<TraceEvent> = servers.iter().flat_map(|s| s.traces().take()).collect();
+    let align = nbr_obs::ClockAlign::estimate(&events);
+    let aligned = align.apply(&events);
+    let spans = nbr_obs::collect(&aligned);
+    assert_eq!(spans.len(), (GROUPS * n_ops) as usize, "one span per committed op");
+    for s in &spans {
+        let group = node_group(s.leader).0;
+        let replicas: Vec<NodeId> =
+            members.iter().map(|&(n, _)| group_node(group, NodeId(n))).collect();
+        assert_eq!(s.nodes.len(), replicas.len(), "span mixes groups: {:?}", s.nodes.keys());
+        assert!(
+            s.complete(&replicas),
+            "incomplete span for group {group} request {} at index {}",
+            s.request.0,
+            s.index.0
+        );
+    }
+    let cp = nbr_obs::critical_path(&spans, &aligned, &align);
+    assert_eq!((cp.members.len(), cp.complete), (3, cp.ops), "{}", cp.render());
+}
+
 #[test]
 fn group_count_mismatch_is_refused_at_handshake() {
     let (servers, members) = spawn_sharded(3);
-    group_leader(&servers, 0, Duration::from_secs(10)).expect("group 0 elected no leader");
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
 
     // A client that believes the deployment is unsharded: its Hello carries
     // groups=1, the servers run groups=2 — the handshake refuses, so the
@@ -203,7 +211,7 @@ fn group_count_mismatch_is_refused_at_handshake() {
 /// other side does not have.
 #[test]
 fn peer_group_count_mismatch_is_refused_at_handshake() {
-    let (servers, _) = spawn_with_groups(&[1, 2]);
+    let (servers, _) = spawn_with_groups(&[1, 2], false);
 
     let rejects = |s: &NodeServer<KvStore>| -> u64 {
         let snap = s.cluster().transport().scrape().expect("transport scrapes");

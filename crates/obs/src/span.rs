@@ -41,6 +41,7 @@
 
 use crate::analyze::{timelines, Lifecycle};
 use crate::probe::{ProbeEvent, TraceEvent};
+use crate::shard::{group_node, node_group};
 use nbr_metrics::Histogram;
 use nbr_types::{ClientId, LogIndex, NodeId, RequestId, Time};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -135,9 +136,12 @@ impl ClockAlign {
         ClockAlign { reference, correction, samples, rtt }
     }
 
-    /// Correction (ns, signed) applied to `node`'s timestamps.
+    /// Correction (ns, signed) applied to `node`'s timestamps. A process
+    /// stamps every group's replica on its one trace clock, and the clock
+    /// samples come from its (group-less) transport, so in a merged
+    /// multi-group trace a node takes the correction of its replica id.
     pub fn correction_ns(&self, node: NodeId) -> i64 {
-        self.correction.get(&node.0).copied().unwrap_or(0)
+        self.correction.get(&node_group(node).1 .0).copied().unwrap_or(0)
     }
 
     /// Largest absolute correction — a quick skew magnitude indicator.
@@ -224,9 +228,12 @@ pub fn collect(events: &[TraceEvent]) -> Vec<OpSpan> {
     bound
         .into_iter()
         .map(|((client, request), (index, leader, proposed))| {
+            // Groups number their logs independently: only the replicas of
+            // the leader's own group hold *this* op at `index`.
+            let group = node_group(leader).0;
             let nodes: BTreeMap<NodeId, Lifecycle> = lifecycles
                 .iter()
-                .filter(|((_, ix), _)| *ix == index)
+                .filter(|((n, ix), _)| *ix == index && node_group(*n).0 == group)
                 .map(|((n, _), lc)| (*n, *lc))
                 .collect();
             OpSpan {
@@ -297,9 +304,11 @@ fn phase(a: Option<Time>, b: Option<Time>) -> Option<u64> {
 pub struct CriticalPath {
     /// Ops assembled (one per `Proposed` binding).
     pub ops: u64,
-    /// Ops whose span was complete across all members.
+    /// Ops whose span was complete across all members of their group.
     pub complete: u64,
-    /// Members observed in the trace.
+    /// Members of each Raft group observed in the trace, as replica ids
+    /// (every process hosts one replica of every group, so a merged
+    /// multi-group trace has one membership, not one per group).
     pub members: Vec<NodeId>,
     /// Leader `SubmitReceived` → `Proposed`.
     pub queue: Histogram,
@@ -335,11 +344,11 @@ pub struct CriticalPath {
 /// pass the same slice that produced `spans`.
 pub fn critical_path(spans: &[OpSpan], events: &[TraceEvent], align: &ClockAlign) -> CriticalPath {
     let members: Vec<NodeId> = {
-        let mut s: BTreeSet<NodeId> = events.iter().map(|e| e.node).collect();
+        let mut s: BTreeSet<NodeId> = events.iter().map(|e| node_group(e.node).1).collect();
         // Clock-sample peers count even if they never emitted (crashed early).
         for ev in events {
             if let ProbeEvent::ClockSample { peer, .. } = ev.event {
-                s.insert(peer);
+                s.insert(node_group(peer).1);
             }
         }
         s.into_iter().collect()
@@ -368,8 +377,14 @@ pub fn critical_path(spans: &[OpSpan], events: &[TraceEvent], align: &ClockAlign
             cp.fsync.record(dur_ns);
         }
     }
+    // Each group's members under their merged-trace node ids.
+    let mut in_group: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
     for s in spans {
-        if s.complete(&members) {
+        let group = node_group(s.leader).0;
+        let replicas = in_group
+            .entry(group)
+            .or_insert_with(|| members.iter().map(|&n| group_node(group, n)).collect());
+        if s.complete(replicas) {
             cp.complete += 1;
         }
         let leader = s.nodes.get(&s.leader).copied().unwrap_or_default();
@@ -599,6 +614,54 @@ mod tests {
         assert_eq!(cp.twait_all.count(), 2);
         let rendered = cp.render();
         assert!(rendered.contains("window cache/park"), "{rendered}");
+    }
+
+    /// Two groups hosted by the same three processes, merged the way
+    /// `GroupTraces::take` merges them: both have an op at index 7, group
+    /// 1's (replica ids namespaced, a different client) a bit slower.
+    #[test]
+    fn multi_group_traces_join_and_count_quorum_per_group() {
+        let mut events = Vec::new();
+        one_op(&mut events);
+        let mut other = Vec::new();
+        one_op(&mut other);
+        for e in &mut other {
+            e.at = Time(e.at.0 * 2);
+            match &mut e.event {
+                ProbeEvent::SubmitReceived { client, .. } | ProbeEvent::Proposed { client, .. } => {
+                    *client = ClientId(4)
+                }
+                _ => {}
+            }
+        }
+        crate::shard::namespace_events(1, &mut other);
+        events.extend(other);
+        events.sort_by_key(|e| e.at);
+
+        let spans = collect(&events);
+        assert_eq!(spans.len(), 2);
+        for s in &spans {
+            let group = node_group(s.leader).0;
+            assert_eq!(s.nodes.len(), 3, "a span holds its own group's replicas only");
+            assert!(s.nodes.keys().all(|n| node_group(*n).0 == group));
+        }
+        let cp = critical_path(&spans, &events, &ClockAlign::identity());
+        assert_eq!(cp.members, [NodeId(0), NodeId(1), NodeId(2)], "one membership, per group");
+        assert_eq!((cp.ops, cp.complete), (2, 2));
+        // Quorum 2 of 3 in each group: the critical follower is that group's
+        // fastest, so group 1 reads exactly twice group 0's phases.
+        assert_eq!((cp.link.min(), cp.link.max()), (250, 500));
+        assert_eq!((cp.total.min(), cp.total.max()), (900, 1800));
+        assert_eq!(cp.twait_all.count(), 4);
+        assert!(cp
+            .render()
+            .starts_with("critical path: 2 ops (2 complete spans, 3 members, quorum 2)"));
+
+        // Clock samples come from the processes' transports (plain replica
+        // ids); every group's replica in that process takes the correction.
+        let align = ClockAlign::estimate(&[sample(0, 10, 1, 500), sample(1, 12, 0, -500)]);
+        assert_eq!(align.correction_ns(group_node(1, NodeId(1))), -500);
+        assert_eq!(align.correction_ns(group_node(1, NodeId(0))), 0);
     }
 
     #[test]

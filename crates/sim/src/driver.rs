@@ -41,43 +41,6 @@ pub struct FailurePlan {
     pub post_failure: TimeDelta,
 }
 
-/// One chaos action, applied at a scheduled virtual instant.
-///
-/// This is the simulator half of the `nbr-chaos` fault surface: the harness
-/// compiles its schedule DSL down to `(Time, SimFault)` pairs. Links are
-/// directed, so asymmetric partitions and one-way gray links are
-/// expressible; a symmetric fault is two directed ones. `FailurePlan`
-/// remains the paper-figure path (leader kill + loss accounting) and is
-/// unaffected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimFault {
-    /// Drop every message sent `from → to`.
-    CutLink { from: u32, to: u32 },
-    /// Undo a `CutLink` on the same directed pair.
-    HealLink { from: u32, to: u32 },
-    /// Gray link: drop each `from → to` message with probability `drop_p`
-    /// and delay the survivors by `extra`.
-    DegradeLink { from: u32, to: u32, drop_p: f64, extra: TimeDelta },
-    /// Undo a `DegradeLink` on the same directed pair.
-    RestoreLink { from: u32, to: u32 },
-    /// Skew `node`'s local clock forward by `by` (its engine sees
-    /// `now + by`, so its election deadlines fire early relative to peers).
-    SkewClock { node: u32, by: TimeDelta },
-    /// Add `penalty` to every append/proposal handled by `node` — the DES
-    /// stand-in for a stalling WAL device.
-    SlowDisk { node: u32, penalty: TimeDelta },
-    /// Undo a `SlowDisk`.
-    HealDisk { node: u32 },
-    /// Crash `node`, preserving its log and hard state as the durable image
-    /// a later `Recover` restarts from (the sim's "WAL").
-    Crash { node: u32 },
-    /// Restart a crashed `node` from its preserved durable image.
-    Recover { node: u32 },
-    /// Force `node` to start an election now (stale-config / duplicate
-    /// leader scenarios).
-    Campaign { node: u32 },
-}
-
 /// Full experiment configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -109,8 +72,10 @@ pub struct SimConfig {
     pub timeouts: TimeoutConfig,
     /// Failure plan.
     pub failure: FailurePlan,
-    /// Chaos schedule: faults applied at their virtual instants, in order.
-    pub chaos: Vec<(Time, SimFault)>,
+    /// Chaos schedule: faults applied at their virtual instants, ties in
+    /// vector order. (`failure` stays the paper-figure path: leader kill +
+    /// loss accounting.)
+    pub chaos: Vec<(Time, Fault)>,
     /// Seed for all randomness.
     pub seed: u64,
     /// Protocol tracing: `EngineProbe::Off` (default) or a shared buffer
@@ -220,7 +185,7 @@ enum Ev {
     },
     Kill,
     Chaos {
-        fault: SimFault,
+        fault: Fault,
     },
 }
 
@@ -273,6 +238,15 @@ impl Servers {
 /// (current term, vote), the pieces a real WAL preserves across kill -9.
 type DurableImage = (MemLog, (Term, Option<NodeId>));
 
+/// A replica engine of this experiment over `log`: empty at the start, a
+/// chaos-crashed node's durable image on recovery.
+fn boot_node(cfg: &SimConfig, id: NodeId, log: MemLog, seed: u64) -> Node<MemLog, EngineProbe> {
+    let membership = (0..cfg.n_replicas as u32).map(NodeId).collect();
+    let mut pcfg = cfg.protocol.config(cfg.window);
+    pcfg.timeouts = cfg.timeouts;
+    Node::with_probe(id, membership, pcfg, log, seed, cfg.trace.clone())
+}
+
 /// The simulator.
 pub struct Simulator {
     cfg: SimConfig,
@@ -312,14 +286,10 @@ pub struct Simulator {
     kill_time: Time,
 
     // chaos state (empty/zero unless cfg.chaos is non-empty)
-    /// Directed links currently cut.
-    cut_links: std::collections::HashSet<(u32, u32)>,
-    /// Directed links currently degraded: (drop probability, extra delay).
-    degraded_links: std::collections::HashMap<(u32, u32), (f64, TimeDelta)>,
-    /// Per-node clock skew added to every `now` its engine sees.
-    skew: Vec<TimeDelta>,
-    /// Per-node slow-disk penalty added to append/proposal CPU costs.
-    disk_penalty: Vec<TimeDelta>,
+    /// Link cuts and gray links, per-node clock skew (added to every `now`
+    /// an engine sees) and slow-disk penalty (added to append/proposal CPU
+    /// costs).
+    faults: FaultTable,
     /// Durable image of a chaos-crashed node, until it recovers.
     crashed_durable: Vec<Option<DurableImage>>,
     chaos_dropped: u64,
@@ -331,23 +301,11 @@ impl Simulator {
     pub fn new(cfg: SimConfig) -> Simulator {
         let n = cfg.n_replicas;
         let membership: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let mut pcfg = cfg.protocol.config(cfg.window);
-        pcfg.timeouts = cfg.timeouts;
         let nodes: Vec<Option<Node<MemLog, EngineProbe>>> = membership
             .iter()
             .map(|&id| {
-                if cfg.failure.dead_from_start.contains(&id.0) {
-                    None
-                } else {
-                    Some(Node::with_probe(
-                        id,
-                        membership.clone(),
-                        pcfg.clone(),
-                        MemLog::new(),
-                        cfg.seed,
-                        cfg.trace.clone(),
-                    ))
-                }
+                let alive = !cfg.failure.dead_from_start.contains(&id.0);
+                alive.then(|| boot_node(&cfg, id, MemLog::new(), cfg.seed))
             })
             .collect();
         let wl = WorkloadConfig { request_size: cfg.payload, ..Default::default() };
@@ -395,10 +353,7 @@ impl Simulator {
             killed: false,
             dead_node: None,
             kill_time: Time::ZERO,
-            cut_links: std::collections::HashSet::new(),
-            degraded_links: std::collections::HashMap::new(),
-            skew: vec![TimeDelta::ZERO; n],
-            disk_penalty: vec![TimeDelta::ZERO; n],
+            faults: FaultTable::default(),
             crashed_durable: (0..n).map(|_| None).collect(),
             chaos_dropped: 0,
             recoveries: 0,
@@ -408,7 +363,7 @@ impl Simulator {
 
     /// The instant `node`'s engine believes it is (virtual now + skew).
     fn node_now(&self, node: usize) -> Time {
-        self.now + self.skew.get(node).copied().unwrap_or(TimeDelta::ZERO)
+        self.now + self.faults.skew(node as u32)
     }
 
     fn push(&mut self, at: Time, ev: Ev) {
@@ -497,7 +452,7 @@ impl Simulator {
         // stall for the injected penalty; pure control handling does not.
         let stall = match item {
             WorkItem::ClientReq(_) | WorkItem::Msg { msg: Message::AppendEntry(_), .. } => {
-                self.disk_penalty.get(node).copied().unwrap_or(TimeDelta::ZERO)
+                self.faults.stall(node as u32)
             }
             WorkItem::Msg { .. } => TimeDelta::ZERO,
         };
@@ -549,22 +504,14 @@ impl Simulator {
             return; // dead target
         }
         // Chaos link faults: a cut link eats the message outright; a gray
-        // link drops probabilistically and delays the survivors.
-        let mut chaos_extra = TimeDelta::ZERO;
-        if !self.cut_links.is_empty() || !self.degraded_links.is_empty() {
-            let key = (from as u32, to as u32);
-            if self.cut_links.contains(&key) {
-                self.chaos_dropped += 1;
-                return;
-            }
-            if let Some(&(p, extra)) = self.degraded_links.get(&key) {
-                if p > 0.0 && self.rng.random_range(0.0..1.0) < p {
-                    self.chaos_dropped += 1;
-                    return;
-                }
-                chaos_extra = extra;
-            }
+        // link drops probabilistically and delays the survivors. A healthy
+        // link takes no draw, so a run without chaos keeps its rng stream.
+        let link = self.faults.link(from as u32, to as u32);
+        if link.loses(|| self.rng.random_range(0.0..1.0)) {
+            self.chaos_dropped += 1;
+            return;
         }
+        let chaos_extra = link.delay_at(|| self.rng.random_range(0.0..1.0));
         let size = msg.size_bytes();
         // NIC serialization at the sender.
         let t_nic = self.node_nic[from].schedule(self.now, self.cfg.costs.tx_time(size));
@@ -834,37 +781,12 @@ impl Simulator {
         self.finish()
     }
 
-    /// Apply one scheduled chaos fault at the current instant.
-    fn apply_fault(&mut self, fault: SimFault) {
-        match fault {
-            SimFault::CutLink { from, to } => {
-                self.cut_links.insert((from, to));
-            }
-            SimFault::HealLink { from, to } => {
-                self.cut_links.remove(&(from, to));
-            }
-            SimFault::DegradeLink { from, to, drop_p, extra } => {
-                self.degraded_links.insert((from, to), (drop_p.clamp(0.0, 1.0), extra));
-            }
-            SimFault::RestoreLink { from, to } => {
-                self.degraded_links.remove(&(from, to));
-            }
-            SimFault::SkewClock { node, by } => {
-                if let Some(s) = self.skew.get_mut(node as usize) {
-                    *s = by;
-                }
-            }
-            SimFault::SlowDisk { node, penalty } => {
-                if let Some(p) = self.disk_penalty.get_mut(node as usize) {
-                    *p = penalty;
-                }
-            }
-            SimFault::HealDisk { node } => {
-                if let Some(p) = self.disk_penalty.get_mut(node as usize) {
-                    *p = TimeDelta::ZERO;
-                }
-            }
-            SimFault::Crash { node } => {
+    /// Apply one scheduled chaos fault at the current instant: link, clock
+    /// and disk faults are table state; node faults are carried out here.
+    fn apply_fault(&mut self, fault: Fault) {
+        let Some(action) = self.faults.apply(&fault) else { return };
+        match action {
+            NodeAction::Crash(node) => {
                 let i = node as usize;
                 if i >= self.nodes.len() {
                     return;
@@ -879,7 +801,7 @@ impl Simulator {
                     }
                 }
             }
-            SimFault::Recover { node } => {
+            NodeAction::Recover(node) => {
                 let i = node as usize;
                 if i >= self.nodes.len() || self.nodes[i].is_some() {
                     return;
@@ -888,22 +810,13 @@ impl Simulator {
                     Some(d) => d,
                     None => (MemLog::new(), (Term(0), None)),
                 };
-                let membership: Vec<NodeId> = (0..self.cfg.n_replicas as u32).map(NodeId).collect();
-                let mut pcfg = self.cfg.protocol.config(self.cfg.window);
-                pcfg.timeouts = self.cfg.timeouts;
-                let mut n = Node::with_probe(
-                    NodeId(node),
-                    membership,
-                    pcfg,
-                    log,
-                    self.cfg.seed ^ 0xBEEF ^ u64::from(node),
-                    self.cfg.trace.clone(),
-                );
+                let seed = self.cfg.seed ^ 0xBEEF ^ u64::from(node);
+                let mut n = boot_node(&self.cfg, NodeId(node), log, seed);
                 n.restore_hard_state(term, voted_for);
                 self.nodes[i] = Some(n);
                 self.recoveries += 1;
             }
-            SimFault::Campaign { node } => {
+            NodeAction::Campaign(node) => {
                 let i = node as usize;
                 let now = self.node_now(i);
                 let mut out = Vec::new();

@@ -17,4 +17,4 @@ pub mod cost;
 pub mod driver;
 
 pub use cost::{CostModel, GeoMatrix};
-pub use driver::{run, FailurePlan, SimConfig, SimFault, SimResult, Simulator};
+pub use driver::{run, FailurePlan, SimConfig, SimResult, Simulator};

@@ -13,6 +13,8 @@
 //!   seven evaluated protocols (Raft, NB-Raft, CRaft, NB-Raft + CRaft,
 //!   ECRaft, KRaft, VGRaft),
 //! * a simulation-friendly clock ([`Time`], [`TimeDelta`]),
+//! * the fault vocabulary and its interpreter ([`Fault`], [`FaultTable`]):
+//!   injected loss, delay, partition, skew and disk stall as plain data,
 //! * a hand-rolled, length-checked binary [`wire`] codec with CRC32 framing.
 //!
 //! Everything here is I/O-free and deterministic so the same types serve the
@@ -23,6 +25,7 @@ pub mod checksum;
 pub mod config;
 pub mod entry;
 pub mod error;
+pub mod fault;
 pub mod ids;
 pub mod message;
 pub mod netframe;
@@ -32,6 +35,7 @@ pub mod wire;
 pub use config::{Protocol, ProtocolConfig, ReplicationMode, TimeoutConfig};
 pub use entry::{Entry, Fragment, Origin, Payload};
 pub use error::{Error, Result};
+pub use fault::{Fault, FaultTable, LinkFault, NodeAction};
 pub use ids::{ClientId, LogIndex, NodeId, RequestId, Term};
 pub use message::{
     AcceptState, AppendEntryMsg, AppendRespMsg, ClientRequest, ClientResponse, HeartbeatMsg,

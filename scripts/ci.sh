@@ -23,9 +23,12 @@ cargo test -q
 
 # The serving stack: the replica loop, the in-process router, and the TCP
 # transport + NodeServer over real loopback sockets (one-group and
-# multi-group suites). About 10 s of test time.
-step "cargo test -q -p nbr-cluster -p nbr-net (serving stack)"
-cargo test -q -p nbr-cluster -p nbr-net
+# multi-group suites), about 10 s of test time; plus the chaos harness over
+# both of its backends (three sim tests, one of which compares the seed-7
+# corpus verdicts with the committed golden, and one net scenario), about
+# 25 s in the debug profile.
+step "cargo test -q -p nbr-cluster -p nbr-net -p nbr-chaos (serving stack + fault plane)"
+cargo test -q -p nbr-cluster -p nbr-net -p nbr-chaos
 
 if [ "${CI_FULL:-0}" = "1" ]; then
     step "cargo test -q --workspace (full suite, slow)"
@@ -116,8 +119,12 @@ step "net smoke (3-process loopback cluster)"
 # The timeout is the wall-clock budget for the step; the sim corpus runs
 # in seconds and the net smoke tier in well under two minutes.
 step "chaos smoke (sim corpus + net smoke tier)"
+# --out appends, and sim verdicts are bit-reproducible: start from nothing
+# and the file must equal the committed golden byte for byte.
+rm -f target/ci-artifacts/chaos-verdicts.jsonl
 time timeout 420 ./target/release/nbraft-cli chaos run --backend sim --seed 7 \
     --out target/ci-artifacts/chaos-verdicts.jsonl
+cmp target/ci-artifacts/chaos-verdicts.jsonl crates/chaos/tests/golden/sim-seed7.jsonl
 time timeout 420 ./target/release/nbraft-cli chaos run --backend net --smoke --seed 7 \
     --out target/ci-artifacts/chaos-verdicts-net.jsonl
 
