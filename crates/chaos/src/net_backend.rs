@@ -9,10 +9,13 @@
 //!
 //! Parity caveats vs the sim backend: the fault *table* is the same code on
 //! both, but wall-clock scheduling makes fault instants approximate (±ms),
-//! per-frame drop draws come from the transport's own seeded RNGs, loss and
-//! delay apply per coalesced write batch rather than per message, and
-//! `campaign` has no live-replica control — schedules using it are
-//! sim-only. The schedule, oracle set, and seed plumbing are identical.
+//! per-frame drop draws come from the transport's own seeded RNGs, a link's
+//! row is read once per writer wake-up rather than per message (loss is
+//! still decided per frame, and each frame is delivered `delay` after it is
+//! sent, in order, as in the sim — only the jitter draw is shared by the
+//! frames of one wake-up), and `campaign` has no live-replica control —
+//! schedules using it are sim-only. The schedule, oracle set, and seed
+//! plumbing are identical.
 
 use crate::corpus::Scenario;
 use crate::oracle::{election_safety, Verdict};

@@ -12,9 +12,11 @@
 //!   transport carries every Raft group a process hosts: the group is part
 //!   of the address, and the group count is the number of inbox sets it
 //!   was built over. Network emulation and chaos are one mechanism: each
-//!   peer writer applies one [`nbr_types::LinkFault`] per batch — the
+//!   peer writer reads one [`nbr_types::LinkFault`] per wake-up — the
 //!   configured baseline ([`TcpConfig::baseline`]) under this direction's
-//!   row of the cluster's shared [`nbr_cluster::FaultPlane`], if any.
+//!   row of the cluster's shared [`nbr_cluster::FaultPlane`], if any —
+//!   and emulates the link as a pipe: loss is decided per frame, and each
+//!   frame is delivered `delay` after it is sent, in order.
 //! * [`NodeServer`] — the one-process-per-node runtime behind
 //!   `nbraft-cli serve [--groups N]`: this node's replica of each of N
 //!   groups (one by default), each the unmodified `nbr-cluster` replica
@@ -33,6 +35,7 @@
 
 pub mod client;
 pub(crate) mod clock;
+mod delay_line;
 pub mod metrics;
 pub mod server;
 pub mod transport;

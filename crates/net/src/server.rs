@@ -43,9 +43,10 @@ pub struct ServeConfig {
     pub cluster: ClusterConfig,
     /// Bind address of the HTTP metrics endpoint, if wanted.
     pub metrics_bind: Option<SocketAddr>,
-    /// Artificial one-hop peer-link delay, jittered ±50% per batch (WAN
-    /// emulation; zero for real deployments). With `link_loss_pct` this is
-    /// the transport's [`TcpConfig::baseline`].
+    /// Artificial one-hop peer-link delay, jittered ±50% (WAN emulation;
+    /// zero for real deployments): each frame is delivered `delay` after it
+    /// is sent, in order. With `link_loss_pct` this is the transport's
+    /// [`TcpConfig::baseline`].
     pub link_delay: Duration,
     /// Parallel TCP connections per peer. See [`TcpConfig::peer_lanes`].
     pub peer_lanes: usize,

@@ -42,8 +42,12 @@
 //! [`NetFrame::Hello`]; version or cluster-id mismatches are counted and
 //! the connection dropped. Writers coalesce queued frames into a single
 //! `write_all` per wakeup and emit [`NetFrame::Ping`] keepalives when idle.
+//! A peer writer emulates its link as a pipe (a private `DelayLine`), not as
+//! a turnstile: each frame is delivered `delay` after it is sent, in order,
+//! with any number of frames in flight at once.
 
 use crate::clock;
+use crate::delay_line::DelayLine;
 use bytes::Bytes;
 use nbr_cluster::network::{Packet, CLIENT_ENDPOINT};
 use nbr_cluster::sync::Mutex;
@@ -52,7 +56,7 @@ use nbr_cluster::FaultPlane;
 use nbr_obs::{Counter, Gauge, ProbeEvent, Registry, SharedProbe, Snapshot};
 use nbr_types::wire::{decode_frame_shared, encode_frame_into};
 use nbr_types::{
-    group_trace_id, ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time, TimeDelta,
+    group_trace_id, ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time,
     NET_PROTOCOL_VERSION,
 };
 use rand::rngs::StdRng;
@@ -88,11 +92,13 @@ pub struct TcpConfig {
     pub connect_timeout: Duration,
     /// What every outbound peer link does with no fault injected: the
     /// network emulation of benches (healthy — the default — for real
-    /// deployments). Per coalesced batch, each protocol frame is lost with
-    /// probability `drop` (Raft's repair re-sends it: stock Raft stalls for
-    /// whole repair rounds, a non-blocking window weak-accepts around the
-    /// gap) and the survivors are held for one delay drawn from `delay`.
-    /// Handshakes, keepalives and client sessions are never touched.
+    /// deployments). Each protocol frame is lost with probability `drop`
+    /// (Raft's repair re-sends it: stock Raft stalls for whole repair
+    /// rounds, a non-blocking window weak-accepts around the gap) and each
+    /// survivor is delivered `delay` after it is sent, in order: the link is
+    /// a pipe with frames in flight, so a hop costs a frame its delay however
+    /// many frames share the link (one draw from `delay` per writer wake-up).
+    /// Handshakes, keepalives and client sessions are never lost.
     pub baseline: LinkFault,
     /// Parallel TCP connections per peer; outbound frames round-robin
     /// across them. One lane (the default) preserves TCP's in-order
@@ -101,7 +107,7 @@ pub struct TcpConfig {
     /// stock Raft blocks on.
     pub peer_lanes: usize,
     /// The cluster's runtime-mutable fault plane (chaos harness). Each peer
-    /// writer reads its own directed `(this node, peer)` row per batch and
+    /// writer reads its own directed `(this node, peer)` row per wake-up and
     /// applies it on top of `baseline`. `None` (the default) costs nothing
     /// on the hot path.
     pub faults: Option<Arc<FaultPlane>>,
@@ -157,7 +163,8 @@ struct Stats {
     keepalives: Arc<Counter>,
     peer_links_up: Arc<Gauge>,
     clients_connected: Arc<Gauge>,
-    send_queue_depth: Arc<Gauge>,
+    /// Frames in the peer writers' delay lines: sent, not yet delivered.
+    link_inflight: Arc<Gauge>,
 }
 
 impl Stats {
@@ -180,7 +187,7 @@ impl Stats {
             keepalives: reg.counter("net_keepalives"),
             peer_links_up: reg.gauge("net_peer_links_up"),
             clients_connected: reg.gauge("net_clients_connected"),
-            send_queue_depth: reg.gauge("net_send_queue_depth"),
+            link_inflight: reg.gauge("net_link_inflight"),
         }
     }
 }
@@ -200,8 +207,8 @@ struct ClientRoute {
 struct PeerRoute {
     conn: u64,
     tx: SyncSender<NetFrame>,
-    /// Frames queued but not yet drained by this route's writer; see
-    /// [`pick_lane`].
+    /// Frames queued for this route's writer and not yet put on the link;
+    /// see [`pick_lane`].
     depth: Arc<AtomicI64>,
 }
 
@@ -440,8 +447,8 @@ fn demux_pump(sh: Arc<Shared>) {
 
 struct PeerLink {
     tx: SyncSender<NetFrame>,
-    /// Frames queued but not yet drained by this lane's writer; see
-    /// [`pick_lane`].
+    /// Frames queued for this lane's writer and not yet put on the link;
+    /// see [`pick_lane`].
     depth: Arc<AtomicI64>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -452,10 +459,11 @@ struct PeerLinks {
     rr: AtomicU64,
 }
 
-/// Backlog (frames queued or mid-write) at which a lane counts as
-/// saturated and traffic spills to the next one. Matches the replica
-/// layer's append batch cap: one spill means a full batch is already
-/// waiting ahead.
+/// Backlog (frames waiting for the lane's writer) at which a lane counts
+/// as saturated and traffic spills to the next one. Frames the writer has
+/// already put on the emulated link are in flight, not backlog: they delay
+/// nothing behind them. Matches the replica layer's append batch cap: one
+/// spill means a full batch is already waiting ahead.
 const LANE_SPILL_DEPTH: i64 = 256;
 
 /// Primary-lane-with-spill choice. Now that the replica layer coalesces
@@ -464,11 +472,11 @@ const LANE_SPILL_DEPTH: i64 = 256;
 /// with independent delay jitter reorders the append stream, which stalls
 /// the follower's contiguous strong-accept watermark and turns frame loss
 /// into repair backlog. So frames stay on the first lane whose backlog is
-/// under [`LANE_SPILL_DEPTH`] — joining its forming batch rides one
-/// store-and-forward delay and one syscall — and later lanes only see
-/// traffic when every earlier lane is saturated or mid-reconnect, where
-/// capacity matters more than ordering. Round-robin is the last resort
-/// when everything is backed up.
+/// under [`LANE_SPILL_DEPTH`] — each is delivered `delay` after it is
+/// sent, in order, and joining the lane's forming batch rides one syscall —
+/// and later lanes only see traffic when every earlier lane is saturated
+/// or mid-reconnect, where capacity matters more than ordering.
+/// Round-robin is the last resort when everything is backed up.
 fn pick_lane<T>(lanes: &[T], depth: impl Fn(&T) -> i64, rr: &AtomicU64) -> usize {
     for (i, lane) in lanes.iter().enumerate() {
         if depth(lane) < LANE_SPILL_DEPTH {
@@ -661,7 +669,7 @@ impl TcpTransport {
             let link = &links.lanes[lane];
             link.depth.fetch_add(1, Ordering::Relaxed);
             match link.tx.try_send(frame) {
-                Ok(()) => stats.send_queue_depth.add(1),
+                Ok(()) => {}
                 // Shed rather than block the replica thread; explicit accounting.
                 Err(TrySendError::Full(_)) => {
                     link.depth.fetch_sub(1, Ordering::Relaxed);
@@ -686,7 +694,7 @@ impl TcpTransport {
         let route = &lanes[lane];
         route.depth.fetch_add(1, Ordering::Relaxed);
         match route.tx.try_send(frame) {
-            Ok(()) => stats.send_queue_depth.add(1),
+            Ok(()) => {}
             Err(TrySendError::Full(_)) => {
                 route.depth.fetch_sub(1, Ordering::Relaxed);
                 stats.dropped_queue_full.inc();
@@ -703,7 +711,9 @@ impl TcpTransport {
     fn scrape_snapshot(&self) -> Snapshot {
         let mut snap = self.shared.registry.snapshot();
         let me = self.shared.cfg.node_id;
-        // Per-peer outbound backlog: dialed lanes plus accepted routes.
+        // Outbound backlog (frames waiting for a writer), per peer and in
+        // total: dialed lanes plus the accepted routes that are still up, so
+        // a dead connection's queue cannot linger in either.
         let mut depths: HashMap<u32, i64> = HashMap::new();
         for (&peer, links) in &self.peers {
             let d: i64 = links.lanes.iter().map(|l| l.depth.load(Ordering::Relaxed)).sum();
@@ -713,6 +723,7 @@ impl TcpTransport {
             let d: i64 = lanes.iter().map(|r| r.depth.load(Ordering::Relaxed)).sum();
             *depths.entry(peer).or_default() += d;
         }
+        snap.gauges.insert("net_send_queue_depth".to_string(), depths.values().sum());
         for (peer, d) in depths {
             snap.gauges.insert(format!("net_send_queue_depth_peer_{peer}"), d);
         }
@@ -857,11 +868,17 @@ fn supervise_peer(
     }
 }
 
-/// The shared peer write loop: announce ourselves, then batch, apply the
-/// link's fault (loss, delay), write. Used by both the dialing supervisor
-/// and accepted-route writers so the two directions of a deduplicated link
-/// behave identically. Returns on error (a dialing caller reconnects) or
-/// shutdown.
+/// The shared peer write loop: announce ourselves, then put queued frames
+/// on the link under its fault (loss, delay) and write the ones that have
+/// crossed it. Used by both the dialing supervisor and accepted-route
+/// writers so the two directions of a deduplicated link behave identically.
+/// Returns on error (a dialing caller reconnects) or shutdown.
+///
+/// The link is a pipe, not a turnstile: a wake-up stamps what it drained
+/// with its arrival instant in a [`DelayLine`] and goes back to waiting, so
+/// later batches cross the link alongside earlier ones instead of queueing
+/// behind their delay. A healthy link stamps `due = now` and writes on the
+/// same wake-up.
 fn pump_peer_frames(
     sh: &Shared,
     stream: &mut TcpStream,
@@ -877,10 +894,15 @@ fn pump_peer_frames(
         kind: PeerKind::Node(NodeId(sh.cfg.node_id)),
     });
     let mut wbuf = Vec::with_capacity(8 << 10);
-    if write_frames(sh, stream, std::slice::from_ref(&hello), &mut wbuf).is_err() {
+    if write_frames(sh, stream, std::iter::once(hello), &mut wbuf).is_err() {
         return;
     }
-    let mut batch = Vec::with_capacity(64);
+    // Frames in flight are capped like frames queued. A full line takes
+    // nothing more until its head leaves, so the queue behind it fills and
+    // `send` sheds, with the accounting it always had.
+    let mut line = DelayLine::new(sh.cfg.send_queue.max(1));
+    // What `net_link_inflight` currently holds for this line.
+    let mut inflight = 0i64;
     let mut nonce = 0u64;
     // Clock-sample cadence. A ping only on `recv_timeout` expiry would
     // starve the RTT/offset estimators exactly when the link is busiest
@@ -892,81 +914,85 @@ fn pump_peer_frames(
     // accounting in `send` is sized against `send_queue`, so a larger batch
     // window would just hide queue pressure from the metrics.
     let max_coalesce = sh.cfg.send_queue.clamp(1, 256);
-    loop {
-        if sh.stopped() {
-            return;
-        }
-        batch.clear();
-        // Frames stay counted in the lane's `depth` until the write lands:
-        // the store-and-forward delay below is exactly the window in which
-        // `pick_lane` should see this lane as busy, so later frames join
-        // its queue (riding the next batch) instead of waking an idle lane
-        // into its own full delay.
-        let mut drained = 0i64;
-        match rx.recv_timeout(ping_every) {
-            Ok(frame) => {
-                batch.push(frame);
-                // Coalesce everything already queued into one write.
-                while batch.len() < max_coalesce {
-                    match rx.try_recv() {
-                        Ok(f) => batch.push(f),
-                        Err(_) => break,
-                    }
-                }
-                drained = batch.len() as i64;
-                sh.stats.send_queue_depth.add(-drained);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        // Keepalive when idle, clock sample on cadence when busy; `t0` is
-        // stamped here (before the emulated link delays below), so the
-        // measured RTT includes the delay the frames actually experience.
-        if batch.is_empty() || clock::now().duration_since(last_ping) >= ping_every {
-            nonce += 1;
-            sh.stats.keepalives.inc();
-            batch.push(NetFrame::Ping { nonce, t0: sh.trace_now() });
-            last_ping = clock::now();
-        }
-        // The link this batch crosses: the configured emulation baseline
-        // under this direction's fault-plane row, read per batch so the
-        // harness can flip it while the connection stays up.
-        let link = match &sh.cfg.faults {
-            Some(plane) => plane.link(sh.cfg.node_id, peer_id).over(sh.cfg.baseline),
-            None => sh.cfg.baseline,
+    while !sh.stopped() {
+        // Sleep until there is traffic, a frame in flight arrives or a ping
+        // is owed. An idle line costs no clock read.
+        let wait = match line.next_due() {
+            Some(due) => due.saturating_duration_since(clock::now()).min(ping_every),
+            None => ping_every,
         };
-        if link.cut || link.drop > 0.0 {
-            // Lose protocol frames only — whatever replicas and relayed
-            // clients exchange, which Raft's retry machinery repairs: that
-            // is the behaviour under test. Keepalives stay reliable (the
-            // handshake is already written), so a cut is a network filter
-            // and not a dead host: the socket and its clock samples survive.
-            batch.retain(|f| {
-                let lose = matches!(
-                    f,
+        let room = line.room().min(max_coalesce);
+        let first = if room == 0 {
+            clock::sleep(wait);
+            None
+        } else {
+            match rx.recv_timeout(wait) {
+                Ok(frame) => Some(frame),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        };
+        let now = clock::now();
+        let ping_due = now.duration_since(last_ping) >= ping_every;
+        if first.is_some() || ping_due {
+            // The link these frames cross: the configured emulation baseline
+            // under this direction's fault-plane row, read per wake-up so
+            // the harness can flip it while the connection stays up.
+            let link = match &sh.cfg.faults {
+                Some(plane) => plane.link(sh.cfg.node_id, peer_id).over(sh.cfg.baseline),
+                None => sh.cfg.baseline,
+            };
+            let delay = link.delay_at(|| rng.random_range(0.0..1.0));
+            let delay = Duration::from_nanos(delay.as_nanos());
+            // Coalesce everything already queued into this wake-up. A frame
+            // leaves the lane's `depth` as it goes onto the link: in flight
+            // it holds nothing up, so `pick_lane` must not count it.
+            let mut drained = 0i64;
+            let queued = first.into_iter().chain(std::iter::from_fn(|| rx.try_recv().ok()));
+            for frame in queued.take(room) {
+                drained += 1;
+                // Lose protocol frames only — whatever replicas and relayed
+                // clients exchange, which Raft's retry machinery repairs:
+                // that is the behaviour under test. Keepalives stay reliable
+                // (the handshake is already written), so a cut is a network
+                // filter and not a dead host: the socket and its clock
+                // samples survive.
+                let protocol = matches!(
+                    frame,
                     NetFrame::Peer { .. } | NetFrame::Request { .. } | NetFrame::Response { .. }
-                ) && link.loses(|| rng.random_range(0.0..1.0));
-                if lose {
+                );
+                if protocol && link.loses(|| rng.random_range(0.0..1.0)) {
                     sh.stats.frames_lost.inc();
+                } else if line.admit(now, delay, frame).is_err() {
+                    sh.stats.dropped_queue_full.inc();
                 }
-                !lose
-            });
-            if batch.is_empty() {
-                depth.fetch_sub(drained, Ordering::Relaxed);
-                continue;
+            }
+            depth.fetch_sub(drained, Ordering::Relaxed);
+            // Keepalive when idle, clock sample on cadence when busy. `t0` is
+            // stamped as the ping goes onto the link, so the measured RTT
+            // includes the delay the frames around it experience. A full
+            // line owes the ping to the next wake-up with room.
+            if ping_due {
+                let t0 = now.duration_since(sh.epoch).as_nanos() as u64;
+                nonce += 1;
+                if line.admit(now, delay, NetFrame::Ping { nonce, t0 }).is_ok() {
+                    sh.stats.keepalives.inc();
+                    last_ping = now;
+                }
             }
         }
-        // One-hop latency emulation: hold the whole coalesced batch.
-        let delay = link.delay_at(|| rng.random_range(0.0..1.0));
-        if delay > TimeDelta::ZERO {
-            sh.sleep_checked(Duration::from_nanos(delay.as_nanos()));
+        // Everything that has crossed the link by now, in one write.
+        let res = write_frames(sh, stream, std::iter::from_fn(|| line.pop_due(now)), &mut wbuf);
+        let flying = line.len() as i64;
+        if flying != inflight {
+            sh.stats.link_inflight.add(flying - inflight);
+            inflight = flying;
         }
-        let res = write_frames(sh, stream, &batch, &mut wbuf);
-        depth.fetch_sub(drained, Ordering::Relaxed);
         if res.is_err() {
-            return; // frames in `batch` are lost with the connection; Raft retries
+            break; // frames on the link are lost with the connection; Raft retries
         }
     }
+    sh.stats.link_inflight.add(-inflight);
 }
 
 /// Writer for one accepted duplex peer connection: the standard peer pump
@@ -989,20 +1015,26 @@ fn accepted_peer_writer(
 }
 
 /// Encode `frames` into the caller's reusable buffer and write them in a
-/// single syscall. The buffer is cleared first and keeps its allocation
-/// across calls, so steady-state writes are allocation-free.
+/// single syscall (none when there are no frames). The buffer is cleared
+/// first and keeps its allocation across calls, so steady-state writes are
+/// allocation-free.
 fn write_frames(
     sh: &Shared,
     stream: &mut TcpStream,
-    frames: &[NetFrame],
+    frames: impl Iterator<Item = NetFrame>,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     buf.clear();
+    let mut n = 0u64;
     for f in frames {
-        encode_frame_into(f, buf);
+        encode_frame_into(&f, buf);
+        n += 1;
+    }
+    if n == 0 {
+        return Ok(());
     }
     stream.write_all(buf)?;
-    sh.stats.frames_out.add(frames.len() as u64);
+    sh.stats.frames_out.add(n);
     sh.stats.bytes_out.add(buf.len() as u64);
     Ok(())
 }
@@ -1057,20 +1089,13 @@ struct RespWriter {
 impl RespWriter {
     /// Best-effort enqueue: a full queue drops the reply (the next ping
     /// retries the clock sample; client liveness pings are periodic too).
-    fn push(&self, sh: &Shared, frame: NetFrame) {
+    fn push(&self, frame: NetFrame) {
         if let Some(d) = &self.depth {
             d.fetch_add(1, Ordering::Relaxed);
         }
-        match self.tx.try_send(frame) {
-            Ok(()) => {
-                if self.depth.is_some() {
-                    sh.stats.send_queue_depth.add(1);
-                }
-            }
-            Err(_) => {
-                if let Some(d) = &self.depth {
-                    d.fetch_sub(1, Ordering::Relaxed);
-                }
+        if self.tx.try_send(frame).is_err() {
+            if let Some(d) = &self.depth {
+                d.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -1312,7 +1337,7 @@ fn handle_frame(
         (NetFrame::Ping { nonce, t0 }, ConnIdentity::Client(_)) => {
             // Duplex session: answer so the client can measure liveness.
             if let Some(w) = resp_writer {
-                w.push(sh, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
+                w.push(NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             }
             true
         }
@@ -1321,7 +1346,7 @@ fn handle_frame(
             // receive instant so the sender can estimate RTT and offset.
             sh.stats.keepalives.inc();
             if let Some(w) = resp_writer {
-                w.push(sh, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
+                w.push(NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             }
             true
         }
@@ -1344,14 +1369,10 @@ fn client_writer(sh: Arc<Shared>, mut stream: TcpStream, rx: Receiver<NetFrame>)
         }
         match rx.recv_timeout(Duration::from_millis(200)) {
             Ok(frame) => {
-                let mut batch = vec![frame];
-                while batch.len() < max_coalesce {
-                    match rx.try_recv() {
-                        Ok(f) => batch.push(f),
-                        Err(_) => break,
-                    }
-                }
-                if write_frames(&sh, &mut stream, &batch, &mut wbuf).is_err() {
+                // Coalesce everything already queued into one write.
+                let queued =
+                    std::iter::once(frame).chain(std::iter::from_fn(|| rx.try_recv().ok()));
+                if write_frames(&sh, &mut stream, queued.take(max_coalesce), &mut wbuf).is_err() {
                     break;
                 }
             }
@@ -1361,4 +1382,95 @@ fn client_writer(sh: Arc<Shared>, mut stream: TcpStream, rx: Receiver<NetFrame>)
     }
     let _ = stream.shutdown(Shutdown::Both);
     sh.deregister_conn(conn);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nbr_types::{HeartbeatMsg, LogIndex, Message, Term, TimeDelta};
+    use std::sync::mpsc::channel;
+
+    fn heartbeat() -> Packet {
+        let msg = Message::Heartbeat(HeartbeatMsg {
+            term: Term(1),
+            leader: NodeId(0),
+            last_index: LogIndex(0),
+            last_term: Term(0),
+            leader_commit: LogIndex(0),
+        });
+        Packet::Peer { from: NodeId(0), msg }
+    }
+
+    fn until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = clock::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(clock::now() < deadline, "timed out waiting until {what}");
+            clock::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Frames that are on the emulated link when their connection dies are
+    /// lost with it, and nothing may go on counting them: not the lane's
+    /// `depth` (a phantom backlog would make `pick_lane` spill a healthy
+    /// lane after the reconnect), not `net_send_queue_depth`, not
+    /// `net_link_inflight`.
+    #[test]
+    fn frames_in_flight_when_the_connection_dies_leave_no_phantom_backlog() {
+        let bind = || TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let (l0, l1) = (bind(), bind());
+        let (a0, a1) = (l0.local_addr().expect("addr"), l1.local_addr().expect("addr"));
+        let hop = TimeDelta::from_millis(100);
+        let spawn = |id: u32, peer, listener| {
+            let (tx, inbox) = sync_channel(64);
+            let cfg = TcpConfig {
+                node_id: id,
+                peers: vec![peer],
+                peer_lanes: 2,
+                baseline: LinkFault { delay: (hop, hop), ..LinkFault::default() },
+                ..TcpConfig::default()
+            };
+            let inboxes = TransportInboxes { nodes: vec![(id, tx)], client: channel().0 };
+            (TcpTransport::spawn(cfg, listener, inboxes), inbox)
+        };
+        let (t0, _inbox0) = spawn(0, (1, a1), l0);
+        let (_t1, inbox1) = spawn(1, (0, a0), l1);
+        let gauge = |name: &str| t0.scrape_snapshot().gauges.get(name).copied().unwrap_or(0);
+        let counter = |name: &str| t0.scrape_snapshot().counters.get(name).copied().unwrap_or(0);
+        let lanes = &t0.peers[&1];
+        let depth = |l: &PeerLink| l.depth.load(Ordering::Relaxed);
+        until("both lanes are up", || gauge("net_peer_links_up") == 2);
+
+        // Two batches 60 ms apart on a 100 ms hop, then the sockets go: the
+        // write of the first batch fails while the second is still crossing.
+        for pause_ms in [60, 20] {
+            for _ in 0..25 {
+                t0.send(0, 1, heartbeat());
+            }
+            clock::sleep(Duration::from_millis(pause_ms));
+        }
+        assert!(gauge("net_link_inflight") >= 50, "both batches must be on the link");
+        assert_eq!(depth(&lanes.lanes[0]), 0, "frames on the link are not backlog");
+        for c in t0.shared.conns.lock().values() {
+            let _ = c.shutdown(Shutdown::Both);
+        }
+        until("both lanes reconnected", || {
+            counter("net_tcp_disconnects") >= 2 && gauge("net_peer_links_up") == 2
+        });
+
+        // A clock-sample ping may be crossing at any one instant, but a
+        // phantom of the 25 lost frames would never let the gauge reach 0.
+        until("net_link_inflight drains to 0", || gauge("net_link_inflight") == 0);
+        assert_eq!(lanes.lanes.iter().map(depth).sum::<i64>(), 0);
+        assert_eq!(gauge("net_send_queue_depth"), 0);
+        assert_eq!(gauge("net_send_queue_depth_peer_1"), 0);
+        assert_eq!(
+            pick_lane(&lanes.lanes, depth, &lanes.rr),
+            0,
+            "the primary lane is picked again"
+        );
+        assert!(inbox1.try_iter().count() < 50, "the frames in flight died with the connection");
+        t0.send(0, 1, heartbeat());
+        assert!(inbox1.recv_timeout(Duration::from_secs(10)).is_ok(), "link carries traffic again");
+        assert_eq!(counter("net_dropped_queue_full"), 0);
+    }
 }

@@ -7,10 +7,13 @@
 //! port 0 first and the OS-assigned addresses are exchanged before any
 //! transport starts, so parallel test runs never collide.
 
-use nbr_net::{await_leaders, Members, NetClient, NodeServer};
+use nbr_cluster::{Packet, Transport, TransportInboxes, NODE_INBOX_DEPTH};
+use nbr_net::{await_leaders, Members, NetClient, NodeServer, TcpConfig, TcpTransport};
 use nbr_obs::{EngineProbe, TraceEvent};
 use nbr_storage::KvStore;
-use nbr_types::{ClientId, NodeId, TimeDelta};
+use nbr_types::{ClientId, HeartbeatMsg, LinkFault, LogIndex, Message, NodeId, Term, TimeDelta};
+use std::net::TcpListener;
+use std::sync::mpsc::{channel, sync_channel, Receiver};
 use std::time::{Duration, Instant};
 
 const CLUSTER_ID: u64 = 7;
@@ -251,4 +254,140 @@ fn one_group_host_scrapes_like_the_unsharded_server() {
     // Once, not once per Cluster::prometheus and once per host merge.
     let n = prom.lines().filter(|l| l.starts_with("nbr_net_frames_out{")).count();
     assert_eq!(n, 1, "transport counters must be exported exactly once:\n{prom}");
+}
+
+/// A bare two-node link: transports 0 and 1 joined by one TCP connection
+/// whose two directions both emulate `baseline`, clock-sampling every 25 ms.
+/// Returns once the connection is up, with node 1's inbox.
+fn spawn_link(baseline: LinkFault) -> ([TcpTransport; 2], Receiver<Packet>) {
+    let bind = || TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let (l0, l1) = (bind(), bind());
+    let (a0, a1) = (l0.local_addr().expect("addr"), l1.local_addr().expect("addr"));
+    let spawn = |id: u32, peer, listener| {
+        let (tx, inbox) = sync_channel(NODE_INBOX_DEPTH);
+        let inboxes = TransportInboxes { nodes: vec![(id, tx)], client: channel().0 };
+        let cfg = TcpConfig {
+            node_id: id,
+            peers: vec![peer],
+            baseline,
+            keepalive: Duration::from_millis(25),
+            ..TcpConfig::default()
+        };
+        (TcpTransport::spawn(cfg, listener, inboxes), inbox)
+    };
+    let (t0, _inbox0) = spawn(0, (1, a1), l0);
+    let (t1, inbox1) = spawn(1, (0, a0), l1);
+    let up = poll_until(Duration::from_secs(10), || {
+        [&t0, &t1].iter().all(|t| gauge(t, "net_peer_links_up") == 1)
+    });
+    assert!(up, "link did not come up");
+    ([t0, t1], inbox1)
+}
+
+fn gauge(t: &TcpTransport, name: &str) -> i64 {
+    t.scrape().expect("tcp scrapes").gauges.get(name).copied().unwrap_or(0)
+}
+
+fn counter(t: &TcpTransport, name: &str) -> u64 {
+    t.scrape().expect("tcp scrapes").counters.get(name).copied().unwrap_or(0)
+}
+
+/// A protocol frame from node 0 that carries `seq`.
+fn numbered(seq: u64) -> Packet {
+    let msg = Message::Heartbeat(HeartbeatMsg {
+        term: Term(1),
+        leader: NodeId(0),
+        last_index: LogIndex(seq),
+        last_term: Term(1),
+        leader_commit: LogIndex(0),
+    });
+    Packet::Peer { from: NodeId(0), msg }
+}
+
+fn seq_of(p: Packet) -> u64 {
+    match p {
+        Packet::Peer { msg: Message::Heartbeat(h), .. } => h.last_index.0,
+        other => panic!("unexpected packet {other:?}"),
+    }
+}
+
+/// The emulated link is a pipe: a frame sent while earlier ones are still in
+/// flight crosses alongside them and pays the hop once. A writer that holds
+/// each batch for its delay is stop-and-wait instead — a frame queued behind
+/// a held batch pays that batch's remaining delay and then its own, up to
+/// two hops — and fails every drive below.
+#[test]
+fn emulated_link_latency_is_per_frame_not_per_batch() {
+    const HOP: Duration = Duration::from_millis(20);
+    const SLACK: Duration = Duration::from_millis(12);
+    const FRAMES: u64 = 40;
+    let hop = TimeDelta(HOP.as_nanos() as u64);
+    let ([t0, t1], inbox1) = spawn_link(LinkFault { delay: (hop, hop), ..LinkFault::default() });
+    // Stamp arrivals on their own thread, so the paced sender cannot delay them.
+    let (stamp_tx, stamps) = channel();
+    let stamper = std::thread::spawn(move || {
+        for p in inbox1 {
+            if stamp_tx.send((seq_of(p), Instant::now())).is_err() {
+                break;
+            }
+        }
+    });
+
+    // One drive: 40 frames 2 ms apart, so about ten share the link at any
+    // instant. Order and "never early" are asserted outright. The upper
+    // bounds are the drive's verdict: a host stall longer than SLACK fails
+    // one drive for reasons that are not the link's, while a stop-and-wait
+    // link fails every drive (its latencies climb to two hops).
+    let drive = |base: u64| -> Result<(), String> {
+        let mut sent = Vec::new();
+        for seq in base..base + FRAMES {
+            sent.push(Instant::now());
+            t0.send(0, 1, numbered(seq));
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let arrivals: Vec<(u64, Instant)> = (0..FRAMES)
+            .map(|_| stamps.recv_timeout(Duration::from_secs(5)).expect("every frame arrives"))
+            .collect();
+        let order: Vec<u64> = arrivals.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(order, (base..base + FRAMES).collect::<Vec<_>>(), "arrival order != send order");
+        let latency: Vec<Duration> =
+            arrivals.iter().zip(&sent).map(|(&(_, at), &s)| at - s).collect();
+        assert!(latency.iter().all(|&l| l >= HOP), "a frame crossed early: {latency:?}");
+        if let Some(late) = latency.iter().position(|&l| l > HOP + SLACK) {
+            return Err(format!("frame {late} crossed a {HOP:?} hop late: {latency:?}"));
+        }
+        // The link's own clock samples rode the same pipe under that load: a
+        // round trip is two hops, not two hops plus the batches queued ahead.
+        for (t, peer) in [(&t0, 1), (&t1, 0)] {
+            let rtt = Duration::from_nanos(gauge(t, &format!("net_rtt_ns_peer_{peer}")) as u64);
+            assert!(rtt >= 2 * HOP, "rtt to peer {peer} reads {rtt:?}, under two hops");
+            if rtt > 2 * HOP + SLACK {
+                return Err(format!("rtt to peer {peer} reads {rtt:?}"));
+            }
+        }
+        Ok(())
+    };
+    let late: Vec<String> = (0..3).map_while(|k| drive(k * FRAMES).err()).collect();
+    assert!(late.len() < 3, "every drive was late: {late:#?}");
+    assert_eq!(counter(&t0, "net_frames_lost") + counter(&t0, "net_dropped_queue_full"), 0);
+    drop((t0, t1));
+    stamper.join().expect("stamper thread");
+
+    // Loss is still decided and counted per frame, whatever shares a wake-up
+    // with it: every frame is either delivered or in `net_frames_lost`.
+    let ([t0, _t1], inbox1) =
+        spawn_link(LinkFault { drop: 0.5, delay: (hop, hop), ..LinkFault::default() });
+    const LOSSY_FRAMES: u64 = 400;
+    for seq in 0..LOSSY_FRAMES {
+        t0.send(0, 1, numbered(seq));
+    }
+    let mut delivered = 0;
+    let settled = poll_until(Duration::from_secs(10), || {
+        delivered += inbox1.try_iter().count() as u64;
+        delivered + counter(&t0, "net_frames_lost") == LOSSY_FRAMES
+    });
+    let lost = counter(&t0, "net_frames_lost");
+    assert!(settled, "{delivered} delivered + {lost} lost of {LOSSY_FRAMES} sent");
+    assert!((120..=280).contains(&lost), "a 50% link lost {lost} of {LOSSY_FRAMES} frames");
+    assert_eq!(counter(&t0, "net_dropped_queue_full"), 0);
 }

@@ -171,17 +171,20 @@ step "trace --critical-path (span assembly across 3 replicas x 2 runs)"
 grep -q 'accounted' target/ci-artifacts/critical-path.txt
 
 # The repository benchmark (BENCHMARK.json, its own workspace under
-# benchmark/): its self-test, then a short run of the 4 KiB workload — the
-# one the per-byte hot path (CRC kernel, codec, copies) decides. The smoke
-# proves the benchmark builds and passes its correctness gate at this
-# commit; six seconds measure nothing, so no number is compared. The result
-# line is archived.
-step "repository benchmark (self-test + lan_4k smoke)"
+# benchmark/): its self-test, then a short run of two workloads — the 4 KiB
+# one, which the per-byte hot path (CRC kernel, codec, copies) decides, and
+# the 10 ms / 2% one, which the emulated link and the repair path decide.
+# The smokes prove the benchmark builds and passes its correctness gate at
+# this commit; six seconds measure nothing, so no number is compared. The
+# result lines are archived.
+step "repository benchmark (self-test + lan_4k and wan_lossy smokes)"
 ( cd benchmark && cargo test --release --offline )
-time timeout 120 cargo run --release --offline --quiet \
-    --manifest-path benchmark/Cargo.toml -- \
-    --workload lan_4k --seed 1 --seconds 6 --trace 0 \
-    | tail -n 1 | tee target/ci-artifacts/benchmark-lan_4k.json
-grep -q '"failed": 0' target/ci-artifacts/benchmark-lan_4k.json
+for workload in lan_4k wan_lossy; do
+    time timeout 120 cargo run --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 6 --trace 0 \
+        | tail -n 1 | tee "target/ci-artifacts/benchmark-$workload.json"
+    grep -q '"failed": 0' "target/ci-artifacts/benchmark-$workload.json"
+done
 
 printf '\nci.sh: all checks passed\n'
