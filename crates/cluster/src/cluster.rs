@@ -4,6 +4,7 @@
 //! real concurrency, real crypto/coding work, crash/restart with recovery —
 //! complementing the deterministic simulator used for the figures.
 
+use crate::client::{ClientDriver, ClientLink};
 use crate::faults::FaultPlane;
 use crate::network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
@@ -189,7 +190,7 @@ pub struct Cluster<M: StateMachine + Send + 'static> {
     n: usize,
 }
 
-fn now_since(epoch: Instant) -> Time {
+pub(crate) fn now_since(epoch: Instant) -> Time {
     Time(epoch.elapsed().as_nanos() as u64)
 }
 
@@ -410,18 +411,18 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         let id = ClientId(self.next_client.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
         let (tx, rx) = channel();
         self.client_routes.lock().insert(id, tx);
-        ClusterClient {
-            inner: nbr_core::RaftClient::new(
-                id,
-                (0..self.n as u32).map(NodeId).collect(),
-                NodeId(0),
-                TimeDelta::from_millis(300),
-            ),
-            rx,
+        let engine = nbr_core::RaftClient::new(
+            id,
+            (0..self.n as u32).map(NodeId).collect(),
+            NodeId(0),
+            TimeDelta::from_millis(300),
+        );
+        let link = ClusterLink {
+            id,
             net: Arc::clone(&self.transport),
-            epoch: self.epoch,
             routes: Arc::clone(&self.client_routes),
-        }
+        };
+        ClientDriver::new(engine, rx, self.epoch, link)
     }
 }
 
@@ -853,112 +854,26 @@ pub fn compress_weak_responds(outputs: &mut Vec<Output>) {
     });
 }
 
-/// A synchronous client bound to one cluster.
-pub struct ClusterClient {
-    inner: nbr_core::RaftClient,
-    rx: Receiver<ClientResponse>,
+/// A synchronous client bound to one cluster: the shared [`ClientDriver`]
+/// loop with requests leaving through the cluster's [`Transport`].
+pub type ClusterClient = ClientDriver<ClusterLink>;
+
+/// A [`ClusterClient`]'s way out, and its registration as a response route.
+pub struct ClusterLink {
+    id: ClientId,
     net: Arc<dyn Transport>,
-    epoch: Instant,
     routes: Arc<Mutex<HashMap<ClientId, Sender<ClientResponse>>>>,
 }
 
-impl ClusterClient {
-    /// This client's id.
-    pub fn id(&self) -> ClientId {
-        self.inner.id()
-    }
-
-    /// Requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.inner.issued()
-    }
-
-    fn dispatch(
-        &self,
-        actions: Vec<nbr_core::ClientAction>,
-        acked: &mut Option<(RequestId, bool)>,
-        confirmed: &mut Vec<RequestId>,
-    ) {
-        for a in actions {
-            match a {
-                nbr_core::ClientAction::Send { to, request } => {
-                    self.net.send(CLIENT_ENDPOINT, to.0, Packet::Request(request));
-                }
-                nbr_core::ClientAction::Acked { request, weak, .. } => {
-                    *acked = Some((request, weak));
-                }
-                nbr_core::ClientAction::Confirmed { request } => confirmed.push(request),
-            }
-        }
-    }
-
-    /// Submit one request and block until it is first-acked (weak or
-    /// strong). Returns `(request id, was_weak)`.
-    pub fn submit(
-        &mut self,
-        payload: bytes::Bytes,
-        timeout: Duration,
-    ) -> Result<(RequestId, bool)> {
-        let deadline = Instant::now() + timeout;
-        let mut acked = None;
-        let mut confirmed = Vec::new();
-        let mut actions = Vec::new();
-        let now = now_since(self.epoch);
-        let id = self.inner.issue(payload, now, &mut actions);
-        self.dispatch(actions, &mut acked, &mut confirmed);
-
-        while Instant::now() < deadline {
-            if let Some((r, weak)) = acked {
-                if r >= id {
-                    return Ok((id, weak));
-                }
-            }
-            let mut actions = Vec::new();
-            match self.rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(resp) => {
-                    let now = now_since(self.epoch);
-                    self.inner.handle_response(resp, now, &mut actions);
-                }
-                Err(_) => {
-                    let now = now_since(self.epoch);
-                    self.inner.tick(now, &mut actions);
-                }
-            }
-            self.dispatch(actions, &mut acked, &mut confirmed);
-        }
-        Err(Error::Cluster(format!("request {id} timed out")))
-    }
-
-    /// Block until every weakly-accepted request so far is durably
-    /// confirmed (opList empty), or the timeout expires.
-    pub fn drain(&mut self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.inner.op_list_len() == 0 {
-                return true;
-            }
-            let mut actions = Vec::new();
-            match self.rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(resp) => {
-                    let now = now_since(self.epoch);
-                    self.inner.handle_response(resp, now, &mut actions);
-                }
-                Err(_) => {
-                    let now = now_since(self.epoch);
-                    self.inner.tick(now, &mut actions);
-                }
-            }
-            let mut acked = None;
-            let mut confirmed = Vec::new();
-            self.dispatch(actions, &mut acked, &mut confirmed);
-        }
-        false
+impl ClientLink for ClusterLink {
+    fn send(&mut self, to: NodeId, request: ClientRequest) {
+        self.net.send(CLIENT_ENDPOINT, to.0, Packet::Request(request));
     }
 }
 
-impl Drop for ClusterClient {
+impl Drop for ClusterLink {
     fn drop(&mut self) {
-        self.routes.lock().remove(&self.inner.id());
+        self.routes.lock().remove(&self.id);
     }
 }
 

@@ -8,15 +8,17 @@
 //! this harness to *demonstrate* the system (examples, integration tests,
 //! failure drills); use `nbr-sim` to *measure* it at paper scale.
 
+pub mod client;
 pub mod cluster;
 pub mod faults;
 pub mod network;
 pub mod sync;
 pub mod transport;
 
+pub use client::{ClientDriver, ClientLink};
 pub use cluster::{
     compress_strong_resps, compress_weak_responds, Cluster, ClusterClient, ClusterConfig,
-    NodeStatus, StorageMode,
+    ClusterLink, NodeStatus, StorageMode,
 };
 pub use faults::FaultPlane;
 pub use network::{NetConfig, NetStats, Network, Packet, CLIENT_ENDPOINT};

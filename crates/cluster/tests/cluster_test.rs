@@ -36,7 +36,12 @@ fn elects_a_leader_and_replicates_kv() {
             .submit(Bytes::from(format!("key{i}=value{i}")), Duration::from_secs(5))
             .expect("submit");
     }
-    client.drain(Duration::from_secs(5));
+    assert!(client.drain(Duration::from_secs(5)), "opList drains");
+    // What the driver shared with the TCP client reports once drained: free
+    // to issue again, and every request covered by a confirmation watermark.
+    assert!(client.await_ready(Duration::from_secs(1)));
+    assert_eq!(client.take_confirmed().iter().map(|r| r.0).max(), Some(client.issued()));
+    assert!(client.take_confirmed().is_empty(), "watermarks are handed over once");
     // All replicas converge: noop + 50 entries applied.
     assert!(cluster.wait_for_applied(51, Duration::from_secs(10)), "replicas converge");
     for node in 0..3 {

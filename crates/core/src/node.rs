@@ -436,11 +436,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         self.voted_for = voted_for;
     }
 
-    /// Group size.
-    pub fn group_size(&self) -> usize {
-        self.membership.len()
-    }
-
     /// Borrow the follower's sliding window (model checker / tests).
     pub fn window(&self) -> &SlidingWindow {
         &self.window
@@ -1185,8 +1180,41 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     /// `diff >= 1`: the entry extends our log — in order (`diff == 1`),
     /// into the window, or beyond it.
     fn accept_ahead(&mut self, entry: Entry, leader: NodeId, now: Time, out: &mut Vec<Output>) {
-        let index = entry.index;
-        let term = entry.term;
+        let (index, term) = (entry.index, entry.term);
+        let Some(entry) = self.absorb(entry, None, leader, now, out) else {
+            return;
+        };
+        // Blocked (Section III-A3): park silently and wait — this is the Raft
+        // waiting loop; the entry is acknowledged only once appendable.
+        if self.parked.len() >= MAX_PARKED {
+            self.respond_mismatch(leader, index, self.log.last_index().next(), out);
+            return;
+        }
+        self.stats.parked += 1;
+        self.emit(ProbeEvent::Parked { index });
+        match self.parked.get(&index) {
+            Some((existing, _)) if existing.term >= term => {}
+            Some(_) | None => {
+                self.parked.insert(index, (entry, now));
+            }
+        }
+    }
+
+    /// Offer an entry that extends the log to the window and act on every
+    /// outcome the window settles by itself: flush a completed run into the
+    /// log (strong accept), cache the entry (weak accept), or report a
+    /// previous-entry mismatch. `parked_at` is when the entry arrived if it
+    /// has been waiting in `parked` since, `None` if it arrives now. An entry
+    /// beyond the window comes back, for the caller to park or keep parked.
+    fn absorb(
+        &mut self,
+        entry: Entry,
+        parked_at: Option<Time>,
+        leader: NodeId,
+        now: Time,
+        out: &mut Vec<Output>,
+    ) -> Option<Entry> {
+        let (index, term) = (entry.index, entry.term);
         match self.window.offer(entry, self.log.last_term()) {
             WindowOutcome::Flush(run) => {
                 self.stats.window_flushes += 1;
@@ -1197,8 +1225,9 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                     });
                 }
                 for e in run {
-                    // t_wait accounting: cached entries waited since arrival.
-                    if let Some(arrived) = self.arrivals.remove(&e.index) {
+                    // t_wait accounting: cached and parked entries waited
+                    // since arrival; one that arrives in order did not wait.
+                    if let Some(arrived) = self.arrivals.remove(&e.index).or(parked_at) {
                         self.stats.park_wait_ns += now.since(arrived).as_nanos();
                         self.stats.park_waits += 1;
                     }
@@ -1213,7 +1242,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                 self.respond_strong(leader, out);
             }
             WindowOutcome::Cached => {
-                self.arrivals.insert(index, now);
+                self.arrivals.insert(index, parked_at.unwrap_or(now));
                 self.stats.weak_accepts += 1;
                 self.emit(ProbeEvent::WindowCached { index });
                 self.emit(ProbeEvent::WeakAccepted { index });
@@ -1225,30 +1254,8 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                         state: AcceptState::Weak { index, term },
                     }),
                 });
-                // A cached entry proves everything from our log tip up to
-                // it is missing. If the same gap persists across cached
-                // arrivals for a quarter heartbeat interval it is a lost
-                // frame, not in-flight reorder: ask for the repair now
-                // rather than letting the leader's stall detector notice
-                // whole heartbeat rounds later — the strong-accept
-                // watermark is frozen until the gap fills. Damped to one
-                // hint per distinct gap start so a burst of cached
-                // entries (or retries) cannot fan out into duplicate
-                // repair rounds; see [`GapHint`].
-                let missing = self.log.last_index().next();
-                let hint = match self.gap_hint {
-                    Some(h) if h.start == missing => h,
-                    Some(_) | None => {
-                        let h = GapHint { start: missing, since: now, sent: false };
-                        self.gap_hint = Some(h);
-                        h
-                    }
-                };
-                let patience = self.cfg.timeouts.heartbeat_interval.as_nanos() / 4;
-                if !hint.sent && (now - hint.since).as_nanos() >= patience {
-                    self.gap_hint = Some(GapHint { sent: true, ..hint });
-                    self.stats.gap_hints += 1;
-                    self.respond_mismatch(leader, index, missing, out);
+                if parked_at.is_none() {
+                    self.hint_gap(index, leader, now, out);
                 }
             }
             WindowOutcome::Mismatch => {
@@ -1256,23 +1263,34 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                 // entry conflicts with the leader's log.
                 self.respond_mismatch(leader, index, self.log.last_index(), out);
             }
-            WindowOutcome::Beyond(entry) => {
-                // Blocked (Section III-A3): park silently and wait — this is
-                // the Raft waiting loop; the entry is acknowledged only once
-                // appendable.
-                if self.parked.len() >= MAX_PARKED {
-                    self.respond_mismatch(leader, index, self.log.last_index().next(), out);
-                    return;
-                }
-                self.stats.parked += 1;
-                self.emit(ProbeEvent::Parked { index });
-                match self.parked.get(&index) {
-                    Some((existing, _)) if existing.term >= term => {}
-                    Some(_) | None => {
-                        self.parked.insert(index, (entry, now));
-                    }
-                }
+            WindowOutcome::Beyond(entry) => return Some(entry),
+        }
+        None
+    }
+
+    /// A freshly cached entry at `index` proves everything from our log tip
+    /// up to it is missing. If the same gap persists across cached arrivals
+    /// for a quarter heartbeat interval it is a lost frame, not in-flight
+    /// reorder: ask for the repair now rather than letting the leader's stall
+    /// detector notice whole heartbeat rounds later — the strong-accept
+    /// watermark is frozen until the gap fills. Damped to one hint per
+    /// distinct gap start so a burst of cached entries (or retries) cannot
+    /// fan out into duplicate repair rounds; see [`GapHint`].
+    fn hint_gap(&mut self, index: LogIndex, leader: NodeId, now: Time, out: &mut Vec<Output>) {
+        let missing = self.log.last_index().next();
+        let hint = match self.gap_hint {
+            Some(h) if h.start == missing => h,
+            Some(_) | None => {
+                let h = GapHint { start: missing, since: now, sent: false };
+                self.gap_hint = Some(h);
+                h
             }
+        };
+        let patience = self.cfg.timeouts.heartbeat_interval.as_nanos() / 4;
+        if !hint.sent && (now - hint.since).as_nanos() >= patience {
+            self.gap_hint = Some(GapHint { sent: true, ..hint });
+            self.stats.gap_hints += 1;
+            self.respond_mismatch(leader, index, missing, out);
         }
     }
 
@@ -1334,51 +1352,10 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             let Some((entry, arrived)) = self.parked.remove(&index) else {
                 return;
             };
-            let entry_term = entry.term;
-            match self.window.offer(entry, self.log.last_term()) {
-                WindowOutcome::Flush(run) => {
-                    self.stats.window_flushes += 1;
-                    if let Some(f) = run.first() {
-                        self.emit(ProbeEvent::WindowFlushed {
-                            index: f.index,
-                            run_len: run.len() as u32,
-                        });
-                    }
-                    for e in run {
-                        let arrived_at = self.arrivals.remove(&e.index).unwrap_or(arrived);
-                        self.stats.park_wait_ns += now.since(arrived_at).as_nanos();
-                        self.stats.park_waits += 1;
-                        let e_index = e.index;
-                        self.log.append(e).expect("contiguous flush"); // check:allow(L1): as above
-                        self.stats.appends += 1;
-                        self.emit(ProbeEvent::Appended { index: e_index });
-                    }
-                    self.matched_to = self.log.last_index();
-                    self.respond_strong(leader, out);
-                }
-                WindowOutcome::Cached => {
-                    // Moved from parked into the window: now weakly accepted.
-                    self.arrivals.insert(index, arrived);
-                    self.stats.weak_accepts += 1;
-                    self.emit(ProbeEvent::WindowCached { index });
-                    self.emit(ProbeEvent::WeakAccepted { index });
-                    out.push(Output::Send {
-                        to: leader,
-                        msg: Message::AppendResp(AppendRespMsg {
-                            term: self.term,
-                            from: self.id,
-                            state: AcceptState::Weak { index, term: entry_term },
-                        }),
-                    });
-                }
-                WindowOutcome::Mismatch => {
-                    self.respond_mismatch(leader, index, self.log.last_index(), out);
-                }
-                WindowOutcome::Beyond(entry) => {
-                    // Still beyond (shouldn't happen given the fit check).
-                    self.parked.insert(index, (entry, arrived));
-                    return;
-                }
+            if let Some(entry) = self.absorb(entry, Some(arrived), leader, now, out) {
+                // Still beyond (shouldn't happen given the fit check).
+                self.parked.insert(index, (entry, arrived));
+                return;
             }
         }
     }

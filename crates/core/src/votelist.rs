@@ -214,12 +214,6 @@ impl VoteList {
         self.tuples.clear();
         origins
     }
-
-    /// Drop tuples at or above `index` (log truncated by a newer leader
-    /// before we stepped down — defensive path).
-    pub fn drop_from(&mut self, index: LogIndex) {
-        self.tuples.split_off(&index);
-    }
 }
 
 #[cfg(test)]
@@ -328,17 +322,5 @@ mod tests {
         let origins = vl.clear();
         assert_eq!(origins.len(), 2);
         assert!(vl.is_empty());
-    }
-
-    #[test]
-    fn drop_from_truncates() {
-        let mut vl = VoteList::new(2);
-        for i in 1..=5u64 {
-            vl.track(LogIndex(i), Term(1), None, LEADER, 2);
-        }
-        vl.drop_from(LogIndex(3));
-        assert_eq!(vl.len(), 2);
-        assert!(vl.get(LogIndex(3)).is_none());
-        assert!(vl.get(LogIndex(2)).is_some());
     }
 }

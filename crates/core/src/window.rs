@@ -234,16 +234,6 @@ impl SlidingWindow {
         self.occupied = 0;
     }
 
-    /// Reset the base after an in-order append performed outside `offer`
-    /// (e.g. the `diff <= 0` truncate/replace path appends directly).
-    pub fn rebase(&mut self, last_log_index: LogIndex) {
-        let new_base = last_log_index.next();
-        if new_base == self.base {
-            return;
-        }
-        self.shift_to(last_log_index, Term::ZERO);
-    }
-
     fn revalidate_adjacency(&mut self) {
         for j in 1..self.slots.len() {
             let consistent = match (&self.slots[j - 1], &self.slots[j]) {
@@ -424,16 +414,6 @@ mod tests {
         assert_eq!(w.offer(e(10, 6, 5), Term(4)), WindowOutcome::Cached);
         assert_eq!(w.get(LogIndex(10)).unwrap().term, Term(6));
         assert_eq!(w.occupied(), 1);
-    }
-
-    #[test]
-    fn rebase_after_external_append() {
-        let mut w = fig6_window();
-        assert_eq!(w.offer(e(10, 4, 4), Term(4)), WindowOutcome::Cached);
-        // External append moved the log to 8 (e.g. replace path).
-        w.rebase(LogIndex(8));
-        assert_eq!(w.base(), LogIndex(9));
-        assert_eq!(w.cached_indices(), vec![LogIndex(10)]);
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Measurement utilities for the NB-Raft reproduction.
 //!
 //! All the paper's figures report throughput (Kop/s) and latency (ms)
-//! series; this crate provides the fixed-memory [`Histogram`], the
-//! [`Throughput`] tracker with warm-up exclusion (the paper stabilizes runs
-//! for ~30 s before measuring), and streaming [`Summary`] statistics.
+//! series; this crate provides the fixed-memory [`Histogram`] and the
+//! [`Throughput`] tracker.
 
 pub mod histogram;
-pub mod stats;
 pub mod throughput;
 
 pub use histogram::Histogram;
-pub use stats::{relative_gain, Summary};
 pub use throughput::Throughput;

@@ -1,15 +1,10 @@
-//! Throughput accounting: completed operations over (virtual or real) time,
-//! with optional warm-up exclusion and a per-second time series.
+//! Throughput accounting: completed operations over (virtual or real) time.
 
 /// Tracks operation completions against a nanosecond clock.
 #[derive(Debug, Clone, Default)]
 pub struct Throughput {
     ops: u64,
     bytes: u64,
-    first_ns: Option<u64>,
-    last_ns: u64,
-    /// ops per whole second of run time (index = second).
-    per_second: Vec<u64>,
 }
 
 impl Throughput {
@@ -18,19 +13,10 @@ impl Throughput {
         Throughput::default()
     }
 
-    /// Record one completed operation of `bytes` payload at time `now_ns`.
-    pub fn record(&mut self, now_ns: u64, bytes: u64) {
+    /// Record one completed operation of `bytes` payload.
+    pub fn record(&mut self, bytes: u64) {
         self.ops += 1;
         self.bytes += bytes;
-        if self.first_ns.is_none() {
-            self.first_ns = Some(now_ns);
-        }
-        self.last_ns = self.last_ns.max(now_ns);
-        let sec = (now_ns / 1_000_000_000) as usize;
-        if self.per_second.len() <= sec {
-            self.per_second.resize(sec + 1, 0);
-        }
-        self.per_second[sec] += 1;
     }
 
     /// Total completed operations.
@@ -43,17 +29,6 @@ impl Throughput {
         self.bytes
     }
 
-    /// Mean operations per second between the first and last completion.
-    /// Zero when fewer than two ops were recorded.
-    pub fn ops_per_sec(&self) -> f64 {
-        match self.first_ns {
-            Some(first) if self.last_ns > first => {
-                self.ops as f64 / ((self.last_ns - first) as f64 / 1e9)
-            }
-            _ => 0.0,
-        }
-    }
-
     /// Mean operations per second measured against an externally supplied
     /// run duration (e.g. the simulation horizon rather than first-to-last
     /// completion).
@@ -64,24 +39,6 @@ impl Throughput {
             self.ops as f64 / (duration_ns as f64 / 1e9)
         }
     }
-
-    /// Throughput ignoring the first `warmup_secs` seconds — the paper's
-    /// Figure 19a shows the system stabilizes after ~30 s; steady-state
-    /// numbers should skip ramp-up.
-    pub fn steady_ops_per_sec(&self, warmup_secs: usize) -> f64 {
-        if self.per_second.len() <= warmup_secs + 1 {
-            return self.ops_per_sec();
-        }
-        let steady = &self.per_second[warmup_secs..];
-        // Drop the final (possibly partial) second.
-        let usable = &steady[..steady.len().saturating_sub(1).max(1)];
-        usable.iter().sum::<u64>() as f64 / usable.len() as f64
-    }
-
-    /// Per-second completion counts (index = second since epoch).
-    pub fn per_second(&self) -> &[u64] {
-        &self.per_second
-    }
 }
 
 #[cfg(test)]
@@ -91,64 +48,14 @@ mod tests {
     const SEC: u64 = 1_000_000_000;
 
     #[test]
-    fn mean_rate() {
-        let mut t = Throughput::new();
-        // 11 ops over exactly 1 second => first-to-last span is 1 s.
-        for i in 0..=10 {
-            t.record(i * SEC / 10, 100);
-        }
-        assert_eq!(t.ops(), 11);
-        assert_eq!(t.bytes(), 1100);
-        assert!((t.ops_per_sec() - 11.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn rate_over_external_duration() {
         let mut t = Throughput::new();
-        for i in 0..100 {
-            t.record(i * SEC / 100, 1);
+        for _ in 0..100 {
+            t.record(10);
         }
+        assert_eq!((t.ops(), t.bytes()), (100, 1000));
         assert!((t.ops_per_sec_over(2 * SEC) - 50.0).abs() < 1e-9);
         assert_eq!(t.ops_per_sec_over(0), 0.0);
-    }
-
-    #[test]
-    fn per_second_series() {
-        let mut t = Throughput::new();
-        t.record(0, 1);
-        t.record(SEC / 2, 1);
-        t.record(SEC + 1, 1);
-        t.record(3 * SEC + 1, 1);
-        assert_eq!(t.per_second(), &[2, 1, 0, 1]);
-    }
-
-    #[test]
-    fn steady_state_skips_warmup() {
-        let mut t = Throughput::new();
-        // Second 0: 1 op (ramp-up). Seconds 1-3: 10 ops each. Second 4: partial.
-        t.record(SEC / 2, 1);
-        for sec in 1..4u64 {
-            for i in 0..10u64 {
-                t.record(sec * SEC + i, 1);
-            }
-        }
-        t.record(4 * SEC + 1, 1);
-        let steady = t.steady_ops_per_sec(1);
-        assert!((steady - 10.0).abs() < 1e-9, "steady = {steady}");
-    }
-
-    #[test]
-    fn empty_tracker() {
-        let t = Throughput::new();
-        assert_eq!(t.ops_per_sec(), 0.0);
-        assert_eq!(t.ops(), 0);
-    }
-
-    #[test]
-    fn single_op_has_no_rate() {
-        let mut t = Throughput::new();
-        t.record(5 * SEC, 1);
-        assert_eq!(t.ops_per_sec(), 0.0);
-        assert!(t.ops_per_sec_over(10 * SEC) > 0.0);
+        assert_eq!(Throughput::new().ops_per_sec_over(SEC), 0.0);
     }
 }

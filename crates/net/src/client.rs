@@ -1,25 +1,26 @@
 //! A synchronous NB-Raft client speaking the TCP wire protocol.
 //!
-//! Wraps the sans-I/O [`nbr_core::RaftClient`] protocol engine exactly like
-//! the in-process `ClusterClient`, but transmits over per-node TCP
-//! connections. Connections are opened lazily as the engine picks targets
+//! Drives the sans-I/O [`nbr_core::RaftClient`] protocol engine with the
+//! same [`ClientDriver`] loop as the in-process `ClusterClient`, but
+//! transmits over per-node TCP connections. Connections are opened lazily as the engine picks targets
 //! (leader changes rotate the target, so most runs only ever dial one or
 //! two nodes), each announced with a `Hello(Client)` handshake; responses
 //! from every open connection merge into one channel the engine consumes.
 
 use crate::clock;
+use nbr_cluster::{ClientDriver, ClientLink};
 use nbr_types::wire::{decode_frame_capped, encode_frame, encode_frame_into};
 use nbr_types::{
-    group_trace_id, ClientId, ClientResponse, Error, HelloMsg, NetFrame, NodeId, PeerKind,
-    RequestId, Result, Time, TimeDelta, NET_PROTOCOL_VERSION,
+    group_trace_id, ClientId, ClientRequest, ClientResponse, Error, HelloMsg, NetFrame, NodeId,
+    PeerKind, RequestId, Result, TimeDelta, NET_PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One open duplex connection to a replica.
 struct Conn {
@@ -28,9 +29,16 @@ struct Conn {
     closed: Arc<AtomicBool>,
 }
 
-/// Synchronous TCP client for a running NB-Raft cluster.
+/// Synchronous TCP client for a running NB-Raft cluster: the shared
+/// [`ClientDriver`] loop with requests leaving over per-node connections.
 pub struct NetClient {
-    inner: nbr_core::RaftClient,
+    driver: ClientDriver<Link>,
+}
+
+/// The client's side of the wire: lazily dialed per-node connections whose
+/// readers all feed the driver's response channel.
+struct Link {
+    id: ClientId,
     cluster_id: u64,
     /// Group count the target cluster runs with (handshake-validated) and
     /// the group this client's requests address. `(1, 0)` unsharded.
@@ -39,12 +47,7 @@ pub struct NetClient {
     addrs: HashMap<u32, SocketAddr>,
     conns: HashMap<u32, Conn>,
     resp_tx: Sender<ClientResponse>,
-    resp_rx: Receiver<ClientResponse>,
-    epoch: Instant,
     max_frame: usize,
-    /// Durable-confirmation watermarks observed since the last
-    /// [`NetClient::take_confirmed`] call.
-    confirmed: Vec<RequestId>,
     /// Request-frame encode buffer, reused across sends.
     wbuf: Vec<u8>,
 }
@@ -77,35 +80,34 @@ impl NetClient {
         let members: Vec<NodeId> = nodes.iter().map(|&(n, _)| NodeId(n)).collect();
         let target = members.first().copied().unwrap_or(NodeId(0));
         let (resp_tx, resp_rx) = channel();
-        NetClient {
-            inner: nbr_core::RaftClient::new(id, members, target, request_timeout),
+        let engine = nbr_core::RaftClient::new(id, members, target, request_timeout);
+        let link = Link {
+            id,
             cluster_id,
             groups,
             group,
             addrs: nodes.into_iter().collect(),
             conns: HashMap::new(),
             resp_tx,
-            resp_rx,
-            epoch: clock::now(),
             max_frame: 16 << 20,
-            confirmed: Vec::new(),
             wbuf: Vec::new(),
-        }
+        };
+        NetClient { driver: ClientDriver::new(engine, resp_rx, clock::now(), link) }
     }
 
     /// This client's id.
     pub fn id(&self) -> ClientId {
-        self.inner.id()
+        self.driver.id()
     }
 
     /// Requests issued so far.
     pub fn issued(&self) -> u64 {
-        self.inner.issued()
+        self.driver.issued()
     }
 
     /// Requests weakly accepted but not yet durably confirmed.
     pub fn op_list_len(&self) -> usize {
-        self.inner.op_list_len()
+        self.driver.op_list_len()
     }
 
     /// Take the durable-confirmation watermarks that arrived since the last
@@ -113,13 +115,35 @@ impl NetClient {
     /// request of this client with id ≤ N is committed — callers measuring
     /// commit latency must drain everything at or below it.
     pub fn take_confirmed(&mut self) -> Vec<RequestId> {
-        std::mem::take(&mut self.confirmed)
+        self.driver.take_confirmed()
     }
 
-    fn now(&self) -> Time {
-        Time(clock::now().duration_since(self.epoch).as_nanos() as u64)
+    /// Submit one request and block until it is first-acked (weak or
+    /// strong). Returns `(request id, was_weak)`.
+    pub fn submit(
+        &mut self,
+        payload: bytes::Bytes,
+        timeout: Duration,
+    ) -> Result<(RequestId, bool)> {
+        self.driver.submit(payload, timeout)
     }
 
+    /// Block until the closed-loop client may issue again (no outstanding
+    /// un-first-acked request), stepping retries/redirects meanwhile.
+    /// Returns readiness at exit. [`Self::submit`] panics when called while
+    /// not ready, so call this after a `submit` timeout before retrying.
+    pub fn await_ready(&mut self, timeout: Duration) -> bool {
+        self.driver.await_ready(timeout)
+    }
+
+    /// Block until every weakly-accepted request is durably confirmed
+    /// (opList empty) or the timeout expires.
+    pub fn drain(&mut self, timeout: Duration) -> bool {
+        self.driver.drain(timeout)
+    }
+}
+
+impl Link {
     /// Connect to `node` (if needed) and return a writable stream clone.
     fn conn(&mut self, node: u32) -> Result<&mut Conn> {
         // Drop a connection whose reader has died so we re-dial.
@@ -137,7 +161,7 @@ impl NetClient {
                 version: NET_PROTOCOL_VERSION,
                 cluster_id: self.cluster_id,
                 groups: self.groups,
-                kind: PeerKind::Client(self.inner.id()),
+                kind: PeerKind::Client(self.id),
             });
             let mut wstream =
                 stream.try_clone().map_err(|e| Error::Cluster(format!("clone stream: {e}")))?;
@@ -149,10 +173,7 @@ impl NetClient {
                 spawn_reader(stream, self.resp_tx.clone(), Arc::clone(&closed), self.max_frame)?;
             self.conns.insert(node, Conn { stream: wstream, reader: Some(reader), closed });
         }
-        match self.conns.get_mut(&node) {
-            Some(c) => Ok(c),
-            None => Err(Error::Cluster("connection vanished".into())),
-        }
+        self.conns.get_mut(&node).ok_or_else(|| Error::Cluster("connection vanished".into()))
     }
 
     fn close(&mut self, node: u32) {
@@ -164,117 +185,31 @@ impl NetClient {
             }
         }
     }
+}
 
-    fn dispatch(
-        &mut self,
-        actions: Vec<nbr_core::ClientAction>,
-        acked: &mut Option<(RequestId, bool)>,
-    ) {
-        for a in actions {
-            match a {
-                nbr_core::ClientAction::Send { to, request } => {
-                    // Trace stamp at submission: derived from the op's
-                    // identity (namespaced by group) so retries and relays
-                    // reuse the same id.
-                    let trace = group_trace_id(self.group, request.client, request.request);
-                    let frame = NetFrame::Request { group: self.group, to, trace, req: request };
-                    let mut bytes = std::mem::take(&mut self.wbuf);
-                    bytes.clear();
-                    encode_frame_into(&frame, &mut bytes);
-                    let write = self.conn(to.0).and_then(|c| {
-                        c.stream.write_all(&bytes).map_err(|e| Error::Cluster(format!("send: {e}")))
-                    });
-                    self.wbuf = bytes;
-                    if write.is_err() {
-                        // Drop the dead connection; the engine's request
-                        // timeout will rotate targets and retry.
-                        self.close(to.0);
-                    }
-                }
-                nbr_core::ClientAction::Acked { request, weak, .. } => {
-                    *acked = Some((request, weak));
-                }
-                nbr_core::ClientAction::Confirmed { request } => self.confirmed.push(request),
-            }
+impl ClientLink for Link {
+    /// Put one request on the connection to `to`, dialing it if needed.
+    fn send(&mut self, to: NodeId, request: ClientRequest) {
+        // Trace stamp at submission: derived from the op's identity
+        // (namespaced by group) so retries and relays reuse the same id.
+        let trace = group_trace_id(self.group, request.client, request.request);
+        let frame = NetFrame::Request { group: self.group, to, trace, req: request };
+        let mut bytes = std::mem::take(&mut self.wbuf);
+        bytes.clear();
+        encode_frame_into(&frame, &mut bytes);
+        let write = self.conn(to.0).and_then(|c| {
+            c.stream.write_all(&bytes).map_err(|e| Error::Cluster(format!("send: {e}")))
+        });
+        self.wbuf = bytes;
+        if write.is_err() {
+            // Drop the dead connection; the engine's request timeout will
+            // rotate targets and retry.
+            self.close(to.0);
         }
-    }
-
-    /// Pump responses/ticks once; appends engine actions.
-    fn step(&mut self, actions: &mut Vec<nbr_core::ClientAction>) {
-        match self.resp_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(resp) => {
-                let now = self.now();
-                self.inner.handle_response(resp, now, actions);
-            }
-            Err(_) => {
-                let now = self.now();
-                self.inner.tick(now, actions);
-            }
-        }
-    }
-
-    /// Submit one request and block until it is first-acked (weak or
-    /// strong). Returns `(request id, was_weak)`.
-    pub fn submit(
-        &mut self,
-        payload: bytes::Bytes,
-        timeout: Duration,
-    ) -> Result<(RequestId, bool)> {
-        let deadline = clock::now() + timeout;
-        let mut acked = None;
-        let mut actions = Vec::new();
-        let now = self.now();
-        let id = self.inner.issue(payload, now, &mut actions);
-        self.dispatch(actions, &mut acked);
-        while clock::now() < deadline {
-            if let Some((r, weak)) = acked {
-                if r >= id {
-                    return Ok((id, weak));
-                }
-            }
-            let mut actions = Vec::new();
-            self.step(&mut actions);
-            self.dispatch(actions, &mut acked);
-        }
-        Err(Error::Cluster(format!("request {id} timed out")))
-    }
-
-    /// Block until the closed-loop client may issue again (no outstanding
-    /// un-first-acked request), stepping retries/redirects meanwhile.
-    /// Returns readiness at exit. [`Self::submit`] panics when called while
-    /// not ready, so call this after a `submit` timeout before retrying.
-    pub fn await_ready(&mut self, timeout: Duration) -> bool {
-        let deadline = clock::now() + timeout;
-        while clock::now() < deadline {
-            if self.inner.ready() {
-                return true;
-            }
-            let mut actions = Vec::new();
-            self.step(&mut actions);
-            let mut acked = None;
-            self.dispatch(actions, &mut acked);
-        }
-        self.inner.ready()
-    }
-
-    /// Block until every weakly-accepted request is durably confirmed
-    /// (opList empty) or the timeout expires.
-    pub fn drain(&mut self, timeout: Duration) -> bool {
-        let deadline = clock::now() + timeout;
-        while clock::now() < deadline {
-            if self.inner.op_list_len() == 0 {
-                return true;
-            }
-            let mut actions = Vec::new();
-            self.step(&mut actions);
-            let mut acked = None;
-            self.dispatch(actions, &mut acked);
-        }
-        false
     }
 }
 
-impl Drop for NetClient {
+impl Drop for Link {
     fn drop(&mut self) {
         let nodes: Vec<u32> = self.conns.keys().copied().collect();
         for n in nodes {

@@ -7,10 +7,12 @@
 //! thread (connect → handshake → write loop → reconnect with capped
 //! exponential backoff + jitter) plus a reader on the same socket; the
 //! accepting side answers the `Hello` with its own and attaches a writer
-//! to the accepted connection, registered in a per-peer route table until
-//! the connection dies. Client sessions are likewise duplex, with
-//! responses written back on the connection the request arrived on
-//! (demultiplexed by `ClientId`).
+//! to the accepted connection. Either way the peer's outbound lanes — a
+//! bounded queue and its backlog count each — exist from spawn and outlive
+//! every connection: the dialing supervisor owns its lane's receiving end,
+//! an accepted connection borrows a free one for as long as it lives.
+//! Client sessions are likewise duplex, with responses written back on the
+//! connection the request arrived on (demultiplexed by `ClientId`).
 //!
 //! Delivery policy, chosen edge by edge:
 //!
@@ -19,21 +21,23 @@
 //!   than blocking the replica thread — Raft's retry machinery already
 //!   tolerates loss, while a blocked replica misses heartbeats and
 //!   destabilizes the whole group.
-//! * **socket → replica** (inbound): true backpressure; the reader thread
+//! * **socket → replica** (inbound): straight into the replica's bounded
+//!   inbox. With one group that is true backpressure; the reader thread
 //!   waits for inbox space, stops reading, and lets the kernel's TCP
-//!   window throttle the remote sender.
+//!   window throttle the remote sender. With several groups on the socket a
+//!   full inbox sheds instead (see below).
 //!
 //! **Sharded multiplexing** ([`TcpTransport::spawn_groups`]): one transport
 //! carries N Raft groups over the same per-peer links by tagging every
 //! `Peer`/`Request`/`Response` envelope with a group id (wire protocol
 //! v4; the `Hello` handshake pins the group count), and each group's
 //! `Cluster` sends through its own [`TcpTransport::group`] handle. The
-//! unsharded transport is N = 1. With N > 1 inbound routing
-//! changes shape: blocking the shared reader on one group's full inbox
-//! would head-of-line-block every other group on that socket, so readers
-//! instead enqueue into bounded per-group overflow lanes and a pump
-//! thread drains them round-robin — a hot or stalled group sheds its own
-//! frames (with per-group accounting) while the rest keep flowing.
+//! unsharded transport is N = 1. Inbound delivery is the same function
+//! for any N — `try_send` into the `(group, node)` inbox — and N decides
+//! only what a *full* inbox means: blocking the shared reader on one
+//! group's full inbox would head-of-line-block every other group on that
+//! socket, so with N > 1 a hot or stalled group sheds its own frames
+//! (`net_demux_shed_group_{g}`; Raft retries) while the rest keep flowing.
 //!
 //! Frames are the [`NetFrame`] envelope inside the standard
 //! `len || crc || body` wire framing, decoded with a transport-tier size
@@ -61,11 +65,13 @@ use nbr_types::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,58 +206,24 @@ struct ClientRoute {
     tx: SyncSender<NetFrame>,
 }
 
-/// An outbound route to a peer that dialed *us* (connection dedup: the
-/// lower node id dials, the higher id sends back over the accepted
-/// socket). Tagged with the connection id so the reader can drop exactly
-/// its own route when the connection dies.
-struct PeerRoute {
-    conn: u64,
-    tx: SyncSender<NetFrame>,
-    /// Frames queued for this route's writer and not yet put on the link;
-    /// see [`pick_lane`].
-    depth: Arc<AtomicI64>,
-}
-
 /// One dial direction per pair: the lower node id owns the connection.
 fn dials(local: u32, peer: u32) -> bool {
     local < peer
 }
 
-/// Bounded depth of each group's inbound overflow queue when multiplexing
-/// (more than one group). Matches [`NODE_INBOX_DEPTH`]: one full
-/// replica inbox worth of headroom per group before sheds start.
-const DEMUX_DEPTH: i64 = 4096;
+/// A locally hosted replica's inbox, as the socket readers see it.
+struct Inbox {
+    tx: SyncSender<Packet>,
+    /// Per-group accounting, kept when the transport carries several groups:
+    /// their frames share the socket readers, so a reader may not wait on
+    /// one group's full inbox and sheds into `shed` instead.
+    shared_reader: Option<GroupCounters>,
+}
 
-/// One group's inbound overflow lane (mux mode only). Socket readers
-/// enqueue here without blocking; the pump thread drains round-robin into
-/// the group's replica inboxes. A full lane *sheds* with accounting —
-/// Raft retries — so a stalled group saturates only its own lane while
-/// the shared readers keep serving every other group (fair share; no
-/// head-of-line blocking across groups).
-struct GroupLane {
-    queue: Mutex<VecDeque<(u32, Packet)>>,
-    depth: AtomicI64,
+#[derive(Clone)]
+struct GroupCounters {
     frames_in: Arc<Counter>,
     shed: Arc<Counter>,
-}
-
-/// The per-group inbound lanes, indexed by (dense) group id.
-struct Demux {
-    lanes: Vec<GroupLane>,
-}
-
-impl Demux {
-    fn new(groups: u32, reg: &Registry) -> Demux {
-        let lanes = (0..groups)
-            .map(|g| GroupLane {
-                queue: Mutex::new(VecDeque::new()),
-                depth: AtomicI64::new(0),
-                frames_in: reg.counter(&format!("net_frames_in_group_{g}")),
-                shed: reg.counter(&format!("net_demux_shed_group_{g}")),
-            })
-            .collect();
-        Demux { lanes }
-    }
 }
 
 struct Shared {
@@ -263,21 +235,17 @@ struct Shared {
     groups: u32,
     stop: AtomicBool,
     /// Inboxes of locally hosted replicas, keyed by `(group, node)`.
-    /// Group 0 holds the whole map in unsharded mode.
-    nodes: HashMap<(u32, u32), SyncSender<Packet>>,
+    nodes: HashMap<(u32, u32), Inbox>,
     /// Per-group inbox for responses to in-process `ClusterClient`s
     /// (full-local mode); over TCP, client responses are routed by
     /// `clients` instead.
     client_inboxes: HashMap<u32, Sender<Packet>>,
-    /// Per-group inbound overflow lanes; `None` in unsharded mode, where
-    /// readers deliver straight into replica inboxes with blocking
-    /// backpressure (the baseline hot path is untouched by sharding).
-    demux: Option<Demux>,
     clients: Mutex<HashMap<ClientId, ClientRoute>>,
-    /// Writer queues of accepted duplex peer connections (lanes from one
-    /// peer append in accept order; sends round-robin across them).
-    peer_routes: Mutex<HashMap<u32, Vec<PeerRoute>>>,
-    route_rr: AtomicU64,
+    /// The writing ends of the lanes to peers that dial *us*, by lane index:
+    /// `Some` while idle, `None` while an accepted connection's writer has
+    /// the lane (see [`Shared::borrow_lane`]). Only connection setup and
+    /// teardown lock this; sending does not.
+    accept_lanes: Mutex<HashMap<u32, Vec<Option<LaneEnd>>>>,
     /// Open sockets (clones) so shutdown can unblock reader/writer threads.
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn: AtomicU64,
@@ -319,6 +287,16 @@ impl Shared {
         }
     }
 
+    /// This node's handshake, the first frame on every peer connection.
+    fn hello(&self) -> NetFrame {
+        NetFrame::Hello(HelloMsg {
+            version: NET_PROTOCOL_VERSION,
+            cluster_id: self.cfg.cluster_id,
+            groups: self.groups,
+            kind: PeerKind::Node(NodeId(self.cfg.node_id)),
+        })
+    }
+
     fn register_conn(&self, stream: &TcpStream) -> u64 {
         let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -342,51 +320,35 @@ impl Shared {
         }
     }
 
-    /// Deliver a packet to a locally hosted replica of `group`.
+    /// Deliver a packet to a locally hosted replica of `group`: `try_send`
+    /// into its bounded inbox, which is the group's inbound queue.
     ///
-    /// Unsharded (no demux): *blocking* backpressure — the caller (a socket
-    /// reader) waits for inbox space, which stops it reading and lets TCP
-    /// flow control throttle the sender.
-    ///
-    /// Sharded (demux present): enqueue on the group's bounded overflow
-    /// lane and return immediately. The shared reader must never block on
-    /// one group's full inbox — that would head-of-line-block every other
-    /// group riding the same socket — so a full lane sheds the frame with
-    /// per-group accounting instead, and Raft's retry machinery repairs it.
-    fn deliver(&self, group: u32, to: u32, packet: Packet) {
-        let Some(demux) = &self.demux else {
-            self.deliver_local(group, to, packet);
-            return;
-        };
-        let Some(lane) = demux.lanes.get(group as usize) else {
+    /// A full inbox means *blocking* backpressure when the transport carries
+    /// one group — the caller (a socket reader) waits for space, which stops
+    /// it reading and lets TCP flow control throttle the sender. With several
+    /// groups that would head-of-line-block every other group riding the same
+    /// socket, so the frame is shed with per-group accounting instead, and
+    /// Raft's retry machinery repairs it.
+    fn deliver(&self, group: u32, to: u32, mut packet: Packet) {
+        let Some(inbox) = self.nodes.get(&(group, to)) else {
             self.stats.dropped_unroutable.inc();
             return;
         };
-        lane.frames_in.inc();
-        if lane.depth.load(Ordering::Relaxed) >= DEMUX_DEPTH {
-            lane.shed.inc();
-            return;
+        if let Some(g) = &inbox.shared_reader {
+            g.frames_in.inc();
         }
-        lane.depth.fetch_add(1, Ordering::Relaxed);
-        lane.queue.lock().push_back((to, packet));
-    }
-
-    /// The unsharded (and co-hosted-replica) delivery path: blocking
-    /// backpressure into the `(group, to)` inbox.
-    fn deliver_local(&self, group: u32, to: u32, packet: Packet) {
-        let Some(tx) = self.nodes.get(&(group, to)) else {
-            self.stats.dropped_unroutable.inc();
-            return;
-        };
-        let mut p = packet;
         loop {
-            match tx.try_send(p) {
+            match inbox.tx.try_send(packet) {
                 Ok(()) => return,
                 Err(TrySendError::Full(back)) => {
+                    if let Some(g) = &inbox.shared_reader {
+                        g.shed.inc();
+                        return;
+                    }
                     if self.stopped() {
                         return;
                     }
-                    p = back;
+                    packet = back;
                     clock::sleep(Duration::from_micros(500));
                 }
                 Err(TrySendError::Disconnected(_)) => {
@@ -396,61 +358,55 @@ impl Shared {
             }
         }
     }
-}
 
-/// The demux pump: drains each group's overflow lane round-robin into that
-/// group's replica inboxes. Strictly fair across groups — each round
-/// offers every group up to [`DEMUX_PUMP_BATCH`] deliveries, and a group
-/// whose inbox is full simply keeps its frames queued (pushed back at the
-/// front, order preserved) while the round moves on. Only this thread ever
-/// pops, so the push-back cannot reorder against other queued frames.
-fn demux_pump(sh: Arc<Shared>) {
-    /// Max deliveries per group per round: big enough to amortize the lock,
-    /// small enough that one busy group cannot monopolize a round.
-    const DEMUX_PUMP_BATCH: usize = 64;
-    let Some(demux) = &sh.demux else { return };
-    while !sh.stopped() {
-        let mut progressed = false;
-        for (g, lane) in demux.lanes.iter().enumerate() {
-            'lane: for _ in 0..DEMUX_PUMP_BATCH {
-                let Some((to, packet)) = lane.queue.lock().pop_front() else {
-                    break 'lane;
-                };
-                let Some(tx) = sh.nodes.get(&(g as u32, to)) else {
-                    lane.depth.fetch_sub(1, Ordering::Relaxed);
-                    sh.stats.dropped_unroutable.inc();
-                    continue 'lane;
-                };
-                match tx.try_send(packet) {
-                    Ok(()) => {
-                        lane.depth.fetch_sub(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                    Err(TrySendError::Full(back)) => {
-                        // The group's replica is the bottleneck; park the
-                        // frame back at the head and serve the next group.
-                        lane.queue.lock().push_front((to, back));
-                        break 'lane;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        lane.depth.fetch_sub(1, Ordering::Relaxed);
-                        sh.stats.dropped_unroutable.inc();
-                    }
-                }
+    /// Borrow the first idle lane to `peer`, a node that dials us, for a
+    /// connection it has just opened. A redial can arrive while the previous
+    /// connection's writer is still finding out that its socket is dead, so
+    /// wait up to a connect timeout for a lane to come back. `None`: every
+    /// lane has a live connection (or `peer` is no peer of ours).
+    fn borrow_lane(&self, peer: u32) -> Option<(usize, LaneEnd)> {
+        let deadline = clock::now() + self.cfg.connect_timeout;
+        loop {
+            let idle = self
+                .accept_lanes
+                .lock()
+                .get_mut(&peer)?
+                .iter_mut()
+                .enumerate()
+                .find_map(|(i, slot)| Some((i, slot.take()?)));
+            if idle.is_some() || self.stopped() || clock::now() >= deadline {
+                return idle;
             }
-        }
-        if !progressed {
-            clock::sleep(Duration::from_micros(200));
+            clock::sleep(Duration::from_millis(1));
         }
     }
 }
 
+/// The sending end of one lane to a peer: what [`TcpTransport::send_to_group`]
+/// needs. The lane's queue outlives every connection that drains it.
 struct PeerLink {
     tx: SyncSender<NetFrame>,
     /// Frames queued for this lane's writer and not yet put on the link;
     /// see [`pick_lane`].
     depth: Arc<AtomicI64>,
-    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The writing end of the same lane: what a connection's writer drains. The
+/// dialing supervisor owns its lane's end outright; the ends of lanes to
+/// peers that dial us wait in [`Shared::accept_lanes`].
+struct LaneEnd {
+    rx: Receiver<NetFrame>,
+    /// The lane's own queue doubles as its reader's reply path (Pong
+    /// answers to the peer's clock-sample pings), so replies coalesce with
+    /// protocol traffic like any frame.
+    tx: SyncSender<NetFrame>,
+    depth: Arc<AtomicI64>,
+}
+
+impl LaneEnd {
+    fn resp_writer(&self) -> RespWriter {
+        RespWriter { tx: self.tx.clone(), depth: Some(Arc::clone(&self.depth)) }
+    }
 }
 
 /// All lanes to one peer, with a round-robin cursor for striping.
@@ -490,9 +446,10 @@ fn pick_lane<T>(lanes: &[T], depth: impl Fn(&T) -> i64, rr: &AtomicU64) -> usize
 /// [`TcpTransport::spawn_groups`]) before the replicas that send through it.
 pub struct TcpTransport {
     shared: Arc<Shared>,
+    /// The outbound lanes to every remote peer, whichever side dials.
     peers: HashMap<u32, PeerLinks>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    pump_thread: Option<std::thread::JoinHandle<()>>,
+    /// The dialing supervisors and the accept loop.
+    threads: Vec<std::thread::JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
 }
 
@@ -521,20 +478,42 @@ impl TcpTransport {
         let mut nodes = HashMap::new();
         let mut client_inboxes = HashMap::new();
         for (g, inb) in (0..groups).zip(inboxes) {
+            let shared_reader = (groups > 1).then(|| GroupCounters {
+                frames_in: registry.counter(&format!("net_frames_in_group_{g}")),
+                shed: registry.counter(&format!("net_demux_shed_group_{g}")),
+            });
             for (id, tx) in inb.nodes {
-                nodes.insert((g, id), tx);
+                nodes.insert((g, id), Inbox { tx, shared_reader: shared_reader.clone() });
             }
             client_inboxes.insert(g, inb.client);
         }
-        let demux = (groups > 1).then(|| Demux::new(groups, &registry));
+        // Every remote peer gets its lanes now, whichever side dials: the
+        // sending ends stay here, the writing ends go to a supervisor each
+        // (we dial) or wait for the peer's connections (it dials).
+        let mut peers = HashMap::new();
+        let mut accept_lanes: HashMap<u32, Vec<Option<LaneEnd>>> = HashMap::new();
+        let mut to_dial = Vec::new();
+        for &(peer_id, addr) in &cfg.peers {
+            let mut lanes = Vec::new();
+            for lane in 0..cfg.peer_lanes.max(1) {
+                let (tx, rx) = sync_channel::<NetFrame>(cfg.send_queue);
+                let depth = Arc::new(AtomicI64::new(0));
+                lanes.push(PeerLink { tx: tx.clone(), depth: Arc::clone(&depth) });
+                let end = LaneEnd { rx, tx, depth };
+                if dials(cfg.node_id, peer_id) {
+                    to_dial.push((peer_id, lane, addr, end));
+                } else {
+                    accept_lanes.entry(peer_id).or_default().push(Some(end));
+                }
+            }
+            peers.insert(peer_id, PeerLinks { lanes, rr: AtomicU64::new(0) });
+        }
         let shared = Arc::new(Shared {
             groups,
             nodes,
             client_inboxes,
-            demux,
             clients: Mutex::new(HashMap::new()),
-            peer_routes: Mutex::new(HashMap::new()),
-            route_rr: AtomicU64::new(0),
+            accept_lanes: Mutex::new(accept_lanes),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -544,47 +523,21 @@ impl TcpTransport {
             epoch,
         });
 
-        let mut peers = HashMap::new();
-        for &(peer_id, addr) in &shared.cfg.peers {
-            if !dials(shared.cfg.node_id, peer_id) {
-                // The peer dials us; our sends ride back over its accepted
-                // connection once the handshake registers a route.
-                continue;
-            }
-            let lanes = (0..shared.cfg.peer_lanes.max(1))
-                .map(|lane| {
-                    let (tx, rx) = sync_channel::<NetFrame>(shared.cfg.send_queue);
-                    let depth = Arc::new(AtomicI64::new(0));
-                    let sh = Arc::clone(&shared);
-                    let d = Arc::clone(&depth);
-                    // The lane's own queue doubles as its reader's reply
-                    // path (Pong answers to the peer's clock-sample pings).
-                    let back = tx.clone();
-                    let thread = std::thread::Builder::new()
-                        .name(format!("nbr-net-peer-{}-{}.{}", shared.cfg.node_id, peer_id, lane))
-                        .spawn(move || supervise_peer(sh, peer_id, lane, addr, rx, back, d))
-                        .expect("spawn peer supervisor"); // check:allow(L1): transport bring-up; a node that cannot dial peers cannot serve, abort is correct
-                    PeerLink { tx, depth, thread: Some(thread) }
-                })
-                .collect();
-            peers.insert(peer_id, PeerLinks { lanes, rr: AtomicU64::new(0) });
-        }
-
-        let sh = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("nbr-net-accept-{}", shared.cfg.node_id))
-            .spawn(move || accept_loop(sh, listener))
-            .expect("spawn accept loop"); // check:allow(L1): transport bring-up; without the accept loop no peer can reach us, abort is correct
-
-        let pump_thread = shared.demux.is_some().then(|| {
+        let mut threads = Vec::new();
+        for (peer_id, lane, addr, end) in to_dial {
             let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("nbr-net-demux-{}", shared.cfg.node_id))
-                .spawn(move || demux_pump(sh))
-                .expect("spawn demux pump") // check:allow(L1): transport bring-up; a sharded host without the pump delivers nothing, abort is correct
-        });
+            let supervisor = std::thread::Builder::new()
+                .name(format!("nbr-net-peer-{}-{}.{}", shared.cfg.node_id, peer_id, lane))
+                .spawn(move || supervise_peer(sh, peer_id, lane, addr, end));
+            threads.push(supervisor.expect("spawn peer supervisor")); // check:allow(L1): transport bring-up; a node that cannot dial peers cannot serve, abort is correct
+        }
+        let sh = Arc::clone(&shared);
+        let accept = std::thread::Builder::new()
+            .name(format!("nbr-net-accept-{}", shared.cfg.node_id))
+            .spawn(move || accept_loop(sh, listener));
+        threads.push(accept.expect("spawn accept loop")); // check:allow(L1): transport bring-up; without the accept loop no peer can reach us, abort is correct
 
-        TcpTransport { shared, peers, accept_thread: Some(accept_thread), pump_thread, local_addr }
+        TcpTransport { shared, peers, threads, local_addr }
     }
 
     /// The address the accept loop is listening on.
@@ -641,9 +594,9 @@ impl TcpTransport {
             return;
         }
         if self.shared.nodes.contains_key(&(group, to)) {
-            // Self-send or co-hosted replica: skip the wire. `deliver` is
-            // non-blocking in mux mode, so one group's backlog never stalls
-            // another group's replica thread mid-send.
+            // Self-send or co-hosted replica: skip the wire. `deliver` does
+            // not wait when several groups share the transport, so one
+            // group's backlog never stalls another's replica thread mid-send.
             self.shared.deliver(group, to, packet);
             return;
         }
@@ -661,83 +614,45 @@ impl TcpTransport {
                 return;
             }
         };
-        if let Some(links) = self.peers.get(&to) {
-            // We dial this peer: batch-aware striping over the outbound
-            // lanes. The depth is bumped *before* try_send so a concurrent
-            // pick_lane never sees a lane emptier than it is.
-            let lane = pick_lane(&links.lanes, |l| l.depth.load(Ordering::Relaxed), &links.rr);
-            let link = &links.lanes[lane];
-            link.depth.fetch_add(1, Ordering::Relaxed);
-            match link.tx.try_send(frame) {
-                Ok(()) => {}
-                // Shed rather than block the replica thread; explicit accounting.
-                Err(TrySendError::Full(_)) => {
-                    link.depth.fetch_sub(1, Ordering::Relaxed);
-                    stats.dropped_queue_full.inc();
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    link.depth.fetch_sub(1, Ordering::Relaxed);
-                    stats.dropped_unroutable.inc();
-                }
-            }
-            return;
-        }
-        // The peer dials us: send over its accepted duplex connection(s).
-        // try_send never blocks, so holding the route lock here is safe.
-        let routes = self.shared.peer_routes.lock();
-        let Some(lanes) = routes.get(&to).filter(|l| !l.is_empty()) else {
-            // Link not (re)established yet; Raft's retry machinery re-sends.
-            stats.dropped_unroutable.inc();
+        let Some(links) = self.peers.get(&to) else {
+            stats.dropped_unroutable.inc(); // no such peer
             return;
         };
-        let lane = pick_lane(lanes, |l| l.depth.load(Ordering::Relaxed), &self.shared.route_rr);
-        let route = &lanes[lane];
-        route.depth.fetch_add(1, Ordering::Relaxed);
-        match route.tx.try_send(frame) {
+        // Batch-aware striping over the peer's lanes, whichever side dialed
+        // and whether or not a connection is up: a lane without one queues
+        // (bounded) for the next. The depth is bumped *before* try_send so a
+        // concurrent pick_lane never sees a lane emptier than it is.
+        let lane = pick_lane(&links.lanes, |l| l.depth.load(Ordering::Relaxed), &links.rr);
+        let link = &links.lanes[lane];
+        link.depth.fetch_add(1, Ordering::Relaxed);
+        match link.tx.try_send(frame) {
             Ok(()) => {}
+            // Shed rather than block the replica thread; explicit accounting.
             Err(TrySendError::Full(_)) => {
-                route.depth.fetch_sub(1, Ordering::Relaxed);
+                link.depth.fetch_sub(1, Ordering::Relaxed);
                 stats.dropped_queue_full.inc();
             }
             Err(TrySendError::Disconnected(_)) => {
-                route.depth.fetch_sub(1, Ordering::Relaxed);
+                link.depth.fetch_sub(1, Ordering::Relaxed);
                 stats.dropped_unroutable.inc();
             }
         }
     }
 
     /// Shared scrape body for both trait impls: the registry snapshot plus
-    /// per-peer backlog, per-group demux depth, and fault-dial gauges.
+    /// per-peer backlog and fault-dial gauges.
     fn scrape_snapshot(&self) -> Snapshot {
         let mut snap = self.shared.registry.snapshot();
         let me = self.shared.cfg.node_id;
         // Outbound backlog (frames waiting for a writer), per peer and in
-        // total: dialed lanes plus the accepted routes that are still up, so
-        // a dead connection's queue cannot linger in either.
-        let mut depths: HashMap<u32, i64> = HashMap::new();
-        for (&peer, links) in &self.peers {
+        // total.
+        let mut total = 0;
+        for (peer, links) in &self.peers {
             let d: i64 = links.lanes.iter().map(|l| l.depth.load(Ordering::Relaxed)).sum();
-            *depths.entry(peer).or_default() += d;
-        }
-        for (&peer, lanes) in self.shared.peer_routes.lock().iter() {
-            let d: i64 = lanes.iter().map(|r| r.depth.load(Ordering::Relaxed)).sum();
-            *depths.entry(peer).or_default() += d;
-        }
-        snap.gauges.insert("net_send_queue_depth".to_string(), depths.values().sum());
-        for (peer, d) in depths {
             snap.gauges.insert(format!("net_send_queue_depth_peer_{peer}"), d);
+            total += d;
         }
-        // Per-group inbound overflow depth (mux mode): the live fair-share
-        // signal — a persistently deep lane means that group's replica, not
-        // the shared links, is the bottleneck.
-        if let Some(demux) = &self.shared.demux {
-            for (g, lane) in demux.lanes.iter().enumerate() {
-                snap.gauges.insert(
-                    format!("net_demux_depth_group_{g}"),
-                    lane.depth.load(Ordering::Relaxed),
-                );
-            }
-        }
+        snap.gauges.insert("net_send_queue_depth".to_string(), total);
         // Per-directed-link fault rows (chaos harness): only the rows this
         // transport reads (`from == me`) — each process reports the faults
         // it is itself applying to its outbound batches.
@@ -792,32 +707,14 @@ impl Drop for TcpTransport {
         for (_, c) in self.shared.conns.lock().iter() {
             let _ = c.shutdown(Shutdown::Both);
         }
-        for (_, links) in self.peers.iter_mut() {
-            for lane in links.lanes.iter_mut() {
-                if let Some(t) = lane.thread.take() {
-                    let _ = t.join();
-                }
-            }
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.pump_thread.take() {
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
 /// Outbound link supervisor: connect, handshake, write loop, reconnect.
-fn supervise_peer(
-    sh: Arc<Shared>,
-    peer_id: u32,
-    lane: usize,
-    addr: SocketAddr,
-    rx: Receiver<NetFrame>,
-    tx: SyncSender<NetFrame>,
-    depth: Arc<AtomicI64>,
-) {
+fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, end: LaneEnd) {
     // Jitter is seeded per-lane so two replicas restarting together do not
     // reconnect in lockstep (thundering-herd on the surviving node) and so
     // parallel lanes drift apart under an emulated link delay.
@@ -848,15 +745,13 @@ fn supervise_peer(
         // standard handshake-then-route loop.
         let reader = stream.try_clone().ok().and_then(|rstream| {
             let sh2 = Arc::clone(&sh);
-            // Replies (Pong to the peer's clock pings) ride this lane's own
-            // queue, so they coalesce with protocol traffic like any frame.
-            let resp = RespWriter { tx: tx.clone(), depth: Some(Arc::clone(&depth)) };
+            let resp = end.resp_writer();
             std::thread::Builder::new()
                 .name(format!("nbr-net-dread-{}-{}", sh.cfg.node_id, peer_id))
                 .spawn(move || run_reader(sh2, rstream, Some(resp)))
                 .ok()
         });
-        pump_peer_frames(&sh, &mut stream, &rx, &mut rng, &depth, peer_id);
+        pump_peer_frames(&sh, &mut stream, &end, &mut rng, peer_id);
         // Unblock the duplex reader before joining it.
         let _ = stream.shutdown(Shutdown::Both);
         if let Some(t) = reader {
@@ -870,7 +765,7 @@ fn supervise_peer(
 
 /// The shared peer write loop: announce ourselves, then put queued frames
 /// on the link under its fault (loss, delay) and write the ones that have
-/// crossed it. Used by both the dialing supervisor and accepted-route
+/// crossed it. Used by both the dialing supervisor and accepted-connection
 /// writers so the two directions of a deduplicated link behave identically.
 /// Returns on error (a dialing caller reconnects) or shutdown.
 ///
@@ -882,19 +777,13 @@ fn supervise_peer(
 fn pump_peer_frames(
     sh: &Shared,
     stream: &mut TcpStream,
-    rx: &Receiver<NetFrame>,
+    lane: &LaneEnd,
     rng: &mut StdRng,
-    depth: &AtomicI64,
     peer_id: u32,
 ) {
-    let hello = NetFrame::Hello(HelloMsg {
-        version: NET_PROTOCOL_VERSION,
-        cluster_id: sh.cfg.cluster_id,
-        groups: sh.groups,
-        kind: PeerKind::Node(NodeId(sh.cfg.node_id)),
-    });
+    let LaneEnd { rx, depth, .. } = lane;
     let mut wbuf = Vec::with_capacity(8 << 10);
-    if write_frames(sh, stream, std::iter::once(hello), &mut wbuf).is_err() {
+    if write_frames(sh, stream, std::iter::once(sh.hello()), &mut wbuf).is_err() {
         return;
     }
     // Frames in flight are capped like frames queued. A full line takes
@@ -996,22 +885,29 @@ fn pump_peer_frames(
 }
 
 /// Writer for one accepted duplex peer connection: the standard peer pump
-/// (same handshake, batching and link faults as the dialing side).
+/// (same handshake, batching and link faults as the dialing side) over one
+/// of the peer's lanes, borrowed for as long as the connection lives.
+/// `attached` tells the connection's reader which lane that is; dropping it
+/// unsent refuses the connection.
 fn accepted_peer_writer(
     sh: Arc<Shared>,
     mut stream: TcpStream,
-    rx: Receiver<NetFrame>,
     seed: u64,
-    depth: Arc<AtomicI64>,
     peer_id: u32,
+    attached: Sender<RespWriter>,
 ) {
+    let Some((slot, lane)) = sh.borrow_lane(peer_id) else { return };
+    let _ = attached.send(lane.resp_writer());
     let conn = sh.register_conn(&stream);
     sh.stats.peer_links_up.add(1);
     let mut rng = StdRng::seed_from_u64(0xACC3 ^ seed);
-    pump_peer_frames(&sh, &mut stream, &rx, &mut rng, &depth, peer_id);
+    pump_peer_frames(&sh, &mut stream, &lane, &mut rng, peer_id);
     sh.stats.peer_links_up.add(-1);
     let _ = stream.shutdown(Shutdown::Both);
     sh.deregister_conn(conn);
+    if let Some(lanes) = sh.accept_lanes.lock().get_mut(&peer_id) {
+        lanes[slot] = Some(lane);
+    }
 }
 
 /// Encode `frames` into the caller's reusable buffer and write them in a
@@ -1076,8 +972,8 @@ enum ConnIdentity {
 }
 
 /// A reader's reply path: the writer queue of the same duplex connection
-/// (the lane queue on the dialing side, the accepted peer route or client
-/// writer on the accepting side). Injected frames must mirror `send`'s
+/// (the lane's queue for a peer, whichever side dialed; the client writer's
+/// for a session). Injected frames must mirror `send`'s
 /// depth accounting or the lane would drift emptier than it is.
 struct RespWriter {
     tx: SyncSender<NetFrame>,
@@ -1166,21 +1062,12 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<RespWriter>) 
         }
         buf.extend_from_slice(&shared);
     }
-    // Deregister this connection's routes (only if still ours).
+    // Deregister a client session's response route (only if still ours).
     if let ConnIdentity::Client(id) = identity {
         let mut routes = sh.clients.lock();
         if routes.get(&id).is_some_and(|r| r.conn == conn) {
             routes.remove(&id);
             sh.stats.clients_connected.add(-1);
-        }
-    }
-    if let ConnIdentity::Node(peer) = identity {
-        let mut routes = sh.peer_routes.lock();
-        if let Some(lanes) = routes.get_mut(&peer.0) {
-            lanes.retain(|r| r.conn != conn);
-            if lanes.is_empty() {
-                routes.remove(&peer.0);
-            }
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -1209,50 +1096,43 @@ fn handle_frame(
                 sh.stats.handshake_rejects.inc();
                 return false;
             }
+            // Every session is duplex: what we send the other side flows back
+            // over a writer thread on a clone of this socket.
+            let Ok(wstream) = stream.try_clone() else {
+                sh.stats.proto_errors.inc();
+                return false;
+            };
+            let sh2 = Arc::clone(sh);
             match h.kind {
                 PeerKind::Node(n) => {
                     if !dials(sh.cfg.node_id, n.0) && sh.cfg.node_id != n.0 {
                         // Connection dedup: this peer owns the pair's single
                         // socket, so our outbound frames to it must ride
-                        // back over this accepted connection. Attach a
-                        // writer and register the route.
-                        let Ok(wstream) = stream.try_clone() else {
-                            sh.stats.proto_errors.inc();
-                            return false;
-                        };
-                        let (tx, rx) = sync_channel::<NetFrame>(sh.cfg.send_queue);
-                        let depth = Arc::new(AtomicI64::new(0));
-                        let d = Arc::clone(&depth);
-                        let sh2 = Arc::clone(sh);
+                        // back over this accepted connection: attach a
+                        // writer to it that drains one of the peer's lanes.
+                        let (attached, reply_path) = channel();
                         let seed =
                             (u64::from(sh.cfg.node_id) << 40) ^ (u64::from(n.0) << 16) ^ conn;
                         let spawned = std::thread::Builder::new()
                             .name(format!("nbr-net-presp-{}-{}", sh.cfg.node_id, n.0))
-                            .spawn(move || accepted_peer_writer(sh2, wstream, rx, seed, d, n.0));
+                            .spawn(move || accepted_peer_writer(sh2, wstream, seed, n.0, attached));
                         if spawned.is_err() {
                             sh.stats.proto_errors.inc();
                             return false;
                         }
-                        // This reader's Pong replies share the route's queue.
-                        *resp_writer =
-                            Some(RespWriter { tx: tx.clone(), depth: Some(Arc::clone(&depth)) });
-                        sh.peer_routes.lock().entry(n.0).or_default().push(PeerRoute {
-                            conn,
-                            tx,
-                            depth,
-                        });
+                        // This reader's Pong replies share the queue of the
+                        // lane the writer borrowed; if it got none, every
+                        // lane to this peer already has a live connection.
+                        let Ok(reply_path) = reply_path.recv() else {
+                            sh.stats.handshake_rejects.inc(); // one connection too many
+                            return false;
+                        };
+                        *resp_writer = Some(reply_path);
                     }
                     *identity = ConnIdentity::Node(n)
                 }
                 PeerKind::Client(c) => {
-                    // Client sessions are duplex: responses flow back over
-                    // a writer thread on a clone of this socket.
-                    let Ok(wstream) = stream.try_clone() else {
-                        sh.stats.proto_errors.inc();
-                        return false;
-                    };
                     let (tx, rx) = sync_channel::<NetFrame>(sh.cfg.send_queue);
-                    let sh2 = Arc::clone(sh);
                     let spawned = std::thread::Builder::new()
                         .name(format!("nbr-net-cresp-{}", sh.cfg.node_id))
                         .spawn(move || client_writer(sh2, wstream, rx));
@@ -1276,13 +1156,18 @@ fn handle_frame(
             sh.stats.handshake_rejects.inc(); // traffic before Hello
             false
         }
+        (
+            NetFrame::Peer { group, .. }
+            | NetFrame::Request { group, .. }
+            | NetFrame::Response { group, .. },
+            _,
+        ) if group >= sh.groups => {
+            sh.stats.proto_errors.inc(); // group out of the agreed range
+            false
+        }
         (NetFrame::Peer { group, from, to, msg }, ConnIdentity::Node(peer)) => {
             if from != *peer {
                 sh.stats.proto_errors.inc(); // spoofed peer id
-                return false;
-            }
-            if group >= sh.groups {
-                sh.stats.proto_errors.inc(); // group out of the agreed range
                 return false;
             }
             sh.deliver(group, to.0, Packet::Peer { from, msg });
@@ -1292,24 +1177,12 @@ fn handle_frame(
             sh.stats.proto_errors.inc(); // clients may not inject peer traffic
             false
         }
-        (NetFrame::Request { group, to, trace: _, req }, ConnIdentity::Client(c)) => {
-            if req.client != *c {
+        (NetFrame::Request { group, to, trace: _, req }, who) => {
+            // From the client's own session, or relayed by a peer process
+            // (e.g. a co-hosted client whose target moved; responses will
+            // route via that process's client session, not ours).
+            if matches!(who, ConnIdentity::Client(c) if req.client != *c) {
                 sh.stats.proto_errors.inc(); // spoofed client id
-                return false;
-            }
-            if group >= sh.groups {
-                sh.stats.proto_errors.inc(); // group out of the agreed range
-                return false;
-            }
-            sh.deliver(group, to.0, Packet::Request(req));
-            true
-        }
-        (NetFrame::Request { group, to, trace: _, req }, ConnIdentity::Node(_)) => {
-            // A relayed client request from a peer process (e.g. a
-            // co-hosted client whose target moved): deliver; responses
-            // will route via that process's client session, not ours.
-            if group >= sh.groups {
-                sh.stats.proto_errors.inc();
                 return false;
             }
             sh.deliver(group, to.0, Packet::Request(req));
@@ -1318,10 +1191,6 @@ fn handle_frame(
         (NetFrame::Response { group, client, resp }, ConnIdentity::Node(_)) => {
             // Response relayed between processes: hand to the group's local
             // client inbox (in-process ClusterClient router).
-            if group >= sh.groups {
-                sh.stats.proto_errors.inc();
-                return false;
-            }
             match sh.client_inboxes.get(&group) {
                 Some(inbox) => {
                     let _ = inbox.send(Packet::Response { client, resp });
@@ -1334,17 +1203,13 @@ fn handle_frame(
             sh.stats.proto_errors.inc();
             false
         }
-        (NetFrame::Ping { nonce, t0 }, ConnIdentity::Client(_)) => {
-            // Duplex session: answer so the client can measure liveness.
-            if let Some(w) = resp_writer {
-                w.push(NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
-            }
-            true
-        }
-        (NetFrame::Ping { nonce, t0 }, ConnIdentity::Node(_)) => {
-            // Peer keepalive doubling as a clock sample: echo `t0` with our
+        (NetFrame::Ping { nonce, t0 }, who) => {
+            // A duplex session answers so the client can measure liveness; a
+            // peer's keepalive doubles as a clock sample: echo `t0` with our
             // receive instant so the sender can estimate RTT and offset.
-            sh.stats.keepalives.inc();
+            if matches!(who, ConnIdentity::Node(_)) {
+                sh.stats.keepalives.inc();
+            }
             if let Some(w) = resp_writer {
                 w.push(NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             }
@@ -1388,17 +1253,62 @@ fn client_writer(sh: Arc<Shared>, mut stream: TcpStream, rx: Receiver<NetFrame>)
 mod tests {
     use super::*;
     use nbr_types::{HeartbeatMsg, LogIndex, Message, Term, TimeDelta};
-    use std::sync::mpsc::channel;
 
     fn heartbeat() -> Packet {
+        numbered(0, 0)
+    }
+
+    /// A heartbeat from node `from` that carries `seq` as its `last_index`.
+    fn numbered(from: u32, seq: u64) -> Packet {
         let msg = Message::Heartbeat(HeartbeatMsg {
             term: Term(1),
-            leader: NodeId(0),
-            last_index: LogIndex(0),
+            leader: NodeId(from),
+            last_index: LogIndex(seq),
             last_term: Term(0),
             leader_commit: LogIndex(0),
         });
-        Packet::Peer { from: NodeId(0), msg }
+        Packet::Peer { from: NodeId(from), msg }
+    }
+
+    fn seq_of(p: Packet) -> u64 {
+        match p {
+            Packet::Peer { msg: Message::Heartbeat(h), .. } => h.last_index.0,
+            other => panic!("expected a heartbeat, got {other:?}"),
+        }
+    }
+
+    fn bind() -> (TcpListener, SocketAddr) {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let a = l.local_addr().expect("addr");
+        (l, a)
+    }
+
+    /// Node `id` of a two-node pair: a transport over one group per entry of
+    /// `inbox_depths`, and the receiving ends of those inboxes.
+    fn node(
+        id: u32,
+        peer: (u32, SocketAddr),
+        listener: TcpListener,
+        inbox_depths: &[usize],
+        cfg: TcpConfig,
+    ) -> (TcpTransport, Vec<Receiver<Packet>>) {
+        let (inboxes, rxs) = inbox_depths
+            .iter()
+            .map(|&depth| {
+                let (tx, rx) = sync_channel(depth);
+                (TransportInboxes { nodes: vec![(id, tx)], client: channel().0 }, rx)
+            })
+            .unzip();
+        let cfg = TcpConfig { node_id: id, peers: vec![peer], ..cfg };
+        (TcpTransport::spawn_groups(cfg, listener, inboxes), rxs)
+    }
+
+    fn gauge(t: &TcpTransport, name: &str) -> i64 {
+        t.scrape_snapshot().gauges.get(name).copied().unwrap_or(0)
+    }
+
+    fn counter(t: &TcpTransport, name: &str) -> u64 {
+        t.scrape_snapshot().counters.get(name).copied().unwrap_or(0)
     }
 
     fn until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -1472,5 +1382,104 @@ mod tests {
         t0.send(0, 1, heartbeat());
         assert!(inbox1.recv_timeout(Duration::from_secs(10)).is_ok(), "link carries traffic again");
         assert_eq!(counter("net_dropped_queue_full"), 0);
+    }
+
+    /// Several groups share the socket readers, so a group whose replica has
+    /// stopped draining its inbox sheds its own frames and nobody else's: the
+    /// reader never waits on it.
+    #[test]
+    fn a_stalled_group_sheds_its_own_frames_and_no_other_groups() {
+        const FRAMES: u64 = 200;
+        let ((l0, a0), (l1, a1)) = (bind(), bind());
+        let (t0, _rx0) = node(0, (1, a1), l0, &[8, 8], TcpConfig::default());
+        // Node 1: group 0 has room for everything, group 1 has room for four
+        // frames and is never drained.
+        let (t1, rx1) = node(1, (0, a0), l1, &[FRAMES as usize, 4], TcpConfig::default());
+
+        for seq in 0..FRAMES {
+            t0.send_to_group(1, 0, 1, numbered(0, seq));
+            t0.send_to_group(0, 0, 1, numbered(0, seq));
+        }
+        // Group 0's frames sit behind group 1's on the one connection, and
+        // every one of them arrives, in order.
+        for seq in 0..FRAMES {
+            let p = rx1[0].recv_timeout(Duration::from_secs(10)).expect("group 0 keeps flowing");
+            assert_eq!(seq_of(p), seq);
+        }
+        until("group 1 has shed its overflow", || {
+            counter(&t1, "net_demux_shed_group_1") == FRAMES - 4
+        });
+        assert_eq!(counter(&t1, "net_frames_in_group_1"), FRAMES);
+        assert_eq!(counter(&t1, "net_demux_shed_group_0"), 0);
+        assert_eq!(rx1[1].try_iter().map(seq_of).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(counter(&t0, "net_dropped_queue_full"), 0);
+    }
+
+    /// The accepting side of a pair sends exactly as the dialing side does:
+    /// into a lane that exists from spawn, waits (bounded) while no
+    /// connection is up, and is drained by whichever connection borrows it.
+    #[test]
+    fn lanes_to_a_peer_that_dials_us_queue_until_it_connects_and_outlive_its_connections() {
+        let ((l0, a0), (l1, a1)) = (bind(), bind());
+        // A short ping cadence, so that an idle writer finds out that its
+        // socket is dead well within the connect timeout.
+        let cfg = || TcpConfig {
+            keepalive: Duration::from_millis(20),
+            connect_timeout: Duration::from_millis(500),
+            ..TcpConfig::default()
+        };
+
+        // Node 0 dials node 1, and is not up yet: node 1's frames for it wait.
+        let (t1, _inbox1) = node(1, (0, a0), l1, &[64], cfg());
+        for seq in 0..10 {
+            t1.send(1, 0, numbered(1, seq));
+        }
+        assert_eq!(gauge(&t1, "net_send_queue_depth_peer_0"), 10);
+        assert_eq!(gauge(&t1, "net_send_queue_depth"), 10);
+        assert_eq!(counter(&t1, "net_dropped_unroutable"), 0);
+
+        let (t0, inbox0) = node(0, (1, a1), l0, &[64], cfg());
+        let inbox0 = &inbox0[0];
+        for seq in 0..10 {
+            let p = inbox0.recv_timeout(Duration::from_secs(10)).expect("queued frame arrives");
+            assert_eq!(seq_of(p), seq, "queued frames are delivered in order");
+        }
+        assert_eq!(gauge(&t1, "net_send_queue_depth_peer_0"), 0);
+
+        // The connection dies under node 1 and node 0 redials. Frames that the
+        // old connection's writer takes before it finds its socket dead are
+        // lost with it, as on the dialing side, so resend as Raft would; the
+        // one lane is then handed to the new connection, in order as ever.
+        for c in t1.shared.conns.lock().values() {
+            let _ = c.shutdown(Shutdown::Both);
+        }
+        let mut sent = 10..;
+        let mut last = None;
+        until("the lane carries traffic over the new connection", || {
+            t1.send(1, 0, numbered(1, sent.next().expect("unbounded")));
+            last = inbox0.recv_timeout(Duration::from_millis(20)).ok().map(seq_of);
+            last.is_some() && counter(&t1, "net_tcp_accepts") >= 2
+        });
+        t1.send(1, 0, numbered(1, 1_000));
+        while last != Some(1_000) {
+            let p = inbox0.recv_timeout(Duration::from_secs(10)).expect("the lane keeps flowing");
+            assert!(Some(seq_of(p.clone())) > last, "frames stay in order: {p:?} after {last:?}");
+            last = Some(seq_of(p));
+        }
+        assert_eq!(gauge(&t1, "net_peer_links_up"), 1);
+        assert_eq!(counter(&t1, "net_handshake_rejects"), 0);
+        assert_eq!(counter(&t1, "net_dropped_queue_full"), 0);
+
+        // A second connection from node 0 while the first is up is one more
+        // than node 0 has lanes: refused, and the real link stays.
+        let mut extra = TcpStream::connect(a1).expect("connect");
+        let mut hello = Vec::new();
+        encode_frame_into(&t0.shared.hello(), &mut hello);
+        extra.write_all(&hello).expect("write hello");
+        until("the extra connection is refused", || counter(&t1, "net_handshake_rejects") == 1);
+        assert_eq!(gauge(&t1, "net_peer_links_up"), 1);
+        t1.send(1, 0, numbered(1, 1_001));
+        let p = inbox0.recv_timeout(Duration::from_secs(10)).expect("the real link still works");
+        assert_eq!(seq_of(p), 1_001);
     }
 }

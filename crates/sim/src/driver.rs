@@ -591,7 +591,7 @@ impl Simulator {
                         self.weak_acked += 1;
                     }
                     if self.now >= self.window_start && self.now < self.window_end {
-                        self.throughput.record(self.now.as_nanos(), self.cfg.payload as u64);
+                        self.throughput.record(self.cfg.payload as u64);
                         self.latency.record(self.now.since(issued_at).as_nanos());
                     }
                 }

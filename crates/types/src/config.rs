@@ -153,16 +153,6 @@ pub struct ProtocolConfig {
 }
 
 impl ProtocolConfig {
-    /// The paper's default NB-Raft configuration (window 10 000).
-    pub fn nb_raft_default() -> ProtocolConfig {
-        Protocol::NbRaft.config(10_000)
-    }
-
-    /// Original Raft.
-    pub fn raft_default() -> ProtocolConfig {
-        Protocol::Raft.config(0)
-    }
-
     /// Number of data shards `k` for fragmented replication in a cluster of
     /// `n` replicas: `k = F + 1` with `F = (n - 1) / 2`, i.e. a majority of
     /// the group, following CRaft.

@@ -203,6 +203,31 @@ done
 }
 echo "WAL recovery: all 3 nodes at commit $CONVERGED, victim applied $APPLIED"
 
+# The restart re-attached one lane per neighbour on every node, a dialed and
+# an accepted one between them: both of each node's peer links must be up
+# again with no frame left waiting in a lane. (The victim's link to the
+# other follower redials on a backoff of up to 2 s, hence the polling.)
+links_ok() { # links_ok SCRAPE_FILE
+    awk '/^nbr_net_peer_links_up\{/ {up = $2} /^nbr_net_send_queue_depth\{/ {depth = $2}
+         END {exit !(up == 2 && depth == 0)}' "$1"
+}
+LINKS=""
+for _ in $(seq 1 50); do
+    LINKS=ok
+    for i in 0 1 2; do
+        f="$ART/scrape-$((WM0 + i)).prom"
+        scrape "$((WM0 + i))" "$f" 2>/dev/null && links_ok "$f" || LINKS=""
+    done
+    [ -n "$LINKS" ] && break
+    sleep 0.2
+done
+[ -n "$LINKS" ] || {
+    echo "net_smoke: FAIL peer lanes did not all re-attach and drain after the restart:"
+    grep -H -E '^nbr_net_(peer_links_up|send_queue_depth)\{' "$ART"/scrape-*.prom
+    exit 1
+}
+echo "peer links: every node reports net_peer_links_up 2, net_send_queue_depth 0"
+
 echo
 echo "net_smoke: PASS (phase1 ops=$OPS1 weak=$WEAK1, post-kill ops=$OPS2, leader $LEADER -> $NEW_LEADER, wal-recovery commit=$CONVERGED)"
 echo "artifacts in $ART/"
