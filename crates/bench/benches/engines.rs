@@ -4,23 +4,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nbr_petri::{Delay, Net, Selector};
 use nbr_sim::{run, SimConfig};
-use nbr_storage::{encode_batch, LogStore, MemLog, Point, StateMachine, TsStore};
+use nbr_storage::{encode_batch, Point, StateMachine, TsStore};
 use nbr_types::*;
 use nbr_workload::{RequestGenerator, WorkloadConfig};
 
 fn bench_storage(c: &mut Criterion) {
     let mut g = c.benchmark_group("storage");
-    g.bench_function("memlog_append_1k", |b| {
-        b.iter_batched(
-            MemLog::new,
-            |mut log| {
-                for i in 1..=1000u64 {
-                    log.append(Entry::noop(LogIndex(i), Term(1), Term(1))).unwrap();
-                }
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
     g.bench_function("tsdb_apply_100x10pts", |b| {
         let batches: Vec<Entry> = (1..=100u64)
             .map(|i| {

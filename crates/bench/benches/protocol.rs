@@ -1,10 +1,12 @@
 //! Microbenchmarks of the protocol hot paths: the sliding window (the
-//! paper's core data structure), the VoteList, and whole-node message
-//! handling — including the window-size ablation DESIGN.md calls out
-//! (w = 0 is original Raft; how much does window bookkeeping cost?).
+//! paper's core data structure) and whole-node message handling per
+//! comparator — including the window-size ablation DESIGN.md calls out
+//! (w = 0 is original Raft; how much does window bookkeeping cost?). The
+//! in-order window offer and the VoteList commit are measured by the
+//! repository benchmark's `core.window_offer_ns` / `core.votelist_commit_ns`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nbr_core::{Node, SlidingWindow, VoteList, WindowOutcome};
+use nbr_core::{Node, SlidingWindow, WindowOutcome};
 use nbr_storage::MemLog;
 use nbr_types::*;
 
@@ -31,47 +33,6 @@ fn bench_window(c: &mut Criterion) {
             );
         });
     }
-    // In-order fast path.
-    g.bench_function("offer_in_order_1k", |b| {
-        b.iter_batched(
-            || SlidingWindow::new(1024, LogIndex(0)),
-            |mut win| {
-                let mut term = Term::ZERO;
-                for i in 1..=1000u64 {
-                    match win.offer(entry(i, 1, term.0), term) {
-                        WindowOutcome::Flush(run) => term = run.last().unwrap().term,
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-    g.finish();
-}
-
-fn bench_votelist(c: &mut Criterion) {
-    let mut g = c.benchmark_group("vote_list");
-    g.bench_function("track_weak_strong_commit_1k", |b| {
-        b.iter_batched(
-            || {
-                let mut vl = VoteList::new(2);
-                for i in 1..=1000u64 {
-                    vl.track(LogIndex(i), Term(1), None, 1, 2);
-                }
-                vl
-            },
-            |mut vl| {
-                for i in 1..=1000u64 {
-                    vl.weak_accept(LogIndex(i), Term(1), 2);
-                }
-                // One cumulative strong accept commits everything.
-                let out = vl.strong_accept(LogIndex(1000), 4, Term(1));
-                assert_eq!(out.committed.len(), 1000);
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
     g.finish();
 }
 
@@ -110,5 +71,5 @@ fn bench_node(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_window, bench_votelist, bench_node);
+criterion_group!(benches, bench_window, bench_node);
 criterion_main!(benches);

@@ -1,14 +1,12 @@
 //! Microbenchmarks of the built-from-scratch substrates: Reed–Solomon
-//! coding, SHA-256/HMAC, CRC32 and the wire codec. These quantify the CPU
-//! costs the simulator charges (CostModel calibration inputs).
+//! coding, SHA-256/HMAC and CRC32. These quantify the CPU costs the
+//! simulator charges (CostModel calibration inputs). The wire codec is
+//! measured by the repository benchmark's `types.encode/decode_ns_*` probes.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nbr_crypto::{hmac_sha256, sha256};
 use nbr_erasure::ReedSolomon;
 use nbr_types::checksum::crc32;
-use nbr_types::wire::{decode_frame, decode_frame_shared, encode_frame, encode_frame_into};
-use nbr_types::*;
 
 fn payload(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 + 7) as u8).collect()
@@ -67,95 +65,5 @@ fn bench_crc32(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire_codec");
-    for &size in &[128usize, 4096, 65536] {
-        let msg = Message::AppendEntry(AppendEntryMsg {
-            term: Term(3),
-            leader: NodeId(0),
-            entries: vec![Entry::data(
-                LogIndex(42),
-                Term(3),
-                Term(2),
-                Some(Origin { client: ClientId(7), request: RequestId(9) }),
-                Bytes::from(payload(size)),
-            )],
-            leader_commit: LogIndex(40),
-            verification: None,
-            relay_to: vec![],
-        });
-        g.throughput(Throughput::Bytes(size as u64));
-        g.bench_with_input(BenchmarkId::new("encode", size), &msg, |b, m| {
-            b.iter(|| encode_frame(m));
-        });
-        // Amortized encode: the reusable output buffer skips the per-frame
-        // allocation — this is what the transport's writer loop does.
-        g.bench_with_input(BenchmarkId::new("encode_into_reused", size), &msg, |b, m| {
-            let mut buf = Vec::with_capacity(size + 256);
-            b.iter(|| {
-                buf.clear();
-                encode_frame_into(m, &mut buf);
-                buf.len()
-            });
-        });
-        let frame = encode_frame(&msg);
-        g.bench_with_input(BenchmarkId::new("decode", size), &frame, |b, f| {
-            b.iter(|| decode_frame::<Message>(f).unwrap().unwrap());
-        });
-        let shared = Bytes::from(frame.clone());
-        g.bench_with_input(BenchmarkId::new("decode_shared", size), &shared, |b, f| {
-            b.iter(|| decode_frame_shared::<Message>(f, usize::MAX).unwrap().unwrap());
-        });
-    }
-    g.finish();
-}
-
-fn bench_wire_batched(c: &mut Criterion) {
-    // Batched appends: the hot-path frame shape after replication batching.
-    let mut g = c.benchmark_group("wire_codec_batched");
-    for &batch in &[1usize, 8, 64] {
-        let entries: Vec<Entry> = (0..batch as u64)
-            .map(|i| {
-                Entry::data(
-                    LogIndex(42 + i),
-                    Term(3),
-                    if i == 0 { Term(2) } else { Term(3) },
-                    Some(Origin { client: ClientId(7), request: RequestId(9 + i) }),
-                    Bytes::from(payload(256)),
-                )
-            })
-            .collect();
-        let msg = Message::AppendEntry(AppendEntryMsg {
-            term: Term(3),
-            leader: NodeId(0),
-            entries,
-            leader_commit: LogIndex(40),
-            verification: None,
-            relay_to: vec![],
-        });
-        g.throughput(Throughput::Bytes((batch * 256) as u64));
-        g.bench_with_input(BenchmarkId::new("encode_into_reused", batch), &msg, |b, m| {
-            let mut buf = Vec::with_capacity(batch * 512);
-            b.iter(|| {
-                buf.clear();
-                encode_frame_into(m, &mut buf);
-                buf.len()
-            });
-        });
-        let shared = Bytes::from(encode_frame(&msg));
-        g.bench_with_input(BenchmarkId::new("decode_shared", batch), &shared, |b, f| {
-            b.iter(|| decode_frame_shared::<Message>(f, usize::MAX).unwrap().unwrap());
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_reed_solomon,
-    bench_crypto,
-    bench_crc32,
-    bench_wire,
-    bench_wire_batched
-);
+criterion_group!(benches, bench_reed_solomon, bench_crypto, bench_crc32);
 criterion_main!(benches);

@@ -18,7 +18,7 @@
 //! plumbing are identical.
 
 use crate::corpus::Scenario;
-use crate::oracle::{election_safety, Verdict};
+use crate::oracle::{end_state, min_live_commit, Check, EndRow, Verdict};
 use nbr_cluster::{FaultPlane, StorageMode};
 use nbr_net::{await_leaders, NetClient, NodeServer};
 use nbr_obs::{EngineProbe, TraceEvent};
@@ -156,75 +156,52 @@ pub fn run_scenario_net(
     // must be alive, exactly one leader, terms equal, and commit == applied
     // everywhere with equal state-machine digests.
     let deadline = Instant::now() + Duration::from_millis(s.recovery_ms());
-    let mut last: Vec<(bool, bool, u64, u64, u64, u32)> = Vec::new();
-    let mut converged = false;
-    while Instant::now() < deadline {
-        last = servers
+    let mut rows: Vec<EndRow>;
+    let mut digests: BTreeSet<u32>;
+    let mut converged;
+    loop {
+        let status: Vec<_> = servers.iter().map(|srv| srv.cluster().status(0)).collect();
+        rows = status
             .iter()
-            .map(|srv| {
-                let st = srv.cluster().status(0);
-                let digest = crc32(&srv.cluster().machine(0).lock().snapshot());
-                (st.alive, st.is_leader, st.term, st.commit, st.applied, digest)
+            .map(|st| EndRow {
+                alive: st.alive,
+                is_leader: st.is_leader,
+                term: st.term,
+                commit: st.commit,
             })
             .collect();
-        let all_alive = last.iter().all(|&(alive, ..)| alive);
-        let leaders = last.iter().filter(|&&(_, l, ..)| l).count();
-        let terms: BTreeSet<u64> = last.iter().map(|&(_, _, t, ..)| t).collect();
-        let commits: BTreeSet<u64> = last.iter().map(|&(_, _, _, cm, ..)| cm).collect();
-        let applied_ok = last.iter().all(|&(_, _, _, cm, ap, _)| ap == cm);
-        let digests: BTreeSet<u32> = last.iter().map(|&(.., d)| d).collect();
-        let committed = last.iter().map(|&(_, _, _, cm, ..)| cm).min().unwrap_or(0);
-        if all_alive
-            && leaders == 1
-            && terms.len() == 1
-            && commits.len() == 1
-            && applied_ok
+        digests =
+            servers.iter().map(|srv| crc32(&srv.cluster().machine(0).lock().snapshot())).collect();
+        converged = rows.iter().all(|r| r.alive)
+            && rows.iter().filter(|r| r.is_leader).count() == 1
+            && rows.iter().all(|r| r.term == rows[0].term && r.commit == rows[0].commit)
+            && status.iter().all(|st| st.applied == st.commit)
             && digests.len() == 1
-            && (!s.expect_progress || committed > 0)
-        {
-            converged = true;
+            && (!s.expect_progress || min_live_commit(&rows) > 0);
+        if converged || Instant::now() >= deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-
-    let leaders: Vec<usize> =
-        last.iter().enumerate().filter(|(_, &(_, l, ..))| l).map(|(i, _)| i).collect();
-    let terms: BTreeSet<u64> = last.iter().map(|&(_, _, t, ..)| t).collect();
-    let commits: BTreeSet<u64> = last.iter().map(|&(_, _, _, cm, ..)| cm).collect();
-    let digests: BTreeSet<u32> = last.iter().map(|&(.., d)| d).collect();
     v.check(
         "recovery-converged",
         converged,
         format!("within {}ms of schedule end", s.recovery_ms()),
     );
-    v.check("all-recovered", last.iter().all(|&(a, ..)| a), format!("alive: {last:?}"));
-    v.check("single-leader", leaders.len() == 1, format!("leaders: {leaders:?}"));
-    v.check("term-agreement", terms.len() <= 1, format!("terms: {terms:?}"));
-    v.check(
-        "state-convergence",
-        commits.len() <= 1 && digests.len() <= 1,
-        format!("commits: {commits:?}, digests: {digests:?}"),
-    );
-    if s.expect_progress {
-        let total_acked = acked.load(Ordering::Relaxed);
-        let committed = commits.iter().min().copied().unwrap_or(0);
-        v.check(
-            "progress",
-            total_acked > 0 && committed > 0,
-            format!("acked={total_acked} commit={committed}"),
-        );
-    }
-    v.metric("acked", acked.load(Ordering::Relaxed) as f64);
-    v.metric("final_commit", commits.iter().max().copied().unwrap_or(0) as f64);
-
     // Probe evidence: election-safety is term-keyed, so the merged events
     // need no clock alignment for the oracle itself.
     let trace: Vec<TraceEvent> = servers.iter().flat_map(|srv| srv.traces().take()).collect();
-    match election_safety(&trace) {
-        Ok(n) => v.check("election-safety", true, format!("{n} elections, no split term")),
-        Err(e) => v.check("election-safety", false, e),
-    }
+    let commits: BTreeSet<u64> = rows.iter().map(|r| r.commit).collect();
+    let convergence = Check {
+        name: "state-convergence".into(),
+        pass: commits.len() <= 1 && digests.len() <= 1,
+        detail: format!("commits: {commits:?}, digests: {digests:?}"),
+    };
+    let total_acked = acked.load(Ordering::Relaxed);
+    end_state(&mut v, &trace, &rows, convergence, s.expect_progress.then_some(total_acked));
+    v.metric("acked", total_acked as f64);
+    v.metric("final_commit", commits.iter().max().copied().unwrap_or(0) as f64);
+
     // Span-tree artifact on failure: align the per-replica clocks off the
     // transport's Ping/Pong samples, then persist every assembled op span
     // so the failing schedule can be replayed against real latencies.

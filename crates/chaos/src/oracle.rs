@@ -8,7 +8,7 @@
 //! after the schedule ends.
 
 use nbr_obs::{ProbeEvent, TraceEvent};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::Path;
 
@@ -165,6 +165,64 @@ pub fn election_safety(events: &[TraceEvent]) -> Result<u64, String> {
         }
     }
     Ok(elections)
+}
+
+/// One replica at the end of a run, as either backend reports it.
+#[derive(Debug, Clone, Copy)]
+pub struct EndRow {
+    /// Running (not crashed) when the run ended. The rest is read only then.
+    pub alive: bool,
+    /// Believes itself leader.
+    pub is_leader: bool,
+    /// Current term.
+    pub term: u64,
+    /// Commit index.
+    pub commit: u64,
+}
+
+/// The lowest commit index among the live replicas (0 when none is live).
+pub fn min_live_commit(rows: &[EndRow]) -> u64 {
+    rows.iter().filter(|r| r.alive).map(|r| r.commit).min().unwrap_or(0)
+}
+
+/// The final-state oracles every backend is judged by, over its `trace` and
+/// its per-replica end `rows`: election safety, every replica back, exactly
+/// one leader and one term among the live ones, the backend's own
+/// `convergence` evidence (what "the replicas hold the same state" can be
+/// read from differs: log prefix hashes in the sim, commit indexes and
+/// state-machine digests over TCP), and — `progress: Some(acks)` — that
+/// clients were acked and something committed.
+pub fn end_state(
+    v: &mut Verdict,
+    trace: &[TraceEvent],
+    rows: &[EndRow],
+    convergence: Check,
+    progress: Option<u64>,
+) {
+    match election_safety(trace) {
+        Ok(n) => v.check("election-safety", true, format!("{n} elections, no split term")),
+        Err(e) => v.check("election-safety", false, e),
+    }
+    let live = || rows.iter().enumerate().filter(|(_, r)| r.alive);
+    let n_live = live().count();
+    v.check(
+        "all-recovered",
+        n_live == rows.len(),
+        format!("{n_live}/{} nodes live at end", rows.len()),
+    );
+    let leaders: Vec<usize> = live().filter(|(_, r)| r.is_leader).map(|(i, _)| i).collect();
+    v.check("single-leader", leaders.len() == 1, format!("leaders: {leaders:?}"));
+    let terms: BTreeSet<u64> = live().map(|(_, r)| r.term).collect();
+    v.check("term-agreement", terms.len() <= 1, format!("live terms: {terms:?}"));
+    v.checks.push(convergence);
+    if let Some(confirmed) = progress {
+        let min_commit = min_live_commit(rows);
+        v.check(
+            "progress",
+            confirmed > 0 && min_commit > 0,
+            format!("confirmed={confirmed} min_commit={min_commit}"),
+        );
+    }
 }
 
 #[cfg(test)]

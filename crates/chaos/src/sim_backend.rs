@@ -6,7 +6,7 @@
 //! the same verdict JSON, so failures replay exactly from `--seed`.
 
 use crate::corpus::Scenario;
-use crate::oracle::{election_safety, Verdict};
+use crate::oracle::{end_state, min_live_commit, Check, EndRow, Verdict};
 use nbr_obs::EngineProbe;
 use nbr_sim::{SimConfig, SimResult};
 use nbr_types::{Protocol, Time, TimeDelta};
@@ -42,40 +42,20 @@ pub fn run_scenario_sim(s: &Scenario, seed: u64) -> Verdict {
     let (r, events) = run_once(s, seed, s.window);
     let mut v = Verdict::new(s.name, "sim", seed);
 
-    match election_safety(&events) {
-        Ok(n) => v.check("election-safety", true, format!("{n} elections, no split term")),
-        Err(e) => v.check("election-safety", false, e),
-    }
-
-    let live: Vec<(usize, (u64, bool, u64))> =
-        r.final_state.iter().enumerate().filter_map(|(i, st)| st.map(|st| (i, st))).collect();
-    v.check(
-        "all-recovered",
-        live.len() == s.nodes as usize,
-        format!("{}/{} nodes live at end", live.len(), s.nodes),
-    );
-
-    let leaders: Vec<usize> = live.iter().filter(|(_, st)| st.1).map(|&(i, _)| i).collect();
-    v.check("single-leader", leaders.len() == 1, format!("leaders: {leaders:?}"));
-
-    let terms: BTreeSet<u64> = live.iter().map(|(_, st)| st.0).collect();
-    v.check("term-agreement", terms.len() <= 1, format!("live terms: {terms:?}"));
-
+    let rows: Vec<EndRow> = (r.final_state.iter().zip(&r.final_commit))
+        .map(|(st, commit)| {
+            let (term, is_leader, _) = st.unwrap_or_default();
+            EndRow { alive: st.is_some(), is_leader, term, commit: commit.unwrap_or(0) }
+        })
+        .collect();
+    let min_commit = min_live_commit(&rows);
     let hashes: BTreeSet<u64> = r.prefix_hash.iter().flatten().copied().collect();
-    let min_commit = r.final_commit.iter().flatten().min().copied().unwrap_or(0);
-    v.check(
-        "log-convergence",
-        hashes.len() <= 1,
-        format!("{} distinct prefix hashes at commit {min_commit}", hashes.len()),
-    );
-
-    if s.expect_progress {
-        v.check(
-            "progress",
-            r.confirmed > 0 && min_commit > 0,
-            format!("confirmed={} min_commit={min_commit}", r.confirmed),
-        );
-    }
+    let convergence = Check {
+        name: "log-convergence".into(),
+        pass: hashes.len() <= 1,
+        detail: format!("{} distinct prefix hashes at commit {min_commit}", hashes.len()),
+    };
+    end_state(&mut v, &events, &rows, convergence, s.expect_progress.then_some(r.confirmed));
 
     if s.expect_gap_hints {
         v.check(

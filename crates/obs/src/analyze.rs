@@ -207,11 +207,12 @@ pub fn analyze(events: &[TraceEvent]) -> TraceReport {
     }
 }
 
-fn ms(ns: f64) -> f64 {
+pub(crate) fn ms(ns: f64) -> f64 {
     ns / 1e6
 }
 
-fn hist_line(out: &mut String, label: &str, h: &Histogram) {
+/// One report line for a latency histogram (shared with the span report).
+pub(crate) fn hist_line(out: &mut String, label: &str, h: &Histogram) {
     if h.count() == 0 {
         let _ = writeln!(out, "  {label:<28} (no samples)");
     } else {

@@ -1,9 +1,9 @@
-//! Snapshot exporters: Prometheus text exposition, CSV, and JSONL.
+//! The snapshot exporter: Prometheus text exposition.
 //!
-//! All exporters take a slice of [`Snapshot`]s (one per node) and return a
-//! `String`; callers decide where it goes (HTTP response, file, stdout).
-//! Output is deterministic: snapshots are emitted in slice order and metrics
-//! in name order (the snapshot maps are sorted).
+//! It takes a slice of [`Snapshot`]s (one per node) and returns a `String`;
+//! callers decide where it goes (HTTP response, file, stdout). Output is
+//! deterministic: snapshots are emitted in slice order and metrics in name
+//! order (the snapshot maps are sorted).
 
 use crate::registry::Snapshot;
 use std::fmt::Write as _;
@@ -55,61 +55,6 @@ pub fn prometheus(snaps: &[Snapshot]) -> String {
     out
 }
 
-/// Render snapshots as CSV with one row per exported sample:
-/// `node,kind,name,value`. Timers expand to `count/mean_ns/p50_ns/p99_ns/
-/// min_ns/max_ns` rows so the file stays rectangular.
-pub fn csv(snaps: &[Snapshot]) -> String {
-    let mut out = String::from("node,kind,name,value\n");
-    for s in snaps {
-        let node = &s.label;
-        for (name, v) in &s.counters {
-            let _ = writeln!(out, "{node},counter,{name},{v}");
-        }
-        for (name, v) in &s.gauges {
-            let _ = writeln!(out, "{node},gauge,{name},{v}");
-        }
-        for (name, t) in &s.timers {
-            let _ = writeln!(out, "{node},timer,{name}_count,{}", t.count);
-            let _ = writeln!(out, "{node},timer,{name}_mean_ns,{}", fmt_f64(t.mean_ns));
-            let _ = writeln!(out, "{node},timer,{name}_p50_ns,{}", t.p50_ns);
-            let _ = writeln!(out, "{node},timer,{name}_p99_ns,{}", t.p99_ns);
-            let _ = writeln!(out, "{node},timer,{name}_min_ns,{}", t.min_ns);
-            let _ = writeln!(out, "{node},timer,{name}_max_ns,{}", t.max_ns);
-        }
-    }
-    out
-}
-
-/// Render snapshots as JSONL: one flat object per node. Metric names are
-/// registry-controlled identifiers (`[a-z0-9_]`), so no string escaping is
-/// required beyond the label, which the registry also controls.
-pub fn jsonl(snaps: &[Snapshot]) -> String {
-    let mut out = String::new();
-    for s in snaps {
-        let _ = write!(out, "{{\"node\":\"{}\"", s.label);
-        for (name, v) in &s.counters {
-            let _ = write!(out, ",\"{name}\":{v}");
-        }
-        for (name, v) in &s.gauges {
-            let _ = write!(out, ",\"{name}\":{v}");
-        }
-        for (name, t) in &s.timers {
-            let _ = write!(
-                out,
-                ",\"{name}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                t.count,
-                fmt_f64(t.mean_ns),
-                t.p50_ns,
-                t.p99_ns,
-                t.min_ns,
-                t.max_ns
-            );
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,33 +87,6 @@ nbr_t_wait_ns_sum{node=\"node0\"} 4000.0
 nbr_t_wait_ns_count{node=\"node0\"} 2
 nbr_entries_appended{node=\"node1\"} 17
 ";
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn csv_golden() {
-        let got = csv(&sample());
-        let want = "\
-node,kind,name,value
-node0,counter,entries_appended,42
-node0,gauge,commit_index,40
-node0,timer,t_wait_ns_count,2
-node0,timer,t_wait_ns_mean_ns,2000.0
-node0,timer,t_wait_ns_p50_ns,1000
-node0,timer,t_wait_ns_p99_ns,2944
-node0,timer,t_wait_ns_min_ns,1000
-node0,timer,t_wait_ns_max_ns,3000
-node1,counter,entries_appended,17
-";
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn jsonl_golden() {
-        let got = jsonl(&sample());
-        let want = "{\"node\":\"node0\",\"entries_appended\":42,\"commit_index\":40,\
-\"t_wait_ns\":{\"count\":2,\"mean_ns\":2000.0,\"p50_ns\":1000,\"p99_ns\":2944,\
-\"min_ns\":1000,\"max_ns\":3000}}\n{\"node\":\"node1\",\"entries_appended\":17}\n";
         assert_eq!(got, want);
     }
 }

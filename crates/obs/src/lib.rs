@@ -7,7 +7,7 @@
 //!   to a no-op; [`EngineProbe`]/[`SharedProbe`] buffer events for harnesses.
 //! - [`registry`]: named counters/gauges/histogram timers per node, with
 //!   deterministic name-sorted [`Snapshot`]s.
-//! - [`export`]: snapshot renderers — Prometheus text, CSV, JSONL.
+//! - [`export`]: the snapshot renderer — Prometheus text exposition.
 //! - [`trace`] + [`analyze`]: the JSONL trace format and its replay into
 //!   per-entry timelines and the `t_wait(F)` report (`nbraft-cli trace`).
 //! - [`span`]: cross-node span assembly — keepalive-based clock alignment,

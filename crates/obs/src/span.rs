@@ -39,7 +39,7 @@
 //! harness markers), not per op: group commit amortizes one fsync over
 //! many entries, so attributing it to a single span would double-count.
 
-use crate::analyze::{timelines, Lifecycle};
+use crate::analyze::{hist_line, ms, timelines, Lifecycle};
 use crate::probe::{ProbeEvent, TraceEvent};
 use crate::shard::{group_node, node_group};
 use nbr_metrics::Histogram;
@@ -441,26 +441,6 @@ pub fn critical_path(spans: &[OpSpan], events: &[TraceEvent], align: &ClockAlign
     cp
 }
 
-fn ms(ns: f64) -> f64 {
-    ns / 1e6
-}
-
-fn phase_line(out: &mut String, label: &str, h: &Histogram) {
-    if h.count() == 0 {
-        let _ = writeln!(out, "  {label:<28} (no samples)");
-    } else {
-        let _ = writeln!(
-            out,
-            "  {label:<28} n={:<8} mean={:.3}ms p50={:.3}ms p99={:.3}ms max={:.3}ms",
-            h.count(),
-            ms(h.mean()),
-            ms(h.p50() as f64),
-            ms(h.p99() as f64),
-            ms(h.max() as f64),
-        );
-    }
-}
-
 impl CriticalPath {
     /// The phases in render order, with their labels.
     pub fn phases(&self) -> [(&'static str, &Histogram); 6] {
@@ -486,7 +466,7 @@ impl CriticalPath {
             self.members.len() / 2 + 1,
         );
         for (label, h) in self.phases() {
-            phase_line(&mut out, label, h);
+            hist_line(&mut out, label, h);
         }
         let _ = writeln!(
             out,
@@ -494,9 +474,9 @@ impl CriticalPath {
             self.window_blocked,
             self.window.count()
         );
-        phase_line(&mut out, "total submit -> commit", &self.total);
-        phase_line(&mut out, "t_wait(F) all followers", &self.twait_all);
-        phase_line(&mut out, "wal fsync (per node)", &self.fsync);
+        hist_line(&mut out, "total submit -> commit", &self.total);
+        hist_line(&mut out, "t_wait(F) all followers", &self.twait_all);
+        hist_line(&mut out, "wal fsync (per node)", &self.fsync);
         let _ = writeln!(
             out,
             "clock alignment: {} samples, rtt p50 {:.3}ms, max |correction| {:.3}ms",

@@ -120,6 +120,4 @@ fn registry_snapshots_are_deterministic_under_the_sim() {
     assert_eq!(sa.gauges, sb.gauges);
     let (sa, sb) = (std::slice::from_ref(&sa), std::slice::from_ref(&sb));
     assert_eq!(nbr_obs::export::prometheus(sa), nbr_obs::export::prometheus(sb));
-    assert_eq!(nbr_obs::export::csv(sa), nbr_obs::export::csv(sb));
-    assert_eq!(nbr_obs::export::jsonl(sa), nbr_obs::export::jsonl(sb));
 }

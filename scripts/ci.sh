@@ -23,12 +23,13 @@ cargo test -q
 
 # The serving stack: the replica loop, the in-process router, and the TCP
 # transport + NodeServer over real loopback sockets (one-group and
-# multi-group suites), about 10 s of test time; plus the chaos harness over
-# both of its backends (three sim tests, one of which compares the seed-7
-# corpus verdicts with the committed golden, and one net scenario), about
-# 25 s in the debug profile.
-step "cargo test -q -p nbr-cluster -p nbr-net -p nbr-chaos (serving stack + fault plane)"
-cargo test -q -p nbr-cluster -p nbr-net -p nbr-chaos
+# multi-group suites), about 10 s of test time; the CLI over its built binary
+# (the bench-net run matrix and table, rejected options, the trace loader),
+# about 6 s; plus the chaos harness over both of its backends (three sim
+# tests, one of which compares the seed-7 corpus verdicts with the committed
+# golden, and one net scenario), about 25 s in the debug profile.
+step "cargo test -q -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos (serving stack + fault plane)"
+cargo test -q -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos
 
 if [ "${CI_FULL:-0}" = "1" ]; then
     step "cargo test -q --workspace (full suite, slow)"
@@ -136,33 +137,34 @@ fi
 
 # Short batched-replication benchmark over real sockets: window=0 vs
 # windowed, with commit p50/p99 latency. The full comparison (defaults:
-# 10ms RTT, 2% loss, 3s per run) is a release-bench concern; this smoke
-# only proves the harness runs end-to-end and archives the latency
-# percentiles for the commit under test. The run is traced: per-replica
-# span JSONL lands in target/ci-artifacts/bench-net-traces/, the
-# machine-readable perf summary in BENCH_net.json, and the assembled
+# 10ms RTT, 2% loss, 3s per run) is an interactive concern and the committed
+# numbers are benchmark/'s; this smoke only proves the run matrix works
+# end-to-end and archives the table for the commit under test. The run is
+# traced: per-replica span JSONL lands in
+# target/ci-artifacts/bench-net-traces/window-{0,64}/, and the assembled
 # critical-path report (per-phase p50/p99 + the phase-delta accounting of
 # the window-0 vs windowed gap) in critical-path.txt.
-step "bench-net --compare smoke (traced, latency percentiles)"
-./target/release/nbraft-cli bench-net --compare --clients 8 --seconds 1 \
-    --rtt-ms 2 --window 64 \
-    --trace-dir target/ci-artifacts/bench-net-traces \
-    --json target/ci-artifacts/BENCH_net.json \
-    | tee target/ci-artifacts/bench-net-compare.txt
+two_rows() { # two_rows FILE: a bench-net table of two runs, the second with its ratio
+    awk '$1 ~ /^[0-9]+$/ { rows++; ratio = $NF }
+         END { exit !(rows == 2 && ratio ~ /^[0-9.]+×$/) }' "$1"
+}
+step "bench-net --window 0,64 smoke (traced, latency percentiles)"
+rm -rf target/ci-artifacts/bench-net-traces
+./target/release/nbraft-cli bench-net --window 0,64 --clients 8 --seconds 1 \
+    --rtt-ms 2 --trace-dir target/ci-artifacts/bench-net-traces \
+    | tee target/ci-artifacts/bench-net-window.txt
+two_rows target/ci-artifacts/bench-net-window.txt
 
 # Sharded scaling smoke: 1 vs 2 NB-Raft groups multiplexed over shared
 # loopback links (wire protocol v4), weak scaling with a fixed per-group
 # closed-loop client count, both rows on the same server stack. This only
-# proves multi-group serving runs end-to-end and that adding a group adds
-# throughput at all; the full
-# 1,2,4,8 sweep behind the scaling figure is a release-bench concern
-# (bench_out/shard_scaling.csv).
-step "bench-net --scale-groups smoke (2-group mux over shared links)"
-time timeout 420 ./target/release/nbraft-cli bench-net --scale-groups 1,2 \
+# proves multi-group serving runs end-to-end and prints how much a second
+# group adds; a saturating sharded workload belongs in benchmark/.
+step "bench-net --groups 1,2 smoke (2-group mux over shared links)"
+time timeout 420 ./target/release/nbraft-cli bench-net --groups 1,2 \
     --clients-per-group 4 --window 64 --seconds 1 --rtt-ms 2 --loss-pct 0 \
-    --json target/ci-artifacts/BENCH_shard.json \
     | tee target/ci-artifacts/bench-net-shard.txt
-grep -q '"bench": "bench-net-shard"' target/ci-artifacts/BENCH_shard.json
+two_rows target/ci-artifacts/bench-net-shard.txt
 
 step "trace --critical-path (span assembly across 3 replicas x 2 runs)"
 ./target/release/nbraft-cli trace \

@@ -56,6 +56,12 @@ scrape() { # scrape PORT FILE
     exec 9>&-
 }
 
+# One column of a bench-net table's (only) row, named as in its header.
+row() { # row COLUMN FILE
+    awk -v col="$1" '$1 == "window" { for (i = 1; i <= NF; i++) if ($i == col) c = i; next }
+                     c { print $c; exit }' "$2"
+}
+
 # Wait for a leader to announce itself in some serve log.
 find_leader() {
     for i in 0 1 2; do
@@ -76,8 +82,8 @@ echo "leader: node $LEADER"
 echo "== phase 1: commit over real TCP =="
 "$CLI" bench-net --peers "$PEERS" --cluster-id "$CLUSTER_ID" \
     --clients 4 --seconds 2 | tee "$ART/bench1.txt"
-OPS1=$(awk '/^ops/ {print $2}' "$ART/bench1.txt")
-WEAK1=$(awk '/^weak-acked/ {print $2}' "$ART/bench1.txt")
+OPS1=$(row ops "$ART/bench1.txt")
+WEAK1=$(row weak "$ART/bench1.txt")
 [ "${OPS1:-0}" -gt 0 ] || { echo "net_smoke: FAIL no ops committed"; exit 1; }
 [ "${WEAK1:-0}" -gt 0 ] || { echo "net_smoke: FAIL no weak accepts (NB-Raft path dead)"; exit 1; }
 
@@ -119,7 +125,7 @@ echo "new leader: node $NEW_LEADER"
 # and rotate — this exercises the opList/listTerm retry path end to end.
 "$CLI" bench-net --peers "$PEERS" --cluster-id "$CLUSTER_ID" \
     --clients 4 --seconds 2 | tee "$ART/bench2.txt"
-OPS2=$(awk '/^ops/ {print $2}' "$ART/bench2.txt")
+OPS2=$(row ops "$ART/bench2.txt")
 [ "${OPS2:-0}" -gt 0 ] || { echo "net_smoke: FAIL no commits after re-election"; exit 1; }
 
 scrape "$((M0 + NEW_LEADER))" "$ART/metrics-after-kill.prom"
@@ -169,7 +175,7 @@ kill -9 "${PIDS[3 + VICTIM]}"
 wait "${PIDS[3 + VICTIM]}" 2>/dev/null || true
 unset "PIDS[3 + VICTIM]"
 wait "$BENCH" || { echo "net_smoke: FAIL bench died during follower crash"; exit 1; }
-OPS3=$(awk '/^ops/ {print $2}' "$ART/bench3.txt")
+OPS3=$(row ops "$ART/bench3.txt")
 [ "${OPS3:-0}" -gt 0 ] || { echo "net_smoke: FAIL no commits while follower was down"; exit 1; }
 
 # Restart the victim with the identical command: it must replay its WAL,
