@@ -13,8 +13,8 @@ use crate::report::Table;
 type SweepPoint = (String, Box<dyn Fn(&mut SimConfig)>);
 use nbr_obs::{analyze, EngineProbe};
 use nbr_petri::{CostProfile, ModelConfig, ReplicationModel};
-use nbr_sim::{run, CostModel, FailurePlan, GeoMatrix, SimConfig};
-use nbr_types::{Protocol, Time, TimeDelta, TimeoutConfig};
+use nbr_sim::{run, CostModel, GeoMatrix, SimConfig};
+use nbr_types::{Fault, Protocol, Target, Time, TimeDelta, TimeoutConfig};
 
 /// Sweep scale: full paper-shaped runs or a quick smoke configuration.
 #[derive(Debug, Clone)]
@@ -235,6 +235,10 @@ fn loss_config(
     loss_config_n(protocol, kill_at_ms, timeout, seed, 64)
 }
 
+/// A Section V-G loss run: at `kill_at_ms` the leader and the clients crash
+/// together (no opList retry re-submits weak data), then the group gets 6 s
+/// to re-elect and settle. Loss runs report no throughput, so the
+/// measurement window simply runs on to that horizon.
 fn loss_config_n(
     protocol: Protocol,
     kill_at_ms: u64,
@@ -242,21 +246,21 @@ fn loss_config_n(
     seed: u64,
     n_clients: usize,
 ) -> SimConfig {
+    let (warmup_ms, settle_ms) = (200, 6_000);
+    let kill = Time::from_millis(kill_at_ms);
     SimConfig {
         protocol,
         window: 10_000,
         n_clients,
         n_dispatchers: n_clients,
-        warmup: TimeDelta::from_millis(200),
-        duration: TimeDelta::from_millis(kill_at_ms),
+        warmup: TimeDelta::from_millis(warmup_ms),
+        duration: TimeDelta::from_millis(kill_at_ms + settle_ms - warmup_ms),
         client_ramp: TimeDelta::from_millis(kill_at_ms.min(3000) / 2),
         timeouts: timeout,
-        failure: FailurePlan {
-            kill_leader_at: Some(Time::from_millis(kill_at_ms)),
-            kill_clients: true,
-            dead_from_start: vec![],
-            post_failure: TimeDelta::from_secs(6),
-        },
+        chaos: vec![
+            (kill, Fault::Crash { target: Target::Leader }),
+            (kill, Fault::Crash { target: Target::Clients }),
+        ],
         seed,
         ..Default::default()
     }
@@ -388,7 +392,10 @@ pub fn fig21(scale: &Scale) -> Vec<Table> {
             cfg.n_replicas = 5;
             cfg.n_clients = 256;
             cfg.n_dispatchers = 256;
-            cfg.failure.dead_from_start = dead.clone();
+            cfg.chaos = dead
+                .iter()
+                .map(|&node| (Time::ZERO, Fault::Crash { target: Target::Node(node) }))
+                .collect();
             // Give the leader time to detect the dead replicas (CRaft's
             // full-copy fallback / ECRaft's re-coding engages after a few
             // silent heartbeat rounds) before measuring steady state.

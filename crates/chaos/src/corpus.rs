@@ -7,6 +7,7 @@
 //! drives both backends; `nbraft-cli chaos list` prints this table.
 
 use crate::schedule::{Fault, Schedule};
+use nbr_types::Target;
 
 /// A named chaos scenario.
 #[derive(Debug, Clone)]
@@ -46,9 +47,12 @@ impl Scenario {
     }
 
     /// Whether the net backend can carry out every fault in the schedule:
-    /// all but `campaign`, which needs a hand inside the engine.
+    /// all but `campaign`, which needs a hand inside the engine, and
+    /// `crash clients`, whose client machine only the sim models.
     pub fn net_capable(&self) -> bool {
-        !self.parsed().events.iter().any(|e| matches!(e.fault, Fault::Campaign { .. }))
+        !self.parsed().events.iter().any(|e| {
+            matches!(e.fault, Fault::Campaign { .. } | Fault::Crash { target: Target::Clients })
+        })
     }
 
     /// Bounded recovery window after the last scheduled fault within which
@@ -213,5 +217,13 @@ mod tests {
         assert!(all.iter().filter(|s| s.net_smoke).all(Scenario::net_capable));
         let sim_only: Vec<_> = all.iter().filter(|s| !s.net_capable()).map(|s| s.name).collect();
         assert_eq!(sim_only, ["campaign-storm"]);
+    }
+
+    #[test]
+    fn a_client_crash_is_sim_only() {
+        let base = find("crash-recover-leader").expect("in the corpus");
+        assert!(base.net_capable());
+        let s = Scenario { schedule: "at 400ms crash leader\nat 400ms crash clients\n", ..base };
+        assert!(!s.net_capable());
     }
 }

@@ -13,17 +13,20 @@
 //! row is read once per writer wake-up rather than per message (loss is
 //! still decided per frame, and each frame is delivered `delay` after it is
 //! sent, in order, as in the sim — only the jitter draw is shared by the
-//! frames of one wake-up), and `campaign` has no live-replica control —
-//! schedules using it are sim-only. The schedule, oracle set, and seed
-//! plumbing are identical.
+//! frames of one wake-up), and `campaign` and `crash clients` have no
+//! live-cluster control — schedules using them are sim-only. Whichever
+//! replica wins the bootstrap election, the schedule's node ids are rotated
+//! so that its node 0 is that leader, as node 0 is in the sim. The schedule,
+//! oracle set, and seed plumbing are identical.
 
 use crate::corpus::Scenario;
 use crate::oracle::{end_state, min_live_commit, Check, EndRow, Verdict};
+use crate::schedule::Schedule;
 use nbr_cluster::{FaultPlane, StorageMode};
 use nbr_net::{await_leaders, NetClient, NodeServer};
 use nbr_obs::{EngineProbe, TraceEvent};
 use nbr_storage::{KvStore, StateMachine};
-use nbr_types::{checksum::crc32, ClientId, NodeAction, TimeDelta};
+use nbr_types::{checksum::crc32, ClientId, NodeAction, Target, TimeDelta};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +46,7 @@ pub fn run_scenario_net(
 ) -> Verdict {
     let mut v = Verdict::new(s.name, "net", seed);
     if !s.net_capable() {
-        v.check("net-capable", false, "schedule uses sim-only faults (campaign)");
+        v.check("net-capable", false, "schedule uses sim-only faults (campaign, crash clients)");
         return v;
     }
     let _ = std::fs::remove_dir_all(scratch);
@@ -75,13 +78,15 @@ pub fn run_scenario_net(
 
     // Establish a leader before the schedule clock starts, mirroring the
     // sim's deterministic bootstrap campaign at t=0.
-    let elected = await_leaders(&servers, Duration::from_secs(5)).is_ok();
-    v.check("bootstrap-leader", elected, "a leader within 5s of spawn");
-    if !elected {
+    let Ok(&[leader]) = await_leaders(&servers, Duration::from_secs(5)).as_deref() else {
+        v.check("bootstrap-leader", false, "a leader within 5s of spawn");
         drop(servers);
         let _ = std::fs::remove_dir_all(scratch);
         return v;
-    }
+    };
+    let detail =
+        format!("replica {leader} leads; schedule node i runs on ({leader} + i) % {}", s.nodes);
+    v.check("bootstrap-leader", true, detail);
 
     // Closed-loop client traffic on background threads for the whole
     // schedule (short per-request timeouts: requests are *expected* to fail
@@ -122,7 +127,7 @@ pub fn run_scenario_net(
 
     // The schedule, in wall-clock time from here.
     // (time order, ties in file order: the sort is stable).
-    let mut events = s.parsed().events;
+    let mut events = rotated(s.parsed(), leader as u32, s.nodes).events;
     events.sort_by_key(|ev| ev.at);
     let t0 = Instant::now();
     for ev in &events {
@@ -132,12 +137,25 @@ pub fn run_scenario_net(
             std::thread::sleep(target - elapsed);
         }
         // The plane takes link, clock and disk faults as they are; crash
-        // and recover go to the replica. (`campaign` cannot be done to a
-        // live replica; such schedules are not `net_capable`.)
-        let replica = |node: u32| servers.get(node as usize).map(NodeServer::cluster);
+        // and recover go to the replica, `crash leader` to whichever one
+        // says it leads now. (`campaign` and `crash clients` cannot be done
+        // to a live cluster; such schedules are not `net_capable`.)
+        let replica = |node: usize| servers.get(node).map(NodeServer::cluster);
         match plane.apply(&ev.fault) {
-            Some(NodeAction::Crash(node)) => replica(node).into_iter().for_each(|r| r.crash(0)),
-            Some(NodeAction::Recover(node)) => replica(node).into_iter().for_each(|r| r.restart(0)),
+            Some(NodeAction::Crash(target)) => {
+                let node = match target {
+                    Target::Node(n) => Some(n as usize),
+                    // A zero wait is one look at who leads now.
+                    Target::Leader => await_leaders(&servers, Duration::ZERO)
+                        .ok()
+                        .and_then(|l| l.first().copied()),
+                    Target::Clients => None,
+                };
+                node.and_then(replica).into_iter().for_each(|r| r.crash(0));
+            }
+            Some(NodeAction::Recover(n)) => {
+                replica(n as usize).into_iter().for_each(|r| r.restart(0))
+            }
             Some(NodeAction::Campaign(_)) | None => {}
         }
     }
@@ -223,4 +241,29 @@ pub fn run_scenario_net(
     drop(servers);
     let _ = std::fs::remove_dir_all(scratch);
     v
+}
+
+/// `schedule` with every node id it names rotated so that its node 0, the
+/// sim's bootstrap leader, is replica `leader` of `n`: `i → (leader + i) % n`.
+fn rotated(mut schedule: Schedule, leader: u32, n: u32) -> Schedule {
+    for ev in &mut schedule.events {
+        ev.fault.nodes_mut().into_iter().for_each(|id| *id = (leader + *id) % n);
+    }
+    schedule
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rotation_puts_scenario_node_zero_on_the_elected_leader() {
+        let text =
+            "at 1ms partition {0}|{1,2}\nat 2ms crash 0\nat 3ms crash leader\nat 4ms recover 2\n";
+        let s = Schedule::parse(text).expect("parse");
+        let want =
+            "at 1ms partition {2}|{0,1}\nat 2ms crash 2\nat 3ms crash leader\nat 4ms recover 1\n";
+        assert_eq!(rotated(s.clone(), 2, 3).render(), want);
+        assert_eq!(rotated(s.clone(), 0, 3), s, "leader 0: the schedule as written");
+    }
 }

@@ -14,6 +14,8 @@
 //! at 700ms slow-disk 1 3ms
 //! at 800ms crash 1
 //! at 1200ms recover 1
+//! at 1250ms crash leader           # whoever leads at that instant
+//! at 1250ms crash clients          # the client machine (sim only)
 //! at 1300ms heal-disk 1
 //! at 1400ms campaign 2
 //! at 1500ms heal                   # clear every cut + gray link
@@ -27,7 +29,7 @@
 //! every backend runs unchanged.
 
 pub use nbr_types::Fault;
-use nbr_types::TimeDelta;
+use nbr_types::{Target, TimeDelta};
 
 /// A fault scheduled at an offset from the start of the run.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,24 +85,8 @@ impl Schedule {
 
     /// Highest node id referenced anywhere in the schedule.
     pub fn max_node(&self) -> u32 {
-        let mut m = 0;
-        for ev in &self.events {
-            let ids: Vec<u32> = match &ev.fault {
-                Fault::Partition { a, b, .. } => a.iter().chain(b).copied().collect(),
-                Fault::GrayLink { from, to, .. } | Fault::HealLink { from, to, .. } => {
-                    vec![*from, *to]
-                }
-                Fault::Skew { node, .. }
-                | Fault::SlowDisk { node, .. }
-                | Fault::HealDisk { node }
-                | Fault::Crash { node }
-                | Fault::Recover { node }
-                | Fault::Campaign { node } => vec![*node],
-                Fault::Heal => vec![],
-            };
-            m = m.max(ids.into_iter().max().unwrap_or(0));
-        }
-        m
+        let mut events = self.events.clone();
+        events.iter_mut().flat_map(|ev| ev.fault.nodes_mut()).map(|n| *n).max().unwrap_or(0)
     }
 }
 
@@ -158,7 +144,14 @@ fn parse_fault(toks: &[&str]) -> Result<Fault, String> {
             Ok(Fault::SlowDisk { node, penalty: parse_dur(v)? })
         }
         "heal-disk" => Ok(Fault::HealDisk { node: parse_node(toks.get(1).copied())? }),
-        "crash" => Ok(Fault::Crash { node: parse_node(toks.get(1).copied())? }),
+        "crash" => {
+            let target = match toks.get(1).copied() {
+                Some("leader") => Target::Leader,
+                Some("clients") => Target::Clients,
+                node => Target::Node(parse_node(node)?),
+            };
+            Ok(Fault::Crash { target })
+        }
         "recover" => Ok(Fault::Recover { node: parse_node(toks.get(1).copied())? }),
         "campaign" => Ok(Fault::Campaign { node: parse_node(toks.get(1).copied())? }),
         other => Err(format!("unknown fault `{other}`")),
@@ -189,7 +182,9 @@ fn render_fault(f: &Fault) -> String {
         Fault::Skew { node, by } => format!("skew {node} +{}", render_dur(*by)),
         Fault::SlowDisk { node, penalty } => format!("slow-disk {node} {}", render_dur(*penalty)),
         Fault::HealDisk { node } => format!("heal-disk {node}"),
-        Fault::Crash { node } => format!("crash {node}"),
+        Fault::Crash { target: Target::Node(node) } => format!("crash {node}"),
+        Fault::Crash { target: Target::Leader } => "crash leader".into(),
+        Fault::Crash { target: Target::Clients } => "crash clients".into(),
         Fault::Recover { node } => format!("recover {node}"),
         Fault::Campaign { node } => format!("campaign {node}"),
     }
@@ -265,11 +260,16 @@ at 1300ms heal-disk 1
 at 1400ms heal-link 0<->1
 at 1450ms campaign 2
 at 1500ms heal
+at 1600ms crash leader
+at 1600ms crash clients
 ";
         let s = Schedule::parse(text).expect("parse");
-        assert_eq!(s.events.len(), 12);
+        assert_eq!(s.events.len(), 14);
         assert_eq!(Schedule::parse(&s.render()).expect("reparse"), s);
-        assert_eq!(s.end(), TimeDelta::from_millis(1500));
+        assert_eq!(s.end(), TimeDelta::from_millis(1600));
+        let last = |i: usize| s.events[s.events.len() - i].fault.clone();
+        assert_eq!(last(2), Fault::Crash { target: Target::Leader });
+        assert_eq!(last(1), Fault::Crash { target: Target::Clients });
         assert_eq!(s.max_node(), 2);
     }
 
@@ -287,5 +287,6 @@ at 1500ms heal
         assert!(Schedule::parse("at 1ms warp 3\n").is_err());
         assert!(Schedule::parse("crash 1\n").is_err());
         assert!(Schedule::parse("at 1ms partition {0}{1}\n").is_err());
+        assert!(Schedule::parse("at 1ms crash everyone\n").is_err());
     }
 }

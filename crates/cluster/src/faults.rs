@@ -70,6 +70,7 @@ impl FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbr_types::Target;
 
     #[test]
     fn node_dials_follow_the_table_one_node_at_a_time() {
@@ -97,6 +98,7 @@ mod tests {
         plane.apply(&Fault::Partition { a: vec![0], b: vec![1], symmetric: false });
         assert!(plane.link(0, 1).cut);
         assert_eq!(plane.link(1, 0), LinkFault::default());
-        assert_eq!(plane.apply(&Fault::Crash { node: 2 }), Some(NodeAction::Crash(2)));
+        let crash = Fault::Crash { target: Target::Node(2) };
+        assert_eq!(plane.apply(&crash), Some(NodeAction::Crash(Target::Node(2))));
     }
 }

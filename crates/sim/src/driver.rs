@@ -27,20 +27,6 @@ use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Failure injection plan (Figures 19/21).
-#[derive(Debug, Clone, Default)]
-pub struct FailurePlan {
-    /// Kill the current leader (and optionally all clients) at this instant.
-    pub kill_leader_at: Option<Time>,
-    /// Kill the clients together with the leader (the paper's Section V-G
-    /// methodology — prevents opList retries from re-submitting weak data).
-    pub kill_clients: bool,
-    /// Replicas dead from the start (Figure 21's failing replicas).
-    pub dead_from_start: Vec<u32>,
-    /// How long to keep simulating after the kill (election + stabilize).
-    pub post_failure: TimeDelta,
-}
-
 /// Full experiment configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -70,11 +56,10 @@ pub struct SimConfig {
     pub cpu_scale: f64,
     /// Election/heartbeat timing (Figure 19b varies election_min/max).
     pub timeouts: TimeoutConfig,
-    /// Failure plan.
-    pub failure: FailurePlan,
-    /// Chaos schedule: faults applied at their virtual instants, ties in
-    /// vector order. (`failure` stays the paper-figure path: leader kill +
-    /// loss accounting.)
+    /// Fault schedule: faults applied at their virtual instants, ties in
+    /// vector order. Faults due at t = 0 land before the bootstrap
+    /// campaign, so `crash N` at 0 is a replica dead from the start. The run
+    /// lasts until the later of the window's end and the last fault.
     pub chaos: Vec<(Time, Fault)>,
     /// Seed for all randomness.
     pub seed: u64,
@@ -100,7 +85,6 @@ impl Default for SimConfig {
             geo: None,
             cpu_scale: 1.0,
             timeouts: TimeoutConfig::default(),
-            failure: FailurePlan::default(),
             chaos: Vec::new(),
             seed: 42,
             trace: EngineProbe::Off,
@@ -129,9 +113,10 @@ pub struct SimResult {
     pub weak_acked: u64,
     /// Mean `t_wait(F)` per appended entry, ms (paper's bottleneck metric).
     pub twait_mean_ms: f64,
-    /// Entries that survived in the post-failure leader's log (loss runs).
+    /// Distinct client requests in the final log of the live replica with
+    /// the highest `(term, last index)` (0 when no replica is alive).
     pub survived: u64,
-    /// Fraction of issued requests lost (loss runs; 0 otherwise).
+    /// Fraction of issued requests missing from that log.
     pub loss_fraction: f64,
     /// Leader elections observed.
     pub elections: u64,
@@ -159,8 +144,8 @@ enum WorkItem {
 
 enum Ev {
     /// Arrival of work at a node. `txed` is when the sender's NIC finished
-    /// serializing it: packets whose transmission had not completed when the
-    /// sender was killed die with the sender's queue.
+    /// serializing it: work whose sender crashes before then dies with the
+    /// sender (`Simulator::lose_unsent`).
     Work {
         node: usize,
         item: WorkItem,
@@ -183,7 +168,6 @@ enum Ev {
     NodeTick {
         node: usize,
     },
-    Kill,
     Chaos {
         fault: Fault,
     },
@@ -234,12 +218,12 @@ impl Servers {
     }
 }
 
-/// Durable image of a chaos-crashed node: its log plus hard state
-/// (current term, vote), the pieces a real WAL preserves across kill -9.
+/// Durable image of a crashed node: its log plus hard state (current term,
+/// vote), the pieces a real WAL preserves across kill -9.
 type DurableImage = (MemLog, (Term, Option<NodeId>));
 
 /// A replica engine of this experiment over `log`: empty at the start, a
-/// chaos-crashed node's durable image on recovery.
+/// crashed node's durable image on recovery.
 fn boot_node(cfg: &SimConfig, id: NodeId, log: MemLog, seed: u64) -> Node<MemLog, EngineProbe> {
     let membership = (0..cfg.n_replicas as u32).map(NodeId).collect();
     let mut pcfg = cfg.protocol.config(cfg.window);
@@ -280,17 +264,13 @@ pub struct Simulator {
     resident: Vec<u64>,
     /// Which (node, client) pairs currently hold an unanswered request.
     held: std::collections::HashSet<(usize, u64)>,
-    killed: bool,
-    /// The node removed by the failure plan, and when.
-    dead_node: Option<u32>,
-    kill_time: Time,
 
-    // chaos state (empty/zero unless cfg.chaos is non-empty)
+    // fault state (empty/zero unless cfg.chaos is non-empty)
     /// Link cuts and gray links, per-node clock skew (added to every `now`
     /// an engine sees) and slow-disk penalty (added to append/proposal CPU
     /// costs).
     faults: FaultTable,
-    /// Durable image of a chaos-crashed node, until it recovers.
+    /// Durable image of a crashed node, until it recovers.
     crashed_durable: Vec<Option<DurableImage>>,
     chaos_dropped: u64,
     recoveries: u64,
@@ -301,12 +281,9 @@ impl Simulator {
     pub fn new(cfg: SimConfig) -> Simulator {
         let n = cfg.n_replicas;
         let membership: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let nodes: Vec<Option<Node<MemLog, EngineProbe>>> = membership
+        let nodes = membership
             .iter()
-            .map(|&id| {
-                let alive = !cfg.failure.dead_from_start.contains(&id.0);
-                alive.then(|| boot_node(&cfg, id, MemLog::new(), cfg.seed))
-            })
+            .map(|&id| Some(boot_node(&cfg, id, MemLog::new(), cfg.seed)))
             .collect();
         let wl = WorkloadConfig { request_size: cfg.payload, ..Default::default() };
         let clients: Vec<Option<RaftClient>> = (0..cfg.n_clients)
@@ -350,9 +327,6 @@ impl Simulator {
             elections: 0,
             resident: vec![0; n],
             held: std::collections::HashSet::new(),
-            killed: false,
-            dead_node: None,
-            kill_time: Time::ZERO,
             faults: FaultTable::default(),
             crashed_durable: (0..n).map(|_| None).collect(),
             chaos_dropped: 0,
@@ -622,13 +596,19 @@ impl Simulator {
 
     /// Run the configured experiment to completion.
     pub fn run(mut self) -> SimResult {
+        // Faults due at t = 0 come before the bootstrap: a replica crashed
+        // at 0 is dead from the start, and the first live one campaigns.
+        let (at_zero, chaos): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.cfg.chaos).into_iter().partition(|(at, _)| *at == Time::ZERO);
+        for (_, fault) in at_zero {
+            self.apply_fault(fault);
+        }
         // Bootstrap: node 0 (or the first living node) campaigns at t = 0 so
         // every run starts from an established leader deterministically.
-        let first_alive = self.nodes.iter().position(|n| n.is_some()).expect("some node");
-        {
+        if let Some(first_alive) = self.nodes.iter().position(Option::is_some) {
             let mut out = Vec::new();
             let now = self.now;
-            self.nodes[first_alive].as_mut().unwrap().campaign(now, &mut out);
+            self.nodes[first_alive].as_mut().expect("a live node").campaign(now, &mut out);
             self.route_outputs(first_alive, out);
         }
 
@@ -649,22 +629,10 @@ impl Simulator {
                 Ev::ClientTick { client: c },
             );
         }
-        // Failure schedule.
-        if let Some(at) = self.cfg.failure.kill_leader_at {
-            self.push(at, Ev::Kill);
-        }
-        // Chaos schedule.
-        let chaos = std::mem::take(&mut self.cfg.chaos);
-        for (at, fault) in &chaos {
-            self.push(*at, Ev::Chaos { fault: fault.clone() });
-        }
-
         let mut horizon = self.window_end;
-        if let Some(at) = self.cfg.failure.kill_leader_at {
-            horizon = horizon.max(at + self.cfg.failure.post_failure);
-        }
-        for (at, _) in &chaos {
-            horizon = horizon.max(*at);
+        for (at, fault) in chaos {
+            horizon = horizon.max(at);
+            self.push(at, Ev::Chaos { fault });
         }
 
         while let Some(Reverse(top)) = self.heap.pop() {
@@ -673,24 +641,11 @@ impl Simulator {
             }
             self.now = top.at;
             match top.ev {
-                Ev::Work { node, item, txed } => {
+                Ev::Work { node, item, .. } => {
                     // Arrival at the replica: enter the CPU queue; protocol
                     // logic runs at service completion.
                     if self.nodes[node].is_none() {
                         continue;
-                    }
-                    // Packets still queued on a killed machine die with it:
-                    // only transmissions completed before the kill are "in
-                    // the air" and still arrive (Figure 13's race between
-                    // in-flight entries and the election).
-                    if self.killed && txed > self.kill_time {
-                        let from_dead = match &item {
-                            WorkItem::Msg { from, .. } => Some(from.0) == self.dead_node,
-                            WorkItem::ClientReq(_) => self.cfg.failure.kill_clients,
-                        };
-                        if from_dead {
-                            continue;
-                        }
                     }
                     if let WorkItem::ClientReq(req) = &item {
                         // The request now occupies a server-side context
@@ -759,47 +714,38 @@ impl Simulator {
                     }
                     self.push(self.now + TimeDelta::from_millis(10), Ev::NodeTick { node });
                 }
-                Ev::Kill => {
-                    self.killed = true;
-                    self.kill_time = self.now;
-                    if let Some(l) = self.leader_index() {
-                        self.nodes[l] = None;
-                        self.dead_node = Some(l as u32);
-                        if let EngineProbe::Shared(p) = &self.cfg.trace {
-                            p.record(NodeId(l as u32), self.now, ProbeEvent::Crashed);
-                        }
-                    }
-                    if self.cfg.failure.kill_clients {
-                        for c in self.clients.iter_mut() {
-                            *c = None;
-                        }
-                    }
-                }
                 Ev::Chaos { fault } => self.apply_fault(fault),
             }
         }
         self.finish()
     }
 
-    /// Apply one scheduled chaos fault at the current instant: link, clock
-    /// and disk faults are table state; node faults are carried out here.
+    /// Apply one scheduled fault at the current instant: link, clock and
+    /// disk faults are table state; node faults are carried out here.
     fn apply_fault(&mut self, fault: Fault) {
         let Some(action) = self.faults.apply(&fault) else { return };
         match action {
-            NodeAction::Crash(node) => {
-                let i = node as usize;
-                if i >= self.nodes.len() {
-                    return;
-                }
-                if let Some(n) = self.nodes[i].take() {
-                    // Log and hard state survive the crash — they are what a
-                    // WAL-backed replica recovers from.
-                    let hs = n.hard_state();
-                    self.crashed_durable[i] = Some((n.log().clone(), hs));
-                    if let EngineProbe::Shared(p) = &self.cfg.trace {
-                        p.record(NodeId(node), self.now, ProbeEvent::Crashed);
+            NodeAction::Crash(target) => {
+                let replica = match target {
+                    Target::Node(node) => Some(node as usize),
+                    Target::Leader => self.leader_index(),
+                    Target::Clients => {
+                        self.clients.iter_mut().for_each(|c| *c = None);
+                        return self.lose_unsent(|item| matches!(item, WorkItem::ClientReq(_)));
                     }
+                };
+                // No leader at this instant: `crash leader` is a no-op.
+                let Some(i) = replica else { return };
+                let Some(n) = self.nodes.get_mut(i).and_then(Option::take) else { return };
+                // Log and hard state survive the crash — they are what a
+                // WAL-backed replica recovers from.
+                self.crashed_durable[i] = Some((n.log().clone(), n.hard_state()));
+                if let EngineProbe::Shared(p) = &self.cfg.trace {
+                    p.record(NodeId(i as u32), self.now, ProbeEvent::Crashed);
                 }
+                self.lose_unsent(
+                    |item| matches!(item, WorkItem::Msg { from, .. } if from.as_usize() == i),
+                );
             }
             NodeAction::Recover(node) => {
                 let i = node as usize;
@@ -828,6 +774,19 @@ impl Simulator {
         }
     }
 
+    /// The crash rule, the same for a replica and the client machine: the
+    /// crashed machine's work that had not left its NIC (`txed` after now)
+    /// dies with it, while work already in the air still lands (Figure 13's
+    /// race between in-flight entries and the election). `sent_by` picks the
+    /// machine's own work out of the queue; a recovered incarnation sends
+    /// only after this, so its work is untouched.
+    fn lose_unsent(&mut self, sent_by: impl Fn(&WorkItem) -> bool) {
+        let now = self.now;
+        self.heap.retain(
+            |Reverse(e)| !matches!(&e.ev, Ev::Work { item, txed, .. } if *txed > now && sent_by(item)),
+        );
+    }
+
     fn finish(self) -> SimResult {
         let duration_ns = self.cfg.duration.as_nanos();
         let mut stats = NodeStats::default();
@@ -853,16 +812,13 @@ impl Simulator {
             stats.park_wait_ns as f64 / stats.park_waits as f64 / 1e6
         };
 
-        // Loss accounting: entries of client origin present in the
-        // post-failure leader's log vs requests issued.
-        let (survived, loss_fraction) = if self.killed {
-            let survivor = self
-                .nodes
-                .iter()
-                .flatten()
-                .max_by_key(|n| (n.term(), n.last_index()))
-                .expect("a survivor exists");
-            let mut unique = std::collections::HashSet::new();
+        // Loss accounting: distinct client requests in the log of the live
+        // replica with the highest (term, last index), against requests
+        // issued. With no replica alive nothing survived.
+        let mut unique = std::collections::HashSet::new();
+        if let Some(survivor) =
+            self.nodes.iter().flatten().max_by_key(|n| (n.term(), n.last_index()))
+        {
             let log = survivor.log();
             let mut idx = log.first_index();
             while idx <= log.last_index() {
@@ -871,12 +827,10 @@ impl Simulator {
                 }
                 idx = idx.next();
             }
-            let survived = unique.len() as u64;
-            let lost = self.issued.saturating_sub(survived);
-            (survived, if self.issued == 0 { 0.0 } else { lost as f64 / self.issued as f64 })
-        } else {
-            (0, 0.0)
-        };
+        }
+        let survived = unique.len() as u64;
+        let lost = self.issued.saturating_sub(survived);
+        let loss_fraction = if self.issued == 0 { 0.0 } else { lost as f64 / self.issued as f64 };
 
         let final_state = self
             .nodes

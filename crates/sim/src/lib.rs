@@ -17,4 +17,4 @@ pub mod cost;
 pub mod driver;
 
 pub use cost::{CostModel, GeoMatrix};
-pub use driver::{run, FailurePlan, SimConfig, SimResult, Simulator};
+pub use driver::{run, SimConfig, SimResult, Simulator};

@@ -2,8 +2,8 @@
 //! configurations so the suite stays fast. The full-scale sweeps live in the
 //! `nbr-bench` figure harness.
 
-use nbr_sim::{run, FailurePlan, SimConfig};
-use nbr_types::{Protocol, Time, TimeDelta, TimeoutConfig};
+use nbr_sim::{run, SimConfig};
+use nbr_types::{Fault, Protocol, Target, Time, TimeDelta, TimeoutConfig};
 
 fn quick(protocol: Protocol, n_clients: usize) -> SimConfig {
     SimConfig {
@@ -14,6 +14,14 @@ fn quick(protocol: Protocol, n_clients: usize) -> SimConfig {
         duration: TimeDelta::from_millis(700),
         ..Default::default()
     }
+}
+
+/// Section V-G's failure: the leader and every client crash at `at`.
+fn leader_and_clients_crash(at: Time) -> Vec<(Time, Fault)> {
+    vec![
+        (at, Fault::Crash { target: Target::Leader }),
+        (at, Fault::Crash { target: Target::Clients }),
+    ]
 }
 
 #[test]
@@ -111,14 +119,10 @@ fn loss_on_leader_failure_is_tiny_and_nb_loses_more() {
     let loss_run = |protocol: Protocol, seed: u64| {
         let mut cfg = quick(protocol, 64);
         cfg.warmup = TimeDelta::from_millis(200);
-        cfg.duration = TimeDelta::from_secs(2);
+        // Runs 3 s past the crash: warmup + duration = 1.5 s + 3 s.
+        cfg.duration = TimeDelta::from_millis(4300);
         cfg.seed = seed;
-        cfg.failure = FailurePlan {
-            kill_leader_at: Some(Time::from_millis(1500)),
-            kill_clients: true,
-            dead_from_start: vec![],
-            post_failure: TimeDelta::from_secs(3),
-        };
+        cfg.chaos = leader_and_clients_crash(Time::from_millis(1500));
         run(cfg)
     };
     // A single kill loses only a handful of entries, so compare seed
@@ -146,18 +150,14 @@ fn longer_follower_timeout_reduces_loss() {
     // Figure 19b: loss decreases as the follower timeout grows.
     let loss_with_timeout = |ms: u64| {
         let mut cfg = quick(Protocol::NbRaft, 64);
-        cfg.duration = TimeDelta::from_secs(2);
+        // Runs 8 s past the crash: warmup + duration = 1.5 s + 8 s.
+        cfg.duration = TimeDelta::from_millis(9200);
         cfg.timeouts = TimeoutConfig {
             election_min: TimeDelta::from_millis(ms),
             election_max: TimeDelta::from_millis(ms + ms / 2),
             ..TimeoutConfig::default()
         };
-        cfg.failure = FailurePlan {
-            kill_leader_at: Some(Time::from_millis(1500)),
-            kill_clients: true,
-            dead_from_start: vec![],
-            post_failure: TimeDelta::from_secs(8),
-        };
+        cfg.chaos = leader_and_clients_crash(Time::from_millis(1500));
         run(cfg)
     };
     let short = loss_with_timeout(300);
@@ -198,7 +198,7 @@ fn failing_replicas_favor_ecraft_over_craft() {
     let with_dead = |protocol: Protocol| {
         let mut cfg = quick(protocol, 256);
         cfg.n_replicas = 5;
-        cfg.failure.dead_from_start = vec![4];
+        cfg.chaos = vec![(Time::ZERO, Fault::Crash { target: Target::Node(4) })];
         run(cfg)
     };
     let craft = with_dead(Protocol::CRaft);

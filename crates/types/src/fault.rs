@@ -5,8 +5,9 @@
 //! a backend dialect. [`FaultTable::apply`] is its one interpreter: a fault
 //! becomes a [`LinkFault`] row per directed link plus per-node clock-skew
 //! and disk-stall dials, and only what a backend must *do* to a node comes
-//! back, as a [`NodeAction`]. The simulator owns a table; the threaded
-//! runtimes share one behind `nbr_cluster::FaultPlane`.
+//! back, as a [`NodeAction`] (a crash names a [`Target`] that only the
+//! backend can resolve, such as whoever leads now). The simulator owns a
+//! table; the threaded runtimes share one behind `nbr_cluster::FaultPlane`.
 //!
 //! Plain data and pure functions: randomness enters as a caller-supplied
 //! uniform draw that is only *taken* when the link needs one, so a healthy
@@ -37,8 +38,9 @@ pub enum Fault {
     SlowDisk { node: u32, penalty: TimeDelta },
     /// Clear the slow-disk stall on `node`.
     HealDisk { node: u32 },
-    /// Crash `node`; its durable state (WAL / preserved log image) survives.
-    Crash { node: u32 },
+    /// Crash the machine `target` names when the fault is applied; a
+    /// replica's durable state (WAL / preserved log image) survives.
+    Crash { target: Target },
     /// Restart a crashed `node` from its durable state.
     Recover { node: u32 },
     /// Force `node` to start an election (stale-configuration / duplicate
@@ -46,12 +48,42 @@ pub enum Fault {
     Campaign { node: u32 },
 }
 
+impl Fault {
+    /// Every replica id this fault names, for a caller to read or renumber.
+    /// A crash target that is resolved at apply time names none.
+    pub fn nodes_mut(&mut self) -> Vec<&mut u32> {
+        match self {
+            Fault::Partition { a, b, .. } => a.iter_mut().chain(b).collect(),
+            Fault::GrayLink { from, to, .. } | Fault::HealLink { from, to, .. } => vec![from, to],
+            Fault::Skew { node, .. }
+            | Fault::SlowDisk { node, .. }
+            | Fault::HealDisk { node }
+            | Fault::Crash { target: Target::Node(node) }
+            | Fault::Recover { node }
+            | Fault::Campaign { node } => vec![node],
+            Fault::Heal | Fault::Crash { target: Target::Leader | Target::Clients } => vec![],
+        }
+    }
+}
+
+/// The machine a [`Fault::Crash`] takes down, resolved by the backend at
+/// the instant the fault is applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// Replica `n`.
+    Node(u32),
+    /// Whichever replica leads at that instant; none leading, no crash.
+    Leader,
+    /// The client machine. Only the simulator models one.
+    Clients,
+}
+
 /// What a backend must do to a node itself; everything else a [`Fault`]
 /// means is state in the [`FaultTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeAction {
-    /// Stop the node, keeping its durable state.
-    Crash(u32),
+    /// Stop the target machine, keeping a replica's durable state.
+    Crash(Target),
     /// Restart the node from its durable state.
     Recover(u32),
     /// Make the node start an election now.
@@ -150,7 +182,7 @@ impl FaultTable {
             Fault::HealDisk { node } => {
                 self.stall.remove(node);
             }
-            Fault::Crash { node } => return Some(NodeAction::Crash(*node)),
+            Fault::Crash { target } => return Some(NodeAction::Crash(*target)),
             Fault::Recover { node } => return Some(NodeAction::Recover(*node)),
             Fault::Campaign { node } => return Some(NodeAction::Campaign(*node)),
         }
@@ -270,9 +302,31 @@ mod tests {
         let mut t = FaultTable::default();
         t.apply(&Fault::Skew { node: 1, by: MS(200) });
         assert_eq!((t.skew(0), t.skew(1), t.skew(2)), (TimeDelta::ZERO, MS(200), TimeDelta::ZERO));
-        assert_eq!(t.apply(&Fault::Crash { node: 2 }), Some(NodeAction::Crash(2)));
         assert_eq!(t.apply(&Fault::Recover { node: 2 }), Some(NodeAction::Recover(2)));
         assert_eq!(t.apply(&Fault::Campaign { node: 0 }), Some(NodeAction::Campaign(0)));
         assert_eq!(t.link(0, 2), LinkFault::default(), "node faults leave the table alone");
+    }
+
+    #[test]
+    fn crash_targets_are_handed_back_unresolved() {
+        let mut t = FaultTable::default();
+        for target in [Target::Node(2), Target::Leader, Target::Clients] {
+            assert_eq!(t.apply(&Fault::Crash { target }), Some(NodeAction::Crash(target)));
+        }
+        assert_eq!(t, FaultTable::default(), "a crash is no table state");
+    }
+
+    #[test]
+    fn nodes_mut_names_every_replica_id_once() {
+        let ids = |mut f: Fault| -> Vec<u32> { f.nodes_mut().into_iter().map(|n| *n).collect() };
+        let p = Fault::Partition { a: vec![0], b: vec![1, 2], symmetric: true };
+        assert_eq!(ids(p), [0, 1, 2]);
+        assert_eq!(ids(gray(2, 0, false)), [2, 0]);
+        assert_eq!(ids(Fault::Crash { target: Target::Node(1) }), [1]);
+        assert!(ids(Fault::Crash { target: Target::Leader }).is_empty());
+        assert!(ids(Fault::Heal).is_empty());
+        let mut f = Fault::HealLink { from: 0, to: 1, both: true };
+        f.nodes_mut().into_iter().for_each(|n| *n += 1);
+        assert_eq!(f, Fault::HealLink { from: 1, to: 2, both: true });
     }
 }

@@ -35,7 +35,7 @@ pub mod wire;
 pub use config::{Protocol, ProtocolConfig, ReplicationMode, TimeoutConfig};
 pub use entry::{Entry, Fragment, Origin, Payload};
 pub use error::{Error, Result};
-pub use fault::{Fault, FaultTable, LinkFault, NodeAction};
+pub use fault::{Fault, FaultTable, LinkFault, NodeAction, Target};
 pub use ids::{ClientId, LogIndex, NodeId, RequestId, Term};
 pub use message::{
     AcceptState, AppendEntryMsg, AppendRespMsg, ClientRequest, ClientResponse, HeartbeatMsg,

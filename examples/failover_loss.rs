@@ -1,17 +1,18 @@
 //! Failover and the persistence trade-off (paper Section IV / Figure 19):
-//! run ingestion on the deterministic simulator, kill the leader and the
-//! clients mid-run, let a new leader win the election, and measure how many
-//! issued requests survived — for Raft and for NB-Raft across follower
-//! timeouts.
+//! run ingestion on the deterministic simulator, crash the leader and the
+//! clients mid-run with two scheduled faults (`crash leader`, `crash
+//! clients`), let a new leader win the election, and measure how many issued
+//! requests survived — for Raft and for NB-Raft across follower timeouts.
 //!
 //! ```text
 //! cargo run --release --example failover_loss
 //! ```
 
-use nbraft::sim::{run, FailurePlan, SimConfig};
-use nbraft::types::{Protocol, Time, TimeDelta, TimeoutConfig};
+use nbraft::sim::{run, SimConfig};
+use nbraft::types::{Fault, Protocol, Target, Time, TimeDelta, TimeoutConfig};
 
 fn loss_run(protocol: Protocol, timeout_ms: u64, seed: u64) -> (u64, u64, f64) {
+    let crash = Time::from_millis(1500);
     let r = run(SimConfig {
         protocol,
         window: 10_000,
@@ -20,20 +21,20 @@ fn loss_run(protocol: Protocol, timeout_ms: u64, seed: u64) -> (u64, u64, f64) {
         // of the paper's Figure 13.
         n_clients: 768,
         n_dispatchers: 768,
+        // The run lasts until 5 s after the crash (warmup + duration).
         warmup: TimeDelta::from_millis(200),
-        duration: TimeDelta::from_millis(1500),
+        duration: TimeDelta::from_millis(6300),
         timeouts: TimeoutConfig {
             election_min: TimeDelta::from_millis(timeout_ms),
             election_max: TimeDelta::from_millis(timeout_ms + timeout_ms / 2),
             heartbeat_interval: TimeDelta::from_millis(8),
             retry_interval: TimeDelta::from_millis(8),
         },
-        failure: FailurePlan {
-            kill_leader_at: Some(Time::from_millis(1500)),
-            kill_clients: true, // the paper's methodology: no client retries
-            dead_from_start: vec![],
-            post_failure: TimeDelta::from_secs(5),
-        },
+        // The paper's methodology: the clients die too, so none retries.
+        chaos: vec![
+            (crash, Fault::Crash { target: Target::Leader }),
+            (crash, Fault::Crash { target: Target::Clients }),
+        ],
         seed,
         // Heavy-tail deliveries (TCP retransmits / GC pauses) put in-flight
         // entries in a genuine race with the election.

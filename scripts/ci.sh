@@ -16,7 +16,10 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "cargo build --release"
 # The root package plus the binaries later steps invoke: `cargo build` at the
 # workspace root only builds the root package, so name them explicitly.
+# (`--bin` narrows a whole build line to the named binaries, so `figures`
+# gets a line of its own.)
 cargo build --release -p nbraft -p nbr-check -p nbr-cli -p nbr-chaos
+cargo build --release -p nbr-bench --bin figures
 
 step "cargo test -q"
 cargo test -q
@@ -128,6 +131,18 @@ time timeout 420 ./target/release/nbraft-cli chaos run --backend sim --seed 7 \
 cmp target/ci-artifacts/chaos-verdicts.jsonl crates/chaos/tests/golden/sim-seed7.jsonl
 time timeout 420 ./target/release/nbraft-cli chaos run --backend net --smoke --seed 7 \
     --out target/ci-artifacts/chaos-verdicts-net.jsonl
+
+# The paper's failure figures (19a, 19b, 21) at --quick scale: their crashes
+# are scheduled faults on the simulator, so the CSVs are bit-reproducible and
+# must equal the committed goldens byte for byte (about 2 min).
+step "loss figures (quick CSVs cmp'd with the golden)"
+figures_dir=$(mktemp -d)
+time timeout 420 ./target/release/figures --quick --out "$figures_dir" fig19a fig19b fig21 \
+    >/dev/null
+for fig in fig19a fig19b fig21; do
+    cmp "$figures_dir/$fig.csv" "crates/bench/tests/golden/$fig.csv"
+done
+rm -rf "$figures_dir"
 
 if [ "${CI_FULL:-0}" = "1" ]; then
     step "chaos sweep (sim determinism, 5 seeds)"
