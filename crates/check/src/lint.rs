@@ -21,12 +21,18 @@
 //!   `LogIndex` / `Term`-like newtypes in `core`, `cluster`, `storage`.
 //!   Use the sanctioned wrappers (`next()`, `prev()`, `plus()`, `diff()`)
 //!   in `nbr-types::ids`, which centralize the overflow story.
-//! * **L5** — no blocking transport write (`write_all`, `write_frames`,
-//!   `flush`) while a `let`-bound `.lock()` guard is still in scope, in
-//!   `cluster` and `net`. The batched hot path coalesces frames *outside*
-//!   any shared lock; holding one across a socket write would let a slow
-//!   peer stall every thread contending for that lock. Guards released
-//!   with an explicit `drop(guard)` or a closed block are fine.
+//! * **L5** — no thread waits behind another thread's socket write: no
+//!   blocking transport write (`write_all`, `write_frames`, `write_within`,
+//!   `flush`) while a `.lock()` guard is live, in `cluster` and `net`. A
+//!   writer takes what it writes to *out* of the lock — a connection's
+//!   write half out of a `Mutex<Option<…>>` in one statement — writes with
+//!   no guard held and puts it back; a thread that finds it gone does
+//!   something else (queues, or leaves its bytes for the writer) instead of
+//!   waiting on the lock while a slow peer stalls the write. A guard is
+//!   live from a `let g = m.lock();` (or an `if let`/`while let` over a
+//!   locked value) until its block closes or an explicit `drop(g)`; a plain
+//!   `let` that goes on past `.lock()` keeps only what it took, and the
+//!   guard dies at the end of that statement.
 //! * **L6** — no lock-order cycles in `cluster` and `net`. Every
 //!   `.lock()` reached while another guard is live contributes a
 //!   `held → acquired` edge to one workspace-wide acquisition graph (lock
@@ -85,7 +91,7 @@ const KNOWN_RULES: &[&str] = &["L1", "L2", "L3", "L4", "L5", "L6"];
 const L4_SUFFIXES: &[&str] = &["index", "idx", "term"];
 
 /// Blocking transport-write calls L5 refuses under a held lock guard.
-const L5_WRITES: &[&str] = &[".write_all(", "write_frames(", ".flush()"];
+const L5_WRITES: &[&str] = &[".write_all(", "write_frames(", "write_within(", ".flush()"];
 
 /// Lint every `.rs` file under `crates/*/src` below `root`.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
@@ -385,7 +391,7 @@ fn lock_acquisition_edges(
                 .trim_start_matches('&');
             guards.retain(|(g, _, _)| g != arg);
         }
-        let binding = let_binding_ident(line);
+        let binding = guard_binding(line);
         let mut first_on_line = true;
         let mut from = 0usize;
         while let Some(pos) = line[from..].find(".lock()") {
@@ -534,12 +540,12 @@ fn cyclic_lock_names(edges: &[LockEdge]) -> Vec<Vec<String>> {
     sccs
 }
 
-/// L5 scanner: walk blanked source lines tracking `let`-bound `.lock()`
-/// guards by brace depth; report `(line index, guard name)` for every
-/// blocking write reached while at least one guard is still in scope. A
-/// guard dies when its binding block closes or an explicit `drop(guard)`
-/// runs. Single-expression locks (no `let`) drop at end of statement and
-/// are never tracked.
+/// L5 scanner: walk blanked source lines tracking live `.lock()` guards
+/// ([`guard_binding`]) by brace depth; report `(line index, guard name)` for
+/// every blocking write reached while at least one guard is still in scope.
+/// A guard dies when its binding block closes or an explicit `drop(guard)`
+/// runs. Single-expression locks drop at end of statement and are never
+/// tracked.
 fn lock_held_writes(blanked_lines: &[&str]) -> Vec<(usize, String)> {
     let mut depth: i32 = 0;
     let mut guards: Vec<(String, i32)> = Vec::new();
@@ -567,7 +573,7 @@ fn lock_held_writes(blanked_lines: &[&str]) -> Vec<(usize, String)> {
             }
         }
         if line.contains(".lock()") {
-            if let Some(g) = let_binding_ident(line) {
+            if let Some(g) = guard_binding(line) {
                 guards.push((g, depth));
             }
         }
@@ -582,6 +588,26 @@ fn lock_held_writes(blanked_lines: &[&str]) -> Vec<(usize, String)> {
         guards.retain(|&(_, d)| depth >= d);
     }
     out
+}
+
+/// The name a line holds a live `.lock()` guard under, if any: the guard
+/// itself (`let g = m.lock();`), or a binding an `if let`/`while let`
+/// scrutinee borrows from it (its temporaries live through the block), or a
+/// reference that extends the guard's life (`let r = &m.lock().field;`). A
+/// plain `let` that goes on past `.lock()` and ends the statement on the
+/// line (`let s = m.lock().take();`) binds what the guard yielded: the guard
+/// is a temporary and dies at the `;`.
+fn guard_binding(line: &str) -> Option<String> {
+    let ident = let_binding_ident(line)?;
+    let code = line.trim_start();
+    if let (Some(init), Some(at)) = (code.strip_prefix("let "), code.find(".lock()")) {
+        let rest = code[at + ".lock()".len()..].trim_end();
+        let by_ref = init.split_once('=').is_some_and(|(_, e)| e.trim_start().starts_with('&'));
+        if rest != ";" && rest.ends_with(';') && !by_ref {
+            return None;
+        }
+    }
+    Some(ident)
 }
 
 /// Identifier bound by a `let [mut] <ident> = ...` (or `if/while let
@@ -954,6 +980,30 @@ mod tests {
         assert_eq!(rules("net", src), vec!["L5"]);
         let helper = "fn f() {\n  let g = m.lock();\n  write_frames(sh, stream, &batch, buf);\n}\n";
         assert_eq!(rules("cluster", helper), vec!["L5"]);
+    }
+
+    #[test]
+    fn l5_write_with_the_half_taken_out_of_the_lock_is_clean() {
+        // The write half leaves the lock in one statement; the write runs
+        // with no guard live, and the half goes back in another.
+        let take = "fn f() {\n  let taken = self.wire.lock().stream.take();\n  \
+                    write_within(&mut s, &buf);\n  self.wire.lock().stream = Some(s);\n}\n";
+        assert!(rules("net", take).is_empty(), "{:?}", rules("net", take));
+        let cloned = "fn f() {\n  let s = m.lock().get(&k).cloned();\n  s.write_all(&buf);\n}\n";
+        assert!(rules("net", cloned).is_empty());
+    }
+
+    #[test]
+    fn l5_guard_held_across_a_write_still_fails() {
+        let held = "fn f() {\n  let mut w = self.wire.lock();\n  \
+                    w.stream.as_mut().map(|s| s.write_all(&buf));\n}\n";
+        assert_eq!(rules("net", held), vec!["L5"]);
+        let scrutinee = "fn f() {\n  if let Some(s) = self.wire.lock().stream.as_mut() {\n    \
+                         s.write_all(&buf);\n  }\n}\n";
+        assert_eq!(rules("net", scrutinee), vec!["L5"]);
+        let extended =
+            "fn f() {\n  let s = &mut self.wire.lock().stream;\n  write_within(s, &buf);\n}\n";
+        assert_eq!(rules("cluster", extended), vec!["L5"]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ LINT RULES (suppress per line with `// check:allow(Lx): justification`):
     L3  no Instant::now/SystemTime::now/thread::sleep in core, sim, types
     L4  no raw +/- on LogIndex/Term `.0` in core, cluster, storage
     L5  no transport/socket write while holding a `.lock()` guard in
-        cluster, net (batching must release sync locks before I/O)
+        cluster, net (no thread waits behind another thread's write)
     L6  no lock-order cycles across `.lock()` acquisition sites in
         cluster, net (deadlock freedom by global lock ordering)
 

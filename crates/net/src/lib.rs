@@ -7,12 +7,14 @@
 //!   carrying the standard `len || crc || body` wire framing (via the
 //!   [`nbr_types::netframe::NetFrame`] envelope) over per-peer TCP
 //!   connections: supervised reconnect with capped exponential backoff and
-//!   jitter, write coalescing, bounded send queues with explicit
-//!   drop accounting, idle keepalives, handshake validation. One
+//!   jitter, frames written by the thread that makes them on a healthy idle
+//!   link (each write bounded by a few-ms stall limit) and otherwise by the
+//!   link's writer thread through a bounded queue with write coalescing and
+//!   explicit drop accounting, keepalives, handshake validation. One
 //!   transport carries every Raft group a process hosts: the group is part
 //!   of the address, and the group count is the number of inbox sets it
 //!   was built over. Network emulation and chaos are one mechanism: each
-//!   peer writer reads one [`nbr_types::LinkFault`] per wake-up — the
+//!   send and each writer wake-up reads one [`nbr_types::LinkFault`] — the
 //!   configured baseline ([`TcpConfig::baseline`]) under this direction's
 //!   row of the cluster's shared [`nbr_cluster::FaultPlane`], if any —
 //!   and emulates the link as a pipe: loss is decided per frame, and each

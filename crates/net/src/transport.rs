@@ -8,19 +8,32 @@
 //! exponential backoff + jitter) plus a reader on the same socket; the
 //! accepting side answers the `Hello` with its own and attaches a writer
 //! to the accepted connection. Either way the peer's outbound lanes — a
-//! bounded queue and its backlog count each — exist from spawn and outlive
-//! every connection: the dialing supervisor owns its lane's receiving end,
-//! an accepted connection borrows a free one for as long as it lives.
-//! Client sessions are likewise duplex, with responses written back on the
-//! connection the request arrived on (demultiplexed by `ClientId`).
+//! bounded queue, its backlog count and the connection's write half each —
+//! exist from spawn and outlive every connection: the dialing supervisor
+//! owns its lane's receiving end, an accepted connection borrows a free one
+//! for as long as it lives. Client sessions are likewise duplex, with
+//! responses written back on the connection the request arrived on
+//! (demultiplexed by `ClientId`).
 //!
 //! Delivery policy, chosen edge by edge:
 //!
-//! * **replica → socket** (outbound queue): bounded; a full queue *sheds*
-//!   the frame with explicit `net_dropped_queue_full` accounting rather
-//!   than blocking the replica thread — Raft's retry machinery already
-//!   tolerates loss, while a blocked replica misses heartbeats and
-//!   destabilizes the whole group.
+//! * **replica → socket**: the frame is written where it is made. On a
+//!   link with nothing to emulate whose lane is idle — connected, nothing
+//!   queued or on the delay line, nobody writing — the sending thread takes
+//!   the lane's write half and puts the frame on the socket itself. That
+//!   write is bounded by `WRITE_STALL`: bytes the socket did not take in
+//!   time become the head of the lane's backlog and the lane's writer
+//!   thread finishes them (`net_write_stalls`). Every other frame goes to
+//!   the lane's bounded queue, whose writer (the *pump*) applies the link's
+//!   loss and delay; a full queue *sheds* the frame with explicit
+//!   `net_dropped_queue_full` accounting rather than blocking the replica
+//!   thread — Raft's retry machinery already tolerates loss, while a
+//!   blocked replica misses heartbeats and destabilizes the whole group. No
+//!   thread waits for another's write: a sender that finds the write half
+//!   taken queues.
+//! * **replica → client**: written on the replica's thread into the
+//!   session's write half; a write that stalls for `WRITE_STALL` closes the
+//!   session and the client retries, as after any lost response.
 //! * **socket → replica** (inbound): straight into the replica's bounded
 //!   inbox. With one group that is true backpressure; the reader thread
 //!   waits for inbox space, stops reading, and lets the kernel's TCP
@@ -44,9 +57,9 @@
 //! cap ([`TcpConfig::max_frame`]) so a corrupt or hostile length prefix
 //! cannot pin memory. A connection's first frame must be a valid
 //! [`NetFrame::Hello`]; version or cluster-id mismatches are counted and
-//! the connection dropped. Writers coalesce queued frames into a single
-//! `write_all` per wakeup and emit [`NetFrame::Ping`] keepalives when idle.
-//! A peer writer emulates its link as a pipe (a private `DelayLine`), not as
+//! the connection dropped. A pump coalesces the frames queued at a wake-up
+//! into a single write and emits [`NetFrame::Ping`] keepalives on a fixed
+//! cadence. It emulates its link as a pipe (a private `DelayLine`), not as
 //! a turnstile: each frame is delivered `delay` after it is sent, in order,
 //! with any number of frames in flight at once.
 
@@ -65,8 +78,9 @@ use nbr_types::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{
@@ -74,6 +88,13 @@ use std::sync::mpsc::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The longest a thread may spend in one socket write before it gives up on
+/// the peer: every connection's send timeout. A replica or session reader
+/// writing its own frame stops there (a peer lane's pump finishes the
+/// frame, a client session is closed), so a stalled peer or client costs a
+/// replica at most this — a few ms, far below the 40 ms heartbeat.
+pub(crate) const WRITE_STALL: Duration = Duration::from_millis(5);
 
 /// TCP transport configuration.
 #[derive(Debug, Clone)]
@@ -112,10 +133,10 @@ pub struct TcpConfig {
     /// the paper's IoT setting, which the non-blocking window absorbs and
     /// stock Raft blocks on.
     pub peer_lanes: usize,
-    /// The cluster's runtime-mutable fault plane (chaos harness). Each peer
-    /// writer reads its own directed `(this node, peer)` row per wake-up and
-    /// applies it on top of `baseline`. `None` (the default) costs nothing
-    /// on the hot path.
+    /// The cluster's runtime-mutable fault plane (chaos harness). Each send
+    /// to a peer and each pump wake-up reads its own directed `(this node,
+    /// peer)` row and applies it on top of `baseline`. `None` (the default)
+    /// costs nothing on the hot path.
     pub faults: Option<Arc<FaultPlane>>,
     /// Trace sink for transport-level probe events (currently
     /// [`ProbeEvent::ClockSample`] from Ping/Pong exchanges). `None` — the
@@ -167,6 +188,8 @@ struct Stats {
     dropped_unroutable: Arc<Counter>,
     frames_lost: Arc<Counter>,
     keepalives: Arc<Counter>,
+    /// Writes of a sender's own frame that ran out of [`WRITE_STALL`].
+    write_stalls: Arc<Counter>,
     peer_links_up: Arc<Gauge>,
     clients_connected: Arc<Gauge>,
     /// Frames in the peer writers' delay lines: sent, not yet delivered.
@@ -191,6 +214,7 @@ impl Stats {
             dropped_unroutable: reg.counter("net_dropped_unroutable"),
             frames_lost: reg.counter("net_frames_lost"),
             keepalives: reg.counter("net_keepalives"),
+            write_stalls: reg.counter("net_write_stalls"),
             peer_links_up: reg.gauge("net_peer_links_up"),
             clients_connected: reg.gauge("net_clients_connected"),
             link_inflight: reg.gauge("net_link_inflight"),
@@ -198,12 +222,77 @@ impl Stats {
     }
 }
 
-/// A client session's response route: the writer queue of the connection
-/// its requests arrive on, tagged with the connection generation so a stale
+thread_local! {
+    /// Encode buffer of a thread writing a frame it made itself: a replica
+    /// or a session reader. Owned by that thread and reused by every write
+    /// it makes, so write-through allocates nothing per frame.
+    static FRAME_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A client session's response route: the write half of the connection its
+/// requests arrive on, tagged with the connection generation so a stale
 /// session cannot deregister its successor after a reconnect.
 struct ClientRoute {
     conn: u64,
-    tx: SyncSender<NetFrame>,
+    session: Arc<Mutex<Session>>,
+}
+
+/// A client session's write half, shared by the threads that answer the
+/// client: its group's replica (responses) and its reader (Pongs). Whoever
+/// takes `stream` is the one writer. A thread that finds it taken appends
+/// its encoded frame to `pending`, which the writer sends before it puts
+/// the stream back: nobody waits and nothing is lost.
+#[derive(Default)]
+struct Session {
+    stream: Option<TcpStream>,
+    pending: Vec<u8>,
+    /// Frames encoded in `pending`.
+    pending_frames: u64,
+}
+
+/// Write `frame` to a client session from the calling thread (see
+/// [`Session`]). A write that stalls for [`WRITE_STALL`] closes the
+/// session: the client's reader sees it end and its engine retries, as
+/// after any lost response. The session's own reader drops the route.
+fn write_session(sh: &Shared, session: &Mutex<Session>, frame: &NetFrame) {
+    let taken = {
+        let mut s = session.lock();
+        let taken = s.stream.take();
+        if taken.is_none() {
+            encode_frame_into(frame, &mut s.pending);
+            s.pending_frames += 1;
+        }
+        taken
+    };
+    let Some(mut stream) = taken else { return };
+    FRAME_BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        encode_frame_into(frame, buf);
+        let mut frames = 1;
+        loop {
+            match write_within(&mut stream, buf) {
+                Ok(n) if n == buf.len() => {
+                    sh.stats.frames_out.add(frames);
+                    sh.stats.bytes_out.add(n as u64);
+                }
+                wrote => {
+                    if wrote.is_ok() {
+                        sh.stats.write_stalls.inc();
+                    }
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
+            }
+            let mut s = session.lock();
+            if s.pending.is_empty() {
+                s.stream = Some(stream);
+                return;
+            }
+            buf.clear();
+            std::mem::swap(buf, &mut s.pending);
+            frames = std::mem::take(&mut s.pending_frames);
+        }
+    });
 }
 
 /// One dial direction per pair: the lower node id owns the connection.
@@ -258,6 +347,17 @@ struct Shared {
 impl Shared {
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
+    }
+
+    /// What the directed link to `peer` does to a frame sent now: the
+    /// configured emulation baseline under this direction's fault-plane row,
+    /// read per call so the harness can flip it while the connection stays
+    /// up.
+    fn link_to(&self, peer: u32) -> LinkFault {
+        match &self.cfg.faults {
+            Some(plane) => plane.link(self.cfg.node_id, peer).over(self.cfg.baseline),
+            None => self.cfg.baseline,
+        }
     }
 
     /// Nanoseconds since the (process-shared) trace epoch — the clock
@@ -382,30 +482,151 @@ impl Shared {
     }
 }
 
+/// What a lane's queue carries to its pump.
+enum Outbound {
+    Frame(NetFrame),
+    /// A sender handed the write half back with a backlog behind it (or the
+    /// unwritten rest of its own frame): the pump should take it now.
+    Wake,
+}
+
+/// No connection: the [`Wire::conn`] of a lane between connections.
+const NO_CONN: u64 = u64::MAX;
+
+/// A lane's connection as the threads that write to it share it. Whoever
+/// holds the write half is the one writer until it puts it back; a thread
+/// that finds it gone queues its frame instead of waiting. The pump holds
+/// it whenever the lane is not idle, so a sender never overtakes a frame
+/// queued, on the delay line or half-written ahead of its own.
+///
+/// `depth` itself is `Relaxed`: this mutex orders every hand-off. A sender
+/// reads `depth` inside the critical section that hands the half back, and
+/// the pump's claim is a read-modify-write sequenced before the lock it
+/// takes the half under, so whichever critical section comes second sees
+/// the other's effect: the pump gets the half, or the sender sees the claim
+/// and wakes it.
+struct Wire {
+    /// The write half, here only while the lane's pump has nothing to write
+    /// (taken by a sender while it writes).
+    stream: Option<TcpStream>,
+    /// The connection `stream` belongs to, or [`NO_CONN`]: a sender handing
+    /// back the half of a connection that has since ended drops it.
+    conn: u64,
+    /// The unwritten rest of a frame a sender could not finish within
+    /// [`WRITE_STALL`] (all of it if the connection failed): the head of the
+    /// lane's backlog, counted in `depth`, for the pump to write first.
+    /// While it is here no sender takes `stream`.
+    tail: Vec<u8>,
+}
+
 /// The sending end of one lane to a peer: what [`TcpTransport::send_to_group`]
 /// needs. The lane's queue outlives every connection that drains it.
 struct PeerLink {
-    tx: SyncSender<NetFrame>,
-    /// Frames queued for this lane's writer and not yet put on the link;
-    /// see [`pick_lane`].
+    tx: SyncSender<Outbound>,
+    /// Frames waiting for the lane's pump and not yet put on the link; see
+    /// [`pick_lane`]. Non-zero also while the pump is waiting to take the
+    /// write half back or a stalled sender's tail is unwritten: a sender
+    /// writes through only at zero.
     depth: Arc<AtomicI64>,
+    wire: Arc<Mutex<Wire>>,
 }
 
-/// The writing end of the same lane: what a connection's writer drains. The
+impl PeerLink {
+    /// Put `frame` on the socket from the calling thread if nobody else is
+    /// writing to it: the lane's write half is at rest only while the lane
+    /// is idle. Returns `false`, having written nothing, when it is not
+    /// there; the caller queues the frame. A write that runs out of
+    /// [`WRITE_STALL`] leaves the rest of the frame to the pump.
+    fn write_through(&self, sh: &Shared, frame: &NetFrame) -> bool {
+        let taken = {
+            let mut w = self.wire.lock();
+            if w.tail.is_empty() {
+                w.stream.take().map(|s| (s, w.conn))
+            } else {
+                None
+            }
+        };
+        let Some((mut stream, conn)) = taken else { return false };
+        let rest = FRAME_BUF.with_borrow_mut(|buf| {
+            buf.clear();
+            encode_frame_into(frame, buf);
+            match write_within(&mut stream, buf) {
+                Ok(n) => {
+                    sh.stats.frames_out.inc();
+                    sh.stats.bytes_out.add(n as u64);
+                    if n < buf.len() {
+                        sh.stats.write_stalls.inc();
+                    }
+                    buf[n..].to_vec()
+                }
+                // A dead connection: the pump's write of this tail fails too,
+                // and it reconnects.
+                Err(_) => buf.to_vec(),
+            }
+        });
+        // Hand the half back, with whatever did not fit. Frames queued
+        // meanwhile (the pump's claim among them) need the pump to look.
+        let wake = {
+            let mut w = self.wire.lock();
+            if w.conn == conn {
+                if !rest.is_empty() {
+                    self.depth.fetch_add(1, Ordering::Relaxed);
+                    w.tail = rest;
+                }
+                w.stream = Some(stream);
+                self.depth.load(Ordering::Relaxed) > 0
+            } else {
+                false
+            }
+        };
+        if wake {
+            let _ = self.tx.try_send(Outbound::Wake);
+        }
+        true
+    }
+}
+
+/// The writing end of the same lane: what a connection's pump drains. The
 /// dialing supervisor owns its lane's end outright; the ends of lanes to
 /// peers that dial us wait in [`Shared::accept_lanes`].
 struct LaneEnd {
-    rx: Receiver<NetFrame>,
+    rx: Receiver<Outbound>,
     /// The lane's own queue doubles as its reader's reply path (Pong
     /// answers to the peer's clock-sample pings), so replies coalesce with
-    /// protocol traffic like any frame.
-    tx: SyncSender<NetFrame>,
+    /// protocol traffic like any queued frame.
+    tx: SyncSender<Outbound>,
     depth: Arc<AtomicI64>,
+    wire: Arc<Mutex<Wire>>,
 }
 
 impl LaneEnd {
-    fn resp_writer(&self) -> RespWriter {
-        RespWriter { tx: self.tx.clone(), depth: Some(Arc::clone(&self.depth)) }
+    fn resp_writer(&self) -> ReplyPath {
+        ReplyPath::Lane { tx: self.tx.clone(), depth: Arc::clone(&self.depth) }
+    }
+
+    /// Take the lane's write half for the pump, with the tail of a stalled
+    /// write-through if one is waiting. `None`: a sender is writing. The
+    /// pump then holds a *claim*, one unit of `depth`, until it gets the
+    /// half: no new write-through starts while `depth` is non-zero, and the
+    /// writer, handing back, sees it and wakes the pump.
+    fn take_wire(&self, claimed: &mut bool) -> Option<(TcpStream, Vec<u8>)> {
+        let take = || {
+            let mut w = self.wire.lock();
+            w.stream.take().map(|s| (s, std::mem::take(&mut w.tail)))
+        };
+        let mut got = take();
+        if got.is_none() && !*claimed {
+            self.depth.fetch_add(1, Ordering::Relaxed);
+            *claimed = true;
+            // A writer that handed back before the claim landed saw no
+            // backlog and sent no wake: look once more.
+            got = take();
+        }
+        if got.is_some() && *claimed {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            *claimed = false;
+        }
+        got
     }
 }
 
@@ -496,10 +717,16 @@ impl TcpTransport {
         for &(peer_id, addr) in &cfg.peers {
             let mut lanes = Vec::new();
             for lane in 0..cfg.peer_lanes.max(1) {
-                let (tx, rx) = sync_channel::<NetFrame>(cfg.send_queue);
+                let (tx, rx) = sync_channel::<Outbound>(cfg.send_queue);
                 let depth = Arc::new(AtomicI64::new(0));
-                lanes.push(PeerLink { tx: tx.clone(), depth: Arc::clone(&depth) });
-                let end = LaneEnd { rx, tx, depth };
+                let wire =
+                    Arc::new(Mutex::new(Wire { stream: None, conn: NO_CONN, tail: Vec::new() }));
+                lanes.push(PeerLink {
+                    tx: tx.clone(),
+                    depth: Arc::clone(&depth),
+                    wire: Arc::clone(&wire),
+                });
+                let end = LaneEnd { rx, tx, depth, wire };
                 if dials(cfg.node_id, peer_id) {
                     to_dial.push((peer_id, lane, addr, end));
                 } else {
@@ -567,23 +794,20 @@ impl TcpTransport {
         }
         let stats = &self.shared.stats;
         if to == CLIENT_ENDPOINT {
-            // Responses: route to the TCP client session if one is
+            // Responses: write to the TCP client session if one is
             // registered, otherwise to the group's in-process client inbox
             // (a ClusterClient of a full-local cluster on this transport).
             let Packet::Response { client, resp } = packet else {
                 stats.proto_errors.inc();
                 return;
             };
-            let routed = {
-                let routes = self.shared.clients.lock();
-                routes.get(&client).map(|r| r.tx.clone())
-            };
-            match routed {
-                Some(tx) => match tx.try_send(NetFrame::Response { group, client, resp }) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => stats.dropped_queue_full.inc(),
-                    Err(TrySendError::Disconnected(_)) => stats.dropped_unroutable.inc(),
-                },
+            let route = self.shared.clients.lock().get(&client).map(|r| Arc::clone(&r.session));
+            match route {
+                Some(session) => write_session(
+                    &self.shared,
+                    &session,
+                    &NetFrame::Response { group, client, resp },
+                ),
                 None => match self.shared.client_inboxes.get(&group) {
                     Some(inbox) => {
                         let _ = inbox.send(Packet::Response { client, resp });
@@ -619,13 +843,22 @@ impl TcpTransport {
             return;
         };
         // Batch-aware striping over the peer's lanes, whichever side dialed
-        // and whether or not a connection is up: a lane without one queues
-        // (bounded) for the next. The depth is bumped *before* try_send so a
-        // concurrent pick_lane never sees a lane emptier than it is.
+        // and whether or not a connection is up.
         let lane = pick_lane(&links.lanes, |l| l.depth.load(Ordering::Relaxed), &links.rr);
         let link = &links.lanes[lane];
+        // Write-through: a link with nothing to emulate whose lane is idle
+        // takes the frame from this thread, with no hand-off to the pump.
+        if link.depth.load(Ordering::Relaxed) == 0
+            && self.shared.link_to(to) == LinkFault::default()
+            && link.write_through(&self.shared, &frame)
+        {
+            return;
+        }
+        // Otherwise the lane's queue: a lane without a connection waits
+        // (bounded) for the next one. The depth is bumped *before* try_send
+        // so a concurrent pick_lane never sees a lane emptier than it is.
         link.depth.fetch_add(1, Ordering::Relaxed);
-        match link.tx.try_send(frame) {
+        match link.tx.try_send(Outbound::Frame(frame)) {
             Ok(()) => {}
             // Shed rather than block the replica thread; explicit accounting.
             Err(TrySendError::Full(_)) => {
@@ -723,7 +956,9 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, 
     );
     let mut backoff = sh.cfg.backoff_initial;
     while !sh.stopped() {
-        let mut stream = match TcpStream::connect_timeout(&addr, sh.cfg.connect_timeout) {
+        let connected = TcpStream::connect_timeout(&addr, sh.cfg.connect_timeout)
+            .and_then(|s| s.set_write_timeout(Some(WRITE_STALL)).map(|()| s));
+        let stream = match connected {
             Ok(s) => s,
             Err(_) => {
                 sh.stats.connect_retries.inc();
@@ -751,7 +986,7 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, 
                 .spawn(move || run_reader(sh2, rstream, Some(resp)))
                 .ok()
         });
-        pump_peer_frames(&sh, &mut stream, &end, &mut rng, peer_id);
+        pump_peer_frames(&sh, &stream, conn, &end, &mut rng, peer_id);
         // Unblock the duplex reader before joining it.
         let _ = stream.shutdown(Shutdown::Both);
         if let Some(t) = reader {
@@ -763,29 +998,42 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, 
     }
 }
 
-/// The shared peer write loop: announce ourselves, then put queued frames
-/// on the link under its fault (loss, delay) and write the ones that have
-/// crossed it. Used by both the dialing supervisor and accepted-connection
-/// writers so the two directions of a deduplicated link behave identically.
-/// Returns on error (a dialing caller reconnects) or shutdown.
+/// The shared peer write loop, the lane's *pump*: announce ourselves, then
+/// put queued frames on the link under its fault (loss, delay) and write
+/// the ones that have crossed it. Used by both the dialing supervisor and
+/// accepted-connection writers so the two directions of a deduplicated link
+/// behave identically. Returns on error (a dialing caller reconnects) or
+/// shutdown.
 ///
 /// The link is a pipe, not a turnstile: a wake-up stamps what it drained
 /// with its arrival instant in a [`DelayLine`] and goes back to waiting, so
 /// later batches cross the link alongside earlier ones instead of queueing
 /// behind their delay. A healthy link stamps `due = now` and writes on the
 /// same wake-up.
+///
+/// The pump shares the connection's write half with the lane's senders
+/// through the lane's [`Wire`]: it leaves the half there whenever it has
+/// nothing to write, so senders on a healthy link write through, and takes
+/// it back before it puts anything on the line.
 fn pump_peer_frames(
     sh: &Shared,
-    stream: &mut TcpStream,
+    socket: &TcpStream,
+    conn: u64,
     lane: &LaneEnd,
     rng: &mut StdRng,
     peer_id: u32,
 ) {
-    let LaneEnd { rx, depth, .. } = lane;
+    let LaneEnd { rx, depth, wire, .. } = lane;
     let mut wbuf = Vec::with_capacity(8 << 10);
-    if write_frames(sh, stream, std::iter::once(sh.hello()), &mut wbuf).is_err() {
+    let Ok(mut stream) = socket.try_clone() else { return };
+    if write_frames(sh, &mut stream, std::iter::once(sh.hello()), &mut wbuf).is_err() {
         return;
     }
+    wire.lock().conn = conn;
+    // The write half while the pump has it; `claimed` while it waits for a
+    // sender to hand it back (see `LaneEnd::take_wire`).
+    let mut held = Some(stream);
+    let mut claimed = false;
     // Frames in flight are capped like frames queued. A full line takes
     // nothing more until its head leaves, so the queue behind it fills and
     // `send` sheds, with the accounting it always had.
@@ -804,11 +1052,14 @@ fn pump_peer_frames(
     // window would just hide queue pressure from the metrics.
     let max_coalesce = sh.cfg.send_queue.clamp(1, 256);
     while !sh.stopped() {
-        // Sleep until there is traffic, a frame in flight arrives or a ping
-        // is owed. An idle line costs no clock read.
-        let wait = match line.next_due() {
-            Some(due) => due.saturating_duration_since(clock::now()).min(ping_every),
-            None => ping_every,
+        // Sleep until there is traffic, a frame in flight arrives, a ping is
+        // owed or, while a sender writes, the write half comes back (the
+        // sender wakes us; it is done within `WRITE_STALL` regardless). An
+        // idle line costs no clock read.
+        let wait = match (&held, line.next_due()) {
+            (None, _) if claimed => WRITE_STALL,
+            (Some(_), Some(due)) => due.saturating_duration_since(clock::now()).min(ping_every),
+            (None, _) | (Some(_), None) => ping_every,
         };
         let room = line.room().min(max_coalesce);
         let first = if room == 0 {
@@ -816,28 +1067,47 @@ fn pump_peer_frames(
             None
         } else {
             match rx.recv_timeout(wait) {
-                Ok(frame) => Some(frame),
-                Err(RecvTimeoutError::Timeout) => None,
+                Ok(Outbound::Frame(frame)) => Some(frame),
+                Ok(Outbound::Wake) | Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         };
         let now = clock::now();
         let ping_due = now.duration_since(last_ping) >= ping_every;
+        // Take the write half back before anything goes on the line: a
+        // frame still in the queue (or the claim) keeps `depth` non-zero
+        // meanwhile, so no sender overtakes it.
+        if held.is_none()
+            && (first.is_some() || ping_due || claimed || depth.load(Ordering::Relaxed) > 0)
+        {
+            if let Some((mut stream, tail)) = lane.take_wire(&mut claimed) {
+                let wrote = write_patiently(&mut stream, &tail);
+                if !tail.is_empty() {
+                    sh.stats.bytes_out.add(tail.len() as u64);
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                }
+                held = Some(stream);
+                if wrote.is_err() {
+                    depth.fetch_sub(i64::from(first.is_some()), Ordering::Relaxed);
+                    break; // the connection failed under a sender
+                }
+            }
+        }
         if first.is_some() || ping_due {
-            // The link these frames cross: the configured emulation baseline
-            // under this direction's fault-plane row, read per wake-up so
-            // the harness can flip it while the connection stays up.
-            let link = match &sh.cfg.faults {
-                Some(plane) => plane.link(sh.cfg.node_id, peer_id).over(sh.cfg.baseline),
-                None => sh.cfg.baseline,
-            };
+            let link = sh.link_to(peer_id);
             let delay = link.delay_at(|| rng.random_range(0.0..1.0));
             let delay = Duration::from_nanos(delay.as_nanos());
             // Coalesce everything already queued into this wake-up. A frame
             // leaves the lane's `depth` as it goes onto the link: in flight
             // it holds nothing up, so `pick_lane` must not count it.
             let mut drained = 0i64;
-            let queued = first.into_iter().chain(std::iter::from_fn(|| rx.try_recv().ok()));
+            let queued = first.into_iter().chain(std::iter::from_fn(|| loop {
+                match rx.try_recv() {
+                    Ok(Outbound::Frame(frame)) => return Some(frame),
+                    Ok(Outbound::Wake) => {}
+                    Err(_) => return None,
+                }
+            }));
             for frame in queued.take(room) {
                 drained += 1;
                 // Lose protocol frames only — whatever replicas and relayed
@@ -870,17 +1140,33 @@ fn pump_peer_frames(
                 }
             }
         }
-        // Everything that has crossed the link by now, in one write.
-        let res = write_frames(sh, stream, std::iter::from_fn(|| line.pop_due(now)), &mut wbuf);
+        if let Some(stream) = held.as_mut() {
+            // Everything that has crossed the link by now, in one write.
+            let res = write_frames(sh, stream, std::iter::from_fn(|| line.pop_due(now)), &mut wbuf);
+            if res.is_err() {
+                break; // frames on the link are lost with the connection; Raft retries
+            }
+            // Idle again: leave the write half to the senders.
+            if line.len() == 0 && depth.load(Ordering::Relaxed) == 0 {
+                wire.lock().stream = held.take();
+            }
+        }
         let flying = line.len() as i64;
         if flying != inflight {
             sh.stats.link_inflight.add(flying - inflight);
             inflight = flying;
         }
-        if res.is_err() {
-            break; // frames on the link are lost with the connection; Raft retries
-        }
     }
+    // The connection is over: whatever a sender still holds or left behind
+    // dies with it, like the frames on the line.
+    let tail = {
+        let mut w = wire.lock();
+        w.stream = None;
+        w.conn = NO_CONN;
+        std::mem::take(&mut w.tail)
+    };
+    let owed = i64::from(!tail.is_empty()) + i64::from(claimed);
+    depth.fetch_sub(owed, Ordering::Relaxed);
     sh.stats.link_inflight.add(-inflight);
 }
 
@@ -891,23 +1177,55 @@ fn pump_peer_frames(
 /// unsent refuses the connection.
 fn accepted_peer_writer(
     sh: Arc<Shared>,
-    mut stream: TcpStream,
+    stream: TcpStream,
     seed: u64,
     peer_id: u32,
-    attached: Sender<RespWriter>,
+    attached: Sender<ReplyPath>,
 ) {
+    if stream.set_write_timeout(Some(WRITE_STALL)).is_err() {
+        return;
+    }
     let Some((slot, lane)) = sh.borrow_lane(peer_id) else { return };
     let _ = attached.send(lane.resp_writer());
     let conn = sh.register_conn(&stream);
     sh.stats.peer_links_up.add(1);
     let mut rng = StdRng::seed_from_u64(0xACC3 ^ seed);
-    pump_peer_frames(&sh, &mut stream, &lane, &mut rng, peer_id);
+    pump_peer_frames(&sh, &stream, conn, &lane, &mut rng, peer_id);
     sh.stats.peer_links_up.add(-1);
     let _ = stream.shutdown(Shutdown::Both);
     sh.deregister_conn(conn);
     if let Some(lanes) = sh.accept_lanes.lock().get_mut(&peer_id) {
         lanes[slot] = Some(lane);
     }
+}
+
+/// One write bounded by the connection's [`WRITE_STALL`] send timeout:
+/// how much of `buf` reached the socket — all of it unless the far end has
+/// stopped reading, since a blocking send with a timeout either takes
+/// everything or has waited the whole timeout.
+fn write_within(stream: &mut TcpStream, buf: &[u8]) -> std::io::Result<usize> {
+    loop {
+        match stream.write(buf) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Ok(0)
+            }
+            Ok(0) if !buf.is_empty() => return Err(ErrorKind::WriteZero.into()),
+            wrote => return wrote,
+        }
+    }
+}
+
+/// Write all of `buf` from a lane's pump: the one thread that may wait for
+/// its peer, so a stalled socket is waited out, one send timeout at a time.
+/// A dead connection ends the wait, and so does shutdown, which shuts every
+/// registered socket down.
+fn write_patiently(stream: &mut TcpStream, buf: &[u8]) -> std::io::Result<()> {
+    let mut done = 0;
+    while done < buf.len() {
+        done += write_within(stream, &buf[done..])?;
+    }
+    Ok(())
 }
 
 /// Encode `frames` into the caller's reusable buffer and write them in a
@@ -929,7 +1247,7 @@ fn write_frames(
     if n == 0 {
         return Ok(());
     }
-    stream.write_all(buf)?;
+    write_patiently(stream, buf)?;
     sh.stats.frames_out.add(n);
     sh.stats.bytes_out.add(buf.len() as u64);
     Ok(())
@@ -956,7 +1274,7 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
                     sh.stats.proto_errors.inc(); // thread exhaustion; drop conn
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 clock::sleep(Duration::from_millis(5));
             }
             Err(_) => clock::sleep(Duration::from_millis(20)),
@@ -971,39 +1289,39 @@ enum ConnIdentity {
     Client(ClientId),
 }
 
-/// A reader's reply path: the writer queue of the same duplex connection
-/// (the lane's queue for a peer, whichever side dialed; the client writer's
-/// for a session). Injected frames must mirror `send`'s
-/// depth accounting or the lane would drift emptier than it is.
-struct RespWriter {
-    tx: SyncSender<NetFrame>,
-    /// Lane backlog shared with `pick_lane`; `None` for client sessions,
-    /// which do not track depth.
-    depth: Option<Arc<AtomicI64>>,
+/// A reader's reply path for the Pongs it owes.
+enum ReplyPath {
+    /// A peer connection: the queue of the lane it drains, whichever side
+    /// dialed, with `send`'s depth accounting (or the lane would drift
+    /// emptier than it is).
+    Lane { tx: SyncSender<Outbound>, depth: Arc<AtomicI64> },
+    /// A client session: written on the reader's own thread.
+    Session(Arc<Mutex<Session>>),
 }
 
-impl RespWriter {
-    /// Best-effort enqueue: a full queue drops the reply (the next ping
-    /// retries the clock sample; client liveness pings are periodic too).
-    fn push(&self, frame: NetFrame) {
-        if let Some(d) = &self.depth {
-            d.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.tx.try_send(frame).is_err() {
-            if let Some(d) = &self.depth {
-                d.fetch_sub(1, Ordering::Relaxed);
+impl ReplyPath {
+    /// Best effort: a full lane queue drops the reply (the next ping
+    /// retries the clock sample).
+    fn push(&self, sh: &Shared, frame: NetFrame) {
+        match self {
+            ReplyPath::Lane { tx, depth } => {
+                depth.fetch_add(1, Ordering::Relaxed);
+                if tx.try_send(Outbound::Frame(frame)).is_err() {
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                }
             }
+            ReplyPath::Session(session) => write_session(sh, session, &frame),
         }
     }
 }
 
 /// Inbound connection reader: handshake, then decode-and-route until EOF,
 /// error, or shutdown.
-fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<RespWriter>) {
+fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<ReplyPath>) {
     let conn = sh.register_conn(&stream);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut identity = ConnIdentity::Unknown;
-    let mut resp_writer: Option<RespWriter> = resp;
+    let mut resp_writer: Option<ReplyPath> = resp;
     // Zero-copy framing: accumulate raw socket bytes in `buf`; once at
     // least one complete frame is present, freeze the whole staging buffer
     // into a shared `Bytes` (O(1)) and decode with the borrowing path —
@@ -1019,10 +1337,7 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<RespWriter>) 
         let n = match stream.read(&mut tmp) {
             Ok(0) => break, // EOF
             Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;
             }
             Err(_) => break,
@@ -1079,7 +1394,7 @@ fn handle_frame(
     sh: &Arc<Shared>,
     frame: NetFrame,
     identity: &mut ConnIdentity,
-    resp_writer: &mut Option<RespWriter>,
+    resp_writer: &mut Option<ReplyPath>,
     stream: &TcpStream,
     conn: u64,
 ) -> bool {
@@ -1097,12 +1412,11 @@ fn handle_frame(
                 return false;
             }
             // Every session is duplex: what we send the other side flows back
-            // over a writer thread on a clone of this socket.
+            // over a clone of this socket.
             let Ok(wstream) = stream.try_clone() else {
                 sh.stats.proto_errors.inc();
                 return false;
             };
-            let sh2 = Arc::clone(sh);
             match h.kind {
                 PeerKind::Node(n) => {
                     if !dials(sh.cfg.node_id, n.0) && sh.cfg.node_id != n.0 {
@@ -1113,6 +1427,7 @@ fn handle_frame(
                         let (attached, reply_path) = channel();
                         let seed =
                             (u64::from(sh.cfg.node_id) << 40) ^ (u64::from(n.0) << 16) ^ conn;
+                        let sh2 = Arc::clone(sh);
                         let spawned = std::thread::Builder::new()
                             .name(format!("nbr-net-presp-{}-{}", sh.cfg.node_id, n.0))
                             .spawn(move || accepted_peer_writer(sh2, wstream, seed, n.0, attached));
@@ -1132,17 +1447,18 @@ fn handle_frame(
                     *identity = ConnIdentity::Node(n)
                 }
                 PeerKind::Client(c) => {
-                    let (tx, rx) = sync_channel::<NetFrame>(sh.cfg.send_queue);
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("nbr-net-cresp-{}", sh.cfg.node_id))
-                        .spawn(move || client_writer(sh2, wstream, rx));
-                    if spawned.is_err() {
+                    // No writer thread: whoever answers the client writes,
+                    // each write bounded by the session's send timeout.
+                    if wstream.set_write_timeout(Some(WRITE_STALL)).is_err() {
                         sh.stats.proto_errors.inc();
                         return false;
                     }
-                    sh.clients.lock().insert(c, ClientRoute { conn, tx: tx.clone() });
+                    let session = Session { stream: Some(wstream), ..Session::default() };
+                    let session = Arc::new(Mutex::new(session));
+                    let route = ClientRoute { conn, session: Arc::clone(&session) };
+                    sh.clients.lock().insert(c, route);
                     sh.stats.clients_connected.add(1);
-                    *resp_writer = Some(RespWriter { tx, depth: None });
+                    *resp_writer = Some(ReplyPath::Session(session));
                     *identity = ConnIdentity::Client(c);
                 }
             }
@@ -1211,7 +1527,7 @@ fn handle_frame(
                 sh.stats.keepalives.inc();
             }
             if let Some(w) = resp_writer {
-                w.push(NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
+                w.push(sh, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             }
             true
         }
@@ -1223,36 +1539,10 @@ fn handle_frame(
     }
 }
 
-/// Writer thread for one client session's responses.
-fn client_writer(sh: Arc<Shared>, mut stream: TcpStream, rx: Receiver<NetFrame>) {
-    let conn = sh.register_conn(&stream);
-    let max_coalesce = sh.cfg.send_queue.clamp(1, 64);
-    let mut wbuf = Vec::with_capacity(4 << 10);
-    loop {
-        if sh.stopped() {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(frame) => {
-                // Coalesce everything already queued into one write.
-                let queued =
-                    std::iter::once(frame).chain(std::iter::from_fn(|| rx.try_recv().ok()));
-                if write_frames(&sh, &mut stream, queued.take(max_coalesce), &mut wbuf).is_err() {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    sh.deregister_conn(conn);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbr_types::{HeartbeatMsg, LogIndex, Message, Term, TimeDelta};
+    use nbr_types::{Fault, HeartbeatMsg, LogIndex, Message, Term, TimeDelta};
 
     fn heartbeat() -> Packet {
         numbered(0, 0)
@@ -1481,5 +1771,147 @@ mod tests {
         t1.send(1, 0, numbered(1, 1_001));
         let p = inbox0.recv_timeout(Duration::from_secs(10)).expect("the real link still works");
         assert_eq!(seq_of(p), 1_001);
+    }
+
+    /// Frames keep their send order across every switch between the queued
+    /// path and write-through. While the fault plane delays the link they
+    /// cross the pump's delay line; once the row clears, a frame sent while
+    /// the line still holds earlier ones queues behind them, and only an
+    /// idle lane is written through.
+    #[test]
+    fn frames_keep_send_order_across_switches_between_queued_and_write_through() {
+        let ((l0, a0), (l1, a1)) = (bind(), bind());
+        let plane = FaultPlane::shared(2);
+        let cfg = TcpConfig { faults: Some(Arc::clone(&plane)), ..TcpConfig::default() };
+        let (t0, _rx0) = node(0, (1, a1), l0, &[64], cfg.clone());
+        let (_t1, rx1) = node(1, (0, a0), l1, &[4096], cfg);
+        let lane = &t0.peers[&1].lanes[0];
+        let idle = || lane.wire.lock().stream.is_some() && lane.depth.load(Ordering::Relaxed) == 0;
+        until("the lane is idle", idle);
+        let gray = Fault::GrayLink {
+            from: 0,
+            to: 1,
+            both: false,
+            drop_pct: 0.0,
+            delay: TimeDelta::from_millis(20),
+        };
+        let heal = Fault::HealLink { from: 0, to: 1, both: false };
+
+        let mut wrote_through = false;
+        let mut seq = 0..;
+        let mut send = |n: usize| {
+            for s in seq.by_ref().take(n) {
+                t0.send(0, 1, numbered(0, s));
+            }
+        };
+        for _ in 0..3 {
+            // Delayed: every frame goes through the pump and onto the line.
+            plane.apply(&gray);
+            send(100);
+            // Healed while those are still crossing: these queue behind them.
+            plane.apply(&heal);
+            send(100);
+            // Idle again: these are written through, one write each (unless
+            // the pump is writing a clock-sample ping just then).
+            until("the pump has drained the lane and left the write half", idle);
+            FRAME_BUF.with_borrow_mut(Vec::clear);
+            send(100);
+            wrote_through |= FRAME_BUF.with_borrow(|b| !b.is_empty());
+        }
+        assert!(wrote_through, "no round wrote a frame from the sending thread");
+        let sent = seq.next().expect("unbounded");
+        let got: Vec<u64> = (0..sent)
+            .map(|_| seq_of(rx1[0].recv_timeout(Duration::from_secs(10)).expect("every frame")))
+            .collect();
+        assert_eq!(got, (0..sent).collect::<Vec<_>>(), "each frame once, in send order");
+        assert_eq!(counter(&t0, "net_dropped_queue_full") + counter(&t0, "net_write_stalls"), 0);
+    }
+
+    /// A peer that stops reading holds no sender past `WRITE_STALL`: the
+    /// write that runs out hands the rest of its frame to the pump, the
+    /// frames after it queue (and shed once the queue is full), and once
+    /// the peer reads again every frame it gets is whole and in order.
+    #[test]
+    fn a_stalled_peer_holds_no_sender_past_the_write_stall() {
+        // 16 MiB: several times what the kernel buffers between the two
+        // sockets, so the peer's socket fills whatever the host's limits.
+        const FRAMES: u64 = 4_000;
+        const SLACK: Duration = Duration::from_millis(100);
+        // "Node 1" is a raw socket: it takes the connection and the handshake,
+        // then reads nothing.
+        let (fake, fake_addr) = bind();
+        let (l0, _) = bind();
+        let cfg = TcpConfig { send_queue: 64, ..TcpConfig::default() };
+        let (t0, _rx0) = node(0, (1, fake_addr), l0, &[64], cfg);
+        let (mut peer, _) = fake.accept().expect("node 0 dials");
+        let mut frames = FrameReader::default();
+        assert!(matches!(frames.next(&mut peer), NetFrame::Hello(_)));
+        let lane = &t0.peers[&1].lanes[0];
+        until("the lane is idle", || lane.wire.lock().stream.is_some());
+
+        let t0 = Arc::new(t0);
+        let (done_tx, done) = channel();
+        let sender = {
+            let t0 = Arc::clone(&t0);
+            std::thread::spawn(move || {
+                let mut slowest = Duration::ZERO;
+                for seq in 0..FRAMES {
+                    let req = nbr_types::ClientRequest {
+                        client: ClientId(1),
+                        request: nbr_types::RequestId(seq),
+                        payload: Bytes::from(vec![7u8; 4096]),
+                    };
+                    let start = clock::now();
+                    t0.send(0, 1, Packet::Request(req));
+                    slowest = slowest.max(start.elapsed());
+                }
+                let _ = done_tx.send(slowest);
+            })
+        };
+        let slowest =
+            done.recv_timeout(Duration::from_secs(60)).expect("a send waited on the peer");
+        sender.join().expect("sender thread");
+        assert!(slowest <= WRITE_STALL + SLACK, "one send took {slowest:?}");
+        assert!(counter(&t0, "net_write_stalls") >= 1, "the peer's socket never filled");
+        let shed = counter(&t0, "net_dropped_queue_full");
+        assert!(shed > 0, "frames behind the stall queue and shed");
+
+        // The peer reads again: the stalled frame's tail, then the queue.
+        let mut last = None;
+        let mut delivered = 0;
+        while delivered + shed < FRAMES {
+            if let NetFrame::Request { req, .. } = frames.next(&mut peer) {
+                assert!(Some(req.request.0) > last, "{} after {last:?}", req.request.0);
+                assert_eq!(req.payload.len(), 4096);
+                last = Some(req.request.0);
+                delivered += 1;
+            }
+        }
+        assert_eq!(counter(&t0, "net_decode_errors"), 0);
+        until("the backlog drains", || gauge(&t0, "net_send_queue_depth") == 0);
+    }
+
+    /// Decodes the frames a raw peer socket receives.
+    #[derive(Default)]
+    struct FrameReader {
+        buf: Vec<u8>,
+    }
+
+    impl FrameReader {
+        fn next(&mut self, stream: &mut TcpStream) -> NetFrame {
+            stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            loop {
+                let decoded = nbr_types::wire::decode_frame_capped::<NetFrame>(&self.buf, 1 << 20)
+                    .expect("every frame decodes");
+                if let Some((frame, used)) = decoded {
+                    self.buf.drain(..used);
+                    return frame;
+                }
+                let mut chunk = [0u8; 64 << 10];
+                let n = stream.read(&mut chunk).expect("the transport keeps writing");
+                assert!(n > 0, "the transport closed the connection");
+                self.buf.extend_from_slice(&chunk[..n]);
+            }
+        }
     }
 }

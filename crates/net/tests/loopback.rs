@@ -11,9 +11,16 @@ use nbr_cluster::{Packet, Transport, TransportInboxes, NODE_INBOX_DEPTH};
 use nbr_net::{await_leaders, Members, NetClient, NodeServer, TcpConfig, TcpTransport};
 use nbr_obs::{EngineProbe, TraceEvent};
 use nbr_storage::KvStore;
-use nbr_types::{ClientId, HeartbeatMsg, LinkFault, LogIndex, Message, NodeId, Term, TimeDelta};
-use std::net::TcpListener;
+use nbr_types::wire::{encode_frame, encode_frame_into};
+use nbr_types::{
+    ClientId, ClientRequest, HeartbeatMsg, HelloMsg, LinkFault, LogIndex, Message, NetFrame,
+    NodeId, PeerKind, RequestId, Term, TimeDelta, NET_PROTOCOL_VERSION,
+};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLUSTER_ID: u64 = 7;
@@ -221,6 +228,79 @@ fn handshake_rejects_wrong_cluster_id() {
         saw_reject || any.contains("net_handshake_rejects"),
         "handshake reject metric missing:\n{any}"
     );
+}
+
+/// A client session has no writer thread: whoever answers the client writes,
+/// and a write that stalls for `WRITE_STALL` closes the session. A raw client
+/// that floods requests and pings and never reads is cut off, while a
+/// well-behaved client on the same leader keeps committing throughout.
+#[test]
+fn a_client_that_stops_reading_is_closed_while_others_keep_committing() {
+    let (servers, members) = spawn_cluster(3);
+    let leader = await_leaders(&servers, Duration::from_secs(10)).expect("cold start")[0];
+    let scrape = || servers[leader].cluster().transport().scrape().expect("tcp scrapes");
+    let sessions = || scrape().gauges.get("net_clients_connected").copied().unwrap_or(0);
+    let stalls = || scrape().counters.get("net_write_stalls").copied().unwrap_or(0);
+
+    let mut client =
+        NetClient::new(CLUSTER_ID, ClientId(906), members.clone(), TimeDelta::from_millis(300));
+    let mut submit = |i: u32| {
+        let payload = bytes::Bytes::from(format!("s{i}=v"));
+        client.submit(payload, Duration::from_secs(10)).expect("the good client commits");
+    };
+    submit(0);
+    assert!(poll_until(Duration::from_secs(10), || sessions() == 1), "good client's session");
+
+    let mut raw = TcpStream::connect(members[leader].1).expect("connect to the leader");
+    let raw_id = ClientId(905);
+    let hello = NetFrame::Hello(HelloMsg {
+        version: NET_PROTOCOL_VERSION,
+        cluster_id: CLUSTER_ID,
+        groups: 1,
+        kind: PeerKind::Client(raw_id),
+    });
+    raw.write_all(&encode_frame(&hello)).expect("handshake");
+    assert!(poll_until(Duration::from_secs(10), || sessions() == 2), "raw session registered");
+    // Requests and pings, as fast as the leader takes them, never reading a
+    // reply. The flood ends when the leader closes the session.
+    let cut_off = Arc::new(AtomicBool::new(false));
+    {
+        let cut_off = Arc::clone(&cut_off);
+        let to = NodeId(members[leader].0);
+        std::thread::spawn(move || {
+            let mut burst = Vec::new();
+            for request in 0.. {
+                burst.clear();
+                let req = ClientRequest {
+                    client: raw_id,
+                    request: RequestId(request),
+                    payload: bytes::Bytes::from_static(b"r=1"),
+                };
+                encode_frame_into(&NetFrame::Request { group: 0, to, trace: 0, req }, &mut burst);
+                for nonce in 0..256 {
+                    encode_frame_into(&NetFrame::Ping { nonce, t0: 0 }, &mut burst);
+                }
+                if raw.write_all(&burst).is_err() {
+                    break;
+                }
+            }
+            cut_off.store(true, Ordering::Relaxed);
+        });
+    }
+
+    let mut i = 1;
+    let closed = poll_until(Duration::from_secs(30), || {
+        submit(i);
+        i += 1;
+        cut_off.load(Ordering::Relaxed) && sessions() == 1
+    });
+    assert!(closed, "raw session still open: {} sessions, {} stalls", sessions(), stalls());
+    assert!(stalls() >= 1, "the session closed without a write stall");
+    for _ in 0..20 {
+        submit(i);
+        i += 1;
+    }
+    assert!(client.drain(Duration::from_secs(10)), "opList did not drain");
 }
 
 /// One group *is* the unsharded host: a `spawn_on` server exposes exactly the

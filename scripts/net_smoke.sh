@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Multi-process TCP smoke test: three `nbraft-cli serve` processes on
 # loopback, real socket traffic, a leader kill, and NB-Raft's opList retry
-# across the resulting re-election.
+# across the resulting re-election; then a WAL cluster through a kill -9
+# recovery and a kill -STOP freeze of a follower.
 #
 #   ./scripts/net_smoke.sh                 # uses ./target/release/nbraft-cli
 #   CLI=./target/debug/nbraft-cli ./scripts/net_smoke.sh
 #
-# Artifacts (serve logs + Prometheus scrapes before and after the kill) are
-# left in target/ci-artifacts/net-smoke/.
+# Artifacts (serve logs + Prometheus scrapes before and after the kill, and
+# the leader's scrape while a follower is frozen) are left in
+# target/ci-artifacts/net-smoke/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +27,8 @@ rm -rf "$ART"; mkdir -p "$ART"
 
 PIDS=()
 cleanup() {
-    for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
+    # CONT too: a stopped process holds a SIGTERM until it runs again.
+    for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null && kill -CONT "$pid" 2>/dev/null || true; done
     wait 2>/dev/null || true
 }
 trap cleanup EXIT
@@ -190,23 +193,29 @@ commit_of() { # commit_of METRICS_PORT  -> nbr_commit_index value or empty
     scrape "$1" "$f" 2>/dev/null || { echo ""; return; }
     awk '/^nbr_commit_index\{/ {print $2}' "$f"
 }
-CONVERGED=""
-APPLIED=0
-for _ in $(seq 1 100); do
-    sleep 0.3
-    C0=$(commit_of "$WM0"); C1=$(commit_of "$((WM0 + 1))"); C2=$(commit_of "$((WM0 + 2))")
-    if [ -n "$C0" ] && [ "$C0" -gt 0 ] && [ "$C0" = "$C1" ] && [ "$C1" = "$C2" ]; then
-        # The recovered follower must also have applied everything it
-        # claims committed — replayed prefix included.
-        APPLIED=$(awk '/^nbr_applied\{/ {print $2}' "$ART/scrape-$((WM0 + VICTIM)).prom")
-        if [ "${APPLIED:-0}" -ge "$C0" ]; then CONVERGED="$C0"; break; fi
-    fi
-done
+# Wait until all three WAL nodes report one commit index and node $1 has
+# applied everything it claims committed; sets CONVERGED (empty on timeout).
+converge() { # converge NODE
+    CONVERGED=""
+    APPLIED=0
+    for _ in $(seq 1 100); do
+        sleep 0.3
+        C0=$(commit_of "$WM0"); C1=$(commit_of "$((WM0 + 1))"); C2=$(commit_of "$((WM0 + 2))")
+        if [ -n "$C0" ] && [ "$C0" -gt 0 ] && [ "$C0" = "$C1" ] && [ "$C1" = "$C2" ]; then
+            APPLIED=$(awk '/^nbr_applied\{/ {print $2}' "$ART/scrape-$((WM0 + $1)).prom")
+            if [ "${APPLIED:-0}" -ge "$C0" ]; then CONVERGED="$C0"; return; fi
+        fi
+    done
+}
+# The recovered follower must also have applied everything it claims
+# committed — replayed prefix included.
+converge "$VICTIM"
 [ -n "$CONVERGED" ] || {
     echo "net_smoke: FAIL restarted follower did not converge" \
          "(commits: ${C0:-?} ${C1:-?} ${C2:-?}, victim applied ${APPLIED:-?})"
     exit 1
 }
+WAL_COMMIT=$CONVERGED
 echo "WAL recovery: all 3 nodes at commit $CONVERGED, victim applied $APPLIED"
 
 # The restart re-attached one lane per neighbour on every node, a dialed and
@@ -234,6 +243,33 @@ done
 }
 echo "peer links: every node reports net_peer_links_up 2, net_send_queue_depth 0"
 
+echo "== phase 4: freeze a follower (kill -STOP) under 4 KiB load; the leader must not wait on it =="
+# A frozen process reads nothing, so the leader's socket to it fills. A
+# replica thread's own write to it gives up after the transport's write
+# stall and the pump finishes the frame; everything after it queues and is
+# shed. The leader and the other follower are a quorum and keep committing.
+WLEADER=$(find_wal_leader) || { echo "net_smoke: FAIL no WAL leader before the freeze"; exit 1; }
+FROZEN=$(( (WLEADER + 2) % 3 ))
+echo "WAL leader: node $WLEADER, frozen follower: node $FROZEN"
+kill -STOP "${PIDS[3 + FROZEN]}"
+"$CLI" bench-net --peers "$WPEERS" --cluster-id "$WAL_CLUSTER_ID" \
+    --clients 4 --seconds 3 --payload 4096 >"$ART/bench4.txt" 2>&1 \
+    || { kill -CONT "${PIDS[3 + FROZEN]}"; echo "net_smoke: FAIL bench died during the freeze"; exit 1; }
+scrape "$((WM0 + WLEADER))" "$ART/metrics-leader-frozen-peer.prom"
+kill -CONT "${PIDS[3 + FROZEN]}"
+OPS4=$(row ops "$ART/bench4.txt")
+[ "${OPS4:-0}" -gt 0 ] || { echo "net_smoke: FAIL no commits while a follower was frozen"; exit 1; }
+STALLS=$(awk '/^nbr_net_write_stalls\{/ {print $2}' "$ART/metrics-leader-frozen-peer.prom")
+[ "${STALLS:-0}" -gt 0 ] \
+    || { echo "net_smoke: FAIL the leader's socket to the frozen follower never filled"; exit 1; }
+converge "$FROZEN"
+[ -n "$CONVERGED" ] || {
+    echo "net_smoke: FAIL thawed follower did not converge" \
+         "(commits: ${C0:-?} ${C1:-?} ${C2:-?}, thawed applied ${APPLIED:-?})"
+    exit 1
+}
+echo "freeze: $OPS4 ops while node $FROZEN was stopped ($STALLS write stalls on the leader), all 3 nodes at commit $CONVERGED after it resumed"
+
 echo
-echo "net_smoke: PASS (phase1 ops=$OPS1 weak=$WEAK1, post-kill ops=$OPS2, leader $LEADER -> $NEW_LEADER, wal-recovery commit=$CONVERGED)"
+echo "net_smoke: PASS (phase1 ops=$OPS1 weak=$WEAK1, post-kill ops=$OPS2, leader $LEADER -> $NEW_LEADER, wal-recovery commit=$WAL_COMMIT, frozen-follower ops=$OPS4)"
 echo "artifacts in $ART/"
