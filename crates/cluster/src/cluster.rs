@@ -149,8 +149,11 @@ impl LogStore for ClusterLog {
 }
 
 enum Control {
-    Crash,
-    Restart,
+    /// Crash the replica; the sender is signalled once it is down.
+    Crash(Sender<()>),
+    /// Restart a crashed replica; the sender is signalled once it is back
+    /// up and its status says so.
+    Restart(Sender<()>),
     Stop,
     /// Register a linearizable read; the sender is signalled when the local
     /// state machine is safe to read (ReadIndex protocol).
@@ -373,14 +376,24 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         false
     }
 
-    /// Crash a replica (drops volatile state; WAL files survive).
+    /// Crash a replica (drops volatile state; WAL files survive). Returns
+    /// once it is down.
     pub fn crash(&self, node: usize) {
-        let _ = self.replicas[node].control.send(Control::Crash);
+        self.control(node, Control::Crash);
     }
 
     /// Restart a crashed replica (recovers from WAL when configured).
+    /// Returns once it is running again, with its status published.
     pub fn restart(&self, node: usize) {
-        let _ = self.replicas[node].control.send(Control::Restart);
+        self.control(node, Control::Restart);
+    }
+
+    /// Send `node` a command and wait for its replica thread to carry it out.
+    fn control(&self, node: usize, command: impl FnOnce(Sender<()>) -> Control) {
+        let (done, wait) = channel();
+        if self.replicas[node].control.send(command(done)).is_ok() {
+            let _ = wait.recv();
+        }
     }
 
     /// Perform a linearizable read on `node`'s state machine: blocks until
@@ -406,7 +419,10 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         }
     }
 
-    /// Create a synchronous client handle.
+    /// Create a synchronous client of the in-process response router: its
+    /// requests go out through this cluster's transport and its responses
+    /// come back through the router, which only the in-process
+    /// [`Network`] feeds. Over TCP, use `nbr_net::NetClient`.
     pub fn client(&self) -> ClusterClient {
         let id = ClientId(self.next_client.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
         let (tx, rx) = channel();
@@ -420,9 +436,10 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         let link = ClusterLink {
             id,
             net: Arc::clone(&self.transport),
+            rx,
             routes: Arc::clone(&self.client_routes),
         };
-        ClientDriver::new(engine, rx, self.epoch, link)
+        ClientDriver::new(engine, self.epoch, link)
     }
 }
 
@@ -579,7 +596,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                 while let Ok(c) = control.try_recv() {
                     match c {
                         Control::Stop => return,
-                        Control::Crash => {
+                        Control::Crash(done) => {
                             if let EngineProbe::Shared(p) = &cfg.probe {
                                 p.record(id, now_since(epoch), ProbeEvent::Crashed);
                             }
@@ -588,8 +605,12 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                             // restarted replica rebuilds it by re-applying
                             // its recovered log from the start.
                             *machine.lock() = M::default();
-                            status.lock().alive = false;
+                            // So is its status: until a restarted engine
+                            // publishes its own, it leads and has applied
+                            // nothing.
+                            *status.lock() = NodeStatus::default();
                             metrics.alive.set(0);
+                            let _ = done.send(());
                         }
                         Control::Read(reply) => {
                             if let Some(n) = node.as_mut() {
@@ -606,12 +627,14 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                                 let _ = reply.send(Err(Error::Cluster("node crashed".into())));
                             }
                         }
-                        Control::Restart => {
+                        Control::Restart(done) => {
                             if node.is_none() {
                                 let n = boot(cfg.seed ^ 0xBEEF);
                                 last_hs = Some(n.hard_state());
                                 node = Some(n);
+                                status.lock().alive = true;
                             }
+                            let _ = done.send(());
                         }
                     }
                 }
@@ -858,16 +881,22 @@ pub fn compress_weak_responds(outputs: &mut Vec<Output>) {
 /// loop with requests leaving through the cluster's [`Transport`].
 pub type ClusterClient = ClientDriver<ClusterLink>;
 
-/// A [`ClusterClient`]'s way out, and its registration as a response route.
+/// A [`ClusterClient`]'s way out, its way back from the response router,
+/// and its registration there.
 pub struct ClusterLink {
     id: ClientId,
     net: Arc<dyn Transport>,
+    rx: Receiver<ClientResponse>,
     routes: Arc<Mutex<HashMap<ClientId, Sender<ClientResponse>>>>,
 }
 
 impl ClientLink for ClusterLink {
     fn send(&mut self, to: NodeId, request: ClientRequest) {
         self.net.send(CLIENT_ENDPOINT, to.0, Packet::Request(request));
+    }
+
+    fn recv(&mut self, wait: Duration) -> Option<ClientResponse> {
+        self.rx.recv_timeout(wait).ok()
     }
 }
 

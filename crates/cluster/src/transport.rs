@@ -12,8 +12,11 @@
 //! [`Cluster`](crate::Cluster) is constructed against `Arc<dyn Transport>`
 //! and runs unchanged on either. Addressing is flat: node endpoints are the
 //! replica ids `0..n`, and [`CLIENT_ENDPOINT`](crate::network::CLIENT_ENDPOINT)
-//! names "the client side" (the transport decides which client connection a
-//! `Response` packet belongs to by its `ClientId`). Fault injection is not
+//! names "the client side" of a `Response`. What that reaches depends on
+//! the transport: the in-process router puts it in the client inbox, whose
+//! reader (the `Cluster`'s response router) hands it to the `ClusterClient`
+//! with its `ClientId`; the TCP transport writes it on that client's own
+//! session, and drops the client inbox unused. Fault injection is not
 //! part of the trait: both implementations read the cluster's shared
 //! [`FaultPlane`](crate::FaultPlane) where a packet crosses a link.
 //!
@@ -46,7 +49,8 @@ pub const NODE_INBOX_DEPTH: usize = 4096;
 pub struct TransportInboxes {
     /// `(node id, inbox)` for every locally hosted replica.
     pub nodes: Vec<(u32, SyncSender<Packet>)>,
-    /// Inbox for client-bound [`Packet::Response`]s routed to this process.
+    /// Inbox for client-bound [`Packet::Response`]s, which only the
+    /// in-process router fills (see the module docs).
     pub client: Sender<Packet>,
 }
 

@@ -1,42 +1,34 @@
 //! A synchronous NB-Raft client speaking the TCP wire protocol.
 //!
 //! Drives the sans-I/O [`nbr_core::RaftClient`] protocol engine with the
-//! same [`ClientDriver`] loop as the in-process `ClusterClient`, but
-//! transmits over per-node TCP connections. Connections are opened lazily as the engine picks targets
-//! (leader changes rotate the target, so most runs only ever dial one or
-//! two nodes), each announced with a `Hello(Client)` handshake; responses
-//! from every open connection merge into one channel the engine consumes.
+//! same [`ClientDriver`] loop as the in-process `ClusterClient`, over one
+//! TCP connection: to the node the engine last sent to, dialed when the
+//! engine first sends there and announced with a `Hello(Client)` handshake.
+//! A send to another node (a redirect, or a retry that rotates the target)
+//! closes the old connection first. The thread running the loop writes
+//! requests and reads and decodes responses; a reply still in flight on a
+//! closed connection is lost, which the engine's retries already cover.
 
 use crate::clock;
+use nbr_cluster::client::POLL;
 use nbr_cluster::{ClientDriver, ClientLink};
 use nbr_types::wire::{decode_frame_capped, encode_frame, encode_frame_into};
 use nbr_types::{
-    group_trace_id, ClientId, ClientRequest, ClientResponse, Error, HelloMsg, NetFrame, NodeId,
-    PeerKind, RequestId, Result, TimeDelta, NET_PROTOCOL_VERSION,
+    group_trace_id, ClientId, ClientRequest, ClientResponse, HelloMsg, NetFrame, NodeId, PeerKind,
+    RequestId, Result, TimeDelta, NET_PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// One open duplex connection to a replica.
-struct Conn {
-    stream: TcpStream,
-    reader: Option<std::thread::JoinHandle<()>>,
-    closed: Arc<AtomicBool>,
-}
-
 /// Synchronous TCP client for a running NB-Raft cluster: the shared
-/// [`ClientDriver`] loop with requests leaving over per-node connections.
+/// [`ClientDriver`] loop over one connection to its current target.
 pub struct NetClient {
     driver: ClientDriver<Link>,
 }
 
-/// The client's side of the wire: lazily dialed per-node connections whose
-/// readers all feed the driver's response channel.
+/// The client's side of the wire: at most one connection, dialed lazily.
 struct Link {
     id: ClientId,
     cluster_id: u64,
@@ -45,11 +37,20 @@ struct Link {
     groups: u32,
     group: u32,
     addrs: HashMap<u32, SocketAddr>,
-    conns: HashMap<u32, Conn>,
-    resp_tx: Sender<ClientResponse>,
+    conn: Option<Conn>,
     max_frame: usize,
     /// Request-frame encode buffer, reused across sends.
     wbuf: Vec<u8>,
+}
+
+/// The open connection to one replica.
+struct Conn {
+    node: u32,
+    stream: TcpStream,
+    /// The socket's read timeout, so that only a change costs a syscall.
+    read_timeout: Duration,
+    /// Bytes read and not yet decoded.
+    rbuf: Vec<u8>,
 }
 
 impl NetClient {
@@ -79,7 +80,6 @@ impl NetClient {
     ) -> NetClient {
         let members: Vec<NodeId> = nodes.iter().map(|&(n, _)| NodeId(n)).collect();
         let target = members.first().copied().unwrap_or(NodeId(0));
-        let (resp_tx, resp_rx) = channel();
         let engine = nbr_core::RaftClient::new(id, members, target, request_timeout);
         let link = Link {
             id,
@@ -87,12 +87,11 @@ impl NetClient {
             groups,
             group,
             addrs: nodes.into_iter().collect(),
-            conns: HashMap::new(),
-            resp_tx,
+            conn: None,
             max_frame: 16 << 20,
             wbuf: Vec::new(),
         };
-        NetClient { driver: ClientDriver::new(engine, resp_rx, clock::now(), link) }
+        NetClient { driver: ClientDriver::new(engine, clock::now(), link) }
     }
 
     /// This client's id.
@@ -144,129 +143,93 @@ impl NetClient {
 }
 
 impl Link {
-    /// Connect to `node` (if needed) and return a writable stream clone.
-    fn conn(&mut self, node: u32) -> Result<&mut Conn> {
-        // Drop a connection whose reader has died so we re-dial.
-        if self.conns.get(&node).is_some_and(|c| c.closed.load(Ordering::Relaxed)) {
-            self.close(node);
-        }
-        if !self.conns.contains_key(&node) {
-            let Some(&addr) = self.addrs.get(&node) else {
-                return Err(Error::Cluster(format!("no address for node {node}")));
-            };
-            let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))
-                .map_err(|e| Error::Cluster(format!("connect {addr}: {e}")))?;
-            let _ = stream.set_nodelay(true);
-            let hello = NetFrame::Hello(HelloMsg {
-                version: NET_PROTOCOL_VERSION,
-                cluster_id: self.cluster_id,
-                groups: self.groups,
-                kind: PeerKind::Client(self.id),
-            });
-            let mut wstream =
-                stream.try_clone().map_err(|e| Error::Cluster(format!("clone stream: {e}")))?;
-            wstream
-                .write_all(&encode_frame(&hello))
-                .map_err(|e| Error::Cluster(format!("handshake: {e}")))?;
-            let closed = Arc::new(AtomicBool::new(false));
-            let reader =
-                spawn_reader(stream, self.resp_tx.clone(), Arc::clone(&closed), self.max_frame)?;
-            self.conns.insert(node, Conn { stream: wstream, reader: Some(reader), closed });
-        }
-        self.conns.get_mut(&node).ok_or_else(|| Error::Cluster("connection vanished".into()))
+    /// Open a connection to `node` and announce this client on it; `None`
+    /// when `node` cannot be reached.
+    fn dial(&self, node: u32) -> Option<Conn> {
+        let addr = self.addrs.get(&node)?;
+        let mut stream = TcpStream::connect_timeout(addr, Duration::from_secs(1)).ok()?;
+        let _ = stream.set_nodelay(true);
+        stream.set_read_timeout(Some(POLL)).ok()?;
+        let hello = NetFrame::Hello(HelloMsg {
+            version: NET_PROTOCOL_VERSION,
+            cluster_id: self.cluster_id,
+            groups: self.groups,
+            kind: PeerKind::Client(self.id),
+        });
+        stream.write_all(&encode_frame(&hello)).ok()?;
+        Some(Conn { node, stream, read_timeout: POLL, rbuf: Vec::new() })
     }
 
-    fn close(&mut self, node: u32) {
-        if let Some(mut c) = self.conns.remove(&node) {
-            c.closed.store(true, Ordering::Relaxed);
-            let _ = c.stream.shutdown(Shutdown::Both);
-            if let Some(t) = c.reader.take() {
-                let _ = t.join();
+    /// The next `Response` already read off the connection, if any. A stream
+    /// that does not decode is closed: it cannot be resynchronised.
+    fn buffered_response(&mut self) -> Option<ClientResponse> {
+        let conn = self.conn.as_mut()?;
+        loop {
+            match decode_frame_capped::<NetFrame>(&conn.rbuf, self.max_frame) {
+                Ok(Some((frame, used))) => {
+                    conn.rbuf.drain(..used);
+                    if let NetFrame::Response { resp, .. } = frame {
+                        return Some(resp);
+                    }
+                }
+                Ok(None) => return None,
+                Err(_) => {
+                    self.conn = None;
+                    return None;
+                }
             }
         }
     }
 }
 
 impl ClientLink for Link {
-    /// Put one request on the connection to `to`, dialing it if needed.
+    /// Put one request on the connection to `to`, closing the connection to
+    /// any other node and dialing `to` if needed.
     fn send(&mut self, to: NodeId, request: ClientRequest) {
+        if self.conn.as_ref().is_some_and(|c| c.node != to.0) {
+            self.conn = None;
+        }
+        if self.conn.is_none() {
+            // An unreachable node: the engine's request timeout rotates the
+            // target and retries.
+            self.conn = self.dial(to.0);
+        }
+        let Some(conn) = self.conn.as_mut() else { return };
         // Trace stamp at submission: derived from the op's identity
-        // (namespaced by group) so retries and relays reuse the same id.
+        // (namespaced by group) so retries reuse the same id.
         let trace = group_trace_id(self.group, request.client, request.request);
         let frame = NetFrame::Request { group: self.group, to, trace, req: request };
-        let mut bytes = std::mem::take(&mut self.wbuf);
-        bytes.clear();
-        encode_frame_into(&frame, &mut bytes);
-        let write = self.conn(to.0).and_then(|c| {
-            c.stream.write_all(&bytes).map_err(|e| Error::Cluster(format!("send: {e}")))
-        });
-        self.wbuf = bytes;
-        if write.is_err() {
-            // Drop the dead connection; the engine's request timeout will
-            // rotate targets and retry.
-            self.close(to.0);
+        self.wbuf.clear();
+        encode_frame_into(&frame, &mut self.wbuf);
+        if conn.stream.write_all(&self.wbuf).is_err() {
+            self.conn = None;
         }
     }
-}
 
-impl Drop for Link {
-    fn drop(&mut self) {
-        let nodes: Vec<u32> = self.conns.keys().copied().collect();
-        for n in nodes {
-            self.close(n);
+    /// Read the connection for up to `wait` (one read) and hand over the
+    /// next response decoded. With no connection open, just wait.
+    fn recv(&mut self, wait: Duration) -> Option<ClientResponse> {
+        if let Some(resp) = self.buffered_response() {
+            return Some(resp);
         }
+        let Some(conn) = self.conn.as_mut() else {
+            clock::sleep(wait);
+            return None;
+        };
+        if conn.read_timeout != wait && conn.stream.set_read_timeout(Some(wait)).is_ok() {
+            conn.read_timeout = wait;
+        }
+        let mut chunk = [0u8; 16 << 10];
+        match conn.stream.read(&mut chunk) {
+            Ok(0) => self.conn = None, // the replica closed the session
+            Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.conn = None,
+        }
+        self.buffered_response()
     }
-}
-
-/// Reader thread: decode `Response` frames off one connection into the
-/// shared channel until EOF/error.
-fn spawn_reader(
-    mut stream: TcpStream,
-    tx: Sender<ClientResponse>,
-    closed: Arc<AtomicBool>,
-    max_frame: usize,
-) -> Result<std::thread::JoinHandle<()>> {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .map_err(|e| Error::Cluster(format!("read timeout: {e}")))?;
-    std::thread::Builder::new()
-        .name("nbr-net-client-read".into())
-        .spawn(move || {
-            let mut buf: Vec<u8> = Vec::new();
-            let mut tmp = [0u8; 16 << 10];
-            'conn: loop {
-                if closed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let n = match stream.read(&mut tmp) {
-                    Ok(0) => break,
-                    Ok(n) => n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => break,
-                };
-                buf.extend_from_slice(&tmp[..n]);
-                let mut pos = 0usize;
-                loop {
-                    match decode_frame_capped::<NetFrame>(&buf[pos..], max_frame) {
-                        Ok(Some((NetFrame::Response { resp, .. }, used))) => {
-                            pos += used;
-                            if tx.send(resp).is_err() {
-                                break 'conn; // client gone
-                            }
-                        }
-                        Ok(Some((_, used))) => pos += used, // Pong etc.: ignore
-                        Ok(None) => break,
-                        Err(_) => break 'conn, // unsyncable stream
-                    }
-                }
-                buf.drain(..pos);
-            }
-            closed.store(true, Ordering::Relaxed);
-        })
-        .map_err(|e| Error::Cluster(format!("spawn reader: {e}")))
 }

@@ -26,7 +26,8 @@
 //!   [`await_leaders`] bring a whole membership up inside one process
 //!   (tests, `bench-net`, the chaos net backend).
 //! * [`NetClient`] — a synchronous client that drives the sans-I/O
-//!   [`nbr_core::RaftClient`] engine over TCP, preserving NB-Raft's
+//!   [`nbr_core::RaftClient`] engine over one TCP connection to its current
+//!   target, read by the calling thread, preserving NB-Raft's
 //!   opList/listTerm retry semantics across leader failures.
 //! * [`MetricsServer`] — a minimal HTTP endpoint exposing replica and
 //!   transport metrics in Prometheus text format.

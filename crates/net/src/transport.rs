@@ -13,7 +13,8 @@
 //! owns its lane's receiving end, an accepted connection borrows a free one
 //! for as long as it lives. Client sessions are likewise duplex, with
 //! responses written back on the connection the request arrived on
-//! (demultiplexed by `ClientId`).
+//! (demultiplexed by `ClientId`). That session is the only path client
+//! traffic has: peers never relay a client's requests or responses.
 //!
 //! Delivery policy, chosen edge by edge:
 //!
@@ -33,7 +34,8 @@
 //!   taken queues.
 //! * **replica → client**: written on the replica's thread into the
 //!   session's write half; a write that stalls for `WRITE_STALL` closes the
-//!   session and the client retries, as after any lost response.
+//!   session and the client retries, as after any lost response. A response
+//!   for a client with no session here is dropped (`net_dropped_unroutable`).
 //! * **socket → replica** (inbound): straight into the replica's bounded
 //!   inbox. With one group that is true backpressure; the reader thread
 //!   waits for inbox space, stops reading, and lets the kernel's TCP
@@ -73,8 +75,7 @@ use nbr_cluster::FaultPlane;
 use nbr_obs::{Counter, Gauge, ProbeEvent, Registry, SharedProbe, Snapshot};
 use nbr_types::wire::{decode_frame_shared, encode_frame_into};
 use nbr_types::{
-    group_trace_id, ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time,
-    NET_PROTOCOL_VERSION,
+    ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time, NET_PROTOCOL_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -325,10 +326,7 @@ struct Shared {
     stop: AtomicBool,
     /// Inboxes of locally hosted replicas, keyed by `(group, node)`.
     nodes: HashMap<(u32, u32), Inbox>,
-    /// Per-group inbox for responses to in-process `ClusterClient`s
-    /// (full-local mode); over TCP, client responses are routed by
-    /// `clients` instead.
-    client_inboxes: HashMap<u32, Sender<Packet>>,
+    /// The sessions of the clients connected here, by client id.
     clients: Mutex<HashMap<ClientId, ClientRoute>>,
     /// The writing ends of the lanes to peers that dial *us*, by lane index:
     /// `Some` while idle, `None` while an accepted connection's writer has
@@ -685,7 +683,10 @@ impl TcpTransport {
     /// can use port 0 for OS-assigned, collision-free test ports), dialing
     /// out to `cfg.peers` and serving the local inboxes of every Raft group
     /// in `inboxes`: element `g` belongs to group `g`, and the vector's
-    /// length is the group count announced in the handshake.
+    /// length is the group count announced in the handshake. The client
+    /// inboxes are dropped here: a response goes to its client's session,
+    /// so a `Cluster`'s in-process response router on this transport exits
+    /// at once.
     pub fn spawn_groups(
         cfg: TcpConfig,
         listener: TcpListener,
@@ -697,7 +698,6 @@ impl TcpTransport {
         let local_addr = listener.local_addr().ok();
         let epoch = cfg.trace_epoch.unwrap_or_else(clock::now);
         let mut nodes = HashMap::new();
-        let mut client_inboxes = HashMap::new();
         for (g, inb) in (0..groups).zip(inboxes) {
             let shared_reader = (groups > 1).then(|| GroupCounters {
                 frames_in: registry.counter(&format!("net_frames_in_group_{g}")),
@@ -706,7 +706,6 @@ impl TcpTransport {
             for (id, tx) in inb.nodes {
                 nodes.insert((g, id), Inbox { tx, shared_reader: shared_reader.clone() });
             }
-            client_inboxes.insert(g, inb.client);
         }
         // Every remote peer gets its lanes now, whichever side dials: the
         // sending ends stay here, the writing ends go to a supervisor each
@@ -738,7 +737,6 @@ impl TcpTransport {
         let shared = Arc::new(Shared {
             groups,
             nodes,
-            client_inboxes,
             clients: Mutex::new(HashMap::new()),
             accept_lanes: Mutex::new(accept_lanes),
             conns: Mutex::new(HashMap::new()),
@@ -793,51 +791,32 @@ impl TcpTransport {
             return;
         }
         let stats = &self.shared.stats;
-        if to == CLIENT_ENDPOINT {
-            // Responses: write to the TCP client session if one is
-            // registered, otherwise to the group's in-process client inbox
-            // (a ClusterClient of a full-local cluster on this transport).
-            let Packet::Response { client, resp } = packet else {
-                stats.proto_errors.inc();
-                return;
-            };
-            let route = self.shared.clients.lock().get(&client).map(|r| Arc::clone(&r.session));
-            match route {
-                Some(session) => write_session(
-                    &self.shared,
-                    &session,
-                    &NetFrame::Response { group, client, resp },
-                ),
-                None => match self.shared.client_inboxes.get(&group) {
-                    Some(inbox) => {
-                        let _ = inbox.send(Packet::Response { client, resp });
+        let (from, msg) = match packet {
+            Packet::Peer { from, msg } => (from, msg),
+            Packet::Response { client, resp } if to == CLIENT_ENDPOINT => {
+                let route = self.shared.clients.lock().get(&client).map(|r| Arc::clone(&r.session));
+                match route {
+                    Some(s) => {
+                        write_session(&self.shared, &s, &NetFrame::Response { group, client, resp })
                     }
                     None => stats.dropped_unroutable.inc(),
-                },
+                }
+                return;
             }
-            return;
-        }
-        if self.shared.nodes.contains_key(&(group, to)) {
-            // Self-send or co-hosted replica: skip the wire. `deliver` does
-            // not wait when several groups share the transport, so one
-            // group's backlog never stalls another's replica thread mid-send.
-            self.shared.deliver(group, to, packet);
-            return;
-        }
-        let frame = match packet {
-            Packet::Peer { from, msg } => NetFrame::Peer { group, from, to: NodeId(to), msg },
-            Packet::Request(req) => {
-                // Relayed client op: re-derive the deterministic trace id so
-                // the stamp survives the in-process hop.
-                let trace = group_trace_id(group, req.client, req.request);
-                NetFrame::Request { group, to: NodeId(to), trace, req }
-            }
-            Packet::Response { .. } => {
-                // Replica-to-replica responses do not exist in the protocol.
+            // Client traffic rides the client's own session, never a peer.
+            Packet::Request(_) | Packet::Response { .. } => {
                 stats.proto_errors.inc();
                 return;
             }
         };
+        if self.shared.nodes.contains_key(&(group, to)) {
+            // Self-send or co-hosted replica: skip the wire. `deliver` does
+            // not wait when several groups share the transport, so one
+            // group's backlog never stalls another's replica thread mid-send.
+            self.shared.deliver(group, to, Packet::Peer { from, msg });
+            return;
+        }
+        let frame = NetFrame::Peer { group, from, to: NodeId(to), msg };
         let Some(links) = self.peers.get(&to) else {
             stats.dropped_unroutable.inc(); // no such peer
             return;
@@ -1110,16 +1089,12 @@ fn pump_peer_frames(
             }));
             for frame in queued.take(room) {
                 drained += 1;
-                // Lose protocol frames only — whatever replicas and relayed
-                // clients exchange, which Raft's retry machinery repairs:
-                // that is the behaviour under test. Keepalives stay reliable
-                // (the handshake is already written), so a cut is a network
-                // filter and not a dead host: the socket and its clock
-                // samples survive.
-                let protocol = matches!(
-                    frame,
-                    NetFrame::Peer { .. } | NetFrame::Request { .. } | NetFrame::Response { .. }
-                );
+                // Lose protocol frames only — what the replicas exchange,
+                // which Raft's retry machinery repairs: that is the behaviour
+                // under test. Keepalives stay reliable (the handshake is
+                // already written), so a cut is a network filter and not a
+                // dead host: the socket and its clock samples survive.
+                let protocol = matches!(frame, NetFrame::Peer { .. });
                 if protocol && link.loses(|| rng.random_range(0.0..1.0)) {
                     sh.stats.frames_lost.inc();
                 } else if line.admit(now, delay, frame).is_err() {
@@ -1489,33 +1464,18 @@ fn handle_frame(
             sh.deliver(group, to.0, Packet::Peer { from, msg });
             true
         }
-        (NetFrame::Peer { .. }, ConnIdentity::Client(_)) => {
-            sh.stats.proto_errors.inc(); // clients may not inject peer traffic
-            false
-        }
-        (NetFrame::Request { group, to, trace: _, req }, who) => {
-            // From the client's own session, or relayed by a peer process
-            // (e.g. a co-hosted client whose target moved; responses will
-            // route via that process's client session, not ours).
-            if matches!(who, ConnIdentity::Client(c) if req.client != *c) {
+        (NetFrame::Request { group, to, trace: _, req }, ConnIdentity::Client(c)) => {
+            if req.client != *c {
                 sh.stats.proto_errors.inc(); // spoofed client id
                 return false;
             }
             sh.deliver(group, to.0, Packet::Request(req));
             true
         }
-        (NetFrame::Response { group, client, resp }, ConnIdentity::Node(_)) => {
-            // Response relayed between processes: hand to the group's local
-            // client inbox (in-process ClusterClient router).
-            match sh.client_inboxes.get(&group) {
-                Some(inbox) => {
-                    let _ = inbox.send(Packet::Response { client, resp });
-                }
-                None => sh.stats.dropped_unroutable.inc(),
-            }
-            true
-        }
-        (NetFrame::Response { .. }, ConnIdentity::Client(_)) => {
+        // A frame on the wrong kind of connection: peer traffic from a client,
+        // or client traffic from a peer (which never relays it).
+        (NetFrame::Peer { .. }, ConnIdentity::Client(_))
+        | (NetFrame::Request { .. } | NetFrame::Response { .. }, _) => {
             sh.stats.proto_errors.inc();
             false
         }
@@ -1542,7 +1502,11 @@ fn handle_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbr_types::{Fault, HeartbeatMsg, LogIndex, Message, Term, TimeDelta};
+    use nbr_types::message::AppendEntryMsg;
+    use nbr_types::{
+        ClientRequest, ClientResponse, Entry, Fault, HeartbeatMsg, LogIndex, Message, Payload,
+        RequestId, Term, TimeDelta,
+    };
 
     fn heartbeat() -> Packet {
         numbered(0, 0)
@@ -1727,6 +1691,11 @@ mod tests {
         assert_eq!(gauge(&t1, "net_send_queue_depth_peer_0"), 10);
         assert_eq!(gauge(&t1, "net_send_queue_depth"), 10);
         assert_eq!(counter(&t1, "net_dropped_unroutable"), 0);
+        // A response has one way out, its client's session: with none here it
+        // is unroutable.
+        let resp = ClientResponse::LeaderChanged { term: Term(1) };
+        t1.send(1, CLIENT_ENDPOINT, Packet::Response { client: ClientId(9), resp });
+        assert_eq!(counter(&t1, "net_dropped_unroutable"), 1);
 
         let (t0, inbox0) = node(0, (1, a1), l0, &[64], cfg());
         let inbox0 = &inbox0[0];
@@ -1830,7 +1799,8 @@ mod tests {
     /// A peer that stops reading holds no sender past `WRITE_STALL`: the
     /// write that runs out hands the rest of its frame to the pump, the
     /// frames after it queue (and shed once the queue is full), and once
-    /// the peer reads again every frame it gets is whole and in order.
+    /// the peer reads again every frame it gets is whole and in order. A
+    /// peer that then sends a client's request is dropped.
     #[test]
     fn a_stalled_peer_holds_no_sender_past_the_write_stall() {
         // 16 MiB: several times what the kernel buffers between the two
@@ -1856,13 +1826,18 @@ mod tests {
             std::thread::spawn(move || {
                 let mut slowest = Duration::ZERO;
                 for seq in 0..FRAMES {
-                    let req = nbr_types::ClientRequest {
-                        client: ClientId(1),
-                        request: nbr_types::RequestId(seq),
-                        payload: Bytes::from(vec![7u8; 4096]),
-                    };
+                    let data = Bytes::from(vec![7u8; 4096]);
+                    let (index, term) = (LogIndex(seq + 1), Term(1));
+                    let msg = Message::AppendEntry(AppendEntryMsg {
+                        term,
+                        leader: NodeId(0),
+                        entries: vec![Entry::data(index, term, term, None, data)],
+                        leader_commit: LogIndex(0),
+                        verification: None,
+                        relay_to: Vec::new(),
+                    });
                     let start = clock::now();
-                    t0.send(0, 1, Packet::Request(req));
+                    t0.send(0, 1, Packet::Peer { from: NodeId(0), msg });
                     slowest = slowest.max(start.elapsed());
                 }
                 let _ = done_tx.send(slowest);
@@ -1880,15 +1855,36 @@ mod tests {
         let mut last = None;
         let mut delivered = 0;
         while delivered + shed < FRAMES {
-            if let NetFrame::Request { req, .. } = frames.next(&mut peer) {
-                assert!(Some(req.request.0) > last, "{} after {last:?}", req.request.0);
-                assert_eq!(req.payload.len(), 4096);
-                last = Some(req.request.0);
+            if let NetFrame::Peer { msg: Message::AppendEntry(m), .. } = frames.next(&mut peer) {
+                let seq = m.entries[0].index.0;
+                assert!(Some(seq) > last, "{seq} after {last:?}");
+                assert!(matches!(&m.entries[0].payload, Payload::Data(d) if d.len() == 4096));
+                last = Some(seq);
                 delivered += 1;
             }
         }
         assert_eq!(counter(&t0, "net_decode_errors"), 0);
         until("the backlog drains", || gauge(&t0, "net_send_queue_depth") == 0);
+
+        // Client traffic never rides a peer link: a peer connection that
+        // carries a request is a protocol error, and is dropped.
+        let hello = NetFrame::Hello(HelloMsg {
+            version: NET_PROTOCOL_VERSION,
+            cluster_id: 1,
+            groups: 1,
+            kind: PeerKind::Node(NodeId(1)),
+        });
+        let payload = Bytes::from_static(b"k=v");
+        let req = ClientRequest { client: ClientId(9), request: RequestId(1), payload };
+        let mut bytes = Vec::new();
+        encode_frame_into(&hello, &mut bytes);
+        encode_frame_into(
+            &NetFrame::Request { group: 0, to: NodeId(0), trace: 0, req },
+            &mut bytes,
+        );
+        peer.write_all(&bytes).expect("write to node 0");
+        until("the request is refused", || counter(&t0, "net_proto_errors") == 1);
+        until("the connection is dropped", || counter(&t0, "net_tcp_disconnects") >= 1);
     }
 
     /// Decodes the frames a raw peer socket receives.

@@ -303,6 +303,35 @@ fn a_client_that_stops_reading_is_closed_while_others_keep_committing() {
     assert!(client.drain(Duration::from_secs(10)), "opList did not drain");
 }
 
+/// A client holds one connection, to the node it last sent to. Sent to a
+/// follower first and redirected to the leader, it closes the follower's
+/// session, so once it has committed the cluster holds one client session.
+#[test]
+fn a_redirected_client_keeps_one_session() {
+    let (servers, members) = spawn_cluster(3);
+    let leader = await_leaders(&servers, Duration::from_secs(10)).expect("cold start")[0];
+    let mut follower_first = members.clone();
+    follower_first.rotate_left((leader + 1) % members.len());
+    assert_ne!(follower_first[0].0, members[leader].0);
+
+    let mut client =
+        NetClient::new(CLUSTER_ID, ClientId(907), follower_first, TimeDelta::from_millis(300));
+    let payload = bytes::Bytes::from_static(b"r=1");
+    client.submit(payload, Duration::from_secs(10)).expect("commits after the redirect");
+    assert!(client.drain(Duration::from_secs(10)), "opList did not drain");
+
+    let sessions = || -> i64 {
+        let scrape = |s: &NodeServer<KvStore>| s.cluster().transport().scrape();
+        servers
+            .iter()
+            .filter_map(scrape)
+            .filter_map(|t| t.gauges.get("net_clients_connected").copied())
+            .sum()
+    };
+    let one = poll_until(Duration::from_secs(10), || sessions() == 1);
+    assert!(one, "{} client sessions open across the cluster", sessions());
+}
+
 /// One group *is* the unsharded host: a `spawn_on` server exposes exactly the
 /// scrape surface the single-replica server always had. The repository
 /// benchmark reads its `steady` flag and `net.*` ratios off
