@@ -152,7 +152,8 @@ enum Control {
     /// Crash the replica; the sender is signalled once it is down.
     Crash(Sender<()>),
     /// Restart a crashed replica; the sender is signalled once it is back
-    /// up and its status says so.
+    /// up and its status says so (or once it has stayed down on a hard
+    /// state that does not decode).
     Restart(Sender<()>),
     Stop,
     /// Register a linearizable read; the sender is signalled when the local
@@ -383,7 +384,9 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
     }
 
     /// Restart a crashed replica (recovers from WAL when configured).
-    /// Returns once it is running again, with its status published.
+    /// Returns once it is running again, with its status published. A
+    /// replica whose persisted hard state exists but does not decode stays
+    /// down (`alive` false) rather than boot at term 0 with no vote.
     pub fn restart(&self, node: usize) {
         self.control(node, Control::Restart);
     }
@@ -553,25 +556,32 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                 StorageMode::Wal(dir) => Some(dir.join(format!("node-{}.hs", id.0))),
                 StorageMode::Memory => None,
             };
-            let load_hard_state = || -> Option<(Term, Option<NodeId>)> {
-                let p = hard_state_path.as_ref()?;
-                let bytes = std::fs::read(p).ok()?;
-                if bytes.len() != 16 {
-                    return None;
-                }
-                let (t, v) = bytes.split_at(8);
-                let term = Term(u64::from_le_bytes(t.try_into().ok()?));
-                let v = u64::from_le_bytes(v.try_into().ok()?);
-                let voted = if v == u64::MAX { None } else { Some(NodeId(v as u32)) };
-                Some((term, voted))
+            // The persisted `(term, vote)`: `Ok(None)` for a fresh node (no
+            // file), `Err` for a file that does not decode. A replica that
+            // booted from that at term 0 with no vote could vote twice in
+            // one term, so it stays down instead.
+            type HardState = Option<(Term, Option<NodeId>)>;
+            let load_hard_state = || -> std::result::Result<HardState, ()> {
+                let Some(p) = hard_state_path.as_ref() else { return Ok(None) };
+                let bytes = match std::fs::read(p) {
+                    Ok(bytes) => bytes,
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+                    Err(_) => return Err(()),
+                };
+                let Ok(b) = <[u8; 16]>::try_from(bytes) else { return Err(()) };
+                let word = |i: usize| u64::from_le_bytes(std::array::from_fn(|j| b[8 * i + j]));
+                let voted = word(1);
+                Ok(Some((Term(word(0)), (voted != u64::MAX).then_some(NodeId(voted as u32)))))
             };
 
             // Outstanding harness reads keyed by synthetic request id.
             let mut read_replies: HashMap<u64, Sender<Result<()>>> = HashMap::new();
             let mut next_read_id = 0u64;
             // A (re)started engine: the log reopened and the hard state
-            // restored from whatever this node's storage kept.
+            // restored from whatever this node's storage kept. `None`: the
+            // hard state is unreadable and the replica stays down.
             let boot = |seed: u64| {
+                let hard_state = load_hard_state().ok()?;
                 let mut n = Node::with_probe(
                     id,
                     membership.clone(),
@@ -580,12 +590,12 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                     seed,
                     cfg.probe.clone(),
                 );
-                if let Some((t, v)) = load_hard_state() {
+                if let Some((t, v)) = hard_state {
                     n.restore_hard_state(t, v);
                 }
-                n
+                Some(n)
             };
-            let mut node: Option<Node<ClusterLog, EngineProbe>> = Some(boot(cfg.seed));
+            let mut node: Option<Node<ClusterLog, EngineProbe>> = boot(cfg.seed);
             let mut last_hs = node.as_ref().map(|n| n.hard_state());
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
@@ -629,10 +639,9 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         }
                         Control::Restart(done) => {
                             if node.is_none() {
-                                let n = boot(cfg.seed ^ 0xBEEF);
-                                last_hs = Some(n.hard_state());
-                                node = Some(n);
-                                status.lock().alive = true;
+                                node = boot(cfg.seed ^ 0xBEEF);
+                                last_hs = node.as_ref().map(|n| n.hard_state());
+                                status.lock().alive = node.is_some();
                             }
                             let _ = done.send(());
                         }
@@ -694,8 +703,12 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                             b.extend_from_slice(
                                 &hs.1.map_or(u64::MAX, |n| n.0 as u64).to_le_bytes(),
                             );
+                            // Written aside and renamed over the old file, so
+                            // a crash mid-write leaves the previous hard state
+                            // whole rather than a truncated one.
                             let t0 = Instant::now();
-                            let _ = std::fs::write(p, b);
+                            let tmp = p.with_extension("hs.tmp");
+                            let _ = std::fs::write(&tmp, b).and_then(|()| std::fs::rename(&tmp, p));
                             if let EngineProbe::Shared(pr) = &cfg.probe {
                                 pr.record(
                                     id,

@@ -21,5 +21,5 @@ pub use cluster::{
     ClusterLink, NodeStatus, StorageMode,
 };
 pub use faults::FaultPlane;
-pub use network::{NetConfig, NetStats, Network, Packet, CLIENT_ENDPOINT};
+pub use network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 pub use transport::{Endpoints, Transport, TransportInboxes, NODE_INBOX_DEPTH};

@@ -5,18 +5,18 @@
 //! [`NetConfig`]'s artificial delay (uniform in `[min, max]`, the jitter
 //! that produces out-of-order arrival) and drop probability — composed with
 //! the packet's `from → to` row of the cluster's [`FaultPlane`], when one is
-//! installed. A cut link or a lost draw drops the packet, counted by cause;
-//! a survivor is held for the drawn delay. All randomness is seeded for
-//! reproducible failure tests.
+//! installed. A cut link or a lost draw drops the packet, counted by cause
+//! in the router's [`Registry`]; a survivor is held for the drawn delay. All
+//! randomness is seeded for reproducible failure tests.
 
 use crate::faults::FaultPlane;
 use crate::transport::{Transport, TransportInboxes};
-use nbr_obs::{Registry, Snapshot};
+use nbr_obs::{Counter, Registry, Snapshot};
 use nbr_types::{ClientRequest, ClientResponse, LinkFault, Message, NodeId, TimeDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,63 +64,40 @@ impl Default for NetConfig {
     }
 }
 
-/// The router's stop flag plus explicit delivery accounting: every packet
-/// the router does *not* deliver is counted under the reason it was lost, so
-/// tests (and the obs registry) can distinguish injected faults from genuine
-/// delivery-layer problems.
-#[derive(Debug, Default)]
-struct Counters {
-    stopped: AtomicBool,
-    /// Packets handed to an inbox.
-    delivered: AtomicU64,
-    /// Packets eaten by a cut link (injected fault).
-    dropped_partition: AtomicU64,
-    /// Packets lost to a link's drop probability (injected fault).
-    dropped_rate: AtomicU64,
-    /// Packets addressed to an endpoint that does not exist.
-    dropped_unroutable: AtomicU64,
-    /// Packets whose destination inbox was closed (stopped replica).
-    dropped_closed: AtomicU64,
-    /// Packets that exhausted their backpressure retry budget against a
-    /// persistently full inbox. Never incremented silently alongside a
-    /// successful delivery claim — this is real loss, visible to tests.
-    dropped_full: AtomicU64,
-    /// Deliveries deferred (and re-queued) because the inbox was full.
-    requeued_full: AtomicU64,
-}
-
-/// Point-in-time copy of the router's delivery accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Packets handed to an inbox.
-    pub delivered: u64,
-    /// Packets cut by an active partition.
-    pub dropped_partition: u64,
-    /// Packets dropped by the random-loss dial.
-    pub dropped_rate: u64,
-    /// Packets addressed to a nonexistent endpoint.
-    pub dropped_unroutable: u64,
-    /// Packets whose destination inbox was closed.
-    pub dropped_closed: u64,
-    /// Packets dropped after exhausting the full-inbox retry budget.
-    pub dropped_full: u64,
-    /// Delivery attempts deferred because the inbox was full.
-    pub requeued_full: u64,
-}
-
 /// Endpoint id of the client side (also in fault-table link rows).
 pub const CLIENT_ENDPOINT: u32 = u32::MAX;
 
-impl Counters {
-    fn stats(&self) -> NetStats {
-        NetStats {
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped_partition: self.dropped_partition.load(Ordering::Relaxed),
-            dropped_rate: self.dropped_rate.load(Ordering::Relaxed),
-            dropped_unroutable: self.dropped_unroutable.load(Ordering::Relaxed),
-            dropped_closed: self.dropped_closed.load(Ordering::Relaxed),
-            dropped_full: self.dropped_full.load(Ordering::Relaxed),
-            requeued_full: self.requeued_full.load(Ordering::Relaxed),
+/// The router's delivery accounting: every packet it does *not* deliver is
+/// counted under the reason it was lost, so tests (and the Prometheus
+/// export) can tell injected faults from genuine delivery-layer problems.
+struct RouterStats {
+    /// Packets handed to an inbox.
+    delivered: Arc<Counter>,
+    /// Packets eaten by a cut link (injected fault).
+    dropped_partition: Arc<Counter>,
+    /// Packets lost to a link's drop probability (injected fault).
+    dropped_rate: Arc<Counter>,
+    /// Packets addressed to an endpoint that does not exist.
+    dropped_unroutable: Arc<Counter>,
+    /// Packets whose destination inbox was closed (stopped replica).
+    dropped_closed: Arc<Counter>,
+    /// Packets that exhausted their backpressure retry budget against a
+    /// persistently full inbox: real loss, visible to tests.
+    dropped_full: Arc<Counter>,
+    /// Deliveries deferred (and re-queued) because the inbox was full.
+    requeued_full: Arc<Counter>,
+}
+
+impl RouterStats {
+    fn new(reg: &Registry) -> RouterStats {
+        RouterStats {
+            delivered: reg.counter("net_delivered"),
+            dropped_partition: reg.counter("net_dropped_partition"),
+            dropped_rate: reg.counter("net_dropped_rate"),
+            dropped_unroutable: reg.counter("net_dropped_unroutable"),
+            dropped_closed: reg.counter("net_dropped_closed"),
+            dropped_full: reg.counter("net_dropped_full"),
+            requeued_full: reg.counter("net_requeued_full"),
         }
     }
 }
@@ -135,7 +112,7 @@ struct Delayed {
 }
 
 /// How often a delivery may be deferred against a full inbox before it is
-/// dropped (with explicit `dropped_full` accounting). 64 retries at
+/// dropped (with explicit `net_dropped_full` accounting). 64 retries at
 /// [`FULL_RETRY_DELAY`] each ≈ 16 ms of sustained backpressure.
 const FULL_RETRY_BUDGET: u32 = 64;
 /// Deferral interval for deliveries against a full inbox.
@@ -165,7 +142,8 @@ type Routed = (u32, u32, Packet);
 /// The router: owns delivery queues to every endpoint.
 pub struct Network {
     tx: Sender<Routed>,
-    counters: Arc<Counters>,
+    stopped: Arc<AtomicBool>,
+    registry: Arc<Registry>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -175,8 +153,8 @@ impl Network {
     ///
     /// Node inboxes are *bounded*, so the router never blocks on a slow
     /// replica: a delivery against a full inbox is re-queued with a short
-    /// delay (counted in [`NetStats::requeued_full`]) and only dropped —
-    /// with explicit [`NetStats::dropped_full`] accounting — after
+    /// delay (counted in `net_requeued_full`) and only dropped — with
+    /// explicit `net_dropped_full` accounting — after
     /// [`FULL_RETRY_BUDGET`] deferrals. Every non-delivery is counted by
     /// cause; nothing is lost silently, and `Response` packets get exactly
     /// the same treatment as `Peer` messages.
@@ -189,8 +167,10 @@ impl Network {
         inboxes: TransportInboxes,
     ) -> Network {
         let (tx, rx): (Sender<Routed>, Receiver<Routed>) = channel();
-        let counters = Arc::new(Counters::default());
-        let ctl = Arc::clone(&counters);
+        let stopped = Arc::new(AtomicBool::new(false));
+        let registry = Arc::new(Registry::new("net"));
+        let stats = RouterStats::new(&registry);
+        let stop = Arc::clone(&stopped);
         // The configuration as the `LinkFault` every link starts from.
         let ns = |d: Duration| TimeDelta(d.as_nanos() as u64);
         let baseline = LinkFault {
@@ -207,7 +187,7 @@ impl Network {
                 let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
                 let mut seq = 0u64;
                 loop {
-                    if ctl.stopped.load(Ordering::Relaxed) {
+                    if stop.load(Ordering::Relaxed) {
                         return;
                     }
                     // Deliver everything due.
@@ -216,24 +196,22 @@ impl Network {
                         let Some(d) = heap.pop() else { break };
                         if d.to_endpoint == CLIENT_ENDPOINT {
                             match client_inbox.send(d.packet) {
-                                Ok(()) => ctl.delivered.fetch_add(1, Ordering::Relaxed),
-                                Err(_) => ctl.dropped_closed.fetch_add(1, Ordering::Relaxed),
-                            };
+                                Ok(()) => stats.delivered.inc(),
+                                Err(_) => stats.dropped_closed.inc(),
+                            }
                             continue;
                         }
                         let Some(inbox) = node_inboxes.get(&d.to_endpoint) else {
-                            ctl.dropped_unroutable.fetch_add(1, Ordering::Relaxed);
+                            stats.dropped_unroutable.inc();
                             continue;
                         };
                         match inbox.try_send(d.packet) {
-                            Ok(()) => {
-                                ctl.delivered.fetch_add(1, Ordering::Relaxed);
-                            }
+                            Ok(()) => stats.delivered.inc(),
                             Err(TrySendError::Full(packet)) => {
                                 if d.retries >= FULL_RETRY_BUDGET {
-                                    ctl.dropped_full.fetch_add(1, Ordering::Relaxed);
+                                    stats.dropped_full.inc();
                                 } else {
-                                    ctl.requeued_full.fetch_add(1, Ordering::Relaxed);
+                                    stats.requeued_full.inc();
                                     seq += 1;
                                     heap.push(Delayed {
                                         due: Instant::now() + FULL_RETRY_DELAY,
@@ -244,9 +222,7 @@ impl Network {
                                     });
                                 }
                             }
-                            Err(TrySendError::Disconnected(_)) => {
-                                ctl.dropped_closed.fetch_add(1, Ordering::Relaxed);
-                            }
+                            Err(TrySendError::Disconnected(_)) => stats.dropped_closed.inc(),
                         }
                     }
                     // Wait for new traffic until the next deadline.
@@ -262,11 +238,11 @@ impl Network {
                                 None => baseline,
                             };
                             if link.cut {
-                                ctl.dropped_partition.fetch_add(1, Ordering::Relaxed);
+                                stats.dropped_partition.inc();
                                 continue;
                             }
                             if link.loses(|| rng.random_range(0.0..1.0)) {
-                                ctl.dropped_rate.fetch_add(1, Ordering::Relaxed);
+                                stats.dropped_rate.inc();
                                 continue;
                             }
                             let delay = link.delay_at(|| rng.random_range(0.0..1.0));
@@ -285,12 +261,7 @@ impl Network {
                 }
             })
             .expect("spawn network thread"); // check:allow(L1): harness startup; no thread means no cluster to run, abort is correct
-        Network { tx, counters, thread: Some(thread) }
-    }
-
-    /// Delivery accounting snapshot.
-    pub fn stats(&self) -> NetStats {
-        self.counters.stats()
+        Network { tx, stopped, registry, thread: Some(thread) }
     }
 }
 
@@ -300,25 +271,15 @@ impl Transport for Network {
     }
 
     fn scrape(&self) -> Option<Snapshot> {
-        // Mirror the router's accounting into a named registry so the
-        // Prometheus export carries delivery-layer counters alongside the
-        // per-replica protocol metrics.
-        let reg = Registry::new("net");
-        let s = self.stats();
-        reg.counter("net_delivered").set(s.delivered);
-        reg.counter("net_dropped_partition").set(s.dropped_partition);
-        reg.counter("net_dropped_rate").set(s.dropped_rate);
-        reg.counter("net_dropped_unroutable").set(s.dropped_unroutable);
-        reg.counter("net_dropped_closed").set(s.dropped_closed);
-        reg.counter("net_dropped_full").set(s.dropped_full);
-        reg.counter("net_requeued_full").set(s.requeued_full);
-        Some(reg.snapshot())
+        // The Prometheus export carries the delivery-layer counters
+        // alongside the per-replica protocol metrics.
+        Some(self.registry.snapshot())
     }
 }
 
 impl Drop for Network {
     fn drop(&mut self) {
-        self.counters.stopped.store(true, Ordering::Relaxed);
+        self.stopped.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -358,6 +319,11 @@ mod tests {
         )
     }
 
+    /// The router's counter `name`, as its scrape reports it.
+    fn count(net: &Network, name: &str) -> u64 {
+        net.scrape().expect("router scrapes").counters[name]
+    }
+
     fn wait_until(mut ok: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
@@ -376,15 +342,15 @@ mod tests {
         let net = faulty_net(vec![(0, tx0)], Some(Arc::clone(&plane)));
 
         net.send(1, 99, request_packet()); // endpoint 99 does not exist
-        assert!(wait_until(|| net.stats().dropped_unroutable == 1));
+        assert!(wait_until(|| count(&net, "net_dropped_unroutable") == 1));
 
         plane.apply(&Fault::Partition { a: vec![1], b: vec![0], symmetric: true });
         net.send(1, 0, request_packet());
-        assert!(wait_until(|| net.stats().dropped_partition == 1));
+        assert!(wait_until(|| count(&net, "net_dropped_partition") == 1));
         plane.apply(&Fault::Heal);
 
         net.send(1, 0, request_packet());
-        assert!(wait_until(|| net.stats().delivered == 1));
+        assert!(wait_until(|| count(&net, "net_delivered") == 1));
         assert!(rx0.try_recv().is_ok());
     }
 
@@ -400,8 +366,7 @@ mod tests {
         net.send(0, 1, request_packet());
         net.send(1, 0, request_packet());
         assert!(wait_until(|| {
-            let s = net.stats();
-            s.dropped_partition == 1 && s.delivered == 1
+            count(&net, "net_dropped_partition") == 1 && count(&net, "net_delivered") == 1
         }));
         assert!(rx0.try_recv().is_ok() && rx1.try_recv().is_err());
 
@@ -415,13 +380,13 @@ mod tests {
         };
         plane.apply(&gray(100.0));
         net.send(1, 0, request_packet());
-        assert!(wait_until(|| net.stats().dropped_rate == 1));
-        assert_eq!(net.stats().dropped_partition, 1);
+        assert!(wait_until(|| count(&net, "net_dropped_rate") == 1));
+        assert_eq!(count(&net, "net_dropped_partition"), 1);
 
         plane.apply(&Fault::HealLink { from: 0, to: 1, both: true });
         net.send(0, 1, request_packet());
         net.send(1, 0, request_packet());
-        assert!(wait_until(|| net.stats().delivered == 3));
+        assert!(wait_until(|| count(&net, "net_delivered") == 3));
         assert!(rx0.try_recv().is_ok() && rx1.try_recv().is_ok());
     }
 
@@ -434,10 +399,9 @@ mod tests {
         let net = instant_net(vec![(0, tx0)]);
         net.send(1, 0, request_packet());
         net.send(1, 0, request_packet());
-        assert!(wait_until(|| net.stats().dropped_full == 1));
-        let s = net.stats();
-        assert_eq!(s.delivered, 1);
-        assert!(s.requeued_full >= u64::from(FULL_RETRY_BUDGET));
+        assert!(wait_until(|| count(&net, "net_dropped_full") == 1));
+        assert_eq!(count(&net, "net_delivered"), 1);
+        assert!(count(&net, "net_requeued_full") >= u64::from(FULL_RETRY_BUDGET));
         drop(rx0);
     }
 
@@ -447,7 +411,7 @@ mod tests {
         let net = instant_net(vec![(0, tx0)]);
         drop(rx0); // replica stopped
         net.send(1, 0, request_packet());
-        assert!(wait_until(|| net.stats().dropped_closed == 1));
+        assert!(wait_until(|| count(&net, "net_dropped_closed") == 1));
     }
 
     #[test]
@@ -455,7 +419,7 @@ mod tests {
         let (tx0, _rx0) = std::sync::mpsc::sync_channel(16);
         let net = instant_net(vec![(0, tx0)]);
         net.send(1, 99, request_packet());
-        assert!(wait_until(|| net.stats().dropped_unroutable == 1));
+        assert!(wait_until(|| count(&net, "net_dropped_unroutable") == 1));
         let snap = net.scrape().expect("router scrapes");
         assert_eq!(snap.label, "net");
         assert_eq!(snap.counters["net_dropped_unroutable"], 1);

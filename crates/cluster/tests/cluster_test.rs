@@ -114,6 +114,26 @@ fn wal_recovery_after_crash_restart() {
     assert!(dir.join(format!("node-{follower}.wal")).exists());
 }
 
+/// A replica whose hard state file exists but does not decode (a write torn
+/// by a kill -9) stays down: booting it at term 0 with no vote would let it
+/// vote twice in one term.
+#[test]
+fn a_torn_hard_state_keeps_the_replica_down() {
+    let dir = tmpdir("torn-hs");
+    let mut c = cfg(Protocol::Raft, 0);
+    c.storage = StorageMode::Wal(dir.clone());
+    let cluster: Cluster<KvStore> = Cluster::spawn(3, c);
+    let leader = cluster.wait_for_leader(Duration::from_secs(5)).expect("leader");
+    let follower = (0..3).find(|&i| i != leader).unwrap();
+    let hs = dir.join(format!("node-{}.hs", cluster.node_id(follower)));
+    assert_eq!(std::fs::read(&hs).expect("the follower persisted its hard state").len(), 16);
+    cluster.crash(follower);
+    std::fs::write(&hs, [1, 2, 3]).unwrap();
+    cluster.restart(follower);
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(!cluster.status(follower).alive, "booted from a torn hard state");
+}
+
 #[test]
 fn nbraft_weak_acks_under_jittery_network() {
     // Large delay jitter forces out-of-order arrival; NB-Raft should answer

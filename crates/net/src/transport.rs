@@ -30,8 +30,9 @@
 //!   `net_dropped_queue_full` accounting rather than blocking the replica
 //!   thread — Raft's retry machinery already tolerates loss, while a
 //!   blocked replica misses heartbeats and destabilizes the whole group. No
-//!   thread waits for another's write: a sender that finds the write half
-//!   taken queues.
+//!   sender waits for another's write: a sender that finds the write half
+//!   taken queues. Keepalives take the same path: the pump's `Ping` and a
+//!   reader's `Pong` answer are sent like any frame to the peer.
 //! * **replica → client**: written on the replica's thread into the
 //!   session's write half; a write that stalls for `WRITE_STALL` closes the
 //!   session and the client retries, as after any lost response. A response
@@ -60,10 +61,12 @@
 //! cannot pin memory. A connection's first frame must be a valid
 //! [`NetFrame::Hello`]; version or cluster-id mismatches are counted and
 //! the connection dropped. A pump coalesces the frames queued at a wake-up
-//! into a single write and emits [`NetFrame::Ping`] keepalives on a fixed
-//! cadence. It emulates its link as a pipe (a private `DelayLine`), not as
-//! a turnstile: each frame is delivered `delay` after it is sent, in order,
-//! with any number of frames in flight at once.
+//! into a single write and sends a [`NetFrame::Ping`] on a fixed cadence,
+//! which the peer answers with a [`NetFrame::Pong`]: both are frames like
+//! any other, so a clock sample crosses the link the way the protocol
+//! frames around it do. The pump emulates its link as a pipe (a private
+//! `DelayLine`), not as a turnstile: each frame is delivered `delay` after
+//! it is sent, in order, with any number of frames in flight at once.
 
 use crate::clock;
 use crate::delay_line::DelayLine;
@@ -84,9 +87,7 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -328,6 +329,9 @@ struct Shared {
     nodes: HashMap<(u32, u32), Inbox>,
     /// The sessions of the clients connected here, by client id.
     clients: Mutex<HashMap<ClientId, ClientRoute>>,
+    /// The outbound lanes to every remote peer, whichever side dials: what
+    /// the replicas' frames and the readers' Pongs are sent through.
+    peers: HashMap<u32, PeerLinks>,
     /// The writing ends of the lanes to peers that dial *us*, by lane index:
     /// `Some` while idle, `None` while an accepted connection's writer has
     /// the lane (see [`Shared::borrow_lane`]). Only connection setup and
@@ -483,33 +487,25 @@ impl Shared {
 /// What a lane's queue carries to its pump.
 enum Outbound {
     Frame(NetFrame),
-    /// A sender handed the write half back with a backlog behind it (or the
-    /// unwritten rest of its own frame): the pump should take it now.
+    /// A sender handed the write half back with the unwritten rest of its
+    /// frame: the pump should take it now.
     Wake,
 }
 
-/// No connection: the [`Wire::conn`] of a lane between connections.
-const NO_CONN: u64 = u64::MAX;
-
 /// A lane's connection as the threads that write to it share it. Whoever
-/// holds the write half is the one writer until it puts it back; a thread
+/// holds the write half is the one writer until it puts it back; a sender
 /// that finds it gone queues its frame instead of waiting. The pump holds
-/// it whenever the lane is not idle, so a sender never overtakes a frame
-/// queued, on the delay line or half-written ahead of its own.
+/// it whenever the lane has a backlog or frames on its delay line, so a
+/// sender never overtakes a frame queued, in flight or half-written ahead
+/// of its own.
 ///
-/// `depth` itself is `Relaxed`: this mutex orders every hand-off. A sender
-/// reads `depth` inside the critical section that hands the half back, and
-/// the pump's claim is a read-modify-write sequenced before the lock it
-/// takes the half under, so whichever critical section comes second sees
-/// the other's effect: the pump gets the half, or the sender sees the claim
-/// and wakes it.
+/// `depth` itself is `Relaxed`: a frame counts in it from before it is
+/// queued until the pump, holding the write half, has put it on the line,
+/// so at any instant the frame is counted or the half is taken.
 struct Wire {
-    /// The write half, here only while the lane's pump has nothing to write
-    /// (taken by a sender while it writes).
+    /// The write half, here while the lane is idle (taken by a sender while
+    /// it writes through) and `None` between connections.
     stream: Option<TcpStream>,
-    /// The connection `stream` belongs to, or [`NO_CONN`]: a sender handing
-    /// back the half of a connection that has since ended drops it.
-    conn: u64,
     /// The unwritten rest of a frame a sender could not finish within
     /// [`WRITE_STALL`] (all of it if the connection failed): the head of the
     /// lane's backlog, counted in `depth`, for the pump to write first.
@@ -517,19 +513,44 @@ struct Wire {
     tail: Vec<u8>,
 }
 
-/// The sending end of one lane to a peer: what [`TcpTransport::send_to_group`]
-/// needs. The lane's queue outlives every connection that drains it.
+/// The sending end of one lane to a peer. The lane's queue outlives every
+/// connection that drains it.
+#[derive(Clone)]
 struct PeerLink {
     tx: SyncSender<Outbound>,
     /// Frames waiting for the lane's pump and not yet put on the link; see
-    /// [`pick_lane`]. Non-zero also while the pump is waiting to take the
-    /// write half back or a stalled sender's tail is unwritten: a sender
-    /// writes through only at zero.
+    /// [`pick_lane`]. Non-zero also while a stalled sender's tail is
+    /// unwritten: a sender writes through only at zero.
     depth: Arc<AtomicI64>,
     wire: Arc<Mutex<Wire>>,
 }
 
 impl PeerLink {
+    /// The lane's one send path, for every frame to the peer `to`: the
+    /// replicas' protocol frames, the pump's Pings and a reader's Pongs. On
+    /// a link with nothing to emulate whose lane is idle the calling thread
+    /// writes the frame itself; otherwise the frame joins the lane's queue.
+    /// `Err`: the queue shed it, and the caller decides whether to count
+    /// that.
+    fn send(&self, sh: &Shared, to: u32, frame: NetFrame) -> Result<(), TrySendError<()>> {
+        if self.depth.load(Ordering::Relaxed) == 0
+            && sh.link_to(to) == LinkFault::default()
+            && self.write_through(sh, &frame)
+        {
+            return Ok(());
+        }
+        // The depth is bumped *before* try_send so a concurrent pick_lane
+        // never sees a lane emptier than it is.
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.tx.try_send(Outbound::Frame(frame)).map_err(|e| {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            match e {
+                TrySendError::Full(_) => TrySendError::Full(()),
+                TrySendError::Disconnected(_) => TrySendError::Disconnected(()),
+            }
+        })
+    }
+
     /// Put `frame` on the socket from the calling thread if nobody else is
     /// writing to it: the lane's write half is at rest only while the lane
     /// is idle. Returns `false`, having written nothing, when it is not
@@ -539,12 +560,12 @@ impl PeerLink {
         let taken = {
             let mut w = self.wire.lock();
             if w.tail.is_empty() {
-                w.stream.take().map(|s| (s, w.conn))
+                w.stream.take()
             } else {
                 None
             }
         };
-        let Some((mut stream, conn)) = taken else { return false };
+        let Some(mut stream) = taken else { return false };
         let rest = FRAME_BUF.with_borrow_mut(|buf| {
             buf.clear();
             encode_frame_into(frame, buf);
@@ -563,68 +584,49 @@ impl PeerLink {
             }
         });
         // Hand the half back, with whatever did not fit. Frames queued
-        // meanwhile (the pump's claim among them) need the pump to look.
-        let wake = {
+        // meanwhile have the pump waiting for it already; a tail needs the
+        // pump woken.
+        let stalled = !rest.is_empty();
+        {
             let mut w = self.wire.lock();
-            if w.conn == conn {
-                if !rest.is_empty() {
-                    self.depth.fetch_add(1, Ordering::Relaxed);
-                    w.tail = rest;
-                }
-                w.stream = Some(stream);
-                self.depth.load(Ordering::Relaxed) > 0
-            } else {
-                false
+            if stalled {
+                self.depth.fetch_add(1, Ordering::Relaxed);
+                w.tail = rest;
             }
-        };
-        if wake {
+            w.stream = Some(stream);
+        }
+        if stalled {
             let _ = self.tx.try_send(Outbound::Wake);
         }
         true
     }
 }
 
-/// The writing end of the same lane: what a connection's pump drains. The
-/// dialing supervisor owns its lane's end outright; the ends of lanes to
-/// peers that dial us wait in [`Shared::accept_lanes`].
+/// The writing end of the same lane: what a connection's pump drains, and
+/// the lane's sending end for the pump's own Pings. The dialing supervisor
+/// owns its lane's end outright; the ends of lanes to peers that dial us
+/// wait in [`Shared::accept_lanes`].
 struct LaneEnd {
     rx: Receiver<Outbound>,
-    /// The lane's own queue doubles as its reader's reply path (Pong
-    /// answers to the peer's clock-sample pings), so replies coalesce with
-    /// protocol traffic like any queued frame.
-    tx: SyncSender<Outbound>,
-    depth: Arc<AtomicI64>,
-    wire: Arc<Mutex<Wire>>,
+    link: PeerLink,
 }
 
 impl LaneEnd {
-    fn resp_writer(&self) -> ReplyPath {
-        ReplyPath::Lane { tx: self.tx.clone(), depth: Arc::clone(&self.depth) }
-    }
-
     /// Take the lane's write half for the pump, with the tail of a stalled
-    /// write-through if one is waiting. `None`: a sender is writing. The
-    /// pump then holds a *claim*, one unit of `depth`, until it gets the
-    /// half: no new write-through starts while `depth` is non-zero, and the
-    /// writer, handing back, sees it and wakes the pump.
-    fn take_wire(&self, claimed: &mut bool) -> Option<(TcpStream, Vec<u8>)> {
-        let take = || {
-            let mut w = self.wire.lock();
-            w.stream.take().map(|s| (s, std::mem::take(&mut w.tail)))
-        };
-        let mut got = take();
-        if got.is_none() && !*claimed {
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            *claimed = true;
-            // A writer that handed back before the claim landed saw no
-            // backlog and sent no wake: look once more.
-            got = take();
+    /// write-through if one is waiting. The half is gone only while a
+    /// sender writes through, which ends within [`WRITE_STALL`]: wait that
+    /// out. `None`: the transport is shutting down.
+    fn take_wire(&self, sh: &Shared) -> Option<(TcpStream, Vec<u8>)> {
+        loop {
+            let got = {
+                let mut w = self.link.wire.lock();
+                w.stream.take().map(|s| (s, std::mem::take(&mut w.tail)))
+            };
+            if got.is_some() || sh.stopped() {
+                return got;
+            }
+            clock::sleep(Duration::from_micros(50));
         }
-        if got.is_some() && *claimed {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            *claimed = false;
-        }
-        got
     }
 }
 
@@ -632,6 +634,14 @@ impl LaneEnd {
 struct PeerLinks {
     lanes: Vec<PeerLink>,
     rr: AtomicU64,
+}
+
+impl PeerLinks {
+    /// Send `frame` to the peer `to` on the lane [`pick_lane`] chooses.
+    fn send(&self, sh: &Shared, to: u32, frame: NetFrame) -> Result<(), TrySendError<()>> {
+        let lane = pick_lane(&self.lanes, |l| l.depth.load(Ordering::Relaxed), &self.rr);
+        self.lanes[lane].send(sh, to, frame)
+    }
 }
 
 /// Backlog (frames waiting for the lane's writer) at which a lane counts
@@ -665,8 +675,6 @@ fn pick_lane<T>(lanes: &[T], depth: impl Fn(&T) -> i64, rr: &AtomicU64) -> usize
 /// [`TcpTransport::spawn_groups`]) before the replicas that send through it.
 pub struct TcpTransport {
     shared: Arc<Shared>,
-    /// The outbound lanes to every remote peer, whichever side dials.
-    peers: HashMap<u32, PeerLinks>,
     /// The dialing supervisors and the accept loop.
     threads: Vec<std::thread::JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
@@ -718,14 +726,10 @@ impl TcpTransport {
             for lane in 0..cfg.peer_lanes.max(1) {
                 let (tx, rx) = sync_channel::<Outbound>(cfg.send_queue);
                 let depth = Arc::new(AtomicI64::new(0));
-                let wire =
-                    Arc::new(Mutex::new(Wire { stream: None, conn: NO_CONN, tail: Vec::new() }));
-                lanes.push(PeerLink {
-                    tx: tx.clone(),
-                    depth: Arc::clone(&depth),
-                    wire: Arc::clone(&wire),
-                });
-                let end = LaneEnd { rx, tx, depth, wire };
+                let wire = Arc::new(Mutex::new(Wire { stream: None, tail: Vec::new() }));
+                let link = PeerLink { tx, depth, wire };
+                lanes.push(link.clone());
+                let end = LaneEnd { rx, link };
                 if dials(cfg.node_id, peer_id) {
                     to_dial.push((peer_id, lane, addr, end));
                 } else {
@@ -738,6 +742,7 @@ impl TcpTransport {
             groups,
             nodes,
             clients: Mutex::new(HashMap::new()),
+            peers,
             accept_lanes: Mutex::new(accept_lanes),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
@@ -762,7 +767,7 @@ impl TcpTransport {
             .spawn(move || accept_loop(sh, listener));
         threads.push(accept.expect("spawn accept loop")); // check:allow(L1): transport bring-up; without the accept loop no peer can reach us, abort is correct
 
-        TcpTransport { shared, peers, threads, local_addr }
+        TcpTransport { shared, threads, local_addr }
     }
 
     /// The address the accept loop is listening on.
@@ -817,37 +822,18 @@ impl TcpTransport {
             return;
         }
         let frame = NetFrame::Peer { group, from, to: NodeId(to), msg };
-        let Some(links) = self.peers.get(&to) else {
+        let Some(links) = self.shared.peers.get(&to) else {
             stats.dropped_unroutable.inc(); // no such peer
             return;
         };
         // Batch-aware striping over the peer's lanes, whichever side dialed
-        // and whether or not a connection is up.
-        let lane = pick_lane(&links.lanes, |l| l.depth.load(Ordering::Relaxed), &links.rr);
-        let link = &links.lanes[lane];
-        // Write-through: a link with nothing to emulate whose lane is idle
-        // takes the frame from this thread, with no hand-off to the pump.
-        if link.depth.load(Ordering::Relaxed) == 0
-            && self.shared.link_to(to) == LinkFault::default()
-            && link.write_through(&self.shared, &frame)
-        {
-            return;
-        }
-        // Otherwise the lane's queue: a lane without a connection waits
-        // (bounded) for the next one. The depth is bumped *before* try_send
-        // so a concurrent pick_lane never sees a lane emptier than it is.
-        link.depth.fetch_add(1, Ordering::Relaxed);
-        match link.tx.try_send(Outbound::Frame(frame)) {
+        // and whether or not a connection is up: a lane without one queues
+        // (bounded) for the next.
+        match links.send(&self.shared, to, frame) {
             Ok(()) => {}
             // Shed rather than block the replica thread; explicit accounting.
-            Err(TrySendError::Full(_)) => {
-                link.depth.fetch_sub(1, Ordering::Relaxed);
-                stats.dropped_queue_full.inc();
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                link.depth.fetch_sub(1, Ordering::Relaxed);
-                stats.dropped_unroutable.inc();
-            }
+            Err(TrySendError::Full(())) => stats.dropped_queue_full.inc(),
+            Err(TrySendError::Disconnected(())) => stats.dropped_unroutable.inc(),
         }
     }
 
@@ -859,7 +845,7 @@ impl TcpTransport {
         // Outbound backlog (frames waiting for a writer), per peer and in
         // total.
         let mut total = 0;
-        for (peer, links) in &self.peers {
+        for (peer, links) in &self.shared.peers {
             let d: i64 = links.lanes.iter().map(|l| l.depth.load(Ordering::Relaxed)).sum();
             snap.gauges.insert(format!("net_send_queue_depth_peer_{peer}"), d);
             total += d;
@@ -959,13 +945,12 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, 
         // standard handshake-then-route loop.
         let reader = stream.try_clone().ok().and_then(|rstream| {
             let sh2 = Arc::clone(&sh);
-            let resp = end.resp_writer();
             std::thread::Builder::new()
                 .name(format!("nbr-net-dread-{}-{}", sh.cfg.node_id, peer_id))
-                .spawn(move || run_reader(sh2, rstream, Some(resp)))
+                .spawn(move || run_reader(sh2, rstream))
                 .ok()
         });
-        pump_peer_frames(&sh, &stream, conn, &end, &mut rng, peer_id);
+        pump_peer_frames(&sh, &stream, &end, &mut rng, peer_id);
         // Unblock the duplex reader before joining it.
         let _ = stream.shutdown(Shutdown::Both);
         if let Some(t) = reader {
@@ -991,28 +976,28 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, 
 /// same wake-up.
 ///
 /// The pump shares the connection's write half with the lane's senders
-/// through the lane's [`Wire`]: it leaves the half there whenever it has
-/// nothing to write, so senders on a healthy link write through, and takes
-/// it back before it puts anything on the line.
+/// through the lane's [`Wire`]. It takes the half only when the lane has a
+/// backlog, drains its queue onto the line only while it holds the half,
+/// and puts the half back once the line is empty and nothing is queued, so
+/// senders on a healthy link write through. Its Ping is a frame like any
+/// other, sent through [`PeerLink::send`].
 fn pump_peer_frames(
     sh: &Shared,
     socket: &TcpStream,
-    conn: u64,
     lane: &LaneEnd,
     rng: &mut StdRng,
     peer_id: u32,
 ) {
-    let LaneEnd { rx, depth, wire, .. } = lane;
+    let LaneEnd { rx, link } = lane;
     let mut wbuf = Vec::with_capacity(8 << 10);
     let Ok(mut stream) = socket.try_clone() else { return };
     if write_frames(sh, &mut stream, std::iter::once(sh.hello()), &mut wbuf).is_err() {
         return;
     }
-    wire.lock().conn = conn;
-    // The write half while the pump has it; `claimed` while it waits for a
-    // sender to hand it back (see `LaneEnd::take_wire`).
-    let mut held = Some(stream);
-    let mut claimed = false;
+    // The lane starts idle: the write half goes to the senders.
+    link.wire.lock().stream = Some(stream);
+    // The write half while the pump has a backlog.
+    let mut held: Option<TcpStream> = None;
     // Frames in flight are capped like frames queued. A full line takes
     // nothing more until its head leaves, so the queue behind it fills and
     // `send` sheds, with the accounting it always had.
@@ -1031,14 +1016,11 @@ fn pump_peer_frames(
     // window would just hide queue pressure from the metrics.
     let max_coalesce = sh.cfg.send_queue.clamp(1, 256);
     while !sh.stopped() {
-        // Sleep until there is traffic, a frame in flight arrives, a ping is
-        // owed or, while a sender writes, the write half comes back (the
-        // sender wakes us; it is done within `WRITE_STALL` regardless). An
-        // idle line costs no clock read.
-        let wait = match (&held, line.next_due()) {
-            (None, _) if claimed => WRITE_STALL,
-            (Some(_), Some(due)) => due.saturating_duration_since(clock::now()).min(ping_every),
-            (None, _) | (Some(_), None) => ping_every,
+        // Sleep until there is traffic, a frame in flight arrives or a ping
+        // is owed. An idle line costs no clock read.
+        let wait = match line.next_due() {
+            Some(due) => due.saturating_duration_since(clock::now()).min(ping_every),
+            None => ping_every,
         };
         let room = line.room().min(max_coalesce);
         let first = if room == 0 {
@@ -1052,78 +1034,79 @@ fn pump_peer_frames(
             }
         };
         let now = clock::now();
-        let ping_due = now.duration_since(last_ping) >= ping_every;
-        // Take the write half back before anything goes on the line: a
-        // frame still in the queue (or the claim) keeps `depth` non-zero
-        // meanwhile, so no sender overtakes it.
-        if held.is_none()
-            && (first.is_some() || ping_due || claimed || depth.load(Ordering::Relaxed) > 0)
-        {
-            if let Some((mut stream, tail)) = lane.take_wire(&mut claimed) {
-                let wrote = write_patiently(&mut stream, &tail);
-                if !tail.is_empty() {
-                    sh.stats.bytes_out.add(tail.len() as u64);
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                }
-                held = Some(stream);
-                if wrote.is_err() {
-                    depth.fetch_sub(i64::from(first.is_some()), Ordering::Relaxed);
-                    break; // the connection failed under a sender
-                }
+        // Keepalive when idle, clock sample on cadence when busy. `t0` is
+        // stamped as the ping is sent, so the measured RTT includes whatever
+        // the frames around it wait for. A full queue owes the ping to the
+        // next cadence.
+        if now.duration_since(last_ping) >= ping_every {
+            nonce += 1;
+            let t0 = now.duration_since(sh.epoch).as_nanos() as u64;
+            if link.send(sh, peer_id, NetFrame::Ping { nonce, t0 }).is_ok() {
+                sh.stats.keepalives.inc();
             }
+            last_ping = now;
         }
-        if first.is_some() || ping_due {
-            let link = sh.link_to(peer_id);
-            let delay = link.delay_at(|| rng.random_range(0.0..1.0));
-            let delay = Duration::from_nanos(delay.as_nanos());
-            // Coalesce everything already queued into this wake-up. A frame
-            // leaves the lane's `depth` as it goes onto the link: in flight
-            // it holds nothing up, so `pick_lane` must not count it.
-            let mut drained = 0i64;
-            let queued = first.into_iter().chain(std::iter::from_fn(|| loop {
-                match rx.try_recv() {
-                    Ok(Outbound::Frame(frame)) => return Some(frame),
-                    Ok(Outbound::Wake) => {}
-                    Err(_) => return None,
-                }
-            }));
-            for frame in queued.take(room) {
-                drained += 1;
-                // Lose protocol frames only — what the replicas exchange,
-                // which Raft's retry machinery repairs: that is the behaviour
-                // under test. Keepalives stay reliable (the handshake is
-                // already written), so a cut is a network filter and not a
-                // dead host: the socket and its clock samples survive.
-                let protocol = matches!(frame, NetFrame::Peer { .. });
-                if protocol && link.loses(|| rng.random_range(0.0..1.0)) {
-                    sh.stats.frames_lost.inc();
-                } else if line.admit(now, delay, frame).is_err() {
-                    sh.stats.dropped_queue_full.inc();
-                }
+        // A backlog: take the write half before anything goes on the line.
+        // The backlog keeps `depth` non-zero meanwhile, so no sender
+        // overtakes it.
+        if held.is_none() && (first.is_some() || link.depth.load(Ordering::Relaxed) > 0) {
+            let Some((mut stream, tail)) = lane.take_wire(sh) else { break };
+            let wrote = write_patiently(&mut stream, &tail);
+            if !tail.is_empty() {
+                sh.stats.bytes_out.add(tail.len() as u64);
+                link.depth.fetch_sub(1, Ordering::Relaxed);
             }
-            depth.fetch_sub(drained, Ordering::Relaxed);
-            // Keepalive when idle, clock sample on cadence when busy. `t0` is
-            // stamped as the ping goes onto the link, so the measured RTT
-            // includes the delay the frames around it experience. A full
-            // line owes the ping to the next wake-up with room.
-            if ping_due {
-                let t0 = now.duration_since(sh.epoch).as_nanos() as u64;
-                nonce += 1;
-                if line.admit(now, delay, NetFrame::Ping { nonce, t0 }).is_ok() {
-                    sh.stats.keepalives.inc();
-                    last_ping = now;
-                }
+            held = Some(stream);
+            if wrote.is_err() {
+                link.depth.fetch_sub(i64::from(first.is_some()), Ordering::Relaxed);
+                break; // the connection failed under a sender
             }
         }
         if let Some(stream) = held.as_mut() {
+            // Coalesce everything already queued into this wake-up. A frame
+            // leaves the lane's `depth` as it goes onto the link: in flight
+            // it holds nothing up, so `pick_lane` must not count it.
+            let mut queued = first
+                .into_iter()
+                .chain(std::iter::from_fn(|| loop {
+                    match rx.try_recv() {
+                        Ok(Outbound::Frame(frame)) => return Some(frame),
+                        Ok(Outbound::Wake) => {}
+                        Err(_) => return None,
+                    }
+                }))
+                .take(room)
+                .peekable();
+            if queued.peek().is_some() {
+                let fault = sh.link_to(peer_id);
+                let delay = fault.delay_at(|| rng.random_range(0.0..1.0));
+                let delay = Duration::from_nanos(delay.as_nanos());
+                let mut drained = 0i64;
+                for frame in queued {
+                    drained += 1;
+                    // Lose protocol frames only — what the replicas exchange,
+                    // which Raft's retry machinery repairs: that is the
+                    // behaviour under test. Keepalives stay reliable (the
+                    // handshake is already written), so a cut is a network
+                    // filter and not a dead host: the socket and its clock
+                    // samples survive.
+                    let protocol = matches!(frame, NetFrame::Peer { .. });
+                    if protocol && fault.loses(|| rng.random_range(0.0..1.0)) {
+                        sh.stats.frames_lost.inc();
+                    } else if line.admit(now, delay, frame).is_err() {
+                        sh.stats.dropped_queue_full.inc();
+                    }
+                }
+                link.depth.fetch_sub(drained, Ordering::Relaxed);
+            }
             // Everything that has crossed the link by now, in one write.
             let res = write_frames(sh, stream, std::iter::from_fn(|| line.pop_due(now)), &mut wbuf);
             if res.is_err() {
                 break; // frames on the link are lost with the connection; Raft retries
             }
             // Idle again: leave the write half to the senders.
-            if line.len() == 0 && depth.load(Ordering::Relaxed) == 0 {
-                wire.lock().stream = held.take();
+            if line.len() == 0 && link.depth.load(Ordering::Relaxed) == 0 {
+                link.wire.lock().stream = held.take();
             }
         }
         let flying = line.len() as i64;
@@ -1132,40 +1115,34 @@ fn pump_peer_frames(
             inflight = flying;
         }
     }
-    // The connection is over: whatever a sender still holds or left behind
-    // dies with it, like the frames on the line.
+    // The connection is over: whatever a sender left behind dies with it,
+    // like the frames on the line.
     let tail = {
-        let mut w = wire.lock();
+        let mut w = link.wire.lock();
         w.stream = None;
-        w.conn = NO_CONN;
         std::mem::take(&mut w.tail)
     };
-    let owed = i64::from(!tail.is_empty()) + i64::from(claimed);
-    depth.fetch_sub(owed, Ordering::Relaxed);
+    link.depth.fetch_sub(i64::from(!tail.is_empty()), Ordering::Relaxed);
     sh.stats.link_inflight.add(-inflight);
 }
 
 /// Writer for one accepted duplex peer connection: the standard peer pump
 /// (same handshake, batching and link faults as the dialing side) over one
-/// of the peer's lanes, borrowed for as long as the connection lives.
-/// `attached` tells the connection's reader which lane that is; dropping it
-/// unsent refuses the connection.
-fn accepted_peer_writer(
-    sh: Arc<Shared>,
-    stream: TcpStream,
-    seed: u64,
-    peer_id: u32,
-    attached: Sender<ReplyPath>,
-) {
-    if stream.set_write_timeout(Some(WRITE_STALL)).is_err() {
+/// of the peer's lanes, borrowed for as long as the connection lives. With
+/// no idle lane the connection is one too many: it is shut down, and its
+/// reader sees EOF.
+fn accepted_peer_writer(sh: Arc<Shared>, stream: TcpStream, seed: u64, peer_id: u32) {
+    let lane =
+        stream.set_write_timeout(Some(WRITE_STALL)).ok().and_then(|()| sh.borrow_lane(peer_id));
+    let Some((slot, lane)) = lane else {
+        sh.stats.handshake_rejects.inc();
+        let _ = stream.shutdown(Shutdown::Both);
         return;
-    }
-    let Some((slot, lane)) = sh.borrow_lane(peer_id) else { return };
-    let _ = attached.send(lane.resp_writer());
+    };
     let conn = sh.register_conn(&stream);
     sh.stats.peer_links_up.add(1);
     let mut rng = StdRng::seed_from_u64(0xACC3 ^ seed);
-    pump_peer_frames(&sh, &stream, conn, &lane, &mut rng, peer_id);
+    pump_peer_frames(&sh, &stream, &lane, &mut rng, peer_id);
     sh.stats.peer_links_up.add(-1);
     let _ = stream.shutdown(Shutdown::Both);
     sh.deregister_conn(conn);
@@ -1243,7 +1220,7 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
                 let name = format!("nbr-net-read-{}", sh.cfg.node_id);
                 if std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || run_reader(sh2, stream, None))
+                    .spawn(move || run_reader(sh2, stream))
                     .is_err()
                 {
                     sh.stats.proto_errors.inc(); // thread exhaustion; drop conn
@@ -1261,42 +1238,16 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
 enum ConnIdentity {
     Unknown,
     Node(NodeId),
-    Client(ClientId),
-}
-
-/// A reader's reply path for the Pongs it owes.
-enum ReplyPath {
-    /// A peer connection: the queue of the lane it drains, whichever side
-    /// dialed, with `send`'s depth accounting (or the lane would drift
-    /// emptier than it is).
-    Lane { tx: SyncSender<Outbound>, depth: Arc<AtomicI64> },
-    /// A client session: written on the reader's own thread.
-    Session(Arc<Mutex<Session>>),
-}
-
-impl ReplyPath {
-    /// Best effort: a full lane queue drops the reply (the next ping
-    /// retries the clock sample).
-    fn push(&self, sh: &Shared, frame: NetFrame) {
-        match self {
-            ReplyPath::Lane { tx, depth } => {
-                depth.fetch_add(1, Ordering::Relaxed);
-                if tx.try_send(Outbound::Frame(frame)).is_err() {
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            ReplyPath::Session(session) => write_session(sh, session, &frame),
-        }
-    }
+    /// A client, with the write half of its session.
+    Client(ClientId, Arc<Mutex<Session>>),
 }
 
 /// Inbound connection reader: handshake, then decode-and-route until EOF,
 /// error, or shutdown.
-fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<ReplyPath>) {
+fn run_reader(sh: Arc<Shared>, mut stream: TcpStream) {
     let conn = sh.register_conn(&stream);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut identity = ConnIdentity::Unknown;
-    let mut resp_writer: Option<ReplyPath> = resp;
     // Zero-copy framing: accumulate raw socket bytes in `buf`; once at
     // least one complete frame is present, freeze the whole staging buffer
     // into a shared `Bytes` (O(1)) and decode with the borrowing path —
@@ -1337,7 +1288,7 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<ReplyPath>) {
                 Ok(Some((frame, used))) => {
                     shared.split_to(used);
                     sh.stats.frames_in.inc();
-                    if !handle_frame(&sh, frame, &mut identity, &mut resp_writer, &stream, conn) {
+                    if !handle_frame(&sh, frame, &mut identity, &stream, conn) {
                         break 'conn;
                     }
                 }
@@ -1353,7 +1304,7 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream, resp: Option<ReplyPath>) {
         buf.extend_from_slice(&shared);
     }
     // Deregister a client session's response route (only if still ours).
-    if let ConnIdentity::Client(id) = identity {
+    if let ConnIdentity::Client(id, _) = identity {
         let mut routes = sh.clients.lock();
         if routes.get(&id).is_some_and(|r| r.conn == conn) {
             routes.remove(&id);
@@ -1369,7 +1320,6 @@ fn handle_frame(
     sh: &Arc<Shared>,
     frame: NetFrame,
     identity: &mut ConnIdentity,
-    resp_writer: &mut Option<ReplyPath>,
     stream: &TcpStream,
     conn: u64,
 ) -> bool {
@@ -1399,25 +1349,16 @@ fn handle_frame(
                         // socket, so our outbound frames to it must ride
                         // back over this accepted connection: attach a
                         // writer to it that drains one of the peer's lanes.
-                        let (attached, reply_path) = channel();
                         let seed =
                             (u64::from(sh.cfg.node_id) << 40) ^ (u64::from(n.0) << 16) ^ conn;
                         let sh2 = Arc::clone(sh);
                         let spawned = std::thread::Builder::new()
                             .name(format!("nbr-net-presp-{}-{}", sh.cfg.node_id, n.0))
-                            .spawn(move || accepted_peer_writer(sh2, wstream, seed, n.0, attached));
+                            .spawn(move || accepted_peer_writer(sh2, wstream, seed, n.0));
                         if spawned.is_err() {
                             sh.stats.proto_errors.inc();
                             return false;
                         }
-                        // This reader's Pong replies share the queue of the
-                        // lane the writer borrowed; if it got none, every
-                        // lane to this peer already has a live connection.
-                        let Ok(reply_path) = reply_path.recv() else {
-                            sh.stats.handshake_rejects.inc(); // one connection too many
-                            return false;
-                        };
-                        *resp_writer = Some(reply_path);
                     }
                     *identity = ConnIdentity::Node(n)
                 }
@@ -1433,8 +1374,7 @@ fn handle_frame(
                     let route = ClientRoute { conn, session: Arc::clone(&session) };
                     sh.clients.lock().insert(c, route);
                     sh.stats.clients_connected.add(1);
-                    *resp_writer = Some(ReplyPath::Session(session));
-                    *identity = ConnIdentity::Client(c);
+                    *identity = ConnIdentity::Client(c, session);
                 }
             }
             true
@@ -1464,7 +1404,7 @@ fn handle_frame(
             sh.deliver(group, to.0, Packet::Peer { from, msg });
             true
         }
-        (NetFrame::Request { group, to, trace: _, req }, ConnIdentity::Client(c)) => {
+        (NetFrame::Request { group, to, trace: _, req }, ConnIdentity::Client(c, _)) => {
             if req.client != *c {
                 sh.stats.proto_errors.inc(); // spoofed client id
                 return false;
@@ -1474,21 +1414,26 @@ fn handle_frame(
         }
         // A frame on the wrong kind of connection: peer traffic from a client,
         // or client traffic from a peer (which never relays it).
-        (NetFrame::Peer { .. }, ConnIdentity::Client(_))
+        (NetFrame::Peer { .. }, ConnIdentity::Client(..))
         | (NetFrame::Request { .. } | NetFrame::Response { .. }, _) => {
             sh.stats.proto_errors.inc();
             false
         }
-        (NetFrame::Ping { nonce, t0 }, who) => {
-            // A duplex session answers so the client can measure liveness; a
-            // peer's keepalive doubles as a clock sample: echo `t0` with our
-            // receive instant so the sender can estimate RTT and offset.
-            if matches!(who, ConnIdentity::Node(_)) {
-                sh.stats.keepalives.inc();
+        // A peer's keepalive doubles as a clock sample: echo `t0` with our
+        // receive instant so the sender can estimate RTT and offset. The
+        // Pong is sent to the peer like any frame, so on an emulated link it
+        // crosses the delay line as the Ping did. Best effort: a full queue
+        // sheds it, and the next Ping retries the sample.
+        (NetFrame::Ping { nonce, t0 }, ConnIdentity::Node(peer)) => {
+            sh.stats.keepalives.inc();
+            if let Some(links) = sh.peers.get(&peer.0) {
+                let _ = links.send(sh, peer.0, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             }
-            if let Some(w) = resp_writer {
-                w.push(sh, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
-            }
+            true
+        }
+        // A duplex session answers so the client can measure liveness.
+        (NetFrame::Ping { nonce, t0 }, ConnIdentity::Client(_, session)) => {
+            write_session(sh, session, &NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             true
         }
         (NetFrame::Pong { nonce: _, t0, t1 }, ConnIdentity::Node(peer)) => {
@@ -1507,6 +1452,7 @@ mod tests {
         ClientRequest, ClientResponse, Entry, Fault, HeartbeatMsg, LogIndex, Message, Payload,
         RequestId, Term, TimeDelta,
     };
+    use std::sync::mpsc::channel;
 
     fn heartbeat() -> Packet {
         numbered(0, 0)
@@ -1600,7 +1546,7 @@ mod tests {
         let (_t1, inbox1) = spawn(1, (0, a0), l1);
         let gauge = |name: &str| t0.scrape_snapshot().gauges.get(name).copied().unwrap_or(0);
         let counter = |name: &str| t0.scrape_snapshot().counters.get(name).copied().unwrap_or(0);
-        let lanes = &t0.peers[&1];
+        let lanes = &t0.shared.peers[&1];
         let depth = |l: &PeerLink| l.depth.load(Ordering::Relaxed);
         until("both lanes are up", || gauge("net_peer_links_up") == 2);
 
@@ -1754,7 +1700,7 @@ mod tests {
         let cfg = TcpConfig { faults: Some(Arc::clone(&plane)), ..TcpConfig::default() };
         let (t0, _rx0) = node(0, (1, a1), l0, &[64], cfg.clone());
         let (_t1, rx1) = node(1, (0, a0), l1, &[4096], cfg);
-        let lane = &t0.peers[&1].lanes[0];
+        let lane = &t0.shared.peers[&1].lanes[0];
         let idle = || lane.wire.lock().stream.is_some() && lane.depth.load(Ordering::Relaxed) == 0;
         until("the lane is idle", idle);
         let gray = Fault::GrayLink {
@@ -1796,6 +1742,54 @@ mod tests {
         assert_eq!(counter(&t0, "net_dropped_queue_full") + counter(&t0, "net_write_stalls"), 0);
     }
 
+    /// A clock sample crosses an emulated link both ways: the Ping on one
+    /// pump's delay line, the Pong on the other's, so every RTT carries two
+    /// hops. A Pong written through on an emulated link would read one. On a
+    /// healthy pair both are written through, far below one hop.
+    #[test]
+    fn clock_samples_cross_an_emulated_link_both_ways() {
+        let hop = Duration::from_millis(20);
+        let rtts = |baseline: LinkFault| {
+            let ((l0, a0), (l1, a1)) = (bind(), bind());
+            let probe = SharedProbe::new();
+            // A ping cadence well above the hop: each delay line is empty
+            // most of the time, which is when a lane could write through.
+            let cfg = TcpConfig {
+                keepalive: Duration::from_millis(50),
+                baseline,
+                probe: Some(probe.clone()),
+                ..TcpConfig::default()
+            };
+            let (_t0, _rx0) = node(0, (1, a1), l0, &[64], cfg.clone());
+            let (_t1, _rx1) = node(1, (0, a0), l1, &[64], cfg);
+            let samples = || -> Vec<(NodeId, Duration)> {
+                let events = probe.snapshot().into_iter();
+                events
+                    .filter_map(|e| match e.event {
+                        ProbeEvent::ClockSample { rtt_ns, .. } => {
+                            Some((e.node, Duration::from_nanos(rtt_ns)))
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            };
+            until("both nodes have taken five clock samples", || {
+                let got = samples();
+                [0, 1].iter().all(|&n| got.iter().filter(|s| s.0 == NodeId(n)).count() >= 5)
+            });
+            samples()
+        };
+
+        let delay = TimeDelta(hop.as_nanos() as u64);
+        let emulated = rtts(LinkFault { delay: (delay, delay), ..LinkFault::default() });
+        for (node, rtt) in &emulated {
+            assert!(*rtt >= 2 * hop, "node {node:?}: a sample of {rtt:?} missed a hop");
+        }
+        for (node, rtt) in &rtts(LinkFault::default()) {
+            assert!(*rtt < hop / 2, "node {node:?}: a healthy sample of {rtt:?}");
+        }
+    }
+
     /// A peer that stops reading holds no sender past `WRITE_STALL`: the
     /// write that runs out hands the rest of its frame to the pump, the
     /// frames after it queue (and shed once the queue is full), and once
@@ -1816,7 +1810,7 @@ mod tests {
         let (mut peer, _) = fake.accept().expect("node 0 dials");
         let mut frames = FrameReader::default();
         assert!(matches!(frames.next(&mut peer), NetFrame::Hello(_)));
-        let lane = &t0.peers[&1].lanes[0];
+        let lane = &t0.shared.peers[&1].lanes[0];
         until("the lane is idle", || lane.wire.lock().stream.is_some());
 
         let t0 = Arc::new(t0);

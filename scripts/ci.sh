@@ -40,6 +40,12 @@ for _ in $(seq 10); do
     cargo test -q -p nbr-cluster --test cluster_test -- \
         wal_recovery_after_crash_restart compaction_ships_snapshots_to_restarted_followers
 done
+# The transport's in-crate tests drive the lanes' write-half hand-off
+# between senders and pump, and are timing-driven: five more runs, again a
+# repeat and not a retry.
+for _ in $(seq 5); do
+    cargo test -q -p nbr-net --lib
+done
 
 if [ "${CI_FULL:-0}" = "1" ]; then
     step "cargo test -q --workspace (full suite, slow)"
