@@ -10,13 +10,16 @@
 //! * **L2** — no wildcard `_ =>` match arms in those same crates. Message
 //!   and RPC dispatch must be exhaustive so that adding a `Message` variant
 //!   forces every handler to be revisited.
-//! * **L3** — no wall-clock reads (`Instant::now`, `SystemTime::now`) or
-//!   `thread::sleep` in the deterministic paths (`core`, `obs`, `sim`,
-//!   `types`) or scattered through `net` (whose single sanctioned
-//!   wall-clock boundary is `nbr-net::clock`, each use justified inline).
-//!   Time enters the sans-I/O engine only as explicit
-//!   [`nbr_types::Time`] values — probe timestamps included, which is what
-//!   keeps traces replayable and the sim bit-identical across runs.
+//! * **L3** — no wall-clock reads (`Instant::now`, `SystemTime::now`),
+//!   `thread::sleep` or environment reads (`env::var`, `env::var_os`) in
+//!   the deterministic paths (`core`, `obs`, `sim`, `types`) or scattered
+//!   through `net` (whose single sanctioned wall-clock boundary is
+//!   `nbr-net::clock`, each use justified inline). Time enters the sans-I/O
+//!   engine only as explicit [`nbr_types::Time`] values — probe timestamps
+//!   included, which is what keeps traces replayable and the sim
+//!   bit-identical across runs — and the environment is an input the same
+//!   way: what a run does is set by its configuration, not by a variable
+//!   read mid-protocol.
 //! * **L4** — no unchecked `+` / `-` directly on the raw `.0` of
 //!   `LogIndex` / `Term`-like newtypes in `core`, `cluster`, `storage`.
 //!   Use the sanctioned wrappers (`next()`, `prev()`, `plus()`, `diff()`)
@@ -224,6 +227,13 @@ pub fn lint_source(crate_name: &str, file: &str, text: &str) -> Vec<Violation> {
                             ),
                         );
                     }
+                }
+                if code.contains("env::var") {
+                    push(
+                        "L3",
+                        "`env::var` in a deterministic path; settings must come from the harness"
+                            .into(),
+                    );
                 }
             }
             if l4 {
@@ -960,6 +970,14 @@ mod tests {
             rules("cluster", "let t = Instant::now();").is_empty(),
             "cluster runs real threads"
         );
+    }
+
+    #[test]
+    fn l3_flags_environment_reads_in_deterministic_paths() {
+        assert_eq!(rules("core", r#"if std::env::var_os("X").is_some() {}"#), vec!["L3"]);
+        assert_eq!(rules("types", r#"let v = env::var("X");"#), vec!["L3"]);
+        assert!(rules("core", r#"// std::env::var_os("X")"#).is_empty(), "comments are skipped");
+        assert!(rules("cli", r#"let v = std::env::var("X");"#).is_empty(), "cli reads its env");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::faults::FaultPlane;
 use crate::network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
 use crate::transport::{Endpoints, Transport, TransportInboxes};
+use bytes::Bytes;
 use nbr_core::{Node, Output};
 use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry};
 use nbr_storage::{LogStore, MemLog, StateMachine, SyncPolicy, WalLog};
@@ -140,11 +141,20 @@ impl LogStore for ClusterLog {
     fn truncate_from(&mut self, idx: LogIndex) -> Result<()> {
         delegate!(self, truncate_from(idx))
     }
-    fn compact_to(&mut self, idx: LogIndex) -> Result<()> {
-        delegate!(self, compact_to(idx))
+    fn compact_to(&mut self, idx: LogIndex, image: Bytes) -> Result<()> {
+        delegate!(self, compact_to(idx, image))
     }
-    fn reset(&mut self, boundary: LogIndex, term: Term) -> Result<()> {
-        delegate!(self, reset(boundary, term))
+    fn reset(&mut self, boundary: LogIndex, term: Term, image: Bytes) -> Result<()> {
+        delegate!(self, reset(boundary, term, image))
+    }
+    fn hard_state(&self) -> (Term, Option<NodeId>) {
+        delegate!(self, hard_state())
+    }
+    fn set_hard_state(&mut self, term: Term, vote: Option<NodeId>) -> Result<()> {
+        delegate!(self, set_hard_state(term, vote))
+    }
+    fn snapshot(&self) -> Option<(LogIndex, Term, Bytes)> {
+        delegate!(self, snapshot())
     }
 }
 
@@ -152,8 +162,8 @@ enum Control {
     /// Crash the replica; the sender is signalled once it is down.
     Crash(Sender<()>),
     /// Restart a crashed replica; the sender is signalled once it is back
-    /// up and its status says so (or once it has stayed down on a hard
-    /// state that does not decode).
+    /// up and its status says so (or once it has stayed down on a snapshot
+    /// that does not restore).
     Restart(Sender<()>),
     Stop,
     /// Register a linearizable read; the sender is signalled when the local
@@ -383,10 +393,10 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         self.control(node, Control::Crash);
     }
 
-    /// Restart a crashed replica (recovers from WAL when configured).
-    /// Returns once it is running again, with its status published. A
-    /// replica whose persisted hard state exists but does not decode stays
-    /// down (`alive` false) rather than boot at term 0 with no vote.
+    /// Restart a crashed replica (recovers from WAL when configured: hard
+    /// state, snapshot and log suffix). Returns once it is running again,
+    /// with its status published. A replica whose snapshot does not restore
+    /// stays down (`alive` false).
     pub fn restart(&self, node: usize) {
         self.control(node, Control::Restart);
     }
@@ -552,51 +562,22 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
             let plane = cfg.faults.clone();
             let local_now =
                 move || now_since(epoch) + plane.as_ref().map_or(TimeDelta::ZERO, |p| p.skew(id.0));
-            let hard_state_path = match &cfg.storage {
-                StorageMode::Wal(dir) => Some(dir.join(format!("node-{}.hs", id.0))),
-                StorageMode::Memory => None,
-            };
-            // The persisted `(term, vote)`: `Ok(None)` for a fresh node (no
-            // file), `Err` for a file that does not decode. A replica that
-            // booted from that at term 0 with no vote could vote twice in
-            // one term, so it stays down instead.
-            type HardState = Option<(Term, Option<NodeId>)>;
-            let load_hard_state = || -> std::result::Result<HardState, ()> {
-                let Some(p) = hard_state_path.as_ref() else { return Ok(None) };
-                let bytes = match std::fs::read(p) {
-                    Ok(bytes) => bytes,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-                    Err(_) => return Err(()),
-                };
-                let Ok(b) = <[u8; 16]>::try_from(bytes) else { return Err(()) };
-                let word = |i: usize| u64::from_le_bytes(std::array::from_fn(|j| b[8 * i + j]));
-                let voted = word(1);
-                Ok(Some((Term(word(0)), (voted != u64::MAX).then_some(NodeId(voted as u32)))))
-            };
-
             // Outstanding harness reads keyed by synthetic request id.
             let mut read_replies: HashMap<u64, Sender<Result<()>>> = HashMap::new();
             let mut next_read_id = 0u64;
-            // A (re)started engine: the log reopened and the hard state
-            // restored from whatever this node's storage kept. `None`: the
-            // hard state is unreadable and the replica stays down.
+            // A (re)started engine over whatever this node's storage kept:
+            // the machine restored from the log's snapshot, the engine built
+            // on the log. `None`: the snapshot does not restore and the
+            // replica stays down.
             let boot = |seed: u64| {
-                let hard_state = load_hard_state().ok()?;
-                let mut n = Node::with_probe(
-                    id,
-                    membership.clone(),
-                    cfg.protocol.clone(),
-                    open_log(),
-                    seed,
-                    cfg.probe.clone(),
-                );
-                if let Some((t, v)) = hard_state {
-                    n.restore_hard_state(t, v);
+                let log = open_log();
+                if let Some((last_index, _, image)) = log.snapshot() {
+                    machine.lock().restore(&image, last_index).ok()?;
                 }
-                Some(n)
+                let (protocol, probe) = (cfg.protocol.clone(), cfg.probe.clone());
+                Some(Node::with_probe(id, membership.clone(), protocol, log, seed, probe))
             };
             let mut node: Option<Node<ClusterLog, EngineProbe>> = boot(cfg.seed);
-            let mut last_hs = node.as_ref().map(|n| n.hard_state());
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
             let metrics = ReplicaMetrics::new(&registry);
@@ -612,8 +593,8 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                             }
                             node = None;
                             // The state machine is volatile node state: a
-                            // restarted replica rebuilds it by re-applying
-                            // its recovered log from the start.
+                            // restarted replica rebuilds it from its log's
+                            // snapshot and re-applies the suffix.
                             *machine.lock() = M::default();
                             // So is its status: until a restarted engine
                             // publishes its own, it leads and has applied
@@ -640,7 +621,6 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         Control::Restart(done) => {
                             if node.is_none() {
                                 node = boot(cfg.seed ^ 0xBEEF);
-                                last_hs = node.as_ref().map(|n| n.hard_state());
                                 status.lock().alive = node.is_some();
                             }
                             let _ = done.send(());
@@ -649,8 +629,8 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                 }
 
                 // Input: block briefly for the first packet, then drain a
-                // batch so the fixed per-iteration work below (hard-state
-                // persistence, status snapshot, metrics mirroring) amortizes
+                // batch so the fixed per-iteration work below (status
+                // snapshot, compaction check, metrics mirroring) amortizes
                 // across bursts instead of being paid once per packet.
                 let packet = inbox.recv_timeout(Duration::from_millis(2));
                 let now = local_now();
@@ -693,32 +673,6 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                     // Strong for the same request back to back: send the
                     // client the one reply that tells it everything.
                     compress_weak_responds(&mut outputs);
-
-                    // Persist hard state before acting on outputs.
-                    let hs = n.hard_state();
-                    if Some(hs) != last_hs {
-                        if let Some(p) = &hard_state_path {
-                            let mut b = Vec::with_capacity(16);
-                            b.extend_from_slice(&hs.0 .0.to_le_bytes());
-                            b.extend_from_slice(
-                                &hs.1.map_or(u64::MAX, |n| n.0 as u64).to_le_bytes(),
-                            );
-                            // Written aside and renamed over the old file, so
-                            // a crash mid-write leaves the previous hard state
-                            // whole rather than a truncated one.
-                            let t0 = Instant::now();
-                            let tmp = p.with_extension("hs.tmp");
-                            let _ = std::fs::write(&tmp, b).and_then(|()| std::fs::rename(&tmp, p));
-                            if let EngineProbe::Shared(pr) = &cfg.probe {
-                                pr.record(
-                                    id,
-                                    local_now(),
-                                    ProbeEvent::WalFsync { dur_ns: t0.elapsed().as_nanos() as u64 },
-                                );
-                            }
-                        }
-                        last_hs = Some(hs);
-                    }
 
                     for o in outputs.drain(..) {
                         match o {

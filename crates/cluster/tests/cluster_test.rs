@@ -4,9 +4,10 @@
 
 use bytes::Bytes;
 use nbr_cluster::{Cluster, ClusterConfig, FaultPlane, NetConfig, StorageMode};
-use nbr_storage::{KvStore, TsStore};
+use nbr_storage::{KvStore, LogStore, SyncPolicy, TsStore, WalLog};
 use nbr_types::{Fault, Protocol, TimeDelta, TimeoutConfig};
-use std::time::Duration;
+use std::io::Write;
+use std::time::{Duration, Instant};
 
 fn cfg(protocol: Protocol, window: usize) -> ClusterConfig {
     let mut protocol = protocol.config(window);
@@ -114,24 +115,44 @@ fn wal_recovery_after_crash_restart() {
     assert!(dir.join(format!("node-{follower}.wal")).exists());
 }
 
-/// A replica whose hard state file exists but does not decode (a write torn
-/// by a kill -9) stays down: booting it at term 0 with no vote would let it
-/// vote twice in one term.
+/// A kill -9 can cut the WAL mid-record, the hard state's included. The
+/// torn record is dropped and the replica boots from the last whole one:
+/// never at term 0 with no vote, which would let it vote twice in one term.
 #[test]
-fn a_torn_hard_state_keeps_the_replica_down() {
+fn a_torn_hard_state_record_boots_from_the_last_whole_one() {
     let dir = tmpdir("torn-hs");
     let mut c = cfg(Protocol::Raft, 0);
     c.storage = StorageMode::Wal(dir.clone());
     let cluster: Cluster<KvStore> = Cluster::spawn(3, c);
     let leader = cluster.wait_for_leader(Duration::from_secs(5)).expect("leader");
     let follower = (0..3).find(|&i| i != leader).unwrap();
-    let hs = dir.join(format!("node-{}.hs", cluster.node_id(follower)));
-    assert_eq!(std::fs::read(&hs).expect("the follower persisted its hard state").len(), 16);
+    let term = cluster.status(follower).term;
+    assert!(term > 0, "the follower has seen a leader's term");
     cluster.crash(follower);
-    std::fs::write(&hs, [1, 2, 3]).unwrap();
+    // The first bytes of a `HardState` record: a 17-byte body announced
+    // (tag, term, vote), its CRC, the tag and half the term.
+    let wal = dir.join(format!("node-{}.wal", cluster.node_id(follower)));
+    let mut torn = 17u32.to_le_bytes().to_vec();
+    torn.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef, 4, 0, 0, 0, 9, 0, 0, 0]);
+    std::fs::OpenOptions::new().append(true).open(&wal).unwrap().write_all(&torn).unwrap();
+    // What the replica will boot from, read off a copy of its file.
+    let copy = tmpdir("torn-hs-copy").join("wal");
+    std::fs::copy(&wal, &copy).unwrap();
+    let (booted, _) = WalLog::open(&copy, SyncPolicy::Never).unwrap().hard_state();
+    assert!(booted.0 >= term, "recovered term {} after term {term}", booted.0);
     cluster.restart(follower);
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(!cluster.status(follower).alive, "booted from a torn hard state");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while cluster.status(follower).term < term && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let status = cluster.status(follower);
+    assert!(status.alive, "the follower booted");
+    assert!(status.term >= term, "booted at term {} after term {term}", status.term);
+    let hs_files = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "hs"))
+        .count();
+    assert_eq!(hs_files, 0, "hard state lives in the WAL");
 }
 
 #[test]
@@ -321,6 +342,53 @@ fn compaction_ships_snapshots_to_restarted_followers() {
     assert_eq!(kv.get(b"pre5"), Some(b"x".as_ref()), "pre-crash state restored");
     assert_eq!(kv.get(b"mid70"), Some(b"y".as_ref()), "post-crash state replayed");
     assert_eq!(kv.len(), 110);
+}
+
+/// A follower that compacted its own log, crashed and came straight back
+/// rebuilds its machine from the snapshot its WAL kept, then applies the
+/// suffix: no leader has a reason to ship it a snapshot, since its log
+/// still reaches the leader's.
+#[test]
+fn a_replica_restarted_after_compacting_its_own_log_rebuilds_its_machine() {
+    let dir = tmpdir("compact-self");
+    let mut c = cfg(Protocol::NbRaft, 1024);
+    c.storage = StorageMode::Wal(dir);
+    c.compact_after = Some(20);
+    let cluster: Cluster<KvStore> = Cluster::spawn(3, c);
+    cluster.wait_for_leader(Duration::from_secs(5)).expect("leader");
+    let mut client = cluster.client();
+    for i in 0..50 {
+        client.submit(Bytes::from(format!("k{i}=v{i}")), Duration::from_secs(5)).expect("submit");
+    }
+    client.drain(Duration::from_secs(5));
+    // Everyone has applied noop + 50 entries, so everyone compacted.
+    assert!(cluster.wait_for_applied(51, Duration::from_secs(5)), "replicas converge");
+    let leader = cluster.wait_for_leader(Duration::from_secs(1)).unwrap();
+    let follower = (0..3).find(|&i| i != leader).unwrap();
+    cluster.crash(follower);
+    cluster.restart(follower);
+    for i in 50..55 {
+        client.submit(Bytes::from(format!("k{i}=v{i}")), Duration::from_secs(5)).expect("submit");
+    }
+    client.drain(Duration::from_secs(5));
+    assert!(
+        cluster.wait_for_applied(56, Duration::from_secs(5)),
+        "restarted follower applies again: {:?}",
+        cluster.status(follower)
+    );
+    assert!(cluster.status(follower).alive);
+    // A leader change on a loaded host adds a noop, so index 56 may not be
+    // the last op yet.
+    let m = cluster.machine(follower);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while m.lock().len() < 55 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let kv = m.lock();
+    assert_eq!(kv.len(), 55);
+    for i in 0..55 {
+        assert_eq!(kv.get(format!("k{i}").as_bytes()), Some(format!("v{i}").as_bytes()));
+    }
 }
 
 #[test]

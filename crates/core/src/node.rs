@@ -31,6 +31,10 @@ use std::collections::BTreeMap;
 /// signing/verifying (see `nbr-crypto`).
 const CLUSTER_SECRET: &[u8] = b"nbraft-reproduction-cluster";
 
+/// Followers in VGRaft's per-entry verification group (rotating with the
+/// entry index; the leader is not counted).
+const VERIFY_GROUP_SIZE: usize = 2;
+
 /// Multiplier mixed into the per-node RNG seed at construction
 /// (`seed ^ id * SEED_ID_MIX`), so replicas sharing one base seed still
 /// jitter independently. Exposed for the `nbr-check` symmetry reduction,
@@ -242,11 +246,6 @@ pub struct Node<L: LogStore, P: Probe = NoProbe> {
     /// Confirmed reads waiting for the apply cursor to reach their index.
     waiting_reads: Vec<(LogIndex, ClientId, RequestId)>,
 
-    // ---- snapshots ----
-    /// Latest compaction snapshot `(last_index, last_term, image)`; sent to
-    /// followers that fall behind the compaction horizon.
-    snapshot: Option<(LogIndex, Term, Bytes)>,
-
     // ---- VGRaft ----
     keys: KeyDirectory,
 
@@ -298,6 +297,10 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         assert!(membership.len() <= 64, "bitmap membership limited to 64 nodes");
         let quorum = ProtocolConfig::quorum(membership.len()) as u32;
         let last = log.last_index();
+        let (term, voted_for) = log.hard_state();
+        // A compacted prefix is committed and applied by construction: the
+        // harness restores its machine from the log's snapshot.
+        let boundary = log.first_index().prev();
         let n = membership.len();
         let mut rng = StdRng::seed_from_u64(seed ^ (id.0 as u64).wrapping_mul(SEED_ID_MIX));
         let election_deadline = Time::ZERO + jitter(&mut rng, cfg.timeouts);
@@ -307,13 +310,13 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             window: SlidingWindow::new(cfg.window, last),
             cfg,
             log,
-            term: Term::ZERO,
-            voted_for: None,
+            term,
+            voted_for,
             role: Role::Follower,
             leader_hint: None,
-            commit_index: LogIndex::ZERO,
-            applied_index: LogIndex::ZERO,
-            matched_to: LogIndex::ZERO,
+            commit_index: boundary,
+            applied_index: boundary,
+            matched_to: boundary,
             parked: BTreeMap::new(),
             arrivals: BTreeMap::new(),
             gap_hint: None,
@@ -329,7 +332,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             read_probes: BTreeMap::new(),
             next_probe: 0,
             waiting_reads: Vec::new(),
-            snapshot: None,
             keys: KeyDirectory::new(CLUSTER_SECRET, n),
             last_alive: n,
             rng,
@@ -398,22 +400,17 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         &self.cfg
     }
 
-    /// Compact the log through the applied index, retaining `image` (the
-    /// state machine's serialized state at exactly `applied_index`) for
-    /// followers that fall behind the compaction horizon. The harness calls
-    /// this periodically with a fresh snapshot.
+    /// Compact the log through the applied index into `image` (the state
+    /// machine's serialized state at exactly `applied_index`), which the log
+    /// keeps for followers that fall behind the compaction horizon and for
+    /// this replica's own restart. The harness calls this periodically with
+    /// a fresh snapshot.
     pub fn compact_with_snapshot(&mut self, image: Bytes) -> Result<()> {
         let boundary = self.applied_index;
         if boundary == LogIndex::ZERO || boundary < self.log.first_index() {
             return Ok(()); // nothing applied / already compacted past it
         }
-        let term = self
-            .log
-            .term_of(boundary)
-            .ok_or_else(|| Error::Storage(format!("no term for applied index {boundary}")))?;
-        self.log.compact_to(boundary)?;
-        self.snapshot = Some((boundary, term, image));
-        Ok(())
+        self.log.compact_to(boundary, image)
     }
 
     /// Last applied index (the snapshot boundary the harness should
@@ -422,18 +419,11 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         self.applied_index
     }
 
-    /// Raft hard state `(current term, voted_for)` — must be persisted
-    /// before answering messages that change it, and restored on restart,
-    /// or a rebooted replica could double-vote in one term.
-    pub fn hard_state(&self) -> (Term, Option<NodeId>) {
-        (self.term, self.voted_for)
-    }
-
-    /// Restore persisted hard state after a restart (before processing any
-    /// input).
-    pub fn restore_hard_state(&mut self, term: Term, voted_for: Option<NodeId>) {
-        self.term = term;
-        self.voted_for = voted_for;
+    /// Record `(term, voted_for)` in the log before anything acts on it, so
+    /// a restarted replica cannot vote twice in one term.
+    fn persist_hard_state(&mut self) {
+        let persisted = self.log.set_hard_state(self.term, self.voted_for);
+        persisted.expect("hard state write"); // check:allow(L1): storage fault, crash-stop
     }
 
     /// Borrow the follower's sliding window (model checker / tests).
@@ -563,7 +553,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         rel(self.next_heartbeat).hash(h);
         rand::RngCore::next_u64(&mut self.rng.clone()).hash(h);
         // Snapshot horizon.
-        if let Some((idx, term, image)) = &self.snapshot {
+        if let Some((idx, term, image)) = &self.log.snapshot() {
             idx.hash(h);
             term.hash(h);
             image.hash(h);
@@ -679,9 +669,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     }
 
     fn start_election(&mut self, now: Time, out: &mut Vec<Output>) {
-        if std::env::var_os("NBR_TRACE").is_some() {
-            eprintln!("[{now}] {} campaigns term {}", self.id, self.term.next());
-        }
         self.stats.elections += 1;
         self.role = Role::Candidate;
         self.term = self.term.next();
@@ -690,6 +677,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         self.matched_to = self.commit_index;
         self.emit(ProbeEvent::ElectionStarted { term: self.term });
         self.voted_for = Some(self.id);
+        self.persist_hard_state();
         self.votes = self.bit_of(self.id);
         self.leader_hint = None;
         self.election_deadline = now + jitter(&mut self.rng, self.cfg.timeouts);
@@ -710,13 +698,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
 
     fn on_request_vote(&mut self, m: RequestVoteMsg, now: Time, out: &mut Vec<Output>) {
         let mut granted = false;
-        let dbg = std::env::var_os("NBR_TRACE").is_some();
-        if dbg {
-            eprintln!(
-                "[{now}] {} got vote req from {} t{} (self t{} role {:?} voted {:?})",
-                self.id, m.candidate, m.term.0, self.term.0, self.role, self.voted_for
-            );
-        }
         if m.term == self.term && self.role == Role::Follower {
             let can_vote = self.voted_for.is_none() || self.voted_for == Some(m.candidate);
             let up_to_date = (m.last_log_term, m.last_log_index)
@@ -724,6 +705,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             if can_vote && up_to_date {
                 granted = true;
                 self.voted_for = Some(m.candidate);
+                self.persist_hard_state();
                 self.election_deadline = now + jitter(&mut self.rng, self.cfg.timeouts);
             }
         }
@@ -748,9 +730,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     }
 
     fn become_leader(&mut self, now: Time, out: &mut Vec<Output>) {
-        if std::env::var_os("NBR_TRACE").is_some() {
-            eprintln!("[{now}] {} becomes leader term {}", self.id, self.term);
-        }
         self.role = Role::Leader;
         self.leader_hint = Some(self.id);
         self.emit(ProbeEvent::Elected { term: self.term });
@@ -784,6 +763,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         if new_term > self.term {
             self.term = new_term;
             self.voted_for = None;
+            self.persist_hard_state();
             // The new term's leader may disagree with anything above our
             // commit point; matches must be re-verified against it.
             self.matched_to = self.commit_index;
@@ -809,7 +789,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         let n = self.membership.len();
         let quorum = self.quorum();
         match self.cfg.replication {
-            ReplicationMode::Full | ReplicationMode::Relay { .. } => quorum,
+            ReplicationMode::Full | ReplicationMode::Relay => quorum,
             ReplicationMode::Fragmented { adaptive } => {
                 if n <= 2 {
                     return quorum; // cannot fragment with one follower
@@ -875,7 +855,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     fn replicate_entry(&mut self, entry: &Entry, out: &mut Vec<Output>) {
         match self.cfg.replication {
             ReplicationMode::Full => self.replicate_full(entry, out),
-            ReplicationMode::Relay { .. } => self.replicate_relay(entry, out),
+            ReplicationMode::Relay => self.replicate_relay(entry, out),
             ReplicationMode::Fragmented { adaptive } => {
                 self.replicate_fragmented(entry, adaptive, out)
             }
@@ -984,7 +964,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     }
 
     fn make_verification(&mut self, entry: &Entry) -> Option<Verification> {
-        if !self.cfg.verify {
+        if !self.cfg.protocol.verifies() {
             return None;
         }
         let digest = verification_digest(entry);
@@ -994,7 +974,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             .expect("own key") // check:allow(L1): KeyDirectory always holds every member position
             .sign(&digest);
         let peers: Vec<NodeId> = self.peers().collect();
-        let gsize = self.cfg.verify_group_size.min(peers.len());
+        let gsize = VERIFY_GROUP_SIZE.min(peers.len());
         let group =
             (0..gsize).map(|i| peers[((entry.index.0 as usize) + i) % peers.len()]).collect();
         Some(Verification { digest, signature: signature.0, group })
@@ -1037,7 +1017,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             let [entry] = &m.entries[..] else {
                 return; // protocol violation: drop
             };
-            if self.cfg.verify && v.group.contains(&self.id) {
+            if self.cfg.protocol.verifies() && v.group.contains(&self.id) {
                 self.stats.verifications += 1;
                 let digest = verification_digest(entry);
                 let leader_pos = self.position_of(m.leader) as u32;
@@ -1491,16 +1471,16 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     ) {
         // Behind the compaction horizon: ship the snapshot instead.
         if from_index < self.log.first_index() {
-            if let Some((last_index, last_term, data)) = &self.snapshot {
+            if let Some((last_index, last_term, data)) = self.log.snapshot() {
                 out.push(Output::Send {
                     to: follower,
                     msg: Message::InstallSnapshot(InstallSnapshotMsg {
                         term: self.term,
                         leader: self.id,
-                        last_index: *last_index,
-                        last_term: *last_term,
+                        last_index,
+                        last_term,
                         leader_commit: self.commit_index,
-                        data: data.clone(),
+                        data,
                     }),
                 });
                 return;
@@ -1931,7 +1911,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         // retransmission — just ack our position).
         let covered = self.log.term_of(m.last_index) == Some(m.last_term);
         if !covered {
-            self.log.reset(m.last_index, m.last_term).expect("log reset"); // check:allow(L1): storage fault is unrecoverable, crash-stop
+            self.log.reset(m.last_index, m.last_term, m.data.clone()).expect("log reset"); // check:allow(L1): storage fault is unrecoverable, crash-stop
             self.window = SlidingWindow::new(self.cfg.window, m.last_index);
             self.parked.clear();
             self.arrivals.clear();

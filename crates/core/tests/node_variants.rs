@@ -146,7 +146,7 @@ fn ecraft_keeps_coding_when_replica_fails() {
 
 #[test]
 fn kraft_leader_sends_to_bucket_only() {
-    let cfg = Protocol::KRaft.config(0); // bucket_size 2
+    let cfg = Protocol::KRaft.config(0); // bucket of 2
     let mut c = TestCluster::new(5, &cfg);
     c.elect(0);
     c.pending.clear();

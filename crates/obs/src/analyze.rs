@@ -97,7 +97,6 @@ pub fn timelines(events: &[TraceEvent]) -> BTreeMap<(NodeId, LogIndex), Lifecycl
             ProbeEvent::Proposed { .. }
             | ProbeEvent::SubmitReceived { .. }
             | ProbeEvent::ClockSample { .. }
-            | ProbeEvent::WalFsync { .. }
             | ProbeEvent::WindowFlushed { .. }
             | ProbeEvent::WeakAccepted { .. }
             | ProbeEvent::StrongAccepted { .. }

@@ -142,12 +142,6 @@ pub enum ProbeEvent {
         /// Round-trip time of the exchange in nanoseconds.
         rtt_ns: u64,
     },
-    /// Harness marker: one hard-state WAL fsync took `dur_ns` (per-node
-    /// phase attribution for the critical-path report; not per-op).
-    WalFsync {
-        /// Duration of the synchronous persist in nanoseconds.
-        dur_ns: u64,
-    },
 }
 
 impl ProbeEvent {
@@ -173,7 +167,6 @@ impl ProbeEvent {
             ProbeEvent::SteppedDown { .. } => "stepped_down",
             ProbeEvent::Crashed => "crashed",
             ProbeEvent::ClockSample { .. } => "clock_sample",
-            ProbeEvent::WalFsync { .. } => "wal_fsync",
         }
     }
 }

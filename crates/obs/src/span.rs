@@ -34,10 +34,6 @@
 //! | `weak_ack`   | crit. follower accept → leader `WeakQuorum`          |
 //! | `commit_wait`| leader `WeakQuorum` → leader `Committed`             |
 //! | `apply`      | leader `Committed` → leader `Applied`                |
-//!
-//! WAL fsync cost is reported per *node* (from [`ProbeEvent::WalFsync`]
-//! harness markers), not per op: group commit amortizes one fsync over
-//! many entries, so attributing it to a single span would double-count.
 
 use crate::analyze::{hist_line, ms, timelines, Lifecycle};
 use crate::probe::{ProbeEvent, TraceEvent};
@@ -330,8 +326,6 @@ pub struct CriticalPath {
     /// `t_wait(F)` across *all* follower branches (the classic node-local
     /// measure, for comparison against the critical-path `window` phase).
     pub twait_all: Histogram,
-    /// Per-node WAL fsync durations (harness markers; not per-op).
-    pub fsync: Histogram,
     /// The clock alignment used (quality indicators for the caveat line).
     pub align_samples: u64,
     pub align_rtt_p50_ns: u64,
@@ -367,16 +361,10 @@ pub fn critical_path(spans: &[OpSpan], events: &[TraceEvent], align: &ClockAlign
         apply: Histogram::new(),
         total: Histogram::new(),
         twait_all: Histogram::new(),
-        fsync: Histogram::new(),
         align_samples: align.samples,
         align_rtt_p50_ns: align.rtt.p50(),
         align_max_correction_ns: align.max_correction_ns(),
     };
-    for ev in events {
-        if let ProbeEvent::WalFsync { dur_ns } = ev.event {
-            cp.fsync.record(dur_ns);
-        }
-    }
     // Each group's members under their merged-trace node ids.
     let mut in_group: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
     for s in spans {
@@ -476,7 +464,6 @@ impl CriticalPath {
         );
         hist_line(&mut out, "total submit -> commit", &self.total);
         hist_line(&mut out, "t_wait(F) all followers", &self.twait_all);
-        hist_line(&mut out, "wal fsync (per node)", &self.fsync);
         let _ = writeln!(
             out,
             "clock alignment: {} samples, rtt p50 {:.3}ms, max |correction| {:.3}ms",
@@ -673,16 +660,5 @@ mod tests {
         assert!(text.contains("\"client\":3"), "{text}");
         assert!(text.contains("\"submit\":100"), "{text}");
         assert!(text.contains("\"node\":2"), "{text}");
-    }
-
-    #[test]
-    fn fsync_markers_feed_per_node_histogram() {
-        let events = vec![
-            ev(0, 10, ProbeEvent::WalFsync { dur_ns: 800 }),
-            ev(1, 20, ProbeEvent::WalFsync { dur_ns: 1200 }),
-        ];
-        let cp = critical_path(&[], &events, &ClockAlign::identity());
-        assert_eq!(cp.fsync.count(), 2);
-        assert_eq!(cp.fsync.max(), 1200);
     }
 }

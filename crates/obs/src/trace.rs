@@ -68,9 +68,6 @@ pub fn event_line(ev: &TraceEvent) -> String {
         ProbeEvent::ClockSample { peer, offset_ns, rtt_ns } => {
             let _ = write!(s, ",\"peer\":{},\"offset\":{},\"rtt\":{}", peer.0, offset_ns, rtt_ns);
         }
-        ProbeEvent::WalFsync { dur_ns } => {
-            let _ = write!(s, ",\"dur\":{dur_ns}");
-        }
     }
     s.push('}');
     s
@@ -170,7 +167,6 @@ pub fn parse_line(line: &str) -> Option<TraceEvent> {
             offset_ns: field_i64(line, "offset")?,
             rtt_ns: field_u64(line, "rtt")?,
         },
-        "wal_fsync" => ProbeEvent::WalFsync { dur_ns: field_u64(line, "dur")? },
         _ => return None,
     };
     Some(TraceEvent { node, at, event })
@@ -220,7 +216,6 @@ mod tests {
             ProbeEvent::SteppedDown { term: t },
             ProbeEvent::Crashed,
             ProbeEvent::ClockSample { peer: NodeId(2), offset_ns: -350_000, rtt_ns: 1_200_000 },
-            ProbeEvent::WalFsync { dur_ns: 80_000 },
         ]
         .into_iter()
         .enumerate()

@@ -218,10 +218,6 @@ impl Servers {
     }
 }
 
-/// Durable image of a crashed node: its log plus hard state (current term,
-/// vote), the pieces a real WAL preserves across kill -9.
-type DurableImage = (MemLog, (Term, Option<NodeId>));
-
 /// A replica engine of this experiment over `log`: empty at the start, a
 /// crashed node's durable image on recovery.
 fn boot_node(cfg: &SimConfig, id: NodeId, log: MemLog, seed: u64) -> Node<MemLog, EngineProbe> {
@@ -271,7 +267,7 @@ pub struct Simulator {
     /// costs).
     faults: FaultTable,
     /// Durable image of a crashed node, until it recovers.
-    crashed_durable: Vec<Option<DurableImage>>,
+    crashed_durable: Vec<Option<MemLog>>,
     chaos_dropped: u64,
     recoveries: u64,
 }
@@ -737,9 +733,9 @@ impl Simulator {
                 // No leader at this instant: `crash leader` is a no-op.
                 let Some(i) = replica else { return };
                 let Some(n) = self.nodes.get_mut(i).and_then(Option::take) else { return };
-                // Log and hard state survive the crash — they are what a
-                // WAL-backed replica recovers from.
-                self.crashed_durable[i] = Some((n.log().clone(), n.hard_state()));
+                // The log (entries, hard state, snapshot) survives the
+                // crash — it is what a WAL-backed replica recovers from.
+                self.crashed_durable[i] = Some(n.log().clone());
                 if let EngineProbe::Shared(p) = &self.cfg.trace {
                     p.record(NodeId(i as u32), self.now, ProbeEvent::Crashed);
                 }
@@ -752,14 +748,9 @@ impl Simulator {
                 if i >= self.nodes.len() || self.nodes[i].is_some() {
                     return;
                 }
-                let (log, (term, voted_for)) = match self.crashed_durable[i].take() {
-                    Some(d) => d,
-                    None => (MemLog::new(), (Term(0), None)),
-                };
+                let log = self.crashed_durable[i].take().unwrap_or_default();
                 let seed = self.cfg.seed ^ 0xBEEF ^ u64::from(node);
-                let mut n = boot_node(&self.cfg, NodeId(node), log, seed);
-                n.restore_hard_state(term, voted_for);
-                self.nodes[i] = Some(n);
+                self.nodes[i] = Some(boot_node(&self.cfg, NodeId(node), log, seed));
                 self.recoveries += 1;
             }
             NodeAction::Campaign(node) => {

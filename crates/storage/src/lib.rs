@@ -2,23 +2,23 @@
 //!
 //! Provides the pieces the paper's deployment takes from Apache IoTDB:
 //!
-//! * [`log::LogStore`] — the replicated-log abstraction with a volatile
-//!   [`log::MemLog`] (used by the simulator) and a durable, crash-recovering
-//!   [`wal::WalLog`] (used by the real-thread cluster).
+//! * [`log::LogStore`] — a replica's whole durable state: the replicated
+//!   log, the Raft hard state (term, vote) and the snapshot the compacted
+//!   prefix became. [`log::MemLog`] is the volatile store (used by the
+//!   simulator, where a clone is a crashed replica's durable image) and
+//!   [`wal::WalLog`] the durable, crash-recovering one (used by the
+//!   real-thread cluster).
 //! * [`state_machine::StateMachine`] — deterministic apply with per-client
 //!   request deduplication; [`state_machine::KvStore`] for convergence tests
 //!   and [`tsdb::TsStore`], a memtable-plus-chunks time-series store standing
 //!   in for IoTDB's ingestion engine.
-//! * [`snapshot::Snapshot`] — CRC-verified, atomically-written snapshots.
 
 pub mod log;
-pub mod snapshot;
 pub mod state_machine;
 pub mod tsdb;
 pub mod wal;
 
 pub use log::{LogStore, MemLog};
-pub use snapshot::Snapshot;
 pub use state_machine::{DedupTable, KvStore, StateMachine};
 pub use tsdb::{decode_batch, encode_batch, Point, TsStore, POINT_BYTES};
 pub use wal::{SyncPolicy, WalLog};

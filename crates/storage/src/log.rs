@@ -3,11 +3,17 @@
 //! Raft's log is contiguous: `append` only ever extends at `last_index + 1`,
 //! `truncate_from` removes a suffix (when a newer leader overwrites
 //! uncommitted entries — the paper's Section III-A1), and `compact_to`
-//! removes an applied prefix after snapshotting.
+//! folds an applied prefix into a state machine snapshot.
+//!
+//! A store is a replica's whole durable state: besides the entries it keeps
+//! the Raft hard state (term and vote) and the snapshot its compacted
+//! prefix became, so a restart needs nothing but the store.
 
-use nbr_types::{Entry, Error, LogIndex, Result, Term};
+use bytes::Bytes;
+use nbr_types::{Entry, Error, LogIndex, NodeId, Result, Term};
 
-/// Durable (or simulated-durable) storage for one replica's log.
+/// Durable (or simulated-durable) storage for one replica's log, hard state
+/// and compaction snapshot.
 pub trait LogStore {
     /// First retained index (1 unless compacted).
     fn first_index(&self) -> LogIndex;
@@ -31,13 +37,28 @@ pub trait LogStore {
     /// Drop all entries with index >= `idx`.
     fn truncate_from(&mut self, idx: LogIndex) -> Result<()>;
 
-    /// Drop all entries with index <= `idx` (after a snapshot covers them).
-    fn compact_to(&mut self, idx: LogIndex) -> Result<()>;
+    /// Drop all entries with index <= `idx`, keeping `image` (the state
+    /// machine's serialized state at exactly `idx`) as the snapshot they
+    /// became.
+    fn compact_to(&mut self, idx: LogIndex, image: Bytes) -> Result<()>;
 
     /// Replace the whole log with an empty one whose compaction boundary is
-    /// `(boundary, term)` — used when installing a snapshot that supersedes
-    /// everything we hold. The next append must be at `boundary + 1`.
-    fn reset(&mut self, boundary: LogIndex, term: Term) -> Result<()>;
+    /// `(boundary, term)` and whose snapshot is `image` — used when
+    /// installing a snapshot that supersedes everything we hold. The next
+    /// append must be at `boundary + 1`.
+    fn reset(&mut self, boundary: LogIndex, term: Term, image: Bytes) -> Result<()>;
+
+    /// The Raft hard state `(current term, vote)`; `(Term::ZERO, None)`
+    /// until first set.
+    fn hard_state(&self) -> (Term, Option<NodeId>);
+
+    /// Record the hard state. It is durable once this returns, so a replica
+    /// that restarts cannot vote twice in one term.
+    fn set_hard_state(&mut self, term: Term, vote: Option<NodeId>) -> Result<()>;
+
+    /// The snapshot the compacted prefix became: `(last_index, last_term,
+    /// image)`, `None` while nothing was compacted.
+    fn snapshot(&self) -> Option<(LogIndex, Term, Bytes)>;
 
     /// Entries in `[from, to]` inclusive, stopping early once `max_bytes` of
     /// payload have been gathered (at least one entry is returned if any
@@ -74,8 +95,9 @@ pub trait LogStore {
 }
 
 /// Volatile, vector-backed log — the store used by the simulator (durability
-/// there is a *model*, not a property under test).
-#[derive(Debug, Clone, Default)]
+/// there is a *model*, not a property under test: a clone of a crashed
+/// replica's `MemLog` is everything it recovers from).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemLog {
     /// Retained entries; `entries[0]` has index `offset + 1`.
     entries: Vec<Entry>,
@@ -84,6 +106,11 @@ pub struct MemLog {
     offset: u64,
     /// Term of the entry at `offset` (the compaction boundary).
     offset_term: Term,
+    /// State machine image at `offset`; `None` when nothing was compacted,
+    /// or when a log written before images were kept was.
+    image: Option<Bytes>,
+    /// Raft hard state `(current term, vote)`.
+    hard_state: (Term, Option<NodeId>),
 }
 
 impl MemLog {
@@ -93,12 +120,31 @@ impl MemLog {
     }
 
     /// Reset to an empty log whose compaction boundary is `(boundary, term)`
-    /// — the next append must be at `boundary + 1`. Used by WAL checkpoints
-    /// and snapshot installation.
-    pub fn reset_to(&mut self, boundary: LogIndex, term: Term) {
+    /// with snapshot `image` — the next append must be at `boundary + 1`.
+    pub(crate) fn reset_to(&mut self, boundary: LogIndex, term: Term, image: Option<Bytes>) {
         self.entries.clear();
         self.offset = boundary.0;
         self.offset_term = term;
+        self.image = image;
+    }
+
+    /// Drop the entries through `idx`, keeping `image` as their snapshot.
+    pub(crate) fn compact(&mut self, idx: LogIndex, image: Option<Bytes>) -> Result<()> {
+        if idx.0 <= self.offset {
+            return Ok(()); // already compacted past here
+        }
+        if idx > self.last_index() {
+            return Err(Error::Storage(format!(
+                "cannot compact beyond last index: {idx} > {}",
+                self.last_index()
+            )));
+        }
+        let drop = (idx.0 - self.offset) as usize; // check:allow(L4): guarded by idx.0 > offset above
+        self.offset_term = self.entries[drop - 1].term;
+        self.entries.drain(..drop);
+        self.offset = idx.0;
+        self.image = image;
+        Ok(())
     }
 
     fn slot(&self, idx: LogIndex) -> Option<usize> {
@@ -160,26 +206,26 @@ impl LogStore for MemLog {
         Ok(())
     }
 
-    fn reset(&mut self, boundary: LogIndex, term: Term) -> Result<()> {
-        self.reset_to(boundary, term);
+    fn compact_to(&mut self, idx: LogIndex, image: Bytes) -> Result<()> {
+        self.compact(idx, Some(image))
+    }
+
+    fn reset(&mut self, boundary: LogIndex, term: Term, image: Bytes) -> Result<()> {
+        self.reset_to(boundary, term, Some(image));
         Ok(())
     }
 
-    fn compact_to(&mut self, idx: LogIndex) -> Result<()> {
-        if idx.0 <= self.offset {
-            return Ok(()); // already compacted past here
-        }
-        if idx > self.last_index() {
-            return Err(Error::Storage(format!(
-                "cannot compact beyond last index: {idx} > {}",
-                self.last_index()
-            )));
-        }
-        let drop = (idx.0 - self.offset) as usize; // check:allow(L4): guarded by idx.0 > offset above
-        self.offset_term = self.entries[drop - 1].term;
-        self.entries.drain(..drop);
-        self.offset = idx.0;
+    fn hard_state(&self) -> (Term, Option<NodeId>) {
+        self.hard_state
+    }
+
+    fn set_hard_state(&mut self, term: Term, vote: Option<NodeId>) -> Result<()> {
+        self.hard_state = (term, vote);
         Ok(())
+    }
+
+    fn snapshot(&self) -> Option<(LogIndex, Term, Bytes)> {
+        self.image.as_ref().map(|image| (LogIndex(self.offset), self.offset_term, image.clone()))
     }
 }
 
@@ -202,6 +248,8 @@ mod tests {
     #[test]
     fn empty_log_boundaries() {
         let log = MemLog::new();
+        assert_eq!(log.hard_state(), (Term::ZERO, None));
+        assert_eq!(log.snapshot(), None);
         assert_eq!(log.first_index(), LogIndex(1));
         assert_eq!(log.last_index(), LogIndex::ZERO);
         assert_eq!(log.last_term(), Term::ZERO);
@@ -241,22 +289,24 @@ mod tests {
     #[test]
     fn compaction_keeps_boundary_term() {
         let mut log = filled(5);
-        log.compact_to(LogIndex(3)).unwrap();
+        log.compact_to(LogIndex(3), Bytes::from_static(b"img@3")).unwrap();
         assert_eq!(log.first_index(), LogIndex(4));
         assert_eq!(log.last_index(), LogIndex(5));
+        assert_eq!(log.snapshot(), Some((LogIndex(3), Term(1), Bytes::from_static(b"img@3"))));
         assert_eq!(log.term_of(LogIndex(3)), Some(Term(1)));
         assert_eq!(log.term_of(LogIndex(2)), None);
         assert_eq!(log.get(LogIndex(3)), None);
         assert_eq!(log.get(LogIndex(4)).unwrap().index, LogIndex(4));
         // Compacting again below the boundary is a no-op.
-        log.compact_to(LogIndex(2)).unwrap();
+        log.compact_to(LogIndex(2), Bytes::new()).unwrap();
         assert_eq!(log.first_index(), LogIndex(4));
+        assert_eq!(log.snapshot().map(|s| s.2), Some(Bytes::from_static(b"img@3")));
     }
 
     #[test]
     fn compact_whole_log_then_append() {
         let mut log = filled(3);
-        log.compact_to(LogIndex(3)).unwrap();
+        log.compact_to(LogIndex(3), Bytes::new()).unwrap();
         assert!(log.is_empty());
         assert_eq!(log.last_index(), LogIndex(3));
         assert_eq!(log.last_term(), Term(1));
@@ -268,26 +318,38 @@ mod tests {
     #[test]
     fn reset_establishes_boundary() {
         let mut log = filled(5);
-        log.reset(LogIndex(42), Term(7)).unwrap();
+        log.reset(LogIndex(42), Term(7), Bytes::from_static(b"img@42")).unwrap();
         assert!(log.is_empty());
         assert_eq!(log.first_index(), LogIndex(43));
         assert_eq!(log.last_index(), LogIndex(42));
         assert_eq!(log.last_term(), Term(7));
         assert_eq!(log.term_of(LogIndex(42)), Some(Term(7)));
+        assert_eq!(log.snapshot(), Some((LogIndex(42), Term(7), Bytes::from_static(b"img@42"))));
         log.append(e(43, 7, 7)).unwrap();
         assert_eq!(log.last_index(), LogIndex(43));
     }
 
     #[test]
+    fn a_clone_carries_hard_state_and_snapshot() {
+        let mut log = filled(4);
+        log.set_hard_state(Term(3), Some(NodeId(2))).unwrap();
+        log.compact_to(LogIndex(2), Bytes::from_static(b"img@2")).unwrap();
+        let copy = log.clone();
+        assert_eq!(copy.hard_state(), (Term(3), Some(NodeId(2))));
+        assert_eq!(copy.snapshot(), log.snapshot());
+        assert_eq!(copy, log);
+    }
+
+    #[test]
     fn compact_beyond_last_rejected() {
         let mut log = filled(2);
-        assert!(log.compact_to(LogIndex(3)).is_err());
+        assert!(log.compact_to(LogIndex(3), Bytes::new()).is_err());
     }
 
     #[test]
     fn truncate_into_compacted_rejected() {
         let mut log = filled(5);
-        log.compact_to(LogIndex(3)).unwrap();
+        log.compact_to(LogIndex(3), Bytes::new()).unwrap();
         assert!(log.truncate_from(LogIndex(2)).is_err());
         assert!(log.truncate_from(LogIndex(4)).is_ok());
     }

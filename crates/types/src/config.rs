@@ -27,15 +27,12 @@ pub enum ReplicationMode {
         /// ECRaft's adaptive re-encoding on failure.
         adaptive: bool,
     },
-    /// KRaft: the leader sends directly to `bucket_size` bucket nodes, which
-    /// relay to the remaining followers. `0` selects half the peers
-    /// automatically — just enough that leader + bucket form a quorum, which
-    /// is exactly why KRaft is "less likely to find the fastest quorum"
-    /// (paper Section V-I): the quorum members are fixed in advance.
-    Relay {
-        /// Number of directly-replicated bucket nodes (0 = auto: half).
-        bucket_size: usize,
-    },
+    /// KRaft: the leader sends directly to a bucket of half the peers,
+    /// which relay to the remaining followers — just enough that leader +
+    /// bucket form a quorum, which is exactly why KRaft is "less likely to
+    /// find the fastest quorum" (paper Section V-I): the quorum members are
+    /// fixed in advance.
+    Relay,
 }
 
 /// The seven protocols of the paper's evaluation (Figures 14–23).
@@ -87,6 +84,12 @@ impl Protocol {
         matches!(self, Protocol::NbRaft | Protocol::NbCRaft)
     }
 
+    /// Does this protocol verify entries (VGRaft's digest + signature check
+    /// by a rotating verification group)?
+    pub fn verifies(self) -> bool {
+        self == Protocol::VgRaft
+    }
+
     /// Build the standard configuration for this protocol. `window` is used
     /// only by the non-blocking variants (the paper's default is 10 000).
     pub fn config(self, window: usize) -> ProtocolConfig {
@@ -94,14 +97,12 @@ impl Protocol {
             Protocol::Raft | Protocol::NbRaft | Protocol::VgRaft => ReplicationMode::Full,
             Protocol::CRaft | Protocol::NbCRaft => ReplicationMode::Fragmented { adaptive: false },
             Protocol::EcRaft => ReplicationMode::Fragmented { adaptive: true },
-            Protocol::KRaft => ReplicationMode::Relay { bucket_size: 0 },
+            Protocol::KRaft => ReplicationMode::Relay,
         };
         ProtocolConfig {
             protocol: self,
             window: if self.non_blocking() { window } else { 0 },
             replication,
-            verify: self == Protocol::VgRaft,
-            verify_group_size: 2,
             timeouts: TimeoutConfig::default(),
         }
     }
@@ -144,10 +145,6 @@ pub struct ProtocolConfig {
     pub window: usize,
     /// Downlink replication strategy.
     pub replication: ReplicationMode,
-    /// VGRaft verification on/off.
-    pub verify: bool,
-    /// Size of VGRaft's per-round verification group (excluding the leader).
-    pub verify_group_size: usize,
     /// Timing parameters.
     pub timeouts: TimeoutConfig,
 }
@@ -172,7 +169,7 @@ impl ProtocolConfig {
     /// `k` reconstructable shards (CRaft's commit rule), capped at `n`.
     pub fn commit_threshold(&self, n_replicas: usize) -> usize {
         match self.replication {
-            ReplicationMode::Full | ReplicationMode::Relay { .. } => Self::quorum(n_replicas),
+            ReplicationMode::Full | ReplicationMode::Relay => Self::quorum(n_replicas),
             ReplicationMode::Fragmented { .. } => {
                 let f = (n_replicas - 1) / 2;
                 (Self::fragment_k(n_replicas) + f).min(n_replicas)
@@ -180,14 +177,13 @@ impl ProtocolConfig {
         }
     }
 
-    /// Pick KRaft's bucket for a given membership: the first `bucket_size`
-    /// peers (deterministic; rotation is not modelled since the paper's
-    /// KRaft picks a static bucket per leader term).
+    /// Pick KRaft's bucket for a given membership: the first half of the
+    /// peers, at least one (deterministic; rotation is not modelled since
+    /// the paper's KRaft picks a static bucket per leader term).
     pub fn kraft_bucket(&self, peers: &[NodeId]) -> Vec<NodeId> {
         match self.replication {
-            ReplicationMode::Relay { bucket_size } => {
-                let k = if bucket_size == 0 { (peers.len() / 2).max(1) } else { bucket_size };
-                peers.iter().take(k).copied().collect()
+            ReplicationMode::Relay => {
+                peers.iter().take((peers.len() / 2).max(1)).copied().collect()
             }
             _ => Vec::new(),
         }
@@ -203,7 +199,7 @@ mod tests {
         let raft = Protocol::Raft.config(10_000);
         assert_eq!(raft.window, 0, "Raft is NB-Raft with window 0");
         assert_eq!(raft.replication, ReplicationMode::Full);
-        assert!(!raft.verify);
+        assert!(!raft.protocol.verifies());
 
         let nb = Protocol::NbRaft.config(10_000);
         assert_eq!(nb.window, 10_000);
@@ -219,8 +215,8 @@ mod tests {
         let ec = Protocol::EcRaft.config(0);
         assert_eq!(ec.replication, ReplicationMode::Fragmented { adaptive: true });
 
-        assert!(matches!(Protocol::KRaft.config(0).replication, ReplicationMode::Relay { .. }));
-        assert!(Protocol::VgRaft.config(0).verify);
+        assert_eq!(Protocol::KRaft.config(0).replication, ReplicationMode::Relay);
+        assert!(Protocol::VgRaft.config(0).protocol.verifies());
     }
 
     #[test]

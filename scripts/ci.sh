@@ -33,12 +33,14 @@ cargo test -q
 # golden, and one net scenario), about 25 s in the debug profile.
 step "cargo test -q -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos (serving stack + fault plane)"
 cargo test -q -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos
-# The two crash/restart tests once raced the replica's reboot (about 1 run
-# in 20). Ten more runs watch for the race coming back; this is a repeat, not
-# a retry: the first failure fails CI.
+# The crash/restart tests: the first two once raced the replica's reboot
+# (about 1 run in 20), the third restarts a replica straight after it
+# compacted its own log. Ten more runs watch for a race; this is a repeat,
+# not a retry: the first failure fails CI.
 for _ in $(seq 10); do
     cargo test -q -p nbr-cluster --test cluster_test -- \
-        wal_recovery_after_crash_restart compaction_ships_snapshots_to_restarted_followers
+        wal_recovery_after_crash_restart compaction_ships_snapshots_to_restarted_followers \
+        a_replica_restarted_after_compacting_its_own_log_rebuilds_its_machine
 done
 # The transport's in-crate tests drive the lanes' write-half hand-off
 # between senders and pump, and are timing-driven: five more runs, again a

@@ -1,10 +1,8 @@
-//! Facade-level integration of the storage stack: WAL crash recovery,
-//! snapshot files, and the time-series machine working together the way a
-//! deployment would use them.
+//! Facade-level integration of the storage stack: WAL crash recovery, the
+//! compaction snapshot the WAL keeps as its prefix, and the time-series
+//! machine working together the way a deployment would use them.
 
-use nbraft::storage::{
-    encode_batch, LogStore, Point, Snapshot, StateMachine, SyncPolicy, TsStore, WalLog,
-};
+use nbraft::storage::{encode_batch, LogStore, Point, StateMachine, SyncPolicy, TsStore, WalLog};
 use nbraft::types::{ClientId, Entry, LogIndex, Origin, RequestId, Term};
 use nbraft::workload::{RequestGenerator, WorkloadConfig};
 
@@ -19,7 +17,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
 fn wal_plus_snapshot_restart_cycle() {
     let dir = tmp("cycle");
     let wal_path = dir.join("replica.wal");
-    let snap_path = dir.join("replica.snap");
 
     // Phase 1: ingest workload batches through the WAL into the TSDB.
     let mut gen = RequestGenerator::new(
@@ -48,28 +45,25 @@ fn wal_plus_snapshot_restart_cycle() {
             ts.apply(&entry);
         }
         total_points = ts.total_points();
-        // Snapshot at applied=25, compact the WAL prefix, checkpoint.
+        // Snapshot at applied=25: the WAL folds its prefix into the image.
         let mut replay = TsStore::new(8);
         let mut idx = LogIndex(1);
         while idx <= LogIndex(25) {
             replay.apply(&wal.get(idx).unwrap());
             idx = idx.next();
         }
-        Snapshot { last_index: LogIndex(25), last_term: Term(1), data: replay.snapshot() }
-            .save(&snap_path)
-            .unwrap();
-        wal.compact_to(LogIndex(25)).unwrap();
-        wal.checkpoint().unwrap();
+        wal.compact_to(LogIndex(25), replay.snapshot()).unwrap();
         assert_eq!(wal.first_index(), LogIndex(26));
     } // "crash": everything volatile dropped
 
-    // Phase 2: restart — load the snapshot, replay the WAL suffix.
+    // Phase 2: restart — restore the WAL's snapshot, replay its suffix.
     let wal = WalLog::open(&wal_path, SyncPolicy::Never).unwrap();
-    let snap = Snapshot::load(&snap_path).unwrap().expect("snapshot exists");
+    let (last_index, last_term, image) = wal.snapshot().expect("snapshot exists");
+    assert_eq!((last_index, last_term), (LogIndex(25), Term(1)));
     let mut ts = TsStore::new(8);
-    ts.restore(&snap.data, snap.last_index).unwrap();
+    ts.restore(&image, last_index).unwrap();
     assert_eq!(ts.applied_index(), LogIndex(25));
-    let mut idx = snap.last_index.next();
+    let mut idx = last_index.next();
     while idx <= wal.last_index() {
         ts.apply(&wal.get(idx).unwrap());
         idx = idx.next();
