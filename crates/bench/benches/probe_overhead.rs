@@ -1,12 +1,11 @@
 //! Probe-cost microbench: the tracing instrumentation must be pay-for-use.
 //!
-//! Three configurations of the identical leader hot path (100 client
+//! Two configurations of the identical leader hot path (100 client
 //! proposals through `Node::handle_client`):
 //!
-//! - `noprobe`     — `NoProbe`, the static default. The compiler sees an
-//!   empty inlined `record` and must erase every probe site entirely.
-//! - `engine_off`  — `EngineProbe::Off`, the cluster runtime's default.
-//!   One predictable branch per probe site; events are never constructed.
+//! - `engine_off`  — `EngineProbe::Off`, what `Node::new` and every
+//!   untraced runtime use. One predictable branch per probe site; events
+//!   are never recorded.
 //! - `engine_shared` — `EngineProbe::Shared`, full trace capture into the
 //!   mutex-guarded buffer (what `serve --trace` / `bench-net --trace-dir`
 //!   pay).
@@ -15,14 +14,14 @@
 //! (tier-1 visible); this bench is for inspecting the margins.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nbr_core::{NoProbe, Node, Probe};
+use nbr_core::Node;
 use nbr_obs::EngineProbe;
 use nbr_storage::MemLog;
 use nbr_types::*;
 
 const OPS: u64 = 100;
 
-fn build<P: Probe>(probe: P) -> Node<MemLog, P> {
+fn build(probe: EngineProbe) -> Node<MemLog> {
     let membership = vec![NodeId(0), NodeId(1), NodeId(2)];
     let mut node = Node::with_probe(
         NodeId(0),
@@ -37,7 +36,7 @@ fn build<P: Probe>(probe: P) -> Node<MemLog, P> {
     node
 }
 
-fn propose<P: Probe>(node: &mut Node<MemLog, P>) {
+fn propose(node: &mut Node<MemLog>) {
     let mut out = Vec::new();
     for i in 0..OPS {
         node.handle_client(
@@ -55,13 +54,6 @@ fn propose<P: Probe>(node: &mut Node<MemLog, P>) {
 
 fn bench_probe_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("probe_overhead");
-    g.bench_function("propose_100/noprobe", |b| {
-        b.iter_batched(
-            || build(NoProbe),
-            |mut n| propose(&mut n),
-            criterion::BatchSize::SmallInput,
-        );
-    });
     g.bench_function("propose_100/engine_off", |b| {
         b.iter_batched(
             || build(EngineProbe::Off),

@@ -60,12 +60,13 @@ pub fn run_scenario_net(
     // probed: election-safety evidence during the run, span-tree artifacts
     // when a verdict fails. One fault plane for the whole membership.
     let plane = FaultPlane::shared(s.nodes as usize);
+    let (probe, buffer) = EngineProbe::shared();
     let spawned = NodeServer::<KvStore>::spawn_loopback(&vec![1; s.nodes as usize], |cfg| {
         cfg.cluster_id = CLUSTER_ID;
         cfg.cluster.protocol.window = s.window;
         cfg.cluster.storage = StorageMode::Wal(scratch.join(format!("node-{}", cfg.node_id)));
         cfg.cluster.seed = seed ^ (u64::from(cfg.node_id) << 16);
-        cfg.cluster.probe = EngineProbe::shared().0;
+        cfg.cluster.probe = probe.clone();
         cfg.faults = Some(Arc::clone(&plane));
     });
     let (servers, members) = match spawned {
@@ -206,9 +207,9 @@ pub fn run_scenario_net(
         converged,
         format!("within {}ms of schedule end", s.recovery_ms()),
     );
-    // Probe evidence: election-safety is term-keyed, so the merged events
+    // Probe evidence: election-safety is term-keyed, so the members' events
     // need no clock alignment for the oracle itself.
-    let trace: Vec<TraceEvent> = servers.iter().flat_map(|srv| srv.traces().take()).collect();
+    let trace: Vec<TraceEvent> = buffer.take();
     let commits: BTreeSet<u64> = rows.iter().map(|r| r.commit).collect();
     let convergence = Check {
         name: "state-convergence".into(),

@@ -348,7 +348,6 @@ impl World {
                         }
                     }
                 }
-                Output::SteppedDown { .. } => {}
                 Output::RestoreSnapshot { .. } | Output::ReadReady { .. } => {
                     return Err(
                         "model hole: snapshot/read outputs should not occur in the bounded world"

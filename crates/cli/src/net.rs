@@ -112,14 +112,15 @@ pub fn cmd_serve(args: &Args) {
         cluster_cfg.storage = StorageMode::Wal(dir.into());
     }
     let groups = check_groups(args.get("groups", 1u32));
-    // --trace FILE: buffer probe events (group 0 in this buffer, every other
-    // group in one the server makes) and flush the cumulative JSONL
-    // periodically, so a kill -9 (the net smoke's crash tier) still leaves
-    // a usable trace behind.
+    // --trace FILE: every group and the transport record into this one
+    // buffer (group g's replica ids offset by the server), and the
+    // cumulative JSONL is flushed periodically, so a kill -9 (the net
+    // smoke's crash tier) still leaves a usable trace behind.
     let trace_path = args.str("trace");
+    let (probe, buffer) = EngineProbe::shared();
     if let Some(path) = trace_path {
         println!("tracing probe events to {path} (flushed every 500ms)");
-        cluster_cfg.probe = EngineProbe::shared().0;
+        cluster_cfg.probe = probe;
     }
     let cfg = ServeConfig {
         cluster_id: args.get("cluster-id", 1u64),
@@ -149,7 +150,7 @@ pub fn cmd_serve(args: &Args) {
     for tick in 1u64.. {
         std::thread::sleep(Duration::from_millis(500));
         if let Some(path) = trace_path {
-            events.extend(server.traces().take());
+            events.extend(buffer.take());
             // Write-then-rename: collectors read these files while the
             // server is live, and a plain truncate+write would hand them a
             // half-written (or empty) trace mid-flush.
@@ -296,6 +297,7 @@ fn bench_net_once(
     clients: usize,
     trace_dir: Option<&Path>,
 ) -> NetBenchRun {
+    let mut buffers = Vec::new();
     let (servers, members) =
         NodeServer::<KvStore>::spawn_loopback(&vec![groups; b.replicas], |cfg| {
             cfg.cluster_id = b.cluster_id;
@@ -304,7 +306,9 @@ fn bench_net_once(
             // long; per-group decorrelation is the server's job.
             cfg.cluster.seed = 42 ^ (u64::from(cfg.node_id) << 8);
             if trace_dir.is_some() {
-                cfg.cluster.probe = EngineProbe::shared().0;
+                let (probe, buffer) = EngineProbe::shared();
+                cfg.cluster.probe = probe;
+                buffers.push(buffer);
             }
             // Half the round trip per hop: leader -> follower -> leader.
             cfg.link_delay = Duration::from_micros(b.rtt_ms * 500);
@@ -319,14 +323,13 @@ fn bench_net_once(
     let run = drive_net_clients(b, &members, clients, groups);
     // Dropping the servers stops the replica loops, so the probe buffers
     // are quiescent (and hold the tail Applied events) when we flush them.
-    let traces: Vec<_> = servers.iter().map(NodeServer::traces).collect();
     drop(servers);
     if let Some(dir) = trace_dir {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| die(1, format!("cannot create trace dir {}: {e}", dir.display())));
-        for (i, t) in traces.iter().enumerate() {
+        for (i, buffer) in buffers.iter().enumerate() {
             let path = dir.join(format!("node{i}.jsonl"));
-            std::fs::write(&path, nbr_obs::trace::to_jsonl(&t.take()))
+            std::fs::write(&path, nbr_obs::trace::to_jsonl(&buffer.take()))
                 .unwrap_or_else(|e| die(1, format!("cannot write trace {}: {e}", path.display())));
         }
     }
@@ -361,9 +364,9 @@ pub fn cmd_bench_net(args: &Args) {
     // stalls stock Raft's in-order pipeline for whole heartbeat-repair
     // rounds, while window>=4 keeps weak-accepting around the gap. The
     // default single lane per peer matches the transport default (batched
-    // frames make one FIFO connection the right shape); pass --lanes N to
-    // add the paper's multi-dispatcher reordering on top, or --rtt-ms 0
-    // --loss-pct 0 for raw loopback numbers.
+    // frames make one FIFO connection the right shape; further lanes only
+    // take the spill of a backed-up one); pass --rtt-ms 0 --loss-pct 0 for
+    // raw loopback numbers.
     let b = BenchNet {
         cluster_id: args.get("cluster-id", 1u64),
         replicas: args.get("replicas", 3usize),

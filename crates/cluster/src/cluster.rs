@@ -212,28 +212,10 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
     /// Spawn an `n`-replica cluster, all replicas local, connected by the
     /// in-process router ([`Network`]).
     pub fn spawn(n: usize, cfg: ClusterConfig) -> Cluster<M> {
-        let (net_cfg, faults) = (cfg.net.clone(), cfg.faults.clone());
         let local: Vec<u32> = (0..n as u32).collect();
-        Self::spawn_with_transport(n, &local, cfg, |inboxes| {
-            Arc::new(Network::spawn(net_cfg, faults, inboxes))
-        })
-    }
-
-    /// Spawn the replicas of `local` node ids (a subset of the `n`-node
-    /// membership) on a transport built by `make`. The builder receives the
-    /// local replicas' inboxes and must deliver every inbound packet
-    /// addressed to them there.
-    pub fn spawn_with_transport<F>(
-        n: usize,
-        local: &[u32],
-        cfg: ClusterConfig,
-        make: F,
-    ) -> Cluster<M>
-    where
-        F: FnOnce(TransportInboxes) -> Arc<dyn Transport>,
-    {
-        let (inboxes, endpoints) = TransportInboxes::channels(local);
-        Self::spawn_on(n, endpoints, cfg, make(inboxes))
+        let (inboxes, endpoints) = TransportInboxes::channels(&local);
+        let network = Network::spawn(cfg.net.clone(), cfg.faults.clone(), inboxes);
+        Self::spawn_on(n, endpoints, cfg, Arc::new(network))
     }
 
     /// Spawn one replica per inbox in `endpoints` (a subset of the `n`-node
@@ -577,7 +559,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                 let (protocol, probe) = (cfg.protocol.clone(), cfg.probe.clone());
                 Some(Node::with_probe(id, membership.clone(), protocol, log, seed, probe))
             };
-            let mut node: Option<Node<ClusterLog, EngineProbe>> = boot(cfg.seed);
+            let mut node: Option<Node<ClusterLog>> = boot(cfg.seed);
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
             let metrics = ReplicaMetrics::new(&registry);
@@ -588,9 +570,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                     match c {
                         Control::Stop => return,
                         Control::Crash(done) => {
-                            if let EngineProbe::Shared(p) = &cfg.probe {
-                                p.record(id, now_since(epoch), ProbeEvent::Crashed);
-                            }
+                            cfg.probe.record(id, now_since(epoch), ProbeEvent::Crashed);
                             node = None;
                             // The state machine is volatile node state: a
                             // restarted replica rebuilds it from its log's
@@ -635,15 +615,12 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                 let packet = inbox.recv_timeout(Duration::from_millis(2));
                 let now = local_now();
                 if let Some(n) = node.as_mut() {
-                    let handle = |p: Packet,
-                                  n: &mut Node<ClusterLog, EngineProbe>,
-                                  outputs: &mut Vec<Output>| {
-                        match p {
+                    let handle =
+                        |p: Packet, n: &mut Node<ClusterLog>, outputs: &mut Vec<Output>| match p {
                             Packet::Peer { from, msg } => n.handle_message(from, msg, now, outputs),
                             Packet::Request(req) => n.handle_client(req, now, outputs),
                             Packet::Response { .. } => {}
-                        }
-                    };
+                        };
                     if let Ok(p) = packet {
                         burst.push(p);
                         for _ in 0..255 {
@@ -708,7 +685,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                                 }
                             }
 
-                            Output::ElectedLeader { .. } | Output::SteppedDown { .. } => {}
+                            Output::ElectedLeader { .. } => {}
                         }
                     }
 

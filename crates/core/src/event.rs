@@ -60,11 +60,6 @@ pub enum Output {
         /// The new term.
         term: Term,
     },
-    /// This node ceased being leader (or observed a newer term).
-    SteppedDown {
-        /// The newer term.
-        term: Term,
-    },
 }
 
 impl Output {
@@ -77,7 +72,6 @@ impl Output {
             Output::RestoreSnapshot { .. } => "restore_snapshot",
             Output::ReadReady { .. } => "read_ready",
             Output::ElectedLeader { .. } => "elected",
-            Output::SteppedDown { .. } => "stepped_down",
         }
     }
 }

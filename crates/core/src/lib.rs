@@ -32,7 +32,9 @@
 //!
 //! The engine is driven by a harness: `nbr-sim` (deterministic discrete-event
 //! simulation, used for the paper's figures) or `nbr-cluster` (real threads
-//! and real crypto/coding work).
+//! and real crypto/coding work). It records protocol events into the one
+//! probe type, [`EngineProbe`]: [`Node::new`] passes `Off`, and a harness
+//! that traces hands [`Node::with_probe`] a `Shared` handle.
 
 pub mod client;
 pub mod event;
@@ -43,7 +45,7 @@ pub mod window;
 
 pub use client::{ClientAction, RaftClient};
 pub use event::{coalesce_appends, Output};
-pub use nbr_obs::{NoProbe, Probe, ProbeEvent};
+pub use nbr_obs::{EngineProbe, ProbeEvent};
 pub use node::{Node, NodeStats, Role};
 pub use votelist::{VoteList, VoteOutcome, VoteTuple};
 pub use window::{SlidingWindow, WindowOutcome};

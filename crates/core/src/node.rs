@@ -19,7 +19,7 @@ use crate::votelist::{VoteList, VoteOutcome};
 use crate::window::{SlidingWindow, WindowOutcome};
 use bytes::Bytes;
 use nbr_crypto::{KeyDirectory, Signature};
-use nbr_obs::{NoProbe, Probe, ProbeEvent};
+use nbr_obs::{EngineProbe, ProbeEvent};
 use nbr_storage::LogStore;
 use nbr_types::*;
 use rand::rngs::StdRng;
@@ -175,15 +175,15 @@ struct GapHint {
 }
 
 /// The replica engine. Generic over log storage so the simulator can use
-/// [`nbr_storage::MemLog`] and the cluster runtime [`nbr_storage::WalLog`],
-/// and over an observability [`Probe`] — the default [`NoProbe`] compiles
-/// every emission to a no-op, so untraced builds pay nothing.
+/// [`nbr_storage::MemLog`] and the cluster runtime [`nbr_storage::WalLog`].
+/// It records protocol events into an [`EngineProbe`]; `Off` (what
+/// [`Node::new`] gives) costs one branch per emission.
 ///
 /// `Clone` (available when the log store is cloneable, i.e. `MemLog`) exists
 /// for the `nbr-check` model checker, which snapshots whole replicas while
 /// exploring the protocol state graph.
 #[derive(Clone)]
-pub struct Node<L: LogStore, P: Probe = NoProbe> {
+pub struct Node<L: LogStore> {
     id: NodeId,
     /// All members (sorted, includes self). Bit `i` of vote/accept bitmaps
     /// refers to `membership[i]`.
@@ -257,8 +257,8 @@ pub struct Node<L: LogStore, P: Probe = NoProbe> {
     /// Counters for instrumentation.
     pub stats: NodeStats,
 
-    /// Observability hook (`NoProbe` = disabled).
-    probe: P,
+    /// Observability hook (`EngineProbe::Off` = disabled).
+    probe: EngineProbe,
     /// Instant of the input currently being processed, captured at each
     /// public entry point purely for probe timestamps. Instrumentation
     /// only — excluded from [`Self::fingerprint`] so the model-checker
@@ -277,20 +277,18 @@ impl<L: LogStore> Node<L> {
         log: L,
         seed: u64,
     ) -> Node<L> {
-        Node::with_probe(id, membership, cfg, log, seed, NoProbe)
+        Node::with_probe(id, membership, cfg, log, seed, EngineProbe::Off)
     }
-}
 
-impl<L: LogStore, P: Probe> Node<L, P> {
-    /// Create a replica emitting protocol events into `probe`.
+    /// Create a replica recording protocol events into `probe`.
     pub fn with_probe(
         id: NodeId,
         mut membership: Vec<NodeId>,
         cfg: ProtocolConfig,
         log: L,
         seed: u64,
-        probe: P,
-    ) -> Node<L, P> {
+        probe: EngineProbe,
+    ) -> Node<L> {
         membership.sort_unstable();
         membership.dedup();
         assert!(membership.contains(&id), "membership must include self");
@@ -344,7 +342,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
     /// Record one protocol event at the current input's instant.
     #[inline]
     fn emit(&mut self, event: ProbeEvent) {
-        self.probe.emit(self.id, self.probe_now, event);
+        self.probe.record(self.id, self.probe_now, event);
     }
 
     // ---------------------------------------------------------------- views
@@ -614,7 +612,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         self.stats.proposals += 1;
         self.emit(ProbeEvent::SubmitReceived { client: req.client, request: req.request });
         let origin = Origin { client: req.client, request: req.request };
-        self.propose(Some(origin), Payload::Data(req.payload), now, out);
+        self.propose(Some(origin), Payload::Data(req.payload), out);
     }
 
     /// Feed one protocol message from a peer.
@@ -644,15 +642,15 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         }
         match msg {
             Message::AppendEntry(m) => self.on_append_entry(m, now, out),
-            Message::AppendResp(m) => self.on_append_resp(m, now, out),
+            Message::AppendResp(m) => self.on_append_resp(m, out),
             Message::Heartbeat(m) => self.on_heartbeat(m, now, out),
-            Message::HeartbeatResp(m) => self.on_heartbeat_resp(m, now, out),
+            Message::HeartbeatResp(m) => self.on_heartbeat_resp(m, out),
             Message::RequestVote(m) => self.on_request_vote(m, now, out),
             Message::RequestVoteResp(m) => self.on_vote_resp(m, now, out),
             Message::PullFragments(m) => self.on_pull_fragments(m, out),
             Message::PushFragments(m) => self.on_push_fragments(m, out),
             Message::InstallSnapshot(m) => self.on_install_snapshot(m, now, out),
-            Message::InstallSnapshotResp(m) => self.on_install_snapshot_resp(m, now, out),
+            Message::InstallSnapshotResp(m) => self.on_install_snapshot_resp(m, out),
             Message::ReadIndexReq(m) => self.on_read_index_req(m, now, out),
             Message::ReadIndexResp(m) => self.on_read_index_resp(m, out),
         }
@@ -739,7 +737,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         out.push(Output::ElectedLeader { term: self.term });
         self.last_alive = self.membership.len();
         // Term-start no-op: commits all prior entries once replicated.
-        self.propose(None, Payload::Noop, now, out);
+        self.propose(None, Payload::Noop, out);
         self.send_heartbeats(now, out);
         // Resume the apply cursor: a follower stalls at committed fragment
         // entries; as leader we reconstruct them (pull shards) and apply.
@@ -757,7 +755,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                     resp: ClientResponse::LeaderChanged { term: new_term },
                 });
             }
-            out.push(Output::SteppedDown { term: new_term });
             self.emit(ProbeEvent::SteppedDown { term: new_term });
         }
         if new_term > self.term {
@@ -821,13 +818,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
             .count()
     }
 
-    fn propose(
-        &mut self,
-        origin: Option<Origin>,
-        payload: Payload,
-        now: Time,
-        out: &mut Vec<Output>,
-    ) {
+    fn propose(&mut self, origin: Option<Origin>, payload: Payload, out: &mut Vec<Output>) {
         debug_assert_eq!(self.role, Role::Leader);
         let index = self.log.last_index().next();
         let prev_term = self.log.last_term();
@@ -847,7 +838,6 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         // Single-node groups commit immediately (bit 0 = evaluate only).
         let outcome = self.vote_list.strong_accept(index, 0, self.term);
         self.process_vote_outcome(outcome, out);
-        let _ = now;
     }
 
     /// Send one freshly indexed entry to followers according to the
@@ -1365,7 +1355,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
 
     // ------------------------------------------------------- leader: responses
 
-    fn on_append_resp(&mut self, m: AppendRespMsg, now: Time, out: &mut Vec<Output>) {
+    fn on_append_resp(&mut self, m: AppendRespMsg, out: &mut Vec<Output>) {
         if self.role != Role::Leader || m.term != self.term {
             return; // stale response (higher terms already handled globally)
         }
@@ -1383,7 +1373,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                 // accept for a last entry that does not match our log means
                 // the follower diverged — repair instead of counting.
                 if self.log.term_of(last_index) != Some(last_term) {
-                    self.repair_follower(m.from, last_index, now, out);
+                    self.repair_follower(m.from, last_index, out);
                     return;
                 }
                 self.progress[pos].match_index = self.progress[pos].match_index.max(last_index);
@@ -1405,11 +1395,11 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                 // stall detector alone handles repair there, as before.
                 let gap = self.log.last_index().diff(last_index);
                 if self.cfg.window > 0 && gap > self.cfg.window.max(CATCHUP_BATCH) as i64 {
-                    self.repair_follower(m.from, last_index.next(), now, out);
+                    self.repair_follower(m.from, last_index.next(), out);
                 }
             }
             AcceptState::Mismatch { index: _, resend_from } => {
-                self.repair_follower(m.from, resend_from, now, out);
+                self.repair_follower(m.from, resend_from, out);
             }
         }
     }
@@ -1462,13 +1452,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
 
     /// Re-send entries to a lagging or diverged follower, starting from
     /// `from_index` (capped batch).
-    fn repair_follower(
-        &mut self,
-        follower: NodeId,
-        from_index: LogIndex,
-        _now: Time,
-        out: &mut Vec<Output>,
-    ) {
+    fn repair_follower(&mut self, follower: NodeId, from_index: LogIndex, out: &mut Vec<Output>) {
         // Behind the compaction horizon: ship the snapshot instead.
         if from_index < self.log.first_index() {
             if let Some((last_index, last_term, data)) = self.log.snapshot() {
@@ -1621,7 +1605,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         });
     }
 
-    fn on_heartbeat_resp(&mut self, m: HeartbeatRespMsg, now: Time, out: &mut Vec<Output>) {
+    fn on_heartbeat_resp(&mut self, m: HeartbeatRespMsg, out: &mut Vec<Output>) {
         if self.role != Role::Leader || m.term != self.term {
             return;
         }
@@ -1648,7 +1632,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
                 }
                 if self.progress[pos].stall_rounds >= STALL_ROUNDS {
                     self.progress[pos].stall_rounds = 0;
-                    self.repair_follower(m.from, m.last_index.next(), now, out);
+                    self.repair_follower(m.from, m.last_index.next(), out);
                 }
             } else {
                 self.progress[pos].stall_rounds = 0;
@@ -1656,7 +1640,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         } else {
             // Diverged tail (walk back one entry per round) or behind the
             // compaction horizon (repair_follower ships the snapshot).
-            self.repair_follower(m.from, m.last_index, now, out);
+            self.repair_follower(m.from, m.last_index, out);
         }
     }
 
@@ -1949,12 +1933,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         });
     }
 
-    fn on_install_snapshot_resp(
-        &mut self,
-        m: InstallSnapshotRespMsg,
-        now: Time,
-        out: &mut Vec<Output>,
-    ) {
+    fn on_install_snapshot_resp(&mut self, m: InstallSnapshotRespMsg, out: &mut Vec<Output>) {
         if self.role != Role::Leader || m.term != self.term {
             return;
         }
@@ -1967,7 +1946,7 @@ impl<L: LogStore, P: Probe> Node<L, P> {
         self.process_vote_outcome(outcome, out);
         // Continue the catch-up with the suffix after the snapshot.
         if m.last_index < self.log.last_index() {
-            self.repair_follower(m.from, m.last_index.next(), now, out);
+            self.repair_follower(m.from, m.last_index.next(), out);
         }
     }
 

@@ -87,7 +87,7 @@ impl TestCluster {
                 Output::ReadReady { client, request, read_index } => {
                     self.reads_ready.push((from, client, request, read_index));
                 }
-                Output::ElectedLeader { .. } | Output::SteppedDown { .. } => {}
+                Output::ElectedLeader { .. } => {}
             }
         }
     }

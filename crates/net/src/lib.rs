@@ -22,7 +22,10 @@
 //! * [`NodeServer`] — the one-process-per-node runtime behind
 //!   `nbraft-cli serve [--groups N]`: this node's replica of each of N
 //!   groups (one by default), each the unmodified `nbr-cluster` replica
-//!   loop, all on one transport. [`NodeServer::spawn_loopback`] +
+//!   loop, all on one transport. Traced, every group and the transport
+//!   record into the one buffer of the caller's `ClusterConfig::probe`,
+//!   group `g` through its `in_group(g)` handle, and the caller drains the
+//!   `SharedProbe` it made. [`NodeServer::spawn_loopback`] +
 //!   [`await_leaders`] bring a whole membership up inside one process
 //!   (tests, `bench-net`, the chaos net backend).
 //! * [`NetClient`] — a synchronous client that drives the sans-I/O
@@ -45,5 +48,5 @@ pub mod transport;
 
 pub use client::NetClient;
 pub use metrics::MetricsServer;
-pub use server::{await_leaders, GroupTraces, Members, NodeServer, ServeConfig};
+pub use server::{await_leaders, Members, NodeServer, ServeConfig};
 pub use transport::{TcpConfig, TcpTransport};

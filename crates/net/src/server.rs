@@ -20,7 +20,7 @@
 use crate::metrics::MetricsServer;
 use crate::transport::{TcpConfig, TcpTransport};
 use nbr_cluster::{Cluster, ClusterConfig, FaultPlane, StorageMode, Transport, TransportInboxes};
-use nbr_obs::{namespace_events, EngineProbe, SharedProbe, Snapshot, TraceEvent};
+use nbr_obs::Snapshot;
 use nbr_storage::StateMachine;
 use nbr_types::{Error, LinkFault, Result, TimeDelta, MAX_GROUPS};
 use std::net::{SocketAddr, TcpListener};
@@ -71,10 +71,12 @@ fn group_seed(base: u64, group: u32) -> u64 {
 }
 
 /// Derive group `g`'s replica configuration from the base one: decorrelated
-/// seed and, with several groups, a per-group WAL subdirectory.
+/// seed, the group's handle on the caller's trace buffer and, with several
+/// groups, a per-group WAL subdirectory.
 fn group_config(base: &ClusterConfig, group: u32, groups: u32) -> ClusterConfig {
     let mut cfg = base.clone();
     cfg.seed = group_seed(base.seed, group);
+    cfg.probe = base.probe.in_group(group);
     if groups > 1 {
         if let StorageMode::Wal(dir) = &base.storage {
             cfg.storage = StorageMode::Wal(dir.join(format!("group-{group}")));
@@ -110,30 +112,6 @@ fn membership_size(node_id: u32, peers: &[(u32, SocketAddr)]) -> Result<usize> {
     Ok(n)
 }
 
-/// The per-group trace buffers of one [`NodeServer`] (element `g` is group
-/// `g`'s; empty when the server runs untraced). A handle rather than a
-/// borrow: it can move to a flusher thread, and it outlives the server so a
-/// caller can stop the replica loops first and drain the quiescent buffers,
-/// tail events included, afterwards.
-#[derive(Clone)]
-pub struct GroupTraces(Vec<SharedProbe>);
-
-impl GroupTraces {
-    /// Drain every group's buffer into one time-sorted stream with
-    /// group-namespaced node ids (replica `r` of group `g` appears as node
-    /// `g * GROUP_NODE_STRIDE + r`; group 0 is unchanged).
-    pub fn take(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        for (g, p) in self.0.iter().enumerate() {
-            let mut evs = p.take();
-            namespace_events(g as u32, &mut evs);
-            all.extend(evs);
-        }
-        all.sort_by_key(|e| e.at);
-        all
-    }
-}
-
 /// One running process member: this node's replica of every group, all on
 /// a single TCP transport.
 ///
@@ -141,7 +119,6 @@ impl GroupTraces {
 /// first, then the last handle on the transport joins its socket threads.
 pub struct NodeServer<M: StateMachine + Send + Default + 'static> {
     groups: Vec<Cluster<M>>,
-    traces: GroupTraces,
     tcp: Arc<TcpTransport>,
     scrape: Arc<dyn Fn() -> String + Send + Sync>,
     metrics: Option<MetricsServer>,
@@ -182,10 +159,6 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
         let mut base = cfg.cluster.clone();
         base.faults = cfg.faults.clone().or(base.faults);
         let epoch = *base.trace_epoch.get_or_insert_with(crate::clock::now);
-        let base_probe = match &base.probe {
-            EngineProbe::Shared(p) => Some(p.clone()),
-            EngineProbe::Off => None,
-        };
 
         let (inboxes, endpoints): (Vec<_>, Vec<_>) =
             (0..groups).map(|_| TransportInboxes::channels(&[cfg.node_id])).unzip();
@@ -194,8 +167,8 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
             cluster_id: cfg.cluster_id,
             node_id: cfg.node_id,
             peers: cfg.peers.clone(),
-            // An emulated WAN hop: the delay uniform in ±50% (so parallel
-            // lanes drift and striped frames really do arrive out of order).
+            // An emulated WAN hop: the delay uniform in ±50%, one draw per
+            // pump wake-up. A lane still delivers its frames in send order.
             baseline: LinkFault {
                 cut: false,
                 drop: (cfg.link_loss_pct / 100.0).clamp(0.0, 1.0),
@@ -203,29 +176,18 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
             },
             peer_lanes: cfg.peer_lanes,
             faults: base.faults.clone(),
-            // Transport clock samples are per-node, not per-group: they stay
-            // in the unnamespaced (group 0) stream.
-            probe: base_probe.clone(),
+            // Transport clock samples are per-node, not per-group: they are
+            // recorded under the plain replica ids (group 0's).
+            probe: base.probe.clone(),
             trace_epoch: Some(epoch),
             ..TcpConfig::default()
         };
         let tcp = Arc::new(TcpTransport::spawn_groups(tcp, listener, inboxes));
 
-        let mut probes = Vec::new();
         let clusters: Vec<Cluster<M>> = (0..groups)
             .zip(endpoints)
             .map(|(g, endpoints)| {
-                let mut cg = group_config(&base, g, groups);
-                if let Some(p0) = &base_probe {
-                    // Each group gets its own buffer — events from different
-                    // groups reuse replica ids, and must be namespaced
-                    // (`GroupTraces::take`) before they can share a stream.
-                    // Group 0 records into the caller's.
-                    let p = if g == 0 { p0.clone() } else { SharedProbe::new() };
-                    cg.probe = EngineProbe::Shared(p.clone());
-                    probes.push(p);
-                }
-                Cluster::spawn_on(n, endpoints, cg, tcp.group(g))
+                Cluster::spawn_on(n, endpoints, group_config(&base, g, groups), tcp.group(g))
             })
             .collect();
 
@@ -234,7 +196,7 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
             Some(addr) => Some(MetricsServer::spawn(addr, Arc::clone(&scrape))?),
             None => None,
         };
-        Ok(NodeServer { groups: clusters, traces: GroupTraces(probes), tcp, scrape, metrics })
+        Ok(NodeServer { groups: clusters, tcp, scrape, metrics })
     }
 
     /// Bring a whole membership up on loopback inside this process: member
@@ -308,11 +270,6 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
     /// suffixes).
     pub fn prometheus(&self) -> String {
         (self.scrape)()
-    }
-
-    /// The per-group trace buffers (empty when spawned without a probe).
-    pub fn traces(&self) -> GroupTraces {
-        self.traces.clone()
     }
 }
 

@@ -75,7 +75,7 @@ use nbr_cluster::network::{Packet, CLIENT_ENDPOINT};
 use nbr_cluster::sync::Mutex;
 use nbr_cluster::transport::{Transport, TransportInboxes};
 use nbr_cluster::FaultPlane;
-use nbr_obs::{Counter, Gauge, ProbeEvent, Registry, SharedProbe, Snapshot};
+use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry, Snapshot};
 use nbr_types::wire::{decode_frame_shared, encode_frame_into};
 use nbr_types::{
     ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time, NET_PROTOCOL_VERSION,
@@ -129,11 +129,13 @@ pub struct TcpConfig {
     /// many frames share the link (one draw from `delay` per writer wake-up).
     /// Handshakes, keepalives and client sessions are never lost.
     pub baseline: LinkFault,
-    /// Parallel TCP connections per peer; outbound frames round-robin
-    /// across them. One lane (the default) preserves TCP's in-order
-    /// delivery; more lanes reproduce the multi-dispatcher reordering of
-    /// the paper's IoT setting, which the non-blocking window absorbs and
-    /// stock Raft blocks on.
+    /// Parallel TCP connections per peer. Every frame goes to the first lane
+    /// whose backlog (frames waiting for its writer) is under 256 frames,
+    /// so a later lane carries traffic only while every earlier one is
+    /// saturated or reconnecting, and frames round-robin over the lanes only
+    /// when all of them are backed up. Under normal load, extra lanes add
+    /// capacity, not reordering: every frame rides the first lane, in send
+    /// order. One lane is the default.
     pub peer_lanes: usize,
     /// The cluster's runtime-mutable fault plane (chaos harness). Each send
     /// to a peer and each pump wake-up reads its own directed `(this node,
@@ -141,9 +143,9 @@ pub struct TcpConfig {
     /// costs nothing on the hot path.
     pub faults: Option<Arc<FaultPlane>>,
     /// Trace sink for transport-level probe events (currently
-    /// [`ProbeEvent::ClockSample`] from Ping/Pong exchanges). `None` — the
-    /// default — emits nothing.
-    pub probe: Option<SharedProbe>,
+    /// [`ProbeEvent::ClockSample`] from Ping/Pong exchanges).
+    /// `EngineProbe::Off` — the default — records nothing.
+    pub probe: EngineProbe,
     /// Epoch of the trace clock stamped into `Ping`/`Pong` frames. Pass the
     /// same instant given to `ClusterConfig::trace_epoch` so transport clock
     /// samples and engine probe events share one per-process timeline;
@@ -167,7 +169,7 @@ impl Default for TcpConfig {
             baseline: LinkFault::default(),
             peer_lanes: 1,
             faults: None,
-            probe: None,
+            probe: EngineProbe::Off,
             trace_epoch: None,
         }
     }
@@ -380,13 +382,11 @@ impl Shared {
         let offset = t1 as i64 - midpoint as i64;
         self.registry.gauge(&format!("net_rtt_ns_peer_{peer}")).set(rtt as i64);
         self.registry.gauge(&format!("net_clock_offset_ns_peer_{peer}")).set(offset);
-        if let Some(p) = &self.cfg.probe {
-            p.record(
-                NodeId(self.cfg.node_id),
-                Time(t3),
-                ProbeEvent::ClockSample { peer: NodeId(peer), offset_ns: offset, rtt_ns: rtt },
-            );
-        }
+        self.cfg.probe.record(
+            NodeId(self.cfg.node_id),
+            Time(t3),
+            ProbeEvent::ClockSample { peer: NodeId(peer), offset_ns: offset, rtt_ns: rtt },
+        );
     }
 
     /// This node's handshake, the first frame on every peer connection.
@@ -630,7 +630,8 @@ impl LaneEnd {
     }
 }
 
-/// All lanes to one peer, with a round-robin cursor for striping.
+/// All lanes to one peer. `rr` is [`pick_lane`]'s round-robin cursor, used
+/// only while every lane is backed up.
 struct PeerLinks {
     lanes: Vec<PeerLink>,
     rr: AtomicU64,
@@ -826,9 +827,10 @@ impl TcpTransport {
             stats.dropped_unroutable.inc(); // no such peer
             return;
         };
-        // Batch-aware striping over the peer's lanes, whichever side dialed
-        // and whether or not a connection is up: a lane without one queues
-        // (bounded) for the next.
+        // The first of the peer's lanes with backlog room takes the frame
+        // (`pick_lane`), whichever side dialed and whether or not a
+        // connection is up: a lane without one queues (bounded) for the
+        // next.
         match links.send(&self.shared, to, frame) {
             Ok(()) => {}
             // Shed rather than block the replica thread; explicit accounting.
@@ -913,9 +915,9 @@ impl Drop for TcpTransport {
 
 /// Outbound link supervisor: connect, handshake, write loop, reconnect.
 fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, end: LaneEnd) {
-    // Jitter is seeded per-lane so two replicas restarting together do not
-    // reconnect in lockstep (thundering-herd on the surviving node) and so
-    // parallel lanes drift apart under an emulated link delay.
+    // Seeded per lane, so two replicas restarting together do not reconnect
+    // in lockstep (thundering-herd on the surviving node). The same stream
+    // draws this lane's emulated loss and delay.
     let mut rng = StdRng::seed_from_u64(
         0x9E37 ^ (u64::from(sh.cfg.node_id) << 32) ^ (u64::from(peer_id) << 8) ^ lane as u64,
     );
@@ -1751,19 +1753,19 @@ mod tests {
         let hop = Duration::from_millis(20);
         let rtts = |baseline: LinkFault| {
             let ((l0, a0), (l1, a1)) = (bind(), bind());
-            let probe = SharedProbe::new();
+            let (probe, buffer) = EngineProbe::shared();
             // A ping cadence well above the hop: each delay line is empty
             // most of the time, which is when a lane could write through.
             let cfg = TcpConfig {
                 keepalive: Duration::from_millis(50),
                 baseline,
-                probe: Some(probe.clone()),
+                probe,
                 ..TcpConfig::default()
             };
             let (_t0, _rx0) = node(0, (1, a1), l0, &[64], cfg.clone());
             let (_t1, _rx1) = node(1, (0, a0), l1, &[64], cfg);
             let samples = || -> Vec<(NodeId, Duration)> {
-                let events = probe.snapshot().into_iter();
+                let events = buffer.snapshot().into_iter();
                 events
                     .filter_map(|e| match e.event {
                         ProbeEvent::ClockSample { rtt_ns, .. } => {

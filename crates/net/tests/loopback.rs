@@ -9,7 +9,7 @@
 
 use nbr_cluster::{Packet, Transport, TransportInboxes, NODE_INBOX_DEPTH};
 use nbr_net::{await_leaders, Members, NetClient, NodeServer, TcpConfig, TcpTransport};
-use nbr_obs::{EngineProbe, TraceEvent};
+use nbr_obs::{EngineProbe, SharedProbe, TraceEvent};
 use nbr_storage::KvStore;
 use nbr_types::wire::{encode_frame, encode_frame_into};
 use nbr_types::{
@@ -28,18 +28,25 @@ const CLUSTER_ID: u64 = 7;
 /// Spawn an `n`-node cluster as `n` independent `NodeServer`s joined only
 /// by TCP. Returns the servers and the full membership address list.
 fn spawn_cluster(n: usize) -> (Vec<NodeServer<KvStore>>, Members) {
-    spawn_cluster_inner(n, false)
+    let (servers, members, _) = spawn_cluster_inner(n, false);
+    (servers, members)
 }
 
-/// With `traced`, a trace probe is wired into every replica. Each
-/// `NodeServer` gets its *own* trace epoch (as real processes would), so
-/// assembling spans across the replicas genuinely exercises Ping/Pong clock
-/// alignment.
-fn spawn_cluster_inner(n: usize, traced: bool) -> (Vec<NodeServer<KvStore>>, Members) {
-    NodeServer::spawn_loopback(&vec![1; n], |cfg| {
+/// With `traced`, every `NodeServer` records into a trace buffer of its own
+/// (returned in server order) and gets its *own* trace epoch (as real
+/// processes would), so assembling spans across the replicas genuinely
+/// exercises Ping/Pong clock alignment.
+fn spawn_cluster_inner(
+    n: usize,
+    traced: bool,
+) -> (Vec<NodeServer<KvStore>>, Members, Vec<SharedProbe>) {
+    let mut buffers = Vec::new();
+    let (servers, members) = NodeServer::spawn_loopback(&vec![1; n], |cfg| {
         cfg.cluster_id = CLUSTER_ID;
         if traced {
-            cfg.cluster.probe = EngineProbe::shared().0;
+            let (probe, buffer) = EngineProbe::shared();
+            cfg.cluster.probe = probe;
+            buffers.push(buffer);
         }
         // Distinct per-node seeds: identical seeds give every node the same
         // randomized election timeout, so a cold three-way start can
@@ -47,7 +54,8 @@ fn spawn_cluster_inner(n: usize, traced: bool) -> (Vec<NodeServer<KvStore>>, Mem
         // the first election one round long.
         cfg.cluster.seed = 0x10c4_b4c4 ^ (u64::from(cfg.node_id) << 8);
     })
-    .expect("spawn node servers")
+    .expect("spawn node servers");
+    (servers, members, buffers)
 }
 
 /// Poll `cond` every few milliseconds until it returns true or `timeout`
@@ -162,7 +170,7 @@ fn leader_kill_reelects_and_retries_oplist() {
 /// samples.
 #[test]
 fn traced_ops_assemble_complete_spans() {
-    let (servers, members) = spawn_cluster_inner(3, true);
+    let (servers, members, buffers) = spawn_cluster_inner(3, true);
     await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
 
     let mut client =
@@ -187,7 +195,7 @@ fn traced_ops_assemble_complete_spans() {
     assert!(applied_everywhere, "replicas did not apply all ops");
     std::thread::sleep(Duration::from_millis(600));
 
-    let events: Vec<TraceEvent> = servers.iter().flat_map(|s| s.traces().take()).collect();
+    let events: Vec<TraceEvent> = buffers.iter().flat_map(SharedProbe::take).collect();
     let align = nbr_obs::ClockAlign::estimate(&events);
     let aligned = align.apply(&events);
     let spans = nbr_obs::collect(&aligned);

@@ -7,7 +7,7 @@
 //! leader is crashed.
 
 use nbr_net::{await_leaders, Members, NetClient, NodeServer};
-use nbr_obs::{group_node, node_group, EngineProbe, TraceEvent};
+use nbr_obs::{group_node, node_group, EngineProbe, ProbeEvent, SharedProbe, TraceEvent};
 use nbr_storage::KvStore;
 use nbr_types::{ClientId, NodeId, TimeDelta};
 use std::net::SocketAddr;
@@ -19,23 +19,32 @@ const GROUPS: u32 = 2;
 /// Spawn an `n`-process sharded cluster: every process hosts one replica of
 /// each of [`GROUPS`] groups over a single shared transport.
 fn spawn_sharded(n: usize) -> (Vec<NodeServer<KvStore>>, Members) {
-    spawn_with_groups(&vec![GROUPS; n], false)
+    let (servers, members, _) = spawn_with_groups(&vec![GROUPS; n], false);
+    (servers, members)
 }
 
-/// Spawn one process per entry of `groups`, hosting that many groups, with
-/// a trace probe in every replica when `traced`.
-fn spawn_with_groups(groups: &[u32], traced: bool) -> (Vec<NodeServer<KvStore>>, Members) {
-    NodeServer::spawn_loopback(groups, |cfg| {
+/// Spawn one process per entry of `groups`, hosting that many groups. With
+/// `traced`, each process records into a trace buffer its caller made,
+/// returned in server order.
+fn spawn_with_groups(
+    groups: &[u32],
+    traced: bool,
+) -> (Vec<NodeServer<KvStore>>, Members, Vec<SharedProbe>) {
+    let mut buffers = Vec::new();
+    let (servers, members) = NodeServer::spawn_loopback(groups, |cfg| {
         cfg.cluster_id = CLUSTER_ID;
         if traced {
-            cfg.cluster.probe = EngineProbe::shared().0;
+            let (probe, buffer) = EngineProbe::shared();
+            cfg.cluster.probe = probe;
+            buffers.push(buffer);
         }
         // Staggered per-node seeds (see nbr-net's loopback tests) keep
         // cold-start elections one round long; per-group decorrelation on
         // top is NodeServer's job.
         cfg.cluster.seed = 0x005a_4ded ^ (u64::from(cfg.node_id) << 8);
     })
-    .expect("spawn node servers")
+    .expect("spawn node servers");
+    (servers, members, buffers)
 }
 
 fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -142,7 +151,7 @@ fn group_keeps_committing_while_other_groups_leader_is_down() {
 /// indices), on clocks aligned off the processes' shared transports.
 #[test]
 fn traced_ops_assemble_complete_spans_in_every_group() {
-    let (servers, members) = spawn_with_groups(&[GROUPS; 3], true);
+    let (servers, members, buffers) = spawn_with_groups(&[GROUPS; 3], true);
     await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
 
     let n_ops = 15u32;
@@ -169,7 +178,7 @@ fn traced_ops_assemble_complete_spans_in_every_group() {
     assert!(applied_everywhere, "replicas did not apply all ops");
     std::thread::sleep(Duration::from_millis(600));
 
-    let events: Vec<TraceEvent> = servers.iter().flat_map(|s| s.traces().take()).collect();
+    let events: Vec<TraceEvent> = buffers.iter().flat_map(SharedProbe::take).collect();
     let align = nbr_obs::ClockAlign::estimate(&events);
     let aligned = align.apply(&events);
     let spans = nbr_obs::collect(&aligned);
@@ -204,6 +213,43 @@ fn group_count_mismatch_is_refused_at_handshake() {
     assert!(r.is_err(), "group-count-mismatched client must not commit");
 }
 
+/// A traced process records every group it hosts into the one buffer its
+/// caller made: each caller handle drains both groups' events, group `g`'s
+/// replica `i` as `group_node(g, i)`, and the transport's clock samples
+/// under the plain replica ids.
+#[test]
+fn a_callers_trace_buffer_holds_every_group_of_its_process() {
+    let (servers, members, buffers) = spawn_with_groups(&[GROUPS; 3], true);
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
+    for g in 0..GROUPS {
+        let mut client = client_for(g, 3, &members);
+        client
+            .submit(bytes::Bytes::from(format!("b{g}=v")), Duration::from_secs(10))
+            .expect("submit traced op");
+        assert!(client.drain(Duration::from_secs(10)), "group {g} opList did not drain");
+    }
+    // Long enough for every replica to commit and for a ping round.
+    std::thread::sleep(Duration::from_millis(600));
+
+    for (i, buffer) in buffers.iter().enumerate() {
+        let events = buffer.take();
+        for g in 0..GROUPS {
+            let me = group_node(g, NodeId(i as u32));
+            let committed = events
+                .iter()
+                .any(|e| e.node == me && matches!(e.event, ProbeEvent::Committed { .. }));
+            assert!(committed, "process {i}: no commit of group {g}");
+        }
+        for e in &events {
+            let (g, replica) = node_group(e.node);
+            assert!(g < GROUPS && replica == NodeId(i as u32), "process {i} recorded {e:?}");
+            if let ProbeEvent::ClockSample { peer, .. } = e.event {
+                assert_eq!((g, node_group(peer).0), (0, 0), "{e:?}");
+            }
+        }
+    }
+}
+
 /// The group count is derived (the number of inbox sets a transport is built
 /// over), not configured, so nothing stops two members of one membership
 /// being started with different counts — except the `Hello` handshake, which
@@ -211,7 +257,7 @@ fn group_count_mismatch_is_refused_at_handshake() {
 /// other side does not have.
 #[test]
 fn peer_group_count_mismatch_is_refused_at_handshake() {
-    let (servers, _) = spawn_with_groups(&[1, 2], false);
+    let (servers, _, _) = spawn_with_groups(&[1, 2], false);
 
     let rejects = |s: &NodeServer<KvStore>| -> u64 {
         let snap = s.cluster().transport().scrape().expect("transport scrapes");

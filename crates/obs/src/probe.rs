@@ -1,17 +1,16 @@
 //! The protocol probe: structured lifecycle events emitted by the engine.
 //!
-//! `nbr_core::Node` is generic over a [`Probe`] implementation and calls
-//! [`Probe::emit`] at every protocol-significant transition. The default
-//! [`NoProbe`] is a zero-sized type whose `emit` is an empty inline function:
-//! a disabled-probe build performs no work and no allocations on the hot path
-//! ([`ProbeEvent`] is `Copy`, so even constructing one allocates nothing).
-//!
-//! Enabled probes buffer [`TraceEvent`]s ([`SharedProbe`]) for later export
-//! as a JSONL trace (see [`crate::trace`]) and replay through the
-//! [`crate::analyze`] lifecycle analyzer. [`EngineProbe`] is the
-//! enum-dispatch wrapper harnesses use so that tracing stays a *runtime*
-//! flag without changing the node's type.
+//! `nbr_core::Node` holds an [`EngineProbe`] and records a [`ProbeEvent`]
+//! at every protocol-significant transition. [`EngineProbe::Off`] records
+//! nothing: one branch per emission and no allocation ([`ProbeEvent`] is
+//! `Copy`, so even constructing one allocates nothing).
+//! [`EngineProbe::Shared`] appends [`TraceEvent`]s to a process's one trace
+//! buffer ([`SharedProbe`]), drained for export as a JSONL trace (see
+//! [`crate::trace`]) and replay through the lifecycle analyzer
+//! ([`mod@crate::analyze`]). A multi-group process hands each group an
+//! [`EngineProbe::in_group`] handle on that same buffer.
 
+use crate::shard::group_node;
 use nbr_types::{ClientId, LogIndex, NodeId, RequestId, Term, Time};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -171,37 +170,6 @@ impl ProbeEvent {
     }
 }
 
-/// Receiver of protocol events. Implementations must be cheap and must not
-/// block the engine; anything expensive belongs in a drain/export step.
-pub trait Probe {
-    /// Fast feature check: engines skip event-construction *loops* (e.g.
-    /// per-index commit fan-out) when this returns false. Single emissions
-    /// are unconditional — they inline to nothing for [`NoProbe`].
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Record one event observed on `node` at instant `at`.
-    fn emit(&mut self, node: NodeId, at: Time, event: ProbeEvent);
-}
-
-/// The disabled probe: a zero-sized no-op. This is the default for every
-/// `Node<L>` so existing harnesses and the `nbr-check` model checker pay
-/// nothing — `enabled()` is a compile-time `false` and `emit` disappears.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoProbe;
-
-impl Probe for NoProbe {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn emit(&mut self, _node: NodeId, _at: Time, _event: ProbeEvent) {}
-}
-
 /// A timestamped, node-attributed event as stored in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -213,131 +181,94 @@ pub struct TraceEvent {
     pub event: ProbeEvent,
 }
 
-/// An in-memory event buffer (one per traced run).
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceBuffer {
-    /// Empty buffer.
-    pub fn new() -> TraceBuffer {
-        TraceBuffer::default()
-    }
-
-    /// Append one event.
-    pub fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Borrow the events in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Drain the buffer, returning all events in emission order.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-/// A cloneable handle to a shared [`TraceBuffer`]. Clones observe the same
-/// buffer, so one handle can be given to every node of a cluster/simulation
-/// while the harness keeps another to drain afterwards. The mutex is
-/// uncontended in the single-threaded simulator and short-held in the
-/// thread runtime.
+/// A cloneable handle to one process's trace buffer. Clones record into the
+/// same buffer, so one handle can be given to every replica of a cluster or
+/// simulation while the harness keeps another to drain afterwards. The
+/// mutex is uncontended in the single-threaded simulator and short-held in
+/// the thread runtime.
 #[derive(Debug, Clone, Default)]
 pub struct SharedProbe {
-    buf: Arc<Mutex<TraceBuffer>>,
+    buf: Arc<Mutex<Vec<TraceEvent>>>,
+    /// Raft group whose replicas record through this handle: node ids are
+    /// widened into that group's range ([`group_node`]); 0 records them
+    /// unchanged.
+    group: u32,
 }
 
 impl SharedProbe {
-    /// Fresh probe with an empty buffer.
-    pub fn new() -> SharedProbe {
-        SharedProbe::default()
-    }
-
-    fn with_buf<T>(&self, f: impl FnOnce(&mut TraceBuffer) -> T) -> T {
+    fn with_buf<T>(&self, f: impl FnOnce(&mut Vec<TraceEvent>) -> T) -> T {
         // A poisoned buffer only means some other holder panicked mid-push;
         // the data is still a valid prefix — keep observing.
         f(&mut self.buf.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Record one event (usable from harness code without `&mut`).
-    pub fn record(&self, node: NodeId, at: Time, event: ProbeEvent) {
+    /// Append one event, its node ids (a clock sample's `peer` included)
+    /// moved into this handle's group range. Every recorded event of the
+    /// workspace passes through here.
+    fn record(&self, node: NodeId, at: Time, mut event: ProbeEvent) {
+        let node = group_node(self.group, node);
+        if let ProbeEvent::ClockSample { peer, .. } = &mut event {
+            *peer = group_node(self.group, *peer);
+        }
         self.with_buf(|b| b.push(TraceEvent { node, at, event }));
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.with_buf(|b| b.len())
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drain all recorded events in emission order.
+    /// Drain all recorded events in record order.
     pub fn take(&self) -> Vec<TraceEvent> {
-        self.with_buf(|b| b.take())
+        self.with_buf(std::mem::take)
     }
 
     /// Copy of the events recorded so far (the buffer keeps them).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.with_buf(|b| b.events().to_vec())
+        self.with_buf(|b| b.clone())
     }
 }
 
-impl Probe for SharedProbe {
-    fn emit(&mut self, node: NodeId, at: Time, event: ProbeEvent) {
-        self.record(node, at, event);
-    }
-}
-
-/// Runtime-switchable probe for harnesses: `Off` behaves like [`NoProbe`]
-/// (one branch per emission, still allocation-free), `Shared` buffers into a
-/// [`SharedProbe`]. Keeping the choice in an enum means the simulator and
-/// cluster runtime can offer tracing as a config flag without becoming
-/// generic over the probe type themselves.
+/// The engine's probe, chosen at run time: `Off` records nothing (one
+/// branch per emission, allocation-free), `Shared` records into a
+/// [`SharedProbe`]. Every replica, the transport and the harnesses' own
+/// markers record through it.
 #[derive(Debug, Clone, Default)]
 pub enum EngineProbe {
     /// Tracing disabled.
     #[default]
     Off,
-    /// Buffer events into the shared trace.
+    /// Record events into the shared trace buffer.
     Shared(SharedProbe),
 }
 
 impl EngineProbe {
-    /// Convenience: a fresh shared probe plus the engine-side handle.
+    /// A fresh trace buffer: the probe to hand out plus the handle to drain.
     pub fn shared() -> (EngineProbe, SharedProbe) {
-        let p = SharedProbe::new();
+        let p = SharedProbe::default();
         (EngineProbe::Shared(p.clone()), p)
     }
-}
 
-impl Probe for EngineProbe {
+    /// True when events are recorded: engines skip event-construction
+    /// *loops* (e.g. per-index commit fan-out) otherwise.
     #[inline]
-    fn enabled(&self) -> bool {
+    pub fn enabled(&self) -> bool {
         matches!(self, EngineProbe::Shared(_))
     }
 
+    /// Record one event observed on `node` at instant `at`.
     #[inline]
-    fn emit(&mut self, node: NodeId, at: Time, event: ProbeEvent) {
+    pub fn record(&self, node: NodeId, at: Time, event: ProbeEvent) {
+        if let EngineProbe::Shared(p) = self {
+            p.record(node, at, event);
+        }
+    }
+
+    /// The probe for group `g`'s replicas in a multi-group process: the
+    /// same buffer, with node ids recorded as [`group_node`]`(g, id)` so
+    /// the groups' `(node, index)` join keys never collide. Group 0 records
+    /// ids unchanged.
+    pub fn in_group(&self, g: u32) -> EngineProbe {
         match self {
-            EngineProbe::Off => {}
-            EngineProbe::Shared(p) => p.record(node, at, event),
+            EngineProbe::Off => EngineProbe::Off,
+            EngineProbe::Shared(p) => {
+                EngineProbe::Shared(SharedProbe { buf: Arc::clone(&p.buf), group: g })
+            }
         }
     }
 }
@@ -345,12 +276,7 @@ impl Probe for EngineProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_probe_is_disabled_and_zero_sized() {
-        assert!(!NoProbe.enabled());
-        assert_eq!(std::mem::size_of::<NoProbe>(), 0);
-    }
+    use crate::shard::GROUP_NODE_STRIDE;
 
     #[test]
     fn probe_events_are_copy_and_small() {
@@ -362,22 +288,67 @@ mod tests {
 
     #[test]
     fn shared_probe_clones_observe_one_buffer() {
-        let (mut engine, handle) = EngineProbe::shared();
+        let (engine, handle) = EngineProbe::shared();
         assert!(engine.enabled());
-        engine.emit(NodeId(1), Time(5), ProbeEvent::Appended { index: LogIndex(3) });
-        engine.emit(NodeId(2), Time(9), ProbeEvent::Crashed);
+        engine.record(NodeId(1), Time(5), ProbeEvent::Appended { index: LogIndex(3) });
+        engine.clone().record(NodeId(2), Time(9), ProbeEvent::Crashed);
         let events = handle.take();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].node, NodeId(1));
         assert_eq!(events[0].event.kind(), "appended");
         assert_eq!(events[1].event, ProbeEvent::Crashed);
-        assert!(handle.is_empty());
+        assert!(handle.take().is_empty());
     }
 
     #[test]
     fn off_engine_probe_drops_events() {
-        let mut p = EngineProbe::Off;
+        let p = EngineProbe::Off;
         assert!(!p.enabled());
-        p.emit(NodeId(0), Time(0), ProbeEvent::Crashed);
+        p.record(NodeId(0), Time(0), ProbeEvent::Crashed);
+        assert!(!p.in_group(3).enabled());
+    }
+
+    fn sample(node: u32, peer: u32) -> (NodeId, ProbeEvent) {
+        (NodeId(node), ProbeEvent::ClockSample { peer: NodeId(peer), offset_ns: -5, rtt_ns: 10 })
+    }
+
+    #[test]
+    fn group_handles_share_one_buffer_in_record_order() {
+        let (base, handle) = EngineProbe::shared();
+        let (g1, g2) = (base.in_group(1), base.in_group(2));
+        let committed = ProbeEvent::Committed { index: LogIndex(7) };
+        g2.record(NodeId(1), Time(3), committed);
+        base.record(NodeId(1), Time(1), committed);
+        g1.record(NodeId(1), Time(2), committed);
+        let got: Vec<(u32, u64)> = handle.take().iter().map(|e| (e.node.0, e.at.0)).collect();
+        // Record order, not time order; one (node 1, index 7) per group.
+        assert_eq!(got, [(2 * GROUP_NODE_STRIDE + 1, 3), (1, 1), (GROUP_NODE_STRIDE + 1, 2)]);
+    }
+
+    #[test]
+    fn group_handles_offset_clock_sample_peers_too() {
+        let (base, handle) = EngineProbe::shared();
+        let (node, ev) = sample(0, 2);
+        base.in_group(3).record(node, Time(1), ev);
+        let [e] = handle.take()[..] else { panic!("one event") };
+        assert_eq!(e.node, NodeId(3_000_000));
+        let ProbeEvent::ClockSample { peer, .. } = e.event else { panic!("{e:?}") };
+        assert_eq!(peer, NodeId(3_000_002));
+    }
+
+    #[test]
+    fn group_zero_records_events_unchanged() {
+        let (base, handle) = EngineProbe::shared();
+        let (node, ev) = sample(1, 2);
+        let committed = ProbeEvent::Committed { index: LogIndex(9) };
+        for p in [base.clone(), base.in_group(0)] {
+            p.record(node, Time(4), ev);
+            p.record(NodeId(2), Time(5), committed);
+        }
+        let want = [
+            TraceEvent { node, at: Time(4), event: ev },
+            TraceEvent { node: NodeId(2), at: Time(5), event: committed },
+        ];
+        assert_eq!(handle.take(), [want, want].concat());
     }
 }

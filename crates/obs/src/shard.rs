@@ -1,22 +1,22 @@
-//! Group namespacing for merged multi-group traces.
+//! Group namespacing for multi-group traces.
 //!
 //! A sharded process hosts one replica of *every* Raft group, and each
-//! group numbers its replicas `0..n` independently. Concatenating the
-//! groups' trace streams therefore collides on the span assembler's join
-//! keys: [`crate::collect`] stitches entry lifecycles on `(node, index)`,
-//! and group 0's `(node 1, index 7)` is a different operation from group
-//! 3's. Client-side keys are safe — sharded harnesses allocate client ids
+//! group numbers its replicas `0..n` independently. Recording the groups'
+//! events into one buffer under those ids would collide on the span
+//! assembler's join keys: [`crate::collect`] stitches entry lifecycles on
+//! `(node, index)`, and group 0's `(node 1, index 7)` is a different
+//! operation from group 3's. Client-side keys are safe — sharded harnesses allocate client ids
 //! globally unique across groups — so node ids are the only namespace that
 //! needs widening.
 //!
-//! The rule: replica `n` of group `g` appears in a merged trace as node
-//! `g * GROUP_NODE_STRIDE + n`. The stride is far above any real replica
-//! count and far below `u32::MAX * MAX_GROUPS`, and it is a round decimal
-//! so merged traces stay human-readable (`node 3000002` = group 3,
+//! The rule: replica `n` of group `g` appears in a trace as node
+//! `g * GROUP_NODE_STRIDE + n`, applied at record time by the group's
+//! [`crate::EngineProbe::in_group`] handle. The stride is far above any
+//! real replica count and far below `u32::MAX * MAX_GROUPS`, and it is a
+//! round decimal so merged traces stay human-readable (`node 3000002` = group 3,
 //! replica 2). Group 0 is unchanged, which keeps every unsharded trace and
 //! tool output byte-identical.
 
-use crate::probe::{ProbeEvent, TraceEvent};
 use nbr_types::NodeId;
 
 /// Node-id stride between consecutive groups in a merged trace.
@@ -33,27 +33,9 @@ pub fn node_group(node: NodeId) -> (u32, NodeId) {
     (node.0 / GROUP_NODE_STRIDE, NodeId(node.0 % GROUP_NODE_STRIDE))
 }
 
-/// Rewrite `events` (one group's trace) into the merged namespace: every
-/// node id — including the `peer` inside clock samples — is offset into
-/// `group`'s range. After namespacing, traces from different groups can be
-/// concatenated and fed to [`crate::collect`] / [`crate::critical_path`]
-/// with exact joins. A no-op for group 0.
-pub fn namespace_events(group: u32, events: &mut [TraceEvent]) {
-    if group == 0 {
-        return;
-    }
-    for ev in events.iter_mut() {
-        ev.node = group_node(group, ev.node);
-        if let ProbeEvent::ClockSample { peer, .. } = &mut ev.event {
-            *peer = group_node(group, *peer);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbr_types::{LogIndex, Term, Time};
 
     #[test]
     fn group_node_round_trips() {
@@ -62,46 +44,5 @@ mod tests {
                 assert_eq!(node_group(group_node(g, NodeId(n))), (g, NodeId(n)));
             }
         }
-    }
-
-    #[test]
-    fn group_zero_is_identity() {
-        let mut events = vec![TraceEvent {
-            node: NodeId(2),
-            at: Time(5),
-            event: ProbeEvent::Committed { index: LogIndex(9) },
-        }];
-        let before = events.clone();
-        namespace_events(0, &mut events);
-        assert_eq!(events, before);
-    }
-
-    #[test]
-    fn namespaced_groups_never_collide() {
-        // The same (node, index) lifecycle in two groups maps to distinct
-        // join keys after namespacing.
-        let ev = |node| TraceEvent {
-            node: NodeId(node),
-            at: Time(1),
-            event: ProbeEvent::EntryReceived { index: LogIndex(7), term: Term(1) },
-        };
-        let mut a = vec![ev(1)];
-        let mut b = vec![ev(1)];
-        namespace_events(1, &mut a);
-        namespace_events(2, &mut b);
-        assert_ne!(a[0].node, b[0].node);
-    }
-
-    #[test]
-    fn clock_sample_peers_are_namespaced_too() {
-        let mut events = vec![TraceEvent {
-            node: NodeId(0),
-            at: Time(1),
-            event: ProbeEvent::ClockSample { peer: NodeId(2), offset_ns: -5, rtt_ns: 10 },
-        }];
-        namespace_events(3, &mut events);
-        assert_eq!(events[0].node, NodeId(3_000_000));
-        let ProbeEvent::ClockSample { peer, .. } = events[0].event else { panic!() };
-        assert_eq!(peer, NodeId(3_000_002));
     }
 }

@@ -583,27 +583,28 @@ mod tests {
         assert!(rendered.contains("window cache/park"), "{rendered}");
     }
 
-    /// Two groups hosted by the same three processes, merged the way
-    /// `GroupTraces::take` merges them: both have an op at index 7, group
-    /// 1's (replica ids namespaced, a different client) a bit slower.
+    /// Two groups hosted by the same three processes, recorded the way a
+    /// multi-group host records them (group 1 through its `in_group` handle
+    /// on the one buffer): both have an op at index 7, group 1's (a
+    /// different client) a bit slower.
     #[test]
     fn multi_group_traces_join_and_count_quorum_per_group() {
-        let mut events = Vec::new();
-        one_op(&mut events);
-        let mut other = Vec::new();
-        one_op(&mut other);
-        for e in &mut other {
-            e.at = Time(e.at.0 * 2);
-            match &mut e.event {
-                ProbeEvent::SubmitReceived { client, .. } | ProbeEvent::Proposed { client, .. } => {
-                    *client = ClientId(4)
-                }
-                _ => {}
-            }
+        let (probe, buffer) = crate::EngineProbe::shared();
+        let mut ops = Vec::new();
+        one_op(&mut ops);
+        for e in &ops {
+            probe.record(e.node, e.at, e.event);
         }
-        crate::shard::namespace_events(1, &mut other);
-        events.extend(other);
-        events.sort_by_key(|e| e.at);
+        let group1 = probe.in_group(1);
+        for mut e in ops {
+            if let ProbeEvent::SubmitReceived { client, .. } | ProbeEvent::Proposed { client, .. } =
+                &mut e.event
+            {
+                *client = ClientId(4);
+            }
+            group1.record(e.node, Time(e.at.0 * 2), e.event);
+        }
+        let events = buffer.take();
 
         let spans = collect(&events);
         assert_eq!(spans.len(), 2);

@@ -220,7 +220,7 @@ impl Servers {
 
 /// A replica engine of this experiment over `log`: empty at the start, a
 /// crashed node's durable image on recovery.
-fn boot_node(cfg: &SimConfig, id: NodeId, log: MemLog, seed: u64) -> Node<MemLog, EngineProbe> {
+fn boot_node(cfg: &SimConfig, id: NodeId, log: MemLog, seed: u64) -> Node<MemLog> {
     let membership = (0..cfg.n_replicas as u32).map(NodeId).collect();
     let mut pcfg = cfg.protocol.config(cfg.window);
     pcfg.timeouts = cfg.timeouts;
@@ -235,7 +235,7 @@ pub struct Simulator {
     heap: BinaryHeap<Reverse<HeapEntry>>,
     rng: StdRng,
 
-    nodes: Vec<Option<Node<MemLog, EngineProbe>>>,
+    nodes: Vec<Option<Node<MemLog>>>,
     node_cpu: Vec<Servers>,
     node_nic: Vec<Servers>,
     client_nic: Servers,
@@ -464,7 +464,6 @@ impl Simulator {
                     // reads are log/bookkeeping operations here.
                 }
                 Output::ElectedLeader { .. } => self.elections += 1,
-                Output::SteppedDown { .. } => {}
             }
         }
     }
@@ -736,9 +735,7 @@ impl Simulator {
                 // The log (entries, hard state, snapshot) survives the
                 // crash — it is what a WAL-backed replica recovers from.
                 self.crashed_durable[i] = Some(n.log().clone());
-                if let EngineProbe::Shared(p) = &self.cfg.trace {
-                    p.record(NodeId(i as u32), self.now, ProbeEvent::Crashed);
-                }
+                self.cfg.trace.record(NodeId(i as u32), self.now, ProbeEvent::Crashed);
                 self.lose_unsent(
                     |item| matches!(item, WorkItem::Msg { from, .. } if from.as_usize() == i),
                 );

@@ -30,9 +30,11 @@ cargo test -q
 # (the bench-net run matrix and table, rejected options, the trace loader),
 # about 6 s; plus the chaos harness over both of its backends (three sim
 # tests, one of which compares the seed-7 corpus verdicts with the committed
-# golden, and one net scenario), about 25 s in the debug profile.
-step "cargo test -q -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos (serving stack + fault plane)"
-cargo test -q -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos
+# golden, and one net scenario), about 25 s in the debug profile. The engine
+# (`nbr-core`: node, snapshot and window tests) and the probe it records
+# into (`nbr-obs`) add under a second of test time.
+step "cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos (engine, serving stack + fault plane)"
+cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos
 # The crash/restart tests: the first two once raced the replica's reboot
 # (about 1 run in 20), the third restarts a replica straight after it
 # compacted its own log. Ten more runs watch for a race; this is a repeat,

@@ -1,5 +1,6 @@
-//! CI threshold for the pay-for-use probe contract: a `NoProbe` node must
-//! not be measurably slower than one carrying full trace capture. If this
+//! CI threshold for the pay-for-use probe contract: a node whose probe is
+//! `EngineProbe::Off` (what `Node::new` and every untraced runtime use)
+//! must not be measurably slower than one carrying full trace capture. If this
 //! fails, an instrumentation site started doing work before consulting the
 //! probe (formatting, allocation, clock reads) — the one regression the
 //! probe design promises can't happen.
@@ -9,7 +10,7 @@
 //! with a generous noise margin. The fine-grained numbers live in
 //! `nbr-bench`'s `probe_overhead` criterion bench.
 
-use nbraft::core::{NoProbe, Node, Probe};
+use nbraft::core::Node;
 use nbraft::obs::EngineProbe;
 use nbraft::storage::MemLog;
 use nbraft::types::*;
@@ -19,7 +20,7 @@ const OPS: u64 = 100;
 const BATCH: usize = 20;
 const ROUNDS: usize = 9;
 
-fn build<P: Probe>(probe: P) -> Node<MemLog, P> {
+fn build(probe: EngineProbe) -> Node<MemLog> {
     let membership = vec![NodeId(0), NodeId(1), NodeId(2)];
     let mut node = Node::with_probe(
         NodeId(0),
@@ -34,7 +35,7 @@ fn build<P: Probe>(probe: P) -> Node<MemLog, P> {
     node
 }
 
-fn propose<P: Probe>(node: &mut Node<MemLog, P>) {
+fn propose(node: &mut Node<MemLog>) {
     let mut out = Vec::new();
     for i in 0..OPS {
         node.handle_client(
@@ -51,8 +52,8 @@ fn propose<P: Probe>(node: &mut Node<MemLog, P>) {
 }
 
 /// One sample: `BATCH` fresh leaders each proposing `OPS` entries.
-fn sample<P: Probe, F: Fn() -> P>(mk: &F) -> Duration {
-    let mut nodes: Vec<Node<MemLog, P>> = (0..BATCH).map(|_| build(mk())).collect();
+fn sample(mk: &impl Fn() -> EngineProbe) -> Duration {
+    let mut nodes: Vec<Node<MemLog>> = (0..BATCH).map(|_| build(mk())).collect();
     let t0 = Instant::now();
     for n in &mut nodes {
         propose(n);
@@ -66,25 +67,25 @@ fn median(mut v: Vec<Duration>) -> Duration {
 }
 
 #[test]
-fn noprobe_is_not_slower_than_full_capture() {
+fn probe_off_is_not_slower_than_full_capture() {
     // Warm both paths once (page-in, allocator steady state).
-    let _ = sample(&|| NoProbe);
+    let _ = sample(&|| EngineProbe::Off);
     let _ = sample(&|| EngineProbe::shared().0);
 
     let mut off = Vec::new();
     let mut shared = Vec::new();
     for _ in 0..ROUNDS {
-        off.push(sample(&|| NoProbe));
+        off.push(sample(&|| EngineProbe::Off));
         shared.push(sample(&|| EngineProbe::shared().0));
     }
     let off = median(off);
     let shared = median(shared);
 
-    // NoProbe must sit at or below the full-capture cost; 1.25x absorbs
+    // Off must sit at or below the full-capture cost; 1.25x absorbs
     // CI timer noise on a ~ms-scale sample.
     assert!(
         off <= shared.mul_f64(1.25),
-        "NoProbe hot path slower than full trace capture: {off:?} vs {shared:?} — \
+        "untraced hot path slower than full trace capture: {off:?} vs {shared:?} — \
          a probe site is paying before checking the probe"
     );
 }
