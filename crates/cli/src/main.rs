@@ -32,10 +32,10 @@ USAGE:
   nbraft-cli demo  [--protocol P] [--window W] [--replicas N] [--clients N] [--seconds S]
   nbraft-cli serve --node-id N --peers host:port,host:port,... [--bind ADDR] [--cluster-id ID]
                [--metrics ADDR] [--wal DIR] [--protocol P] [--window W] [--seed S] [--groups N]
-               [--rtt-ms MS] [--lanes N] [--loss-pct F] [--trace FILE] [--quiet]
+               [--rtt-ms MS] [--loss-pct F] [--trace FILE] [--quiet]
                one replica (of every group with --groups N>1), real TCP
   nbraft-cli bench-net [--window W,W,...] [--groups G,G,...] [--clients N | --clients-per-group K]
-               [--replicas N] [--seconds S] [--payload B] [--protocol P] [--rtt-ms MS] [--lanes N]
+               [--replicas N] [--seconds S] [--payload B] [--protocol P] [--rtt-ms MS]
                [--loss-pct F] [--trace-dir DIR] [--peers host:port,... [--cluster-id ID]]
                closed-loop TCP bench, one table row per run: the runs are windows x groups in
                the order given, each on a fresh loopback cluster, the last column being ops/s

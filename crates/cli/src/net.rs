@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 
 pub const DEMO_OPTS: &str = "protocol window replicas clients seconds";
 pub const SERVE_OPTS: &str = "node-id peers bind cluster-id metrics wal protocol window seed \
-                              groups rtt-ms lanes loss-pct trace quiet";
+                              groups rtt-ms loss-pct trace quiet";
 pub const BENCH_NET_OPTS: &str = "window groups clients clients-per-group replicas seconds \
-                                  payload protocol rtt-ms lanes loss-pct trace-dir peers \
+                                  payload protocol rtt-ms loss-pct trace-dir peers \
                                   cluster-id";
 
 pub fn cmd_demo(args: &Args) {
@@ -130,7 +130,7 @@ pub fn cmd_serve(args: &Args) {
         cluster: cluster_cfg,
         metrics_bind: args.opt("metrics"),
         link_delay: Duration::from_micros(args.get("rtt-ms", 0u64) * 500),
-        peer_lanes: args.get("lanes", 1usize),
+        peer_lanes: 1,
         link_loss_pct: args.get("loss-pct", 0.0f64),
         faults: None,
     };
@@ -208,7 +208,6 @@ struct BenchNet {
     payload: usize,
     protocol: Protocol,
     rtt_ms: u64,
-    lanes: usize,
     loss_pct: f64,
 }
 
@@ -312,7 +311,6 @@ fn bench_net_once(
             }
             // Half the round trip per hop: leader -> follower -> leader.
             cfg.link_delay = Duration::from_micros(b.rtt_ms * 500);
-            cfg.peer_lanes = b.lanes;
             cfg.link_loss_pct = b.loss_pct;
         })
         .expect("spawn node servers");
@@ -362,11 +360,8 @@ pub fn cmd_bench_net(args: &Args) {
     // and a little frame loss reproduce the imperfect network of the
     // paper's IoT setting — the regime the window exists for: a lost entry
     // stalls stock Raft's in-order pipeline for whole heartbeat-repair
-    // rounds, while window>=4 keeps weak-accepting around the gap. The
-    // default single lane per peer matches the transport default (batched
-    // frames make one FIFO connection the right shape; further lanes only
-    // take the spill of a backed-up one); pass --rtt-ms 0 --loss-pct 0 for
-    // raw loopback numbers.
+    // rounds, while window>=4 keeps weak-accepting around the gap. Pass
+    // --rtt-ms 0 --loss-pct 0 for raw loopback numbers.
     let b = BenchNet {
         cluster_id: args.get("cluster-id", 1u64),
         replicas: args.get("replicas", 3usize),
@@ -374,14 +369,13 @@ pub fn cmd_bench_net(args: &Args) {
         payload: args.get("payload", 256usize),
         protocol: args.protocol(),
         rtt_ms: args.get("rtt-ms", 10u64),
-        lanes: args.get("lanes", 1usize),
         loss_pct: args.get("loss-pct", 2.0f64),
     };
     let target = match args.str("peers") {
         Some(list) => format!("running cluster {list}"),
         None => format!(
-            "{} replicas over loopback TCP ({}ms emulated RTT, {} lanes/peer, {}% loss)",
-            b.replicas, b.rtt_ms, b.lanes, b.loss_pct
+            "{} replicas over loopback TCP ({}ms emulated RTT, {}% loss)",
+            b.replicas, b.rtt_ms, b.loss_pct
         ),
     };
     println!("bench-net: {target}, {}s per run, {}B payloads", b.seconds, b.payload);

@@ -60,6 +60,8 @@ fn stale_misspelled_and_out_of_range_options_exit_2() {
         &["bench-net", "--groups", "0"],
         &["bench-net", "--groups", "1,2", "--trace-dir", "unused"],
         &["bench-net", "--peers", "127.0.0.1:1", "--window", "0,4"],
+        &["bench-net", "--lanes", "2"],
+        &["serve", "--lanes", "2"],
         &["sim", "--clinets", "4"],
     ] {
         let out = cli(bad);

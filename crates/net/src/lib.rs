@@ -5,20 +5,21 @@
 //!
 //! * [`TcpTransport`] — an implementation of [`nbr_cluster::Transport`]
 //!   carrying the standard `len || crc || body` wire framing (via the
-//!   [`nbr_types::netframe::NetFrame`] envelope) over per-peer TCP
-//!   connections: supervised reconnect with capped exponential backoff and
-//!   jitter, frames written by the thread that makes them on a healthy idle
-//!   link (each write bounded by a few-ms stall limit) and otherwise by the
-//!   link's writer thread through a bounded queue with write coalescing and
-//!   explicit drop accounting, keepalives, handshake validation. One
-//!   transport carries every Raft group a process hosts: the group is part
-//!   of the address, and the group count is the number of inbox sets it
-//!   was built over. Network emulation and chaos are one mechanism: each
-//!   send and each writer wake-up reads one [`nbr_types::LinkFault`] — the
-//!   configured baseline ([`TcpConfig::baseline`]) under this direction's
-//!   row of the cluster's shared [`nbr_cluster::FaultPlane`], if any —
-//!   and emulates the link as a pipe: loss is decided per frame, and each
-//!   frame is delivered `delay` after it is sent, in order.
+//!   [`nbr_types::netframe::NetFrame`] envelope) over one duplex TCP
+//!   connection per peer: supervised reconnect with capped exponential
+//!   backoff and jitter, frames written by the thread that makes them on a
+//!   healthy idle link (each write bounded by a few-ms stall limit) and
+//!   otherwise by the link's writer thread through its one bounded queue
+//!   with write coalescing and explicit drop accounting, keepalives,
+//!   handshake validation. One transport carries every Raft group a
+//!   process hosts: the group is part of the address, and the group count
+//!   is the number of inbox sets it was built over. Network emulation and
+//!   chaos are one mechanism: each send and each writer wake-up reads one
+//!   [`nbr_types::LinkFault`] — the configured baseline
+//!   ([`TcpConfig::baseline`]) under this direction's row of the cluster's
+//!   shared [`nbr_cluster::FaultPlane`], if any — and emulates the link as
+//!   a pipe: loss is decided per frame, and each frame is delivered
+//!   `delay` after it is sent, in order.
 //! * [`NodeServer`] — the one-process-per-node runtime behind
 //!   `nbraft-cli serve [--groups N]`: this node's replica of each of N
 //!   groups (one by default), each the unmodified `nbr-cluster` replica

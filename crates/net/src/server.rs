@@ -48,7 +48,9 @@ pub struct ServeConfig {
     /// is sent, in order. With `link_loss_pct` this is the transport's
     /// [`TcpConfig::baseline`].
     pub link_delay: Duration,
-    /// Parallel TCP connections per peer. See [`TcpConfig::peer_lanes`].
+    /// TCP connections per peer: fixed at one, and any other value is
+    /// refused. Kept only because the benchmark still names it; it will be
+    /// deleted once the benchmark stops doing so.
     pub peer_lanes: usize,
     /// Percentage of peer-link protocol frames lost (loss emulation).
     pub link_loss_pct: f64,
@@ -153,6 +155,12 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
             )));
         }
         let n = membership_size(cfg.node_id, &cfg.peers)?;
+        if cfg.peer_lanes != 1 {
+            return Err(Error::Cluster(format!(
+                "{} connections per peer: a peer link is one connection",
+                cfg.peer_lanes
+            )));
+        }
         // One trace clock per process: the transport's Ping/Pong clock
         // samples and every group's probe events must share an epoch for the
         // span collector to align them across nodes.
@@ -168,13 +176,12 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
             node_id: cfg.node_id,
             peers: cfg.peers.clone(),
             // An emulated WAN hop: the delay uniform in ±50%, one draw per
-            // pump wake-up. A lane still delivers its frames in send order.
+            // pump wake-up. A link still delivers its frames in send order.
             baseline: LinkFault {
                 cut: false,
                 drop: (cfg.link_loss_pct / 100.0).clamp(0.0, 1.0),
                 delay: (TimeDelta(hop_ns / 2), TimeDelta(hop_ns / 2 + hop_ns)),
             },
-            peer_lanes: cfg.peer_lanes,
             faults: base.faults.clone(),
             // Transport clock samples are per-node, not per-group: they are
             // recorded under the plain replica ids (group 0's).
@@ -205,7 +212,7 @@ impl<M: StateMachine + Send + Default + 'static> NodeServer<M> {
     /// before any server starts, so every config knows every address and
     /// parallel runs never collide. Each member's [`ServeConfig`] arrives at
     /// `finish` with its membership fields set and everything else at its
-    /// default (healthy links, one lane, `ClusterConfig::default()`).
+    /// default (healthy links, `ClusterConfig::default()`).
     /// Returns the servers and the `(node id, address)` list clients dial.
     pub fn spawn_loopback(
         groups: &[u32],
@@ -377,7 +384,7 @@ mod tests {
     #[test]
     fn host_refuses_bad_membership_and_group_counts() {
         let a: SocketAddr = "127.0.0.1:1".parse().expect("addr");
-        let spawn = |peers: Vec<(u32, SocketAddr)>, groups: u32| {
+        let spawn = |peers: Vec<(u32, SocketAddr)>, groups: u32, peer_lanes: usize| {
             let cfg = ServeConfig {
                 cluster_id: 1,
                 node_id: 0,
@@ -386,15 +393,16 @@ mod tests {
                 cluster: ClusterConfig::default(),
                 metrics_bind: None,
                 link_delay: std::time::Duration::ZERO,
-                peer_lanes: 1,
+                peer_lanes,
                 link_loss_pct: 0.0,
                 faults: None,
             };
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
             NodeServer::<nbr_storage::KvStore>::spawn_groups(cfg, groups, listener).map(|_| ())
         };
-        assert!(spawn(vec![(0, a), (2, a)], 1).is_err(), "lists itself, misses node 1");
-        assert!(spawn(vec![(1, a), (2, a)], 0).is_err(), "zero groups");
-        assert!(spawn(vec![(1, a), (2, a)], MAX_GROUPS + 1).is_err(), "too many groups");
+        assert!(spawn(vec![(0, a), (2, a)], 1, 1).is_err(), "lists itself, misses node 1");
+        assert!(spawn(vec![(1, a), (2, a)], 0, 1).is_err(), "zero groups");
+        assert!(spawn(vec![(1, a), (2, a)], MAX_GROUPS + 1, 1).is_err(), "too many groups");
+        assert!(spawn(vec![(1, a), (2, a)], 1, 2).is_err(), "two connections per peer");
     }
 }

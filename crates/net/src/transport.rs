@@ -1,17 +1,17 @@
 //! The TCP transport: [`nbr_cluster::Transport`] over real sockets.
 //!
 //! Topology: every replica process binds one listening socket and keeps
-//! exactly **one TCP connection per peer pair** (per lane): the lower node
-//! id dials, the higher id accepts, and both directions of protocol
-//! traffic ride the same duplex socket. The dialing side runs a supervisor
-//! thread (connect → handshake → write loop → reconnect with capped
-//! exponential backoff + jitter) plus a reader on the same socket; the
-//! accepting side answers the `Hello` with its own and attaches a writer
-//! to the accepted connection. Either way the peer's outbound lanes — a
-//! bounded queue, its backlog count and the connection's write half each —
-//! exist from spawn and outlive every connection: the dialing supervisor
-//! owns its lane's receiving end, an accepted connection borrows a free one
-//! for as long as it lives. Client sessions are likewise duplex, with
+//! exactly **one TCP connection per peer**: the lower node id dials, the
+//! higher id accepts, and both directions of protocol traffic ride the
+//! same duplex socket. The dialing side runs a supervisor thread (connect →
+//! handshake → write loop → reconnect with capped exponential backoff +
+//! jitter) plus a reader on the same socket; the accepting side answers
+//! the `Hello` with its own and attaches a writer to the accepted
+//! connection. Either way the peer's outbound lane — one bounded queue,
+//! its backlog count and the connection's write half — exists from spawn
+//! and outlives every connection: the dialing supervisor owns the lane's
+//! receiving end, an accepted connection borrows it for as long as it
+//! lives. Client sessions are likewise duplex, with
 //! responses written back on the connection the request arrived on
 //! (demultiplexed by `ClientId`). That session is the only path client
 //! traffic has: peers never relay a client's requests or responses.
@@ -129,14 +129,6 @@ pub struct TcpConfig {
     /// many frames share the link (one draw from `delay` per writer wake-up).
     /// Handshakes, keepalives and client sessions are never lost.
     pub baseline: LinkFault,
-    /// Parallel TCP connections per peer. Every frame goes to the first lane
-    /// whose backlog (frames waiting for its writer) is under 256 frames,
-    /// so a later lane carries traffic only while every earlier one is
-    /// saturated or reconnecting, and frames round-robin over the lanes only
-    /// when all of them are backed up. Under normal load, extra lanes add
-    /// capacity, not reordering: every frame rides the first lane, in send
-    /// order. One lane is the default.
-    pub peer_lanes: usize,
     /// The cluster's runtime-mutable fault plane (chaos harness). Each send
     /// to a peer and each pump wake-up reads its own directed `(this node,
     /// peer)` row and applies it on top of `baseline`. `None` (the default)
@@ -167,7 +159,6 @@ impl Default for TcpConfig {
             keepalive: Duration::from_millis(500),
             connect_timeout: Duration::from_secs(1),
             baseline: LinkFault::default(),
-            peer_lanes: 1,
             faults: None,
             probe: EngineProbe::Off,
             trace_epoch: None,
@@ -331,14 +322,14 @@ struct Shared {
     nodes: HashMap<(u32, u32), Inbox>,
     /// The sessions of the clients connected here, by client id.
     clients: Mutex<HashMap<ClientId, ClientRoute>>,
-    /// The outbound lanes to every remote peer, whichever side dials: what
+    /// The outbound lane to every remote peer, whichever side dials: what
     /// the replicas' frames and the readers' Pongs are sent through.
-    peers: HashMap<u32, PeerLinks>,
-    /// The writing ends of the lanes to peers that dial *us*, by lane index:
-    /// `Some` while idle, `None` while an accepted connection's writer has
-    /// the lane (see [`Shared::borrow_lane`]). Only connection setup and
-    /// teardown lock this; sending does not.
-    accept_lanes: Mutex<HashMap<u32, Vec<Option<LaneEnd>>>>,
+    peers: HashMap<u32, PeerLink>,
+    /// The writing ends of the lanes to peers that dial *us*: `Some` while
+    /// idle, `None` while an accepted connection's writer has the lane (see
+    /// [`Shared::borrow_lane`]). Only connection setup and teardown lock
+    /// this; sending does not.
+    accept_lanes: Mutex<HashMap<u32, Option<LaneEnd>>>,
     /// Open sockets (clones) so shutdown can unblock reader/writer threads.
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn: AtomicU64,
@@ -461,21 +452,15 @@ impl Shared {
         }
     }
 
-    /// Borrow the first idle lane to `peer`, a node that dials us, for a
-    /// connection it has just opened. A redial can arrive while the previous
-    /// connection's writer is still finding out that its socket is dead, so
-    /// wait up to a connect timeout for a lane to come back. `None`: every
-    /// lane has a live connection (or `peer` is no peer of ours).
-    fn borrow_lane(&self, peer: u32) -> Option<(usize, LaneEnd)> {
+    /// Borrow the lane to `peer`, a node that dials us, for a connection it
+    /// has just opened. A redial can arrive while the previous connection's
+    /// writer is still finding out that its socket is dead, so wait up to a
+    /// connect timeout for the lane to come back. `None`: the lane has a
+    /// live connection (or `peer` is no peer of ours).
+    fn borrow_lane(&self, peer: u32) -> Option<LaneEnd> {
         let deadline = clock::now() + self.cfg.connect_timeout;
         loop {
-            let idle = self
-                .accept_lanes
-                .lock()
-                .get_mut(&peer)?
-                .iter_mut()
-                .enumerate()
-                .find_map(|(i, slot)| Some((i, slot.take()?)));
+            let idle = self.accept_lanes.lock().get_mut(&peer)?.take();
             if idle.is_some() || self.stopped() || clock::now() >= deadline {
                 return idle;
             }
@@ -484,7 +469,7 @@ impl Shared {
     }
 }
 
-/// What a lane's queue carries to its pump.
+/// What the lane's queue carries to its pump.
 enum Outbound {
     Frame(NetFrame),
     /// A sender handed the write half back with the unwritten rest of its
@@ -492,7 +477,7 @@ enum Outbound {
     Wake,
 }
 
-/// A lane's connection as the threads that write to it share it. Whoever
+/// The lane's connection as the threads that write to it share it. Whoever
 /// holds the write half is the one writer until it puts it back; a sender
 /// that finds it gone queues its frame instead of waiting. The pump holds
 /// it whenever the lane has a backlog or frames on its delay line, so a
@@ -513,14 +498,14 @@ struct Wire {
     tail: Vec<u8>,
 }
 
-/// The sending end of one lane to a peer. The lane's queue outlives every
+/// The sending end of the lane to a peer. The lane's queue outlives every
 /// connection that drains it.
 #[derive(Clone)]
 struct PeerLink {
     tx: SyncSender<Outbound>,
-    /// Frames waiting for the lane's pump and not yet put on the link; see
-    /// [`pick_lane`]. Non-zero also while a stalled sender's tail is
-    /// unwritten: a sender writes through only at zero.
+    /// Frames waiting for the lane's pump and not yet put on the link: the
+    /// peer's `net_send_queue_depth`. Non-zero also while a stalled
+    /// sender's tail is unwritten: a sender writes through only at zero.
     depth: Arc<AtomicI64>,
     wire: Arc<Mutex<Wire>>,
 }
@@ -539,8 +524,8 @@ impl PeerLink {
         {
             return Ok(());
         }
-        // The depth is bumped *before* try_send so a concurrent pick_lane
-        // never sees a lane emptier than it is.
+        // The depth is bumped *before* try_send so a concurrent sender
+        // never finds the lane emptier than it is and writes through.
         self.depth.fetch_add(1, Ordering::Relaxed);
         self.tx.try_send(Outbound::Frame(frame)).map_err(|e| {
             self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -604,8 +589,8 @@ impl PeerLink {
 
 /// The writing end of the same lane: what a connection's pump drains, and
 /// the lane's sending end for the pump's own Pings. The dialing supervisor
-/// owns its lane's end outright; the ends of lanes to peers that dial us
-/// wait in [`Shared::accept_lanes`].
+/// owns its lane's end outright; the end of the lane to a peer that dials
+/// us waits in [`Shared::accept_lanes`].
 struct LaneEnd {
     rx: Receiver<Outbound>,
     link: PeerLink,
@@ -628,48 +613,6 @@ impl LaneEnd {
             clock::sleep(Duration::from_micros(50));
         }
     }
-}
-
-/// All lanes to one peer. `rr` is [`pick_lane`]'s round-robin cursor, used
-/// only while every lane is backed up.
-struct PeerLinks {
-    lanes: Vec<PeerLink>,
-    rr: AtomicU64,
-}
-
-impl PeerLinks {
-    /// Send `frame` to the peer `to` on the lane [`pick_lane`] chooses.
-    fn send(&self, sh: &Shared, to: u32, frame: NetFrame) -> Result<(), TrySendError<()>> {
-        let lane = pick_lane(&self.lanes, |l| l.depth.load(Ordering::Relaxed), &self.rr);
-        self.lanes[lane].send(sh, to, frame)
-    }
-}
-
-/// Backlog (frames waiting for the lane's writer) at which a lane counts
-/// as saturated and traffic spills to the next one. Frames the writer has
-/// already put on the emulated link are in flight, not backlog: they delay
-/// nothing behind them. Matches the replica layer's append batch cap: one
-/// spill means a full batch is already waiting ahead.
-const LANE_SPILL_DEPTH: i64 = 256;
-
-/// Primary-lane-with-spill choice. Now that the replica layer coalesces
-/// each burst into batched frames, one connection has ample capacity and
-/// FIFO order is worth keeping: striping frames round-robin over lanes
-/// with independent delay jitter reorders the append stream, which stalls
-/// the follower's contiguous strong-accept watermark and turns frame loss
-/// into repair backlog. So frames stay on the first lane whose backlog is
-/// under [`LANE_SPILL_DEPTH`] — each is delivered `delay` after it is
-/// sent, in order, and joining the lane's forming batch rides one syscall —
-/// and later lanes only see traffic when every earlier lane is saturated
-/// or mid-reconnect, where capacity matters more than ordering.
-/// Round-robin is the last resort when everything is backed up.
-fn pick_lane<T>(lanes: &[T], depth: impl Fn(&T) -> i64, rr: &AtomicU64) -> usize {
-    for (i, lane) in lanes.iter().enumerate() {
-        if depth(lane) < LANE_SPILL_DEPTH {
-            return i;
-        }
-    }
-    rr.fetch_add(1, Ordering::Relaxed) as usize % lanes.len()
 }
 
 /// The TCP transport: built over the local inboxes ([`TcpTransport::spawn`],
@@ -716,28 +659,24 @@ impl TcpTransport {
                 nodes.insert((g, id), Inbox { tx, shared_reader: shared_reader.clone() });
             }
         }
-        // Every remote peer gets its lanes now, whichever side dials: the
-        // sending ends stay here, the writing ends go to a supervisor each
-        // (we dial) or wait for the peer's connections (it dials).
+        // Every remote peer gets its lane now, whichever side dials: the
+        // sending end stays here, the writing end goes to a supervisor (we
+        // dial) or waits for the peer's connection (it dials).
         let mut peers = HashMap::new();
-        let mut accept_lanes: HashMap<u32, Vec<Option<LaneEnd>>> = HashMap::new();
+        let mut accept_lanes = HashMap::new();
         let mut to_dial = Vec::new();
         for &(peer_id, addr) in &cfg.peers {
-            let mut lanes = Vec::new();
-            for lane in 0..cfg.peer_lanes.max(1) {
-                let (tx, rx) = sync_channel::<Outbound>(cfg.send_queue);
-                let depth = Arc::new(AtomicI64::new(0));
-                let wire = Arc::new(Mutex::new(Wire { stream: None, tail: Vec::new() }));
-                let link = PeerLink { tx, depth, wire };
-                lanes.push(link.clone());
-                let end = LaneEnd { rx, link };
-                if dials(cfg.node_id, peer_id) {
-                    to_dial.push((peer_id, lane, addr, end));
-                } else {
-                    accept_lanes.entry(peer_id).or_default().push(Some(end));
-                }
+            let (tx, rx) = sync_channel::<Outbound>(cfg.send_queue);
+            let depth = Arc::new(AtomicI64::new(0));
+            let wire = Arc::new(Mutex::new(Wire { stream: None, tail: Vec::new() }));
+            let link = PeerLink { tx, depth, wire };
+            peers.insert(peer_id, link.clone());
+            let end = LaneEnd { rx, link };
+            if dials(cfg.node_id, peer_id) {
+                to_dial.push((peer_id, addr, end));
+            } else {
+                accept_lanes.insert(peer_id, Some(end));
             }
-            peers.insert(peer_id, PeerLinks { lanes, rr: AtomicU64::new(0) });
         }
         let shared = Arc::new(Shared {
             groups,
@@ -755,11 +694,11 @@ impl TcpTransport {
         });
 
         let mut threads = Vec::new();
-        for (peer_id, lane, addr, end) in to_dial {
+        for (peer_id, addr, end) in to_dial {
             let sh = Arc::clone(&shared);
             let supervisor = std::thread::Builder::new()
-                .name(format!("nbr-net-peer-{}-{}.{}", shared.cfg.node_id, peer_id, lane))
-                .spawn(move || supervise_peer(sh, peer_id, lane, addr, end));
+                .name(format!("nbr-net-peer-{}-{}", shared.cfg.node_id, peer_id))
+                .spawn(move || supervise_peer(sh, peer_id, addr, end));
             threads.push(supervisor.expect("spawn peer supervisor")); // check:allow(L1): transport bring-up; a node that cannot dial peers cannot serve, abort is correct
         }
         let sh = Arc::clone(&shared);
@@ -790,7 +729,7 @@ impl TcpTransport {
     /// The group-addressed send path behind [`Transport::send`] (group 0)
     /// and every [`TcpTransport::group`] handle. Frames to remote peers
     /// carry the group in their envelope and ride the *shared* per-peer
-    /// lanes — multiplexing is entirely an addressing concern; the sockets,
+    /// links — multiplexing is entirely an addressing concern; the sockets,
     /// queues and WAN emulation know nothing about groups.
     fn send_to_group(&self, group: u32, _from: u32, to: u32, packet: Packet) {
         if self.shared.stopped() {
@@ -823,15 +762,14 @@ impl TcpTransport {
             return;
         }
         let frame = NetFrame::Peer { group, from, to: NodeId(to), msg };
-        let Some(links) = self.shared.peers.get(&to) else {
+        let Some(link) = self.shared.peers.get(&to) else {
             stats.dropped_unroutable.inc(); // no such peer
             return;
         };
-        // The first of the peer's lanes with backlog room takes the frame
-        // (`pick_lane`), whichever side dialed and whether or not a
-        // connection is up: a lane without one queues (bounded) for the
+        // The peer's lane takes the frame whichever side dialed and whether
+        // or not a connection is up: without one it queues (bounded) for the
         // next.
-        match links.send(&self.shared, to, frame) {
+        match link.send(&self.shared, to, frame) {
             Ok(()) => {}
             // Shed rather than block the replica thread; explicit accounting.
             Err(TrySendError::Full(())) => stats.dropped_queue_full.inc(),
@@ -847,8 +785,8 @@ impl TcpTransport {
         // Outbound backlog (frames waiting for a writer), per peer and in
         // total.
         let mut total = 0;
-        for (peer, links) in &self.shared.peers {
-            let d: i64 = links.lanes.iter().map(|l| l.depth.load(Ordering::Relaxed)).sum();
+        for (peer, link) in &self.shared.peers {
+            let d = link.depth.load(Ordering::Relaxed);
             snap.gauges.insert(format!("net_send_queue_depth_peer_{peer}"), d);
             total += d;
         }
@@ -914,12 +852,12 @@ impl Drop for TcpTransport {
 }
 
 /// Outbound link supervisor: connect, handshake, write loop, reconnect.
-fn supervise_peer(sh: Arc<Shared>, peer_id: u32, lane: usize, addr: SocketAddr, end: LaneEnd) {
-    // Seeded per lane, so two replicas restarting together do not reconnect
+fn supervise_peer(sh: Arc<Shared>, peer_id: u32, addr: SocketAddr, end: LaneEnd) {
+    // Seeded per link, so two replicas restarting together do not reconnect
     // in lockstep (thundering-herd on the surviving node). The same stream
-    // draws this lane's emulated loss and delay.
+    // draws this link's emulated loss and delay.
     let mut rng = StdRng::seed_from_u64(
-        0x9E37 ^ (u64::from(sh.cfg.node_id) << 32) ^ (u64::from(peer_id) << 8) ^ lane as u64,
+        0x9E37 ^ (u64::from(sh.cfg.node_id) << 32) ^ (u64::from(peer_id) << 8),
     );
     let mut backoff = sh.cfg.backoff_initial;
     while !sh.stopped() {
@@ -1067,7 +1005,7 @@ fn pump_peer_frames(
         if let Some(stream) = held.as_mut() {
             // Coalesce everything already queued into this wake-up. A frame
             // leaves the lane's `depth` as it goes onto the link: in flight
-            // it holds nothing up, so `pick_lane` must not count it.
+            // it holds nothing up, so the backlog gauge must not count it.
             let mut queued = first
                 .into_iter()
                 .chain(std::iter::from_fn(|| loop {
@@ -1129,14 +1067,14 @@ fn pump_peer_frames(
 }
 
 /// Writer for one accepted duplex peer connection: the standard peer pump
-/// (same handshake, batching and link faults as the dialing side) over one
-/// of the peer's lanes, borrowed for as long as the connection lives. With
-/// no idle lane the connection is one too many: it is shut down, and its
-/// reader sees EOF.
+/// (same handshake, batching and link faults as the dialing side) over the
+/// peer's lane, borrowed for as long as the connection lives. A peer holds
+/// one connection to us: while the lane is borrowed a second is one too
+/// many, and is shut down; its reader sees EOF.
 fn accepted_peer_writer(sh: Arc<Shared>, stream: TcpStream, seed: u64, peer_id: u32) {
     let lane =
         stream.set_write_timeout(Some(WRITE_STALL)).ok().and_then(|()| sh.borrow_lane(peer_id));
-    let Some((slot, lane)) = lane else {
+    let Some(lane) = lane else {
         sh.stats.handshake_rejects.inc();
         let _ = stream.shutdown(Shutdown::Both);
         return;
@@ -1148,8 +1086,8 @@ fn accepted_peer_writer(sh: Arc<Shared>, stream: TcpStream, seed: u64, peer_id: 
     sh.stats.peer_links_up.add(-1);
     let _ = stream.shutdown(Shutdown::Both);
     sh.deregister_conn(conn);
-    if let Some(lanes) = sh.accept_lanes.lock().get_mut(&peer_id) {
-        lanes[slot] = Some(lane);
+    if let Some(slot) = sh.accept_lanes.lock().get_mut(&peer_id) {
+        *slot = Some(lane);
     }
 }
 
@@ -1350,7 +1288,7 @@ fn handle_frame(
                         // Connection dedup: this peer owns the pair's single
                         // socket, so our outbound frames to it must ride
                         // back over this accepted connection: attach a
-                        // writer to it that drains one of the peer's lanes.
+                        // writer to it that drains the peer's lane.
                         let seed =
                             (u64::from(sh.cfg.node_id) << 40) ^ (u64::from(n.0) << 16) ^ conn;
                         let sh2 = Arc::clone(sh);
@@ -1428,8 +1366,8 @@ fn handle_frame(
         // sheds it, and the next Ping retries the sample.
         (NetFrame::Ping { nonce, t0 }, ConnIdentity::Node(peer)) => {
             sh.stats.keepalives.inc();
-            if let Some(links) = sh.peers.get(&peer.0) {
-                let _ = links.send(sh, peer.0, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
+            if let Some(link) = sh.peers.get(&peer.0) {
+                let _ = link.send(sh, peer.0, NetFrame::Pong { nonce, t0, t1: sh.trace_now() });
             }
             true
         }
@@ -1523,8 +1461,8 @@ mod tests {
 
     /// Frames that are on the emulated link when their connection dies are
     /// lost with it, and nothing may go on counting them: not the lane's
-    /// `depth` (a phantom backlog would make `pick_lane` spill a healthy
-    /// lane after the reconnect), not `net_send_queue_depth`, not
+    /// `depth` (a phantom backlog would keep the reconnected link off the
+    /// write-through path), not `net_send_queue_depth`, not
     /// `net_link_inflight`.
     #[test]
     fn frames_in_flight_when_the_connection_dies_leave_no_phantom_backlog() {
@@ -1537,7 +1475,6 @@ mod tests {
             let cfg = TcpConfig {
                 node_id: id,
                 peers: vec![peer],
-                peer_lanes: 2,
                 baseline: LinkFault { delay: (hop, hop), ..LinkFault::default() },
                 ..TcpConfig::default()
             };
@@ -1548,9 +1485,8 @@ mod tests {
         let (_t1, inbox1) = spawn(1, (0, a0), l1);
         let gauge = |name: &str| t0.scrape_snapshot().gauges.get(name).copied().unwrap_or(0);
         let counter = |name: &str| t0.scrape_snapshot().counters.get(name).copied().unwrap_or(0);
-        let lanes = &t0.shared.peers[&1];
-        let depth = |l: &PeerLink| l.depth.load(Ordering::Relaxed);
-        until("both lanes are up", || gauge("net_peer_links_up") == 2);
+        let depth = || t0.shared.peers[&1].depth.load(Ordering::Relaxed);
+        until("the link is up", || gauge("net_peer_links_up") == 1);
 
         // Two batches 60 ms apart on a 100 ms hop, then the sockets go: the
         // write of the first batch fails while the second is still crossing.
@@ -1561,25 +1497,20 @@ mod tests {
             clock::sleep(Duration::from_millis(pause_ms));
         }
         assert!(gauge("net_link_inflight") >= 50, "both batches must be on the link");
-        assert_eq!(depth(&lanes.lanes[0]), 0, "frames on the link are not backlog");
+        assert_eq!(depth(), 0, "frames on the link are not backlog");
         for c in t0.shared.conns.lock().values() {
             let _ = c.shutdown(Shutdown::Both);
         }
-        until("both lanes reconnected", || {
-            counter("net_tcp_disconnects") >= 2 && gauge("net_peer_links_up") == 2
+        until("the link reconnected", || {
+            counter("net_tcp_disconnects") >= 1 && gauge("net_peer_links_up") == 1
         });
 
         // A clock-sample ping may be crossing at any one instant, but a
         // phantom of the 25 lost frames would never let the gauge reach 0.
         until("net_link_inflight drains to 0", || gauge("net_link_inflight") == 0);
-        assert_eq!(lanes.lanes.iter().map(depth).sum::<i64>(), 0);
+        assert_eq!(depth(), 0);
         assert_eq!(gauge("net_send_queue_depth"), 0);
         assert_eq!(gauge("net_send_queue_depth_peer_1"), 0);
-        assert_eq!(
-            pick_lane(&lanes.lanes, depth, &lanes.rr),
-            0,
-            "the primary lane is picked again"
-        );
         assert!(inbox1.try_iter().count() < 50, "the frames in flight died with the connection");
         t0.send(0, 1, heartbeat());
         assert!(inbox1.recv_timeout(Duration::from_secs(10)).is_ok(), "link carries traffic again");
@@ -1678,7 +1609,7 @@ mod tests {
         assert_eq!(counter(&t1, "net_dropped_queue_full"), 0);
 
         // A second connection from node 0 while the first is up is one more
-        // than node 0 has lanes: refused, and the real link stays.
+        // than a peer may hold: refused, and the real link stays.
         let mut extra = TcpStream::connect(a1).expect("connect");
         let mut hello = Vec::new();
         encode_frame_into(&t0.shared.hello(), &mut hello);
@@ -1702,7 +1633,7 @@ mod tests {
         let cfg = TcpConfig { faults: Some(Arc::clone(&plane)), ..TcpConfig::default() };
         let (t0, _rx0) = node(0, (1, a1), l0, &[64], cfg.clone());
         let (_t1, rx1) = node(1, (0, a0), l1, &[4096], cfg);
-        let lane = &t0.shared.peers[&1].lanes[0];
+        let lane = &t0.shared.peers[&1];
         let idle = || lane.wire.lock().stream.is_some() && lane.depth.load(Ordering::Relaxed) == 0;
         until("the lane is idle", idle);
         let gray = Fault::GrayLink {
@@ -1812,7 +1743,7 @@ mod tests {
         let (mut peer, _) = fake.accept().expect("node 0 dials");
         let mut frames = FrameReader::default();
         assert!(matches!(frames.next(&mut peer), NetFrame::Hello(_)));
-        let lane = &t0.shared.peers[&1].lanes[0];
+        let lane = &t0.shared.peers[&1];
         until("the lane is idle", || lane.wire.lock().stream.is_some());
 
         let t0 = Arc::new(t0);

@@ -44,7 +44,7 @@ for _ in $(seq 10); do
         wal_recovery_after_crash_restart compaction_ships_snapshots_to_restarted_followers \
         a_replica_restarted_after_compacting_its_own_log_rebuilds_its_machine
 done
-# The transport's in-crate tests drive the lanes' write-half hand-off
+# The transport's in-crate tests drive the link's write-half hand-off
 # between senders and pump, and are timing-driven: five more runs, again a
 # repeat and not a retry.
 for _ in $(seq 5); do

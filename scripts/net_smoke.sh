@@ -218,7 +218,7 @@ converge "$VICTIM"
 WAL_COMMIT=$CONVERGED
 echo "WAL recovery: all 3 nodes at commit $CONVERGED, victim applied $APPLIED"
 
-# The restart re-attached one lane per neighbour on every node, a dialed and
+# The restart re-attached one link per neighbour on every node, a dialed and
 # an accepted one between them: both of each node's peer links must be up
 # again with no frame left waiting in a lane. (The victim's link to the
 # other follower redials on a backoff of up to 2 s, hence the polling.)
@@ -237,7 +237,7 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$LINKS" ] || {
-    echo "net_smoke: FAIL peer lanes did not all re-attach and drain after the restart:"
+    echo "net_smoke: FAIL peer links did not all re-attach and drain after the restart:"
     grep -H -E '^nbr_net_(peer_links_up|send_queue_depth)\{' "$ART"/scrape-*.prom
     exit 1
 }
