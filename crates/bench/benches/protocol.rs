@@ -47,6 +47,17 @@ fn bench_node(c: &mut Criterion) {
                         Node::new(NodeId(0), membership, proto.config(1024), MemLog::new(), 42);
                     let mut out = Vec::new();
                     node.campaign(Time::ZERO, &mut out);
+                    // One granted vote makes a quorum of three: the proposals
+                    // below run the leader's path, not `NotLeader`.
+                    let vote =
+                        RequestVoteRespMsg { term: node.term(), from: NodeId(1), granted: true };
+                    node.handle_message(
+                        NodeId(1),
+                        Message::RequestVoteResp(vote),
+                        Time::ZERO,
+                        &mut out,
+                    );
+                    assert!(node.is_leader());
                     node
                 },
                 |mut node| {

@@ -323,7 +323,6 @@ pub fn fig19b(scale: &Scale) -> Vec<Table> {
             election_min: TimeDelta::from_millis(ms),
             election_max: TimeDelta::from_millis(ms + ms / 2),
             heartbeat_interval: TimeDelta::from_millis(8),
-            retry_interval: TimeDelta::from_millis(8),
         };
         let mut raft = 0.0;
         let mut nb = 0.0;

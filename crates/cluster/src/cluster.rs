@@ -72,7 +72,6 @@ impl Default for ClusterConfig {
                     election_min: TimeDelta::from_millis(150),
                     election_max: TimeDelta::from_millis(300),
                     heartbeat_interval: TimeDelta::from_millis(40),
-                    retry_interval: TimeDelta::from_millis(20),
                 };
                 p
             },

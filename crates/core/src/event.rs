@@ -29,7 +29,7 @@ pub enum Output {
     /// Apply a committed entry to the state machine. Emitted in strict index
     /// order. For CRaft followers the entry may carry a [`nbr_types::Payload::Fragment`],
     /// which state machines treat as opaque (no follower read — paper
-    /// Table II); leaders always apply reconstructed full payloads.
+    /// Table II); leaders always apply decoded full payloads.
     Apply {
         /// The committed entry.
         entry: Entry,

@@ -10,7 +10,8 @@
 
 use bytes::Bytes;
 use nbr_erasure::{ReedSolomon, Shard};
-use nbr_types::{Fragment, LogIndex, Term};
+use nbr_storage::LogStore;
+use nbr_types::{Entry, Fragment, LogIndex, Payload, Term};
 use std::collections::BTreeMap;
 
 /// Encode `payload` into `n` shards with `k` data shards, as [`Fragment`]s.
@@ -55,10 +56,18 @@ pub fn reconstruct(frags: &[Fragment]) -> Option<Bytes> {
     rs.reconstruct(&shards, orig_len as usize).ok().map(Bytes::from)
 }
 
-/// Shards gathered per log index during leader recovery.
-#[derive(Debug, Clone, Default)]
+/// A replica's whole CRaft recovery state: the shards gathered per log
+/// index, the payloads decoded from them and the one outstanding pull. Only
+/// a fragmenting preset ever fills it; for every other preset it stays
+/// empty, with nothing allocated.
+#[derive(Debug, Clone, Default, Hash)]
 pub struct FragmentStore {
     by_index: BTreeMap<LogIndex, (Term, Vec<Fragment>)>,
+    /// Full payloads decoded for fragment entries of our log. Kept after
+    /// apply: a leader repairs lagging followers from them.
+    payloads: BTreeMap<LogIndex, Bytes>,
+    /// The index a `PullFragments` was sent for and has not yet decoded.
+    pull: Option<LogIndex>,
 }
 
 impl FragmentStore {
@@ -90,14 +99,62 @@ impl FragmentStore {
         reconstruct(frags)
     }
 
+    /// Take the shards a peer pushed. Only shards of entries `log` holds at
+    /// the same term are kept; each is pooled with our own shard of the
+    /// entry, and an entry whose shards now decode gets its payload (which
+    /// also ends a pull waiting on it).
+    pub(crate) fn absorb(&mut self, pushed: Vec<(LogIndex, Term, Fragment)>, log: &impl LogStore) {
+        for (index, term, frag) in pushed {
+            if log.term_of(index) != Some(term) {
+                continue;
+            }
+            self.add(index, term, frag);
+            if self.payloads.contains_key(&index) {
+                continue;
+            }
+            if let Some(Entry { payload: Payload::Fragment(own), .. }) = log.get(index) {
+                self.add(index, term, own);
+            }
+            if let Some(payload) = self.try_reconstruct(index, term) {
+                self.payloads.insert(index, payload);
+                if self.pull == Some(index) {
+                    self.pull = None;
+                }
+            }
+        }
+    }
+
+    /// The decoded payload of the fragment entry at `index`, if any.
+    pub(crate) fn payload(&self, index: LogIndex) -> Option<&Bytes> {
+        self.payloads.get(&index)
+    }
+
+    /// Mark a pull for `index` as sent. False when one is already out for
+    /// it, so a stalled apply or repair asks its peers once per index.
+    pub(crate) fn start_pull(&mut self, index: LogIndex) -> bool {
+        if self.pull == Some(index) {
+            return false;
+        }
+        self.pull = Some(index);
+        true
+    }
+
     /// Shards held for an index (introspection).
     pub fn shard_count(&self, index: LogIndex) -> usize {
         self.by_index.get(&index).map_or(0, |(_, f)| f.len())
     }
 
-    /// Drop state for indices at or below `index` (reconstructed/applied).
+    /// Drop shards for indices at or below `index` (applied). Decoded
+    /// payloads stay until the log is truncated or replaced by a snapshot.
     pub fn release_through(&mut self, index: LogIndex) {
         self.by_index = self.by_index.split_off(&index.next());
+    }
+
+    /// Drop shards and payloads for indices at or above `index` (the log
+    /// was truncated there: what they decode is no longer our entry).
+    pub(crate) fn truncate_from(&mut self, index: LogIndex) {
+        self.by_index.split_off(&index);
+        self.payloads.split_off(&index);
     }
 
     /// Number of indices tracked.
@@ -114,9 +171,75 @@ impl FragmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbr_storage::MemLog;
 
     fn payload(len: usize) -> Bytes {
         Bytes::from((0..len).map(|i| (i * 13 + 1) as u8).collect::<Vec<u8>>())
+    }
+
+    /// A log holding `own` at indices `1..=last`, all of term 1.
+    fn shard_log(own: &Fragment, last: u64) -> MemLog {
+        let mut log = MemLog::new();
+        for i in 1..=last {
+            let prev_term = Term(if i == 1 { 0 } else { 1 });
+            let payload = Payload::Fragment(own.clone());
+            let entry =
+                Entry { index: LogIndex(i), term: Term(1), prev_term, origin: None, payload };
+            log.append(entry).unwrap();
+        }
+        log
+    }
+
+    /// A store that decoded the entries at `1..=last` of [`shard_log`] from
+    /// one pushed shard each.
+    fn decoded(frags: &[Fragment], last: u64) -> FragmentStore {
+        let log = shard_log(&frags[0], last);
+        let mut store = FragmentStore::new();
+        store.absorb((1..=last).map(|i| (LogIndex(i), Term(1), frags[2].clone())).collect(), &log);
+        store
+    }
+
+    #[test]
+    fn truncate_from_drops_payloads_at_and_above_its_index() {
+        let p = payload(90);
+        let frags = encode_fragments(&p, 2, 3);
+        let mut store = decoded(&frags, 3);
+        assert!((1..=3).all(|i| store.payload(LogIndex(i)) == Some(&p)));
+        store.truncate_from(LogIndex(2));
+        assert_eq!(store.payload(LogIndex(1)), Some(&p));
+        assert_eq!(store.payload(LogIndex(2)), None);
+        assert_eq!(store.payload(LogIndex(3)), None);
+        assert_eq!(store.shard_count(LogIndex(2)), 0);
+    }
+
+    #[test]
+    fn release_through_drops_shards_and_keeps_payloads() {
+        let p = payload(90);
+        let frags = encode_fragments(&p, 2, 3);
+        let mut store = decoded(&frags, 3);
+        store.release_through(LogIndex(2));
+        assert_eq!(store.shard_count(LogIndex(2)), 0);
+        assert_eq!(store.shard_count(LogIndex(3)), 2);
+        // Applied entries stay repairable: their payloads outlive the shards.
+        assert!((1..=3).all(|i| store.payload(LogIndex(i)) == Some(&p)));
+    }
+
+    #[test]
+    fn a_pull_is_sent_once_per_index_and_ends_when_the_entry_decodes() {
+        let p = payload(90);
+        let frags = encode_fragments(&p, 2, 3);
+        let log = shard_log(&frags[0], 2);
+        let mut store = FragmentStore::new();
+        assert!(store.start_pull(LogIndex(2)));
+        assert!(!store.start_pull(LogIndex(2)), "one pull per index");
+        // A shard of another term than the entry we hold is of no use.
+        store.absorb(vec![(LogIndex(2), Term(2), frags[1].clone())], &log);
+        assert_eq!(store.payload(LogIndex(2)), None);
+        assert!(!store.start_pull(LogIndex(2)), "still pulling");
+        // With our own shard, one more decodes the entry.
+        store.absorb(vec![(LogIndex(2), Term(1), frags[1].clone())], &log);
+        assert_eq!(store.payload(LogIndex(2)), Some(&p));
+        assert!(store.start_pull(LogIndex(2)), "decoding ended the pull");
     }
 
     #[test]

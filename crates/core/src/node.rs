@@ -1,11 +1,10 @@
 //! The sans-I/O replica engine.
 //!
 //! One [`Node`] implements all seven evaluated protocols, selected by
-//! [`ProtocolConfig`]:
-//!
-//! * window size `w` (0 = original Raft, >0 = NB-Raft, Section III),
-//! * replication mode (full copies, Reed–Solomon fragments, K-bucket relay),
-//! * per-entry verification (VGRaft).
+//! [`ProtocolConfig`]: its preset decides the replication mode (full copies,
+//! Reed–Solomon fragments, K-bucket relay) and per-entry verification
+//! (VGRaft), and its window size `w` (0 = original Raft, >0 = NB-Raft,
+//! Section III) the follower's tolerance for out-of-order entries.
 //!
 //! The engine is event-driven: `tick`, `handle_message` and `handle_client`
 //! mutate state and append [`Output`] actions. It performs **real** work for
@@ -18,7 +17,7 @@ use crate::fragments::{encode_fragments, FragmentStore};
 use crate::votelist::{VoteList, VoteOutcome};
 use crate::window::{SlidingWindow, WindowOutcome};
 use bytes::Bytes;
-use nbr_crypto::{KeyDirectory, Signature};
+use nbr_crypto::{Keypair, Signature};
 use nbr_obs::{EngineProbe, ProbeEvent};
 use nbr_storage::LogStore;
 use nbr_types::*;
@@ -26,8 +25,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Shared secret from which per-node VGRaft keys are derived. A deployment
-/// would provision real keys; the reproduction needs only the *cost* of
+/// Shared secret from which per-node VGRaft keys are derived: a member's key
+/// is `Keypair::derive(CLUSTER_SECRET, position in the sorted membership)`,
+/// derived at each signature and each verification. A deployment would
+/// provision real keys; the reproduction needs only the *cost* of
 /// signing/verifying (see `nbr-crypto`).
 const CLUSTER_SECRET: &[u8] = b"nbraft-reproduction-cluster";
 
@@ -231,11 +232,9 @@ pub struct Node<L: LogStore> {
     next_heartbeat: Time,
 
     // ---- CRaft state ----
-    frag_store: FragmentStore,
-    /// Reconstructed payloads for fragment entries in our log (post-failover).
-    reconstructed: BTreeMap<LogIndex, Bytes>,
-    /// Apply is stalled waiting for fragment pulls at this index.
-    pull_pending: Option<LogIndex>,
+    /// Shards, decoded payloads and the outstanding pull; empty unless the
+    /// preset fragments.
+    frags: FragmentStore,
 
     // ---- linearizable reads (ReadIndex) ----
     /// Leader: reads awaiting leadership confirmation by a heartbeat quorum.
@@ -245,13 +244,6 @@ pub struct Node<L: LogStore> {
     next_probe: u64,
     /// Confirmed reads waiting for the apply cursor to reach their index.
     waiting_reads: Vec<(LogIndex, ClientId, RequestId)>,
-
-    // ---- VGRaft ----
-    keys: KeyDirectory,
-
-    /// Living-member count at the previous heartbeat round (drives the
-    /// CRaft fallback / ECRaft degradation on failure detection).
-    last_alive: usize,
 
     rng: StdRng,
     /// Counters for instrumentation.
@@ -323,15 +315,11 @@ impl<L: LogStore> Node<L> {
             vote_list: VoteList::new(quorum),
             progress: vec![Progress::new(); n],
             next_heartbeat: Time::ZERO,
-            frag_store: FragmentStore::new(),
-            reconstructed: BTreeMap::new(),
-            pull_pending: None,
+            frags: FragmentStore::new(),
             pending_reads: Vec::new(),
             read_probes: BTreeMap::new(),
             next_probe: 0,
             waiting_reads: Vec::new(),
-            keys: KeyDirectory::new(CLUSTER_SECRET, n),
-            last_alive: n,
             rng,
             stats: NodeStats::default(),
             probe,
@@ -556,8 +544,8 @@ impl<L: LogStore> Node<L> {
             term.hash(h);
             image.hash(h);
         }
-        self.pull_pending.hash(h);
-        self.reconstructed.len().hash(h);
+        // CRaft recovery state, whole (empty unless the preset fragments).
+        self.frags.hash(h);
     }
 
     fn bit_of(&self, node: NodeId) -> u64 {
@@ -735,7 +723,6 @@ impl<L: LogStore> Node<L> {
         self.progress = vec![Progress::new(); self.membership.len()];
         self.next_heartbeat = now; // heartbeat immediately
         out.push(Output::ElectedLeader { term: self.term });
-        self.last_alive = self.membership.len();
         // Term-start no-op: commits all prior entries once replicated.
         self.propose(None, Payload::Noop, out);
         self.send_heartbeats(now, out);
@@ -785,7 +772,7 @@ impl<L: LogStore> Node<L> {
     fn effective_threshold(&self) -> u32 {
         let n = self.membership.len();
         let quorum = self.quorum();
-        match self.cfg.replication {
+        match self.cfg.protocol.replication() {
             ReplicationMode::Full | ReplicationMode::Relay => quorum,
             ReplicationMode::Fragmented { adaptive } => {
                 if n <= 2 {
@@ -843,7 +830,7 @@ impl<L: LogStore> Node<L> {
     /// Send one freshly indexed entry to followers according to the
     /// replication mode.
     fn replicate_entry(&mut self, entry: &Entry, out: &mut Vec<Output>) {
-        match self.cfg.replication {
+        match self.cfg.protocol.replication() {
             ReplicationMode::Full => self.replicate_full(entry, out),
             ReplicationMode::Relay => self.replicate_relay(entry, out),
             ReplicationMode::Fragmented { adaptive } => {
@@ -958,11 +945,8 @@ impl<L: LogStore> Node<L> {
             return None;
         }
         let digest = verification_digest(entry);
-        let signature = self
-            .keys
-            .key(self.position_of(self.id) as u32)
-            .expect("own key") // check:allow(L1): KeyDirectory always holds every member position
-            .sign(&digest);
+        let signature =
+            Keypair::derive(CLUSTER_SECRET, self.position_of(self.id) as u32).sign(&digest);
         let peers: Vec<NodeId> = self.peers().collect();
         let gsize = VERIFY_GROUP_SIZE.min(peers.len());
         let group =
@@ -1010,9 +994,8 @@ impl<L: LogStore> Node<L> {
             if self.cfg.protocol.verifies() && v.group.contains(&self.id) {
                 self.stats.verifications += 1;
                 let digest = verification_digest(entry);
-                let leader_pos = self.position_of(m.leader) as u32;
-                let ok = digest == v.digest
-                    && self.keys.verify(leader_pos, &digest, &Signature(v.signature));
+                let leader = Keypair::derive(CLUSTER_SECRET, self.position_of(m.leader) as u32);
+                let ok = digest == v.digest && leader.verify(&digest, &Signature(v.signature));
                 if !ok {
                     return; // Byzantine-suspect entry: drop silently
                 }
@@ -1130,7 +1113,7 @@ impl<L: LogStore> Node<L> {
             self.stats.appends += 1;
             self.emit(ProbeEvent::Appended { index });
             self.window.shift_to(self.log.last_index(), min_term);
-            self.reconstructed.split_off(&self.log.last_index().next());
+            self.frags.truncate_from(index);
             // The log now ends exactly at the replacing entry and matches
             // the leader through it; anything previously verified above was
             // just truncated away.
@@ -1507,14 +1490,11 @@ impl<L: LogStore> Node<L> {
     fn repair_message_for(&mut self, follower: NodeId, entry: Entry) -> Option<Message> {
         let n = self.membership.len();
         let fragmented =
-            matches!(self.cfg.replication, ReplicationMode::Fragmented { .. }) && n > 2;
+            matches!(self.cfg.protocol.replication(), ReplicationMode::Fragmented { .. }) && n > 2;
         let payload_bytes: Option<Bytes> = match &entry.payload {
             Payload::Data(b) => Some(b.clone()),
             Payload::Noop => None,
-            Payload::Fragment(_) => match self.reconstructed.get(&entry.index) {
-                Some(b) => Some(b.clone()),
-                None => return None,
-            },
+            Payload::Fragment(_) => Some(self.frags.payload(entry.index)?.clone()),
         };
         let send_entry = match (&entry.payload, fragmented, payload_bytes) {
             (Payload::Noop, _, _) => entry,
@@ -1557,12 +1537,12 @@ impl<L: LogStore> Node<L> {
     /// them in the degraded mode (full copies for CRaft, re-coded shards for
     /// ECRaft).
     fn maybe_degrade_replication(&mut self, out: &mut Vec<Output>) {
-        if !matches!(self.cfg.replication, ReplicationMode::Fragmented { .. }) {
-            self.last_alive = self.alive_count();
+        if !matches!(self.cfg.protocol.replication(), ReplicationMode::Fragmented { .. }) {
             return;
         }
-        let alive = self.alive_count();
-        if alive < self.last_alive {
+        // A peer is newly dead in the round that raises its silence to
+        // `DEAD_ROUNDS` (`send_heartbeats` has just counted this one).
+        if self.progress.iter().any(|p| p.silent_rounds == DEAD_ROUNDS) {
             let threshold = self.effective_threshold();
             let outcome = self.vote_list.lower_thresholds(threshold, self.term);
             self.process_vote_outcome(outcome, out);
@@ -1572,7 +1552,6 @@ impl<L: LogStore> Node<L> {
                 }
             }
         }
-        self.last_alive = alive;
     }
 
     fn on_heartbeat(&mut self, m: HeartbeatMsg, now: Time, out: &mut Vec<Output>) {
@@ -1647,10 +1626,9 @@ impl<L: LogStore> Node<L> {
     // ------------------------------------------------------- fragments (CRaft)
 
     fn request_fragments(&mut self, index: LogIndex, out: &mut Vec<Output>) {
-        if self.pull_pending == Some(index) {
+        if !self.frags.start_pull(index) {
             return; // already requested
         }
-        self.pull_pending = Some(index);
         let msg = Message::PullFragments(PullFragmentsMsg {
             term: self.term,
             from: self.id,
@@ -1697,30 +1675,8 @@ impl<L: LogStore> Node<L> {
     }
 
     fn on_push_fragments(&mut self, m: PushFragmentsMsg, out: &mut Vec<Output>) {
-        for (idx, term, frag) in m.fragments {
-            // Only useful for entries we hold as fragments with that term.
-            if self.log.term_of(idx) == Some(term) {
-                self.frag_store.add(idx, term, frag);
-                if self.reconstructed.contains_key(&idx) {
-                    continue;
-                }
-                // Include our own shard.
-                if let Some(e) = self.log.get(idx) {
-                    if let Payload::Fragment(own) = e.payload {
-                        self.frag_store.add(idx, term, own);
-                    }
-                }
-                if let Some(payload) = self.frag_store.try_reconstruct(idx, term) {
-                    self.reconstructed.insert(idx, payload);
-                }
-            }
-        }
-        // Reconstructions may unblock the apply cursor.
-        if let Some(pending) = self.pull_pending {
-            if self.reconstructed.contains_key(&pending) {
-                self.pull_pending = None;
-            }
-        }
+        self.frags.absorb(m.fragments, &self.log);
+        // Decoded payloads may unblock the apply cursor.
         self.emit_applies(out);
     }
 
@@ -1899,8 +1855,7 @@ impl<L: LogStore> Node<L> {
             self.window = SlidingWindow::new(self.cfg.window, m.last_index);
             self.parked.clear();
             self.arrivals.clear();
-            self.reconstructed.clear();
-            self.frag_store = FragmentStore::new();
+            self.frags = FragmentStore::new();
             self.commit_index = m.last_index.max(self.commit_index).min(m.last_index);
             self.applied_index = m.last_index;
             out.push(Output::RestoreSnapshot {
@@ -1953,7 +1908,7 @@ impl<L: LogStore> Node<L> {
     // ------------------------------------------------------- apply
 
     /// Emit `Apply` outputs for newly committed entries, in order. The leader
-    /// stalls on fragment entries until their payload is reconstructed;
+    /// stalls on fragment entries until their payload is decoded;
     /// follower apply cursors *wait* at fragment entries — a follower cannot
     /// reconstruct on its own, which is exactly why CRaft forfeits follower
     /// reads (paper Table II). The cursor resumes (with reconstruction) if
@@ -1965,15 +1920,13 @@ impl<L: LogStore> Node<L> {
                 return; // compacted or missing (harness installed snapshot)
             };
             let entry = match (&entry.payload, self.role) {
-                (Payload::Fragment(_), Role::Leader) => {
-                    match self.reconstructed.get(&idx) {
-                        Some(b) => Entry { payload: Payload::Data(b.clone()), ..entry },
-                        None => {
-                            self.request_fragments(idx, out);
-                            return; // stall until shards arrive
-                        }
+                (Payload::Fragment(_), Role::Leader) => match self.frags.payload(idx) {
+                    Some(b) => Entry { payload: Payload::Data(b.clone()), ..entry },
+                    None => {
+                        self.request_fragments(idx, out);
+                        return; // stall until shards arrive
                     }
-                }
+                },
                 (Payload::Fragment(_), Role::Follower | Role::Candidate) => return,
                 (Payload::Noop | Payload::Data(_), _) => entry,
             };
@@ -1981,7 +1934,7 @@ impl<L: LogStore> Node<L> {
             self.stats.applied += 1;
             self.emit(ProbeEvent::Applied { index: idx });
             self.applied_index = idx;
-            self.frag_store.release_through(idx);
+            self.frags.release_through(idx);
         }
         self.flush_waiting_reads(out);
     }

@@ -4,7 +4,8 @@
 mod common;
 
 use common::TestCluster;
-use nbr_storage::LogStore;
+use nbr_core::Node;
+use nbr_storage::{LogStore, MemLog};
 use nbr_types::*;
 
 // ------------------------------------------------------------------ CRaft
@@ -85,9 +86,60 @@ fn craft_new_leader_reconstructs_committed_payload() {
     let data_applies: Vec<_> = applied.iter().filter(|e| e.origin.is_some()).collect();
     assert_eq!(data_applies.len(), 1, "client entry applied exactly once");
     match &data_applies[0].payload {
-        Payload::Data(b) => assert_eq!(&b[..], &payload[..], "payload reconstructed"),
-        other => panic!("leader must apply reconstructed data, got {other:?}"),
+        Payload::Data(b) => assert_eq!(&b[..], &payload[..], "payload decoded from shards"),
+        other => panic!("leader must apply the decoded data, got {other:?}"),
     }
+}
+
+#[test]
+fn craft_new_leader_repairs_a_restarted_follower_while_applying_new_entries() {
+    // Five replicas: the leader commits three fragmented entries, then it
+    // and node 4 crash. Node 1 takes over, decodes the old entries from
+    // three shards and keeps applying new ones. Node 0 comes back with an
+    // empty log; repairing it through the old entries needs their decoded
+    // payloads, which the leader must still hold after applying them.
+    let cfg = Protocol::CRaft.config(0);
+    let mut c = TestCluster::new(5, &cfg);
+    c.elect(0);
+    for r in 1..=3u64 {
+        c.client_request(0, 1, r, &[r as u8; 1200]);
+    }
+    c.pump();
+    c.tick(TimeDelta::from_millis(150));
+    c.pump();
+    assert_eq!(c.node(1).commit_index(), LogIndex(4), "committed everywhere");
+    assert!(matches!(c.node(1).log().get(LogIndex(2)).unwrap().payload, Payload::Fragment(_)));
+
+    c.crash(0);
+    c.crash(4);
+    c.elect(1);
+    let mut request = 0u64;
+    let mut load_round = |c: &mut TestCluster| {
+        request += 1;
+        c.client_request(1, 2, request, &[0xA5; 800]);
+        c.tick(TimeDelta::from_millis(100));
+        c.pump();
+    };
+    for _ in 0..8 {
+        load_round(&mut c);
+    }
+    let old_applied = |c: &TestCluster| {
+        c.applied[1].iter().filter(|e| e.origin.map(|o| o.client) == Some(ClientId(1))).count()
+    };
+    assert_eq!(old_applied(&c), 3, "new leader applied the old entries");
+    let committed = c.node(1).commit_index();
+    assert!(committed > LogIndex(5), "new entries commit with two replicas dead");
+
+    let membership: Vec<NodeId> = (0..5).map(NodeId).collect();
+    c.nodes[0] = Some(Node::new(NodeId(0), membership, cfg, MemLog::new(), 7));
+    for _ in 0..20 {
+        load_round(&mut c);
+    }
+    assert!(c.node(1).commit_index() > committed, "the leader kept applying");
+    for i in 2..=4u64 {
+        assert_eq!(c.node(0).log().term_of(LogIndex(i)), Some(Term(1)), "old entry {i} repaired");
+    }
+    assert_eq!(c.node(0).last_index(), c.node(1).last_index(), "restarted follower caught up");
 }
 
 #[test]
@@ -232,6 +284,62 @@ fn vgraft_rejects_tampered_entries() {
                 }
             }
         }
+    }
+}
+
+/// The verification of the first in-flight append of entry 2 after node
+/// `leader` of a fresh VGRaft cluster is elected and proposes `payload`.
+fn vgraft_verification(leader: u32, payload: &[u8]) -> Verification {
+    let mut c = TestCluster::new(3, &Protocol::VgRaft.config(0));
+    c.elect(leader);
+    c.client_request(leader, 1, 1, payload);
+    c.pending
+        .iter()
+        .find_map(|m| match &m.msg {
+            Message::AppendEntry(a) if a.entries[0].index == LogIndex(2) => a.verification.clone(),
+            _ => None,
+        })
+        .expect("VGRaft signs entries")
+}
+
+#[test]
+fn vgraft_verifies_with_the_leaders_key_only() {
+    // Over the same digest (index, terms and payload match), member `signer`
+    // signs entry 2 as the leader of its own cluster. Re-sign every
+    // in-flight append of node 0's entry 2 with that signature, then deliver.
+    let run = |signer: u32| {
+        let copied = vgraft_verification(signer, b"authentic");
+        let mut c = TestCluster::new(3, &Protocol::VgRaft.config(0));
+        c.elect(0);
+        c.client_request(0, 1, 1, b"authentic");
+        for m in c.pending.iter_mut() {
+            if let Message::AppendEntry(a) = &mut m.msg {
+                let v = a.verification.as_mut().expect("VGRaft signs entries");
+                assert_eq!(v.digest, copied.digest, "same entry, same digest");
+                v.signature = copied.signature;
+            }
+        }
+        c.pump();
+        c
+    };
+    // Another leader at position 0 signs the same bytes: it commits.
+    assert_eq!(run(0).node(0).commit_index(), LogIndex(2));
+    // A follower's key over the right digest is a forgery. Both followers
+    // are in the verification group, so neither appends and nothing commits.
+    let mut c = run(1);
+    for f in 1..3u32 {
+        assert_eq!(c.node(f).last_index(), LogIndex(1), "follower {f} took a follower's signature");
+    }
+    assert_eq!(c.node(0).commit_index(), LogIndex(1));
+    // Repair re-sends the leader-signed copy, and that one commits.
+    for _ in 0..8 {
+        c.tick(TimeDelta::from_millis(100));
+        c.pump();
+    }
+    assert_eq!(c.node(0).commit_index(), LogIndex(2));
+    for f in 1..3u32 {
+        let e = c.node(f).log().get(LogIndex(2)).expect("repaired entry");
+        assert!(matches!(&e.payload, Payload::Data(b) if &b[..] == b"authentic"), "follower {f}");
     }
 }
 

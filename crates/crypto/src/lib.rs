@@ -9,7 +9,8 @@
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (NIST-vector tested).
 //! * [`hmac`] — HMAC-SHA256 (RFC 4231-vector tested).
-//! * [`sign`] — derived-key signature scheme + key directory.
+//! * [`sign`] — derived-key signature scheme: a verifier derives the
+//!   signer's key from the cluster secret and the signer's node id.
 
 pub mod hmac;
 pub mod sha256;
@@ -17,4 +18,4 @@ pub mod sign;
 
 pub use hmac::{hmac_sha256, mac_eq};
 pub use sha256::{sha256, Sha256};
-pub use sign::{KeyDirectory, Keypair, Signature};
+pub use sign::{Keypair, Signature};

@@ -12,11 +12,12 @@
 use crate::hmac::{hmac_sha256, mac_eq};
 use crate::sha256::sha256;
 
-/// A signing identity derived from a cluster secret and a node id.
+/// A signing identity derived from a cluster secret and a node id. It is
+/// cheap to derive (one SHA-256), so a signer or verifier derives the key it
+/// needs where it needs it and keeps no key table.
 #[derive(Debug, Clone)]
 pub struct Keypair {
     key: [u8; 32],
-    node: u32,
 }
 
 /// A detached signature.
@@ -29,12 +30,7 @@ impl Keypair {
         let mut material = Vec::with_capacity(cluster_secret.len() + 4);
         material.extend_from_slice(cluster_secret);
         material.extend_from_slice(&node.to_le_bytes());
-        Keypair { key: sha256(&material), node }
-    }
-
-    /// The node this key belongs to.
-    pub fn node(&self) -> u32 {
-        self.node
+        Keypair { key: sha256(&material) }
     }
 
     /// Sign a message (the caller usually signs a digest).
@@ -45,30 +41,6 @@ impl Keypair {
     /// Verify a signature allegedly produced by this key.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         mac_eq(&self.sign(msg).0, &sig.0)
-    }
-}
-
-/// A directory of keys for every node in a cluster, used by verification
-/// groups to check the leader's signature.
-#[derive(Debug, Clone)]
-pub struct KeyDirectory {
-    keys: Vec<Keypair>,
-}
-
-impl KeyDirectory {
-    /// Derive keys for nodes `0..n` from a cluster secret.
-    pub fn new(cluster_secret: &[u8], n: usize) -> KeyDirectory {
-        KeyDirectory { keys: (0..n as u32).map(|i| Keypair::derive(cluster_secret, i)).collect() }
-    }
-
-    /// The key for `node`, if in range.
-    pub fn key(&self, node: u32) -> Option<&Keypair> {
-        self.keys.get(node as usize)
-    }
-
-    /// Verify that `sig` over `msg` was produced by `node`.
-    pub fn verify(&self, node: u32, msg: &[u8], sig: &Signature) -> bool {
-        self.key(node).is_some_and(|k| k.verify(msg, sig))
     }
 }
 
@@ -92,21 +64,18 @@ mod tests {
     }
 
     #[test]
-    fn directory_verifies_correct_signer_only() {
-        let dir = KeyDirectory::new(b"secret", 3);
-        let signer = dir.key(1).unwrap().clone();
+    fn only_the_signers_key_verifies() {
+        let signer = Keypair::derive(b"secret", 1);
         let sig = signer.sign(b"digest");
-        assert!(dir.verify(1, b"digest", &sig));
-        assert!(!dir.verify(0, b"digest", &sig));
-        assert!(!dir.verify(2, b"digest", &sig));
-        assert!(!dir.verify(9, b"digest", &sig), "out of range is false, not panic");
+        assert!(Keypair::derive(b"secret", 1).verify(b"digest", &sig));
+        assert!(!Keypair::derive(b"secret", 0).verify(b"digest", &sig));
+        assert!(!Keypair::derive(b"secret", 2).verify(b"digest", &sig));
+        assert!(!Keypair::derive(b"secret", 9).verify(b"digest", &sig));
     }
 
     #[test]
     fn different_secrets_do_not_cross_verify() {
-        let a = KeyDirectory::new(b"alpha", 2);
-        let b = KeyDirectory::new(b"beta", 2);
-        let sig = a.key(0).unwrap().sign(b"m");
-        assert!(!b.verify(0, b"m", &sig));
+        let sig = Keypair::derive(b"alpha", 0).sign(b"m");
+        assert!(!Keypair::derive(b"beta", 0).verify(b"m", &sig));
     }
 }

@@ -10,6 +10,7 @@
 //! closed connection is lost, which the engine's retries already cover.
 
 use crate::clock;
+use crate::transport::MAX_FRAME;
 use nbr_cluster::client::POLL;
 use nbr_cluster::{ClientDriver, ClientLink};
 use nbr_types::wire::{decode_frame_capped, encode_frame, encode_frame_into};
@@ -38,7 +39,6 @@ struct Link {
     group: u32,
     addrs: HashMap<u32, SocketAddr>,
     conn: Option<Conn>,
-    max_frame: usize,
     /// Request-frame encode buffer, reused across sends.
     wbuf: Vec<u8>,
 }
@@ -88,7 +88,6 @@ impl NetClient {
             group,
             addrs: nodes.into_iter().collect(),
             conn: None,
-            max_frame: 16 << 20,
             wbuf: Vec::new(),
         };
         NetClient { driver: ClientDriver::new(engine, clock::now(), link) }
@@ -165,7 +164,7 @@ impl Link {
     fn buffered_response(&mut self) -> Option<ClientResponse> {
         let conn = self.conn.as_mut()?;
         loop {
-            match decode_frame_capped::<NetFrame>(&conn.rbuf, self.max_frame) {
+            match decode_frame_capped::<NetFrame>(&conn.rbuf, MAX_FRAME) {
                 Ok(Some((frame, used))) => {
                     conn.rbuf.drain(..used);
                     if let NetFrame::Response { resp, .. } = frame {

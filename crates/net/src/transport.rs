@@ -57,7 +57,7 @@
 //!
 //! Frames are the [`NetFrame`] envelope inside the standard
 //! `len || crc || body` wire framing, decoded with a transport-tier size
-//! cap ([`TcpConfig::max_frame`]) so a corrupt or hostile length prefix
+//! cap (`MAX_FRAME`) so a corrupt or hostile length prefix
 //! cannot pin memory. A connection's first frame must be a valid
 //! [`NetFrame::Hello`]; version or cluster-id mismatches are counted and
 //! the connection dropped. A pump coalesces the frames queued at a wake-up
@@ -98,6 +98,17 @@ use std::time::{Duration, Instant};
 /// replica at most this — a few ms, far below the 40 ms heartbeat.
 pub(crate) const WRITE_STALL: Duration = Duration::from_millis(5);
 
+/// Largest frame accepted off a socket, peer link or client session alike
+/// (the codec's own cap still applies).
+pub(crate) const MAX_FRAME: usize = 16 << 20;
+
+/// First reconnect delay; it doubles per failed attempt up to
+/// [`BACKOFF_CAP`].
+const BACKOFF_INITIAL: Duration = Duration::from_millis(25);
+
+/// Reconnect delay ceiling.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 /// TCP transport configuration.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
@@ -109,12 +120,6 @@ pub struct TcpConfig {
     pub peers: Vec<(u32, SocketAddr)>,
     /// Depth of each bounded outbound frame queue.
     pub send_queue: usize,
-    /// Largest frame accepted off a socket (codec cap still applies).
-    pub max_frame: usize,
-    /// First reconnect delay; doubles per failure up to `backoff_cap`.
-    pub backoff_initial: Duration,
-    /// Reconnect delay ceiling.
-    pub backoff_cap: Duration,
     /// Idle interval after which a writer emits a keepalive ping.
     pub keepalive: Duration,
     /// Per-attempt connect timeout.
@@ -153,9 +158,6 @@ impl Default for TcpConfig {
             node_id: 0,
             peers: Vec::new(),
             send_queue: 1024,
-            max_frame: 16 << 20,
-            backoff_initial: Duration::from_millis(25),
-            backoff_cap: Duration::from_secs(2),
             keepalive: Duration::from_millis(500),
             connect_timeout: Duration::from_secs(1),
             baseline: LinkFault::default(),
@@ -859,7 +861,7 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, addr: SocketAddr, end: LaneEnd)
     let mut rng = StdRng::seed_from_u64(
         0x9E37 ^ (u64::from(sh.cfg.node_id) << 32) ^ (u64::from(peer_id) << 8),
     );
-    let mut backoff = sh.cfg.backoff_initial;
+    let mut backoff = BACKOFF_INITIAL;
     while !sh.stopped() {
         let connected = TcpStream::connect_timeout(&addr, sh.cfg.connect_timeout)
             .and_then(|s| s.set_write_timeout(Some(WRITE_STALL)).map(|()| s));
@@ -871,7 +873,7 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, addr: SocketAddr, end: LaneEnd)
                 let ns = backoff.as_nanos() as u64;
                 let wait = Duration::from_nanos(ns / 2 + rng.random_range(0..ns.max(2) / 2));
                 sh.sleep_checked(wait);
-                backoff = (backoff * 2).min(sh.cfg.backoff_cap);
+                backoff = (backoff * 2).min(BACKOFF_CAP);
                 continue;
             }
         };
@@ -879,7 +881,7 @@ fn supervise_peer(sh: Arc<Shared>, peer_id: u32, addr: SocketAddr, end: LaneEnd)
         let conn = sh.register_conn(&stream);
         sh.stats.connects.inc();
         sh.stats.peer_links_up.add(1);
-        backoff = sh.cfg.backoff_initial;
+        backoff = BACKOFF_INITIAL;
         // The pair's single connection is duplex: the peer's traffic to us
         // comes back over this socket, read by a sibling thread running the
         // standard handshake-then-route loop.
@@ -1214,7 +1216,7 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream) {
             continue;
         }
         let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if len > sh.cfg.max_frame {
+        if len > MAX_FRAME {
             // A hostile or corrupt length prefix must not pin memory.
             sh.stats.decode_errors.inc();
             break 'conn;
@@ -1224,7 +1226,7 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream) {
         }
         let mut shared = Bytes::from(std::mem::take(&mut buf));
         while !shared.is_empty() {
-            match decode_frame_shared::<NetFrame>(&shared, sh.cfg.max_frame) {
+            match decode_frame_shared::<NetFrame>(&shared, MAX_FRAME) {
                 Ok(Some((frame, used))) => {
                     shared.split_to(used);
                     sh.stats.frames_in.inc();

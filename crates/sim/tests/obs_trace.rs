@@ -31,7 +31,7 @@ fn probe_events_per_entry_are_ordered() {
     let (_, events) = traced_run(8, 7);
     assert!(!events.is_empty(), "traced sim produced no events");
     let tl = timelines(&events);
-    assert!(!tl.is_empty(), "no per-entry lifecycles reconstructed");
+    assert!(!tl.is_empty(), "no per-entry lifecycles rebuilt");
     for ((node, index), lc) in &tl {
         let ctx = format!("node {node:?} index {index:?}: {lc:?}");
         if let (Some(r), Some(a)) = (lc.received, lc.appended) {

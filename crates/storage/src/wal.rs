@@ -160,7 +160,7 @@ impl WalLog {
         self.stall = Some(dial);
     }
 
-    /// Replay records from `buf`, returning the reconstructed image and the
+    /// Replay records from `buf`, returning the rebuilt image and the
     /// byte offset of the first invalid/incomplete record.
     fn replay(buf: &[u8]) -> Result<(MemLog, usize)> {
         let mut mem = MemLog::new();

@@ -1,15 +1,17 @@
 //! Protocol configuration and presets for the seven evaluated protocols.
 //!
-//! A single protocol engine (in `nbr-core`) is parameterized by three
-//! orthogonal mechanisms, exactly the axes the paper evaluates:
+//! A single protocol engine (in `nbr-core`) runs every preset. A
+//! [`ProtocolConfig`] is the preset, the window and the timeouts; the
+//! mechanisms the paper evaluates follow from those:
 //!
 //! * **Window size `w`** — the follower's sliding-window capacity for
 //!   out-of-order entries. `w == 0` is original Raft (always blocking);
 //!   `w > 0` is NB-Raft (Section III-A; the paper's default is 10 000).
+//!   [`Protocol::config`] gives only the non-blocking presets a window.
 //! * **Replication mode** — full-copy (Raft family), erasure-coded fragments
-//!   (CRaft / ECRaft), or K-bucket relay (KRaft).
+//!   (CRaft / ECRaft), or K-bucket relay (KRaft): [`Protocol::replication`].
 //! * **Verification** — VGRaft's per-entry digest + signature checking by a
-//!   rotating verification group.
+//!   rotating verification group: [`Protocol::verifies`].
 
 use crate::ids::NodeId;
 use crate::time::TimeDelta;
@@ -90,25 +92,28 @@ impl Protocol {
         self == Protocol::VgRaft
     }
 
-    /// Build the standard configuration for this protocol. `window` is used
-    /// only by the non-blocking variants (the paper's default is 10 000).
-    pub fn config(self, window: usize) -> ProtocolConfig {
-        let replication = match self {
+    /// How this protocol moves entries from the leader to followers.
+    pub fn replication(self) -> ReplicationMode {
+        match self {
             Protocol::Raft | Protocol::NbRaft | Protocol::VgRaft => ReplicationMode::Full,
             Protocol::CRaft | Protocol::NbCRaft => ReplicationMode::Fragmented { adaptive: false },
             Protocol::EcRaft => ReplicationMode::Fragmented { adaptive: true },
             Protocol::KRaft => ReplicationMode::Relay,
-        };
+        }
+    }
+
+    /// Build the standard configuration for this protocol. `window` is used
+    /// only by the non-blocking variants (the paper's default is 10 000).
+    pub fn config(self, window: usize) -> ProtocolConfig {
         ProtocolConfig {
             protocol: self,
             window: if self.non_blocking() { window } else { 0 },
-            replication,
             timeouts: TimeoutConfig::default(),
         }
     }
 }
 
-/// Election / heartbeat / retry timing.
+/// Election and heartbeat timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeoutConfig {
     /// Minimum randomized follower (election) timeout. The paper's Figure 19b
@@ -116,12 +121,11 @@ pub struct TimeoutConfig {
     pub election_min: TimeDelta,
     /// Maximum randomized follower timeout.
     pub election_max: TimeDelta,
-    /// Leader heartbeat interval.
+    /// Leader heartbeat interval. It also paces repair: a leader re-sends
+    /// to a follower whose heartbeat responses show no progress for two
+    /// rounds, declares a peer dead after five silent rounds, and a
+    /// follower holds a gap-repair hint for a quarter of it before asking.
     pub heartbeat_interval: TimeDelta,
-    /// Interval at which a leader re-sends entries that have not been
-    /// acknowledged, and at which followers retry parked (beyond-window)
-    /// entries.
-    pub retry_interval: TimeDelta,
 }
 
 impl Default for TimeoutConfig {
@@ -130,7 +134,6 @@ impl Default for TimeoutConfig {
             election_min: TimeDelta::from_millis(500),
             election_max: TimeDelta::from_millis(1000),
             heartbeat_interval: TimeDelta::from_millis(100),
-            retry_interval: TimeDelta::from_millis(50),
         }
     }
 }
@@ -138,13 +141,12 @@ impl Default for TimeoutConfig {
 /// Full configuration of one replica's protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolConfig {
-    /// Which preset this configuration came from (for reporting).
+    /// The preset: it decides replication ([`Protocol::replication`]) and
+    /// verification ([`Protocol::verifies`]).
     pub protocol: Protocol,
     /// Sliding-window capacity `w`. Zero disables the window: out-of-order
     /// entries are rejected with `Mismatch` exactly as in original Raft.
     pub window: usize,
-    /// Downlink replication strategy.
-    pub replication: ReplicationMode,
     /// Timing parameters.
     pub timeouts: TimeoutConfig,
 }
@@ -168,7 +170,7 @@ impl ProtocolConfig {
     /// `k + F` shard-holders so that any `F` subsequent failures still leave
     /// `k` reconstructable shards (CRaft's commit rule), capped at `n`.
     pub fn commit_threshold(&self, n_replicas: usize) -> usize {
-        match self.replication {
+        match self.protocol.replication() {
             ReplicationMode::Full | ReplicationMode::Relay => Self::quorum(n_replicas),
             ReplicationMode::Fragmented { .. } => {
                 let f = (n_replicas - 1) / 2;
@@ -181,7 +183,7 @@ impl ProtocolConfig {
     /// peers, at least one (deterministic; rotation is not modelled since
     /// the paper's KRaft picks a static bucket per leader term).
     pub fn kraft_bucket(&self, peers: &[NodeId]) -> Vec<NodeId> {
-        match self.replication {
+        match self.protocol.replication() {
             ReplicationMode::Relay => {
                 peers.iter().take((peers.len() / 2).max(1)).copied().collect()
             }
@@ -198,7 +200,7 @@ mod tests {
     fn presets_match_paper() {
         let raft = Protocol::Raft.config(10_000);
         assert_eq!(raft.window, 0, "Raft is NB-Raft with window 0");
-        assert_eq!(raft.replication, ReplicationMode::Full);
+        assert_eq!(raft.protocol.replication(), ReplicationMode::Full);
         assert!(!raft.protocol.verifies());
 
         let nb = Protocol::NbRaft.config(10_000);
@@ -206,16 +208,19 @@ mod tests {
 
         let craft = Protocol::CRaft.config(10_000);
         assert_eq!(craft.window, 0);
-        assert_eq!(craft.replication, ReplicationMode::Fragmented { adaptive: false });
+        assert_eq!(craft.protocol.replication(), ReplicationMode::Fragmented { adaptive: false });
 
         let nbc = Protocol::NbCRaft.config(10_000);
         assert_eq!(nbc.window, 10_000);
-        assert!(matches!(nbc.replication, ReplicationMode::Fragmented { adaptive: false }));
+        assert!(matches!(
+            nbc.protocol.replication(),
+            ReplicationMode::Fragmented { adaptive: false }
+        ));
 
         let ec = Protocol::EcRaft.config(0);
-        assert_eq!(ec.replication, ReplicationMode::Fragmented { adaptive: true });
+        assert_eq!(ec.protocol.replication(), ReplicationMode::Fragmented { adaptive: true });
 
-        assert_eq!(Protocol::KRaft.config(0).replication, ReplicationMode::Relay);
+        assert_eq!(Protocol::KRaft.config(0).protocol.replication(), ReplicationMode::Relay);
         assert!(Protocol::VgRaft.config(0).protocol.verifies());
     }
 

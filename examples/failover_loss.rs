@@ -28,7 +28,6 @@ fn loss_run(protocol: Protocol, timeout_ms: u64, seed: u64) -> (u64, u64, f64) {
             election_min: TimeDelta::from_millis(timeout_ms),
             election_max: TimeDelta::from_millis(timeout_ms + timeout_ms / 2),
             heartbeat_interval: TimeDelta::from_millis(8),
-            retry_interval: TimeDelta::from_millis(8),
         },
         // The paper's methodology: the clients die too, so none retries.
         chaos: vec![

@@ -88,9 +88,13 @@ if [ "${CI_FULL:-0}" = "1" ]; then
     ./target/release/nbr-check model \
         --stats-out target/ci-artifacts/model-stats.json
 else
-    step "nbr-check model --quick"
+    step "nbr-check model --quick (stats cmp'd with the golden)"
     ./target/release/nbr-check model --quick \
         --stats-out target/ci-artifacts/model-stats.json
+    # The quick run's exploration is deterministic: the state, transition and
+    # invariant counts must equal the committed golden byte for byte, so any
+    # change to what a replica fingerprints shows here.
+    cmp target/ci-artifacts/model-stats.json crates/check/tests/golden/model-quick.json
 fi
 
 # Scaled safety bounds: 4 nodes, window 3, batched and unbatched appends,
