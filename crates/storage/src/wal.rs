@@ -381,6 +381,23 @@ mod tests {
         let wal = WalLog::open(&path, SyncPolicy::Never).unwrap();
         // Some prefix survived; nothing after the corruption did.
         assert!(wal.last_index() < LogIndex(5));
+
+        // A whole record with a valid CRC but no record tag 6 stops replay
+        // the same way, keeping the records before it.
+        let mut bytes = Vec::new();
+        for i in 1..=3 {
+            bytes.extend_from_slice(&encode_frame(&WalRecord::Append(e(i, 1))));
+        }
+        let body = [6u32.to_le_bytes(), 4u32.to_le_bytes()].concat();
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let kept = bytes.len() - body.len() - 8;
+        bytes.extend_from_slice(&encode_frame(&WalRecord::Append(e(4, 1))));
+        std::fs::write(&path, &bytes).unwrap();
+        let wal = WalLog::open(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(wal.last_index(), LogIndex(3));
+        assert_eq!(wal.file_len(), kept as u64);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! compaction snapshot the WAL keeps as its prefix, and the time-series
 //! machine working together the way a deployment would use them.
 
+use bytes::Bytes;
 use nbraft::storage::{encode_batch, LogStore, Point, StateMachine, SyncPolicy, TsStore, WalLog};
-use nbraft::types::{ClientId, Entry, LogIndex, Origin, RequestId, Term};
+use nbraft::types::{ClientId, Entry, LogIndex, NodeId, Origin, RequestId, Term};
 use nbraft::workload::{RequestGenerator, WorkloadConfig};
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -119,4 +120,38 @@ fn wal_record_from_the_bytewise_crc_build_replays_and_rewrites_identically() {
     let new = dir.join("new.wal");
     WalLog::open(&new, SyncPolicy::Never).unwrap().append(entry).unwrap();
     assert_eq!(std::fs::read(&new).unwrap(), GOLDEN_WAL);
+
+    // Every other record `WalLog` writes, as the hand-written record codec
+    // laid them out: the `[hard state, snapshot]` prefix of a rewrite, two
+    // appends, a truncation and a hard-state change.
+    const GOLDEN_RECORDS: &str = "\
+        1100000031f282ff04000000040000000000000001010000001e000000740b46\
+        e7050000003200000000000000040000000000000006000000696d674035301e\
+        00000019f9c53a00000000330000000000000005000000000000000400000000\
+        000000000023000000d593dfdb00000000340000000000000005000000000000\
+        000500000000000000000101000000780c00000087d7f7e10100000034000000\
+        000000000d0000009e55d7bc04000000060000000000000000";
+    let golden: Vec<u8> = (0..GOLDEN_RECORDS.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_RECORDS[i..i + 2], 16).unwrap())
+        .collect();
+    let old = dir.join("records.wal");
+    std::fs::write(&old, &golden).unwrap();
+    let wal = WalLog::open(&old, SyncPolicy::Never).unwrap();
+    assert_eq!((wal.first_index(), wal.last_index()), (LogIndex(51), LogIndex(51)));
+    assert_eq!(wal.get(LogIndex(51)), Some(Entry::noop(LogIndex(51), Term(5), Term(4))));
+    assert_eq!(wal.snapshot(), Some((LogIndex(50), Term(4), Bytes::from_static(b"img@50"))));
+    assert_eq!(wal.hard_state(), (Term(6), None));
+    assert_eq!(wal.file_len(), golden.len() as u64, "nothing truncated as torn");
+
+    let new = dir.join("records-new.wal");
+    let mut wal = WalLog::open(&new, SyncPolicy::Never).unwrap();
+    wal.set_hard_state(Term(4), Some(NodeId(1))).unwrap();
+    wal.reset(LogIndex(50), Term(4), Bytes::from_static(b"img@50")).unwrap();
+    wal.append(Entry::noop(LogIndex(51), Term(5), Term(4))).unwrap();
+    wal.append(Entry::data(LogIndex(52), Term(5), Term(5), None, Bytes::from_static(b"x")))
+        .unwrap();
+    wal.truncate_from(LogIndex(52)).unwrap();
+    wal.set_hard_state(Term(6), None).unwrap();
+    assert_eq!(std::fs::read(&new).unwrap(), golden);
 }
