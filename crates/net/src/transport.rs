@@ -76,7 +76,7 @@ use nbr_cluster::sync::Mutex;
 use nbr_cluster::transport::{Transport, TransportInboxes};
 use nbr_cluster::FaultPlane;
 use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry, Snapshot};
-use nbr_types::wire::{decode_frame_shared, encode_frame_into};
+use nbr_types::wire::{decode_frame_shared, encode_frame_into, frame_len};
 use nbr_types::{
     ClientId, HelloMsg, LinkFault, NetFrame, NodeId, PeerKind, Time, NET_PROTOCOL_VERSION,
 };
@@ -1212,17 +1212,14 @@ fn run_reader(sh: Arc<Shared>, mut stream: TcpStream) {
         };
         sh.stats.bytes_in.add(n as u64);
         buf.extend_from_slice(&tmp[..n]);
-        if buf.len() < 8 {
-            continue;
-        }
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if len > MAX_FRAME {
-            // A hostile or corrupt length prefix must not pin memory.
-            sh.stats.decode_errors.inc();
-            break 'conn;
-        }
-        if buf.len() < 8 + len {
-            continue; // first frame incomplete; read more
+        match frame_len(&buf, MAX_FRAME) {
+            Ok(Some(_)) => {}
+            Ok(None) => continue, // first frame incomplete; read more
+            Err(_) => {
+                // A hostile or corrupt length prefix must not pin memory.
+                sh.stats.decode_errors.inc();
+                break 'conn;
+            }
         }
         let mut shared = Bytes::from(std::mem::take(&mut buf));
         while !shared.is_empty() {

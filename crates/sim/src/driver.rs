@@ -17,7 +17,7 @@
 
 use crate::cost::{CostModel, GeoMatrix};
 use nbr_core::{ClientAction, Node, NodeStats, Output, RaftClient};
-use nbr_metrics::{Histogram, Throughput};
+use nbr_metrics::Histogram;
 use nbr_obs::{EngineProbe, ProbeEvent};
 use nbr_storage::{LogStore, MemLog};
 use nbr_types::*;
@@ -249,7 +249,7 @@ pub struct Simulator {
     // measurement
     window_start: Time,
     window_end: Time,
-    throughput: Throughput,
+    /// First-ack latencies inside the window; its count is the throughput.
     latency: Histogram,
     issued: u64,
     acked: u64,
@@ -314,7 +314,6 @@ impl Simulator {
             client_started: vec![false; cfg.n_clients],
             window_start,
             window_end,
-            throughput: Throughput::new(),
             latency: Histogram::new(),
             issued: 0,
             acked: 0,
@@ -560,7 +559,6 @@ impl Simulator {
                         self.weak_acked += 1;
                     }
                     if self.now >= self.window_start && self.now < self.window_end {
-                        self.throughput.record(self.cfg.payload as u64);
                         self.latency.record(self.now.since(issued_at).as_nanos());
                     }
                 }
@@ -776,7 +774,7 @@ impl Simulator {
     }
 
     fn finish(self) -> SimResult {
-        let duration_ns = self.cfg.duration.as_nanos();
+        let duration_s = self.cfg.duration.as_nanos() as f64 / 1e9;
         let mut stats = NodeStats::default();
         for n in self.nodes.iter().flatten() {
             let s = &n.stats;
@@ -859,7 +857,11 @@ impl Simulator {
             prefix_hash,
             chaos_dropped: self.chaos_dropped,
             recoveries: self.recoveries,
-            throughput: self.throughput.ops_per_sec_over(duration_ns),
+            throughput: if duration_s > 0.0 {
+                self.latency.count() as f64 / duration_s
+            } else {
+                0.0
+            },
             latency_mean_ms: self.latency.mean() / 1e6,
             latency_p50_ms: self.latency.p50() as f64 / 1e6,
             latency_p99_ms: self.latency.p99() as f64 / 1e6,

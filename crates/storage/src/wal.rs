@@ -17,8 +17,8 @@
 use crate::log::{LogStore, MemLog};
 use bytes::Bytes;
 use nbr_types::checksum::crc32;
-use nbr_types::wire::{encode_frame, Reader, Wire, Writer};
-use nbr_types::{Entry, Error, LogIndex, NodeId, Result, Term};
+use nbr_types::wire::encode_frame;
+use nbr_types::{Entry, LogIndex, NodeId, Result, Term};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write as IoWrite};
 use std::path::{Path, PathBuf};
@@ -54,72 +54,14 @@ enum WalRecord {
     },
 }
 
-impl Wire for WalRecord {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WalRecord::Append(e) => {
-                0u32.encode_tag(w);
-                e.encode(w);
-            }
-            WalRecord::TruncateFrom(i) => {
-                1u32.encode_tag(w);
-                i.encode(w);
-            }
-            WalRecord::CompactTo(i) => {
-                2u32.encode_tag(w);
-                i.encode(w);
-            }
-            WalRecord::Reset(i, t) => {
-                3u32.encode_tag(w);
-                i.encode(w);
-                t.encode(w);
-            }
-            WalRecord::HardState(t, v) => {
-                4u32.encode_tag(w);
-                t.encode(w);
-                v.encode(w);
-            }
-            WalRecord::Snapshot { index, term, image } => {
-                5u32.encode_tag(w);
-                index.encode(w);
-                term.encode(w);
-                w.bytes(image);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match u32::decode_tag(r)? {
-            0 => Ok(WalRecord::Append(Entry::decode(r)?)),
-            1 => Ok(WalRecord::TruncateFrom(LogIndex::decode(r)?)),
-            2 => Ok(WalRecord::CompactTo(LogIndex::decode(r)?)),
-            3 => Ok(WalRecord::Reset(LogIndex::decode(r)?, Term::decode(r)?)),
-            4 => Ok(WalRecord::HardState(Term::decode(r)?, Option::<NodeId>::decode(r)?)),
-            5 => Ok(WalRecord::Snapshot {
-                index: LogIndex::decode(r)?,
-                term: Term::decode(r)?,
-                image: r.bytes_shared()?,
-            }),
-            v => Err(Error::Codec(format!("invalid wal record tag {v}"))),
-        }
-    }
-}
-
-/// Private helper to put a one-byte tag through the shared Writer/Reader.
-trait Tag {
-    fn encode_tag(self, w: &mut Writer);
-    fn decode_tag(r: &mut Reader<'_>) -> Result<u32>;
-}
-
-impl Tag for u32 {
-    fn encode_tag(self, w: &mut Writer) {
-        // Reuse NodeId's u32 encoding without exposing raw writer internals.
-        nbr_types::NodeId(self).encode(w);
-    }
-    fn decode_tag(r: &mut Reader<'_>) -> Result<u32> {
-        Ok(nbr_types::NodeId::decode(r)?.0)
-    }
-}
+nbr_types::wire_enum!(WalRecord: u32, "wal record" {
+    0 => Append(entry),
+    1 => TruncateFrom(index),
+    2 => CompactTo(index),
+    3 => Reset(index, term),
+    4 => HardState(term, vote),
+    5 => Snapshot { index, term, image },
+});
 
 /// A durable log store: a [`MemLog`] image plus a WAL file.
 #[derive(Debug)]

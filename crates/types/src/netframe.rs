@@ -140,27 +140,7 @@ pub fn group_trace_id(group: u32, client: ClientId, request: RequestId) -> u64 {
     (u64::from(group) << 48) ^ trace_id(client, request)
 }
 
-impl Wire for PeerKind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PeerKind::Node(n) => {
-                w.u8(0);
-                n.encode(w);
-            }
-            PeerKind::Client(c) => {
-                w.u8(1);
-                c.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
-            0 => Ok(PeerKind::Node(NodeId::decode(r)?)),
-            1 => Ok(PeerKind::Client(ClientId::decode(r)?)),
-            v => Err(Error::Codec(format!("invalid peer kind tag {v}"))),
-        }
-    }
-}
+crate::wire_enum!(PeerKind: u8, "peer kind" { 0 => Node(id), 1 => Client(id) });
 
 impl Wire for HelloMsg {
     fn encode(&self, w: &mut Writer) {

@@ -14,6 +14,24 @@
 //! are `count:u32le` + elements. Decoding is strict: trailing bytes inside a
 //! frame body are an error, which catches encoder/decoder drift early (and is
 //! verified by round-trip property tests).
+//!
+//! Each layout is written once. A struct whose encoding is its fields in
+//! order is one `wire_struct!` line (`HeartbeatMsg { term, leader, … }`);
+//! an enum whose encoding is `tag || fields` is one
+//! [`wire_enum!`](crate::wire_enum) table (`2 => Mismatch { index,
+//! resend_from }`). Both macros generate `encode` and `decode` from that one
+//! declaration, so the two cannot drift apart.
+//! To add a field, put it in the declaration at its place in the layout; to
+//! add a message, declare its struct and give it the next `Message` tag.
+//! Either is a wire change: bump
+//! [`NET_PROTOCOL_VERSION`](crate::netframe::NET_PROTOCOL_VERSION), and
+//! re-pin the layout bytes in `tests/checksum_proptest.rs`.
+//!
+//! A layout stays hand-written only if its decoder checks more than the
+//! field types, because those checks are what reject hostile input:
+//! `AppendEntryMsg` (batch hardening), `Fragment` (erasure geometry),
+//! `HelloMsg` and `NetFrame` (version compatibility, group bounds), and the
+//! containers `Option<T>` and `Vec<T>` (tag and count checks).
 
 use crate::checksum::crc32;
 use crate::entry::{Entry, Fragment, Origin, Payload};
@@ -177,9 +195,6 @@ impl<'a> Reader<'a> {
             v => Err(Error::Codec(format!("invalid bool byte {v}"))),
         }
     }
-    fn array32(&mut self) -> Result<[u8; 32]> {
-        Ok(self.take(32)?.try_into().unwrap())
-    }
 
     /// Error unless the body was fully consumed.
     pub fn finish(&self) -> Result<()> {
@@ -198,48 +213,61 @@ pub trait Wire: Sized {
     fn decode(r: &mut Reader<'_>) -> Result<Self>;
 }
 
-impl Wire for NodeId {
+/// `impl Wire` for types that are one fixed-width integer (or bool): plain
+/// scalars read straight from the reader, newtypes wrap what they read.
+macro_rules! wire_scalar {
+    ($($t:ty => $rw:ident),* $(,)?) => {$(
+        impl Wire for $t {
+            fn encode(&self, w: &mut Writer) {
+                w.$rw(*self)
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                r.$rw()
+            }
+        }
+    )*};
+    ($($t:ident($rw:ident)),* $(,)?) => {$(
+        impl Wire for $t {
+            fn encode(&self, w: &mut Writer) {
+                w.$rw(self.0)
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($t(r.$rw()?))
+            }
+        }
+    )*};
+}
+
+wire_scalar!(u8 => u8, u64 => u64, bool => bool);
+wire_scalar!(NodeId(u32), Term(u64), LogIndex(u64), ClientId(u64), RequestId(u64));
+
+impl Wire for [u8; 32] {
     fn encode(&self, w: &mut Writer) {
-        w.u32(self.0)
+        w.buf.extend_from_slice(self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(NodeId(r.u32()?))
+        Ok(r.take(32)?.try_into().unwrap())
     }
 }
 
-impl Wire for Term {
+/// `len || bytes`; decoded zero-copy on a [`Reader::shared`] reader.
+impl Wire for Bytes {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.0)
+        w.bytes(self)
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Term(r.u64()?))
+        r.bytes_shared()
     }
 }
 
-impl Wire for LogIndex {
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.0)
+        self.0.encode(w);
+        self.1.encode(w);
+        self.2.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(LogIndex(r.u64()?))
-    }
-}
-
-impl Wire for ClientId {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.0)
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ClientId(r.u64()?))
-    }
-}
-
-impl Wire for RequestId {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.0)
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(RequestId(r.u64()?))
+        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
     }
 }
 
@@ -283,13 +311,115 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// `impl Wire` for structs laid out as their fields in the listed order,
+/// with nothing to check beyond each field's own decoding.
+macro_rules! wire_struct {
+    ($($name:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $name {
+            fn encode(&self, w: &mut Writer) {
+                $(self.$field.encode(w);)*
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($name { $($field: Wire::decode(r)?),* })
+            }
+        }
+    )*};
+}
+
+/// `impl Wire` for an enum laid out as `tag || fields`: the tag is a `u8` or
+/// `u32`, each variant lists its tag and its fields (tuple fields by a
+/// binding name) in wire order, and an unknown tag decodes to
+/// `invalid <what> tag <tag>`.
+///
+/// ```text
+/// wire_enum!(Payload: u8, "payload" { 0 => Noop, 1 => Data(bytes), 2 => Fragment(f) });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident: $tag_ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $(($($pos:ident),*))? $({$($field:ident),*})?),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                match self {
+                    $($name::$variant $(($($pos),*))? $({$($field),*})? => {
+                        w.$tag_ty($tag);
+                        $($($crate::wire::Wire::encode($pos, w);)*)?
+                        $($($crate::wire::Wire::encode($field, w);)*)?
+                    })*
+                }
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::Result<Self> {
+                match r.$tag_ty()? {
+                    $($tag => {
+                        $($(let $pos = $crate::wire::Wire::decode(r)?;)*)?
+                        $($(let $field = $crate::wire::Wire::decode(r)?;)*)?
+                        Ok($name::$variant $(($($pos),*))? $({$($field),*})?)
+                    })*
+                    v => Err($crate::Error::Codec(::std::format!("invalid {} tag {v}", $what))),
+                }
+            }
+        }
+    };
+}
+
+wire_struct! {
+    Origin { client, request }
+    Entry { index, term, prev_term, origin, payload }
+    Verification { digest, signature, group }
+    ClientRequest { client, request, payload }
+    AppendRespMsg { term, from, state }
+    HeartbeatMsg { term, leader, last_index, last_term, leader_commit }
+    HeartbeatRespMsg { term, from, last_index, last_term }
+    RequestVoteMsg { term, candidate, last_log_index, last_log_term }
+    RequestVoteRespMsg { term, from, granted }
+    PullFragmentsMsg { term, from, from_index, to_index }
+    PushFragmentsMsg { term, from, fragments }
+    InstallSnapshotMsg { term, leader, last_index, last_term, leader_commit, data }
+    InstallSnapshotRespMsg { term, from, last_index }
+    ReadIndexReqMsg { term, from, probe }
+    ReadIndexRespMsg { term, read_index, probe }
+}
+
+wire_enum!(Payload: u8, "payload" { 0 => Noop, 1 => Data(data), 2 => Fragment(fragment) });
+
+wire_enum!(AcceptState: u8, "accept state" {
+    0 => Strong { last_index, last_term },
+    1 => Weak { index, term },
+    2 => Mismatch { index, resend_from },
+});
+
+wire_enum!(Message: u8, "message" {
+    0 => AppendEntry(m),
+    1 => AppendResp(m),
+    2 => Heartbeat(m),
+    3 => HeartbeatResp(m),
+    4 => RequestVote(m),
+    5 => RequestVoteResp(m),
+    6 => PullFragments(m),
+    7 => PushFragments(m),
+    8 => InstallSnapshot(m),
+    9 => InstallSnapshotResp(m),
+    10 => ReadIndexReq(m),
+    11 => ReadIndexResp(m),
+});
+
+wire_enum!(ClientResponse: u8, "client response" {
+    0 => Weak { request, index, term },
+    1 => Strong { request, index, term },
+    2 => LeaderChanged { term },
+    3 => NotLeader { request, hint },
+});
+
+/// Geometry is checked before the shard is read: a hostile `k`/`n` must
+/// not reach the erasure decoder.
 impl Wire for Fragment {
     fn encode(&self, w: &mut Writer) {
         w.u8(self.shard);
         w.u8(self.k);
         w.u8(self.n);
         w.u32(self.orig_len);
-        w.bytes(&self.data);
+        self.data.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let shard = r.u8()?;
@@ -301,110 +431,6 @@ impl Wire for Fragment {
             )));
         }
         Ok(Fragment { shard, k, n, orig_len: r.u32()?, data: r.bytes_shared()? })
-    }
-}
-
-impl Wire for Payload {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Payload::Noop => w.u8(0),
-            Payload::Data(b) => {
-                w.u8(1);
-                w.bytes(b);
-            }
-            Payload::Fragment(f) => {
-                w.u8(2);
-                f.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
-            0 => Ok(Payload::Noop),
-            1 => Ok(Payload::Data(r.bytes_shared()?)),
-            2 => Ok(Payload::Fragment(Fragment::decode(r)?)),
-            v => Err(Error::Codec(format!("invalid payload tag {v}"))),
-        }
-    }
-}
-
-impl Wire for Origin {
-    fn encode(&self, w: &mut Writer) {
-        self.client.encode(w);
-        self.request.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Origin { client: ClientId::decode(r)?, request: RequestId::decode(r)? })
-    }
-}
-
-impl Wire for Entry {
-    fn encode(&self, w: &mut Writer) {
-        self.index.encode(w);
-        self.term.encode(w);
-        self.prev_term.encode(w);
-        self.origin.encode(w);
-        self.payload.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Entry {
-            index: LogIndex::decode(r)?,
-            term: Term::decode(r)?,
-            prev_term: Term::decode(r)?,
-            origin: Option::<Origin>::decode(r)?,
-            payload: Payload::decode(r)?,
-        })
-    }
-}
-
-impl Wire for AcceptState {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AcceptState::Strong { last_index, last_term } => {
-                w.u8(0);
-                last_index.encode(w);
-                last_term.encode(w);
-            }
-            AcceptState::Weak { index, term } => {
-                w.u8(1);
-                index.encode(w);
-                term.encode(w);
-            }
-            AcceptState::Mismatch { index, resend_from } => {
-                w.u8(2);
-                index.encode(w);
-                resend_from.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
-            0 => Ok(AcceptState::Strong {
-                last_index: LogIndex::decode(r)?,
-                last_term: Term::decode(r)?,
-            }),
-            1 => Ok(AcceptState::Weak { index: LogIndex::decode(r)?, term: Term::decode(r)? }),
-            2 => Ok(AcceptState::Mismatch {
-                index: LogIndex::decode(r)?,
-                resend_from: LogIndex::decode(r)?,
-            }),
-            v => Err(Error::Codec(format!("invalid accept state tag {v}"))),
-        }
-    }
-}
-
-impl Wire for Verification {
-    fn encode(&self, w: &mut Writer) {
-        w.buf.extend_from_slice(&self.digest);
-        w.buf.extend_from_slice(&self.signature);
-        self.group.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Verification {
-            digest: r.array32()?,
-            signature: r.array32()?,
-            group: Vec::<NodeId>::decode(r)?,
-        })
     }
 }
 
@@ -455,329 +481,6 @@ impl Wire for AppendEntryMsg {
     }
 }
 
-impl Wire for AppendRespMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        self.state.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(AppendRespMsg {
-            term: Term::decode(r)?,
-            from: NodeId::decode(r)?,
-            state: AcceptState::decode(r)?,
-        })
-    }
-}
-
-impl Wire for HeartbeatMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.leader.encode(w);
-        self.last_index.encode(w);
-        self.last_term.encode(w);
-        self.leader_commit.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(HeartbeatMsg {
-            term: Term::decode(r)?,
-            leader: NodeId::decode(r)?,
-            last_index: LogIndex::decode(r)?,
-            last_term: Term::decode(r)?,
-            leader_commit: LogIndex::decode(r)?,
-        })
-    }
-}
-
-impl Wire for HeartbeatRespMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        self.last_index.encode(w);
-        self.last_term.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(HeartbeatRespMsg {
-            term: Term::decode(r)?,
-            from: NodeId::decode(r)?,
-            last_index: LogIndex::decode(r)?,
-            last_term: Term::decode(r)?,
-        })
-    }
-}
-
-impl Wire for RequestVoteMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.candidate.encode(w);
-        self.last_log_index.encode(w);
-        self.last_log_term.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(RequestVoteMsg {
-            term: Term::decode(r)?,
-            candidate: NodeId::decode(r)?,
-            last_log_index: LogIndex::decode(r)?,
-            last_log_term: Term::decode(r)?,
-        })
-    }
-}
-
-impl Wire for RequestVoteRespMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        w.bool(self.granted);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(RequestVoteRespMsg {
-            term: Term::decode(r)?,
-            from: NodeId::decode(r)?,
-            granted: r.bool()?,
-        })
-    }
-}
-
-impl Wire for PullFragmentsMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        self.from_index.encode(w);
-        self.to_index.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(PullFragmentsMsg {
-            term: Term::decode(r)?,
-            from: NodeId::decode(r)?,
-            from_index: LogIndex::decode(r)?,
-            to_index: LogIndex::decode(r)?,
-        })
-    }
-}
-
-impl Wire for (LogIndex, Term, Fragment) {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok((LogIndex::decode(r)?, Term::decode(r)?, Fragment::decode(r)?))
-    }
-}
-
-impl Wire for PushFragmentsMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        self.fragments.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(PushFragmentsMsg {
-            term: Term::decode(r)?,
-            from: NodeId::decode(r)?,
-            fragments: Vec::<(LogIndex, Term, Fragment)>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for InstallSnapshotMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.leader.encode(w);
-        self.last_index.encode(w);
-        self.last_term.encode(w);
-        self.leader_commit.encode(w);
-        w.bytes(&self.data);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(InstallSnapshotMsg {
-            term: Term::decode(r)?,
-            leader: NodeId::decode(r)?,
-            last_index: LogIndex::decode(r)?,
-            last_term: Term::decode(r)?,
-            leader_commit: LogIndex::decode(r)?,
-            data: r.bytes_shared()?,
-        })
-    }
-}
-
-impl Wire for InstallSnapshotRespMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        self.last_index.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(InstallSnapshotRespMsg {
-            term: Term::decode(r)?,
-            from: NodeId::decode(r)?,
-            last_index: LogIndex::decode(r)?,
-        })
-    }
-}
-
-impl Wire for ReadIndexReqMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.from.encode(w);
-        w.u64(self.probe);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ReadIndexReqMsg { term: Term::decode(r)?, from: NodeId::decode(r)?, probe: r.u64()? })
-    }
-}
-
-impl Wire for ReadIndexRespMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        self.read_index.encode(w);
-        w.u64(self.probe);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ReadIndexRespMsg {
-            term: Term::decode(r)?,
-            read_index: LogIndex::decode(r)?,
-            probe: r.u64()?,
-        })
-    }
-}
-
-impl Wire for Message {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Message::AppendEntry(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            Message::AppendResp(m) => {
-                w.u8(1);
-                m.encode(w);
-            }
-            Message::Heartbeat(m) => {
-                w.u8(2);
-                m.encode(w);
-            }
-            Message::HeartbeatResp(m) => {
-                w.u8(3);
-                m.encode(w);
-            }
-            Message::RequestVote(m) => {
-                w.u8(4);
-                m.encode(w);
-            }
-            Message::RequestVoteResp(m) => {
-                w.u8(5);
-                m.encode(w);
-            }
-            Message::PullFragments(m) => {
-                w.u8(6);
-                m.encode(w);
-            }
-            Message::PushFragments(m) => {
-                w.u8(7);
-                m.encode(w);
-            }
-            Message::InstallSnapshot(m) => {
-                w.u8(8);
-                m.encode(w);
-            }
-            Message::InstallSnapshotResp(m) => {
-                w.u8(9);
-                m.encode(w);
-            }
-            Message::ReadIndexReq(m) => {
-                w.u8(10);
-                m.encode(w);
-            }
-            Message::ReadIndexResp(m) => {
-                w.u8(11);
-                m.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
-            0 => Ok(Message::AppendEntry(AppendEntryMsg::decode(r)?)),
-            1 => Ok(Message::AppendResp(AppendRespMsg::decode(r)?)),
-            2 => Ok(Message::Heartbeat(HeartbeatMsg::decode(r)?)),
-            3 => Ok(Message::HeartbeatResp(HeartbeatRespMsg::decode(r)?)),
-            4 => Ok(Message::RequestVote(RequestVoteMsg::decode(r)?)),
-            5 => Ok(Message::RequestVoteResp(RequestVoteRespMsg::decode(r)?)),
-            6 => Ok(Message::PullFragments(PullFragmentsMsg::decode(r)?)),
-            7 => Ok(Message::PushFragments(PushFragmentsMsg::decode(r)?)),
-            8 => Ok(Message::InstallSnapshot(InstallSnapshotMsg::decode(r)?)),
-            9 => Ok(Message::InstallSnapshotResp(InstallSnapshotRespMsg::decode(r)?)),
-            10 => Ok(Message::ReadIndexReq(ReadIndexReqMsg::decode(r)?)),
-            11 => Ok(Message::ReadIndexResp(ReadIndexRespMsg::decode(r)?)),
-            v => Err(Error::Codec(format!("invalid message tag {v}"))),
-        }
-    }
-}
-
-impl Wire for ClientRequest {
-    fn encode(&self, w: &mut Writer) {
-        self.client.encode(w);
-        self.request.encode(w);
-        w.bytes(&self.payload);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ClientRequest {
-            client: ClientId::decode(r)?,
-            request: RequestId::decode(r)?,
-            payload: r.bytes_shared()?,
-        })
-    }
-}
-
-impl Wire for ClientResponse {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ClientResponse::Weak { request, index, term } => {
-                w.u8(0);
-                request.encode(w);
-                index.encode(w);
-                term.encode(w);
-            }
-            ClientResponse::Strong { request, index, term } => {
-                w.u8(1);
-                request.encode(w);
-                index.encode(w);
-                term.encode(w);
-            }
-            ClientResponse::LeaderChanged { term } => {
-                w.u8(2);
-                term.encode(w);
-            }
-            ClientResponse::NotLeader { request, hint } => {
-                w.u8(3);
-                request.encode(w);
-                hint.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.u8()? {
-            0 => Ok(ClientResponse::Weak {
-                request: RequestId::decode(r)?,
-                index: LogIndex::decode(r)?,
-                term: Term::decode(r)?,
-            }),
-            1 => Ok(ClientResponse::Strong {
-                request: RequestId::decode(r)?,
-                index: LogIndex::decode(r)?,
-                term: Term::decode(r)?,
-            }),
-            2 => Ok(ClientResponse::LeaderChanged { term: Term::decode(r)? }),
-            3 => Ok(ClientResponse::NotLeader {
-                request: RequestId::decode(r)?,
-                hint: Option::<NodeId>::decode(r)?,
-            }),
-            v => Err(Error::Codec(format!("invalid client response tag {v}"))),
-        }
-    }
-}
-
 /// Encode a value into a self-describing frame: `len || crc || body`.
 pub fn encode_frame<T: Wire>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
@@ -810,13 +513,12 @@ pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>> {
     decode_frame_capped(buf, MAX_FRAME_LEN)
 }
 
-/// [`decode_frame`] with a caller-supplied frame-size cap (still bounded by
-/// [`MAX_FRAME_LEN`]). A network transport accepting frames from untrusted
-/// connections should pass the largest frame it legitimately expects: the
-/// length prefix is attacker-controlled, and the cap is what stops a corrupt
-/// or hostile prefix from pinning `max_len` bytes of reassembly buffer per
-/// connection while the reader waits for a body that never comes.
-pub fn decode_frame_capped<T: Wire>(buf: &[u8], max_len: usize) -> Result<Option<(T, usize)>> {
+/// The one frame-header check: the length of the whole frame (header +
+/// body) at the front of `buf` once all of it has arrived, `Ok(None)` while
+/// it is still partial, and a codec error as soon as the header shows a
+/// length prefix over `max_len` (itself bounded by [`MAX_FRAME_LEN`]), so a
+/// streaming reader can drop the connection before buffering the body.
+pub fn frame_len(buf: &[u8], max_len: usize) -> Result<Option<usize>> {
     let max_len = max_len.min(MAX_FRAME_LEN);
     if buf.len() < 8 {
         return Ok(None);
@@ -825,18 +527,18 @@ pub fn decode_frame_capped<T: Wire>(buf: &[u8], max_len: usize) -> Result<Option
     if len > max_len {
         return Err(Error::Codec(format!("frame length {len} exceeds maximum {max_len}")));
     }
-    if buf.len() < 8 + len {
-        return Ok(None);
-    }
-    let expect_crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let body = &buf[8..8 + len];
-    if crc32(body) != expect_crc {
-        return Err(Error::Codec("frame checksum mismatch".into()));
-    }
-    let mut r = Reader::new(body);
-    let v = T::decode(&mut r)?;
-    r.finish()?;
-    Ok(Some((v, 8 + len)))
+    Ok((buf.len() >= 8 + len).then_some(8 + len))
+}
+
+/// [`decode_frame`] with a caller-supplied frame-size cap (still bounded by
+/// [`MAX_FRAME_LEN`]). A network transport accepting frames from untrusted
+/// connections should pass the largest frame it legitimately expects: the
+/// length prefix is attacker-controlled, and the cap is what stops a corrupt
+/// or hostile prefix from pinning `max_len` bytes of reassembly buffer per
+/// connection while the reader waits for a body that never comes.
+pub fn decode_frame_capped<T: Wire>(buf: &[u8], max_len: usize) -> Result<Option<(T, usize)>> {
+    let Some(end) = frame_len(buf, max_len)? else { return Ok(None) };
+    Ok(Some((decode_body(&buf[..end], Reader::new(&buf[8..end]))?, end)))
 }
 
 /// [`decode_frame_capped`] over a reference-counted buffer: byte-string
@@ -846,26 +548,19 @@ pub fn decode_frame_capped<T: Wire>(buf: &[u8], max_len: usize) -> Result<Option
 /// and `split_to(..).freeze()`s whole frames gets an allocation-free decode
 /// path for bulk data.
 pub fn decode_frame_shared<T: Wire>(buf: &Bytes, max_len: usize) -> Result<Option<(T, usize)>> {
-    let max_len = max_len.min(MAX_FRAME_LEN);
-    if buf.len() < 8 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if len > max_len {
-        return Err(Error::Codec(format!("frame length {len} exceeds maximum {max_len}")));
-    }
-    if buf.len() < 8 + len {
-        return Ok(None);
-    }
-    let expect_crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let body = buf.slice(8..8 + len);
-    if crc32(&body) != expect_crc {
+    let Some(end) = frame_len(buf, max_len)? else { return Ok(None) };
+    let body = buf.slice(8..end);
+    Ok(Some((decode_body(&buf[..end], Reader::shared(&body))?, end)))
+}
+
+/// Check a whole `frame`'s CRC, then decode all of its body from `r`.
+fn decode_body<T: Wire>(frame: &[u8], mut r: Reader<'_>) -> Result<T> {
+    if crc32(&frame[8..]) != u32::from_le_bytes(frame[4..8].try_into().unwrap()) {
         return Err(Error::Codec("frame checksum mismatch".into()));
     }
-    let mut r = Reader::shared(&body);
     let v = T::decode(&mut r)?;
     r.finish()?;
-    Ok(Some((v, 8 + len)))
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -1084,9 +779,10 @@ mod tests {
 
     #[test]
     fn invalid_tags_rejected() {
-        let body = vec![9u8]; // no message tag 9
+        let body = vec![12u8]; // no message tag 12
         let mut r = Reader::new(&body);
-        assert!(Message::decode(&mut r).is_err());
+        let err = Message::decode(&mut r).unwrap_err();
+        assert!(matches!(&err, Error::Codec(m) if m == "invalid message tag 12"), "{err:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | [`sim`] | `nbr-sim` | discrete-event cluster simulator |
 //! | [`cluster`] | `nbr-cluster` | real-thread cluster runtime |
 //! | [`workload`] | `nbr-workload` | TPCx-IoT-style generators |
-//! | [`metrics`] | `nbr-metrics` | histograms, throughput tracking |
+//! | [`metrics`] | `nbr-metrics` | latency histograms |
 //!
 //! ## Quickstart
 //!
