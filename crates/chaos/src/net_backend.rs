@@ -20,9 +20,9 @@
 //! oracle set, and seed plumbing are identical.
 
 use crate::corpus::Scenario;
-use crate::oracle::{end_state, min_live_commit, Check, EndRow, Verdict};
+use crate::oracle::{end_state, min_live_commit, Check, Verdict};
 use crate::schedule::Schedule;
-use nbr_cluster::{FaultPlane, StorageMode};
+use nbr_cluster::{FaultPlane, NodeStatus, StorageMode};
 use nbr_net::{await_leaders, NetClient, NodeServer};
 use nbr_obs::{EngineProbe, TraceEvent};
 use nbr_storage::{KvStore, StateMachine};
@@ -175,26 +175,17 @@ pub fn run_scenario_net(
     // must be alive, exactly one leader, terms equal, and commit == applied
     // everywhere with equal state-machine digests.
     let deadline = Instant::now() + Duration::from_millis(s.recovery_ms());
-    let mut rows: Vec<EndRow>;
+    let mut rows: Vec<NodeStatus>;
     let mut digests: BTreeSet<u32>;
     let mut converged;
     loop {
-        let status: Vec<_> = servers.iter().map(|srv| srv.cluster().status(0)).collect();
-        rows = status
-            .iter()
-            .map(|st| EndRow {
-                alive: st.alive,
-                is_leader: st.is_leader,
-                term: st.term,
-                commit: st.commit,
-            })
-            .collect();
+        rows = servers.iter().map(|srv| srv.cluster().status(0)).collect();
         digests =
             servers.iter().map(|srv| crc32(&srv.cluster().machine(0).lock().snapshot())).collect();
         converged = rows.iter().all(|r| r.alive)
             && rows.iter().filter(|r| r.is_leader).count() == 1
             && rows.iter().all(|r| r.term == rows[0].term && r.commit == rows[0].commit)
-            && status.iter().all(|st| st.applied == st.commit)
+            && rows.iter().all(|r| r.applied == r.commit)
             && digests.len() == 1
             && (!s.expect_progress || min_live_commit(&rows) > 0);
         if converged || Instant::now() >= deadline {

@@ -7,6 +7,7 @@
 //! hashes — and the liveness checks assert bounded-window convergence
 //! after the schedule ends.
 
+use nbr_cluster::NodeStatus;
 use nbr_obs::{ProbeEvent, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -167,27 +168,15 @@ pub fn election_safety(events: &[TraceEvent]) -> Result<u64, String> {
     Ok(elections)
 }
 
-/// One replica at the end of a run, as either backend reports it.
-#[derive(Debug, Clone, Copy)]
-pub struct EndRow {
-    /// Running (not crashed) when the run ended. The rest is read only then.
-    pub alive: bool,
-    /// Believes itself leader.
-    pub is_leader: bool,
-    /// Current term.
-    pub term: u64,
-    /// Commit index.
-    pub commit: u64,
-}
-
 /// The lowest commit index among the live replicas (0 when none is live).
-pub fn min_live_commit(rows: &[EndRow]) -> u64 {
+pub fn min_live_commit(rows: &[NodeStatus]) -> u64 {
     rows.iter().filter(|r| r.alive).map(|r| r.commit).min().unwrap_or(0)
 }
 
 /// The final-state oracles every backend is judged by, over its `trace` and
-/// its per-replica end `rows`: election safety, every replica back, exactly
-/// one leader and one term among the live ones, the backend's own
+/// the [`NodeStatus`] each of its replicas ended in (`rows`): election
+/// safety, every replica back, exactly one leader and one term among the
+/// live ones, the backend's own
 /// `convergence` evidence (what "the replicas hold the same state" can be
 /// read from differs: log prefix hashes in the sim, commit indexes and
 /// state-machine digests over TCP), and — `progress: Some(acks)` — that
@@ -195,7 +184,7 @@ pub fn min_live_commit(rows: &[EndRow]) -> u64 {
 pub fn end_state(
     v: &mut Verdict,
     trace: &[TraceEvent],
-    rows: &[EndRow],
+    rows: &[NodeStatus],
     convergence: Check,
     progress: Option<u64>,
 ) {

@@ -6,7 +6,7 @@
 //! the same verdict JSON, so failures replay exactly from `--seed`.
 
 use crate::corpus::Scenario;
-use crate::oracle::{end_state, min_live_commit, Check, EndRow, Verdict};
+use crate::oracle::{end_state, min_live_commit, Check, Verdict};
 use nbr_obs::EngineProbe;
 use nbr_sim::{SimConfig, SimResult};
 use nbr_types::{Protocol, Time, TimeDelta};
@@ -42,20 +42,15 @@ pub fn run_scenario_sim(s: &Scenario, seed: u64) -> Verdict {
     let (r, events) = run_once(s, seed, s.window);
     let mut v = Verdict::new(s.name, "sim", seed);
 
-    let rows: Vec<EndRow> = (r.final_state.iter().zip(&r.final_commit))
-        .map(|(st, commit)| {
-            let (term, is_leader, _) = st.unwrap_or_default();
-            EndRow { alive: st.is_some(), is_leader, term, commit: commit.unwrap_or(0) }
-        })
-        .collect();
-    let min_commit = min_live_commit(&rows);
+    let rows = &r.final_status;
+    let min_commit = min_live_commit(rows);
     let hashes: BTreeSet<u64> = r.prefix_hash.iter().flatten().copied().collect();
     let convergence = Check {
         name: "log-convergence".into(),
         pass: hashes.len() <= 1,
         detail: format!("{} distinct prefix hashes at commit {min_commit}", hashes.len()),
     };
-    end_state(&mut v, &events, &rows, convergence, s.expect_progress.then_some(r.confirmed));
+    end_state(&mut v, &events, rows, convergence, s.expect_progress.then_some(r.confirmed));
 
     if s.expect_gap_hints {
         v.check(

@@ -10,7 +10,7 @@ use crate::network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
 use crate::transport::{Endpoints, Transport, TransportInboxes};
 use bytes::Bytes;
-use nbr_core::{Node, Output};
+use nbr_core::{Node, NodeStatus, Output};
 use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry};
 use nbr_storage::{LogStore, MemLog, StateMachine, SyncPolicy, WalLog};
 use nbr_types::*;
@@ -23,7 +23,9 @@ use std::time::{Duration, Instant};
 /// Where replicas keep their logs.
 #[derive(Debug, Clone)]
 pub enum StorageMode {
-    /// Volatile in-memory logs (fast; used by most tests).
+    /// Volatile in-memory logs (fast; used by most tests). A crashed
+    /// replica's log outlives its engine and [`Cluster::restart`] boots
+    /// from it, as the simulator's does; the log is lost with the cluster.
     Memory,
     /// Durable write-ahead logs under the given directory — survives
     /// [`Cluster::crash`] + [`Cluster::restart`].
@@ -84,23 +86,6 @@ impl Default for ClusterConfig {
             trace_epoch: None,
         }
     }
-}
-
-/// Observable replica status snapshot (updated by the node thread).
-#[derive(Debug, Clone, Default)]
-pub struct NodeStatus {
-    /// Is the node running (not crashed)?
-    pub alive: bool,
-    /// Believes itself leader?
-    pub is_leader: bool,
-    /// Current term.
-    pub term: u64,
-    /// Commit index.
-    pub commit: u64,
-    /// Last log index.
-    pub last_index: u64,
-    /// Entries applied to the state machine.
-    pub applied: u64,
 }
 
 /// A log that is either volatile or WAL-backed.
@@ -176,7 +161,7 @@ struct Replica {
     /// membership when peers live in other processes).
     id: u32,
     control: Sender<Control>,
-    status: Arc<Mutex<NodeStatus>>,
+    status: StatusGauges,
     registry: Arc<Registry>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -238,8 +223,8 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         let mut replicas = Vec::new();
         for (i, (id, rx)) in receivers.into_iter().enumerate() {
             let (ctl_tx, ctl_rx) = channel::<Control>();
-            let status = Arc::new(Mutex::new(NodeStatus::default()));
             let registry = Arc::new(Registry::new(id.to_string()));
+            let status = StatusGauges::new(&registry);
             let thread = spawn_replica(
                 NodeId(id),
                 membership.clone(),
@@ -249,7 +234,6 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
                 ctl_rx,
                 Arc::clone(&transport),
                 Arc::clone(&machines[i]),
-                Arc::clone(&status),
                 Arc::clone(&registry),
             );
             replicas.push(Replica { id, control: ctl_tx, status, registry, thread: Some(thread) });
@@ -305,9 +289,11 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         self.replicas[node].id
     }
 
-    /// Status snapshot of one replica (by local position).
+    /// Status of one replica (by local position), read back from the
+    /// gauges of its registry that its thread publishes into after every
+    /// burst, crash and restart.
     pub fn status(&self, node: usize) -> NodeStatus {
-        self.replicas[node].status.lock().clone()
+        self.replicas[node].status.read()
     }
 
     /// The state machine of one replica.
@@ -374,10 +360,11 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
         self.control(node, Control::Crash);
     }
 
-    /// Restart a crashed replica (recovers from WAL when configured: hard
-    /// state, snapshot and log suffix). Returns once it is running again,
-    /// with its status published. A replica whose snapshot does not restore
-    /// stays down (`alive` false).
+    /// Restart a crashed replica on the log it crashed with: reopened from
+    /// its WAL when configured (hard state, snapshot and log suffix), the
+    /// crashed engine's in-memory log otherwise. Returns once it is running
+    /// again, with its full status published. A replica whose snapshot does
+    /// not restore stays down (`alive` false).
     pub fn restart(&self, node: usize) {
         self.control(node, Control::Restart);
     }
@@ -469,11 +456,7 @@ struct ReplicaMetrics {
     committed: Arc<Counter>,
     applied: Arc<Counter>,
     proposals: Arc<Counter>,
-    term: Arc<Gauge>,
-    commit_index: Arc<Gauge>,
-    last_index: Arc<Gauge>,
-    is_leader: Arc<Gauge>,
-    alive: Arc<Gauge>,
+    status: StatusGauges,
     window_cached: Arc<Gauge>,
     window_parked: Arc<Gauge>,
 }
@@ -492,13 +475,53 @@ impl ReplicaMetrics {
             committed: reg.counter("committed"),
             applied: reg.counter("applied"),
             proposals: reg.counter("proposals"),
+            status: StatusGauges::new(reg),
+            window_cached: reg.gauge("window_cached"),
+            window_parked: reg.gauge("window_parked"),
+        }
+    }
+}
+
+/// The registry gauges one replica's [`NodeStatus`] is published in: the
+/// replica thread writes them, [`Cluster::status`] reads them back.
+struct StatusGauges {
+    alive: Arc<Gauge>,
+    is_leader: Arc<Gauge>,
+    term: Arc<Gauge>,
+    commit_index: Arc<Gauge>,
+    last_index: Arc<Gauge>,
+    applied_index: Arc<Gauge>,
+}
+
+impl StatusGauges {
+    fn new(reg: &Registry) -> StatusGauges {
+        StatusGauges {
+            alive: reg.gauge("alive"),
+            is_leader: reg.gauge("is_leader"),
             term: reg.gauge("term"),
             commit_index: reg.gauge("commit_index"),
             last_index: reg.gauge("last_index"),
-            is_leader: reg.gauge("is_leader"),
-            alive: reg.gauge("alive"),
-            window_cached: reg.gauge("window_cached"),
-            window_parked: reg.gauge("window_parked"),
+            applied_index: reg.gauge("applied_index"),
+        }
+    }
+
+    fn publish(&self, s: NodeStatus) {
+        self.alive.set(s.alive as i64);
+        self.is_leader.set(s.is_leader as i64);
+        self.term.set(s.term as i64);
+        self.commit_index.set(s.commit as i64);
+        self.last_index.set(s.last_index as i64);
+        self.applied_index.set(s.applied as i64);
+    }
+
+    fn read(&self) -> NodeStatus {
+        NodeStatus {
+            alive: self.alive.get() != 0,
+            is_leader: self.is_leader.get() != 0,
+            term: self.term.get() as u64,
+            commit: self.commit_index.get() as u64,
+            last_index: self.last_index.get() as u64,
+            applied: self.applied_index.get() as u64,
         }
     }
 }
@@ -513,15 +536,14 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
     control: Receiver<Control>,
     net: Arc<dyn Transport>,
     machine: Arc<Mutex<M>>,
-    status: Arc<Mutex<NodeStatus>>,
     registry: Arc<Registry>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("nbr-node-{}", id.0))
         .spawn(move || {
-            let open_log = || -> ClusterLog {
+            let open_log = |kept: Option<MemLog>| -> ClusterLog {
                 match &cfg.storage {
-                    StorageMode::Memory => ClusterLog::Mem(MemLog::new()),
+                    StorageMode::Memory => ClusterLog::Mem(kept.unwrap_or_default()),
                     StorageMode::Wal(dir) => {
                         // A replica that cannot open its durable log must not
                         // serve; dying here is the crash-recovery story working
@@ -550,15 +572,17 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
             // the machine restored from the log's snapshot, the engine built
             // on the log. `None`: the snapshot does not restore and the
             // replica stays down.
-            let boot = |seed: u64| {
-                let log = open_log();
+            let boot = |seed: u64, kept: Option<MemLog>| {
+                let log = open_log(kept);
                 if let Some((last_index, _, image)) = log.snapshot() {
                     machine.lock().restore(&image, last_index).ok()?;
                 }
                 let (protocol, probe) = (cfg.protocol.clone(), cfg.probe.clone());
                 Some(Node::with_probe(id, membership.clone(), protocol, log, seed, probe))
             };
-            let mut node: Option<Node<ClusterLog>> = boot(cfg.seed);
+            let mut node: Option<Node<ClusterLog>> = boot(cfg.seed, None);
+            // A crashed in-memory replica's log, until it restarts on it.
+            let mut kept: Option<MemLog> = None;
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
             let metrics = ReplicaMetrics::new(&registry);
@@ -570,16 +594,18 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         Control::Stop => return,
                         Control::Crash(done) => {
                             cfg.probe.record(id, now_since(epoch), ProbeEvent::Crashed);
-                            node = None;
+                            // An in-memory log outlives its engine, as a
+                            // WAL outlives it on disk: a replica restarted on
+                            // a fresh one could vote twice in a term and
+                            // forget entries it helped commit.
+                            if let Some(ClusterLog::Mem(log)) = node.take().map(Node::into_log) {
+                                kept = Some(log);
+                            }
                             // The state machine is volatile node state: a
                             // restarted replica rebuilds it from its log's
                             // snapshot and re-applies the suffix.
                             *machine.lock() = M::default();
-                            // So is its status: until a restarted engine
-                            // publishes its own, it leads and has applied
-                            // nothing.
-                            *status.lock() = NodeStatus::default();
-                            metrics.alive.set(0);
+                            metrics.status.publish(NodeStatus::default());
                             let _ = done.send(());
                         }
                         Control::Read(reply) => {
@@ -599,8 +625,9 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         }
                         Control::Restart(done) => {
                             if node.is_none() {
-                                node = boot(cfg.seed ^ 0xBEEF);
-                                status.lock().alive = node.is_some();
+                                node = boot(cfg.seed ^ 0xBEEF, kept.take());
+                                let status = node.as_ref().map(Node::status);
+                                metrics.status.publish(status.unwrap_or_default());
                             }
                             let _ = done.send(());
                         }
@@ -608,9 +635,9 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                 }
 
                 // Input: block briefly for the first packet, then drain a
-                // batch so the fixed per-iteration work below (status
-                // snapshot, compaction check, metrics mirroring) amortizes
-                // across bursts instead of being paid once per packet.
+                // batch so the fixed per-iteration work below (compaction
+                // check, metrics and status publishing) amortizes across
+                // bursts instead of being paid once per packet.
                 let packet = inbox.recv_timeout(Duration::from_millis(2));
                 let now = local_now();
                 if let Some(n) = node.as_mut() {
@@ -698,20 +725,8 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         }
                     }
 
-                    // Status snapshot.
-                    let applied = machine.lock().applied_index().0;
-                    {
-                        let mut s = status.lock();
-                        s.alive = true;
-                        s.is_leader = n.is_leader();
-                        s.term = n.term().0;
-                        s.commit = n.commit_index().0;
-                        s.last_index = n.last_index().0;
-                        s.applied = applied;
-                    }
-
                     // Metrics registry: protocol counters mirrored from the
-                    // engine's stats, plus replica-state gauges.
+                    // engine's stats, plus the replica's status gauges.
                     let st = &n.stats;
                     metrics.appends.set(st.appends);
                     metrics.weak_accepts.set(st.weak_accepts);
@@ -724,11 +739,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                     metrics.committed.set(st.committed);
                     metrics.applied.set(st.applied);
                     metrics.proposals.set(st.proposals);
-                    metrics.term.set(n.term().0 as i64);
-                    metrics.commit_index.set(n.commit_index().0 as i64);
-                    metrics.last_index.set(n.last_index().0 as i64);
-                    metrics.is_leader.set(n.is_leader() as i64);
-                    metrics.alive.set(1);
+                    metrics.status.publish(n.status());
                     // Live window occupancy: entries currently cached in
                     // the sliding window vs parked beyond it.
                     let cached = n.window().occupied();

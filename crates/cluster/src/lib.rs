@@ -18,8 +18,9 @@ pub mod transport;
 pub use client::{ClientDriver, ClientLink};
 pub use cluster::{
     compress_strong_resps, compress_weak_responds, Cluster, ClusterClient, ClusterConfig,
-    ClusterLink, NodeStatus, StorageMode,
+    ClusterLink, StorageMode,
 };
 pub use faults::FaultPlane;
+pub use nbr_core::NodeStatus;
 pub use network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 pub use transport::{Endpoints, Transport, TransportInboxes, NODE_INBOX_DEPTH};

@@ -4,7 +4,7 @@
 //! non-poisoning `lock()`. This wrapper restores that call-site shape on
 //! top of std: a poisoned lock (a panicking replica thread) yields the
 //! inner guard instead of an `Err`, because the harness's shared state
-//! (status snapshots, route tables, state machines) stays consistent
+//! (route tables, state machines) stays consistent
 //! under panic — every critical section is a small, non-reentrant update.
 
 use std::sync::MutexGuard;

@@ -304,6 +304,37 @@ fn partition_heals_and_cluster_continues() {
     );
 }
 
+/// An in-memory replica restarts on the log it crashed with. Cut off from
+/// the others, so nothing can repair it, it must come back with its term and
+/// entries, not as an empty replica that could vote twice in one term.
+#[test]
+fn a_memory_replica_restarts_on_the_log_it_crashed_with() {
+    let plane = FaultPlane::shared(3);
+    let mut c = cfg(Protocol::NbRaft, 1024);
+    c.faults = Some(plane.clone());
+    let cluster: Cluster<KvStore> = Cluster::spawn(3, c);
+    cluster.wait_for_leader(Duration::from_secs(5)).expect("leader");
+    let mut client = cluster.client();
+    for i in 0..10 {
+        client.submit(Bytes::from(format!("m{i}=x")), Duration::from_secs(5)).expect("submit");
+    }
+    client.drain(Duration::from_secs(5));
+    assert!(cluster.wait_for_applied(11, Duration::from_secs(5)), "replicas converge");
+    let leader = cluster.wait_for_leader(Duration::from_secs(1)).expect("leader");
+    let follower = (0..3).find(|&i| i != leader).unwrap();
+    let others = (0..3).filter(|&i| i != follower).map(|i| i as u32).collect();
+    plane.apply(&Fault::Partition { a: vec![follower as u32], b: others, symmetric: true });
+    let before = cluster.status(follower);
+    cluster.crash(follower);
+    cluster.restart(follower);
+    let after = cluster.status(follower);
+    assert!(after.alive, "{after:?}");
+    assert!(
+        after.last_index >= before.last_index && after.term >= before.term,
+        "before the crash {before:?}, after the restart {after:?}"
+    );
+}
+
 #[test]
 fn compaction_ships_snapshots_to_restarted_followers() {
     // Aggressive compaction: the log never retains more than ~20 applied

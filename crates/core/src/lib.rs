@@ -46,6 +46,6 @@ pub mod window;
 pub use client::{ClientAction, RaftClient};
 pub use event::{coalesce_appends, Output};
 pub use nbr_obs::{EngineProbe, ProbeEvent};
-pub use node::{Node, NodeStats, Role};
+pub use node::{Node, NodeStats, NodeStatus, Role};
 pub use votelist::{VoteList, VoteOutcome, VoteTuple};
 pub use window::{SlidingWindow, WindowOutcome};

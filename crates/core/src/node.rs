@@ -114,6 +114,24 @@ pub struct NodeStats {
     pub proposals: u64,
 }
 
+/// What a harness publishes of one replica: a running replica's is
+/// [`Node::status`], a crashed one's is `NodeStatus::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeStatus {
+    /// Is the node running (not crashed)?
+    pub alive: bool,
+    /// Believes itself leader?
+    pub is_leader: bool,
+    /// Current term.
+    pub term: u64,
+    /// Commit index.
+    pub commit: u64,
+    /// Last log index.
+    pub last_index: u64,
+    /// Index through which entries have been applied to the state machine.
+    pub applied: u64,
+}
+
 /// Who asked for a linearizable read.
 #[derive(Debug, Clone, Copy)]
 enum ReadOrigin {
@@ -373,6 +391,24 @@ impl<L: LogStore> Node<L> {
     /// Borrow the log store.
     pub fn log(&self) -> &L {
         &self.log
+    }
+
+    /// The log store, taken back from a crashed engine: entries, hard state
+    /// and snapshot are what the replica restarts on.
+    pub fn into_log(self) -> L {
+        self.log
+    }
+
+    /// This running replica's status.
+    pub fn status(&self) -> NodeStatus {
+        NodeStatus {
+            alive: true,
+            is_leader: self.is_leader(),
+            term: self.term.0,
+            commit: self.commit_index.0,
+            last_index: self.last_index().0,
+            applied: self.applied_index.0,
+        }
     }
 
     /// Number of entries currently blocked (window + parked) — the paper's

@@ -120,7 +120,8 @@ pub struct TcpConfig {
     pub peers: Vec<(u32, SocketAddr)>,
     /// Depth of each bounded outbound frame queue.
     pub send_queue: usize,
-    /// Idle interval after which a writer emits a keepalive ping.
+    /// Interval at which each peer link sends a timestamped keepalive
+    /// ping, busy or idle (250 ms by default).
     pub keepalive: Duration,
     /// Per-attempt connect timeout.
     pub connect_timeout: Duration,
@@ -158,7 +159,7 @@ impl Default for TcpConfig {
             node_id: 0,
             peers: Vec::new(),
             send_queue: 1024,
-            keepalive: Duration::from_millis(500),
+            keepalive: Duration::from_millis(250),
             connect_timeout: Duration::from_secs(1),
             baseline: LinkFault::default(),
             faults: None,
@@ -951,7 +952,7 @@ fn pump_peer_frames(
     // starve the RTT/offset estimators exactly when the link is busiest
     // (under load the queue never idles), so a timestamped ping also
     // piggybacks onto the data stream at this fixed interval.
-    let ping_every = sh.cfg.keepalive.min(Duration::from_millis(250));
+    let ping_every = sh.cfg.keepalive;
     let mut last_ping = clock::now();
     // Never pull more per wakeup than the bounded queue holds: the shed
     // accounting in `send` is sized against `send_queue`, so a larger batch

@@ -14,159 +14,184 @@ use crate::shard::group_node;
 use nbr_types::{ClientId, LogIndex, NodeId, RequestId, Term, Time};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One structured protocol event. All variants are `Copy` — emitting an
-/// event never allocates; buffering (if any) is the probe's business.
-///
-/// Event taxonomy (per entry, in causal order on a follower):
-/// `EntryReceived → {Appended | WindowCached → Appended | Parked → …}` with
-/// `WeakAccepted` / `StrongAccepted` marking the responses sent, then
-/// `Committed → Applied`. The leader side tracks `VoteTracked →
-/// WeakQuorum → Committed` per index — `t_promote = Committed − WeakQuorum`
-/// is the weak→strong promotion latency. `t_wait(F)` (the paper's Section II
-/// bottleneck) is `Appended − EntryReceived` on a follower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeEvent {
-    /// A client request reached the leader's engine (span root: the op is
-    /// identified by `(client, request)` until `Proposed` binds an index).
-    SubmitReceived {
-        /// Submitting client connection.
-        client: ClientId,
-        /// Client-local request sequence number.
-        request: RequestId,
-    },
-    /// Leader: a client op was assigned a log index — the join point
-    /// between the op identity and every index-keyed event that follows.
-    Proposed {
-        /// Log index assigned to the op.
-        index: LogIndex,
-        /// Submitting client connection.
-        client: ClientId,
-        /// Client-local request sequence number.
-        request: RequestId,
-    },
-    /// A replication entry arrived at a follower (before windowing).
-    EntryReceived {
-        /// Log index of the entry.
-        index: LogIndex,
-        /// Term of the entry.
-        term: Term,
-    },
-    /// The entry was out of order but fit the sliding window cache.
-    WindowCached {
-        /// Log index of the entry.
-        index: LogIndex,
-    },
-    /// A window flush appended a contiguous run starting at `index`.
-    WindowFlushed {
-        /// First index of the flushed run.
-        index: LogIndex,
-        /// Number of entries in the run.
-        run_len: u32,
-    },
-    /// The entry was blocked beyond the window (or out of order with
-    /// `w == 0`) and parked — the stock-Raft waiting loop.
-    Parked {
-        /// Log index of the entry.
-        index: LogIndex,
-    },
-    /// An entry became part of the local log.
-    Appended {
-        /// Log index of the entry.
-        index: LogIndex,
-    },
-    /// A WEAK_ACCEPT response was sent for this index.
-    WeakAccepted {
-        /// Log index of the entry.
-        index: LogIndex,
-    },
-    /// A STRONG_ACCEPT (cumulative) response was sent.
-    StrongAccepted {
-        /// The follower's last log index at response time.
-        last_index: LogIndex,
-    },
-    /// Leader: a VoteList tuple was opened for a fresh proposal.
-    VoteTracked {
-        /// Log index of the proposal.
-        index: LogIndex,
-        /// Commit threshold the tuple must reach.
-        threshold: u32,
-    },
-    /// Leader: the tuple reached a weak majority (early client return).
-    WeakQuorum {
-        /// Log index of the proposal.
-        index: LogIndex,
-    },
-    /// The entry is committed at this replica.
-    Committed {
-        /// Log index of the entry.
-        index: LogIndex,
-    },
-    /// The entry was applied to the state machine.
-    Applied {
-        /// Log index of the entry.
-        index: LogIndex,
-    },
-    /// Sampled follower blocked-entry population after an append round.
-    WindowOccupancy {
-        /// Entries cached in the sliding window.
-        occupied: u32,
-        /// Entries parked beyond the window.
-        parked: u32,
-    },
-    /// This replica started an election for `term`.
-    ElectionStarted {
-        /// The candidate term.
-        term: Term,
-    },
-    /// This replica won an election.
-    Elected {
-        /// The leader term.
-        term: Term,
-    },
-    /// This replica ceased being leader.
-    SteppedDown {
-        /// The newer term observed.
-        term: Term,
-    },
-    /// Harness marker: the replica was killed at this instant.
-    Crashed,
-    /// Transport clock sample from a Ping/Pong exchange with `peer`:
-    /// `offset_ns ≈ peer_clock − local_clock` (NTP two-sample estimate),
-    /// used by the span collector to align per-node trace timestamps.
-    ClockSample {
-        /// The peer the sample was taken against.
-        peer: NodeId,
-        /// Estimated `peer_clock − local_clock` in nanoseconds.
-        offset_ns: i64,
-        /// Round-trip time of the exchange in nanoseconds.
-        rtt_ns: u64,
-    },
+/// Declares [`ProbeEvent`] once: each row is a variant, the tag its JSONL
+/// line carries in `ev`, and each field with the key it is written under.
+/// The enum, [`ProbeEvent::kind`] and the field writer and reader behind
+/// [`crate::trace::event_line`] and [`crate::trace::parse_line`] all come
+/// from the rows, so a new event is one row.
+macro_rules! probe_events {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $tag:literal $({
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty = $key:literal),* $(,)?
+        })?),* $(,)?
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $ty),* })?),*
+        }
+
+        impl $name {
+            /// Stable short tag, used as the JSONL `ev` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $tag),*
+                }
+            }
+
+            /// Append `,"key":value` for each field, in declaration order.
+            pub(crate) fn write_fields(&self, out: &mut String) {
+                match *self {
+                    $($name::$variant { $($($field),*)? } => {
+                        $($(
+                            out.push_str(concat!(",\"", $key, "\":"));
+                            $crate::trace::TraceField::put($field, out);
+                        )*)?
+                    })*
+                }
+            }
+
+            /// The event tagged `tag` with its fields read from `line`;
+            /// `None` for an unknown tag or a missing field.
+            pub(crate) fn read_fields(tag: &str, line: &str) -> Option<$name> {
+                Some(match tag {
+                    $($tag => $name::$variant {
+                        $($($field: $crate::trace::TraceField::get(line, $key)?),*)?
+                    },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
-impl ProbeEvent {
-    /// Stable short tag, used as the JSONL `ev` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProbeEvent::SubmitReceived { .. } => "submit",
-            ProbeEvent::Proposed { .. } => "proposed",
-            ProbeEvent::EntryReceived { .. } => "received",
-            ProbeEvent::WindowCached { .. } => "window_cached",
-            ProbeEvent::WindowFlushed { .. } => "window_flushed",
-            ProbeEvent::Parked { .. } => "parked",
-            ProbeEvent::Appended { .. } => "appended",
-            ProbeEvent::WeakAccepted { .. } => "weak_accepted",
-            ProbeEvent::StrongAccepted { .. } => "strong_accepted",
-            ProbeEvent::VoteTracked { .. } => "vote_tracked",
-            ProbeEvent::WeakQuorum { .. } => "weak_quorum",
-            ProbeEvent::Committed { .. } => "committed",
-            ProbeEvent::Applied { .. } => "applied",
-            ProbeEvent::WindowOccupancy { .. } => "occupancy",
-            ProbeEvent::ElectionStarted { .. } => "election_started",
-            ProbeEvent::Elected { .. } => "elected",
-            ProbeEvent::SteppedDown { .. } => "stepped_down",
-            ProbeEvent::Crashed => "crashed",
-            ProbeEvent::ClockSample { .. } => "clock_sample",
-        }
+probe_events! {
+    /// One structured protocol event. All variants are `Copy` — emitting an
+    /// event never allocates; buffering (if any) is the probe's business.
+    ///
+    /// Event taxonomy (per entry, in causal order on a follower):
+    /// `EntryReceived → {Appended | WindowCached → Appended | Parked → …}` with
+    /// `WeakAccepted` / `StrongAccepted` marking the responses sent, then
+    /// `Committed → Applied`. The leader side tracks `VoteTracked →
+    /// WeakQuorum → Committed` per index — `t_promote = Committed − WeakQuorum`
+    /// is the weak→strong promotion latency. `t_wait(F)` (the paper's Section II
+    /// bottleneck) is `Appended − EntryReceived` on a follower.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ProbeEvent {
+        /// A client request reached the leader's engine (span root: the op is
+        /// identified by `(client, request)` until `Proposed` binds an index).
+        SubmitReceived = "submit" {
+            /// Submitting client connection.
+            client: ClientId = "client",
+            /// Client-local request sequence number.
+            request: RequestId = "request",
+        },
+        /// Leader: a client op was assigned a log index — the join point
+        /// between the op identity and every index-keyed event that follows.
+        Proposed = "proposed" {
+            /// Log index assigned to the op.
+            index: LogIndex = "index",
+            /// Submitting client connection.
+            client: ClientId = "client",
+            /// Client-local request sequence number.
+            request: RequestId = "request",
+        },
+        /// A replication entry arrived at a follower (before windowing).
+        EntryReceived = "received" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+            /// Term of the entry.
+            term: Term = "term",
+        },
+        /// The entry was out of order but fit the sliding window cache.
+        WindowCached = "window_cached" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+        },
+        /// A window flush appended a contiguous run starting at `index`.
+        WindowFlushed = "window_flushed" {
+            /// First index of the flushed run.
+            index: LogIndex = "index",
+            /// Number of entries in the run.
+            run_len: u32 = "run",
+        },
+        /// The entry was blocked beyond the window (or out of order with
+        /// `w == 0`) and parked — the stock-Raft waiting loop.
+        Parked = "parked" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+        },
+        /// An entry became part of the local log.
+        Appended = "appended" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+        },
+        /// A WEAK_ACCEPT response was sent for this index.
+        WeakAccepted = "weak_accepted" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+        },
+        /// A STRONG_ACCEPT (cumulative) response was sent.
+        StrongAccepted = "strong_accepted" {
+            /// The follower's last log index at response time.
+            last_index: LogIndex = "index",
+        },
+        /// Leader: a VoteList tuple was opened for a fresh proposal.
+        VoteTracked = "vote_tracked" {
+            /// Log index of the proposal.
+            index: LogIndex = "index",
+            /// Commit threshold the tuple must reach.
+            threshold: u32 = "threshold",
+        },
+        /// Leader: the tuple reached a weak majority (early client return).
+        WeakQuorum = "weak_quorum" {
+            /// Log index of the proposal.
+            index: LogIndex = "index",
+        },
+        /// The entry is committed at this replica.
+        Committed = "committed" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+        },
+        /// The entry was applied to the state machine.
+        Applied = "applied" {
+            /// Log index of the entry.
+            index: LogIndex = "index",
+        },
+        /// Sampled follower blocked-entry population after an append round.
+        WindowOccupancy = "occupancy" {
+            /// Entries cached in the sliding window.
+            occupied: u32 = "occupied",
+            /// Entries parked beyond the window.
+            parked: u32 = "parked",
+        },
+        /// This replica started an election for `term`.
+        ElectionStarted = "election_started" {
+            /// The candidate term.
+            term: Term = "term",
+        },
+        /// This replica won an election.
+        Elected = "elected" {
+            /// The leader term.
+            term: Term = "term",
+        },
+        /// This replica ceased being leader.
+        SteppedDown = "stepped_down" {
+            /// The newer term observed.
+            term: Term = "term",
+        },
+        /// Harness marker: the replica was killed at this instant.
+        Crashed = "crashed",
+        /// Transport clock sample from a Ping/Pong exchange with `peer`:
+        /// `offset_ns ≈ peer_clock − local_clock` (NTP two-sample estimate),
+        /// used by the span collector to align per-node trace timestamps.
+        ClockSample = "clock_sample" {
+            /// The peer the sample was taken against.
+            peer: NodeId = "peer",
+            /// Estimated `peer_clock − local_clock` in nanoseconds.
+            offset_ns: i64 = "offset",
+            /// Round-trip time of the exchange in nanoseconds.
+            rtt_ns: u64 = "rtt",
+        },
     }
 }
 

@@ -16,7 +16,7 @@
 //! so the event count per request stays small and 1024-client runs are fast.
 
 use crate::cost::{CostModel, GeoMatrix};
-use nbr_core::{ClientAction, Node, NodeStats, Output, RaftClient};
+use nbr_core::{ClientAction, Node, NodeStats, NodeStatus, Output, RaftClient};
 use nbr_metrics::Histogram;
 use nbr_obs::{EngineProbe, ProbeEvent};
 use nbr_storage::{LogStore, MemLog};
@@ -120,10 +120,8 @@ pub struct SimResult {
     pub loss_fraction: f64,
     /// Leader elections observed.
     pub elections: u64,
-    /// Final `(term, is_leader, last_index)` per replica (`None` = dead).
-    pub final_state: Vec<Option<(u64, bool, u64)>>,
-    /// Final commit index per replica (`None` = dead).
-    pub final_commit: Vec<Option<u64>>,
+    /// Each replica's status at the end of the run.
+    pub final_status: Vec<NodeStatus>,
     /// FNV-1a hash over each live replica's `(index, term)` log prefix up to
     /// the minimum live commit index. Equal hashes mean identical committed
     /// prefixes — the chaos harness's log-convergence oracle.
@@ -732,7 +730,7 @@ impl Simulator {
                 let Some(n) = self.nodes.get_mut(i).and_then(Option::take) else { return };
                 // The log (entries, hard state, snapshot) survives the
                 // crash — it is what a WAL-backed replica recovers from.
-                self.crashed_durable[i] = Some(n.log().clone());
+                self.crashed_durable[i] = Some(n.into_log());
                 self.cfg.trace.record(NodeId(i as u32), self.now, ProbeEvent::Crashed);
                 self.lose_unsent(
                     |item| matches!(item, WorkItem::Msg { from, .. } if from.as_usize() == i),
@@ -818,18 +816,17 @@ impl Simulator {
         let lost = self.issued.saturating_sub(survived);
         let loss_fraction = if self.issued == 0 { 0.0 } else { lost as f64 / self.issued as f64 };
 
-        let final_state = self
+        let final_status: Vec<NodeStatus> = self
             .nodes
             .iter()
-            .map(|n| n.as_ref().map(|n| (n.term().0, n.is_leader(), n.last_index().0)))
+            .map(|n| n.as_ref().map_or_else(NodeStatus::default, Node::status))
             .collect();
-        let final_commit: Vec<Option<u64>> =
-            self.nodes.iter().map(|n| n.as_ref().map(|n| n.commit_index().0)).collect();
         // Committed-prefix hash: every live node hashes its (index, term)
         // pairs up to the *minimum* live commit index, so lagging-but-
         // consistent followers still hash equal (log matching ⇒ identical
         // prefixes below any commit point).
-        let min_commit = final_commit.iter().flatten().copied().min().unwrap_or(0);
+        let min_commit =
+            final_status.iter().filter(|s| s.alive).map(|s| s.commit).min().unwrap_or(0);
         let prefix_hash: Vec<Option<u64>> = self
             .nodes
             .iter()
@@ -852,8 +849,7 @@ impl Simulator {
             })
             .collect();
         SimResult {
-            final_state,
-            final_commit,
+            final_status,
             prefix_hash,
             chaos_dropped: self.chaos_dropped,
             recoveries: self.recoveries,

@@ -24,11 +24,9 @@ fn crash_at_one_second(target: Target) -> SimResult {
 fn crashing_the_leader_by_id_or_by_role_is_one_crash() {
     let by_id = crash_at_one_second(Target::Node(0));
     let by_role = crash_at_one_second(Target::Leader);
-    let outcome = |r: &SimResult| {
-        (r.issued, r.survived, r.elections, r.final_state.clone(), r.final_commit.clone())
-    };
+    let outcome = |r: &SimResult| (r.issued, r.survived, r.elections, r.final_status.clone());
     assert_eq!(outcome(&by_id), outcome(&by_role));
-    assert_eq!(by_id.final_state[0], None, "node 0 led, and stayed down");
+    assert!(!by_id.final_status[0].alive, "node 0 led, and stayed down");
     assert!(by_id.elections >= 2, "a successor was elected");
     assert!(by_id.survived > 0 && by_id.survived < by_id.issued);
 }
