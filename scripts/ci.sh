@@ -44,11 +44,13 @@ for _ in $(seq 10); do
         wal_recovery_after_crash_restart compaction_ships_snapshots_to_restarted_followers \
         a_replica_restarted_after_compacting_its_own_log_rebuilds_its_machine
 done
-# The transport's in-crate tests drive the link's write-half hand-off
-# between senders and pump, and are timing-driven: five more runs, again a
-# repeat and not a retry.
+# The transport's tests drive the write-half hand-off of its one send path
+# between senders, the peer lanes' pumps and client-session writers, and are
+# timing-driven. Client sessions ride only the `loopback` and `mux_loopback`
+# suites, so the whole crate runs five more times: again a repeat and not a
+# retry.
 for _ in $(seq 5); do
-    cargo test -q -p nbr-net --lib
+    cargo test -q -p nbr-net
 done
 
 if [ "${CI_FULL:-0}" = "1" ]; then
