@@ -6,8 +6,8 @@
 //!
 //! * [`crate::network::Network`] — the in-process router thread with seeded
 //!   delay jitter and drops (the original harness transport);
-//! * `nbr_net::TcpTransport` — a real TCP delivery layer with per-peer
-//!   outbound connections, framing, reconnect and keepalive.
+//! * `nbr_net::TcpTransport` — a real TCP delivery layer with one duplex
+//!   connection per peer, framing, reconnect and keepalive.
 //!
 //! [`Cluster`](crate::Cluster) is constructed against `Arc<dyn Transport>`
 //! and runs unchanged on either. Addressing is flat: node endpoints are the

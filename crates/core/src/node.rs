@@ -639,30 +639,28 @@ impl<L: LogStore> Node<L> {
         self.propose(Some(origin), Payload::Data(req.payload), out);
     }
 
-    /// Feed one protocol message from a peer.
+    /// Feed one protocol message from peer `from`. A quorum is a set of
+    /// senders, so the message is dropped unless `from` is a member and the
+    /// message names `from` as its sender; a KRaft relay forwards appends
+    /// for the leader, so an append needs only a member leader.
     pub fn handle_message(&mut self, from: NodeId, msg: Message, now: Time, out: &mut Vec<Output>) {
+        let trusted = if let Message::AppendEntry(m) = &msg {
+            self.membership.contains(&m.leader)
+        } else {
+            self.membership.contains(&from) && msg.sender().is_none_or(|s| s == from)
+        };
+        if !trusted {
+            return;
+        }
         self.probe_now = now;
         self.stats.messages += 1;
         let mterm = msg.term();
         if mterm > self.term {
-            let hint = match &msg {
-                Message::AppendEntry(m) => Some(m.leader),
-                Message::Heartbeat(m) => Some(m.leader),
-                // Snapshots name the leader too, but only replication
-                // traffic updates the hint (an InstallSnapshot for a newer
-                // term is immediately followed by heartbeats anyway).
-                Message::InstallSnapshot(_)
-                | Message::AppendResp(_)
-                | Message::HeartbeatResp(_)
-                | Message::RequestVote(_)
-                | Message::RequestVoteResp(_)
-                | Message::PullFragments(_)
-                | Message::PushFragments(_)
-                | Message::InstallSnapshotResp(_)
-                | Message::ReadIndexReq(_)
-                | Message::ReadIndexResp(_) => None,
-            };
-            self.step_down(mterm, hint, out);
+            // Only replication traffic names the leader to follow. Snapshots
+            // name it too, but an InstallSnapshot for a newer term is
+            // immediately followed by heartbeats anyway.
+            let replication = matches!(msg, Message::AppendEntry(_) | Message::Heartbeat(_));
+            self.step_down(mterm, msg.sender().filter(|_| replication), out);
         }
         match msg {
             Message::AppendEntry(m) => self.on_append_entry(m, now, out),
@@ -678,7 +676,6 @@ impl<L: LogStore> Node<L> {
             Message::ReadIndexReq(m) => self.on_read_index_req(m, now, out),
             Message::ReadIndexResp(m) => self.on_read_index_resp(m, out),
         }
-        let _ = from;
     }
 
     // ------------------------------------------------------------ elections

@@ -4,7 +4,8 @@
 mod common;
 
 use common::TestCluster;
-use nbr_core::Role;
+use nbr_core::{Node, Role};
+use nbr_storage::MemLog;
 use nbr_types::*;
 
 #[test]
@@ -151,6 +152,51 @@ fn higher_term_message_dethrones_leader() {
     assert_eq!(c.node(0).role(), Role::Follower);
     assert!(c.node(0).term() >= c.node(1).term());
     assert_eq!(c.node(1).role(), Role::Leader);
+}
+
+/// A candidate of five that has asked for votes: grants from senders other
+/// than the ones they name must not count toward its quorum.
+fn five_node_candidate() -> (Node<MemLog>, Term) {
+    let members: Vec<NodeId> = (0..5).map(NodeId).collect();
+    let mut node = Node::new(NodeId(0), members, Protocol::Raft.config(0), MemLog::new(), 42);
+    node.campaign(Time::ZERO, &mut Vec::new());
+    assert_eq!(node.role(), Role::Candidate);
+    let term = node.term();
+    (node, term)
+}
+
+fn grant(term: Term, from: u32) -> Message {
+    Message::RequestVoteResp(RequestVoteRespMsg { term, from: NodeId(from), granted: true })
+}
+
+#[test]
+fn one_peer_cannot_forge_a_quorum() {
+    let (mut node, term) = five_node_candidate();
+    let mut out = Vec::new();
+    // Node 1 grants, then forwards a grant that names node 2.
+    node.handle_message(NodeId(1), grant(term, 1), Time::ZERO, &mut out);
+    node.handle_message(NodeId(1), grant(term, 2), Time::ZERO, &mut out);
+    assert_eq!(node.role(), Role::Candidate, "two votes from one peer made a leader");
+    // Node 2's own grant is the third vote.
+    node.handle_message(NodeId(2), grant(term, 2), Time::ZERO, &mut out);
+    assert_eq!(node.role(), Role::Leader);
+}
+
+#[test]
+fn a_message_from_a_non_member_is_dropped() {
+    let (mut node, term) = five_node_candidate();
+    let mut out = Vec::new();
+    // A grant naming node 99, on node 1's channel and on its own.
+    node.handle_message(NodeId(1), grant(term, 99), Time::ZERO, &mut out);
+    node.handle_message(NodeId(99), grant(term, 99), Time::ZERO, &mut out);
+    // A reply from a non-member naming none.
+    let resp = ReadIndexRespMsg { term, read_index: LogIndex(0), probe: 1 };
+    node.handle_message(NodeId(99), Message::ReadIndexResp(resp), Time::ZERO, &mut out);
+    assert_eq!(node.role(), Role::Candidate);
+    assert_eq!(node.stats.messages, 0, "no message was taken in");
+    node.handle_message(NodeId(1), grant(term, 1), Time::ZERO, &mut out);
+    node.handle_message(NodeId(2), grant(term, 2), Time::ZERO, &mut out);
+    assert_eq!(node.role(), Role::Leader);
 }
 
 #[test]

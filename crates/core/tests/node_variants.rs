@@ -287,6 +287,27 @@ fn vgraft_rejects_tampered_entries() {
     }
 }
 
+/// A verified append whose leader is not a member names no key to check it
+/// with: the follower drops it, whoever relayed it.
+#[test]
+fn vgraft_drops_an_append_from_a_non_member_leader() {
+    let mut c = TestCluster::new(3, &Protocol::VgRaft.config(0));
+    c.elect(0);
+    c.client_request(0, 1, 1, b"signed payload");
+    for m in c.pending.iter_mut() {
+        if let Message::AppendEntry(a) = &mut m.msg {
+            assert!(a.verification.is_some(), "VGRaft signs entries");
+            a.leader = NodeId(99);
+        }
+    }
+    c.pump();
+    for f in 1..3u32 {
+        assert_eq!(c.node(f).last_index(), LogIndex(1), "follower {f} took node 99's entry");
+        assert_eq!(c.node(f).leader_hint(), Some(NodeId(0)));
+    }
+    assert_eq!(c.node(0).commit_index(), LogIndex(1));
+}
+
 /// The verification of the first in-flight append of entry 2 after node
 /// `leader` of a fresh VGRaft cluster is elected and proposes `payload`.
 fn vgraft_verification(leader: u32, payload: &[u8]) -> Verification {

@@ -15,8 +15,8 @@ use nbr_cluster::client::POLL;
 use nbr_cluster::{ClientDriver, ClientLink};
 use nbr_types::wire::{decode_frame_capped, encode_frame, encode_frame_into};
 use nbr_types::{
-    group_trace_id, ClientId, ClientRequest, ClientResponse, HelloMsg, NetFrame, NodeId, PeerKind,
-    RequestId, Result, TimeDelta, NET_PROTOCOL_VERSION,
+    ClientId, ClientRequest, ClientResponse, HelloMsg, NetFrame, NodeId, PeerKind, RequestId,
+    Result, TimeDelta, NET_PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -167,7 +167,7 @@ impl Link {
             match decode_frame_capped::<NetFrame>(&conn.rbuf, MAX_FRAME) {
                 Ok(Some((frame, used))) => {
                     conn.rbuf.drain(..used);
-                    if let NetFrame::Response { resp, .. } = frame {
+                    if let NetFrame::Response(resp) = frame {
                         return Some(resp);
                     }
                 }
@@ -194,10 +194,7 @@ impl ClientLink for Link {
             self.conn = self.dial(to.0);
         }
         let Some(conn) = self.conn.as_mut() else { return };
-        // Trace stamp at submission: derived from the op's identity
-        // (namespaced by group) so retries reuse the same id.
-        let trace = group_trace_id(self.group, request.client, request.request);
-        let frame = NetFrame::Request { group: self.group, to, trace, req: request };
+        let frame = NetFrame::Request { group: self.group, to, req: request };
         self.wbuf.clear();
         encode_frame_into(&frame, &mut self.wbuf);
         if conn.stream.write_all(&self.wbuf).is_err() {

@@ -40,8 +40,9 @@
 //!
 //! **Sharded multiplexing** ([`TcpTransport::spawn_groups`]): one transport
 //! carries N Raft groups over the same per-peer links by tagging every
-//! `Peer`/`Request`/`Response` envelope with a group id (wire protocol
-//! v4; the `Hello` handshake pins the group count), and each group's
+//! `Peer` and `Request` envelope with a group id (the `Hello` handshake
+//! pins the group count; a `Response` needs none, as it rides the client's
+//! own session), and each group's
 //! `Cluster` sends through its own [`TcpTransport::group`] handle. The
 //! unsharded transport is N = 1. Inbound delivery is the same function
 //! for any N — `try_send` into the `(group, node)` inbox — and N decides
@@ -54,8 +55,10 @@
 //! `len || crc || body` wire framing, decoded with a transport-tier size
 //! cap (`MAX_FRAME`) so a corrupt or hostile length prefix
 //! cannot pin memory. A connection's first frame must be a valid
-//! [`NetFrame::Hello`]; version or cluster-id mismatches are counted and
-//! the connection dropped. A pump coalesces the frames queued at a wake-up
+//! [`NetFrame::Hello`]; version, cluster-id or group-count mismatches, and a
+//! replica id that is not a configured peer, are counted and the connection
+//! dropped. That identity is the sender of every `Peer` frame on the
+//! connection. A pump coalesces the frames queued at a wake-up
 //! into a single write, and its `Ping` draws a [`NetFrame::Pong`] from the
 //! peer: both are frames like any other, so a clock sample crosses the link
 //! the way the protocol frames around it do. The pump emulates its link as
@@ -625,7 +628,7 @@ impl TcpTransport {
     /// carry the group in their envelope and ride the *shared* per-peer
     /// links — multiplexing is entirely an addressing concern; the sockets,
     /// queues and WAN emulation know nothing about groups.
-    fn send_to_group(&self, group: u32, _from: u32, to: u32, packet: Packet) {
+    fn send_to_group(&self, group: u32, to: u32, packet: Packet) {
         if self.shared.stopped() {
             return;
         }
@@ -634,7 +637,7 @@ impl TcpTransport {
             Packet::Peer { from, msg } => (from, msg),
             Packet::Response { client, resp } if to == CLIENT_ENDPOINT => {
                 let route = self.shared.clients.lock().get(&client).map(|r| Arc::clone(&r.session));
-                let frame = NetFrame::Response { group, client, resp };
+                let frame = NetFrame::Response(resp);
                 match route {
                     Some(session) if !session.send(&self.shared, frame, true, false) => {
                         stats.dropped_queue_full.inc()
@@ -657,7 +660,7 @@ impl TcpTransport {
             self.shared.deliver(group, to, Packet::Peer { from, msg });
             return;
         }
-        let frame = NetFrame::Peer { group, from, to: NodeId(to), msg };
+        let frame = NetFrame::Peer { group, to: NodeId(to), msg };
         let Some(lane) = self.shared.peers.get(&to) else {
             stats.dropped_unroutable.inc(); // no such peer
             return;
@@ -705,8 +708,8 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&self, from: u32, to: u32, packet: Packet) {
-        self.send_to_group(0, from, to, packet);
+    fn send(&self, _from: u32, to: u32, packet: Packet) {
+        self.send_to_group(0, to, packet);
     }
 
     fn scrape(&self) -> Option<Snapshot> {
@@ -721,8 +724,8 @@ struct GroupHandle {
 }
 
 impl Transport for GroupHandle {
-    fn send(&self, from: u32, to: u32, packet: Packet) {
-        self.tcp.send_to_group(self.group, from, to, packet);
+    fn send(&self, _from: u32, to: u32, packet: Packet) {
+        self.tcp.send_to_group(self.group, to, packet);
     }
 
     fn scrape(&self) -> Option<Snapshot> {
@@ -828,7 +831,6 @@ fn pump_peer_frames(sh: &Shared, socket: &TcpStream, lane: &Lane, rng: &mut StdR
     let mut line = DelayLine::new(sh.cfg.send_queue.max(1));
     // What `net_link_inflight` currently holds for this line.
     let mut inflight = 0i64;
-    let mut nonce = 0u64;
     // Clock-sample cadence. A ping only when the lane is idle would starve
     // the RTT/offset estimators exactly when the link is busiest, so a
     // timestamped ping also rides the data stream at this fixed interval.
@@ -866,10 +868,9 @@ fn pump_peer_frames(sh: &Shared, socket: &TcpStream, lane: &Lane, rng: &mut StdR
         // the frames around it wait for. A full queue owes the ping to the
         // next cadence.
         if now.duration_since(last_ping) >= ping_every {
-            nonce += 1;
             let t0 = now.duration_since(sh.epoch).as_nanos() as u64;
             let direct = sh.link_to(peer_id) == LinkFault::default();
-            if lane.send(sh, NetFrame::Ping { nonce, t0 }, direct, true) {
+            if lane.send(sh, NetFrame::Ping { t0 }, direct, true) {
                 sh.stats.keepalives.inc();
             }
             last_ping = now;
@@ -1132,13 +1133,16 @@ fn handle_frame(
 ) -> bool {
     match (frame, &identity) {
         (NetFrame::Hello(h), ConnIdentity::Unknown) => {
-            // Version, cluster and group-count must all agree: a v3 peer's
-            // Hello decodes cleanly (groups defaults to 1) and is refused
-            // here, and two v4 processes sharding differently would
-            // misroute every frame, so their counts must match exactly.
+            // Version, cluster and group-count must all agree: an older
+            // peer's Hello decodes cleanly and is refused here, and two
+            // processes sharding differently would misroute every frame. A
+            // replica must be a configured peer, since it is the sender of
+            // every frame on the connection.
+            let stranger = matches!(h.kind, PeerKind::Node(n) if !sh.peers.contains_key(&n.0));
             if h.version != NET_PROTOCOL_VERSION
                 || h.cluster_id != sh.cfg.cluster_id
                 || h.groups != sh.groups
+                || stranger
             {
                 sh.stats.handshake_rejects.inc();
                 return false;
@@ -1151,7 +1155,7 @@ fn handle_frame(
             };
             match h.kind {
                 PeerKind::Node(n) => {
-                    if !dials(sh.cfg.node_id, n.0) && sh.cfg.node_id != n.0 {
+                    if !dials(sh.cfg.node_id, n.0) {
                         // Connection dedup: this peer owns the pair's single
                         // socket, so our outbound frames to it must ride
                         // back over this accepted connection: attach a
@@ -1194,24 +1198,18 @@ fn handle_frame(
             sh.stats.handshake_rejects.inc(); // traffic before Hello
             false
         }
-        (
-            NetFrame::Peer { group, .. }
-            | NetFrame::Request { group, .. }
-            | NetFrame::Response { group, .. },
-            _,
-        ) if group >= sh.groups => {
+        (NetFrame::Peer { group, .. } | NetFrame::Request { group, .. }, _)
+            if group >= sh.groups =>
+        {
             sh.stats.proto_errors.inc(); // group out of the agreed range
             false
         }
-        (NetFrame::Peer { group, from, to, msg }, ConnIdentity::Node(peer)) => {
-            if from != *peer {
-                sh.stats.proto_errors.inc(); // spoofed peer id
-                return false;
-            }
-            sh.deliver(group, to.0, Packet::Peer { from, msg });
+        // The handshake named the sender.
+        (NetFrame::Peer { group, to, msg }, ConnIdentity::Node(peer)) => {
+            sh.deliver(group, to.0, Packet::Peer { from: *peer, msg });
             true
         }
-        (NetFrame::Request { group, to, trace: _, req }, ConnIdentity::Client(c, _)) => {
+        (NetFrame::Request { group, to, req }, ConnIdentity::Client(c, _)) => {
             if req.client != *c {
                 sh.stats.proto_errors.inc(); // spoofed client id
                 return false;
@@ -1222,7 +1220,7 @@ fn handle_frame(
         // A frame on the wrong kind of connection: peer traffic from a client,
         // or client traffic from a peer (which never relays it).
         (NetFrame::Peer { .. }, ConnIdentity::Client(..))
-        | (NetFrame::Request { .. } | NetFrame::Response { .. }, _) => {
+        | (NetFrame::Request { .. } | NetFrame::Response(_), _) => {
             sh.stats.proto_errors.inc();
             false
         }
@@ -1231,20 +1229,20 @@ fn handle_frame(
         // Pong is sent to the peer like any frame, so on an emulated link it
         // crosses the delay line as the Ping did. Best effort: a full queue
         // sheds it, and the next Ping retries the sample.
-        (NetFrame::Ping { nonce, t0 }, ConnIdentity::Node(peer)) => {
+        (NetFrame::Ping { t0 }, ConnIdentity::Node(peer)) => {
             sh.stats.keepalives.inc();
             if let Some(lane) = sh.peers.get(&peer.0) {
                 let direct = sh.link_to(peer.0) == LinkFault::default();
-                lane.send(sh, NetFrame::Pong { nonce, t0, t1: sh.trace_now() }, direct, true);
+                lane.send(sh, NetFrame::Pong { t0, t1: sh.trace_now() }, direct, true);
             }
             true
         }
         // A duplex session answers so the client can measure liveness.
-        (NetFrame::Ping { nonce, t0 }, ConnIdentity::Client(_, session)) => {
-            session.send(sh, NetFrame::Pong { nonce, t0, t1: sh.trace_now() }, true, false);
+        (NetFrame::Ping { t0 }, ConnIdentity::Client(_, session)) => {
+            session.send(sh, NetFrame::Pong { t0, t1: sh.trace_now() }, true, false);
             true
         }
-        (NetFrame::Pong { nonce: _, t0, t1 }, ConnIdentity::Node(peer)) => {
+        (NetFrame::Pong { t0, t1 }, ConnIdentity::Node(peer)) => {
             sh.clock_sample(peer.0, t0, t1);
             true
         }
@@ -1410,8 +1408,8 @@ mod tests {
         let (t1, rx1) = node(1, (0, a0), l1, &[FRAMES as usize, 4], TcpConfig::default());
 
         for seq in 0..FRAMES {
-            t0.send_to_group(1, 0, 1, numbered(0, seq));
-            t0.send_to_group(0, 0, 1, numbered(0, seq));
+            t0.send_to_group(1, 1, numbered(0, seq));
+            t0.send_to_group(0, 1, numbered(0, seq));
         }
         // Group 0's frames sit behind group 1's on the one connection, and
         // every one of them arrives, in order.
@@ -1685,10 +1683,7 @@ mod tests {
         let req = ClientRequest { client: ClientId(9), request: RequestId(1), payload };
         let mut bytes = Vec::new();
         encode_frame_into(&hello, &mut bytes);
-        encode_frame_into(
-            &NetFrame::Request { group: 0, to: NodeId(0), trace: 0, req },
-            &mut bytes,
-        );
+        encode_frame_into(&NetFrame::Request { group: 0, to: NodeId(0), req }, &mut bytes);
         peer.write_all(&bytes).expect("write to node 0");
         until("the request is refused", || counter(&t0, "net_proto_errors") == 1);
         until("the connection is dropped", || counter(&t0, "net_tcp_disconnects") >= 1);
@@ -1768,9 +1763,9 @@ mod tests {
 
         let mut pings = sock.try_clone().expect("clone the client socket");
         let pinger = std::thread::spawn(move || {
-            for nonce in 0..PINGS {
+            for seq in 0..PINGS {
                 bytes.clear();
-                encode_frame_into(&NetFrame::Ping { nonce, t0: 0 }, &mut bytes);
+                encode_frame_into(&NetFrame::Ping { t0: seq }, &mut bytes);
                 pings.write_all(&bytes).expect("ping");
                 clock::sleep(Duration::from_micros(200));
             }
@@ -1796,19 +1791,14 @@ mod tests {
         let mut pongs = 0;
         while next.iter().sum::<u64>() < THREADS * EACH || pongs < PINGS {
             match frames.next(&mut sock) {
-                NetFrame::Response {
-                    group: 0,
-                    client: to,
-                    resp: ClientResponse::Strong { request, index, term },
-                } => {
-                    assert_eq!(to, client);
+                NetFrame::Response(ClientResponse::Strong { request, index, term }) => {
                     let thread = term.0 as usize;
                     assert_eq!(index.0, next[thread], "thread {thread}: once each, in order");
                     assert_eq!(request, RequestId(term.0 * EACH + index.0));
                     next[thread] += 1;
                 }
-                NetFrame::Pong { nonce, .. } => {
-                    assert_eq!(nonce, pongs, "pongs in ping order");
+                NetFrame::Pong { t0, .. } => {
+                    assert_eq!(t0, pongs, "pongs in ping order");
                     pongs += 1;
                 }
                 other => panic!("unexpected frame {other:?}"),

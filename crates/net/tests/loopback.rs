@@ -14,9 +14,9 @@ use nbr_storage::KvStore;
 use nbr_types::wire::{encode_frame, encode_frame_into};
 use nbr_types::{
     ClientId, ClientRequest, HeartbeatMsg, HelloMsg, LinkFault, LogIndex, Message, NetFrame,
-    NodeId, PeerKind, RequestId, Term, TimeDelta, NET_PROTOCOL_VERSION,
+    NodeId, PeerKind, RequestId, RequestVoteMsg, Term, TimeDelta, NET_PROTOCOL_VERSION,
 };
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver};
@@ -238,6 +238,59 @@ fn handshake_rejects_wrong_cluster_id() {
     );
 }
 
+/// A replica's handshake identity is the sender of every frame on its
+/// connection, so it must be a configured peer. A raw socket that says it is
+/// node 99 is refused at the `Hello`, and the vote request it sends next (a
+/// term far ahead, which would depose whoever read it) reaches no replica.
+#[test]
+fn handshake_rejects_a_node_that_is_not_a_peer() {
+    let (servers, members) = spawn_cluster(3);
+    await_leaders(&servers, Duration::from_secs(10)).expect("cold start");
+    let rejects = || {
+        let scrape = servers[0].prometheus();
+        let line = scrape.lines().find(|l| l.starts_with("nbr_net_handshake_rejects{"));
+        line.and_then(|l| l.rsplit(' ').next()?.parse::<u64>().ok()).unwrap_or(0)
+    };
+    let before = rejects();
+    let ahead = servers[0].cluster().status(0).term + 100;
+
+    let mut raw = TcpStream::connect(members[0].1).expect("connect to node 0");
+    let mut bytes = Vec::new();
+    let hello = NetFrame::Hello(HelloMsg {
+        version: NET_PROTOCOL_VERSION,
+        cluster_id: CLUSTER_ID,
+        groups: 1,
+        kind: PeerKind::Node(NodeId(99)),
+    });
+    encode_frame_into(&hello, &mut bytes);
+    let vote = Message::RequestVote(RequestVoteMsg {
+        term: Term(ahead),
+        candidate: NodeId(99),
+        last_log_index: LogIndex(1 << 20),
+        last_log_term: Term(ahead),
+    });
+    let to = NodeId(members[0].0);
+    encode_frame_into(&NetFrame::Peer { group: 0, to, msg: vote }, &mut bytes);
+    raw.write_all(&bytes).expect("handshake and vote request");
+
+    // Node 0 closes the connection without a word.
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let read = raw.read(&mut [0u8; 64]);
+    assert!(
+        matches!(&read, Ok(0))
+            || read.as_ref().is_err_and(|e| e.kind() == ErrorKind::ConnectionReset),
+        "node 0 kept a connection from node 99: {read:?}"
+    );
+    assert_eq!(rejects(), before + 1, "the refusal is counted");
+    // Give a delivered vote request time to land, then check no replica
+    // took its term.
+    std::thread::sleep(Duration::from_millis(200));
+    for (i, s) in servers.iter().enumerate() {
+        let term = s.cluster().status(0).term;
+        assert!(term < ahead, "node {i} took node 99's term {term}");
+    }
+}
+
 /// A client session has no writer thread: whoever answers the client writes,
 /// and a write that stalls for `WRITE_STALL` closes the session. A raw client
 /// that floods requests and pings and never reads is cut off, while a
@@ -284,9 +337,9 @@ fn a_client_that_stops_reading_is_closed_while_others_keep_committing() {
                     request: RequestId(request),
                     payload: bytes::Bytes::from_static(b"r=1"),
                 };
-                encode_frame_into(&NetFrame::Request { group: 0, to, trace: 0, req }, &mut burst);
-                for nonce in 0..256 {
-                    encode_frame_into(&NetFrame::Ping { nonce, t0: 0 }, &mut burst);
+                encode_frame_into(&NetFrame::Request { group: 0, to, req }, &mut burst);
+                for _ in 0..256 {
+                    encode_frame_into(&NetFrame::Ping { t0: 0 }, &mut burst);
                 }
                 if raw.write_all(&burst).is_err() {
                     break;

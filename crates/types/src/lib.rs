@@ -43,7 +43,5 @@ pub use message::{
     PushFragmentsMsg, ReadIndexReqMsg, ReadIndexRespMsg, RequestVoteMsg, RequestVoteRespMsg,
     Verification, MAX_APPEND_BATCH,
 };
-pub use netframe::{
-    group_trace_id, trace_id, HelloMsg, NetFrame, PeerKind, MAX_GROUPS, NET_PROTOCOL_VERSION,
-};
+pub use netframe::{HelloMsg, NetFrame, PeerKind, MAX_GROUPS, NET_PROTOCOL_VERSION};
 pub use time::{Time, TimeDelta};

@@ -127,8 +127,9 @@ pub struct AppendRespMsg {
     /// Responder's current term (a higher term tells the leader it is stale —
     /// Figure 11).
     pub term: Term,
-    /// The responding replica (may differ from the transport sender under
-    /// KRaft relay).
+    /// The responding replica, which is also the one the response is
+    /// delivered from (a KRaft relay's followers answer the leader
+    /// directly); the leader drops it otherwise.
     pub from: NodeId,
     /// Verdict.
     pub state: AcceptState,
@@ -343,6 +344,25 @@ impl Message {
             Message::InstallSnapshotResp(m) => m.term,
             Message::ReadIndexReq(m) => m.term,
             Message::ReadIndexResp(m) => m.term,
+        }
+    }
+
+    /// The replica the message names as its sender: a leader, a candidate
+    /// or a responder (`None` for a `ReadIndexResp`, which names none).
+    pub fn sender(&self) -> Option<NodeId> {
+        match self {
+            Message::AppendEntry(m) => Some(m.leader),
+            Message::AppendResp(m) => Some(m.from),
+            Message::Heartbeat(m) => Some(m.leader),
+            Message::HeartbeatResp(m) => Some(m.from),
+            Message::RequestVote(m) => Some(m.candidate),
+            Message::RequestVoteResp(m) => Some(m.from),
+            Message::PullFragments(m) => Some(m.from),
+            Message::PushFragments(m) => Some(m.from),
+            Message::InstallSnapshot(m) => Some(m.leader),
+            Message::InstallSnapshotResp(m) => Some(m.from),
+            Message::ReadIndexReq(m) => Some(m.from),
+            Message::ReadIndexResp(_) => None,
         }
     }
 

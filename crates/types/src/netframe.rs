@@ -14,11 +14,14 @@
 //! [`PeerKind::Client`] for client sessions). A receiver drops connections
 //! whose version or cluster id does not match its own — this is what stops
 //! a mis-configured process from silently joining the wrong cluster.
-//! [`NetFrame::Ping`]/[`NetFrame::Pong`] are idle keepalives; the nonce
-//! lets a sender match a pong to its ping.
+//! After the handshake a frame carries only what its reader uses: a peer
+//! frame's sender is the connection's `Hello` identity, and a response's
+//! route is the client session it is written on.
+//! [`NetFrame::Ping`]/[`NetFrame::Pong`] are keepalives that double as
+//! clock samples: a `Pong` echoes its `Ping`'s `t0`.
 
 use crate::error::{Error, Result};
-use crate::ids::{ClientId, NodeId, RequestId};
+use crate::ids::{ClientId, NodeId};
 use crate::message::{ClientRequest, ClientResponse, Message};
 use crate::wire::{Reader, Wire, Writer};
 
@@ -30,7 +33,11 @@ use crate::wire::{Reader, Wire, Writer};
 /// v4: `Peer`/`Request`/`Response` carry the Raft *group* they belong to,
 /// so one per-peer connection multiplexes every group of a sharded
 /// deployment; `Hello` declares the sender's group count.
-pub const NET_PROTOCOL_VERSION: u16 = 4;
+/// v5: a frame carries only what its reader uses: `Peer` loses its sender
+/// (the handshake names it), `Request` its trace id, `Response` its group
+/// and client (the session is the route), and `Ping`/`Pong` keep only their
+/// timestamps.
+pub const NET_PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on the per-process Raft group count a handshake may declare.
 /// Far above any sane deployment (groups cost replica threads and inboxes);
@@ -56,10 +63,9 @@ pub struct HelloMsg {
     pub cluster_id: u64,
     /// Identity of the connecting side.
     pub kind: PeerKind,
-    /// Raft groups the sender's process hosts (v4+; decoding a pre-v4
-    /// `Hello` defaults to 1). Both sides of a peer link must agree —
-    /// mismatched group counts mean mismatched shard maps, which would
-    /// silently misroute traffic, so the handshake refuses them.
+    /// Raft groups the sender's process hosts. Both sides of a peer link
+    /// must agree — mismatched group counts mean mismatched shard maps,
+    /// which would silently misroute traffic, so the handshake refuses them.
     pub groups: u32,
 }
 
@@ -69,12 +75,10 @@ pub enum NetFrame {
     /// Handshake (first frame, exactly once).
     Hello(HelloMsg),
     /// Replica-to-replica protocol message addressed to node `to` of Raft
-    /// group `group`.
+    /// group `group`, from the replica the connection's `Hello` names.
     Peer {
         /// Raft group the message belongs to (0 in unsharded deployments).
         group: u32,
-        /// Sending replica.
-        from: NodeId,
         /// Destination replica (the remote process may host several).
         to: NodeId,
         /// The protocol message.
@@ -86,58 +90,23 @@ pub enum NetFrame {
         group: u32,
         /// Destination replica.
         to: NodeId,
-        /// Trace id stamped by the submitting client (instrumentation
-        /// only: never consulted by the protocol; `(client, request)`
-        /// remains the identity used for dedup and retries).
-        trace: u64,
         /// The request.
         req: ClientRequest,
     },
-    /// Response to a client session.
-    Response {
-        /// Raft group the responding replica belongs to (0 when unsharded).
-        group: u32,
-        /// Destination client.
-        client: ClientId,
-        /// The response.
-        resp: ClientResponse,
-    },
-    /// Idle keepalive probe, doubling as an NTP-style clock sample.
+    /// Response to the client whose session it is written on.
+    Response(ClientResponse),
+    /// Keepalive probe, doubling as an NTP-style clock sample.
     Ping {
-        /// Echoed back in the matching [`NetFrame::Pong`].
-        nonce: u64,
         /// Sender's trace clock (ns) at transmit.
         t0: u64,
     },
     /// Keepalive reply.
     Pong {
-        /// Nonce of the ping being answered.
-        nonce: u64,
         /// Echo of the ping's transmit timestamp.
         t0: u64,
         /// Responder's trace clock (ns) at receipt of the ping.
         t1: u64,
     },
-}
-
-/// Deterministic trace id for a client op, stamped into
-/// [`NetFrame::Request`] at submission. Derived (not random) so every hop —
-/// client, relaying transport, span collector — computes the same id from
-/// the `(client, request)` identity without coordination.
-pub fn trace_id(client: ClientId, request: RequestId) -> u64 {
-    (client.0 << 32) | (request.0 & 0xFFFF_FFFF)
-}
-
-/// Group-namespaced trace id for sharded deployments: folds the owning
-/// Raft group into bits 48..63 of the deterministic per-op id, so ids from
-/// different groups of one process never collide in a merged trace. Like
-/// [`trace_id`] it is derived, not random — every hop recomputes the same
-/// value from `(group, client, request)` without coordination. Exact
-/// (collision-free) whenever client ids stay below 2^16, which every
-/// harness in this workspace guarantees; `group_trace_id(0, c, r)` equals
-/// `trace_id(c, r)`, so unsharded traffic is unchanged.
-pub fn group_trace_id(group: u32, client: ClientId, request: RequestId) -> u64 {
-    (u64::from(group) << 48) ^ trace_id(client, request)
 }
 
 crate::wire_enum!(PeerKind: u8, "peer kind" { 0 => Node(id), 1 => Client(id) });
@@ -156,11 +125,7 @@ impl Wire for HelloMsg {
         }
         let cluster_id = r.u64()?;
         let kind = PeerKind::decode(r)?;
-        // The group count is a v4 addition *after* the v3 fields, so a v3
-        // peer's Hello still decodes cleanly here — the handshake then
-        // refuses it with an accounted version mismatch instead of a codec
-        // error tearing the connection down as "corrupt".
-        let groups = if version >= 4 { r.u32()? } else { 1 };
+        let groups = r.u32()?;
         if groups == 0 || groups > MAX_GROUPS {
             return Err(Error::Codec(format!("implausible group count {groups}")));
         }
@@ -175,34 +140,28 @@ impl Wire for NetFrame {
                 w.u8(0);
                 h.encode(w);
             }
-            NetFrame::Peer { group, from, to, msg } => {
+            NetFrame::Peer { group, to, msg } => {
                 w.u8(1);
                 w.u32(*group);
-                from.encode(w);
                 to.encode(w);
                 msg.encode(w);
             }
-            NetFrame::Request { group, to, trace, req } => {
+            NetFrame::Request { group, to, req } => {
                 w.u8(2);
                 w.u32(*group);
                 to.encode(w);
-                w.u64(*trace);
                 req.encode(w);
             }
-            NetFrame::Response { group, client, resp } => {
+            NetFrame::Response(resp) => {
                 w.u8(3);
-                w.u32(*group);
-                client.encode(w);
                 resp.encode(w);
             }
-            NetFrame::Ping { nonce, t0 } => {
+            NetFrame::Ping { t0 } => {
                 w.u8(4);
-                w.u64(*nonce);
                 w.u64(*t0);
             }
-            NetFrame::Pong { nonce, t0, t1 } => {
+            NetFrame::Pong { t0, t1 } => {
                 w.u8(5);
-                w.u64(*nonce);
                 w.u64(*t0);
                 w.u64(*t1);
             }
@@ -213,23 +172,17 @@ impl Wire for NetFrame {
             0 => Ok(NetFrame::Hello(HelloMsg::decode(r)?)),
             1 => Ok(NetFrame::Peer {
                 group: decode_group(r)?,
-                from: NodeId::decode(r)?,
                 to: NodeId::decode(r)?,
                 msg: Message::decode(r)?,
             }),
             2 => Ok(NetFrame::Request {
                 group: decode_group(r)?,
                 to: NodeId::decode(r)?,
-                trace: r.u64()?,
                 req: ClientRequest::decode(r)?,
             }),
-            3 => Ok(NetFrame::Response {
-                group: decode_group(r)?,
-                client: ClientId::decode(r)?,
-                resp: ClientResponse::decode(r)?,
-            }),
-            4 => Ok(NetFrame::Ping { nonce: r.u64()?, t0: r.u64()? }),
-            5 => Ok(NetFrame::Pong { nonce: r.u64()?, t0: r.u64()?, t1: r.u64()? }),
+            3 => Ok(NetFrame::Response(ClientResponse::decode(r)?)),
+            4 => Ok(NetFrame::Ping { t0: r.u64()? }),
+            5 => Ok(NetFrame::Pong { t0: r.u64()?, t1: r.u64()? }),
             v => Err(Error::Codec(format!("invalid net frame tag {v}"))),
         }
     }
@@ -270,7 +223,6 @@ mod tests {
             }),
             NetFrame::Peer {
                 group: 0,
-                from: NodeId(1),
                 to: NodeId(0),
                 msg: Message::Heartbeat(HeartbeatMsg {
                     term: Term(4),
@@ -283,24 +235,19 @@ mod tests {
             NetFrame::Request {
                 group: 3,
                 to: NodeId(0),
-                trace: (5u64 << 32) | 6,
                 req: ClientRequest {
                     client: ClientId(5),
                     request: RequestId(6),
                     payload: Bytes::from_static(b"temp=21.5"),
                 },
             },
-            NetFrame::Response {
-                group: MAX_GROUPS - 1,
-                client: ClientId(5),
-                resp: ClientResponse::Weak {
-                    request: RequestId(6),
-                    index: LogIndex(10),
-                    term: Term(4),
-                },
-            },
-            NetFrame::Ping { nonce: 42, t0: 1_000_000 },
-            NetFrame::Pong { nonce: 42, t0: 1_000_000, t1: 1_004_500 },
+            NetFrame::Response(ClientResponse::Weak {
+                request: RequestId(6),
+                index: LogIndex(10),
+                term: Term(4),
+            }),
+            NetFrame::Ping { t0: 1_000_000 },
+            NetFrame::Pong { t0: 1_000_000, t1: 1_004_500 },
         ]
     }
 
@@ -355,23 +302,21 @@ mod tests {
     }
 
     #[test]
-    fn v3_hello_decodes_with_default_group_count() {
-        // A v3 peer's Hello has no trailing group count; decoding must
-        // still succeed (groups = 1) so the handshake can refuse it as a
-        // *version* mismatch rather than a codec error.
+    fn v4_hello_decodes_and_keeps_its_version() {
+        // A v4 peer's Hello has the v5 layout: it decodes, so the handshake
+        // can refuse it as a *version* mismatch rather than a codec error.
         let mut w = Writer::new();
         w.u8(0); // Hello tag
-        w.u32(3); // v3
+        w.u32(4); // v4
         w.u64(7);
         PeerKind::Node(NodeId(2)).encode(&mut w);
+        w.u32(2);
         let body = w.into_bytes();
         let mut r = Reader::new(&body);
         let NetFrame::Hello(h) = NetFrame::decode(&mut r).unwrap() else {
             panic!("expected Hello");
         };
-        assert_eq!(h.version, 3);
-        assert_eq!(h.cluster_id, 7);
-        assert_eq!(h.groups, 1);
+        assert_eq!((h.version, h.cluster_id, h.groups), (4, 7, 2));
     }
 
     #[test]
@@ -386,16 +331,6 @@ mod tests {
             let body = w.into_bytes();
             let mut r = Reader::new(&body);
             assert!(NetFrame::decode(&mut r).is_err(), "groups={groups} must be refused");
-        }
-    }
-
-    #[test]
-    fn group_trace_ids_distinct_across_groups() {
-        let (c, r) = (ClientId(1_017), RequestId(42));
-        assert_eq!(group_trace_id(0, c, r), trace_id(c, r));
-        let mut seen = std::collections::HashSet::new();
-        for g in 0..MAX_GROUPS {
-            assert!(seen.insert(group_trace_id(g, c, r)));
         }
     }
 }

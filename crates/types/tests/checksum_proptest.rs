@@ -291,46 +291,33 @@ fn pinned_net_frames() -> Vec<(&'static str, NetFrame)> {
     };
     vec![
         (
-            "160000001cb025200004000000c100000000000000000200000001000000",
+            "160000008233ffbf0005000000c100000000000000000200000001000000",
             hello(PeerKind::Node(NodeId(2)), 1),
         ),
         (
-            "1a000000ee1bf1100004000000c100000000000000010c000000000000000800\
+            "1a000000e08b7ab50005000000c100000000000000010c000000000000000800\
              0000",
             hello(PeerKind::Client(ClientId(0x0C)), 8),
         ),
         (
-            "32000000b804ae42010500000002000000030000000211000000000000000200\
-             0000240000000000000010000000000000001f00000000000000",
-            NetFrame::Peer { group: 5, from: NodeId(2), to: NodeId(3), msg: heartbeat() },
+            "2e000000d5be05a6010500000003000000021100000000000000020000002400\
+             00000000000010000000000000001f00000000000000",
+            NetFrame::Peer { group: 5, to: NodeId(3), msg: heartbeat() },
         ),
         (
-            "2e000000b0fa71740206000000020000000d0000000c0000000c000000000000\
-             000d000000000000000900000074656d703d32312e35",
-            NetFrame::Request {
-                group: 6,
-                to: NodeId(2),
-                trace: 0x0C_0000_000D,
-                req: pinned_request().1,
-            },
+            "260000008f08c1f80206000000020000000c000000000000000d000000000000\
+             000900000074656d703d32312e35",
+            NetFrame::Request { group: 6, to: NodeId(2), req: pinned_request().1 },
         ),
         (
-            "26000000812c646503070000000c00000000000000000d000000000000002100\
-             0000000000001100000000000000",
-            NetFrame::Response {
-                group: 7,
-                client: ClientId(0x0C),
-                resp: pinned_responses().remove(0).1,
-            },
+            "1a000000554fd36e03000d000000000000002100000000000000110000000000\
+             0000",
+            NetFrame::Response(pinned_responses().remove(0).1),
         ),
+        ("090000006cd93bdc040010000000000000", NetFrame::Ping { t0: 0x1000 }),
         (
-            "11000000491308bb0451000000000000000010000000000000",
-            NetFrame::Ping { nonce: 0x51, t0: 0x1000 },
-        ),
-        (
-            "19000000fa7bcfda055100000000000000001000000000000034120000000000\
-             00",
-            NetFrame::Pong { nonce: 0x51, t0: 0x1000, t1: 0x1234 },
+            "110000001e52e5880500100000000000003412000000000000",
+            NetFrame::Pong { t0: 0x1000, t1: 0x1234 },
         ),
     ]
 }

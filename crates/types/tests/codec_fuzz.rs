@@ -56,7 +56,6 @@ fn sample_frames() -> Vec<Vec<u8>> {
     };
     let net = NetFrame::Peer {
         group: 0,
-        from: NodeId(1),
         to: NodeId(0),
         msg: Message::Heartbeat(HeartbeatMsg {
             term: Term(4),
@@ -72,25 +71,24 @@ fn sample_frames() -> Vec<Vec<u8>> {
         groups: 8,
         kind: PeerKind::Client(ClientId(3)),
     });
-    let traced = NetFrame::Request {
+    let routed = NetFrame::Request {
         group: 3,
         to: NodeId(2),
-        trace: group_trace_id(3, ClientId(5), RequestId(6)),
         req: ClientRequest {
             client: ClientId(5),
             request: RequestId(6),
             payload: Bytes::from(vec![0x5A; 128]),
         },
     };
-    let ping = NetFrame::Ping { nonce: 99, t0: 123_456_789 };
-    let pong = NetFrame::Pong { nonce: 99, t0: 123_456_789, t1: 123_999_999 };
+    let ping = NetFrame::Ping { t0: 123_456_789 };
+    let pong = NetFrame::Pong { t0: 123_456_789, t1: 123_999_999 };
     vec![
         encode_frame(&msg),
         encode_frame(&batched),
         encode_frame(&req),
         encode_frame(&net),
         encode_frame(&hello),
-        encode_frame(&traced),
+        encode_frame(&routed),
         encode_frame(&ping),
         encode_frame(&pong),
     ]
@@ -119,26 +117,25 @@ fn mutated_frames_never_panic() {
     }
 }
 
-/// The v3 trace envelope (`Request.trace`, `Ping.t0`, `Pong.t0/t1`) adds
-/// raw u64 fields in front of variable-length payloads. Exhaustive
-/// single-byte corruption of those frames — every offset, every bit — must
-/// decode totally, and a tight transport cap must keep any allocation
-/// implied by a corrupted length prefix bounded.
+/// The clock-sample fields (`Ping.t0`, `Pong.t0/t1`) are raw u64s, and a
+/// `Request` puts its routing fields in front of a variable-length payload.
+/// Exhaustive single-byte corruption of those frames — every offset, every
+/// bit — must decode totally, and a tight transport cap must keep any
+/// allocation implied by a corrupted length prefix bounded.
 #[test]
 fn mutated_trace_fields_total_and_bounded() {
     let frames = [
         encode_frame(&NetFrame::Request {
             group: MAX_GROUPS - 1,
             to: NodeId(1),
-            trace: trace_id(ClientId(0xFFFF_FFFF), RequestId(u64::MAX)),
             req: ClientRequest {
                 client: ClientId(0xFFFF_FFFF),
                 request: RequestId(u64::MAX),
                 payload: Bytes::from(vec![0x7E; 64]),
             },
         }),
-        encode_frame(&NetFrame::Ping { nonce: u64::MAX, t0: u64::MAX }),
-        encode_frame(&NetFrame::Pong { nonce: 0, t0: u64::MAX, t1: 0 }),
+        encode_frame(&NetFrame::Ping { t0: u64::MAX }),
+        encode_frame(&NetFrame::Pong { t0: u64::MAX, t1: 0 }),
     ];
     for frame in &frames {
         for at in 0..frame.len() {
@@ -151,35 +148,6 @@ fn mutated_trace_fields_total_and_bounded() {
                 // 1 KiB transport cap, never the claimed size.
                 let _ = decode_frame_capped::<NetFrame>(&m, 1 << 10);
             }
-        }
-    }
-}
-
-/// Trace ids round-trip bit-exactly through the envelope — the collector
-/// joins per-node events on this value, so truncation would silently split
-/// spans.
-#[test]
-fn trace_id_roundtrip_exact() {
-    for (c, r) in [(0u64, 0u64), (1, 2), (0xFFFF_FFFF, 0xFFFF_FFFF), (7, u64::MAX)] {
-        let trace = trace_id(ClientId(c), RequestId(r));
-        let frame = NetFrame::Request {
-            group: 0,
-            to: NodeId(0),
-            trace,
-            req: ClientRequest {
-                client: ClientId(c),
-                request: RequestId(r),
-                payload: Bytes::new(),
-            },
-        };
-        match decode_frame::<NetFrame>(&encode_frame(&frame)) {
-            Ok(Some((NetFrame::Request { trace: got, req, .. }, _))) => {
-                assert_eq!(got, trace);
-                // Deterministic derivation: every hop recomputes the same id
-                // from the op identity alone.
-                assert_eq!(got, trace_id(req.client, req.request));
-            }
-            other => panic!("round-trip failed: {other:?}"),
         }
     }
 }
@@ -366,8 +334,8 @@ fn frame_bytes(body: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// The v4 group envelope adds a u32 group id to `Peer`/`Request`/`Response`
-/// and a group count to `Hello`. Exhaustive single-byte corruption — every
+/// The group envelope puts a u32 group id in `Peer`/`Request` and a group
+/// count in `Hello`. Exhaustive single-byte corruption — every
 /// offset, every bit — of group-carrying frames must stay total: decode,
 /// error, or want-more, never a panic, and never an id at or above
 /// `MAX_GROUPS` slipping through into demux-table indexing downstream.
@@ -376,7 +344,6 @@ fn mutated_group_fields_total_and_bounded() {
     let frames = [
         encode_frame(&NetFrame::Peer {
             group: MAX_GROUPS - 1,
-            from: NodeId(1),
             to: NodeId(2),
             msg: Message::Heartbeat(HeartbeatMsg {
                 term: Term(4),
@@ -386,13 +353,13 @@ fn mutated_group_fields_total_and_bounded() {
                 leader_commit: LogIndex(8),
             }),
         }),
-        encode_frame(&NetFrame::Response {
+        encode_frame(&NetFrame::Request {
             group: 7,
-            client: ClientId(3),
-            resp: ClientResponse::Weak {
+            to: NodeId(1),
+            req: ClientRequest {
+                client: ClientId(3),
                 request: RequestId(6),
-                index: LogIndex(10),
-                term: Term(4),
+                payload: Bytes::from_static(b"t=4"),
             },
         }),
         encode_frame(&NetFrame::Hello(HelloMsg {
@@ -409,8 +376,7 @@ fn mutated_group_fields_total_and_bounded() {
                 m[at] ^= 1 << bit;
                 match decode_frame::<NetFrame>(&m) {
                     Ok(Some((NetFrame::Peer { group, .. }, _)))
-                    | Ok(Some((NetFrame::Request { group, .. }, _)))
-                    | Ok(Some((NetFrame::Response { group, .. }, _))) => {
+                    | Ok(Some((NetFrame::Request { group, .. }, _))) => {
                         assert!(group < MAX_GROUPS, "out-of-range group survived decode");
                     }
                     Ok(Some((NetFrame::Hello(h), _))) => {
@@ -435,7 +401,6 @@ fn absurd_group_ids_rejected() {
         w.u8(2); // NetFrame::Request tag
         w.u32(group);
         NodeId(0).encode(&mut w);
-        w.u64(0); // trace
         ClientId(1).encode(&mut w);
         RequestId(1).encode(&mut w);
         w.u32(0); // empty payload
@@ -462,31 +427,32 @@ fn absurd_group_ids_rejected() {
     }
 }
 
-/// Cross-version handshake: a v3 peer's `Hello` (no trailing group count)
-/// must decode *cleanly* — version 3, groups defaulting to 1 — so the
+/// Cross-version handshake: a v4 peer's `Hello` has the current layout, so
+/// it must decode *cleanly* — version 4, its own group count — and the
 /// transport can refuse it as an accounted version mismatch instead of
-/// tearing the connection down as a corrupt stream. A truncated v4 `Hello`
+/// tearing the connection down as a corrupt stream. A truncated `Hello`
 /// missing its group count must conversely read as incomplete, never as a
-/// v4 frame with an invented count.
+/// frame with an invented count.
 #[test]
 fn cross_version_hello_decodes_cleanly() {
     let mut w = wire::Writer::new();
     w.u8(0); // NetFrame::Hello tag
-    w.u32(3); // v3: fields end after the peer kind
+    w.u32(4); // v4
     w.u64(0xC0FFEE);
     PeerKind::Node(NodeId(2)).encode(&mut w);
+    w.u32(3); // group count
     let frame = frame_bytes(&w.into_bytes());
     match decode_frame::<NetFrame>(&frame) {
         Ok(Some((NetFrame::Hello(h), used))) => {
-            assert_eq!(h.version, 3);
+            assert_eq!(h.version, 4);
             assert_eq!(h.cluster_id, 0xC0FFEE);
-            assert_eq!(h.groups, 1);
+            assert_eq!(h.groups, 3);
             assert_eq!(used, frame.len());
         }
-        other => panic!("v3 Hello must decode cleanly, got {other:?}"),
+        other => panic!("v4 Hello must decode cleanly, got {other:?}"),
     }
 
-    // v4 Hello truncated just before its group count: incomplete or error,
+    // A Hello truncated just before its group count: incomplete or error,
     // never a decoded value.
     let full = encode_frame(&NetFrame::Hello(HelloMsg {
         version: NET_PROTOCOL_VERSION,
@@ -497,7 +463,7 @@ fn cross_version_hello_decodes_cleanly() {
     for cut in 0..full.len() {
         match decode_frame::<NetFrame>(&full[..cut]) {
             Ok(None) | Err(Error::Codec(_)) => {}
-            Ok(Some(_)) => panic!("decoded a truncated v4 Hello (cut={cut})"),
+            Ok(Some(_)) => panic!("decoded a truncated Hello (cut={cut})"),
             Err(e) => panic!("unexpected error class: {e}"),
         }
     }

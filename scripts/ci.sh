@@ -31,10 +31,17 @@ cargo test -q
 # about 6 s; plus the chaos harness over both of its backends (three sim
 # tests, one of which compares the seed-7 corpus verdicts with the committed
 # golden, and one net scenario), about 25 s in the debug profile. The engine
-# (`nbr-core`: node, snapshot and window tests) and the probe it records
-# into (`nbr-obs`) add under a second of test time.
-step "cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos (engine, serving stack + fault plane)"
-cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos
+# (`nbr-core`: node, snapshot and window tests), the probe it records into
+# (`nbr-obs`) and the crates under both (`nbr-types`: the codec, whose byte
+# pins of every wire layout live there; `nbr-storage`, `nbr-erasure`,
+# `nbr-crypto`, `nbr-metrics`, `nbr-workload`) add about a second more.
+# `cargo test -q` above builds only the root package's tests, so no other
+# step runs these. The rest of the workspace (the model checker's, the Petri
+# net's and the simulator's suites: tens of seconds to minutes each) runs
+# under CI_FULL.
+step "cargo test -q (engine, its substrate crates, serving stack + fault plane)"
+cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos \
+    -p nbr-types -p nbr-storage -p nbr-erasure -p nbr-crypto -p nbr-metrics -p nbr-workload
 # The crash/restart tests: the first two once raced the replica's reboot
 # (about 1 run in 20), the third restarts a replica straight after it
 # compacted its own log. Ten more runs watch for a race; this is a repeat,
