@@ -10,7 +10,7 @@ use crate::network::{NetConfig, Network, Packet, CLIENT_ENDPOINT};
 use crate::sync::Mutex;
 use crate::transport::{Endpoints, Transport, TransportInboxes};
 use bytes::Bytes;
-use nbr_core::{Node, NodeStatus, Output};
+use nbr_core::{Node, NodeStats, NodeStatus, Output};
 use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry};
 use nbr_storage::{LogStore, MemLog, StateMachine, SyncPolicy, WalLog};
 use nbr_types::*;
@@ -442,46 +442,6 @@ impl<M: StateMachine + Send + 'static> Drop for Cluster<M> {
     }
 }
 
-/// Interned metric handles of one replica loop: the name lookup is paid
-/// once at spawn, each mirror below is a single atomic store.
-struct ReplicaMetrics {
-    appends: Arc<Counter>,
-    weak_accepts: Arc<Counter>,
-    strong_accepts: Arc<Counter>,
-    parked: Arc<Counter>,
-    park_wait_ns: Arc<Counter>,
-    window_flushes: Arc<Counter>,
-    elections: Arc<Counter>,
-    messages: Arc<Counter>,
-    committed: Arc<Counter>,
-    applied: Arc<Counter>,
-    proposals: Arc<Counter>,
-    status: StatusGauges,
-    window_cached: Arc<Gauge>,
-    window_parked: Arc<Gauge>,
-}
-
-impl ReplicaMetrics {
-    fn new(reg: &Registry) -> ReplicaMetrics {
-        ReplicaMetrics {
-            appends: reg.counter("appends"),
-            weak_accepts: reg.counter("weak_accepts"),
-            strong_accepts: reg.counter("strong_accepts"),
-            parked: reg.counter("parked"),
-            park_wait_ns: reg.counter("park_wait_ns"),
-            window_flushes: reg.counter("window_flushes"),
-            elections: reg.counter("elections"),
-            messages: reg.counter("messages"),
-            committed: reg.counter("committed"),
-            applied: reg.counter("applied"),
-            proposals: reg.counter("proposals"),
-            status: StatusGauges::new(reg),
-            window_cached: reg.gauge("window_cached"),
-            window_parked: reg.gauge("window_parked"),
-        }
-    }
-}
-
 /// The registry gauges one replica's [`NodeStatus`] is published in: the
 /// replica thread writes them, [`Cluster::status`] reads them back.
 struct StatusGauges {
@@ -585,7 +545,13 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
             let mut kept: Option<MemLog> = None;
             let mut outputs: Vec<Output> = Vec::new();
             let mut burst: Vec<Packet> = Vec::new();
-            let metrics = ReplicaMetrics::new(&registry);
+            // Metric handles, interned once: each mirror below is one
+            // atomic store.
+            let stats: Vec<Arc<Counter>> =
+                NodeStats::NAMES.iter().map(|name| registry.counter(name)).collect();
+            let gauges = StatusGauges::new(&registry);
+            let window_cached = registry.gauge("window_cached");
+            let window_parked = registry.gauge("window_parked");
 
             loop {
                 // Control commands.
@@ -605,7 +571,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                             // restarted replica rebuilds it from its log's
                             // snapshot and re-applies the suffix.
                             *machine.lock() = M::default();
-                            metrics.status.publish(NodeStatus::default());
+                            gauges.publish(NodeStatus::default());
                             let _ = done.send(());
                         }
                         Control::Read(reply) => {
@@ -627,7 +593,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                             if node.is_none() {
                                 node = boot(cfg.seed ^ 0xBEEF, kept.take());
                                 let status = node.as_ref().map(Node::status);
-                                metrics.status.publish(status.unwrap_or_default());
+                                gauges.publish(status.unwrap_or_default());
                             }
                             let _ = done.send(());
                         }
@@ -727,24 +693,15 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
 
                     // Metrics registry: protocol counters mirrored from the
                     // engine's stats, plus the replica's status gauges.
-                    let st = &n.stats;
-                    metrics.appends.set(st.appends);
-                    metrics.weak_accepts.set(st.weak_accepts);
-                    metrics.strong_accepts.set(st.strong_accepts);
-                    metrics.parked.set(st.parked);
-                    metrics.park_wait_ns.set(st.park_wait_ns);
-                    metrics.window_flushes.set(st.window_flushes);
-                    metrics.elections.set(st.elections);
-                    metrics.messages.set(st.messages);
-                    metrics.committed.set(st.committed);
-                    metrics.applied.set(st.applied);
-                    metrics.proposals.set(st.proposals);
-                    metrics.status.publish(n.status());
+                    for (counter, v) in stats.iter().zip(n.stats.values()) {
+                        counter.set(v);
+                    }
+                    gauges.publish(n.status());
                     // Live window occupancy: entries currently cached in
                     // the sliding window vs parked beyond it.
                     let cached = n.window().occupied();
-                    metrics.window_cached.set(cached as i64);
-                    metrics.window_parked.set((n.blocked_entries() - cached) as i64);
+                    window_cached.set(cached as i64);
+                    window_parked.set((n.blocked_entries() - cached) as i64);
                 } else {
                     // Crashed: drain and ignore.
                     let _ = packet;

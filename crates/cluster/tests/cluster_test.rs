@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use nbr_cluster::{Cluster, ClusterConfig, FaultPlane, NetConfig, StorageMode};
+use nbr_core::NodeStats;
 use nbr_storage::{KvStore, LogStore, SyncPolicy, TsStore, WalLog};
 use nbr_types::{Fault, Protocol, TimeDelta, TimeoutConfig};
 use std::io::Write;
@@ -455,4 +456,41 @@ fn reads_on_crashed_node_fail_fast() {
     std::thread::sleep(Duration::from_millis(100));
     let r = cluster.linearizable_read(follower, Duration::from_secs(2), |kv| kv.len());
     assert!(r.is_err(), "crashed node cannot serve reads");
+}
+
+/// Every `NodeStats` row reaches each replica's registry, carrying what the
+/// engine counted: `K` committed ops are appended and applied on every
+/// replica and proposed on the leader.
+#[test]
+fn every_node_stats_counter_reaches_each_replica_registry() {
+    const K: u64 = 40;
+    let cluster: Cluster<KvStore> = Cluster::spawn(3, cfg(Protocol::NbRaft, 1024));
+    let leader = cluster.wait_for_leader(Duration::from_secs(5)).expect("leader");
+    let mut client = cluster.client();
+    for i in 0..K {
+        client.submit(Bytes::from(format!("k{i}=v{i}")), Duration::from_secs(5)).expect("submit");
+    }
+    assert!(client.drain(Duration::from_secs(5)), "opList drains");
+    assert!(cluster.wait_for_applied(K + 1, Duration::from_secs(10)), "replicas converge");
+
+    let counter = |node: usize, name: &str| {
+        cluster.registry(node).snapshot().counters.get(name).copied().unwrap_or(0)
+    };
+    // The replica loop publishes after each burst; give the last one time.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline
+        && !((0..3).all(|i| counter(i, "appends") >= K && counter(i, "applied") >= K)
+            && counter(leader, "proposals") >= K)
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for node in 0..3 {
+        let counters = cluster.registry(node).snapshot().counters;
+        for name in NodeStats::NAMES {
+            assert!(counters.contains_key(name), "node {node} exports no {name}");
+        }
+        assert!(counters["appends"] >= K, "node {node} appends {}", counters["appends"]);
+        assert!(counters["applied"] >= K, "node {node} applied {}", counters["applied"]);
+    }
+    assert!(counter(leader, "proposals") >= K, "leader {leader} proposals below {K}");
 }

@@ -40,12 +40,14 @@ pub mod client;
 pub mod event;
 pub mod fragments;
 pub mod node;
+pub mod stats;
 pub mod votelist;
 pub mod window;
 
 pub use client::{ClientAction, RaftClient};
 pub use event::{coalesce_appends, Output};
 pub use nbr_obs::{EngineProbe, ProbeEvent};
-pub use node::{Node, NodeStats, NodeStatus, Role};
+pub use node::{Node, NodeStatus, Role};
+pub use stats::NodeStats;
 pub use votelist::{VoteList, VoteOutcome, VoteTuple};
 pub use window::{SlidingWindow, WindowOutcome};

@@ -14,6 +14,7 @@
 
 use crate::event::Output;
 use crate::fragments::{encode_fragments, FragmentStore};
+use crate::stats::NodeStats;
 use crate::votelist::{VoteList, VoteOutcome};
 use crate::window::{SlidingWindow, WindowOutcome};
 use bytes::Bytes;
@@ -70,48 +71,6 @@ pub enum Role {
     Candidate,
     /// Handles client requests and drives replication.
     Leader,
-}
-
-/// Plain counters exposed for harness instrumentation; the simulator derives
-/// the paper's `t_wait(F)` measurements from `park_wait_ns` / `park_waits`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NodeStats {
-    /// Entries appended to the local log.
-    pub appends: u64,
-    /// WEAK_ACCEPT responses sent (NB-Raft only).
-    pub weak_accepts: u64,
-    /// STRONG_ACCEPT responses sent.
-    pub strong_accepts: u64,
-    /// LOG_MISMATCH responses sent.
-    pub mismatches: u64,
-    /// Gap-hint repair requests sent: a `Mismatch { resend_from }` emitted
-    /// because a window gap outlived the quarter-heartbeat damping, not
-    /// because an append actually conflicted.
-    pub gap_hints: u64,
-    /// Entries parked because they were out of order and beyond the window
-    /// (for Raft, *every* out-of-order entry parks — the blocking loop).
-    pub parked: u64,
-    /// Total nanoseconds entries spent blocked before becoming appendable —
-    /// the paper's `t_wait(F)`.
-    pub park_wait_ns: u64,
-    /// Number of park-wait samples.
-    pub park_waits: u64,
-    /// Window flushes performed.
-    pub window_flushes: u64,
-    /// Elections started.
-    pub elections: u64,
-    /// Messages processed.
-    pub messages: u64,
-    /// Entries committed (leader only).
-    pub committed: u64,
-    /// Entries this node applied.
-    pub applied: u64,
-    /// Reed–Solomon encodings performed (CRaft family).
-    pub fragments_encoded: u64,
-    /// Signature verifications performed (VGRaft).
-    pub verifications: u64,
-    /// Client requests proposed (leader only).
-    pub proposals: u64,
 }
 
 /// What a harness publishes of one replica: a running replica's is

@@ -31,7 +31,8 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite with an externally tracked total (e.g. `NodeStats` fields).
+    /// Overwrite with a total kept elsewhere: a replica loop mirrors each
+    /// row of `nbr_core::NodeStats` into one counter after every burst.
     pub fn set(&self, n: u64) {
         self.value.store(n, Ordering::Relaxed);
     }

@@ -130,7 +130,10 @@ pub struct SimResult {
     pub chaos_dropped: u64,
     /// Chaos crash-recoveries performed.
     pub recoveries: u64,
-    /// Per-follower protocol counters summed.
+    /// Every [`NodeStats`] counter summed over the replicas alive at the end
+    /// of the run, the leader included. `elections`, `messages` and `applied`
+    /// are summed too; `stats.elections` counts elections started, where
+    /// [`SimResult::elections`] counts leaders elected.
     pub stats: NodeStats,
 }
 
@@ -775,20 +778,7 @@ impl Simulator {
         let duration_s = self.cfg.duration.as_nanos() as f64 / 1e9;
         let mut stats = NodeStats::default();
         for n in self.nodes.iter().flatten() {
-            let s = &n.stats;
-            stats.appends += s.appends;
-            stats.weak_accepts += s.weak_accepts;
-            stats.strong_accepts += s.strong_accepts;
-            stats.mismatches += s.mismatches;
-            stats.gap_hints += s.gap_hints;
-            stats.parked += s.parked;
-            stats.park_wait_ns += s.park_wait_ns;
-            stats.park_waits += s.park_waits;
-            stats.window_flushes += s.window_flushes;
-            stats.committed += s.committed;
-            stats.proposals += s.proposals;
-            stats.fragments_encoded += s.fragments_encoded;
-            stats.verifications += s.verifications;
+            stats += n.stats;
         }
         let twait_mean_ms = if stats.park_waits == 0 {
             0.0

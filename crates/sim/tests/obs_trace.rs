@@ -3,6 +3,7 @@
 //! registry/exporter determinism all exercised end-to-end against real
 //! protocol traffic rather than hand-built traces.
 
+use nbr_core::NodeStats;
 use nbr_obs::{analyze, timelines, EngineProbe, Registry, TraceEvent};
 use nbr_sim::{run, SimConfig, SimResult};
 use nbr_types::{Protocol, TimeDelta};
@@ -101,11 +102,9 @@ fn window_zero_blocks_strictly_longer() {
 /// does, and require byte-identical exports for identical runs.
 fn registry_of(label: &str, r: &SimResult) -> Registry {
     let reg = Registry::new(label);
-    reg.counter("appends").set(r.stats.appends);
-    reg.counter("weak_accepts").set(r.stats.weak_accepts);
-    reg.counter("parked").set(r.stats.parked);
-    reg.counter("window_flushes").set(r.stats.window_flushes);
-    reg.gauge("elections").set(r.elections as i64);
+    for (name, v) in NodeStats::NAMES.iter().zip(r.stats.values()) {
+        reg.counter(name).set(v);
+    }
     reg.timer("twait").record((r.twait_mean_ms * 1e6) as u64);
     reg
 }

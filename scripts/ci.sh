@@ -35,13 +35,17 @@ cargo test -q
 # (`nbr-obs`) and the crates under both (`nbr-types`: the codec, whose byte
 # pins of every wire layout live there; `nbr-storage`, `nbr-erasure`,
 # `nbr-crypto`, `nbr-metrics`, `nbr-workload`) add about a second more.
+# The simulator's unit tests and its `obs_trace` suite (the DES's summed
+# `NodeStats` and their registry mirror) add about 2 s; they have a line of
+# their own because `--lib --test` narrows every package on a line.
 # `cargo test -q` above builds only the root package's tests, so no other
 # step runs these. The rest of the workspace (the model checker's, the Petri
-# net's and the simulator's suites: tens of seconds to minutes each) runs
-# under CI_FULL.
-step "cargo test -q (engine, its substrate crates, serving stack + fault plane)"
+# net's suites and the simulator's `crash_rule` and `sim_claims`: tens of
+# seconds to minutes each) runs under CI_FULL.
+step "cargo test -q (engine, its substrate crates, simulator stats, serving stack + fault plane)"
 cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos \
     -p nbr-types -p nbr-storage -p nbr-erasure -p nbr-crypto -p nbr-metrics -p nbr-workload
+cargo test -q -p nbr-sim --lib --test obs_trace
 # The crash/restart tests: the first two once raced the replica's reboot
 # (about 1 run in 20), the third restarts a replica straight after it
 # compacted its own log. Ten more runs watch for a race; this is a repeat,
