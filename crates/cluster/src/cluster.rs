@@ -11,7 +11,7 @@ use crate::sync::Mutex;
 use crate::transport::{Endpoints, Transport, TransportInboxes};
 use bytes::Bytes;
 use nbr_core::{Node, NodeStats, NodeStatus, Output};
-use nbr_obs::{Counter, EngineProbe, Gauge, ProbeEvent, Registry};
+use nbr_obs::{EngineProbe, Gauge, ProbeEvent, Registry};
 use nbr_storage::{LogStore, MemLog, StateMachine, SyncPolicy, WalLog};
 use nbr_types::*;
 use std::collections::HashMap;
@@ -547,8 +547,7 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
             let mut burst: Vec<Packet> = Vec::new();
             // Metric handles, interned once: each mirror below is one
             // atomic store.
-            let stats: Vec<Arc<Counter>> =
-                NodeStats::NAMES.iter().map(|name| registry.counter(name)).collect();
+            let stats = NodeStats::NAMES.map(|name| registry.counter(name));
             let gauges = StatusGauges::new(&registry);
             let window_cached = registry.gauge("window_cached");
             let window_parked = registry.gauge("window_parked");
