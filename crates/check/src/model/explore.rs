@@ -46,11 +46,11 @@ pub(crate) struct StateMeta {
     /// truncated graph can censor a verdict but never fabricate a violation.
     pub(crate) expanded: bool,
     /// Fairness budgets allow further repair: an election and a heartbeat
-    /// are still available, and the client itself can still act (a tick if a
-    /// request is outstanding, a fresh op otherwise). Pending states that
-    /// fail this are excused wedges of the bounded world — e.g. the final
-    /// Strong response was dropped and the client has no action left — not
-    /// liveness violations.
+    /// are still available, and the client itself can still act (a tick if
+    /// a request's latest send is unanswered, a fresh op if it is ready).
+    /// Pending states that fail this are excused wedges of the bounded
+    /// world — e.g. the final Strong response was dropped and the client has
+    /// no action left — not liveness violations.
     pub(crate) fair: bool,
     /// Every issued op is confirmed (`confirmed == issued`) — the liveness
     /// target set.
@@ -59,8 +59,8 @@ pub(crate) struct StateMeta {
 
 fn state_meta(w: &World) -> StateMeta {
     let pending = w.client.confirmed() < w.client.issued();
-    let client_can_act =
-        if w.client.ready() { w.ops_issued < w.budget.max_ops } else { w.budget.client_ticks >= 1 };
+    let client_can_act = (w.client.ready() && w.ops_issued < w.budget.max_ops)
+        || (w.client.in_flight() && w.budget.client_ticks >= 1);
     StateMeta {
         pending,
         expanded: false,

@@ -5,7 +5,7 @@
 use super::Phase;
 use bytes::Bytes;
 use nbr_core::{ClientAction, Node, Output, RaftClient};
-use nbr_storage::{LogStore, MemLog};
+use nbr_storage::{DedupTable, LogStore, MemLog};
 use nbr_types::{
     ClientId, ClientRequest, ClientResponse, Entry, LogIndex, Message, NodeId, Protocol, Time,
     TimeDelta,
@@ -200,10 +200,11 @@ pub(crate) struct World {
     pub(crate) applied_canon: BTreeMap<u64, u64>,
     /// Last applied index observed per node (strict-order check).
     pub(crate) last_applied: Vec<u64>,
-    /// Per node: executed `(client, request)` effects (dedup mirror).
+    /// Per node: executed `(client, request)` effects, recorded apart from
+    /// the state machine's own table.
     pub(crate) executed: Vec<BTreeSet<(u64, u64)>>,
-    /// Per node: highest executed request per client (the DedupTable rule).
-    pub(crate) dedup_max: Vec<BTreeMap<u64, u64>>,
+    /// Per node: the state machine's dedup table, fed every applied entry.
+    pub(crate) dedup: Vec<DedupTable>,
     /// WEAK_ACCEPT responses seen on this path (coverage only; deliberately
     /// excluded from the fingerprint).
     pub(crate) weak_seen: u16,
@@ -252,7 +253,7 @@ impl World {
             applied_canon: BTreeMap::new(),
             last_applied: vec![0; n],
             executed: vec![BTreeSet::new(); n],
-            dedup_max: vec![BTreeMap::new(); n],
+            dedup: vec![DedupTable::default(); n],
             weak_seen: 0,
             counts: Counts::default(),
         }
@@ -387,18 +388,16 @@ impl World {
         if let Some(origin) = entry.origin {
             let key = (origin.client.0, origin.request.0);
             self.counts.nb3 += 1;
-            let max = self.dedup_max[n].get(&key.0).copied().unwrap_or(0);
-            if key.1 > max {
-                if !self.executed[n].insert(key) {
-                    return Err(format!(
-                        "NB-3: node {} executed request {}/{} twice",
-                        n + 1,
-                        key.0,
-                        key.1
-                    ));
-                }
-                self.dedup_max[n].insert(key.0, key.1);
-            } else if !self.executed[n].contains(&key) {
+            let fresh = self.dedup[n].insert(origin.client, origin.request);
+            if fresh && !self.executed[n].insert(key) {
+                return Err(format!(
+                    "NB-3: node {} executed request {}/{} twice",
+                    n + 1,
+                    key.0,
+                    key.1
+                ));
+            }
+            if !fresh && !self.executed[n].contains(&key) {
                 return Err(format!(
                     "NB-3: node {} dedup-skipped request {}/{} that never executed (lost retry)",
                     n + 1,
@@ -569,7 +568,7 @@ impl World {
                 out.push(Succ { label, kind: SuccKind::Other, result: Ok(self.apply_crash(n)) });
             }
         }
-        if self.budget.client_ticks > 0 && !self.client.ready() {
+        if self.budget.client_ticks > 0 && self.client.in_flight() {
             out.push(Succ {
                 label: "client request timeout".into(),
                 kind: SuccKind::Other,

@@ -680,12 +680,12 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         }
                     }
 
-                    // Compaction policy: snapshot the state machine and drop
-                    // the applied log prefix once it grows past the limit.
+                    // Compaction policy: checkpoint the state machine and
+                    // drop the applied log prefix once it grows past the limit.
                     if let Some(limit) = cfg.compact_after {
                         let applied = n.applied_index();
                         if applied.0 >= limit && applied.0 + 1 - n.log().first_index().0 > limit {
-                            let image = machine.lock().snapshot();
+                            let image = machine.lock().checkpoint();
                             let _ = n.compact_with_snapshot(image);
                         }
                     }

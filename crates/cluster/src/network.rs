@@ -155,7 +155,7 @@ impl Network {
     /// replica: a delivery against a full inbox is re-queued with a short
     /// delay (counted in `net_requeued_full`) and only dropped — with
     /// explicit `net_dropped_full` accounting — after
-    /// [`FULL_RETRY_BUDGET`] deferrals. Every non-delivery is counted by
+    /// `FULL_RETRY_BUDGET` deferrals. Every non-delivery is counted by
     /// cause; nothing is lost silently, and `Response` packets get exactly
     /// the same treatment as `Peer` messages.
     ///

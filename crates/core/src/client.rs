@@ -1,16 +1,21 @@
 //! The NB-Raft client (paper Section III-C).
 //!
-//! A client connection is closed-loop: it has at most one *outstanding*
-//! request, and it is unblocked — free to issue the next request — as soon as
-//! the leader answers `WEAK_ACCEPT` (NB-Raft) or `STRONG_ACCEPT` (both).
+//! A client connection is closed-loop: it issues its next request once the
+//! leader answers the newest one, `WEAK_ACCEPT` (NB-Raft) or `STRONG_ACCEPT`.
+//! Every issued request waits in one queue, in id order, until it commits,
+//! and leaves only from the front: [`RaftClient::confirmed`] is a contiguous
+//! watermark and `Confirmed` comes out once per request, in id order. The
+//! queue's answered requests are the paper's `opList`.
 //!
-//! Weakly-accepted requests are remembered in `opList` together with
-//! `listTerm`, the newest leader term the client has seen. On evidence of a
-//! leadership change (a response carrying a higher term, or an explicit
-//! `LEADER_CHANGED`), the client retries *everything* in `opList`: the old
-//! leader may have lost those entries. A `STRONG_ACCEPT` with index `i`
-//! removes every opList element with index ≤ `i` — log continuity guarantees
-//! they are all committed.
+//! A `WEAK_ACCEPT (index, term)` is recorded with its request unless a newer
+//! term (`listTerm`) has been seen. A `STRONG_ACCEPT (index, term)` confirms
+//! the request it names and every request weakly accepted in that *same*
+//! term at or below `index` (a leader never rewrites its own entries). A term
+//! above `listTerm`, or `LEADER_CHANGED`, drops every weak accept and re-sends
+//! those requests: the old leader may have lost them. `NOT_LEADER` and the
+//! request timeout re-send a request whose latest send is unanswered. So a
+//! request is sent, under its one id, until it commits, and the state
+//! machine's dedup table applies exactly one copy.
 
 use bytes::Bytes;
 use nbr_types::{
@@ -38,21 +43,37 @@ pub enum ClientAction {
         /// Whether the first ack was weak (NB-Raft early return).
         weak: bool,
     },
-    /// A request is durably committed (strong). Emitted at most once per
-    /// request, possibly long after `Acked`.
+    /// Every request up to this one is durably committed. Emitted once per
+    /// request, in id order, possibly long after `Acked`.
     Confirmed {
         /// The committed request.
         request: RequestId,
     },
 }
 
-/// A request awaiting confirmation in the opList.
+/// Where an issued request stands with respect to its latest send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Status {
+    /// Sent, no answer yet: the request timeout re-sends it.
+    InFlight,
+    /// Weakly accepted at `(index, term)` by that term's leader.
+    Accepted(LogIndex, Term),
+    /// Committed; it leaves the queue once every older request has.
+    Committed,
+}
+
+/// An issued, not yet confirmed request.
 #[derive(Debug, Clone)]
 struct PendingOp {
-    index: LogIndex,
-    term: Term,
     request: RequestId,
     payload: Bytes,
+    /// When it was first sent (the `Acked` latency base).
+    first_sent: Time,
+    /// When it was last sent (the request timeout runs from here).
+    last_sent: Time,
+    /// Its first answer has been reported as `Acked`.
+    acked: bool,
+    status: Status,
 }
 
 /// The client protocol state machine.
@@ -67,19 +88,12 @@ pub struct RaftClient {
     target: NodeId,
     /// All replicas, for failover rotation.
     nodes: Vec<NodeId>,
-    /// Weakly-accepted, not-yet-confirmed requests (paper's `opList`).
-    op_list: VecDeque<PendingOp>,
+    /// Every issued, unconfirmed request, in id order (ids are contiguous).
+    pending: VecDeque<PendingOp>,
     /// Newest leader term observed (paper's `listTerm`).
     list_term: Term,
-    /// The single outstanding request, if any: (id, payload, first send time,
-    /// last send time).
-    outstanding: Option<(RequestId, Bytes, Time, Time)>,
-    /// Re-send the outstanding request if unanswered for this long.
+    /// Re-send a request unanswered for this long.
     request_timeout: TimeDelta,
-    /// Requests acked (first response) — retries must not double-count.
-    acked_through: RequestId,
-    /// Requests confirmed (committed).
-    confirmed_through: RequestId,
 }
 
 impl RaftClient {
@@ -96,12 +110,9 @@ impl RaftClient {
             next_request: RequestId(1),
             target,
             nodes,
-            op_list: VecDeque::new(),
+            pending: VecDeque::new(),
             list_term: Term::ZERO,
-            outstanding: None,
             request_timeout,
-            acked_through: RequestId(0),
-            confirmed_through: RequestId(0),
         }
     }
 
@@ -110,14 +121,21 @@ impl RaftClient {
         self.id
     }
 
-    /// True when the client may issue a new request (closed loop).
+    /// True when the client may issue a new request (closed loop): the
+    /// newest request has been answered.
     pub fn ready(&self) -> bool {
-        self.outstanding.is_none()
+        self.pending.back().is_none_or(|op| op.acked)
     }
 
-    /// Requests currently in the weakly-accepted list.
+    /// Answered requests not yet confirmed (the paper's `opList`).
     pub fn op_list_len(&self) -> usize {
-        self.op_list.len()
+        self.pending.len() - usize::from(!self.ready())
+    }
+
+    /// True while some request's latest send is unanswered: [`Self::tick`]
+    /// re-sends it once the request timeout passes.
+    pub fn in_flight(&self) -> bool {
+        self.pending.iter().any(|op| op.status == Status::InFlight)
     }
 
     /// Newest leader term observed.
@@ -135,13 +153,11 @@ impl RaftClient {
         self.next_request.0 - 1
     }
 
-    /// Highest request id confirmed durable (the `confirmed_through`
-    /// watermark). Strong accepts confirm by log continuity, so a retried op
-    /// that recommitted at a higher index is covered by the watermark even if
-    /// it never got its own `Confirmed` action. The `nbr-check` liveness pass
-    /// treats `confirmed() == issued()` as "every issued op confirmed".
+    /// Highest request id up to which every request is confirmed durable:
+    /// one below the oldest unconfirmed request. The `nbr-check` liveness
+    /// pass treats `confirmed() == issued()` as "every issued op confirmed".
     pub fn confirmed(&self) -> u64 {
-        self.confirmed_through.0
+        self.pending.front().map_or(self.issued(), |op| op.request.0 - 1)
     }
 
     /// Fold every piece of client protocol state into `h` (see
@@ -166,19 +182,9 @@ impl RaftClient {
         self.next_request.hash(h);
         map(self.target).hash(h);
         self.list_term.hash(h);
-        self.acked_through.hash(h);
-        self.confirmed_through.hash(h);
-        for op in &self.op_list {
-            op.index.hash(h);
-            op.term.hash(h);
-            op.request.hash(h);
-            op.payload.hash(h);
-        }
-        if let Some((request, payload, first, last)) = &self.outstanding {
-            request.hash(h);
-            payload.hash(h);
-            rel(*first).hash(h);
-            rel(*last).hash(h);
+        for op in &self.pending {
+            let times = (rel(op.first_sent), rel(op.last_sent));
+            (op.request, &op.payload, times, op.acked, op.status).hash(h);
         }
     }
 
@@ -189,14 +195,18 @@ impl RaftClient {
         now: Time,
         actions: &mut Vec<ClientAction>,
     ) -> RequestId {
-        assert!(self.ready(), "closed-loop client already has an outstanding request");
+        assert!(self.ready(), "closed-loop client already has an unanswered request");
         let request = self.next_request;
         self.next_request = self.next_request.next();
-        self.outstanding = Some((request, payload.clone(), now, now));
-        actions.push(ClientAction::Send {
-            to: self.target,
-            request: ClientRequest { client: self.id, request, payload },
+        self.pending.push_back(PendingOp {
+            request,
+            payload,
+            first_sent: now,
+            last_sent: now,
+            acked: false,
+            status: Status::InFlight,
         });
+        self.send(|op| op.request == request, now, actions);
         request
     }
 
@@ -210,42 +220,34 @@ impl RaftClient {
         match resp {
             ClientResponse::Weak { request, index, term } => {
                 self.observe_term(term, now, actions);
-                // Move the outstanding request (if this answers it) into the
-                // opList and unblock.
-                if let Some((out_id, payload, first, _)) = self.outstanding.take() {
-                    if out_id == request {
-                        self.op_list.push_back(PendingOp { index, term, request, payload });
-                        self.ack(request, first, true, actions);
-                    } else {
-                        self.outstanding = Some((out_id, payload, first, now));
+                let list_term = self.list_term;
+                if let Some(op) = self.pending.iter_mut().find(|op| op.request == request) {
+                    if op.status == Status::InFlight && term == list_term {
+                        op.status = Status::Accepted(index, term);
                     }
+                    Self::ack(op, true, actions);
                 }
             }
             ClientResponse::Strong { request, index, term } => {
                 self.observe_term(term, now, actions);
-                // Log continuity: everything with index ≤ `index` committed.
-                while self
-                    .op_list
-                    .front()
-                    .is_some_and(|front| front.index <= index && front.term <= term)
-                {
-                    if let Some(op) = self.op_list.pop_front() {
-                        self.confirm(op.request, actions);
+                for op in &mut self.pending {
+                    if op.request == request {
+                        Self::ack(op, false, actions);
+                        op.status = Status::Committed;
+                    } else if matches!(op.status, Status::Accepted(i, t) if t == term && i <= index)
+                    {
+                        op.status = Status::Committed;
                     }
                 }
-                if let Some((out_id, payload, first, _)) = self.outstanding.take() {
-                    if out_id == request {
-                        self.ack(request, first, false, actions);
-                        self.confirm(request, actions);
-                    } else {
-                        self.outstanding = Some((out_id, payload, first, now));
-                    }
+                while let Some(op) = self.pending.pop_front_if(|op| op.status == Status::Committed)
+                {
+                    actions.push(ClientAction::Confirmed { request: op.request });
                 }
             }
             ClientResponse::LeaderChanged { term } => {
                 self.observe_term(term, now, actions);
                 // Even without a term bump, LEADER_CHANGED forces a retry.
-                self.retry_all(now, actions);
+                self.retry_accepted(now, actions);
             }
             ClientResponse::NotLeader { request, hint } => {
                 if let Some(h) = hint {
@@ -253,60 +255,59 @@ impl RaftClient {
                 } else {
                     self.rotate_target();
                 }
-                // Re-send the outstanding request to the new target.
-                if let Some((out_id, payload, first, _)) = self.outstanding.clone() {
-                    if out_id == request {
-                        self.outstanding = Some((out_id, payload.clone(), first, now));
-                        actions.push(ClientAction::Send {
-                            to: self.target,
-                            request: ClientRequest { client: self.id, request: out_id, payload },
-                        });
-                    }
-                }
+                self.send(
+                    |op| op.request == request && op.status == Status::InFlight,
+                    now,
+                    actions,
+                );
             }
         }
     }
 
-    /// Time-based retries: the outstanding request is re-sent (rotating
-    /// targets) when unanswered past the request timeout.
+    /// Time-based retries: every request whose latest send is unanswered
+    /// past the request timeout is re-sent, to the next replica.
     pub fn tick(&mut self, now: Time, actions: &mut Vec<ClientAction>) {
-        if let Some((request, payload, first, last_sent)) = self.outstanding.clone() {
-            if now.since(last_sent) >= self.request_timeout {
-                self.rotate_target();
-                self.outstanding = Some((request, payload.clone(), first, now));
-                actions.push(ClientAction::Send {
-                    to: self.target,
-                    request: ClientRequest { client: self.id, request, payload },
-                });
-            }
+        let timeout = self.request_timeout;
+        let due =
+            |op: &PendingOp| op.status == Status::InFlight && now.since(op.last_sent) >= timeout;
+        if self.pending.iter().any(due) {
+            self.rotate_target();
+            self.send(due, now, actions);
         }
     }
 
-    /// Section III-C: a newer term means previous WEAK_ACCEPTs may be lost —
-    /// retry the whole opList with the (new) leader.
+    /// Section III-C: a newer term means previous WEAK_ACCEPTs may be lost.
     fn observe_term(&mut self, term: Term, now: Time, actions: &mut Vec<ClientAction>) {
         if term > self.list_term {
             self.list_term = term;
-            self.retry_all(now, actions);
+            self.retry_accepted(now, actions);
         }
     }
 
-    fn retry_all(&mut self, _now: Time, actions: &mut Vec<ClientAction>) {
-        // Requests keep their original ids: the state machine's dedup table
-        // makes re-execution idempotent whether or not the original survived.
-        let ops: Vec<PendingOp> = self.op_list.drain(..).collect();
-        for op in ops {
+    /// Forget every weak accept and send those requests again. They keep
+    /// their ids: the state machine's dedup table applies whichever copy
+    /// commits first and skips the rest.
+    fn retry_accepted(&mut self, now: Time, actions: &mut Vec<ClientAction>) {
+        self.send(|op| matches!(op.status, Status::Accepted(..)), now, actions);
+    }
+
+    /// Send every pending request `pick` selects to the current target: the
+    /// one place a [`ClientAction::Send`] is built. Each then waits for an
+    /// answer to this send, its request timeout restarted.
+    fn send(
+        &mut self,
+        pick: impl Fn(&PendingOp) -> bool,
+        now: Time,
+        actions: &mut Vec<ClientAction>,
+    ) {
+        let (to, client) = (self.target, self.id);
+        for op in self.pending.iter_mut().filter(|op| pick(op)) {
+            (op.status, op.last_sent) = (Status::InFlight, now);
+            let (request, payload) = (op.request, op.payload.clone());
             actions.push(ClientAction::Send {
-                to: self.target,
-                request: ClientRequest {
-                    client: self.id,
-                    request: op.request,
-                    payload: op.payload.clone(),
-                },
+                to,
+                request: ClientRequest { client, request, payload },
             });
-            // They re-enter the opList only upon a fresh WEAK_ACCEPT; until
-            // then they are simply in flight (matching the paper: the client
-            // "removes and retries all requests in opList").
         }
     }
 
@@ -315,23 +316,11 @@ impl RaftClient {
         self.target = self.nodes[(pos + 1) % self.nodes.len()];
     }
 
-    fn ack(
-        &mut self,
-        request: RequestId,
-        issued_at: Time,
-        weak: bool,
-        actions: &mut Vec<ClientAction>,
-    ) {
-        if request > self.acked_through {
-            self.acked_through = request;
+    /// Report `op`'s first answer; later answers report nothing.
+    fn ack(op: &mut PendingOp, weak: bool, actions: &mut Vec<ClientAction>) {
+        if !std::mem::replace(&mut op.acked, true) {
+            let (request, issued_at) = (op.request, op.first_sent);
             actions.push(ClientAction::Acked { request, issued_at, weak });
-        }
-    }
-
-    fn confirm(&mut self, request: RequestId, actions: &mut Vec<ClientAction>) {
-        if request > self.confirmed_through {
-            self.confirmed_through = request;
-            actions.push(ClientAction::Confirmed { request });
         }
     }
 }
@@ -359,6 +348,32 @@ mod tests {
             .collect()
     }
 
+    fn confirmed(actions: &[ClientAction]) -> Vec<RequestId> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                ClientAction::Confirmed { request } => Some(*request),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn weak(request: u64, index: u64, term: u64) -> ClientResponse {
+        ClientResponse::Weak {
+            request: RequestId(request),
+            index: LogIndex(index),
+            term: Term(term),
+        }
+    }
+
+    fn strong(request: u64, index: u64, term: u64) -> ClientResponse {
+        ClientResponse::Strong {
+            request: RequestId(request),
+            index: LogIndex(index),
+            term: Term(term),
+        }
+    }
+
     #[test]
     fn closed_loop_blocks_until_response() {
         let mut c = client();
@@ -373,13 +388,9 @@ mod tests {
     fn weak_accept_unblocks_and_lists() {
         let mut c = client();
         let mut acts = Vec::new();
-        let r1 = c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
         acts.clear();
-        c.handle_response(
-            ClientResponse::Weak { request: r1, index: LogIndex(7), term: Term(2) },
-            Time::from_millis(1),
-            &mut acts,
-        );
+        c.handle_response(weak(1, 7, 2), Time::from_millis(1), &mut acts);
         assert!(c.ready(), "weak accept unblocks the client");
         assert_eq!(c.op_list_len(), 1);
         assert_eq!(c.list_term(), Term(2));
@@ -387,81 +398,74 @@ mod tests {
     }
 
     #[test]
-    fn strong_accept_clears_covered_oplist() {
+    fn strong_accept_confirms_covered_ops_in_id_order() {
         let mut c = client();
         let mut acts = Vec::new();
         // Three weakly accepted requests at indices 5, 6, 7.
-        for (i, idx) in [(0u64, 5u64), (1, 6), (2, 7)] {
-            let r = c.issue(Bytes::from_static(b"x"), Time::ZERO, &mut acts);
-            c.handle_response(
-                ClientResponse::Weak { request: r, index: LogIndex(idx), term: Term(2) },
-                Time::ZERO,
-                &mut acts,
-            );
-            let _ = i;
+        for (r, idx) in [(1, 5), (2, 6), (3, 7)] {
+            c.issue(Bytes::from_static(b"x"), Time::ZERO, &mut acts);
+            c.handle_response(weak(r, idx, 2), Time::ZERO, &mut acts);
         }
         assert_eq!(c.op_list_len(), 3);
-        acts.clear();
         // Fourth request answered STRONG with last committed index 6.
-        let r4 = c.issue(Bytes::from_static(b"y"), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"y"), Time::ZERO, &mut acts);
         acts.clear();
-        c.handle_response(
-            ClientResponse::Strong { request: r4, index: LogIndex(6), term: Term(2) },
-            Time::ZERO,
-            &mut acts,
-        );
-        // Ops at 5 and 6 confirmed; 7 stays.
-        assert_eq!(c.op_list_len(), 1);
-        let confirmed: Vec<RequestId> = acts
-            .iter()
-            .filter_map(|a| match a {
-                ClientAction::Confirmed { request } => Some(*request),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(confirmed, vec![RequestId(1), RequestId(2), RequestId(4)]);
+        c.handle_response(strong(4, 6, 2), Time::ZERO, &mut acts);
+        // Ops at 5 and 6 confirmed; 4 is committed but waits behind 3 at 7.
+        assert_eq!(confirmed(&acts), vec![RequestId(1), RequestId(2)]);
+        assert_eq!((c.confirmed(), c.op_list_len()), (2, 2));
         assert!(c.ready());
+        acts.clear();
+        c.handle_response(strong(3, 7, 2), Time::ZERO, &mut acts);
+        assert_eq!(confirmed(&acts), vec![RequestId(3), RequestId(4)]);
+        assert_eq!((c.confirmed(), c.op_list_len()), (4, 0));
+    }
+
+    #[test]
+    fn a_strong_covers_no_weak_accept_of_another_term() {
+        let mut c = client();
+        let mut acts = Vec::new();
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 5, 2), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        acts.clear();
+        // Term 3's leader may have overwritten index 5: r1 is sent again,
+        // not confirmed.
+        c.handle_response(strong(2, 6, 3), Time::ZERO, &mut acts);
+        assert_eq!(sends(&acts), vec![(NodeId(0), RequestId(1))]);
+        assert!(confirmed(&acts).is_empty());
+        assert_eq!(c.confirmed(), 0);
     }
 
     #[test]
     fn higher_term_triggers_retry_of_oplist() {
         let mut c = client();
         let mut acts = Vec::new();
-        let r1 = c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
-        c.handle_response(
-            ClientResponse::Weak { request: r1, index: LogIndex(5), term: Term(2) },
-            Time::ZERO,
-            &mut acts,
-        );
-        let r2 = c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 5, 2), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
         acts.clear();
         // Weak for r2 arrives with a HIGHER term: r1 must be retried.
-        c.handle_response(
-            ClientResponse::Weak { request: r2, index: LogIndex(3), term: Term(3) },
-            Time::ZERO,
-            &mut acts,
-        );
-        let resent = sends(&acts);
-        assert_eq!(resent, vec![(NodeId(0), RequestId(1))], "old op retried");
+        c.handle_response(weak(2, 3, 3), Time::ZERO, &mut acts);
+        assert_eq!(sends(&acts), vec![(NodeId(0), RequestId(1))], "old op retried");
         assert_eq!(c.list_term(), Term(3));
-        // r2 itself is in the opList now.
-        assert_eq!(c.op_list_len(), 1);
+        // r1 waits for an answer to its retry, r2 for its commit.
+        assert_eq!(c.op_list_len(), 2);
+        assert!(c.in_flight());
     }
 
     #[test]
     fn leader_changed_retries_everything() {
         let mut c = client();
         let mut acts = Vec::new();
-        let r1 = c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
-        c.handle_response(
-            ClientResponse::Weak { request: r1, index: LogIndex(5), term: Term(2) },
-            Time::ZERO,
-            &mut acts,
-        );
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 5, 2), Time::ZERO, &mut acts);
+        assert!(!c.in_flight());
         acts.clear();
         c.handle_response(ClientResponse::LeaderChanged { term: Term(5) }, Time::ZERO, &mut acts);
         assert_eq!(sends(&acts), vec![(NodeId(0), RequestId(1))]);
-        assert_eq!(c.op_list_len(), 0, "ops move back in flight until re-weak-accepted");
+        assert!(c.in_flight(), "the retried op waits for a fresh answer");
+        assert!(c.ready(), "the retry does not block the closed loop");
         assert_eq!(c.list_term(), Term(5));
     }
 
@@ -507,21 +511,13 @@ mod tests {
     fn duplicate_responses_do_not_double_ack() {
         let mut c = client();
         let mut acts = Vec::new();
-        let r1 = c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
         acts.clear();
-        c.handle_response(
-            ClientResponse::Strong { request: r1, index: LogIndex(1), term: Term(1) },
-            Time::ZERO,
-            &mut acts,
-        );
+        c.handle_response(strong(1, 1, 1), Time::ZERO, &mut acts);
         let acked = acts.iter().filter(|a| matches!(a, ClientAction::Acked { .. })).count();
         assert_eq!(acked, 1);
         acts.clear();
-        c.handle_response(
-            ClientResponse::Strong { request: r1, index: LogIndex(1), term: Term(1) },
-            Time::ZERO,
-            &mut acts,
-        );
+        c.handle_response(strong(1, 1, 1), Time::ZERO, &mut acts);
         assert!(acts.iter().all(|a| !matches!(a, ClientAction::Acked { .. })));
     }
 
@@ -529,21 +525,105 @@ mod tests {
     fn stale_response_for_old_request_ignored() {
         let mut c = client();
         let mut acts = Vec::new();
-        let r1 = c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
-        c.handle_response(
-            ClientResponse::Strong { request: r1, index: LogIndex(1), term: Term(1) },
-            Time::ZERO,
-            &mut acts,
-        );
-        let r2 = c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(strong(1, 1, 1), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
         acts.clear();
         // A duplicate response for r1 must not unblock r2.
+        c.handle_response(strong(1, 1, 1), Time::ZERO, &mut acts);
+        assert!(!c.ready());
+    }
+
+    /// The lost weakly-accepted write: r1 is weakly accepted, its leader
+    /// dies with it, r2 times out and commits under the next leader. The
+    /// watermark must stay below r1 until a response names r1.
+    #[test]
+    fn a_weak_write_lost_with_its_leader_holds_the_watermark_until_it_commits() {
+        let mut c = client();
+        let mut acts = Vec::new();
+        // Step 1: r1 weakly accepted in term 1, then r2 issued.
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 1, 1), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        acts.clear();
+        // Step 3: r2 times out and goes alone to the next replica.
+        c.tick(Time::from_millis(150), &mut acts);
+        assert_eq!(sends(&acts), vec![(NodeId(1), RequestId(2))]);
+        acts.clear();
+        // Steps 4–5: term 2 commits r2 first; r1 is retried, not confirmed.
+        c.handle_response(strong(2, 1, 2), Time::from_millis(160), &mut acts);
+        assert_eq!(sends(&acts), vec![(NodeId(1), RequestId(1))]);
+        assert!(confirmed(&acts).is_empty());
+        assert_eq!(c.confirmed(), 0, "r2's commit says nothing about r1");
+        acts.clear();
+        // Step 6: r1 commits after r2; only now do both confirm, in order.
+        c.handle_response(strong(1, 2, 2), Time::from_millis(170), &mut acts);
+        assert_eq!(confirmed(&acts), vec![RequestId(1), RequestId(2)]);
+        assert_eq!(c.confirmed(), 2);
+    }
+
+    #[test]
+    fn not_leader_for_a_retried_op_resends_it() {
+        let mut c = client();
+        let mut acts = Vec::new();
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 1, 1), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        c.handle_response(ClientResponse::LeaderChanged { term: Term(2) }, Time::ZERO, &mut acts);
+        acts.clear();
+        let hint = Some(NodeId(2));
         c.handle_response(
-            ClientResponse::Strong { request: r1, index: LogIndex(1), term: Term(1) },
+            ClientResponse::NotLeader { request: RequestId(1), hint },
             Time::ZERO,
             &mut acts,
         );
-        assert!(!c.ready());
-        let _ = r2;
+        assert_eq!(sends(&acts), vec![(NodeId(2), RequestId(1))]);
+    }
+
+    #[test]
+    fn a_weak_accept_of_a_retried_op_is_covered_by_a_same_term_strong() {
+        let mut c = client();
+        let mut acts = Vec::new();
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 1, 1), Time::ZERO, &mut acts);
+        c.handle_response(ClientResponse::LeaderChanged { term: Term(2) }, Time::ZERO, &mut acts);
+        // The retry is weakly accepted in term 2, then a later request's
+        // Strong in term 2 commits past it.
+        c.handle_response(weak(1, 3, 2), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        acts.clear();
+        c.handle_response(strong(2, 4, 2), Time::ZERO, &mut acts);
+        assert_eq!(confirmed(&acts), vec![RequestId(1), RequestId(2)]);
+        assert_eq!(c.confirmed(), 2);
+    }
+
+    #[test]
+    fn confirmations_come_once_per_request_in_id_order() {
+        let mut c = client();
+        let mut acts = Vec::new();
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 1, 1), Time::ZERO, &mut acts);
+        c.issue(Bytes::from_static(b"b"), Time::ZERO, &mut acts);
+        // r2 is weakly accepted by term 2's leader, which retries r1 ...
+        c.handle_response(weak(2, 2, 2), Time::ZERO, &mut acts);
+        // ... and commits r2 before the retry of r1 lands.
+        c.handle_response(strong(2, 2, 2), Time::ZERO, &mut acts);
+        c.handle_response(strong(1, 3, 2), Time::ZERO, &mut acts);
+        c.handle_response(strong(1, 3, 2), Time::ZERO, &mut acts);
+        assert_eq!(confirmed(&acts), vec![RequestId(1), RequestId(2)]);
+    }
+
+    #[test]
+    fn a_retried_op_is_acked_once_and_confirmed_once() {
+        let mut c = client();
+        let mut acts = Vec::new();
+        c.issue(Bytes::from_static(b"a"), Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 1, 1), Time::ZERO, &mut acts);
+        c.handle_response(ClientResponse::LeaderChanged { term: Term(2) }, Time::ZERO, &mut acts);
+        c.handle_response(weak(1, 2, 2), Time::ZERO, &mut acts);
+        c.handle_response(strong(1, 2, 2), Time::ZERO, &mut acts);
+        let acked = acts.iter().filter(|a| matches!(a, ClientAction::Acked { .. })).count();
+        assert_eq!(acked, 1, "{acts:?}");
+        assert_eq!(confirmed(&acts), vec![RequestId(1)]);
     }
 }

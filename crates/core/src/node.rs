@@ -445,7 +445,7 @@ impl<L: LogStore> Node<L> {
     ///
     /// `map` must be a bijection on the membership; every `NodeId` in the
     /// state is hashed through it, and id *sets* (the `votes` bitmap, the
-    /// weak/strong acceptance bitmaps in each [`VoteTuple`], per-peer
+    /// weak/strong acceptance bitmaps in each [`crate::VoteTuple`], per-peer
     /// `progress`) are hashed as sorted lists of mapped ids, so the digest
     /// depends only on which mapped replicas are in the set — not on local
     /// bit positions. Absolute instants (timer deadlines) are hashed relative

@@ -103,15 +103,17 @@ impl NetClient {
         self.driver.issued()
     }
 
-    /// Requests weakly accepted but not yet durably confirmed.
+    /// Requests acknowledged (weakly or strongly) but not yet confirmed:
+    /// the engine's `opList`.
     pub fn op_list_len(&self) -> usize {
         self.driver.op_list_len()
     }
 
     /// Take the durable-confirmation watermarks that arrived since the last
-    /// call. Each returned id is *cumulative*: `Confirmed{N}` means every
-    /// request of this client with id ≤ N is committed — callers measuring
-    /// commit latency must drain everything at or below it.
+    /// call, in id order, one per request. Each returned id is also
+    /// *cumulative*: `Confirmed{N}` means every request of this client with
+    /// id ≤ N is committed, so a caller that keeps only the highest id may
+    /// settle everything at or below it.
     pub fn take_confirmed(&mut self) -> Vec<RequestId> {
         self.driver.take_confirmed()
     }
@@ -134,8 +136,10 @@ impl NetClient {
         self.driver.await_ready(timeout)
     }
 
-    /// Block until every weakly-accepted request is durably confirmed
-    /// (opList empty) or the timeout expires.
+    /// Block until every acknowledged request is confirmed (the opList is
+    /// empty) or the timeout expires. A request retried after a leader
+    /// change stays in the opList until it commits, and holds every later
+    /// request's confirmation behind it.
     pub fn drain(&mut self, timeout: Duration) -> bool {
         self.driver.drain(timeout)
     }

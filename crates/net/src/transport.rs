@@ -12,14 +12,14 @@
 //! traffic has: peers never relay a client's requests or responses.
 //!
 //! **One send path.** Every connection the transport writes to has one
-//! [`Lane`]: an [`Outbox`] (the write half, a bounded queue, the tail of a
+//! `Lane`: an `Outbox` (the write half, a bounded queue, the tail of a
 //! stalled write) behind one lock. Every frame any thread sends — a
 //! replica's protocol frame or response, a pump's `Ping`, a reader's `Pong`
-//! — goes through [`Lane::send`]:
+//! — goes through `Lane::send`:
 //!
 //! * **write-through**: if the write half is at rest, nothing is queued and
 //!   the link has nothing to emulate, the sending thread writes the frame
-//!   itself, within [`WRITE_STALL`];
+//!   itself, within `WRITE_STALL`;
 //! * **queue**: any other frame joins the lane's queue, which sheds past
 //!   `send_queue` frames (`net_dropped_queue_full`) rather than block the
 //!   sender: Raft's retries tolerate loss, while a blocked replica misses

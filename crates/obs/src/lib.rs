@@ -9,7 +9,7 @@
 //! - [`registry`]: named counters/gauges/histogram timers per node, with
 //!   deterministic name-sorted [`Snapshot`]s.
 //! - [`export`]: the snapshot renderer — Prometheus text exposition.
-//! - [`trace`] + [`analyze`]: the JSONL trace format and its replay into
+//! - [`trace`] + [`analyze`](mod@analyze): the JSONL trace format and its replay into
 //!   per-entry timelines and the `t_wait(F)` report (`nbraft-cli trace`).
 //! - [`span`]: cross-node span assembly — keepalive-based clock alignment,
 //!   per-op span trees and the critical-path phase report

@@ -19,13 +19,13 @@ use crate::cost::{CostModel, GeoMatrix};
 use nbr_core::{ClientAction, Node, NodeStats, NodeStatus, Output, RaftClient};
 use nbr_metrics::Histogram;
 use nbr_obs::{EngineProbe, ProbeEvent};
-use nbr_storage::{LogStore, MemLog};
+use nbr_storage::{DedupTable, LogStore, MemLog};
 use nbr_types::*;
 use nbr_workload::{RequestGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Full experiment configuration.
 #[derive(Debug, Clone)]
@@ -122,6 +122,13 @@ pub struct SimResult {
     pub elections: u64,
     /// Each replica's status at the end of the run.
     pub final_status: Vec<NodeStatus>,
+    /// Where what a client was told disagrees with what the replicas apply,
+    /// one line each. Each live replica's committed prefix is run through
+    /// the state machine's [`DedupTable`]; a request it applies twice is a
+    /// violation, and so is any request at or below a live client's
+    /// confirmed watermark that the live replica with the highest commit
+    /// index applies other than once.
+    pub exactly_once_violations: Vec<String>,
     /// FNV-1a hash over each live replica's `(index, term)` log prefix up to
     /// the minimum live commit index. Equal hashes mean identical committed
     /// prefixes — the chaos harness's log-convergence oracle.
@@ -774,6 +781,49 @@ impl Simulator {
         );
     }
 
+    /// The exactly-once oracle behind [`SimResult::exactly_once_violations`].
+    fn exactly_once_violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        // (commit index, replica, applications per request) of the live
+        // replica with the highest commit index.
+        let mut highest: Option<(LogIndex, usize, _)> = None;
+        for (i, node) in self.nodes.iter().enumerate() {
+            let Some(node) = node else { continue };
+            let (log, mut dedup) = (node.log(), DedupTable::default());
+            let mut applied: BTreeMap<(ClientId, RequestId), u32> = BTreeMap::new();
+            let mut idx = log.first_index();
+            while idx <= node.commit_index() {
+                if let Some(o) = log.get(idx).and_then(|e| e.origin) {
+                    if dedup.insert(o.client, o.request) {
+                        *applied.entry((o.client, o.request)).or_insert(0) += 1;
+                    }
+                }
+                idx = idx.next();
+            }
+            for ((client, request), times) in &applied {
+                if *times > 1 {
+                    violations.push(format!("n{i} applies {client}/{request} {times} times"));
+                }
+            }
+            if highest.as_ref().is_none_or(|&(commit, ..)| node.commit_index() > commit) {
+                highest = Some((node.commit_index(), i, applied));
+            }
+        }
+        let Some((_, i, applied)) = highest else { return violations };
+        for client in self.clients.iter().flatten() {
+            for request in (1..=client.confirmed()).map(RequestId) {
+                let times = applied.get(&(client.id(), request)).unwrap_or(&0);
+                if *times != 1 {
+                    violations.push(format!(
+                        "{} confirmed {request}, which n{i} applies {times} times",
+                        client.id()
+                    ));
+                }
+            }
+        }
+        violations
+    }
+
     fn finish(self) -> SimResult {
         let duration_s = self.cfg.duration.as_nanos() as f64 / 1e9;
         let mut stats = NodeStats::default();
@@ -839,6 +889,7 @@ impl Simulator {
             })
             .collect();
         SimResult {
+            exactly_once_violations: self.exactly_once_violations(),
             final_status,
             prefix_hash,
             chaos_dropped: self.chaos_dropped,

@@ -229,9 +229,13 @@ impl StateMachine for TsStore {
         Bytes::from(out)
     }
 
-    fn restore(&mut self, snapshot: &Bytes, last_applied: LogIndex) -> Result<()> {
+    fn dedup(&self) -> &DedupTable {
+        &self.dedup
+    }
+
+    fn restore(&mut self, checkpoint: &Bytes, last_applied: LogIndex) -> Result<()> {
         let err = || nbr_types::Error::Storage("corrupt ts snapshot".into());
-        let b = &snapshot[..];
+        let b = &checkpoint[..];
         if b.len() < 8 {
             return Err(err());
         }
@@ -263,9 +267,9 @@ impl StateMachine for TsStore {
                 Series { memtable: Vec::new(), chunks: vec![Chunk { points }], count: npts as u64 },
             );
         }
+        self.dedup = DedupTable::decode(&b[pos..]).ok_or_else(err)?;
         self.series = series;
         self.applied = last_applied;
-        self.dedup = DedupTable::default();
         self.total_points = total;
         Ok(())
     }
@@ -342,13 +346,12 @@ mod tests {
         for i in 1..=9u64 {
             ts.apply(&entry_with_points(i, &[pt(i % 3, i * 100, i as f64)]));
         }
-        let snap = ts.snapshot();
         let mut fresh = TsStore::new(2);
-        fresh.restore(&snap, LogIndex(9)).unwrap();
+        fresh.restore(&ts.checkpoint(), LogIndex(9)).unwrap();
         assert_eq!(fresh.total_points(), ts.total_points());
         assert_eq!(fresh.series_count(), ts.series_count());
         assert_eq!(fresh.query_range(1, 0, u64::MAX), ts.query_range(1, 0, u64::MAX));
-        assert_eq!(fresh.snapshot(), snap, "snapshot is canonical");
+        assert_eq!(fresh.checkpoint(), ts.checkpoint(), "the image is canonical");
     }
 
     #[test]
@@ -357,7 +360,7 @@ mod tests {
         assert!(ts.restore(&Bytes::from_static(b"xx"), LogIndex(1)).is_err());
         let mut good = TsStore::default();
         good.apply(&entry_with_points(1, &[pt(1, 1, 1.0)]));
-        let snap = good.snapshot();
+        let snap = good.checkpoint();
         assert!(ts.restore(&snap.slice(..snap.len() - 3), LogIndex(1)).is_err());
     }
 
@@ -373,6 +376,25 @@ mod tests {
         let r = ts.apply(&mk(2));
         assert_eq!(&r[..], b"dup");
         assert_eq!(ts.total_points(), 1);
+    }
+
+    /// A replica restored from a snapshot skips the duplicates every other
+    /// replica skips, and ends with the same image.
+    #[test]
+    fn a_restored_store_skips_a_duplicate_applied_before_its_snapshot() {
+        use nbr_types::{ClientId, Origin, RequestId};
+        let origin = Some(Origin { client: ClientId(7), request: RequestId(1) });
+        let mk = |i: u64| {
+            Entry::data(LogIndex(i), Term(1), Term(0), origin, encode_batch(&[pt(1, i, 1.0)], 0))
+        };
+        let mut ts = TsStore::default();
+        ts.apply(&mk(1));
+        let mut restored = TsStore::default();
+        restored.restore(&ts.checkpoint(), LogIndex(1)).unwrap();
+        assert_eq!(&restored.apply(&mk(2))[..], b"dup");
+        assert_eq!(&ts.apply(&mk(2))[..], b"dup");
+        assert_eq!(restored.total_points(), 1);
+        assert_eq!(restored.checkpoint(), ts.checkpoint());
     }
 
     #[test]

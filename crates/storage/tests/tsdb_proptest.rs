@@ -93,9 +93,9 @@ proptest! {
             );
             ts.apply(&entry);
         }
-        let snap = ts.snapshot();
+        let image = ts.checkpoint();
         let mut back = TsStore::new(flush_threshold);
-        back.restore(&Bytes::from(snap.to_vec()), LogIndex(batches.len() as u64)).unwrap();
+        back.restore(&Bytes::from(image.to_vec()), LogIndex(batches.len() as u64)).unwrap();
         prop_assert_eq!(back.total_points(), ts.total_points());
         for series in 0..6u64 {
             let a = ts.query_range(series, 0, u64::MAX);
@@ -107,7 +107,7 @@ proptest! {
             };
             prop_assert_eq!(norm(a), norm(b), "series {}", series);
         }
-        // Restored snapshots are canonical: snapshotting again is identical.
-        prop_assert_eq!(back.snapshot(), ts.snapshot());
+        // Restored images are canonical: checkpointing again is identical.
+        prop_assert_eq!(back.checkpoint(), ts.checkpoint());
     }
 }

@@ -411,8 +411,9 @@ pub enum ClientResponse {
         term: Term,
     },
     /// The entry is committed. `index`/`term` are the *last committed* entry
-    /// coordinates; by log continuity every earlier weakly-accepted request
-    /// is committed too, so the client clears its `opList` up to `index`.
+    /// coordinates; by log matching every request weakly accepted in that
+    /// same term at or below `index` is committed too, so the client
+    /// confirms those as well.
     Strong {
         /// The request this answers.
         request: RequestId,

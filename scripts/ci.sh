@@ -35,9 +35,11 @@ cargo test -q
 # (`nbr-obs`) and the crates under both (`nbr-types`: the codec, whose byte
 # pins of every wire layout live there; `nbr-storage`, `nbr-erasure`,
 # `nbr-crypto`, `nbr-metrics`, `nbr-workload`) add about a second more.
-# The simulator's unit tests and its `obs_trace` suite (the DES's summed
-# `NodeStats` and their registry mirror) add about 2 s; they have a line of
-# their own because `--lib --test` narrows every package on a line.
+# The simulator's unit tests, its `obs_trace` suite (the DES's summed
+# `NodeStats` and their registry mirror) and `lost_weak_write` (a weakly
+# accepted write lost with its leader is applied exactly once before its
+# client counts it confirmed) add about 7 s; they have a line of their own
+# because `--lib --test` narrows every package on a line.
 # `cargo test -q` above builds only the root package's tests, so no other
 # step runs these. The rest of the workspace (the model checker's, the Petri
 # net's suites and the simulator's `crash_rule` and `sim_claims`: tens of
@@ -45,7 +47,7 @@ cargo test -q
 step "cargo test -q (engine, its substrate crates, simulator stats, serving stack + fault plane)"
 cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos \
     -p nbr-types -p nbr-storage -p nbr-erasure -p nbr-crypto -p nbr-metrics -p nbr-workload
-cargo test -q -p nbr-sim --lib --test obs_trace
+cargo test -q -p nbr-sim --lib --test obs_trace --test lost_weak_write
 # The crash/restart tests: the first two once raced the replica's reboot
 # (about 1 run in 20), the third restarts a replica straight after it
 # compacted its own log. Ten more runs watch for a race; this is a repeat,
@@ -82,6 +84,10 @@ if command -v cargo-clippy >/dev/null 2>&1; then
 else
     echo "note: clippy not installed, skipping lint"
 fi
+
+# Every doc comment's intra-doc links resolve and reach only public items.
+step "cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "nbr-check lint"
 ./target/release/nbr-check lint --root .

@@ -53,7 +53,7 @@ fn wal_plus_snapshot_restart_cycle() {
             replay.apply(&wal.get(idx).unwrap());
             idx = idx.next();
         }
-        wal.compact_to(LogIndex(25), replay.snapshot()).unwrap();
+        wal.compact_to(LogIndex(25), replay.checkpoint()).unwrap();
         assert_eq!(wal.first_index(), LogIndex(26));
     } // "crash": everything volatile dropped
 
