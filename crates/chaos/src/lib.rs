@@ -14,8 +14,9 @@
 //! * [`sim_backend`] hands the parsed `(time, Fault)` pairs to `nbr-sim`
 //!   as they are and runs the discrete-event simulator: bit-deterministic
 //!   (the seed-7 corpus verdicts are a committed golden), cheap enough for
-//!   seed sweeps, with probe-trace election-safety checking and paired
-//!   window-0 `t_wait` comparisons.
+//!   seed sweeps, with probe-trace election-safety checking, the
+//!   simulator's exactly-once client oracle and paired window-0 `t_wait`
+//!   comparisons.
 //! * [`net_backend`] spawns real `nbr-net` TCP replicas with WAL storage
 //!   and applies the schedule in wall-clock time to the cluster's shared
 //!   `nbr_cluster::FaultPlane`, which the transports and replica loops

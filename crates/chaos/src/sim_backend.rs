@@ -52,6 +52,15 @@ pub fn run_scenario_sim(s: &Scenario, seed: u64) -> Verdict {
     };
     end_state(&mut v, &events, rows, convergence, s.expect_progress.then_some(r.confirmed));
 
+    // What the clients were told against what the replicas apply.
+    let violations = &r.exactly_once_violations;
+    let first = violations.first().map_or(String::new(), |f| format!(", first: {f}"));
+    v.check(
+        "exactly-once",
+        violations.is_empty(),
+        format!("{} violations{first}", violations.len()),
+    );
+
     if s.expect_gap_hints {
         v.check(
             "gap-hint-repair",

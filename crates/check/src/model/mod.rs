@@ -34,13 +34,14 @@
 //! message reorder (a per-channel reorder window of 2), bounded duplication
 //! and loss, and budgeted leader crashes (two sequential crashes at 4
 //! nodes). Every (window, phase) pair is additionally explored per
-//! append-batch cap `b`: each node's outbound Appends pass through
-//! [`nbr_core::coalesce_appends`] and may merge into the channel's newest
-//! still-queued frame — so multi-entry frames face the same reorder, dup,
-//! and loss adversary as singles. The report carries coverage counters
-//! (elections, commits, weak accepts, crashes, gap hints observed) so a
-//! vacuous run is detectable, and per-invariant evaluation counts for the
-//! machine-readable stats output.
+//! append-batch cap `b`: each node's outputs pass through
+//! [`nbr_core::settle_outputs`], as the replica loop's do, and an Append may
+//! merge into the channel's newest still-queued frame — so multi-entry
+//! frames face the same reorder, dup, and loss adversary as singles, and
+//! the client gets the replies a TCP client gets. The report carries
+//! coverage counters (elections, commits, weak accepts, crashes, gap hints
+//! observed) so a vacuous run is detectable, and per-invariant evaluation
+//! counts for the machine-readable stats output.
 
 mod explore;
 mod liveness;

@@ -270,10 +270,31 @@ impl World {
     /// Process engine outputs of node `n`, checking the output-triggered
     /// invariants as they appear.
     fn absorb_outputs(&mut self, n: usize, mut outputs: Vec<Output>) -> Result<(), String> {
-        // Batch outbound Appends exactly as the replica loop does before
-        // transport, so the checker exercises multi-entry frames under the
-        // same reorder/dup/loss adversary as singles (batch=1 is a no-op).
-        nbr_core::coalesce_appends(&mut outputs, self.batch);
+        // NB-2: every WEAK_ACCEPT the engine makes, sent or superseded by
+        // its Strong below, must be backed by a true majority of weak ∪
+        // strong acceptances (or the entry already committed and the tuple
+        // was retired).
+        for out in &outputs {
+            if let Output::Respond { resp: ClientResponse::Weak { index, .. }, .. } = *out {
+                self.weak_seen = self.weak_seen.saturating_add(1);
+                self.counts.nb2 += 1;
+                let node = &self.nodes[n];
+                let backed = match node.vote_list().get(index) {
+                    Some(tp) => tp.accepted_count() >= node.vote_list().quorum(),
+                    None => index <= node.commit_index(),
+                };
+                if !backed {
+                    return Err(format!(
+                        "NB-2: node {} sent WEAK_ACCEPT for {index} without a weak+strong majority",
+                        n + 1
+                    ));
+                }
+            }
+        }
+        // Settle the outputs as the replica loop does: the checker sees the
+        // replies a client sees, and multi-entry frames face the same
+        // reorder/dup/loss adversary as singles (batch=1 merges nothing).
+        nbr_core::settle_outputs(&mut outputs, self.batch);
         for out in outputs {
             match out {
                 Output::Send { to, msg } => {
@@ -301,24 +322,6 @@ impl World {
                     self.wires.push(Wire::Node { from, to, msg });
                 }
                 Output::Respond { resp, .. } => {
-                    // NB-2: a Weak reply must be backed by a true majority of
-                    // weak ∪ strong acceptances (or the entry already
-                    // committed and the tuple was retired).
-                    if let ClientResponse::Weak { index, .. } = resp {
-                        self.weak_seen = self.weak_seen.saturating_add(1);
-                        self.counts.nb2 += 1;
-                        let node = &self.nodes[n];
-                        let backed = match node.vote_list().get(index) {
-                            Some(tp) => tp.accepted_count() >= node.vote_list().quorum(),
-                            None => index <= node.commit_index(),
-                        };
-                        if !backed {
-                            return Err(format!(
-                                "NB-2: node {} sent WEAK_ACCEPT for {index} without a weak+strong majority",
-                                n + 1
-                            ));
-                        }
-                    }
                     self.wires.push(Wire::Resp { from: self.nodes[n].id(), resp });
                 }
                 Output::Apply { entry } => self.observe_apply(n, &entry)?,

@@ -631,16 +631,8 @@ fn spawn_replica<M: StateMachine + Send + Default + 'static>(
                         }
                     }
                     n.tick(now, &mut outputs);
-                    // Merge same-peer contiguous appends into batched frames
-                    // before they hit the transport. One burst of client
-                    // requests becomes a handful of multi-entry Appends per
-                    // follower instead of hundreds of single-entry frames.
-                    nbr_core::coalesce_appends(&mut outputs, MAX_APPEND_BATCH);
-                    // On in-order links the accept that completes an op's weak
-                    // quorum also commits it, so the engine emits Weak then
-                    // Strong for the same request back to back: send the
-                    // client the one reply that tells it everything.
-                    compress_weak_responds(&mut outputs);
+                    // The whole burst's outputs leave at once: settle them as one.
+                    nbr_core::settle_outputs(&mut outputs, MAX_APPEND_BATCH);
 
                     for o in outputs.drain(..) {
                         match o {
@@ -747,44 +739,6 @@ pub fn compress_strong_resps(burst: &mut Vec<Packet>) {
             !d
         });
     }
-}
-
-/// Drop a `Weak` client response that a later `Strong` response for the same
-/// `(client, request)` in the same output batch supersedes. A `Strong` tells
-/// the client everything the `Weak` would (the request is received *and*
-/// committed; [`nbr_core::RaftClient`] treats a first-ack `Strong` as ack +
-/// confirm), and both travel the same ordered client connection, so the
-/// client reaches the same state one frame sooner. A `Weak` whose commit is
-/// not yet known in this batch is kept — that early return is the protocol's
-/// point — and nothing is reordered or otherwise touched.
-///
-/// Public for the same reason as [`compress_strong_resps`].
-pub fn compress_weak_responds(outputs: &mut Vec<Output>) {
-    // (client, request) → Strong responses not yet passed by the walk below.
-    let mut later: HashMap<(ClientId, RequestId), u32> = HashMap::new();
-    for o in outputs.iter() {
-        if let Output::Respond { client, resp: ClientResponse::Strong { request, .. } } = o {
-            *later.entry((*client, *request)).or_default() += 1;
-        }
-    }
-    if later.is_empty() {
-        return;
-    }
-    outputs.retain(|o| {
-        let Output::Respond { client, resp } = o else { return true };
-        match resp {
-            ClientResponse::Strong { request, .. } => {
-                if let Some(n) = later.get_mut(&(*client, *request)) {
-                    *n -= 1;
-                }
-                true
-            }
-            ClientResponse::Weak { request, .. } => {
-                later.get(&(*client, *request)).is_none_or(|&n| n == 0)
-            }
-            ClientResponse::LeaderChanged { .. } | ClientResponse::NotLeader { .. } => true,
-        }
-    });
 }
 
 /// A synchronous client bound to one cluster: the shared [`ClientDriver`]
@@ -911,83 +865,5 @@ mod tests {
         let mut burst = vec![strong(2, 1, 7), strong(2, 1, 7)];
         compress_strong_resps(&mut burst);
         assert_eq!(indexes(&burst), vec![7]);
-    }
-
-    fn respond(client: u64, resp: ClientResponse) -> Output {
-        Output::Respond { client: ClientId(client), resp }
-    }
-
-    fn weak_resp(client: u64, request: u64) -> Output {
-        let (index, term) = (LogIndex(request), Term(1));
-        respond(client, ClientResponse::Weak { request: RequestId(request), index, term })
-    }
-
-    fn strong_resp(client: u64, request: u64) -> Output {
-        let (index, term) = (LogIndex(request), Term(1));
-        respond(client, ClientResponse::Strong { request: RequestId(request), index, term })
-    }
-
-    #[test]
-    fn weak_respond_superseded_by_a_later_strong_is_dropped() {
-        // What `process_vote_outcome` emits when one strong accept both
-        // completes the weak quorum and commits: Weak then Strong.
-        let mut out = vec![weak_resp(1, 7), strong_resp(1, 7)];
-        compress_weak_responds(&mut out);
-        assert_eq!(out, vec![strong_resp(1, 7)]);
-
-        // Idempotent, and a no-op on an empty batch.
-        compress_weak_responds(&mut out);
-        assert_eq!(out, vec![strong_resp(1, 7)]);
-        let mut empty: Vec<Output> = Vec::new();
-        compress_weak_responds(&mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn weak_respond_without_a_known_commit_is_kept() {
-        // Same client, different request: request 8's commit is not known
-        // yet, so its early return must still go out.
-        let mut out = vec![weak_resp(1, 7), weak_resp(1, 8), strong_resp(1, 7)];
-        compress_weak_responds(&mut out);
-        assert_eq!(out, vec![weak_resp(1, 8), strong_resp(1, 7)]);
-
-        // Same request id under another client is another op.
-        let mut out = vec![weak_resp(2, 7), strong_resp(1, 7)];
-        let before = out.clone();
-        compress_weak_responds(&mut out);
-        assert_eq!(out, before);
-    }
-
-    #[test]
-    fn weak_compression_never_reorders_and_touches_nothing_else() {
-        // Strong-then-Weak (a retried request re-accepted after its commit
-        // was reported) keeps both, in order: only a LATER Strong supersedes.
-        let mut out = vec![strong_resp(1, 7), weak_resp(1, 7)];
-        let before = out.clone();
-        compress_weak_responds(&mut out);
-        assert_eq!(out, before);
-
-        // Peer sends, applies and other clients' responses stay in place.
-        let heartbeat = Output::Send {
-            to: NodeId(2),
-            msg: Message::AppendResp(message::AppendRespMsg {
-                term: Term(1),
-                from: NodeId(0),
-                state: AcceptState::Weak { index: LogIndex(7), term: Term(1) },
-            }),
-        };
-        let apply = Output::Apply { entry: Entry::noop(LogIndex(7), Term(1), Term(1)) };
-        let not_leader =
-            respond(1, ClientResponse::NotLeader { request: RequestId(7), hint: None });
-        let mut out = vec![
-            weak_resp(3, 1),
-            heartbeat.clone(),
-            weak_resp(1, 7),
-            not_leader.clone(),
-            strong_resp(1, 7),
-            apply.clone(),
-        ];
-        compress_weak_responds(&mut out);
-        assert_eq!(out, vec![weak_resp(3, 1), heartbeat, not_leader, strong_resp(1, 7), apply]);
     }
 }

@@ -17,8 +17,7 @@ pub mod transport;
 
 pub use client::{ClientDriver, ClientLink};
 pub use cluster::{
-    compress_strong_resps, compress_weak_responds, Cluster, ClusterClient, ClusterConfig,
-    ClusterLink, StorageMode,
+    compress_strong_resps, Cluster, ClusterClient, ClusterConfig, ClusterLink, StorageMode,
 };
 pub use faults::FaultPlane;
 pub use nbr_core::NodeStatus;

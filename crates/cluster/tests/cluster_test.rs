@@ -3,11 +3,17 @@
 //! weak-ack path under an out-of-order network.
 
 use bytes::Bytes;
-use nbr_cluster::{Cluster, ClusterConfig, FaultPlane, NetConfig, StorageMode};
+use nbr_cluster::{
+    Cluster, ClusterConfig, FaultPlane, NetConfig, Packet, StorageMode, Transport, TransportInboxes,
+};
 use nbr_core::NodeStats;
 use nbr_storage::{KvStore, LogStore, SyncPolicy, TsStore, WalLog};
-use nbr_types::{Fault, Protocol, TimeDelta, TimeoutConfig};
+use nbr_types::{
+    AcceptState, AppendEntryMsg, Entry, Fault, LogIndex, Message, NodeId, Protocol, Term,
+    TimeDelta, TimeoutConfig,
+};
 use std::io::Write;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn cfg(protocol: Protocol, window: usize) -> ClusterConfig {
@@ -189,6 +195,63 @@ fn nbraft_weak_acks_under_jittery_network() {
     let weak_total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(weak_total > 0, "NB-Raft should weak-ack under jitter (got {weak_total})");
     assert!(cluster.wait_for_applied(201, Duration::from_secs(15)));
+}
+
+/// A transport that only records what the replicas send.
+#[derive(Default)]
+struct Recorder(std::sync::Mutex<Vec<(u32, u32, Packet)>>);
+
+impl Transport for Recorder {
+    fn send(&self, from: u32, to: u32, packet: Packet) {
+        self.0.lock().unwrap().push((from, to, packet));
+    }
+}
+
+#[test]
+fn a_follower_answers_one_burst_of_appends_with_one_strong_accept() {
+    // Follower 1 of a three-node group finds two contiguous AppendEntry
+    // frames from leader 0 in its inbox at once: one burst. STRONG_ACCEPT
+    // reports the log tail, so the leader needs only the last one.
+    let (inboxes, endpoints) = TransportInboxes::channels(&[1]);
+    let append = |index: u64| Packet::Peer {
+        from: NodeId(0),
+        msg: Message::AppendEntry(AppendEntryMsg {
+            term: Term(1),
+            leader: NodeId(0),
+            entries: vec![Entry::noop(LogIndex(index), Term(1), Term(index - 1))],
+            leader_commit: LogIndex(0),
+            verification: None,
+            relay_to: vec![],
+        }),
+    };
+    for index in [1, 2] {
+        inboxes.nodes[0].1.send(append(index)).unwrap();
+    }
+    let recorder = Arc::new(Recorder::default());
+    let cluster: Cluster<KvStore> =
+        Cluster::spawn_on(3, endpoints, cfg(Protocol::NbRaft, 1024), recorder.clone());
+    let strong_accepts = || -> Vec<u64> {
+        let sent = recorder.0.lock().unwrap();
+        sent.iter()
+            .filter_map(|(from, to, p)| match p {
+                Packet::Peer { msg: Message::AppendResp(r), .. } if (*from, *to) == (1, 0) => {
+                    match r.state {
+                        AcceptState::Strong { last_index, .. } => Some(last_index.0),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while strong_accepts().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The burst's outputs leave together; give a second send time to show.
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(strong_accepts(), vec![2], "one Strong for the whole burst");
+    drop(cluster);
 }
 
 #[test]

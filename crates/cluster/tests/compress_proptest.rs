@@ -4,18 +4,14 @@
 //! same peer and term supersedes, never touches anything else, and never
 //! reorders what it keeps. `VoteList::strong_accept` counts every index up
 //! to `last_index`, so these invariants are what make the optimization
-//! semantically invisible to the leader.
-//!
-//! And the outbound counterpart, [`compress_weak_responds`]: over random
-//! output batches it only ever drops a `Weak` client response that a *later*
-//! `Strong` for the same `(client, request)` supersedes.
+//! semantically invisible to the leader. The outbound counterpart,
+//! `nbr_core::settle_outputs`, has its property test in `nbr-core`.
 
 use bytes::Bytes;
-use nbr_cluster::{compress_strong_resps, compress_weak_responds, Packet};
-use nbr_core::Output;
+use nbr_cluster::{compress_strong_resps, Packet};
 use nbr_types::{
-    AcceptState, AppendRespMsg, ClientId, ClientRequest, ClientResponse, Entry, HeartbeatRespMsg,
-    LogIndex, Message, NodeId, RequestId, Term,
+    AcceptState, AppendRespMsg, ClientId, ClientRequest, HeartbeatRespMsg, LogIndex, Message,
+    NodeId, RequestId, Term,
 };
 use proptest::prelude::*;
 
@@ -151,85 +147,5 @@ proptest! {
             .collect();
         let kept: Vec<u64> = burst.iter().filter_map(|p| strong(p).map(|(_, _, l)| l)).collect();
         prop_assert_eq!(kept, expected, "kept Strongs must match the supersession model");
-    }
-}
-
-/// One output of a leader's batch: client responses over a small id space
-/// (so Weak/Strong pairs collide often) among peer sends and applies.
-fn arb_output() -> impl Strategy<Value = Output> {
-    let client = 0u64..3;
-    let request = 0u64..6;
-    let respond = |client: u64, resp| Output::Respond { client: ClientId(client), resp };
-    prop_oneof![
-        4 => (client.clone(), request.clone(), 1u64..24).prop_map(move |(c, r, i)| respond(
-            c,
-            ClientResponse::Weak { request: RequestId(r), index: LogIndex(i), term: Term(1) },
-        )),
-        4 => (client.clone(), request.clone(), 1u64..24).prop_map(move |(c, r, i)| respond(
-            c,
-            ClientResponse::Strong { request: RequestId(r), index: LogIndex(i), term: Term(1) },
-        )),
-        1 => (client.clone(), request)
-            .prop_map(move |(c, r)| respond(
-                c,
-                ClientResponse::NotLeader { request: RequestId(r), hint: None },
-            )),
-        1 => client
-            .prop_map(move |c| respond(c, ClientResponse::LeaderChanged { term: Term(2) })),
-        1 => arb_spec().prop_map(|spec| match build(&spec) {
-            Packet::Peer { from, msg } => Output::Send { to: from, msg },
-            _ => Output::ElectedLeader { term: Term(1) },
-        }),
-        1 => (1u64..24)
-            .prop_map(|i| Output::Apply { entry: Entry::noop(LogIndex(i), Term(1), Term(1)) }),
-    ]
-}
-
-/// `(client, request)` of a Weak / Strong client response, if it is one.
-fn weak_key(o: &Output) -> Option<(u64, u64)> {
-    match o {
-        Output::Respond { client, resp: ClientResponse::Weak { request, .. } } => {
-            Some((client.0, request.0))
-        }
-        _ => None,
-    }
-}
-
-fn strong_key(o: &Output) -> Option<(u64, u64)> {
-    match o {
-        Output::Respond { client, resp: ClientResponse::Strong { request, .. } } => {
-            Some((client.0, request.0))
-        }
-        _ => None,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn weak_compression_only_drops_weaks_a_later_strong_supersedes(
-        original in proptest::collection::vec(arb_output(), 0..40),
-    ) {
-        let mut batch = original.clone();
-        compress_weak_responds(&mut batch);
-
-        // Exact model: an output survives unless it is a Weak with a Strong
-        // for the same (client, request) somewhere after it. Comparing whole
-        // vectors also proves order is kept and nothing else is touched.
-        let expected: Vec<Output> = original
-            .iter()
-            .enumerate()
-            .filter(|(i, o)| {
-                weak_key(o).is_none_or(|k| !original[i + 1..].iter().any(|l| strong_key(l) == Some(k)))
-            })
-            .map(|(_, o)| o.clone())
-            .collect();
-        prop_assert_eq!(&batch, &expected);
-
-        // Idempotent.
-        let mut again = batch.clone();
-        compress_weak_responds(&mut again);
-        prop_assert_eq!(again, batch);
     }
 }

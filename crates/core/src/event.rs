@@ -7,7 +7,8 @@
 //! and feeding `Apply`s to the state machine.
 
 use bytes::Bytes;
-use nbr_types::{ClientId, ClientResponse, Entry, LogIndex, Message, NodeId, Term};
+use nbr_types::{AcceptState, ClientId, ClientResponse, Entry, LogIndex, Message, NodeId, Term};
+use std::collections::HashSet;
 
 /// An action requested by the protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +77,51 @@ impl Output {
     }
 }
 
+/// The one pass over a replica's outgoing outputs: the replica loop, the
+/// simulator and the model checker each run it before anything leaves, so
+/// all three send what a client sees. Nothing kept is reordered, and a
+/// second pass changes nothing.
+///
+/// - A Strong `AppendResp` followed by a Strong to the same peer in the same
+///   term is dropped: STRONG_ACCEPT reports the log tail, and
+///   [`crate::VoteList::strong_accept`] counts every index up to it.
+/// - Same-peer Appends merge ([`coalesce_appends`]).
+/// - A `Weak` client reply followed by a `Strong` for the same
+///   `(client, request)` is dropped: [`crate::RaftClient`] takes a first-ack
+///   `Strong` as ack + confirm. A `Weak` whose commit is not known yet is
+///   the protocol's early return and is kept.
+pub fn settle_outputs(outputs: &mut Vec<Output>, max_batch: usize) {
+    // Walking from the back, the Strongs met so far decide what they supersede.
+    let (mut peers, mut requests) = (HashSet::new(), HashSet::new());
+    let superseded: Vec<bool> = outputs
+        .iter()
+        .rev()
+        .map(|o| match o {
+            Output::Send { to, msg: Message::AppendResp(r) }
+                if matches!(r.state, AcceptState::Strong { .. }) =>
+            {
+                !peers.insert((*to, r.term))
+            }
+            Output::Respond { client, resp } => match resp {
+                ClientResponse::Strong { request, .. } => {
+                    requests.insert((*client, *request));
+                    false
+                }
+                ClientResponse::Weak { request, .. } => requests.contains(&(*client, *request)),
+                ClientResponse::LeaderChanged { .. } | ClientResponse::NotLeader { .. } => false,
+            },
+            Output::Send { .. }
+            | Output::Apply { .. }
+            | Output::RestoreSnapshot { .. }
+            | Output::ReadReady { .. }
+            | Output::ElectedLeader { .. } => false,
+        })
+        .collect();
+    let mut superseded = superseded.into_iter().rev();
+    outputs.retain(|_| !superseded.next().unwrap_or_default());
+    coalesce_appends(outputs, max_batch);
+}
+
 /// Coalesce same-peer `Append` sends in an output buffer into batched
 /// messages, in place.
 ///
@@ -87,8 +133,8 @@ impl Output {
 /// outputs that go elsewhere (client responses, applies) impose no ordering
 /// against peer traffic and are left where they are. Delivering the
 /// coalesced buffer is semantically identical to delivering the original —
-/// a follower absorbs a batch entry-by-entry — so callers (replica loop,
-/// leader repair, model checker) can apply this at any output boundary.
+/// a follower absorbs a batch entry-by-entry — so callers ([`settle_outputs`]
+/// and leader repair) can apply this at any output boundary.
 pub fn coalesce_appends(outputs: &mut Vec<Output>, max_batch: usize) {
     if max_batch <= 1 {
         return;
@@ -124,7 +170,96 @@ pub fn coalesce_appends(outputs: &mut Vec<Output>, max_batch: usize) {
 mod tests {
     use super::*;
     use nbr_types::message::{AppendEntryMsg, HeartbeatMsg, MAX_APPEND_BATCH};
-    use nbr_types::Payload;
+    use nbr_types::{AppendRespMsg, Payload, RequestId};
+
+    fn respond(client: u64, resp: ClientResponse) -> Output {
+        Output::Respond { client: ClientId(client), resp }
+    }
+
+    fn weak_resp(client: u64, request: u64) -> Output {
+        let (index, term) = (LogIndex(request), Term(1));
+        respond(client, ClientResponse::Weak { request: RequestId(request), index, term })
+    }
+
+    fn strong_resp(client: u64, request: u64) -> Output {
+        let (index, term) = (LogIndex(request), Term(1));
+        respond(client, ClientResponse::Strong { request: RequestId(request), index, term })
+    }
+
+    fn settle(mut out: Vec<Output>) -> Vec<Output> {
+        settle_outputs(&mut out, MAX_APPEND_BATCH);
+        out
+    }
+
+    #[test]
+    fn weak_respond_superseded_by_a_later_strong_is_dropped() {
+        // What `process_vote_outcome` emits when one strong accept both
+        // completes the weak quorum and commits: Weak then Strong.
+        let out = settle(vec![weak_resp(1, 7), strong_resp(1, 7)]);
+        assert_eq!(out, vec![strong_resp(1, 7)]);
+
+        // Idempotent, and a no-op on an empty batch.
+        assert_eq!(settle(out), vec![strong_resp(1, 7)]);
+        assert!(settle(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn weak_respond_without_a_known_commit_is_kept() {
+        // Same client, different request: request 8's commit is not known
+        // yet, so its early return must still go out.
+        let out = settle(vec![weak_resp(1, 7), weak_resp(1, 8), strong_resp(1, 7)]);
+        assert_eq!(out, vec![weak_resp(1, 8), strong_resp(1, 7)]);
+
+        // Same request id under another client is another op.
+        let out = vec![weak_resp(2, 7), strong_resp(1, 7)];
+        assert_eq!(settle(out.clone()), out);
+    }
+
+    #[test]
+    fn weak_compression_never_reorders_and_touches_nothing_else() {
+        // Strong-then-Weak (a retried request re-accepted after its commit
+        // was reported) keeps both, in order: only a LATER Strong supersedes.
+        let out = vec![strong_resp(1, 7), weak_resp(1, 7)];
+        assert_eq!(settle(out.clone()), out);
+
+        // Peer sends, applies and other clients' responses stay in place.
+        let weak_ack = Output::Send {
+            to: NodeId(2),
+            msg: Message::AppendResp(AppendRespMsg {
+                term: Term(1),
+                from: NodeId(0),
+                state: AcceptState::Weak { index: LogIndex(7), term: Term(1) },
+            }),
+        };
+        let apply = Output::Apply { entry: Entry::noop(LogIndex(7), Term(1), Term(1)) };
+        let not_leader =
+            respond(1, ClientResponse::NotLeader { request: RequestId(7), hint: None });
+        let out = settle(vec![
+            weak_resp(3, 1),
+            weak_ack.clone(),
+            weak_resp(1, 7),
+            not_leader.clone(),
+            strong_resp(1, 7),
+            apply.clone(),
+        ]);
+        assert_eq!(out, vec![weak_resp(3, 1), weak_ack, not_leader, strong_resp(1, 7), apply]);
+    }
+
+    #[test]
+    fn only_the_last_strong_accept_per_peer_and_term_is_sent() {
+        let strong = |to: u32, term: u64, last: u64| Output::Send {
+            to: NodeId(to),
+            msg: Message::AppendResp(AppendRespMsg {
+                term: Term(term),
+                from: NodeId(1),
+                state: AcceptState::Strong { last_index: LogIndex(last), last_term: Term(term) },
+            }),
+        };
+        // Two frames' worth of accepts to the leader collapse to the last;
+        // another peer's and another term's Strongs are their own keys.
+        let out = settle(vec![strong(0, 1, 1), strong(2, 1, 1), strong(0, 1, 2), strong(0, 2, 2)]);
+        assert_eq!(out, vec![strong(2, 1, 1), strong(0, 1, 2), strong(0, 2, 2)]);
+    }
 
     fn entry(i: u64) -> Entry {
         Entry {

@@ -45,7 +45,7 @@ pub mod votelist;
 pub mod window;
 
 pub use client::{ClientAction, RaftClient};
-pub use event::{coalesce_appends, Output};
+pub use event::{coalesce_appends, settle_outputs, Output};
 pub use nbr_obs::{EngineProbe, ProbeEvent};
 pub use node::{Node, NodeStatus, Role};
 pub use stats::NodeStats;

@@ -347,6 +347,16 @@ impl<L: LogStore> Node<L> {
         self.log.last_index()
     }
 
+    /// When each entry still waiting above the log tip arrived, cached in
+    /// the window or parked beyond it: a run that ends counts these waits
+    /// so far, or a follower that never catches up reads as one that
+    /// waited less.
+    pub fn waiting_since(&self) -> impl Iterator<Item = Time> + '_ {
+        let above_tip = self.log.last_index().next()..;
+        let parked = self.parked.range(above_tip.clone()).map(|(_, (_, t))| t);
+        self.arrivals.range(above_tip).map(|(_, t)| t).chain(parked).copied()
+    }
+
     /// Borrow the log store.
     pub fn log(&self) -> &L {
         &self.log
@@ -1009,12 +1019,10 @@ impl<L: LogStore> Node<L> {
         // Accept the run entry-by-entry: a batch is *defined* as equivalent
         // to its entries arriving back-to-back, so window and VoteList
         // semantics carry over unchanged from the single-entry protocol.
-        let resp_from = out.len();
         for entry in m.entries {
             self.emit(ProbeEvent::EntryReceived { index: entry.index, term: entry.term });
             self.accept_entry(entry, leader, now, out);
         }
-        self.dedup_strong_responses(out, resp_from, leader);
         if self.log.last_index() != before {
             // Progress: the leader is alive and feeding us appendable data.
             self.election_deadline = now + jitter(&mut self.rng, self.cfg.timeouts);
@@ -1026,41 +1034,6 @@ impl<L: LogStore> Node<L> {
             });
         }
         self.advance_commit(m.leader_commit, out);
-    }
-
-    /// Batch response compression: STRONG_ACCEPT is cumulative (it reports
-    /// the follower's log tail), so of the Strong responses produced while
-    /// absorbing one batch only the last is informative — drop the rest.
-    /// Weak and Mismatch responses are per-index and are all kept.
-    fn dedup_strong_responses(&self, out: &mut Vec<Output>, from: usize, leader: NodeId) {
-        let is_strong = |o: &Output| {
-            matches!(
-                o,
-                Output::Send {
-                    to,
-                    msg: Message::AppendResp(AppendRespMsg {
-                        state: AcceptState::Strong { .. },
-                        ..
-                    }),
-                } if *to == leader
-            )
-        };
-        let total = out[from..].iter().filter(|o| is_strong(o)).count();
-        if total <= 1 {
-            return;
-        }
-        let mut pos = 0usize;
-        let mut seen = 0usize;
-        out.retain(|o| {
-            let keep = if pos >= from && is_strong(o) {
-                seen += 1;
-                seen == total
-            } else {
-                true
-            };
-            pos += 1;
-            keep
-        });
     }
 
     /// Core follower acceptance logic (Section III-A).

@@ -137,6 +137,26 @@ fn park_wait_accounts_blocking_time() {
     let c = reversed_burst(Protocol::Raft, 0, 8);
     let f = c.node(1);
     assert!(f.stats.park_waits > 0);
+    assert_eq!(f.waiting_since().count(), 0, "every wait ended");
+}
+
+#[test]
+fn waits_still_open_are_listed_until_the_gap_fills() {
+    // What a run ending now must count as t_wait(F) so far: the entries
+    // cached in the window and those parked beyond it.
+    let cfg = Protocol::NbRaft.config(2);
+    let mut c = TestCluster::new(2, &cfg);
+    c.elect(0);
+    c.pump();
+    for r in 1..=5u64 {
+        c.client_request(0, 1, r, format!("k{r}=v").as_bytes());
+    }
+    let first = c.find_pending(|m| m.to == NodeId(1) && matches!(m.msg, Message::AppendEntry(_)));
+    c.pending.remove(first[0]);
+    c.pump();
+    let f = c.node(1);
+    assert!(f.stats.parked > 0, "a window of 2 parks some of the four");
+    assert_eq!(f.waiting_since().count(), 4);
 }
 
 #[test]

@@ -890,6 +890,7 @@ fn pump_peer_frames(sh: &Shared, socket: &TcpStream, lane: &Lane, rng: &mut StdR
             }
         }
         let Some(stream) = held.as_mut() else { continue };
+        let now = clock::now(); // after the drain: no frame enters the link before it was queued
         if !tail.is_empty() {
             if write_patiently(stream, &tail).is_err() {
                 break; // the connection failed under a sender

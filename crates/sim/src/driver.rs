@@ -111,7 +111,9 @@ pub struct SimResult {
     pub confirmed: u64,
     /// Of the acked requests, how many were weak acks.
     pub weak_acked: u64,
-    /// Mean `t_wait(F)` per appended entry, ms (paper's bottleneck metric).
+    /// Mean `t_wait(F)` per entry that arrived out of order, ms (the paper's
+    /// bottleneck metric); an entry still waiting when the run ends counts
+    /// its wait so far.
     pub twait_mean_ms: f64,
     /// Distinct client requests in the final log of the live replica with
     /// the highest `(term, last index)` (0 when no replica is alive).
@@ -436,8 +438,9 @@ impl Simulator {
         raw.scale(contention) + stall
     }
 
-    /// Route one protocol-engine output.
-    fn route_outputs(&mut self, from: usize, outputs: Vec<Output>) {
+    /// Route what one engine call emitted, settled as a replica sends it.
+    fn route_outputs(&mut self, from: usize, mut outputs: Vec<Output>) {
+        nbr_core::settle_outputs(&mut outputs, MAX_APPEND_BATCH);
         for o in outputs {
             match o {
                 Output::Send { to, msg } => self.route_send(from, to.as_usize(), msg),
@@ -827,14 +830,17 @@ impl Simulator {
     fn finish(self) -> SimResult {
         let duration_s = self.cfg.duration.as_nanos() as f64 / 1e9;
         let mut stats = NodeStats::default();
+        // Entries still waiting at the end count their wait so far.
+        let (mut wait_ns, mut waits) = (0, 0);
         for n in self.nodes.iter().flatten() {
             stats += n.stats;
+            for arrived in n.waiting_since() {
+                wait_ns += self.now.since(arrived).as_nanos();
+                waits += 1;
+            }
         }
-        let twait_mean_ms = if stats.park_waits == 0 {
-            0.0
-        } else {
-            stats.park_wait_ns as f64 / stats.park_waits as f64 / 1e6
-        };
+        let (wait_ns, waits) = (wait_ns + stats.park_wait_ns, waits + stats.park_waits);
+        let twait_mean_ms = if waits == 0 { 0.0 } else { wait_ns as f64 / waits as f64 / 1e6 };
 
         // Loss accounting: distinct client requests in the log of the live
         // replica with the highest (term, last index), against requests

@@ -38,16 +38,22 @@ cargo test -q
 # The simulator's unit tests, its `obs_trace` suite (the DES's summed
 # `NodeStats` and their registry mirror) and `lost_weak_write` (a weakly
 # accepted write lost with its leader is applied exactly once before its
-# client counts it confirmed) add about 7 s; they have a line of their own
-# because `--lib --test` narrows every package on a line.
+# client counts it confirmed) and `client_replies` (the DES sends a client the
+# replies the replica loop sends: one commit reply per request, no Weak sent
+# along with it) add about 7 s; they have a line of their own because
+# `--lib --test` narrows every package on a line.
 # `cargo test -q` above builds only the root package's tests, so no other
 # step runs these. The rest of the workspace (the model checker's, the Petri
 # net's suites and the simulator's `crash_rule` and `sim_claims`: tens of
-# seconds to minutes each) runs under CI_FULL.
+# seconds to minutes each) runs under CI_FULL. `sim_claims`, the DES's
+# paper-claims suite, takes about 6.5 min on its own (386 s, 12 tests, debug
+# profile, 2 vCPU), too long for this line; run it by hand with
+# `cargo test -q -p nbr-sim --test sim_claims` after a change to what the
+# simulator sends.
 step "cargo test -q (engine, its substrate crates, simulator stats, serving stack + fault plane)"
 cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos \
     -p nbr-types -p nbr-storage -p nbr-erasure -p nbr-crypto -p nbr-metrics -p nbr-workload
-cargo test -q -p nbr-sim --lib --test obs_trace --test lost_weak_write
+cargo test -q -p nbr-sim --lib --test obs_trace --test lost_weak_write --test client_replies
 # The crash/restart tests: the first two once raced the replica's reboot
 # (about 1 run in 20), the third restarts a replica straight after it
 # compacted its own log. Ten more runs watch for a race; this is a repeat,

@@ -36,7 +36,7 @@ trap cleanup EXIT
 # Peer links carry 2 ms of emulated RTT and drop 5% of protocol frames: on
 # raw loopback entries arrive in order, the accept that completes an op's
 # weak quorum also commits it, and the replica loop sends the client the
-# Strong alone (compress_weak_responds) — no weak ack would ever be observed.
+# Strong alone (nbr_core::settle_outputs) — no weak ack would ever be observed.
 # A follower that caches entries behind a lost frame is the regime the
 # NB-Raft early return exists for, and what the "weak accepts" assertion
 # below needs in order to mean anything (measured: 55–70% of phase-1 acks).
