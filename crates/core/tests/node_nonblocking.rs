@@ -281,3 +281,59 @@ fn duplicate_appends_are_idempotent() {
     let e = c.node(1).log().get(LogIndex(2)).unwrap();
     assert_eq!(e.origin.unwrap().request, RequestId(1));
 }
+
+/// A window-16 NB-Raft leader of three with 200 client entries in flight
+/// (entry 1 is its election noop); none of what it sent is delivered.
+fn leader_with_200_in_flight() -> TestCluster {
+    let mut c = TestCluster::new(3, &Protocol::NbRaft.config(16));
+    c.elect(0);
+    for r in 1..=200u64 {
+        c.client_request(0, 1, r, b"k=v");
+    }
+    c.pending.clear();
+    assert_eq!(c.node(0).last_index(), LogIndex(201));
+    c
+}
+
+/// Node 1 tells the leader `msg`; the indices of the entries the leader
+/// sends back to it.
+fn resent_on(c: &mut TestCluster, msg: AcceptState) -> Vec<u64> {
+    let term = c.node(0).term();
+    let msg = Message::AppendResp(AppendRespMsg { term, from: NodeId(1), state: msg });
+    let (mut out, now) = (Vec::new(), c.now);
+    c.node_mut(0).handle_message(NodeId(1), msg, now, &mut out);
+    out.iter()
+        .filter_map(|o| match o {
+            nbr_core::Output::Send { to: NodeId(1), msg: Message::AppendEntry(m) } => Some(m),
+            _ => None,
+        })
+        .flat_map(|m| m.entries.iter().map(|e| e.index.0))
+        .collect()
+}
+
+fn strong(c: &TestCluster, last_index: u64) -> AcceptState {
+    AcceptState::Strong { last_index: LogIndex(last_index), last_term: c.node(0).term() }
+}
+
+#[test]
+fn a_strong_accept_behind_live_traffic_resends_nothing() {
+    // Ordinary pipelining: the follower trails the tail by 191 entries that
+    // are all still in flight, which is lag, not loss.
+    let mut c = leader_with_200_in_flight();
+    let accept = strong(&c, 10);
+    assert_eq!(resent_on(&mut c, accept), Vec::<u64>::new());
+}
+
+#[test]
+fn a_mismatch_is_streamed_through_its_index_then_stops() {
+    let mut c = leader_with_200_in_flight();
+    let hint = AcceptState::Mismatch { index: LogIndex(150), resend_from: LogIndex(11) };
+    assert_eq!(resent_on(&mut c, hint), (11..=74).collect::<Vec<_>>());
+    // Each matched report ships the next batch, up to the hint's index.
+    for (at, next) in [(74, 75..=138), (138, 139..=150)] {
+        let accept = strong(&c, at);
+        assert_eq!(resent_on(&mut c, accept), next.collect::<Vec<_>>(), "accept at {at}");
+    }
+    let accept = strong(&c, 150);
+    assert_eq!(resent_on(&mut c, accept), Vec::<u64>::new(), "the range closed at its index");
+}

@@ -40,8 +40,10 @@ cargo test -q
 # accepted write lost with its leader is applied exactly once before its
 # client counts it confirmed) and `client_replies` (the DES sends a client the
 # replies the replica loop sends: one commit reply per request, no Weak sent
-# along with it) add about 7 s; they have a line of their own because
-# `--lib --test` narrows every package on a line.
+# along with it) add about 7 s, and `small_window` (windows 1, 4, 16 and 64
+# each run NB-Raft at 0.95x window 0's throughput or better: 3 replicas, 256
+# clients, 4 KiB, quick figure scale) about 48 s; they have a line of their
+# own because `--lib --test` narrows every package on a line.
 # `cargo test -q` above builds only the root package's tests, so no other
 # step runs these. The rest of the workspace (the model checker's, the Petri
 # net's suites and the simulator's `crash_rule` and `sim_claims`: tens of
@@ -53,7 +55,8 @@ cargo test -q
 step "cargo test -q (engine, its substrate crates, simulator stats, serving stack + fault plane)"
 cargo test -q -p nbr-core -p nbr-obs -p nbr-cluster -p nbr-net -p nbr-cli -p nbr-chaos \
     -p nbr-types -p nbr-storage -p nbr-erasure -p nbr-crypto -p nbr-metrics -p nbr-workload
-cargo test -q -p nbr-sim --lib --test obs_trace --test lost_weak_write --test client_replies
+cargo test -q -p nbr-sim --lib --test obs_trace --test lost_weak_write --test client_replies \
+    --test small_window
 # The crash/restart tests: the first two once raced the replica's reboot
 # (about 1 run in 20), the third restarts a replica straight after it
 # compacted its own log. Ten more runs watch for a race; this is a repeat,
