@@ -9,7 +9,9 @@
 //! * **LogMatching** — two logs agreeing on the term at an index agree on
 //!   every entry up to that index.
 //! * **LeaderCompleteness** — a newly elected leader holds every entry that
-//!   was committed in any earlier term.
+//!   was committed in any earlier term (the term of the replica first seen
+//!   committing it; a leader elected late in an old term by a stale vote
+//!   may lack what a newer term committed, and can commit nothing).
 //! * **StateMachineSafety** — no two replicas apply different entries at the
 //!   same index, and each replica applies in strict index order.
 //!

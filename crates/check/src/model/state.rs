@@ -190,8 +190,9 @@ pub(crate) struct World {
     // History observables.
     /// `term -> node` for every ElectedLeader output seen on this path.
     pub(crate) leaders: BTreeMap<u64, u32>,
-    /// `index -> entry hash` for every committed entry on this path.
-    pub(crate) committed: BTreeMap<u64, u64>,
+    /// `index -> (entry hash, term)` for every committed entry on this
+    /// path, with the term of the replica first seen committing it.
+    pub(crate) committed: BTreeMap<u64, (u64, u64)>,
     /// Origins `(client, request)` of committed entries.
     pub(crate) committed_origins: BTreeSet<(u64, u64)>,
     /// Highest commit index already scanned per node.
@@ -337,9 +338,13 @@ impl World {
                         }
                     }
                     self.leaders.insert(term.0, id);
-                    // LeaderCompleteness: every committed entry must be in
-                    // the new leader's log, unchanged.
-                    for (&idx, &hash) in &self.committed {
+                    // LeaderCompleteness: every entry committed in an
+                    // earlier term must be in the new leader's log,
+                    // unchanged. A leader elected late in an old term by a
+                    // stale vote may miss what a newer term committed; it
+                    // can commit nothing.
+                    let earlier = self.committed.iter().filter(|(_, &(_, t))| t < term.0);
+                    for (&idx, &(hash, _)) in earlier {
                         self.counts.leader_completeness += 1;
                         match self.nodes[n].log().get(LogIndex(idx)) {
                             Some(e) if entry_hash(&e) == hash => {}
@@ -460,14 +465,14 @@ impl World {
                 };
                 let h = entry_hash(&e);
                 self.counts.state_machine_safety += 1;
-                if let Some(&prev) = self.committed.get(&idx) {
+                if let Some(&(prev, _)) = self.committed.get(&idx) {
                     if prev != h {
                         return Err(format!(
                             "StateMachineSafety: divergent committed entries at index {idx}"
                         ));
                     }
                 } else {
-                    self.committed.insert(idx, h);
+                    self.committed.insert(idx, (h, self.nodes[n].term().0));
                 }
                 if let Some(origin) = e.origin {
                     self.committed_origins.insert((origin.client.0, origin.request.0));

@@ -46,8 +46,9 @@ pub enum Output {
         data: Bytes,
     },
     /// A linearizable read registered via [`crate::Node::handle_read`] is now
-    /// safe to serve from the local state machine: leadership was confirmed
-    /// for `read_index` and the local applied index has reached it.
+    /// safe to serve from the local state machine: `read_index` covers every
+    /// entry committed before the read arrived (the leader's no-op proposed
+    /// after it has committed) and the local applied index has reached it.
     ReadReady {
         /// The client that asked.
         client: ClientId,

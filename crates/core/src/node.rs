@@ -100,13 +100,14 @@ enum ReadOrigin {
     Remote { follower: NodeId, probe: u64 },
 }
 
-/// A read awaiting leadership confirmation.
+/// A linearizable read, served once the apply cursor reaches `gate`.
 #[derive(Debug, Clone, Copy)]
-struct PendingRead {
+struct Read {
     origin: ReadOrigin,
+    /// At the leader, the no-op proposed after the read registered; at a
+    /// follower, the leader's read index.
+    gate: LogIndex,
     read_index: LogIndex,
-    /// Members that confirmed our leadership since registration.
-    acks: u64,
 }
 
 /// Per-peer replication progress kept by the leader.
@@ -220,13 +221,11 @@ pub struct Node<L: LogStore> {
     frags: FragmentStore,
 
     // ---- linearizable reads (ReadIndex) ----
-    /// Leader: reads awaiting leadership confirmation by a heartbeat quorum.
-    pending_reads: Vec<PendingRead>,
+    /// Reads waiting for the apply cursor to reach their gate.
+    reads: Vec<Read>,
     /// Follower: outstanding ReadIndex probes sent to the leader.
     read_probes: BTreeMap<u64, (ClientId, RequestId)>,
     next_probe: u64,
-    /// Confirmed reads waiting for the apply cursor to reach their index.
-    waiting_reads: Vec<(LogIndex, ClientId, RequestId)>,
 
     rng: StdRng,
     /// Counters for instrumentation.
@@ -299,10 +298,9 @@ impl<L: LogStore> Node<L> {
             progress: vec![Progress::new(); n],
             next_heartbeat: Time::ZERO,
             frags: FragmentStore::new(),
-            pending_reads: Vec::new(),
+            reads: Vec::new(),
             read_probes: BTreeMap::new(),
             next_probe: 0,
-            waiting_reads: Vec::new(),
             rng,
             stats: NodeStats::default(),
             probe,
@@ -452,7 +450,8 @@ impl<L: LogStore> Node<L> {
     /// ([`NodeStats`]), the `t_wait` arrival bookkeeping, and the probe
     /// (including `probe_now`) are deliberately excluded — they never
     /// influence a transition, so tracing leaves the model-checker state
-    /// space unchanged.
+    /// space unchanged. Read bookkeeping (`reads`, `read_probes`) is left
+    /// out too, because the model issues no reads.
     pub fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         self.fingerprint_mapped(h, &|id| id, Time::ZERO);
     }
@@ -498,6 +497,8 @@ impl<L: LogStore> Node<L> {
         self.leader_hint.map(&map).hash(h);
         self.commit_index.hash(h);
         self.applied_index.hash(h);
+        // Follower commit is capped at the verified match watermark.
+        self.matched_to.hash(h);
         // Log contents.
         let (first, last) = (self.log.first_index(), self.log.last_index());
         first.hash(h);
@@ -644,7 +645,7 @@ impl<L: LogStore> Node<L> {
             Message::PushFragments(m) => self.on_push_fragments(m, out),
             Message::InstallSnapshot(m) => self.on_install_snapshot(m, now, out),
             Message::InstallSnapshotResp(m) => self.on_install_snapshot_resp(m, out),
-            Message::ReadIndexReq(m) => self.on_read_index_req(m, now, out),
+            Message::ReadIndexReq(m) => self.on_read_index_req(m, out),
             Message::ReadIndexResp(m) => self.on_read_index_resp(m, out),
         }
     }
@@ -757,7 +758,6 @@ impl<L: LogStore> Node<L> {
             self.matched_to = self.commit_index;
         }
         self.role = Role::Follower;
-        self.pending_reads.clear();
         if leader.is_some() {
             self.leader_hint = leader;
         }
@@ -766,6 +766,9 @@ impl<L: LogStore> Node<L> {
             self.window = SlidingWindow::new(self.cfg.window, self.log.last_index());
             self.parked.clear();
             self.arrivals.clear();
+            // A read whose gate has not committed proved nothing.
+            let commit = self.commit_index;
+            self.reads.retain(|r| r.gate <= commit);
         }
     }
 
@@ -1570,7 +1573,6 @@ impl<L: LogStore> Node<L> {
         }
         let pos = self.position_of(m.from);
         self.progress[pos].silent_rounds = 0;
-        self.confirm_reads(self.bit_of(m.from), out);
         let tail = self.log.last_index();
         if self.log.term_of(m.last_index) != Some(m.last_term) {
             // Diverged tail (walk back one entry per round) or behind the
@@ -1652,12 +1654,15 @@ impl<L: LogStore> Node<L> {
     // ------------------------------------------------- linearizable reads
 
     /// Register a linearizable read for `client`. Emits
-    /// [`Output::ReadReady`] once (a) leadership is re-confirmed by a
-    /// heartbeat quorum at or after registration and (b) the local state
-    /// machine has applied everything up to the read index — the standard
-    /// ReadIndex protocol. On a follower, the read index is obtained from
-    /// the leader and the read is served *locally* (follower read, the
-    /// capability CRaft forfeits — paper Table II).
+    /// [`Output::ReadReady`] once the local state machine has applied
+    /// everything up to a read index that covers every entry committed when
+    /// the read arrived. At the leader the read index is our last index `L`,
+    /// and the read waits for a no-op proposed at `L + 1` to apply: that
+    /// entry commits in our own term only if a quorum still followed us
+    /// after the read arrived, and its commit commits everything at or
+    /// below `L` (one no-op entry per read). A follower asks the leader for
+    /// its read index and serves the read *locally* once it has applied that
+    /// far (follower read, the capability CRaft forfeits — paper Table II).
     pub fn handle_read(
         &mut self,
         client: ClientId,
@@ -1667,14 +1672,7 @@ impl<L: LogStore> Node<L> {
     ) {
         self.probe_now = now;
         match self.role {
-            Role::Leader => {
-                let read = PendingRead {
-                    origin: ReadOrigin::Local { client, request },
-                    read_index: self.commit_index,
-                    acks: self.bit_of(self.id),
-                };
-                self.register_read(read, now, out);
-            }
+            Role::Leader => self.read_at_leader(ReadOrigin::Local { client, request }, out),
             Role::Follower | Role::Candidate => match self.leader_hint {
                 Some(leader) if leader != self.id => {
                     self.next_probe += 1;
@@ -1696,103 +1694,51 @@ impl<L: LogStore> Node<L> {
         }
     }
 
-    fn register_read(&mut self, read: PendingRead, now: Time, out: &mut Vec<Output>) {
-        if read.acks.count_ones() >= self.quorum() {
-            // Single-node group: no confirmation round needed.
-            self.finish_read(read.origin, read.read_index, out);
-            return;
-        }
-        self.pending_reads.push(read);
-        // Accelerate confirmation with an immediate heartbeat round.
-        if self.next_heartbeat > now + self.cfg.timeouts.heartbeat_interval {
-            self.next_heartbeat = now;
-        }
-        self.send_heartbeats(now, out);
+    /// Read index `L` = our last index; gate = the no-op proposed at `L + 1`.
+    fn read_at_leader(&mut self, origin: ReadOrigin, out: &mut Vec<Output>) {
+        let read_index = self.log.last_index();
+        self.reads.push(Read { origin, gate: read_index.next(), read_index });
+        self.propose(None, Payload::Noop, out);
     }
 
-    fn on_read_index_req(&mut self, m: ReadIndexReqMsg, now: Time, out: &mut Vec<Output>) {
+    fn on_read_index_req(&mut self, m: ReadIndexReqMsg, out: &mut Vec<Output>) {
         if self.role != Role::Leader || m.term != self.term {
             return; // the follower's harness-level timeout handles retry
         }
-        let read = PendingRead {
-            origin: ReadOrigin::Remote { follower: m.from, probe: m.probe },
-            read_index: self.commit_index,
-            acks: self.bit_of(self.id),
-        };
-        self.register_read(read, now, out);
+        self.read_at_leader(ReadOrigin::Remote { follower: m.from, probe: m.probe }, out);
     }
 
     fn on_read_index_resp(&mut self, m: ReadIndexRespMsg, out: &mut Vec<Output>) {
         if let Some((client, request)) = self.read_probes.remove(&m.probe) {
-            if self.applied_index >= m.read_index {
-                out.push(Output::ReadReady { client, request, read_index: m.read_index });
-            } else {
-                self.waiting_reads.push((m.read_index, client, request));
-            }
+            let origin = ReadOrigin::Local { client, request };
+            self.reads.push(Read { origin, gate: m.read_index, read_index: m.read_index });
+            self.emit_applies(out);
         }
     }
 
-    /// A leadership confirmation arrived from `bit`; advance pending reads.
-    fn confirm_reads(&mut self, bit: u64, out: &mut Vec<Output>) {
-        if self.pending_reads.is_empty() {
-            return;
-        }
-        let quorum = self.quorum();
-        let mut confirmed = Vec::new();
-        self.pending_reads.retain_mut(|r| {
-            r.acks |= bit;
-            if r.acks.count_ones() >= quorum {
-                confirmed.push((r.origin, r.read_index));
-                false
-            } else {
-                true
+    /// Serve every read whose gate the apply cursor has reached: a local
+    /// client's is ready, a follower's probe gets its read index.
+    fn flush_reads(&mut self, out: &mut Vec<Output>) {
+        let (applied, term) = (self.applied_index, self.term);
+        self.reads.retain(|r| {
+            if r.gate > applied {
+                return true;
             }
-        });
-        for (origin, read_index) in confirmed {
-            self.finish_read(origin, read_index, out);
-        }
-    }
-
-    fn finish_read(&mut self, origin: ReadOrigin, read_index: LogIndex, out: &mut Vec<Output>) {
-        match origin {
-            ReadOrigin::Local { client, request } => {
-                if self.applied_index >= read_index {
-                    out.push(Output::ReadReady { client, request, read_index });
-                } else {
-                    self.waiting_reads.push((read_index, client, request));
+            out.push(match r.origin {
+                ReadOrigin::Local { client, request } => {
+                    Output::ReadReady { client, request, read_index: r.read_index }
                 }
-            }
-            ReadOrigin::Remote { follower, probe } => {
-                out.push(Output::Send {
+                ReadOrigin::Remote { follower, probe } => Output::Send {
                     to: follower,
                     msg: Message::ReadIndexResp(ReadIndexRespMsg {
-                        term: self.term,
-                        read_index,
+                        term,
+                        read_index: r.read_index,
                         probe,
                     }),
-                });
-            }
-        }
-    }
-
-    /// Flush reads whose index the apply cursor has now passed.
-    fn flush_waiting_reads(&mut self, out: &mut Vec<Output>) {
-        if self.waiting_reads.is_empty() {
-            return;
-        }
-        let applied = self.applied_index;
-        let mut ready = Vec::new();
-        self.waiting_reads.retain(|&(idx, client, request)| {
-            if applied >= idx {
-                ready.push((client, request, idx));
-                false
-            } else {
-                true
-            }
+                },
+            });
+            false
         });
-        for (client, request, read_index) in ready {
-            out.push(Output::ReadReady { client, request, read_index });
-        }
     }
 
     // ------------------------------------------------------- snapshots
@@ -1878,17 +1824,17 @@ impl<L: LogStore> Node<L> {
         while self.applied_index < self.commit_index {
             let idx = self.applied_index.next();
             let Some(entry) = self.log.get(idx) else {
-                return; // compacted or missing (harness installed snapshot)
+                break; // compacted or missing (harness installed snapshot)
             };
             let entry = match (&entry.payload, self.role) {
                 (Payload::Fragment(_), Role::Leader) => match self.frags.payload(idx) {
                     Some(b) => Entry { payload: Payload::Data(b.clone()), ..entry },
                     None => {
                         self.request_fragments(idx, out);
-                        return; // stall until shards arrive
+                        break; // stall until shards arrive
                     }
                 },
-                (Payload::Fragment(_), Role::Follower | Role::Candidate) => return,
+                (Payload::Fragment(_), Role::Follower | Role::Candidate) => break,
                 (Payload::Noop | Payload::Data(_), _) => entry,
             };
             out.push(Output::Apply { entry });
@@ -1897,7 +1843,7 @@ impl<L: LogStore> Node<L> {
             self.applied_index = idx;
             self.frags.release_through(idx);
         }
-        self.flush_waiting_reads(out);
+        self.flush_reads(out);
     }
 }
 

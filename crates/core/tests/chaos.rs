@@ -7,29 +7,9 @@
 
 mod common;
 
-use common::TestCluster;
+use common::{Rand, TestCluster};
 use nbr_storage::LogStore;
 use nbr_types::*;
-
-/// Deterministic xorshift for chaos decisions (keeps rand out of the test).
-struct Rand(u64);
-
-impl Rand {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 fn chaos_round(proto: Protocol, window: usize, seed: u64, n: usize, requests: u64) {
     let cfg = proto.config(window);

@@ -188,3 +188,23 @@ impl TestCluster {
         min_commit
     }
 }
+
+/// Deterministic xorshift for chaos decisions (keeps rand out of the test).
+pub struct Rand(pub u64);
+
+impl Rand {
+    pub fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+    pub fn chance(&mut self, pct: u64) -> bool {
+        self.next() % 100 < pct
+    }
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}

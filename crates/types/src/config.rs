@@ -144,8 +144,9 @@ pub struct ProtocolConfig {
     /// The preset: it decides replication ([`Protocol::replication`]) and
     /// verification ([`Protocol::verifies`]).
     pub protocol: Protocol,
-    /// Sliding-window capacity `w`. Zero disables the window: out-of-order
-    /// entries are rejected with `Mismatch` exactly as in original Raft.
+    /// Sliding-window capacity `w`. Zero disables the window: an
+    /// out-of-order entry is parked until the gap below it fills, and is
+    /// accepted only in log order, as in original Raft.
     pub window: usize,
     /// Timing parameters.
     pub timeouts: TimeoutConfig,

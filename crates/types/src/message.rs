@@ -258,13 +258,14 @@ pub struct ReadIndexReqMsg {
 }
 
 /// Leader → follower: reads at `read_index` are linearizable once your
-/// applied index reaches it (sent only after the leader re-confirms its
-/// leadership with a heartbeat quorum).
+/// applied index reaches it (sent only once the no-op the leader proposed
+/// after the request arrived has committed and applied).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReadIndexRespMsg {
     /// Leader's term.
     pub term: Term,
-    /// The confirmed read index (leader's commit index at request time).
+    /// The confirmed read index (leader's last index when the request
+    /// arrived).
     pub read_index: LogIndex,
     /// Correlation id echoed back.
     pub probe: u64,

@@ -125,6 +125,14 @@ else
     cmp target/ci-artifacts/model-stats.json crates/check/tests/golden/model-quick.json
 fi
 
+# LeaderCompleteness against a leader elected late in an old term: at depth
+# 9 a stale term-1 vote elects a node after term 2 committed entry 1, which
+# Raft allows (that leader can commit nothing). Depth 10 also reaches a
+# WEAK_ACCEPT for the vacuity check. About 7 s (2 vCPU).
+step "nbr-check model --phase leader-crash (stale-vote leader, depth 10)"
+time timeout 420 ./target/release/nbr-check model \
+    --windows 1 --batches 1 --phase leader-crash --depth 10 --max-states 150000
+
 # Scaled safety bounds: 4 nodes, window 3, batched and unbatched appends,
 # 3 client ops with two sequential leader crashes. Runs cap rather than
 # exhaust (the invariants are checked on every generated transition); the
