@@ -209,8 +209,20 @@ pub fn run_scenario_net(
     };
     let total_acked = acked.load(Ordering::Relaxed);
     end_state(&mut v, &trace, &rows, convergence, s.expect_progress.then_some(total_acked));
+    // The window-gap repair path, read off the replicas' own counters: on
+    // real sockets the engine hints a gap at once (an in-order link).
+    let gap_hints: u64 =
+        servers.iter().map(|srv| srv.cluster().registry(0).counter("gap_hints").get()).sum();
+    if s.expect_gap_hints {
+        v.check(
+            "gap-hint-repair",
+            gap_hints > 0,
+            format!("gap_hints={gap_hints} (window-gap repair must fire under a gray link)"),
+        );
+    }
     v.metric("acked", total_acked as f64);
     v.metric("final_commit", commits.iter().max().copied().unwrap_or(0) as f64);
+    v.metric("gap_hints", gap_hints as f64);
 
     // Span-tree artifact on failure: align the per-replica clocks off the
     // transport's Ping/Pong samples, then persist every assembled op span

@@ -206,13 +206,15 @@ impl<M: StateMachine + Send + Default + 'static> Cluster<M> {
     /// membership) on an already running `transport` — one that was built
     /// over the sending ends of the same [`TransportInboxes::channels`] call.
     /// `serve`-style processes host one replica per Raft group this way, all
-    /// groups on one TCP transport.
+    /// groups on one TCP transport. The replicas' engines learn from the
+    /// transport whether their links keep send order ([`Transport::in_order`]).
     pub fn spawn_on(
         n: usize,
         endpoints: Endpoints,
-        cfg: ClusterConfig,
+        mut cfg: ClusterConfig,
         transport: Arc<dyn Transport>,
     ) -> Cluster<M> {
+        cfg.protocol.in_order = transport.in_order();
         let epoch = cfg.trace_epoch.unwrap_or_else(Instant::now);
         let membership: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let Endpoints { nodes: receivers, client: client_rx } = endpoints;

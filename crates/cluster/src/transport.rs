@@ -89,6 +89,16 @@ pub trait Transport: Send + Sync + 'static {
     /// its network.
     fn send(&self, from: u32, to: u32, packet: Packet);
 
+    /// Whether the frames one endpoint sends another arrive in the order
+    /// they were sent, lost ones aside. [`crate::Cluster::spawn_on`] hands it
+    /// to every replica's engine ([`nbr_types::ProtocolConfig::in_order`]),
+    /// which then takes a gap in its log for a lost frame and asks for the
+    /// repair at once. The default, `false`, promises only what Raft
+    /// assumes.
+    fn in_order(&self) -> bool {
+        false
+    }
+
     /// A point-in-time snapshot of the transport's own metrics registry,
     /// merged into [`crate::Cluster::prometheus`] exports.
     fn scrape(&self) -> Option<Snapshot> {

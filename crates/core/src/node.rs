@@ -144,14 +144,22 @@ impl Progress {
     }
 }
 
-/// Follower gap-hint damping state: a window-cached entry proves the log
-/// has a gap starting at `start`. The repair hint is sent at most once per
-/// distinct gap start, and only once the gap has *persisted* for a quarter
-/// heartbeat interval — transient dispatcher reorder fills gaps on its own
-/// within network-jitter timescales, and hinting on every momentary gap
-/// amplifies repair traffic (duplicate catch-up rounds) instead of cutting
-/// latency. A persistent gap means a lost frame, which otherwise waits
-/// multiple heartbeat rounds for the leader's stall detector.
+/// Follower gap-hint state: a window-cached entry proves the log has a gap
+/// starting at `start`. How the `Mismatch` hint is timed depends on the link
+/// ([`ProtocolConfig::in_order`]):
+/// - On a reordering link a gap may be frames still in flight on another
+///   connection, which fill it within jitter timescales, and hinting on
+///   every momentary gap amplifies repair traffic (duplicate catch-up
+///   rounds) instead of cutting latency. The hint goes out once per
+///   distinct gap start, on the first cached arrival a quarter heartbeat
+///   after the gap was first seen (`since`).
+/// - On an in-order link every gap is a lost frame. The hint goes out on
+///   the first cached arrival, and again on the first one half a heartbeat
+///   after the last hint (`since`), in case the hint or a repair frame was
+///   lost too.
+///
+/// Either way a lost frame is repaired long before the leader's stall
+/// detector, which needs two heartbeat rounds without progress.
 #[derive(Clone, Copy, Debug)]
 struct GapHint {
     start: LogIndex,
@@ -200,10 +208,9 @@ pub struct Node<L: LogStore> {
     /// Arrival times of window-cached entries, for `t_wait` accounting.
     arrivals: BTreeMap<LogIndex, Time>,
     /// Follower gap-repair hint state: caching an out-of-order entry
-    /// reveals a gap at the log tip, and one `Mismatch` per distinct
-    /// persistent gap start lets the leader re-send within a round trip
-    /// instead of waiting out the heartbeat stall detector. Cleared
-    /// whenever the log advances.
+    /// reveals a gap at the log tip, and a `Mismatch` hint lets the leader
+    /// re-send within a round trip instead of waiting out the heartbeat
+    /// stall detector. Cleared whenever the log advances.
     gap_hint: Option<GapHint>,
     election_deadline: Time,
 
@@ -519,7 +526,7 @@ impl<L: LogStore> Node<L> {
             idx.hash(h);
             entry.hash(h);
         }
-        // Follower gap hint: damping state decides whether a `Mismatch`
+        // Follower gap hint: its timing state decides whether a `Mismatch`
         // repair hint may be (re)sent, so it distinguishes behavior.
         if let Some(hint) = &self.gap_hint {
             hint.start.hash(h);
@@ -829,9 +836,13 @@ impl<L: LogStore> Node<L> {
         self.vote_list.track(index, self.term, origin, self_bit, threshold);
         self.emit(ProbeEvent::VoteTracked { index, threshold });
         self.replicate_entry(&entry, out);
-        // Single-node groups commit immediately (bit 0 = evaluate only).
-        let outcome = self.vote_list.strong_accept(index, 0, self.term);
-        self.process_vote_outcome(outcome, out);
+        // A one-node group commits on the leader's own vote (bit 0 =
+        // evaluate only). In a larger group that vote can commit nothing,
+        // and every other tuple was evaluated when its votes arrived.
+        if threshold <= 1 {
+            let outcome = self.vote_list.strong_accept(index, 0, self.term);
+            self.process_vote_outcome(outcome, out);
+        }
     }
 
     /// Send one freshly indexed entry to followers according to the
@@ -1192,29 +1203,32 @@ impl<L: LogStore> Node<L> {
     }
 
     /// A freshly cached entry at `index` proves everything from our log tip
-    /// up to it is missing. If the same gap persists across cached arrivals
-    /// for a quarter heartbeat interval it is a lost frame, not in-flight
-    /// reorder: ask for the repair now rather than letting the leader's stall
-    /// detector notice whole heartbeat rounds later — the strong-accept
-    /// watermark is frozen until the gap fills. Damped to one hint per
-    /// distinct gap start so a burst of cached entries (or retries) cannot
-    /// fan out into duplicate repair rounds; see [`GapHint`].
+    /// up to it is missing, and the strong-accept watermark is frozen until
+    /// the gap fills. Ask the leader for the repair as soon as the gap is
+    /// known to be a loss rather than reorder, instead of letting its stall
+    /// detector notice whole heartbeat rounds later; see [`GapHint`] for
+    /// when that is on each kind of link.
     fn hint_gap(&mut self, index: LogIndex, leader: NodeId, now: Time, out: &mut Vec<Output>) {
         let missing = self.log.last_index().next();
         let hint = match self.gap_hint {
             Some(h) if h.start == missing => h,
-            Some(_) | None => {
-                let h = GapHint { start: missing, since: now, sent: false };
-                self.gap_hint = Some(h);
-                h
-            }
+            Some(_) | None => GapHint { start: missing, since: now, sent: false },
         };
-        let patience = self.cfg.timeouts.heartbeat_interval.as_nanos() / 4;
-        if !hint.sent && (now - hint.since).as_nanos() >= patience {
-            self.gap_hint = Some(GapHint { sent: true, ..hint });
-            self.stats.gap_hints += 1;
-            self.respond_mismatch(leader, index, missing, out);
+        let heartbeat = self.cfg.timeouts.heartbeat_interval.as_nanos();
+        let waited = (now - hint.since).as_nanos();
+        let due = match (self.cfg.in_order, hint.sent) {
+            (true, false) => true,
+            (true, true) => waited >= heartbeat / 2,
+            (false, sent) => !sent && waited >= heartbeat / 4,
+        };
+        if !due {
+            self.gap_hint = Some(hint);
+            return;
         }
+        let since = if self.cfg.in_order { now } else { hint.since };
+        self.gap_hint = Some(GapHint { since, sent: true, ..hint });
+        self.stats.gap_hints += 1;
+        self.respond_mismatch(leader, index, missing, out);
     }
 
     fn respond_strong(&mut self, leader: NodeId, out: &mut Vec<Output>) {

@@ -51,8 +51,9 @@ node_stats! {
         /// LOG_MISMATCH responses sent.
         mismatches = "mismatches",
         /// Gap-hint repair requests sent: a `Mismatch { resend_from }`
-        /// emitted because a window gap outlived the quarter-heartbeat
-        /// damping, not because an append actually conflicted.
+        /// emitted because the window caches entries above a gap in the
+        /// log (at once on an in-order link, after a quarter heartbeat on a
+        /// reordering one), not because an append actually conflicted.
         gap_hints = "gap_hints",
         /// Entries parked because they were out of order and beyond the
         /// window (for Raft, *every* out-of-order entry parks — the blocking

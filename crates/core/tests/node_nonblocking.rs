@@ -337,3 +337,83 @@ fn a_mismatch_is_streamed_through_its_index_then_stops() {
     let accept = strong(&c, 150);
     assert_eq!(resent_on(&mut c, accept), Vec::<u64>::new(), "the range closed at its index");
 }
+
+/// A two-node NB-Raft group whose follower lost the frame carrying entry 2,
+/// on links that keep send order (`in_order`) or may reorder frames.
+fn follower_behind_a_lost_frame(in_order: bool) -> TestCluster {
+    let cfg = ProtocolConfig { in_order, ..Protocol::NbRaft.config(256) };
+    let mut c = TestCluster::new(2, &cfg);
+    c.elect(0);
+    c.client_request(0, 1, 1, b"k=v");
+    c.pending.clear();
+    c
+}
+
+/// The leader proposes one more entry at `at` and the follower receives it
+/// at once: the `(index, resend_from)` of each gap hint it answers with.
+fn hints_on_arrival(c: &mut TestCluster, at: Time) -> Vec<(u64, u64)> {
+    c.now = at;
+    let request = c.node(0).last_index().0;
+    c.client_request(0, 1, request, b"k=v");
+    let m = c.pending.pop_back().expect("the leader sent the entry");
+    assert!(c.pending.is_empty() && matches!(m.msg, Message::AppendEntry(_)));
+    let mut out = Vec::new();
+    c.node_mut(1).handle_message(m.from, m.msg, at, &mut out);
+    gap_hints(&out)
+}
+
+fn gap_hints(out: &[nbr_core::Output]) -> Vec<(u64, u64)> {
+    out.iter()
+        .filter_map(|o| match o {
+            nbr_core::Output::Send {
+                msg:
+                    Message::AppendResp(AppendRespMsg {
+                        state: AcceptState::Mismatch { index, resend_from },
+                        ..
+                    }),
+                ..
+            } => Some((index.0, resend_from.0)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One arrival every twentieth of a heartbeat for two heartbeats, the first
+/// at 0: the arrivals (by number) that sent a gap hint, with the hints.
+fn hints_over_two_heartbeats(c: &mut TestCluster) -> Vec<(u64, Vec<(u64, u64)>)> {
+    let step = c.node(1).config().timeouts.heartbeat_interval.as_nanos() / 20;
+    (0..=40)
+        .map(|k| (k, hints_on_arrival(c, Time(k * step))))
+        .filter(|(_, hints)| !hints.is_empty())
+        .collect()
+}
+
+#[test]
+fn on_an_in_order_link_the_first_arrival_above_a_gap_hints_it() {
+    let mut c = follower_behind_a_lost_frame(true);
+    // Entry 3 arrives over the hole at 2: the hint goes out with its accept.
+    assert_eq!(hints_on_arrival(&mut c, Time::ZERO), vec![(3, 2)]);
+}
+
+#[test]
+fn on_an_in_order_link_an_open_gap_is_hinted_again_each_half_heartbeat() {
+    let mut c = follower_behind_a_lost_frame(true);
+    // Arrival k carries entry k + 3; a half heartbeat is ten arrivals.
+    let want: Vec<_> = [0, 10, 20, 30, 40].map(|k| (k, vec![(k + 3, 2)])).into();
+    assert_eq!(hints_over_two_heartbeats(&mut c), want);
+    // Time alone re-sends nothing: only a cached arrival hints.
+    let heartbeat = c.node(1).config().timeouts.heartbeat_interval.as_nanos();
+    for k in 1..=10 {
+        let mut out = Vec::new();
+        let now = Time(2 * heartbeat + k * heartbeat / 10);
+        c.node_mut(1).tick(now, &mut out);
+        assert_eq!(gap_hints(&out), vec![], "tick at {now:?}");
+    }
+}
+
+#[test]
+fn on_a_reordering_link_a_gap_is_hinted_once_after_a_quarter_heartbeat() {
+    let mut c = follower_behind_a_lost_frame(false);
+    // A gap younger than a quarter heartbeat (five arrivals) may be reorder.
+    assert_eq!(hints_over_two_heartbeats(&mut c), vec![(5, vec![(8, 2)])]);
+}

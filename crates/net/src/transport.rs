@@ -712,6 +712,17 @@ impl Transport for TcpTransport {
         self.send_to_group(0, to, packet);
     }
 
+    /// A peer link is one connection at a time, written through one
+    /// `Lane` and read by one thread into the inbox, and its emulated
+    /// delay is a monotone `DelayLine`: the frames a node sends a peer that
+    /// survive loss, shedding and reconnects arrive in send order. Across a
+    /// reconnect a dying connection's last frames could in principle land
+    /// after the new one's first; the engine uses the promise only to time
+    /// its repair hint, so such a reorder costs one early hint, never safety.
+    fn in_order(&self) -> bool {
+        true
+    }
+
     fn scrape(&self) -> Option<Snapshot> {
         Some(self.scrape_snapshot())
     }
@@ -726,6 +737,10 @@ struct GroupHandle {
 impl Transport for GroupHandle {
     fn send(&self, _from: u32, to: u32, packet: Packet) {
         self.tcp.send_to_group(self.group, to, packet);
+    }
+
+    fn in_order(&self) -> bool {
+        self.tcp.in_order()
     }
 
     fn scrape(&self) -> Option<Snapshot> {
@@ -1552,6 +1567,37 @@ mod tests {
             .collect();
         assert_eq!(got, (0..sent).collect::<Vec<_>>(), "each frame once, in send order");
         assert_eq!(counter(&t0, "net_dropped_queue_full") + counter(&t0, "net_write_stalls"), 0);
+    }
+
+    /// What [`TcpTransport::in_order`] promises the engine: on a link that
+    /// loses frames and draws a fresh delay at every pump wake-up, the
+    /// frames that survive arrive in strictly increasing send order.
+    #[test]
+    fn survivors_of_a_lossy_jittered_link_arrive_in_send_order() {
+        let ((l0, a0), (l1, a1)) = (bind(), bind());
+        let baseline = LinkFault {
+            cut: false,
+            drop: 0.2,
+            delay: (TimeDelta::from_millis(1), TimeDelta::from_millis(9)),
+        };
+        let cfg = TcpConfig { baseline, ..TcpConfig::default() };
+        let (t0, _rx0) = node(0, (1, a1), l0, &[64], cfg.clone());
+        let (_t1, rx1) = node(1, (0, a0), l1, &[4096], cfg);
+        // Bursts a millisecond apart: each pump wake-up draws its own delay,
+        // so a later burst often draws a shorter one than the burst ahead.
+        let sent = 1_000;
+        for s in 0..sent {
+            t0.send(0, 1, numbered(0, s));
+            if s % 20 == 19 {
+                clock::sleep(Duration::from_millis(1));
+            }
+        }
+        let got: Vec<u64> = std::iter::from_fn(|| rx1[0].recv_timeout(Duration::from_secs(1)).ok())
+            .map(seq_of)
+            .collect();
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "survivors out of send order: {got:?}");
+        assert!(!got.is_empty() && (got.len() as u64) < sent, "{} of {sent} arrived", got.len());
+        assert!(counter(&t0, "net_frames_lost") > 0);
     }
 
     /// A clock sample crosses an emulated link both ways: the Ping on one

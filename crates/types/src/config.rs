@@ -109,6 +109,7 @@ impl Protocol {
             protocol: self,
             window: if self.non_blocking() { window } else { 0 },
             timeouts: TimeoutConfig::default(),
+            in_order: false,
         }
     }
 }
@@ -124,7 +125,8 @@ pub struct TimeoutConfig {
     /// Leader heartbeat interval. It also paces repair: a leader re-sends
     /// to a follower whose heartbeat responses show no progress for two
     /// rounds, declares a peer dead after five silent rounds, and a
-    /// follower holds a gap-repair hint for a quarter of it before asking.
+    /// follower times its gap-repair hint by it (see
+    /// [`ProtocolConfig::in_order`]).
     pub heartbeat_interval: TimeDelta,
 }
 
@@ -150,6 +152,14 @@ pub struct ProtocolConfig {
     pub window: usize,
     /// Timing parameters.
     pub timeouts: TimeoutConfig,
+    /// Whether the runtime delivers each peer's frames in the order they
+    /// were sent. Then a gap in a follower's log is a lost frame, and the
+    /// follower hints it at once and again every half heartbeat while it
+    /// stays open. Otherwise (the default: the DES's jittered dispatcher
+    /// connections, the in-process router) a gap may be reorder, and the
+    /// hint waits until the gap has lasted a quarter heartbeat. Not a
+    /// setting: `Cluster::spawn_on` copies it from its transport.
+    pub in_order: bool,
 }
 
 impl ProtocolConfig {
